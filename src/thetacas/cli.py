@@ -239,18 +239,8 @@ def validate_session(doc) -> List[str]:
 # serialization helpers
 
 
-def _poly_str(ring, p) -> str:
-    return str(p)
-
-
 def _matrix_json(rows) -> list:
     return [[str(p) for p in row] for row in rows]
-
-
-def _class_expr(value) -> ClassExpression:
-    if isinstance(value, str):
-        return ClassExpression.of(value)
-    return ClassExpression.of(value)
 
 
 def _length_json(value):
@@ -261,7 +251,7 @@ def _length_json(value):
 # task execution
 
 
-def _run_task(task: dict, env: Environment, threads: int) -> dict:
+def _run_task(task: dict, env: Environment) -> dict:
     kind = task["kind"]
     ring = env.ring
     d = ring_dimension(ring)
@@ -288,10 +278,11 @@ def _run_task(task: dict, env: Environment, threads: int) -> dict:
         value = tor_length(env.modules[task["left"]], env.modules[task["right"]], task["i"])
         return {"value": value}
     if kind == "theta":
-        value = theta_class(_class_expr(task["left"]), _class_expr(task["right"]), env.modules)
+        left, right = ClassExpression.of(task["left"]), ClassExpression.of(task["right"])
+        value = theta_class(left, right, env.modules)
         return {"value": value}
     if kind == "chi":
-        against = _class_expr(task["against"])
+        against = ClassExpression.of(task["against"])
         if "module" in task:
             total = 0
             for name, coeff in against.items():
@@ -314,12 +305,12 @@ def _run_task(task: dict, env: Environment, threads: int) -> dict:
             "warnings": [str(w.message) for w in caught],
         }
     if kind == "gram":
-        classes = [_class_expr(c) for c in task["classes"]]
-        matrix = gram_matrix(classes, env.modules, threads=threads)
+        classes = [ClassExpression.of(c) for c in task["classes"]]
+        matrix = gram_matrix(classes, env.modules)
         return {"matrix": matrix}
     if kind == "conjecture_report":
         named = [(n, env.modules[n]) for n in task["modules"]]
-        rep = conjecture_report(ring, named, threads=threads)
+        rep = conjecture_report(ring, named)
         return {
             "names": list(rep.names),
             "matrix": rep.matrix,
@@ -333,7 +324,7 @@ def _run_task(task: dict, env: Environment, threads: int) -> dict:
     raise SessionError(f"unknown task kind {kind!r}")
 
 
-def run_session(doc, threads: int = 1) -> Tuple[dict, int]:
+def run_session(doc) -> Tuple[dict, int]:
     env, errors = build_environment(doc)
     if not errors:
         errors = validate_tasks(doc, env)
@@ -359,7 +350,7 @@ def run_session(doc, threads: int = 1) -> Tuple[dict, int]:
         entry = {"index": idx, "kind": task["kind"]}
         start = time.monotonic()
         try:
-            entry["result"] = _run_task(task, env, threads)
+            entry["result"] = _run_task(task, env)
         except (AlgebraError, IndexError, ValueError) as exc:
             entry["error"] = type(exc).__name__
             entry["message"] = str(exc)
@@ -437,8 +428,6 @@ def main(argv=None) -> int:
     run_p.add_argument("session")
     run_p.add_argument("--json", dest="json_out", default=None,
                        help="also write the report as JSON to this path")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="parallel Gram-entry evaluation (default 1)")
     val_p = sub.add_parser("validate", help="check a session file without running it")
     val_p.add_argument("session")
     sub.add_parser("version", help="print the version")
@@ -467,7 +456,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        report, exit_code = run_session(doc, threads=args.threads)
+        report, exit_code = run_session(doc)
     except SessionError as exc:
         for p in exc.messages:
             print(f"schema error: {p}", file=sys.stderr)

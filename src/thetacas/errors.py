@@ -33,6 +33,10 @@ class PeriodicityViolation(AlgebraError):
     """The two-periodicity witness check on the Tor window failed."""
 
 
+class AsymmetricGram(AlgebraError):
+    """A Gram matrix of theta pairings is not symmetric."""
+
+
 class NotFiniteLength(AlgebraError):
     """Module expected to have finite length does not."""
 

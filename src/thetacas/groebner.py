@@ -1,8 +1,8 @@
 """Groebner bases for submodules of free modules over the ambient ring.
 
 Vectors in S^s are sparse dicts mapping (component, exponent tuple) to a
-nonzero field element.  The module order is position-over-term by default
-(lower component index wins), refined by weighted grevlex on monomials.
+nonzero field element.  The module order is position-over-term (lower
+component index wins), refined by weighted grevlex on monomials.
 Syzygies and division representations both come from one augmented-basis
 construction: generators (g_i, eps_i) in S^(s+k) with the main block
 dominating the tag block.
@@ -11,9 +11,10 @@ dominating the tag block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import AlgebraError
 from .ring import (
     INFINITE,
     PolynomialRing,
@@ -30,25 +31,10 @@ Term = Tuple[int, tuple]
 Vector = Dict[Term, object]
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Total order on monomial-times-basis symbols.
-
-    position_over_term: component dominates the base monomial order.
-    Lower component index is larger either way (lower index wins).
-    """
-
-    position_over_term: bool = True
-
-
-def term_key(ring: PolynomialRing, order: ModuleOrder, term: Term):
+def term_key(ring: PolynomialRing, term: Term):
+    """Sort key; the component dominates and the lower index wins."""
     comp, mono = term
-    if order.position_over_term:
-        return (-comp, ring.mono_key(mono))
-    return (ring.mono_key(mono), -comp)
-
-
-DEFAULT_ORDER = ModuleOrder()
+    return (-comp, ring.mono_key(mono))
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +49,8 @@ def vec_from_polys(polys: Sequence[Polynomial]) -> Vector:
     return out
 
 
-def vec_component(v: Vector, comp: int, ring: PolynomialRing) -> Polynomial:
-    return Polynomial(ring, {m: c for (cc, m), c in v.items() if cc == comp})
-
-def vec_lead(v: Vector, ring: PolynomialRing, order: ModuleOrder) -> Term:
-    return max(v, key=lambda t: term_key(ring, order, t))
+def vec_lead(v: Vector, ring: PolynomialRing) -> Term:
+    return max(v, key=lambda t: term_key(ring, t))
 
 
 def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
@@ -88,10 +71,10 @@ def vec_scale(v: Vector, coeff, field) -> Vector:
     return {t: field.mul(coeff, c) for t, c in v.items()}
 
 
-def vec_monic(v: Vector, ring: PolynomialRing, order: ModuleOrder, field) -> Vector:
+def vec_monic(v: Vector, ring: PolynomialRing, field) -> Vector:
     if not v:
         return v
-    lc = v[vec_lead(v, ring, order)]
+    lc = v[vec_lead(v, ring)]
     if lc == field.one:
         return v
     return vec_scale(v, field.inv(lc), field)
@@ -119,15 +102,14 @@ def normal_form_vec(
     v: Vector,
     basis: Sequence[Vector],
     ring: PolynomialRing,
-    order: ModuleOrder = DEFAULT_ORDER,
 ) -> Vector:
     """Fully reduced remainder of v against basis (each basis element monic)."""
     field = ring.field
-    lead_data = [(g, vec_lead(g, ring, order)) for g in basis if g]
+    lead_data = [(g, vec_lead(g, ring)) for g in basis if g]
     work = dict(v)
     remainder: Vector = {}
     while work:
-        t = max(work, key=lambda s: term_key(ring, order, s))
+        t = max(work, key=lambda s: term_key(ring, s))
         c = work[t]
         comp, mono = t
         hit = None
@@ -155,26 +137,22 @@ class GroebnerBasis:
     ring: PolynomialRing
     rank: int
     vectors: tuple
-    order: ModuleOrder = dc_field(default=DEFAULT_ORDER)
 
     def lead_terms(self) -> List[Term]:
-        return [vec_lead(dict(g), self.ring, self.order) for g in self.vectors]
+        return [vec_lead(dict(g), self.ring) for g in self.vectors]
 
     def as_dicts(self) -> List[Vector]:
         return [dict(g) for g in self.vectors]
-
-
-_gb_cache: Dict[tuple, GroebnerBasis] = {}
 
 
 def groebner_basis(
     generators: Sequence[Vector],
     ring: PolynomialRing,
     rank: int,
-    order: ModuleOrder = DEFAULT_ORDER,
 ) -> GroebnerBasis:
-    key = (id(ring), rank, order, tuple(freeze_vec(g) for g in generators))
-    cached = _gb_cache.get(key)
+    """Reduced Groebner basis, memoised on the ring by (rank, generators)."""
+    key = (rank, tuple(freeze_vec(g) for g in generators))
+    cached = ring._groebner_memo.get(key)
     if cached is not None:
         return cached
 
@@ -184,10 +162,10 @@ def groebner_basis(
     pending = set()
 
     def add_element(v: Vector):
-        v = vec_monic(v, ring, order, field)
+        v = vec_monic(v, ring, field)
         j = len(G)
         G.append(v)
-        lt = vec_lead(v, ring, order)
+        lt = vec_lead(v, ring)
         leads.append(lt)
         for i in range(j):
             if leads[i][0] == lt[0]:
@@ -227,7 +205,7 @@ def groebner_basis(
         s: Vector = {}
         vec_axpy(s, field.one, mono_div(L, leads[i][1]), G[i], field)
         vec_axpy(s, field.neg(field.one), mono_div(L, leads[j][1]), G[j], field)
-        r = normal_form_vec(s, G, ring, order)
+        r = normal_form_vec(s, G, ring)
         if r:
             add_element(r)
 
@@ -250,17 +228,17 @@ def groebner_basis(
     reduced = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        r = normal_form_vec(g, others, ring, order)
+        r = normal_form_vec(g, others, ring)
         if r:
-            reduced.append(vec_monic(r, ring, order, field))
-    reduced.sort(key=lambda v: term_key(ring, order, vec_lead(v, ring, order)), reverse=True)
-    result = GroebnerBasis(ring, rank, tuple(freeze_vec(v) for v in reduced), order)
-    _gb_cache[key] = result
+            reduced.append(vec_monic(r, ring, field))
+    reduced.sort(key=lambda v: term_key(ring, vec_lead(v, ring)), reverse=True)
+    result = GroebnerBasis(ring, rank, tuple(freeze_vec(v) for v in reduced))
+    ring._groebner_memo[key] = result
     return result
 
 
 def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
-    return normal_form_vec(v, G.as_dicts(), G.ring, G.order)
+    return normal_form_vec(v, G.as_dicts(), G.ring)
 
 
 def is_member(v: Vector, G: GroebnerBasis) -> bool:
@@ -271,34 +249,25 @@ def is_member(v: Vector, G: GroebnerBasis) -> bool:
 # syzygies and representations via the augmented basis
 
 
-_aug_cache: Dict[tuple, GroebnerBasis] = {}
-
-
 def _augmented_basis(
     generators: Sequence[Vector], ring: PolynomialRing, rank: int,
-    order: ModuleOrder = DEFAULT_ORDER,
 ) -> GroebnerBasis:
-    key = (id(ring), rank, order, tuple(freeze_vec(g) for g in generators))
-    cached = _aug_cache.get(key)
-    if cached is None:
-        one = (0,) * ring.nvars
-        aug = []
-        for i, g in enumerate(generators):
-            h = dict(g)
-            h[(rank + i, one)] = ring.field.one
-            aug.append(h)
-        cached = groebner_basis(aug, ring, rank + len(generators), order)
-        _aug_cache[key] = cached
-    return cached
+    """GB of the tagged generators (g_i, eps_i) in S^(rank + k)."""
+    one = ring._one_mono
+    aug = []
+    for i, g in enumerate(generators):
+        h = dict(g)
+        h[(rank + i, one)] = ring.field.one
+        aug.append(h)
+    return groebner_basis(aug, ring, rank + len(generators))
 
 
 def syzygy_basis(
     generators: Sequence[Vector], ring: PolynomialRing, rank: int,
-    order: ModuleOrder = DEFAULT_ORDER,
 ) -> List[Vector]:
     """Generators of {c in S^k : sum_i c_i g_i = 0} for the given k vectors."""
     k = len(generators)
-    aug = _augmented_basis(generators, ring, rank, order)
+    aug = _augmented_basis(generators, ring, rank)
     out = []
     for fv in aug.vectors:
         v = dict(fv)
@@ -309,11 +278,10 @@ def syzygy_basis(
 
 def reduce_with_representation(
     v: Vector, generators: Sequence[Vector], ring: PolynomialRing, rank: int,
-    order: ModuleOrder = DEFAULT_ORDER,
 ) -> Tuple[Vector, List[Polynomial]]:
     """Return (r, [q_i]) with v = sum q_i g_i + r and r fully reduced."""
     k = len(generators)
-    aug = _augmented_basis(generators, ring, rank, order)
+    aug = _augmented_basis(generators, ring, rank)
     nf = normal_form(dict(v), aug)
     r = vec_restrict(nf, 0, rank)
     field = ring.field
@@ -399,7 +367,8 @@ def _tpoly_div_1mt(a: dict) -> dict:
         val = coeffs[d] + carry
         q.append(val)
         carry = val
-    assert q and q[-1] == 0 or top == 0
+    if top > 0 and q[-1] != 0:
+        raise AlgebraError("numerator does not vanish at t = 1")
     return {d: c for d, c in enumerate(q[:-1] if top > 0 else q) if c}
 
 
@@ -475,5 +444,6 @@ def multiplicity(G: GroebnerBasis) -> int:
     while _tpoly_eval1(num) == 0:
         num = _tpoly_div_1mt(num)
     e = _tpoly_eval1(num)
-    assert e > 0
+    if e <= 0:
+        raise AlgebraError(f"multiplicity {e} is not positive")
     return e

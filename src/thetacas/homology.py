@@ -9,9 +9,9 @@ their canonical normal forms modulo f.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InhomogeneousError, NotStabilized
+from .errors import InfiniteLength, InhomogeneousError, NotStabilized
 from .groebner import (
     GroebnerBasis,
     Vector,
@@ -34,7 +34,7 @@ from .ring import (
     RingLike,
     ambient_of,
     modulus_of,
-    mono_mul,
+    ring_dimension,
 )
 
 MatrixRows = Tuple[Tuple[Polynomial, ...], ...]
@@ -150,16 +150,17 @@ def lifted_basis(ring: RingLike, vectors: Sequence[Vector], rank: int) -> Groebn
     return groebner_basis(list(vectors) + f_times_unit_vectors(ring, rank), S, rank)
 
 
-def membership_nf(ring: RingLike, v: Vector, gb: GroebnerBasis) -> Vector:
-    return normal_form(dict(v), gb)
-
-
 # ---------------------------------------------------------------------------
 # module presentations
 
 
 class ModulePresentation:
-    """Finitely generated module coker(Q : R^t -> R^s) with graded bookkeeping."""
+    """Finitely generated module coker(Q : R^t -> R^s) with graded bookkeeping.
+
+    The module owns what is computed from it, each filled on first use: the
+    presentation GB, the minimal presentation, the minimal resolution (grown
+    in place as longer ones are asked for), and Tor lengths against other
+    modules, keyed by (module object, i)."""
 
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
         self.ring = ring
@@ -185,7 +186,14 @@ class ModulePresentation:
         if gen_degrees is None:
             gen_degrees = self._infer_degrees()
         self.gen_degrees = tuple(gen_degrees)
-        self._cache: dict = {}
+        self._gb: Optional[GroebnerBasis] = None
+        self._minimal: Optional[ModulePresentation] = None
+        # resolution: columns of d_1, d_2, ...; generator degrees and Betti
+        # numbers of F_0, F_1, ...
+        self._res_diffs: List[List[Vector]] = []
+        self._res_degs: List[List[int]] = []
+        self._res_betti: List[int] = []
+        self._tor_lengths: Dict[Tuple[ModulePresentation, int], object] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -247,26 +255,21 @@ class ModulePresentation:
                                 )
         return tuple(d if d is not None else 0 for d in degs)
 
-    def cache_key(self):
-        return (id(self.ring), self.rows)
-
     def columns(self) -> List[Vector]:
         return columns_as_vectors(self.rows)
 
     def presentation_gb(self) -> GroebnerBasis:
         """GB of the lifted column submodule of S^s (adds f * e_j)."""
-        gb = self._cache.get("gb")
-        if gb is None:
-            gb = lifted_basis(self.ring, self.columns(), self.nrows)
-            self._cache["gb"] = gb
-        return gb
+        if self._gb is None:
+            self._gb = lifted_basis(self.ring, self.columns(), self.nrows)
+        return self._gb
 
     def is_zero(self) -> bool:
         if self.nrows == 0:
             return True
         gb = self.presentation_gb()
         one = (0,) * ambient_of(self.ring).nvars
-        return all(not membership_nf(self.ring, {(j, one): self.ring.field.one}, gb)
+        return all(not normal_form({(j, one): self.ring.field.one}, gb)
                    for j in range(self.nrows))
 
     def __repr__(self):
@@ -275,9 +278,8 @@ class ModulePresentation:
     # -- minimal presentation ---------------------------------------------
 
     def minimal_presentation(self) -> "ModulePresentation":
-        cached = self._cache.get("minimal")
-        if cached is not None:
-            return cached
+        if self._minimal is not None:
+            return self._minimal
         field = self.ring.field
         rows = [list(r) for r in self.rows]
         degs = list(self.gen_degrees)
@@ -315,10 +317,32 @@ class ModulePresentation:
                 if changed:
                     break
         result = ModulePresentation(self.ring, rows, gen_degrees=tuple(degs))
-        self._cache["minimal"] = result
-        self._cache["minimal_of_minimal"] = result
-        result._cache["minimal"] = result
+        self._minimal = result
+        result._minimal = result
         return result
+
+    def _extend_resolution(self, length: int) -> None:
+        """Grow the minimal resolution to at least `length` differentials."""
+        diffs, degs, betti = self._res_diffs, self._res_degs, self._res_betti
+        if not diffs:
+            minimal = self.minimal_presentation()
+            cols = minimal.columns()
+            S = ambient_of(self.ring)
+            diffs.append(cols)
+            degs.append(list(minimal.gen_degrees))
+            degs.append([_vector_degree(v, minimal.gen_degrees, S) for v in cols])
+            betti += [minimal.nrows, minimal.ncols]
+        while len(diffs) < length:
+            i = len(diffs)  # computing d_{i+1}
+            if betti[i] == 0:
+                diffs.append([])
+                degs.append([])
+                betti.append(0)
+                continue
+            kernel = _resolution_step(self.ring, diffs[i - 1], betti[i - 1], degs[i])
+            diffs.append([v for v, _d in kernel])
+            degs.append([d for _v, d in kernel])
+            betti.append(len(kernel))
 
 
 def present_cyclic(ring: RingLike, generators) -> ModulePresentation:
@@ -344,24 +368,25 @@ def module_dimension(M: ModulePresentation) -> int:
 
 
 class Resolution:
-    """Minimal graded free resolution of M over R, to homological degree L."""
+    """Minimal graded free resolution of M over R, to homological degree L.
+
+    A view of the first L differentials of the resolution M owns."""
 
     def __init__(self, module: ModulePresentation, length: int):
         self.module = module
         self.ring = module.ring
         self.length = length
-        module._ensure_resolution(length)
+        module._extend_resolution(length)
 
     @property
     def betti(self) -> List[int]:
-        b = self.module._cache["res_betti"]
-        return list(b[: self.length + 1])
+        return self.module._res_betti[: self.length + 1]
 
     def differential_columns(self, i: int) -> List[Vector]:
         """Columns of d_i (1-based), as vectors in R^(b_{i-1})."""
         if not 1 <= i <= self.length:
             raise IndexError(f"differential index {i} out of range 1..{self.length}")
-        return self.module._cache["res_diffs"][i - 1]
+        return self.module._res_diffs[i - 1]
 
     def matrix(self, i: int) -> MatrixRows:
         cols = self.differential_columns(i)
@@ -369,16 +394,18 @@ class Resolution:
         return vectors_to_rows(cols, rank, self.ring)
 
     def gen_degrees(self, i: int) -> List[int]:
-        return list(self.module._cache["res_degs"][i])
+        return list(self.module._res_degs[i])
 
     @property
     def stable_start(self) -> Optional[int]:
-        """Smallest index from which the computed Betti tail is constant.
+        """Smallest index from which the computed Betti numbers are constant.
 
-        Requires the tail to be constant for at least two consecutive steps
-        past the ring dimension; None when not yet stabilized."""
+        Requires length >= d + 3 and a constant tail from an index <= d + 1;
+        None when not yet stabilized.  Only Betti numbers are compared: the
+        matrix factorization identity checked by MatrixFactorization is the
+        certificate that the tail is periodic."""
         b = self.betti
-        d = _dim_of(self.ring)
+        d = ring_dimension(self.ring)
         L = self.length
         if L < d + 3:
             return None
@@ -388,32 +415,11 @@ class Resolution:
         start = j + 1
         if start > d + 1:
             return None
-        # lead-term periodicity witness on the tail differentials
-        if L >= start + 2:
-            lead_a = _column_lead_multiset(self, max(start, 1))
-            lead_b = _column_lead_multiset(self, max(start, 1) + 2)
-            if lead_a != lead_b:
-                return None
         return max(start, 1)
 
     @property
     def stable(self) -> bool:
         return self.stable_start is not None
-
-
-def _dim_of(ring: RingLike) -> int:
-    from .ring import ring_dimension
-
-    return ring_dimension(ring)
-
-
-def _column_lead_multiset(res: Resolution, i: int):
-    if i > res.length or res.betti[i] == 0:
-        return ()
-    S = ambient_of(res.ring)
-    from .groebner import DEFAULT_ORDER, vec_lead
-
-    return tuple(sorted(vec_lead(v, S, DEFAULT_ORDER) for v in res.differential_columns(i)))
 
 
 def _vector_degree(v: Vector, target_degs: Sequence[int], S: PolynomialRing) -> int:
@@ -438,7 +444,7 @@ def _minimal_generating_subset(
     for deg, _key, v in decorated:
         if kept:
             gb = lifted_basis(ring, [k for k, _d in kept], rank)
-            if not membership_nf(ring, v, gb):
+            if not normal_form(v, gb):
                 continue
         elif not v:
             continue
@@ -452,39 +458,6 @@ def _resolution_step(
     """Minimal generators of ker(d) for the map with the given columns."""
     syz = syzygies_over(ring, diff_cols, rank)
     return _minimal_generating_subset(ring, syz, len(diff_cols), target_degs)
-
-
-def _ensure_resolution(self: ModulePresentation, length: int) -> None:
-    cache = self._cache
-    if "res_diffs" not in cache:
-        minimal = self.minimal_presentation()
-        cache["res_min"] = minimal
-        cache["res_diffs"] = [minimal.columns()]
-        cache["res_degs"] = [list(minimal.gen_degrees)]
-        col_degs = []
-        for c in range(minimal.ncols):
-            v = minimal.columns()[c]
-            col_degs.append(_vector_degree(v, minimal.gen_degrees, ambient_of(self.ring)))
-        cache["res_degs"].append(col_degs)
-        cache["res_betti"] = [minimal.nrows, minimal.ncols]
-    diffs = cache["res_diffs"]
-    degs = cache["res_degs"]
-    betti = cache["res_betti"]
-    while len(diffs) < length:
-        i = len(diffs)  # computing d_{i+1}
-        if betti[i] == 0:
-            diffs.append([])
-            degs.append([])
-            betti.append(0)
-            continue
-        source_degs = degs[i]
-        kernel = _resolution_step(self.ring, diffs[i - 1], betti[i - 1], source_degs)
-        diffs.append([v for v, _d in kernel])
-        degs.append([d for _v, d in kernel])
-        betti.append(len(kernel))
-
-
-ModulePresentation._ensure_resolution = _ensure_resolution
 
 
 def minimal_resolution(M: ModulePresentation, length: int) -> Resolution:
@@ -678,23 +651,17 @@ def homology_of_tensored(res: Resolution, N: ModulePresentation, i: int) -> Modu
     return complex_homology(res.ring, diff_cols, ranks, N, i)
 
 
-_tor_cache: Dict[tuple, object] = {}
-
-
 def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
-    """Length of Tor_i^A(M, N) for i >= 1; INFINITE lengths raise."""
-    from .errors import InfiniteLength
-
+    """Length of Tor_i^A(M, N) for i >= 1, remembered on M; INFINITE lengths
+    raise."""
     if i < 1:
         raise IndexError("tor_length requires i >= 1")
-    key = (M.cache_key(), N.cache_key(), i)
-    if key in _tor_cache:
-        result = _tor_cache[key]
-    else:
+    result = M._tor_lengths.get((N, i))
+    if result is None:
         res = minimal_resolution(M, i + 1)
         H = homology_of_tensored(res, N, i)
         result = module_length(H)
-        _tor_cache[key] = result
+        M._tor_lengths[(N, i)] = result
     if result is INFINITE:
         raise InfiniteLength(f"Tor_{i} has infinite length")
     return result

@@ -3,12 +3,12 @@ even-vanishing / semidefiniteness report harness."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
+from .errors import AsymmetricGram
 from .homology import ModulePresentation
 from .pairings import ClassExpression, theta_class
 from .ring import RingLike, ring_dimension
@@ -17,28 +17,19 @@ from .ring import RingLike, ring_dimension
 def gram_matrix(
     classes: Sequence[ClassExpression],
     registry: Dict[str, ModulePresentation],
-    threads: int = 1,
 ) -> List[List[int]]:
-    """Exact symmetric matrix of theta pairings on the given classes."""
-    n = len(classes)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
+    """Exact symmetric matrix of theta pairings on the given classes.
 
-    def entry(pair):
-        i, j = pair
-        return theta_class(classes[i], classes[j], registry)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(entry, pairs))
-    else:
-        values = [entry(p) for p in pairs]
-    matrix = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pairs, values):
-        matrix[i][j] = v
-    for i in range(n):
+    Every entry is computed, both (i, j) and (j, i), so that the symmetry of
+    theta is checked on each pair."""
+    matrix = [[theta_class(a, b, registry) for b in classes] for a in classes]
+    for i in range(len(matrix)):
         for j in range(i):
             if matrix[i][j] != matrix[j][i]:
-                raise AssertionError("theta pairing matrix is not symmetric")
+                raise AsymmetricGram(
+                    f"theta pairing matrix is not symmetric at ({i}, {j}): "
+                    f"{matrix[i][j]} != {matrix[j][i]}"
+                )
     return matrix
 
 
@@ -164,14 +155,13 @@ class GramReport:
 def conjecture_report(
     ring: RingLike,
     modules: Sequence[Tuple[str, ModulePresentation]],
-    threads: int = 1,
 ) -> GramReport:
     """Even dimension: theta must vanish identically.  Odd dimension: the
     sign-adjusted Gram matrix must be positive semidefinite."""
     names = tuple(name for name, _m in modules)
     registry = {name: m for name, m in modules}
     classes = [ClassExpression.of(name) for name in names]
-    matrix = gram_matrix(classes, registry, threads=threads)
+    matrix = gram_matrix(classes, registry)
     sig = signature(matrix)
     d = ring_dimension(ring)
     if d % 2 == 0:

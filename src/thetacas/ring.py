@@ -148,6 +148,9 @@ class PolynomialRing:
         self.nvars = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._one_mono = (0,) * self.nvars
+        # Groebner bases over this ring, keyed by (rank, frozen generators);
+        # filled by groebner.groebner_basis and freed with the ring.
+        self._groebner_memo = {}
 
     # -- monomial order: weighted graded reverse lexicographic ------------
 

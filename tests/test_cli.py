@@ -1,7 +1,9 @@
 """Command-line front end: session execution, validation, exit codes."""
 
 import copy
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -133,12 +135,43 @@ def test_shipped_quadric_session():
     assert results[7]["verdict"] == "PASS"
 
 
-def test_determinism_across_runs_and_threads():
-    doc = json.loads((SESSIONS / "quadric.json").read_text())
-    a, _ = run_session(doc, threads=1)
-    b, _ = run_session(doc, threads=4)
-    c, _ = run_session(doc, threads=1)
-    assert strip_timing(a) == strip_timing(b) == strip_timing(c)
+def test_determinism_with_cold_caches():
+    """Every run builds fresh rings, so no run sees another's caches; the
+    gram task alone must agree with the gram task run after the theta tasks
+    that warm the Tor lengths it reads."""
+    text = (SESSIONS / "quadric.json").read_text()
+    a, code_a = run_session(json.loads(text))
+    b, code_b = run_session(json.loads(text))
+    assert code_a == code_b == 0
+    assert strip_timing(a) == strip_timing(b)
+
+    alone = json.loads(text)
+    gram_index = next(i for i, t in enumerate(alone["tasks"]) if t["kind"] == "gram")
+    alone["tasks"] = [alone["tasks"][gram_index]]
+    c, code_c = run_session(alone)
+    assert code_c == 0
+    assert strip_timing(c)["metadata"] == strip_timing(a)["metadata"]
+    assert c["tasks"][0]["result"] == a["tasks"][gram_index]["result"]
+
+
+def test_session_ring_is_freed(monkeypatch):
+    """Caches hang off the ring and its modules, so nothing outlives the
+    session that built them."""
+    import thetacas.cli as cli
+
+    rings = []
+    build = cli.build_environment
+
+    def recording_build(doc):
+        env, errors = build(doc)
+        rings.append(weakref.ref(env.ring.ambient))
+        return env, errors
+
+    monkeypatch.setattr(cli, "build_environment", recording_build)
+    report, code = run_session(json.loads((SESSIONS / "quadric.json").read_text()))
+    assert code == 0 and len(report["tasks"]) == 8
+    gc.collect()
+    assert rings and all(ref() is None for ref in rings)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +222,26 @@ def test_math_error_reports_task_index(tmp_path):
     failing = report["tasks"][-1]
     assert failing["index"] == 1
     assert failing["error"] == "NotFiniteLength"
+
+
+def test_asymmetric_gram_exits_3(tmp_path, monkeypatch):
+    import thetacas.numeq as numeq
+
+    def lopsided(alpha, beta, registry):
+        return 1 if alpha.items() < beta.items() else 0
+
+    monkeypatch.setattr(numeq, "theta_class", lopsided)
+    doc = {
+        "ring": NODE_DOC["ring"],
+        "modules": NODE_DOC["modules"],
+        "tasks": [{"kind": "gram", "classes": ["Ax", "Ay"]}],
+    }
+    path = write_session(tmp_path, doc)
+    out_path = tmp_path / "report.json"
+    assert main(["run", path, "--json", str(out_path)]) == 3
+    failing = json.loads(out_path.read_text())["tasks"][-1]
+    assert failing["index"] == 0
+    assert failing["error"] == "AsymmetricGram"
 
 
 def test_io_error(capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetacas import INFINITE, FieldSpec, PolynomialRing
+from thetacas.errors import AlgebraError
 from thetacas.groebner import (
+    _tpoly_div_1mt,
     groebner_basis,
     hilbert_numerator,
     is_member,
@@ -223,6 +225,12 @@ def test_multiplicity_rejects_zero_dimensional():
     R = ring2()
     with pytest.raises(Exception):
         multiplicity(ideal_gb(R, "x", "y"))
+
+
+def test_division_by_one_minus_t_checks_the_root():
+    assert _tpoly_div_1mt({0: 1, 2: -1}) == {0: 1, 1: 1}
+    with pytest.raises(AlgebraError):
+        _tpoly_div_1mt({0: 1, 1: 1})
 
 
 def _series_counts(num, nvars, bound):

@@ -17,13 +17,13 @@ from thetacas import (
     tor_length,
 )
 from thetacas.errors import InfiniteLength, NotStabilized
+from thetacas.groebner import normal_form
 from thetacas.homology import (
     columns_as_vectors,
     complex_homology,
     direct_sum,
     homology_of_tensored,
     lifted_basis,
-    membership_nf,
     module_length,
     reduce_mod_f,
 )
@@ -33,8 +33,8 @@ def same_span(ring, cols_a, cols_b, rank):
     """Equality of submodules of R^rank given by two sets of column vectors."""
     ga = lifted_basis(ring, cols_a, rank)
     gb = lifted_basis(ring, cols_b, rank)
-    return all(not membership_nf(ring, dict(v), gb) for v in cols_a) and all(
-        not membership_nf(ring, dict(v), ga) for v in cols_b
+    return all(not normal_form(v, gb) for v in cols_a) and all(
+        not normal_form(v, ga) for v in cols_b
     )
 
 
@@ -185,6 +185,31 @@ def test_mf_of_free_module_is_empty(quadric):
     res = minimal_resolution(free, quadric.dimension + 3)
     mf = extract_matrix_factorization(res)
     assert mf.size == 0
+
+
+@pytest.mark.parametrize(
+    "variables, f, characteristic, weights, generators, size",
+    [
+        (["x", "y", "u", "v"], "x*u + y*v", 0, None, ["x", "y"], 2),
+        (["x", "y", "z"], "x^2 + y^3 + y*z^3", 32003, [9, 6, 4], ["x", "y"], 2),
+        (["x", "y", "z", "w"], "x^3 + y^3 + z^3 + w^3", 0, None,
+         ["x", "y", "z", "w"], 8),
+    ],
+    ids=["quadric_xy", "e7_xy", "cubic_threefold_k"],
+)
+def test_constant_betti_tail_yields_verified_mf(
+    variables, f, characteristic, weights, generators, size
+):
+    """Stability is read off the Betti numbers alone; the MF identity, checked
+    when the factorization is built, certifies the periodic tail."""
+    S = PolynomialRing(FieldSpec(characteristic), variables, weights)
+    A = HypersurfaceRing(S, S.parse(f))
+    res = minimal_resolution(present_cyclic(A, generators), A.dimension + 3)
+    assert res.stable
+    assert all(b == size for b in res.betti[res.stable_start:])
+    mf = extract_matrix_factorization(res)
+    assert mf.size == size
+    assert_mf_identity(A, mf)
 
 
 def test_mf_identity_is_verified_on_construction(node):

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from thetacas import (
     ClassExpression,
+    FieldSpec,
+    HypersurfaceRing,
     ModulePresentation,
+    PolynomialRing,
     conjecture_report,
     gram_matrix,
     kernel_basis,
@@ -41,11 +44,20 @@ def test_gram_free_class(node):
     assert gram_matrix(classes_of(["A"]), registry) == [[0]]
 
 
-def test_gram_threads_deterministic(quadric_modules):
+def test_gram_cold_cache_deterministic(quadric_modules):
+    """Fresh rings and modules (cold caches) give the Gram matrix of the
+    shared, warm fixture modules."""
     cls = classes_of(["Ap", "Aq", "Ax"])
-    assert gram_matrix(cls, quadric_modules, threads=1) == gram_matrix(
-        cls, quadric_modules, threads=3
-    )
+    warm = gram_matrix(cls, quadric_modules)
+    for _ in range(2):
+        S = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v"])
+        ring = HypersurfaceRing(S, S.parse("x*y - u*v"))
+        cold = {
+            "Ap": ModulePresentation.cyclic(ring, ["x", "u"]),
+            "Aq": ModulePresentation.cyclic(ring, ["x", "v"]),
+            "Ax": ModulePresentation.cyclic(ring, ["x"]),
+        }
+        assert gram_matrix(cls, cold) == warm
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,28 @@ def test_theta_a1_surface_vanishes(a1, a1_modules):
             assert theta(mods[a], mods[b]) == 0
 
 
+def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
+    """A second theta on the same module objects reads the Tor lengths the
+    first one left on the left module: no homology is computed again."""
+    import thetacas.homology as homology
+
+    Ap = present_cyclic(quadric, ["x", "u"])
+    Aq = present_cyclic(quadric, ["x", "v"])
+    first = theta(Ap, Aq)
+    calls = []
+    real = homology.complex_homology
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology, "complex_homology", counting)
+    assert theta(Ap, Aq) == first
+    assert calls == []
+    theta(Aq, Ap)  # a new left module computes its own Tor lengths
+    assert calls
+
+
 def test_theta_against_free_module(node, node_modules, quadric, quadric_modules):
     assert theta(node_modules["Ax"], ModulePresentation.free(node)) == 0
     assert theta(quadric_modules["Ap"], ModulePresentation.free(quadric)) == 0
