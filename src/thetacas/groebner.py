@@ -10,6 +10,8 @@ dominating the tag block.
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -71,10 +73,9 @@ def vec_scale(v: Vector, coeff, field) -> Vector:
     return {t: field.mul(coeff, c) for t, c in v.items()}
 
 
-def vec_monic(v: Vector, ring: PolynomialRing, field) -> Vector:
-    if not v:
-        return v
-    lc = v[vec_lead(v, ring)]
+def _monic(v: Vector, lead: Term, field) -> Vector:
+    """v scaled so the coefficient at its lead term is one."""
+    lc = v[lead]
     if lc == field.one:
         return v
     return vec_scale(v, field.inv(lc), field)
@@ -100,12 +101,11 @@ def vec_restrict(v: Vector, lo: int, hi: int, rebase: bool = True) -> Vector:
 
 def normal_form_vec(
     v: Vector,
-    basis: Sequence[Vector],
+    reducers: Sequence[Tuple[Vector, Term]],
     ring: PolynomialRing,
 ) -> Vector:
-    """Fully reduced remainder of v against basis (each basis element monic)."""
+    """Fully reduced remainder of v against (monic vector, lead term) pairs."""
     field = ring.field
-    lead_data = [(g, vec_lead(g, ring)) for g in basis if g]
     work = dict(v)
     remainder: Vector = {}
     while work:
@@ -113,7 +113,7 @@ def normal_form_vec(
         c = work[t]
         comp, mono = t
         hit = None
-        for g, (gcomp, gmono) in lead_data:
+        for g, (gcomp, gmono) in reducers:
             if gcomp == comp and mono_divides(gmono, mono):
                 hit = (g, gmono)
                 break
@@ -132,14 +132,16 @@ def normal_form_vec(
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis of a submodule of S^rank."""
+    """Reduced Groebner basis of a submodule of S^rank; leads[i] is the lead
+    term of vectors[i]."""
 
     ring: PolynomialRing
     rank: int
     vectors: tuple
+    leads: tuple = dataclasses.field(compare=False)
 
     def lead_terms(self) -> List[Term]:
-        return [vec_lead(dict(g), self.ring) for g in self.vectors]
+        return list(self.leads)
 
     def as_dicts(self) -> List[Vector]:
         return [dict(g) for g in self.vectors]
@@ -157,34 +159,33 @@ def groebner_basis(
         return cached
 
     field = ring.field
-    G: List[Vector] = []
+    G: List[Tuple[Vector, Term]] = []  # (monic vector, lead term) pairs
     leads: List[Term] = []
+    # S-pairs not yet treated: the set serves the chain criterion, the heap
+    # yields them by (lcm degree, i, j).
     pending = set()
+    queue: List[Tuple[int, int, int]] = []
 
     def add_element(v: Vector):
-        v = vec_monic(v, ring, field)
-        j = len(G)
-        G.append(v)
         lt = vec_lead(v, ring)
+        j = len(G)
+        G.append((_monic(v, lt, field), lt))
         leads.append(lt)
+        comp, mono = lt
         for i in range(j):
-            if leads[i][0] == lt[0]:
+            if leads[i][0] == comp:
                 pending.add((i, j))
+                heapq.heappush(
+                    queue, (ring.mono_degree(mono_lcm(leads[i][1], mono)), i, j))
 
     for g in generators:
         if g:
             add_element(dict(g))
 
-    def lcm_of(i, j):
-        return mono_lcm(leads[i][1], leads[j][1])
-
-    while pending:
-        i, j = min(
-            pending,
-            key=lambda p: (ring.mono_degree(lcm_of(*p)), p[0], p[1]),
-        )
+    while queue:
+        _deg, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        L = lcm_of(i, j)
+        L = mono_lcm(leads[i][1], leads[j][1])
         # product criterion (valid for rank-1 ideals only)
         if rank == 1 and mono_coprime(leads[i][1], leads[j][1]):
             continue
@@ -203,42 +204,38 @@ def groebner_basis(
         if skip:
             continue
         s: Vector = {}
-        vec_axpy(s, field.one, mono_div(L, leads[i][1]), G[i], field)
-        vec_axpy(s, field.neg(field.one), mono_div(L, leads[j][1]), G[j], field)
+        vec_axpy(s, field.one, mono_div(L, leads[i][1]), G[i][0], field)
+        vec_axpy(s, field.neg(field.one), mono_div(L, leads[j][1]), G[j][0], field)
         r = normal_form_vec(s, G, ring)
         if r:
             add_element(r)
 
     # minimalize
     keep = []
-    for i, g in enumerate(G):
-        lt = leads[i]
+    for i, (g, lt) in enumerate(G):
         redundant = False
-        for j, h in enumerate(G):
+        for j, ltj in enumerate(leads):
             if i == j:
                 continue
-            ltj = leads[j]
             if ltj[0] == lt[0] and mono_divides(ltj[1], lt[1]):
                 if ltj[1] != lt[1] or j < i:
                     redundant = True
                     break
         if not redundant:
-            keep.append(g)
-    # interreduce
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form_vec(g, others, ring)
-        if r:
-            reduced.append(vec_monic(r, ring, field))
-    reduced.sort(key=lambda v: term_key(ring, vec_lead(v, ring)), reverse=True)
-    result = GroebnerBasis(ring, rank, tuple(freeze_vec(v) for v in reduced))
+            keep.append((g, lt))
+    # interreduce: no other kept lead divides lt, so lt stays the lead term,
+    # with coefficient one, of g's remainder
+    reduced = [(normal_form_vec(g, keep[:i] + keep[i + 1:], ring), lt)
+               for i, (g, lt) in enumerate(keep)]
+    reduced.sort(key=lambda pair: term_key(ring, pair[1]), reverse=True)
+    result = GroebnerBasis(ring, rank, tuple(freeze_vec(r) for r, _lt in reduced),
+                           tuple(lt for _r, lt in reduced))
     ring._groebner_memo[key] = result
     return result
 
 
 def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
-    return normal_form_vec(v, G.as_dicts(), G.ring)
+    return normal_form_vec(v, list(zip(G.as_dicts(), G.leads)), G.ring)
 
 
 def is_member(v: Vector, G: GroebnerBasis) -> bool:

@@ -44,13 +44,20 @@ MatrixRows = Tuple[Tuple[Polynomial, ...], ...]
 # polynomial / matrix helpers over R
 
 
+def _f_reducer(f: Polynomial) -> List[Tuple[Vector, tuple]]:
+    """f made monic, as the single (vector, lead term) reducer in S^1."""
+    lead = f.lead_monomial()
+    monic = f.scale(f.ring.field.inv(f.coeffs[lead]))
+    return [({(0, m): c for m, c in monic.coeffs.items()}, (0, lead))]
+
+
 def reduce_mod_f(p: Polynomial, ring: RingLike) -> Polynomial:
     f = modulus_of(ring)
     if f is None or p.is_zero():
         return p
     S = ambient_of(ring)
     v = {(0, m): c for m, c in p.coeffs.items()}
-    r = normal_form_vec(v, [{(0, m): c for m, c in f.monic().coeffs.items()}], S)
+    r = normal_form_vec(v, _f_reducer(f), S)
     return Polynomial(S, {m: c for (_c, m), c in r.items()})
 
 
@@ -59,13 +66,13 @@ def reduce_vec_mod_f(v: Vector, ring: RingLike) -> Vector:
     if f is None:
         return dict(v)
     S = ambient_of(ring)
-    fv = {(0, m): c for m, c in f.monic().coeffs.items()}
+    reducer = _f_reducer(f)
     comps: Dict[int, Vector] = {}
     for (comp, m), c in v.items():
         comps.setdefault(comp, {})[(0, m)] = c
     out: Vector = {}
     for comp, poly_vec in comps.items():
-        r = normal_form_vec(poly_vec, [fv], S)
+        r = normal_form_vec(poly_vec, reducer, S)
         for (_z, m), c in r.items():
             out[(comp, m)] = c
     return out
@@ -441,14 +448,20 @@ def _minimal_generating_subset(
         key=lambda t: (t[0], t[1]),
     )
     kept: List[Tuple[Vector, int]] = []
+    # gb is the basis of the lift of the kept vectors except `fresh`, the one
+    # kept last, which joins it when the next candidate needs it.  Reduced
+    # bases are unique, so each extension equals lifted_basis of all kept.
+    gb: Optional[GroebnerBasis] = None
+    fresh: Optional[Vector] = None
     for deg, _key, v in decorated:
-        if kept:
-            gb = lifted_basis(ring, [k for k, _d in kept], rank)
-            if not normal_form(v, gb):
-                continue
-        elif not v:
+        if fresh is not None:
+            gb = (lifted_basis(ring, [fresh], rank) if gb is None
+                  else groebner_basis(gb.as_dicts() + [fresh], S, rank))
+            fresh = None
+        if gb is not None and not normal_form(v, gb):
             continue
         kept.append((v, deg))
+        fresh = v
     return kept
 
 

@@ -9,6 +9,7 @@ weighted-homogeneous defining polynomial f with f in m^2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -155,11 +156,12 @@ class PolynomialRing:
     # -- monomial order: weighted graded reverse lexicographic ------------
 
     def mono_degree(self, m: Monomial) -> int:
-        return sum(w * e for w, e in zip(self.weights, m))
+        return sum(map(operator.mul, self.weights, m))
 
     def mono_key(self, m: Monomial):
         """Sort key; larger key = larger monomial under weighted grevlex."""
-        return (self.mono_degree(m), tuple(-e for e in reversed(m)))
+        return (sum(map(operator.mul, self.weights, m)),
+                tuple(map(operator.neg, m[::-1])))
 
     # -- polynomial constructors ------------------------------------------
 
