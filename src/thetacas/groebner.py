@@ -99,30 +99,55 @@ def vec_restrict(v: Vector, lo: int, hi: int, rebase: bool = True) -> Vector:
 # division
 
 
+def _queue_key(ring: PolynomialRing, term: Term):
+    """Heap key of a term: the smaller key belongs to the larger term."""
+    comp, mono = term
+    return (comp, -ring.mono_degree(mono), mono[::-1])
+
+
 def normal_form_vec(
     v: Vector,
     reducers: Sequence[Tuple[Vector, Term]],
     ring: PolynomialRing,
 ) -> Vector:
-    """Fully reduced remainder of v against (monic vector, lead term) pairs."""
+    """Fully reduced remainder of v against (monic vector, lead term) pairs.
+
+    Terms are taken largest first from a heap that holds each term of the
+    working vector once; a reduction step only adds terms below the one it
+    cancels, so a term is never met again once it is reduced or kept."""
     field = ring.field
+    add, mul = field.add, field.mul
     work = dict(v)
+    queue = [(_queue_key(ring, t), t) for t in work]
+    heapq.heapify(queue)
     remainder: Vector = {}
-    while work:
-        t = max(work, key=lambda s: term_key(ring, s))
-        c = work[t]
+    while queue:
+        t = heapq.heappop(queue)[1]
+        c = work.get(t)
+        if c is None:
+            continue  # cancelled since it was queued
         comp, mono = t
-        hit = None
         for g, (gcomp, gmono) in reducers:
             if gcomp == comp and mono_divides(gmono, mono):
-                hit = (g, gmono)
                 break
-        if hit is None:
+        else:
             remainder[t] = c
             del work[t]
-        else:
-            g, gmono = hit
-            vec_axpy(work, field.neg(c), mono_div(mono, gmono), g, field)
+            continue
+        # work -= c * x^q * g; g is monic, so t itself cancels
+        coeff, q = field.neg(c), mono_div(mono, gmono)
+        for (gc, m), gv in g.items():
+            s = (gc, mono_mul(q, m))
+            old = work.get(s)
+            if old is None:
+                work[s] = mul(coeff, gv)
+                heapq.heappush(queue, (_queue_key(ring, s), s))
+                continue
+            new = add(old, mul(coeff, gv))
+            if new == 0:
+                del work[s]
+            else:
+                work[s] = new
     return remainder
 
 

@@ -109,24 +109,25 @@ Monomial = tuple  # exponent tuple, one entry per variable
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Whether a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
+
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """b / a, assuming divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(operator.sub, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 class PolynomialRing:
