@@ -68,6 +68,11 @@ def _require(cond, errors: List[str], message: str):
     return cond
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, which Python counts as int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_environment(doc) -> Tuple[Optional[Environment], List[str]]:
     errors: List[str] = []
     if not isinstance(doc, dict):
@@ -79,14 +84,14 @@ def build_environment(doc) -> Tuple[Optional[Environment], List[str]]:
     variables = ring_block.get("variables")
     weights = ring_block.get("weights")
     f_text = ring_block.get("f")
-    _require(isinstance(char, int) and char >= 0, errors, "ring.characteristic must be a non-negative integer")
+    _require(_is_int(char) and char >= 0, errors, "ring.characteristic must be a non-negative integer")
     _require(
         isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables),
         errors, "ring.variables must be a non-empty list of names",
     )
     if weights is not None:
         _require(
-            isinstance(weights, list) and all(isinstance(w, int) and w > 0 for w in weights),
+            isinstance(weights, list) and all(_is_int(w) and w > 0 for w in weights),
             errors, "ring.weights must be a list of positive integers",
         )
     _require(isinstance(f_text, str), errors, "ring.f must be a polynomial string")
@@ -147,7 +152,7 @@ def _validate_class(value, env: Environment, errors: List[str], where: str):
         for name, coeff in value.items():
             if name not in env.modules:
                 errors.append(f"{where}: undeclared module {name!r}")
-            if not isinstance(coeff, int):
+            if not _is_int(coeff):
                 errors.append(f"{where}: coefficient of {name!r} must be an integer")
     else:
         errors.append(f"{where}: class must be a module name or name->coeff object")
@@ -174,13 +179,13 @@ def validate_tasks(doc, env: Environment) -> List[str]:
         if kind in ("resolve", "mf", "length", "hilbert"):
             need_module()
             if kind == "resolve" and "length" in task and (
-                not isinstance(task["length"], int) or task["length"] < 1
+                not _is_int(task["length"]) or task["length"] < 1
             ):
                 errors.append(f"{where}: 'length' must be a positive integer")
         elif kind == "tor":
             need_module("left")
             need_module("right")
-            if not isinstance(task.get("i"), int) or task["i"] < 1:
+            if not _is_int(task.get("i")) or task["i"] < 1:
                 errors.append(f"{where}: 'i' must be a positive integer")
         elif kind == "theta":
             _validate_class(task.get("left"), env, errors, where)

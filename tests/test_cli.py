@@ -200,6 +200,39 @@ def test_schema_error_unknown_kind(tmp_path):
     assert main(["run", write_session(tmp_path, doc)]) == 2
 
 
+def _with_task(task):
+    doc = copy.deepcopy(NODE_DOC)
+    doc["tasks"] = [task]
+    return doc
+
+
+def _with_ring(**changes):
+    doc = copy.deepcopy(NODE_DOC)
+    doc["ring"].update(changes)
+    return doc
+
+
+# JSON true is a Python bool, and bool is a subclass of int.
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_with_task({"kind": "resolve", "module": "Ax", "length": True}),
+                 "'length' must be a positive integer", id="length"),
+    pytest.param(_with_task({"kind": "tor", "left": "Ax", "right": "Ay", "i": True}),
+                 "'i' must be a positive integer", id="i"),
+    pytest.param(_with_ring(weights=[True, 1]),
+                 "ring.weights must be a list of positive integers", id="weights"),
+    pytest.param(_with_task({"kind": "theta", "left": {"Ax": True}, "right": "Ay"}),
+                 "coefficient of 'Ax' must be an integer", id="class_coefficient"),
+    pytest.param(_with_ring(characteristic=True),
+                 "ring.characteristic must be a non-negative integer", id="characteristic"),
+])
+def test_schema_error_boolean_for_integer(tmp_path, capsys, doc, message):
+    path = write_session(tmp_path, doc)
+    assert main(["validate", path]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_schema_error_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,6 +1,8 @@
 """Module Groebner bases, normal forms, syzygies, staircases, Hilbert data."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,10 @@ from thetacas.groebner import (
     staircase_count,
     syzygy_basis,
     vec_from_polys,
+    vec_lead,
 )
+
+SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
 
 def ring2(characteristic=0):
@@ -270,3 +275,88 @@ def test_staircase_agrees_with_hilbert_series(monos):
     else:
         assert all(c == 0 for c in series[-3:])
         assert sum(series) == count
+
+
+# ---------------------------------------------------------------------------
+# lead terms are computed once, when the basis is built
+
+
+def test_stored_leads_are_the_lead_terms(monkeypatch):
+    """Every basis the quadric session memoises carries the lead terms of
+    its vectors."""
+    import thetacas.cli as cli
+
+    rings = []
+    build = cli.build_environment
+
+    def recording_build(doc):
+        env, errors = build(doc)
+        rings.append(env.ring.ambient)
+        return env, errors
+
+    monkeypatch.setattr(cli, "build_environment", recording_build)
+    _report, code = cli.run_session(json.loads((SESSIONS / "quadric.json").read_text()))
+    assert code == 0
+    (ring,) = rings
+    bases = list(ring._groebner_memo.values())
+    assert len(bases) > 10
+    for G in bases:
+        assert G.lead_terms() == [vec_lead(dict(g), ring) for g in G.vectors]
+
+
+def test_normal_form_does_not_recompute_leads(monkeypatch):
+    import thetacas.groebner as groebner
+
+    R = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v"])
+    G = ideal_gb(R, "x*y - u*v", "x^2 - u^2", "y^3 + v^3")
+    calls = []
+    real = groebner.vec_lead
+
+    def counting_vec_lead(v, ring):
+        calls.append(1)
+        return real(v, ring)
+
+    monkeypatch.setattr(groebner, "vec_lead", counting_vec_lead)
+    r = normal_form(vec_from_polys([R.parse("x^3*y + y^4 - u*v^2")]), G)
+    assert r and not calls
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: sympy's reduced grevlex basis
+
+
+def _sympy_reduced_basis(sympy, R, gens):
+    """sympy's reduced grevlex basis of the ideal, as monic polynomials of R."""
+    symbols = sympy.symbols(R.variables)
+    p = R.field.characteristic
+    options = {"modulus": p} if p else {}
+    exprs = [
+        sympy.Add(*(c * sympy.Mul(*(s**e for s, e in zip(symbols, m)))
+                    for m, c in g.items()))
+        for g in gens
+    ]
+    G = sympy.groebner(exprs, *symbols, order="grevlex", **options)
+    return [R.from_dict({m: int(c) for m, c in poly.terms()}).monic() for poly in G.polys]
+
+
+@st.composite
+def integer_ideals(draw):
+    """Up to three nonzero polynomials of degree <= 3 in 2 or 3 variables,
+    as {exponent tuple: int}."""
+    n = draw(st.integers(2, 3))
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
+    poly = st.dictionaries(monomial, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    return n, draw(st.lists(poly, min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+@given(ideal=integer_ideals())
+@settings(max_examples=15, deadline=None)
+def test_reduced_basis_matches_sympy(characteristic, ideal):
+    sympy = pytest.importorskip("sympy")
+    n, gens = ideal
+    R = PolynomialRing(FieldSpec(characteristic), ["x", "y", "z"][:n])
+    G = groebner_basis([vec_from_polys([R.from_dict(g)]) for g in gens], R, 1)
+    ours = {frozenset(p.coeffs.items()) for p in gb_polys(R, G)}
+    theirs = {frozenset(p.coeffs.items()) for p in _sympy_reduced_basis(sympy, R, gens)}
+    assert ours == theirs

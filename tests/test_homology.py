@@ -17,8 +17,10 @@ from thetacas import (
     tor_length,
 )
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import normal_form
+from thetacas.groebner import freeze_vec, normal_form
 from thetacas.homology import (
+    _minimal_generating_subset,
+    _vector_degree,
     columns_as_vectors,
     complex_homology,
     direct_sum,
@@ -26,6 +28,7 @@ from thetacas.homology import (
     lifted_basis,
     module_length,
     reduce_mod_f,
+    syzygies_over,
 )
 
 
@@ -341,3 +344,39 @@ def test_direct_sum_presentation(node, node_modules):
 def test_module_length_via_presentation(node):
     assert module_length(present_cyclic(node, ["x", "y"])) == 1
     assert module_length(present_cyclic(node, ["x"])) is INFINITE
+
+
+def _prefix_rebuild_selection(ring, vectors, rank, target_degs):
+    """The Nakayama selection as first written: a fresh lifted basis of the
+    kept prefix for every candidate."""
+    S = ring.ambient
+    decorated = sorted(
+        ((_vector_degree(v, target_degs, S), freeze_vec(v), v) for v in vectors),
+        key=lambda t: (t[0], t[1]),
+    )
+    kept = []
+    for deg, _key, v in decorated:
+        if kept:
+            gb = lifted_basis(ring, [k for k, _d in kept], rank)
+            if not normal_form(v, gb):
+                continue
+        elif not v:
+            continue
+        kept.append((v, deg))
+    return kept
+
+
+def test_nakayama_selection_matches_prefix_rebuild():
+    """Extending one basis keeps the same vectors as rebuilding the lift of
+    each kept prefix, at each step of the residue field's resolution over
+    the Fermat cubic threefold."""
+    S = PolynomialRing(FieldSpec(0), ["x", "y", "z", "w"])
+    A = HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3"))
+    res = minimal_resolution(present_cyclic(A, ["x", "y", "z", "w"]), 4)
+    assert res.betti == [1, 4, 7, 8, 8]
+    for i in range(1, 4):
+        rank, degs = res.betti[i - 1], res.gen_degrees(i)
+        syz = syzygies_over(A, res.differential_columns(i), rank)
+        kept = _minimal_generating_subset(A, syz, res.betti[i], degs)
+        assert kept == _prefix_rebuild_selection(A, syz, res.betti[i], degs)
+        assert [v for v, _d in kept] == res.differential_columns(i + 1)
