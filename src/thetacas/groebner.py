@@ -11,8 +11,10 @@ dominating the tag block.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,9 +36,12 @@ Vector = Dict[Term, object]
 
 
 def term_key(ring: PolynomialRing, term: Term):
-    """Sort key; the component dominates and the lower index wins."""
+    """Sort key; the component dominates and the lower index wins, then
+    PolynomialRing.mono_key, inlined since it runs per term per reduction
+    step."""
     comp, mono = term
-    return (-comp, ring.mono_key(mono))
+    return (-comp, sum(map(operator.mul, ring.weights, mono)),
+            tuple(map(operator.neg, mono[::-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +57,7 @@ def vec_from_polys(polys: Sequence[Polynomial]) -> Vector:
 
 
 def vec_lead(v: Vector, ring: PolynomialRing) -> Term:
-    return max(v, key=lambda t: term_key(ring, t))
+    return max(v, key=functools.partial(term_key, ring))
 
 
 def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
@@ -99,55 +104,31 @@ def vec_restrict(v: Vector, lo: int, hi: int, rebase: bool = True) -> Vector:
 # division
 
 
-def _queue_key(ring: PolynomialRing, term: Term):
-    """Heap key of a term: the smaller key belongs to the larger term."""
-    comp, mono = term
-    return (comp, -ring.mono_degree(mono), mono[::-1])
-
-
 def normal_form_vec(
     v: Vector,
     reducers: Sequence[Tuple[Vector, Term]],
     ring: PolynomialRing,
 ) -> Vector:
-    """Fully reduced remainder of v against (monic vector, lead term) pairs.
-
-    Terms are taken largest first from a heap that holds each term of the
-    working vector once; a reduction step only adds terms below the one it
-    cancels, so a term is never met again once it is reduced or kept."""
+    """Fully reduced remainder of v against (monic vector, lead term) pairs."""
     field = ring.field
-    add, mul = field.add, field.mul
+    key = functools.partial(term_key, ring)
     work = dict(v)
-    queue = [(_queue_key(ring, t), t) for t in work]
-    heapq.heapify(queue)
     remainder: Vector = {}
-    while queue:
-        t = heapq.heappop(queue)[1]
-        c = work.get(t)
-        if c is None:
-            continue  # cancelled since it was queued
+    while work:
+        t = max(work, key=key)
+        c = work[t]
         comp, mono = t
+        hit = None
         for g, (gcomp, gmono) in reducers:
             if gcomp == comp and mono_divides(gmono, mono):
+                hit = (g, gmono)
                 break
-        else:
+        if hit is None:
             remainder[t] = c
             del work[t]
-            continue
-        # work -= c * x^q * g; g is monic, so t itself cancels
-        coeff, q = field.neg(c), mono_div(mono, gmono)
-        for (gc, m), gv in g.items():
-            s = (gc, mono_mul(q, m))
-            old = work.get(s)
-            if old is None:
-                work[s] = mul(coeff, gv)
-                heapq.heappush(queue, (_queue_key(ring, s), s))
-                continue
-            new = add(old, mul(coeff, gv))
-            if new == 0:
-                del work[s]
-            else:
-                work[s] = new
+        else:
+            g, gmono = hit
+            vec_axpy(work, field.neg(c), mono_div(mono, gmono), g, field)
     return remainder
 
 
