@@ -62,9 +62,10 @@ def vec_lead(v: Vector, ring: PolynomialRing) -> Term:
 
 def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
     """v + coeff * x^mono * w, in place; returns v."""
+    zero = field.zero
     for (comp, m), c in w.items():
         t = (comp, mono_mul(mono, m))
-        s = field.add(v.get(t, field.zero), field.mul(coeff, c))
+        s = field.add(v.get(t, zero), field.mul(coeff, c))
         if s == 0:
             v.pop(t, None)
         else:

@@ -46,9 +46,8 @@ MatrixRows = Tuple[Tuple[Polynomial, ...], ...]
 
 def _f_reducer(f: Polynomial) -> List[Tuple[Vector, tuple]]:
     """f made monic, as the single (vector, lead term) reducer in S^1."""
-    lead = f.lead_monomial()
-    monic = f.scale(f.ring.field.inv(f.coeffs[lead]))
-    return [({(0, m): c for m, c in monic.coeffs.items()}, (0, lead))]
+    monic = f.monic()
+    return [({(0, m): c for m, c in monic.coeffs.items()}, (0, f.lead_monomial()))]
 
 
 def reduce_mod_f(p: Polynomial, ring: RingLike) -> Polynomial:

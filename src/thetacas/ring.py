@@ -161,8 +161,7 @@ class PolynomialRing:
 
     def mono_key(self, m: Monomial):
         """Sort key; larger key = larger monomial under weighted grevlex."""
-        return (sum(map(operator.mul, self.weights, m)),
-                tuple(map(operator.neg, m[::-1])))
+        return (self.mono_degree(m), tuple(map(operator.neg, m[::-1])))
 
     # -- polynomial constructors ------------------------------------------
 

@@ -22,6 +22,7 @@ from thetacas.groebner import (
     reduce_with_representation,
     staircase_count,
     syzygy_basis,
+    term_key,
     vec_from_polys,
     vec_lead,
 )
@@ -319,6 +320,22 @@ def test_normal_form_does_not_recompute_leads(monkeypatch):
     monkeypatch.setattr(groebner, "vec_lead", counting_vec_lead)
     r = normal_form(vec_from_polys([R.parse("x^3*y + y^4 - u*v^2")]), G)
     assert r and not calls
+
+
+terms3 = st.tuples(st.integers(0, 2), st.tuples(*[st.integers(0, 4)] * 3))
+
+
+@given(a=terms3, b=terms3, weights=st.tuples(*[st.integers(1, 3)] * 3))
+@settings(max_examples=60, deadline=None)
+def test_term_key_orders_like_mono_key(a, b, weights):
+    """term_key inlines the monomial order; it must sort as mono_key does."""
+    R = PolynomialRing(FieldSpec(0), ["x", "y", "z"], weights)
+
+    def reference(t):
+        return (-t[0], R.mono_key(t[1]))
+
+    assert (term_key(R, a) < term_key(R, b)) == (reference(a) < reference(b))
+    assert (term_key(R, a) == term_key(R, b)) == (a == b)
 
 
 # ---------------------------------------------------------------------------
