@@ -46,8 +46,10 @@ MatrixRows = Tuple[Tuple[Polynomial, ...], ...]
 
 def _f_reducer(f: Polynomial) -> List[Tuple[Vector, tuple]]:
     """f made monic, as the single (vector, lead term) reducer in S^1."""
-    monic = f.monic()
-    return [({(0, m): c for m, c in monic.coeffs.items()}, (0, f.lead_monomial()))]
+    field = f.ring.field
+    lead = f.lead_monomial()
+    inv = field.inv(f.coeffs[lead])
+    return [({(0, m): field.mul(inv, c) for m, c in f.coeffs.items()}, (0, lead))]
 
 
 def reduce_mod_f(p: Polynomial, ring: RingLike) -> Polynomial:
