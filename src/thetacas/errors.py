@@ -26,11 +26,7 @@ class InfiniteLength(AlgebraError):
 
 
 class NonIsolatedSingularity(AlgebraError):
-    """A high Tor module in the pairing window has infinite length."""
-
-
-class PeriodicityViolation(AlgebraError):
-    """The two-periodicity witness check on the Tor window failed."""
+    """A Tor module in the periodic range has infinite length."""
 
 
 class AsymmetricGram(AlgebraError):

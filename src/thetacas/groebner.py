@@ -95,10 +95,9 @@ def vec_shift_components(v: Vector, offset: int) -> Vector:
     return {(comp + offset, m): c for (comp, m), c in v.items()}
 
 
-def vec_restrict(v: Vector, lo: int, hi: int, rebase: bool = True) -> Vector:
+def vec_restrict(v: Vector, lo: int, hi: int) -> Vector:
     """Entries with lo <= component < hi, components rebased to start at 0."""
-    off = lo if rebase else 0
-    return {(comp - off, m): c for (comp, m), c in v.items() if lo <= comp < hi}
+    return {(comp - lo, m): c for (comp, m), c in v.items() if lo <= comp < hi}
 
 
 # ---------------------------------------------------------------------------

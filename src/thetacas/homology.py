@@ -104,12 +104,6 @@ def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring: RingLike) -> Mat
     return tuple(rows)
 
 
-def mat_transpose(rows: MatrixRows) -> MatrixRows:
-    if not rows:
-        return ()
-    return tuple(zip(*rows))
-
-
 def mat_mul(a: MatrixRows, b: MatrixRows, S: PolynomialRing) -> MatrixRows:
     if not a:
         return ()
@@ -167,8 +161,8 @@ class ModulePresentation:
 
     The module owns what is computed from it, each filled on first use: the
     presentation GB, the minimal presentation, the minimal resolution (grown
-    in place as longer ones are asked for), and Tor lengths against other
-    modules, keyed by (module object, i)."""
+    in place as longer ones are asked for), its matrix factorization, and Tor
+    lengths against other modules, keyed by (module object, i)."""
 
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
         self.ring = ring
@@ -201,6 +195,7 @@ class ModulePresentation:
         self._res_diffs: List[List[Vector]] = []
         self._res_degs: List[List[int]] = []
         self._res_betti: List[int] = []
+        self._mf: Optional[MatrixFactorization] = None
         self._tor_lengths: Dict[Tuple[ModulePresentation, int], object] = {}
 
     # -- constructors ------------------------------------------------------
@@ -406,12 +401,14 @@ class Resolution:
 
     @property
     def stable_start(self) -> Optional[int]:
-        """Smallest index from which the computed Betti numbers are constant.
+        """One more than the first index of the constant Betti tail: the
+        index of the first square differential in it.
 
-        Requires length >= d + 3 and a constant tail from an index <= d + 1;
-        None when not yet stabilized.  Only Betti numbers are compared: the
-        matrix factorization identity checked by MatrixFactorization is the
-        certificate that the tail is periodic."""
+        Requires length >= d + 3 and start <= d + 2 (Omega^{d+1} M is maximal
+        Cohen-Macaulay with no free summand, so the tail is periodic from
+        F_{d+1}); None when not yet stabilized.  Only Betti numbers are
+        compared: the matrix factorization identity checked by
+        MatrixFactorization is the certificate that the tail is periodic."""
         b = self.betti
         d = ring_dimension(self.ring)
         L = self.length
@@ -421,7 +418,7 @@ class Resolution:
         while j >= 1 and b[j - 1] == b[L]:
             j -= 1
         start = j + 1
-        if start > d + 1:
+        if start > d + 2:
             return None
         return max(start, 1)
 
@@ -524,45 +521,47 @@ class MatrixFactorization:
 
 
 def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
+    """The first differential d_j, j >= stable_start, that is alpha of a
+    matrix factorization, with its beta; remembered on the module.
+
+    Tor_i(M, -) is 2-periodic for i >= the source index j, since coker d_j
+    has the periodic resolution (alpha, beta)."""
     ring = res.ring
     if not isinstance(ring, HypersurfaceRing):
         raise ValueError("matrix factorizations require a hypersurface ring")
+    M = res.module
+    if M._mf is not None:
+        return M._mf
     d = ring.dimension
     if res.length < d + 3:
-        res = minimal_resolution(res.module, d + 3)
-    if not res.stable:
+        res = minimal_resolution(M, d + 3)
+    start = res.stable_start
+    if start is None:
         raise NotStabilized(
             f"Betti numbers not constant by homological degree {d + 3}: {res.betti}"
         )
-    b = res.betti
-    L = res.length
-    j = L
-    while j >= 2 and b[j - 2] == b[L]:
-        j -= 1
     S = ring.ambient
     f = ring.f
     last_error = None
-    for jj in range(j, L + 1):
-        r = b[jj]
-        alpha = res.matrix(jj)
+    for j in range(start, res.length + 1):
+        r = res.betti[j]
+        alpha = res.matrix(j)
         cols = columns_as_vectors(alpha)
         beta_cols: List[List[Polynomial]] = []
-        ok = True
         for k in range(r):
             target = {(k, m): c for m, c in f.coeffs.items()}
             remainder, reps = reduce_with_representation(target, cols, S, r)
             if remainder:
-                ok = False
-                last_error = f"f*e_{k} not in the column span of d_{jj}"
+                last_error = f"f*e_{k} not in the column span of d_{j}"
                 break
             beta_cols.append(reps)
-        if not ok:
-            continue
-        beta = tuple(
-            tuple(beta_cols[c][row] for c in range(r)) for row in range(r)
-        )
-        return MatrixFactorization(ring, alpha, beta, jj)
-    raise NotStabilized(last_error or "no stable square differential found")
+        else:
+            beta = tuple(
+                tuple(beta_cols[c][row] for c in range(r)) for row in range(r)
+            )
+            M._mf = MatrixFactorization(ring, alpha, beta, j)
+            return M._mf
+    raise NotStabilized(last_error)
 
 
 # ---------------------------------------------------------------------------

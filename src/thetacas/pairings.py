@@ -16,7 +16,6 @@ from .errors import (
     NonIsolatedSingularity,
     NotFiniteLength,
     NotFinitePd,
-    PeriodicityViolation,
 )
 from .groebner import multiplicity as gb_multiplicity
 from .homology import (
@@ -24,6 +23,7 @@ from .homology import (
     ModulePresentation,
     columns_as_vectors,
     complex_homology,
+    extract_matrix_factorization,
     mat_mul,
     minimal_resolution,
     module_dimension,
@@ -187,25 +187,21 @@ def length(M: ModulePresentation):
 
 
 def theta(M: ModulePresentation, N: ModulePresentation) -> int:
-    """Stable difference of high Tor lengths, with a periodicity witness."""
+    """l(Tor_even(M, N)) - l(Tor_odd(M, N)) where Tor is 2-periodic: from
+    the source index s of M's verified matrix factorization on."""
     if M.ring is not N.ring:
         raise ValueError("modules must share a ring")
     d = ring_dimension(M.ring)
-    e = (d + 1) // 2  # least e with 2e >= d
-    base = 2 * e
-    lengths = {}
-    for i in range(base + 1, base + 5):
+    s = extract_matrix_factorization(minimal_resolution(M, d + 3)).source_index
+    lengths = []
+    for i in (s, s + 1):
         try:
-            lengths[i] = tor_length(M, N, i)
+            lengths.append(tor_length(M, N, i))
         except InfiniteLength as exc:
             raise NonIsolatedSingularity(
                 f"Tor_{i} has infinite length; the singularity is not isolated"
             ) from exc
-    if lengths[base + 1] != lengths[base + 3] or lengths[base + 2] != lengths[base + 4]:
-        raise PeriodicityViolation(
-            f"Tor window not 2-periodic: {lengths}"
-        )
-    return lengths[base + 2] - lengths[base + 1]
+    return (-1) ** s * (lengths[0] - lengths[1])
 
 
 def theta_class(

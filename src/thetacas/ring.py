@@ -101,9 +101,6 @@ class FieldSpec:
             raise CoefficientError("division by zero")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -184,12 +181,6 @@ class PolynomialRing:
         expo[self._var_index[name]] = 1
         return Polynomial(self, {tuple(expo): self.field.one})
 
-    def monomial(self, m: Monomial, c=None) -> "Polynomial":
-        c = self.field.one if c is None else self.field.coerce(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {tuple(m): c})
-
     def from_dict(self, coeffs) -> "Polynomial":
         clean = {}
         for m, c in coeffs.items():
@@ -251,11 +242,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def terms(self):
-        """Terms sorted strictly descending in the monomial order."""
-        key = self.ring.mono_key
-        return [(m, self.coeffs[m]) for m in sorted(self.coeffs, key=key, reverse=True)]
-
     def lead_monomial(self) -> Monomial:
         if not self.coeffs:
             raise ValueError("zero polynomial has no lead term")
@@ -280,9 +266,6 @@ class Polynomial:
                 f"terms have weighted degrees {sorted(degs)}"
             )
         return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({self.ring.mono_degree(m) for m in self.coeffs}) <= 1
 
     # -- arithmetic --------------------------------------------------------
 

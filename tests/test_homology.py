@@ -190,6 +190,20 @@ def test_mf_of_free_module_is_empty(quadric):
     assert mf.size == 0
 
 
+def test_projective_dimension_d_is_stable(node):
+    """A/(x+y) over the node has pd 1 = d: the zero tail starts at F_2, so
+    stable_start is d + 2 and the factorization is empty."""
+    from thetacas import theta
+
+    M = present_cyclic(node, ["x + y"])
+    res = minimal_resolution(M, node.dimension + 3)
+    assert res.betti == [1, 1, 0, 0, 0]
+    assert res.stable_start == 3
+    mf = extract_matrix_factorization(res)
+    assert mf.size == 0 and mf.source_index == 3
+    assert theta(M, present_cyclic(node, ["x"])) == 0
+
+
 @pytest.mark.parametrize(
     "variables, f, characteristic, weights, generators, size",
     [

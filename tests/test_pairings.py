@@ -29,7 +29,7 @@ from thetacas.errors import (
     NotFiniteLength,
     NotFinitePd,
 )
-from thetacas.homology import direct_sum
+from thetacas.homology import direct_sum, tor_length
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning
 
 
@@ -71,13 +71,14 @@ def test_theta_a1_surface_vanishes(a1, a1_modules):
 
 
 def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
-    """A second theta on the same module objects reads the Tor lengths the
-    first one left on the left module: no homology is computed again."""
+    """theta reads two Tor lengths at the MF source index: two homology
+    computations, a resolution of length d + 3, none of the right module.  A
+    second theta on the same module objects reads the Tor lengths the first
+    one left on the left module: no homology is computed again."""
     import thetacas.homology as homology
 
     Ap = present_cyclic(quadric, ["x", "u"])
     Aq = present_cyclic(quadric, ["x", "v"])
-    first = theta(Ap, Aq)
     calls = []
     real = homology.complex_homology
 
@@ -86,10 +87,21 @@ def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
         return real(*args)
 
     monkeypatch.setattr(homology, "complex_homology", counting)
+    first = theta(Ap, Aq)
+    assert len(calls) == 2
+    assert len(Ap._res_betti) == quadric.dimension + 4
+    assert Aq._res_betti == []
+    calls.clear()
     assert theta(Ap, Aq) == first
     assert calls == []
     theta(Aq, Ap)  # a new left module computes its own Tor lengths
     assert calls
+
+
+def test_theta_needs_a_hypersurface_ring(S2):
+    M = present_cyclic(S2, ["x"])
+    with pytest.raises(ValueError, match="hypersurface"):
+        theta(M, present_cyclic(S2, ["y"]))
 
 
 def test_theta_against_free_module(node, node_modules, quadric, quadric_modules):
@@ -134,8 +146,6 @@ def test_theta_dimension_vanishing(quadric):
 
 
 def test_theta_mcm_shortcut(quadric, quadric_modules):
-    from thetacas.homology import tor_length
-
     M = syzygy_of(quadric_modules["Ap"], 4)  # stable syzygy, hence MCM
     N = quadric_modules["Aq"]
     assert tor_length(M, N, 2) - tor_length(M, N, 1) == theta(M, N)
@@ -166,6 +176,41 @@ def test_theta_char5_crosscheck():
     Aq = present_cyclic(A, ["x", "v"])
     assert theta(Ap, Aq) == -1
     assert theta(Ap, Ap) == 1
+
+
+def window_theta(M, N):
+    """Oracle: Tor_{2e+1..2e+4} for the least e with 2e >= d, checked to be
+    2-periodic; returns l(Tor_{2e+2}) - l(Tor_{2e+1})."""
+    d = M.ring.dimension
+    base = 2 * ((d + 1) // 2)
+    t = {i: tor_length(M, N, i) for i in range(base + 1, base + 5)}
+    assert t[base + 1] == t[base + 3] and t[base + 2] == t[base + 4], t
+    return t[base + 2] - t[base + 1]
+
+
+@pytest.mark.parametrize(
+    "variables, f, characteristic, weights, generators",
+    [
+        (["x", "y"], "x*y", 0, None, [["x"], ["x", "y"], ["x + y"]]),
+        (["x", "y", "z"], "x*y - z^2", 0, None, [["x", "z"], ["x", "y", "z"], ["x + y"]]),
+        (["x", "y", "u", "v"], "x*y - u*v", 0, None, [["x", "u"], ["x", "v"], ["x", "y"]]),
+        (["x", "y", "u", "v"], "x*y - u*v", 5, None, [["x", "u"], ["x", "v"]]),
+        (["x", "y", "z"], "x^2 + y^3 + z^5", 0, [15, 10, 6], [["x", "y", "z"], ["y"]]),
+    ],
+    ids=["node", "a1_surface", "quadric", "quadric_f5", "e8_surface"],
+)
+def test_theta_matches_the_tor_window(variables, f, characteristic, weights, generators):
+    """The MF route agrees with the four-Tor window on both sides, over cyclic
+    modules (one of finite projective dimension), the free module and the
+    first syzygy of the first module."""
+    S = PolynomialRing(FieldSpec(characteristic), variables, weights)
+    A = HypersurfaceRing(S, S.parse(f))
+    mods = [present_cyclic(A, g) for g in generators]
+    mods += [ModulePresentation.free(A), syzygy_of(mods[0], 1)]
+    for i, M in enumerate(mods):
+        for N in mods[i:]:
+            assert theta(M, N) == window_theta(M, N)
+            assert theta(N, M) == window_theta(N, M)
 
 
 def test_syzygy_dual_probe_identity(node, quadric, node_modules, quadric_modules):

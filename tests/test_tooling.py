@@ -14,3 +14,27 @@ def test_kernel_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the kernel: {found}"
+
+
+def _raised_names(tree):
+    """Names of the exception classes a module raises, as ``raise X(...)`` or
+    ``raise mod.X(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """An exception class that no kernel module raises is dead code."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        raised |= _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not defined - raised, f"never raised: {sorted(defined - raised)}"
