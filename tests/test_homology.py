@@ -14,6 +14,7 @@ from thetacas import (
     minimal_resolution,
     present_cyclic,
     syzygy_of,
+    theta,
     tor_length,
 )
 from thetacas.errors import InfiniteLength, NotStabilized
@@ -193,8 +194,6 @@ def test_mf_of_free_module_is_empty(quadric):
 def test_projective_dimension_d_is_stable(node):
     """A/(x+y) over the node has pd 1 = d: the zero tail starts at F_2, so
     stable_start is d + 2 and the factorization is empty."""
-    from thetacas import theta
-
     M = present_cyclic(node, ["x + y"])
     res = minimal_resolution(M, node.dimension + 3)
     assert res.betti == [1, 1, 0, 0, 0]
