@@ -21,7 +21,6 @@ from .homology import (
     dual_module,
     ext_module,
     extract_matrix_factorization,
-    homology_of_tensored,
     minimal_resolution,
     present_cyclic,
     syzygy_of,
@@ -58,7 +57,6 @@ __all__ = [
     "dual_module",
     "ext_module",
     "extract_matrix_factorization",
-    "homology_of_tensored",
     "minimal_resolution",
     "present_cyclic",
     "syzygy_of",

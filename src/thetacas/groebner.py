@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
-import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -296,7 +296,7 @@ def reduce_with_representation(
 
 
 # ---------------------------------------------------------------------------
-# staircases, Hilbert series, multiplicity
+# Hilbert series, lengths, multiplicity
 
 
 def _minimal_monomial_gens(monos: Sequence[tuple]) -> List[tuple]:
@@ -316,25 +316,6 @@ def lead_module(G: GroebnerBasis) -> Dict[int, List[tuple]]:
     return {c: _minimal_monomial_gens(ms) for c, ms in by_comp.items()}
 
 
-def staircase_count(G: GroebnerBasis):
-    """Number of standard monomial symbols outside the lead module, or INFINITE."""
-    n = G.ring.nvars
-    total = 0
-    for _comp, gens in lead_module(G).items():
-        if any(g == (0,) * n for g in gens):
-            continue  # component entirely in the lead module
-        bounds = []
-        for i in range(n):
-            pure = [g[i] for g in gens if all(e == 0 for j, e in enumerate(g) if j != i)]
-            if not pure:
-                return INFINITE
-            bounds.append(min(pure))
-        for point in itertools.product(*(range(b) for b in bounds)):
-            if not any(mono_divides(g, point) for g in gens):
-                total += 1
-    return total
-
-
 # numerator polynomials in t are dicts degree -> int
 
 
@@ -351,10 +332,6 @@ def _tpoly_sub(a: dict, b: dict) -> dict:
 
 def _tpoly_shift(a: dict, k: int) -> dict:
     return {d + k: c for d, c in a.items()}
-
-
-def _tpoly_eval1(a: dict) -> int:
-    return sum(a.values())
 
 
 def _tpoly_div_1mt(a: dict) -> dict:
@@ -415,20 +392,35 @@ def hilbert_numerator(G: GroebnerBasis, shifts: Optional[Sequence[int]] = None) 
     return total
 
 
-def numerator_order_at_one(num: dict) -> Optional[int]:
-    """Multiplicity of the root t=1; None for the zero numerator."""
+def _series_at_one(num: dict) -> Tuple[Optional[int], int]:
+    """(order of the root t = 1 of num, value at t = 1 of num / (1 - t)^order);
+    (None, 0) for the zero numerator."""
     if not num:
-        return None
+        return None, 0
     order = 0
-    while _tpoly_eval1(num) == 0:
+    while sum(num.values()) == 0:
         num = _tpoly_div_1mt(num)
         order += 1
-    return order
+    return order, sum(num.values())
 
 
-def quotient_dimension(G: GroebnerBasis, shifts: Optional[Sequence[int]] = None) -> int:
+def series_length(num: dict, weights: Sequence[int]):
+    """Length of a module with Hilbert series num / prod_i (1 - t^(w_i)): its
+    value at t = 1, or INFINITE at a pole."""
+    order, value = _series_at_one(num)
+    if order is None:
+        return 0
+    if order < len(weights):
+        return INFINITE
+    length, rest = divmod(value, math.prod(weights))
+    if order > len(weights) or rest or length <= 0:
+        raise AlgebraError(f"{num} is not the Hilbert numerator of a module")
+    return length
+
+
+def quotient_dimension(G: GroebnerBasis) -> int:
     """Krull dimension of S^rank/(lead module); -1 for the zero module."""
-    order = numerator_order_at_one(hilbert_numerator(G, shifts))
+    order, _value = _series_at_one(hilbert_numerator(G))
     if order is None:
         return -1
     return G.ring.nvars - order
@@ -438,15 +430,11 @@ def multiplicity(G: GroebnerBasis) -> int:
     """Normalized leading coefficient of the Hilbert polynomial (weights 1)."""
     if any(w != 1 for w in G.ring.weights):
         raise ValueError("multiplicity requires all weights equal to 1")
-    num = hilbert_numerator(G)
-    order = numerator_order_at_one(num)
+    order, e = _series_at_one(hilbert_numerator(G))
     if order is None:
         raise ValueError("multiplicity of the zero module is undefined")
     if order == G.ring.nvars:
-        raise ValueError("zero-dimensional quotient: use staircase_count instead")
-    while _tpoly_eval1(num) == 0:
-        num = _tpoly_div_1mt(num)
-    e = _tpoly_eval1(num)
+        raise ValueError("zero-dimensional quotient: use series_length instead")
     if e <= 0:
         raise AlgebraError(f"multiplicity {e} is not positive")
     return e

@@ -1,5 +1,6 @@
 """Module presentations, minimal free resolutions, matrix factorizations,
-syzygies, duals, Ext against the ring, and homology of tensored complexes.
+syzygies, duals, Ext against the ring, homology of tensored complexes, and
+Tor lengths from Hilbert series.
 
 Everything is computed over the ambient polynomial ring S; quotient-ring
 kernels are obtained by appending f * e_j to the generator list and
@@ -15,13 +16,16 @@ from .errors import InfiniteLength, InhomogeneousError, NotStabilized
 from .groebner import (
     GroebnerBasis,
     Vector,
+    _tpoly_shift,
+    _tpoly_sub,
     freeze_vec,
     groebner_basis,
+    hilbert_numerator,
     normal_form,
     normal_form_vec,
     quotient_dimension,
     reduce_with_representation,
-    staircase_count,
+    series_length,
     syzygy_basis,
     vec_restrict,
     vec_shift_components,
@@ -352,17 +356,19 @@ def present_cyclic(ring: RingLike, generators) -> ModulePresentation:
     return ModulePresentation.cyclic(ring, generators)
 
 
+def module_series(M: ModulePresentation) -> dict:
+    """Hilbert series numerator of M over the ambient denominator
+    prod_i (1 - t^(w_i)), generators in their degrees."""
+    return hilbert_numerator(M.presentation_gb(), M.gen_degrees)
+
+
 def module_length(M: ModulePresentation):
-    """Length of the module (standard-monomial count of the lifted columns)."""
-    if M.nrows == 0:
-        return 0
-    return staircase_count(M.presentation_gb())
+    """Length of the module: its Hilbert series at t = 1, or INFINITE."""
+    return series_length(module_series(M), ambient_of(M.ring).weights)
 
 
 def module_dimension(M: ModulePresentation) -> int:
     """Krull dimension of the support; -1 for the zero module."""
-    if M.nrows == 0:
-        return -1
     return quotient_dimension(M.presentation_gb())
 
 
@@ -655,25 +661,36 @@ def complex_homology(
     return subquotient_presentation(ring, ranks[i] * s, numerator, denominator)
 
 
-def homology_of_tensored(res: Resolution, N: ModulePresentation, i: int) -> ModulePresentation:
-    """H_i of the resolution complex tensored with N, for 1 <= i <= length-1."""
-    if not 1 <= i <= res.length - 1:
-        raise IndexError(f"index {i} outside 1..{res.length - 1}")
-    diff_cols = [res.differential_columns(k + 1) for k in range(i + 1)]
-    ranks = res.betti[: i + 2]
-    return complex_homology(res.ring, diff_cols, ranks, N, i)
+def _cokernel_series(res: Resolution, N: ModulePresentation, j: int) -> dict:
+    """Hilbert numerator of C_j = coker(d_j (x) N), a quotient of
+    F_{j-1} (x) N, for j >= 1."""
+    s = N.nrows
+    cols = _tensor_map_columns(res.differential_columns(j), s)
+    cols += _block_relations(N.columns(), s, res.betti[j - 1])
+    shifts = [a + b for a in res.gen_degrees(j - 1) for b in N.gen_degrees]
+    return hilbert_numerator(lifted_basis(res.ring, cols, len(shifts)), shifts)
 
 
 def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
-    """Length of Tor_i^A(M, N) for i >= 1, remembered on M; INFINITE lengths
-    raise."""
-    if i < 1:
-        raise IndexError("tor_length requires i >= 1")
+    """Length of Tor_i^A(M, N) for i >= 0, remembered on M; INFINITE lengths
+    raise.
+
+    With C_j as in _cokernel_series, 0 -> Tor_i -> C_{i+1} -> F_{i-1} (x) N
+    -> C_i -> 0 is exact and graded (Tor_0 = C_1), so HS(Tor_i) = HS(C_i) +
+    HS(C_{i+1}) - HS(N) * sum_j t^(deg F_{i-1,j}).  The length is read off
+    this one series, since a difference of two Tor series can hide a pole."""
+    if i < 0:
+        raise IndexError("tor_length requires i >= 0")
     result = M._tor_lengths.get((N, i))
     if result is None:
         res = minimal_resolution(M, i + 1)
-        H = homology_of_tensored(res, N, i)
-        result = module_length(H)
+        num = _cokernel_series(res, N, i + 1)
+        if i:
+            num = _tpoly_sub(num, _tpoly_sub({}, _cokernel_series(res, N, i)))
+            series_N = module_series(N)
+            for deg in res.gen_degrees(i - 1):
+                num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
+        result = series_length(num, ambient_of(M.ring).weights)
         M._tor_lengths[(N, i)] = result
     if result is INFINITE:
         raise InfiniteLength(f"Tor_{i} has infinite length")

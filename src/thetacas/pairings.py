@@ -254,23 +254,14 @@ def finite_pd(M: ModulePresentation) -> Optional[int]:
 
 
 def chi_modules(N0: ModulePresentation, M: ModulePresentation) -> int:
-    """chi(N0, M) through the finite free resolution of N0."""
+    """chi(N0, M) = sum_i (-1)^i l(Tor_i(N0, M)) up to the projective
+    dimension of N0."""
     if module_length(N0) is INFINITE:
         raise NotFiniteLength("first argument must have finite length")
     pd = finite_pd(N0)
     if pd is None:
         raise NotFinitePd("first argument must have finite projective dimension")
-    res = minimal_resolution(N0, max(pd, 1))
-    diff_cols = [res.differential_columns(i + 1) for i in range(pd)]
-    ranks = res.betti[: pd + 1]
-    total = 0
-    for i in range(pd + 1):
-        H = complex_homology(N0.ring, diff_cols, ranks, M, i)
-        ell = module_length(H)
-        if ell is INFINITE:
-            raise InfiniteLength(f"Tor_{i} against the second argument is infinite")
-        total += (-1) ** i * ell
-    return total
+    return sum((-1) ** i * tor_length(N0, M, i) for i in range(pd + 1))
 
 
 # ---------------------------------------------------------------------------

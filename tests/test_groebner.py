@@ -20,12 +20,13 @@ from thetacas.groebner import (
     normal_form,
     quotient_dimension,
     reduce_with_representation,
-    staircase_count,
+    series_length,
     syzygy_basis,
     term_key,
     vec_from_polys,
     vec_lead,
 )
+from oracles import staircase_count
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -202,9 +203,19 @@ def test_reduce_with_representation_reconstructs():
 
 def test_staircase_examples():
     R = ring2()
-    assert staircase_count(ideal_gb(R, "x^2", "x*y", "y^3")) == 4
-    assert staircase_count(ideal_gb(R, "x", "y")) == 1
-    assert staircase_count(ideal_gb(R, "x")) is INFINITE
+    for gens, expected in ((("x^2", "x*y", "y^3"), 4), (("x", "y"), 1), (("x",), INFINITE)):
+        G = ideal_gb(R, *gens)
+        assert staircase_count(G) == expected
+        assert series_length(hilbert_numerator(G), R.weights) == staircase_count(G)
+
+
+def test_series_length_is_the_value_at_one():
+    assert series_length({}, (1, 1)) == 0
+    assert series_length({0: 1, 2: -1}, (1, 1)) is INFINITE  # k[x,y]/(xy)
+    # k[x,y]/(x^2, y^3) with weights 2, 3: (1 - t^4)(1 - t^9) over (1 - t^2)(1 - t^3)
+    assert series_length({0: 1, 4: -1, 9: -1, 13: 1}, (2, 3)) == 6
+    with pytest.raises(AlgebraError):
+        series_length({0: 1, 1: -2, 2: 1}, (1,))  # a zero of order 2 > 1 variable
 
 
 def test_hilbert_numerator_examples():
@@ -239,25 +250,30 @@ def test_division_by_one_minus_t_checks_the_root():
         _tpoly_div_1mt({0: 1, 1: 1})
 
 
-def _series_counts(num, nvars, bound):
-    """Coefficients of num(t) / (1-t)^nvars up to degree bound."""
+def _series_counts(num, weights, bound):
+    """Coefficients of num(t) / prod_i (1 - t^(w_i)) up to degree bound."""
     coeffs = [0] * (bound + 1)
     for d, c in num.items():
         if d <= bound:
             coeffs[d] += c
-    for _ in range(nvars):
-        for i in range(1, bound + 1):
-            coeffs[i] += coeffs[i - 1]
+    for w in weights:
+        for i in range(w, bound + 1):
+            coeffs[i] += coeffs[i - w]
     return coeffs
 
 
 monomials3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
 
-@given(monos=st.lists(monomials3, min_size=1, max_size=5))
+@given(monos=st.lists(monomials3, min_size=1, max_size=5),
+       weights=st.sampled_from([(1, 1, 1), (2, 3, 5)]))
 @settings(max_examples=40, deadline=None)
-def test_staircase_agrees_with_hilbert_series(monos):
-    R = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+def test_staircase_agrees_with_hilbert_series(monos, weights):
+    """The staircase oracle, the length read off the numerator, and the
+    expanded series agree.  Standard monomials of a finite staircase have
+    exponents below 6, so the series vanishes above degree 6 * sum(w); an
+    infinite one holds every power of some variable."""
+    R = PolynomialRing(FieldSpec(0), ["x", "y", "z"], list(weights))
     gens = [
         vec_from_polys([R.from_dict({m: 1})])
         for m in monos
@@ -268,13 +284,14 @@ def test_staircase_agrees_with_hilbert_series(monos):
     G = groebner_basis(gens, R, 1)
     count = staircase_count(G)
     num = hilbert_numerator(G)
-    bound = 3 * 6 + 2
-    series = _series_counts(num, 3, bound)
+    assert series_length(num, weights) == count
+    top = 6 * sum(weights)
+    series = _series_counts(num, weights, top + 2 * max(weights))
     if count is INFINITE:
         assert quotient_dimension(G) >= 1
-        assert any(series[-3:])
+        assert any(series[top + 1:])
     else:
-        assert all(c == 0 for c in series[-3:])
+        assert not any(series[top + 1:])
         assert sum(series) == count
 
 

@@ -25,12 +25,12 @@ from thetacas.homology import (
     columns_as_vectors,
     complex_homology,
     direct_sum,
-    homology_of_tensored,
     lifted_basis,
     module_length,
     reduce_mod_f,
     syzygies_over,
 )
+from oracles import homology_tor_length, tensored_homology
 
 
 def same_span(ring, cols_a, cols_b, rank):
@@ -133,7 +133,8 @@ def test_exactness_audit_against_free_module(node, node_modules):
     res = minimal_resolution(node_modules["Ax"], 4)
     R_free = ModulePresentation.free(node)
     for i in range(1, 4):
-        assert homology_of_tensored(res, R_free, i).is_zero()
+        assert tensored_homology(res, R_free, i).is_zero()
+        assert tor_length(node_modules["Ax"], R_free, i) == 0
 
 
 def test_stable_start(node_modules, quadric_modules):
@@ -306,13 +307,15 @@ def test_koszul_resolution_is_exact_over_regular_ring(S2):
     k = ModulePresentation.cyclic(S2, ["x", "y"])
     res = minimal_resolution(k, 3)
     assert res.betti == [1, 2, 1, 0]
-    assert homology_of_tensored(res, ModulePresentation.free(S2), 1).is_zero()
+    assert tensored_homology(res, ModulePresentation.free(S2), 1).is_zero()
+    assert [tor_length(k, k, i) for i in range(4)] == [1, 2, 1, 0]
 
 
 def test_h2_selfdual_example(node, node_modules):
     res = minimal_resolution(node_modules["Ax"], 4)
-    H2 = homology_of_tensored(res, node_modules["Ay"], 2)
+    H2 = tensored_homology(res, node_modules["Ay"], 2)
     assert module_length(H2) == 1
+    assert tor_length(node_modules["Ax"], node_modules["Ay"], 2) == 1
 
 
 def test_tor_length_examples(node, quadric, node_modules, quadric_modules):
@@ -393,3 +396,35 @@ def test_nakayama_selection_matches_prefix_rebuild():
         kept = _minimal_generating_subset(A, syz, res.betti[i], degs)
         assert kept == _prefix_rebuild_selection(A, syz, res.betti[i], degs)
         assert [v for v, _d in kept] == res.differential_columns(i + 1)
+
+
+@pytest.mark.parametrize(
+    "variables, f, characteristic, weights, generators",
+    [
+        (["x", "y"], "x*y", 0, None, [["x"], ["x", "y"]]),
+        (["x", "y", "z"], "x*y - z^2", 0, None, [["x", "z"], ["x", "y", "z"]]),
+        (["x", "y", "u", "v"], "x*y - u*v", 0, None, [["x", "u"], ["x", "v"]]),
+        (["x", "y", "z"], "x^2 + y^3 + z^5", 0, [15, 10, 6], [["x", "y", "z"], ["y"]]),
+        (["x", "y", "z"], "x^2 + y^3 + y*z^3", 32003, [9, 6, 4], [["x", "y", "z"], ["x", "y"]]),
+        (["x", "y", "z"], "x*y", 0, None, [["x"], ["y"]]),
+    ],
+    ids=["node", "a1_surface", "quadric", "e8_surface", "e7_surface_f32003", "xy_nonisolated"],
+)
+def test_tor_length_matches_the_homology_route(variables, f, characteristic, weights, generators):
+    """Tor lengths read off Hilbert series equal the staircase count of the
+    homology of the tensored resolution, INFINITE included, for i = 0..d+2.
+    Left modules: two cyclic ones, their direct sum, the free module and the
+    first syzygy of the first; right modules: the second cyclic one and the
+    direct sum, and the free module against the syzygy."""
+    S = PolynomialRing(FieldSpec(characteristic), variables, weights)
+    A = HypersurfaceRing(S, S.parse(f))
+    mods = [present_cyclic(A, g) for g in generators]
+    mods += [direct_sum(mods[0], mods[1]), ModulePresentation.free(A), syzygy_of(mods[0], 1)]
+    pairs = [(M, N) for M in mods for N in (mods[1], mods[2])] + [(mods[4], mods[3])]
+    for M, N in pairs:
+        for i in range(A.dimension + 3):
+            try:
+                value = tor_length(M, N, i)
+            except InfiniteLength:
+                value = INFINITE
+            assert value == homology_tor_length(M, N, i), (M, N, i)

@@ -71,31 +71,35 @@ def test_theta_a1_surface_vanishes(a1, a1_modules):
 
 
 def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
-    """theta reads two Tor lengths at the MF source index: two homology
-    computations, a resolution of length d + 3, none of the right module.  A
-    second theta on the same module objects reads the Tor lengths the first
-    one left on the left module: no homology is computed again."""
+    """theta reads two Tor lengths at the MF source index, each off three
+    Hilbert numerators (two cokernels and the right module), with no homology
+    computed and the left module resolved to length d + 3, the right one not at
+    all.  A second theta on the same module objects reads the Tor lengths the
+    first one left on the left module.  Against a new right module, an already
+    resolved left module computes no syzygy."""
     import thetacas.homology as homology
 
     Ap = present_cyclic(quadric, ["x", "u"])
     Aq = present_cyclic(quadric, ["x", "v"])
-    calls = []
-    real = homology.complex_homology
+    calls = dict.fromkeys(("hilbert_numerator", "syzygies_over", "complex_homology"), 0)
+    for name in calls:
+        def counting(*args, _real=getattr(homology, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(homology, "complex_homology", counting)
+        monkeypatch.setattr(homology, name, counting)
     first = theta(Ap, Aq)
-    assert len(calls) == 2
+    assert calls["hilbert_numerator"] == 6
+    assert calls["syzygies_over"] and not calls["complex_homology"]
     assert len(Ap._res_betti) == quadric.dimension + 4
     assert Aq._res_betti == []
-    calls.clear()
+    calls.update(dict.fromkeys(calls, 0))
     assert theta(Ap, Aq) == first
-    assert calls == []
-    theta(Aq, Ap)  # a new left module computes its own Tor lengths
-    assert calls
+    assert not any(calls.values())
+    theta(Ap, present_cyclic(quadric, ["y", "u"]))
+    assert calls == {"hilbert_numerator": 6, "syzygies_over": 0, "complex_homology": 0}
+    theta(Aq, Ap)  # a new left module computes its own resolution
+    assert calls["syzygies_over"]
 
 
 def test_theta_needs_a_hypersurface_ring(S2):
@@ -353,3 +357,16 @@ def test_c1_rejects_non_torsion(quadric):
 def test_c1_audit_warns_on_missing_component(quadric, quadric_modules):
     with pytest.warns(MultiplicityAuditWarning):
         c1_torsion(quadric_modules["Ax"], [("p", ["x", "u"])])
+
+
+def test_theta_sees_each_infinite_tor_length():
+    """Over xy in k[x,y,z], Tor_1(A/(x), A/(x) + A/(y)) has infinite length
+    (s = 1).  The difference HS(Tor_1) - HS(Tor_2) = t has no pole, and theta
+    read off it would be -1; theta reads each length off its own series and
+    raises."""
+    S = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+    A = HypersurfaceRing(S, S.parse("x*y"))
+    M = present_cyclic(A, ["x"])
+    N = direct_sum(M, present_cyclic(A, ["y"]))
+    with pytest.raises(NonIsolatedSingularity):
+        theta(M, N)
