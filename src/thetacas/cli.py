@@ -20,11 +20,11 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .errors import AlgebraError, SessionError
-from .groebner import hilbert_numerator
 from .homology import (
     ModulePresentation,
     extract_matrix_factorization,
     minimal_resolution,
+    module_series,
     tor_length,
 )
 from .numeq import conjecture_report, gram_matrix
@@ -298,7 +298,7 @@ def _run_task(task: dict, env: Environment) -> dict:
     if kind == "length":
         return {"value": _length_json(length(env.modules[task["module"]]))}
     if kind == "hilbert":
-        num = hilbert_numerator(env.modules[task["module"]].presentation_gb())
+        num = module_series(env.modules[task["module"]])
         return {"numerator": [[deg, num[deg]] for deg in sorted(num)]}
     if kind == "c1":
         named = [(p, env.primes[p]) for p in task["primes"]]

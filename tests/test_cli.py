@@ -135,6 +135,19 @@ def test_shipped_quadric_session():
     assert results[7]["verdict"] == "PASS"
 
 
+def test_hilbert_numerator_uses_generator_degrees():
+    """coker [[x^2], [y]] over k[x,y]/(xy) has generators in degrees 0 and 1
+    and the relation in degree 2: HS = (1 + t - 2t^2 - t^3 + t^4)/(1 - t)^2."""
+    doc = {
+        "ring": NODE_DOC["ring"],
+        "modules": {"M": {"matrix": [["x^2"], ["y"]]}},
+        "tasks": [{"kind": "hilbert", "module": "M"}],
+    }
+    report, code = run_session(doc)
+    assert code == 0
+    assert report["tasks"][0]["result"]["numerator"] == [[0, 1], [1, 1], [2, -2], [3, -1], [4, 1]]
+
+
 def test_determinism_with_cold_caches():
     """Every run builds fresh rings, so no run sees another's caches; the
     gram task alone must agree with the gram task run after the theta tasks
