@@ -34,16 +34,32 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
+# Miller-Rabin to the bases 2, 3, ..., 41 (the first 13 primes) is exact
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < PRIMALITY_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -55,6 +71,8 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= PRIMALITY_BOUND:
+            raise ValueError(f"characteristic {p} is not below {PRIMALITY_BOUND}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 

@@ -246,6 +246,21 @@ def test_schema_error_boolean_for_integer(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+def test_characteristic_above_the_primality_bound_exits_2(tmp_path, capsys):
+    path = write_session(tmp_path, _with_ring(characteristic=2 ** 89 - 1))
+    assert main(["validate", path]) == 2
+    assert "not below" in capsys.readouterr().err
+    assert main(["run", path]) == 2
+
+
+def test_large_prime_characteristic_runs(tmp_path):
+    """2^61 - 1 used to hang in trial division."""
+    doc = _with_ring(characteristic=2 ** 61 - 1)
+    report, code = run_session(doc)
+    assert code == 0
+    assert [t["result"] for t in report["tasks"]][0] == {"value": 1}
+
+
 def test_schema_error_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

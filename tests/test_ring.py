@@ -1,5 +1,7 @@
 """Coefficient fields, polynomial arithmetic, parsing, and graded checks."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from thetacas import (
     weighted_degree,
 )
 from thetacas.errors import InhomogeneousError
+from thetacas.ring import PRIMALITY_BOUND, _is_prime
 
 
 def make_ring(characteristic=0, variables=("x", "y"), weights=None):
@@ -30,6 +33,23 @@ def test_field_characteristic_must_be_zero_or_prime():
         FieldSpec(4)
     with pytest.raises(ValueError):
         FieldSpec(1)
+
+
+def test_characteristic_primality_is_decided_quickly():
+    """Miller-Rabin, not trial division: 2^61 - 1 is accepted at once, the
+    Carmichael number 561 and 318665857834031151167461 (a strong pseudoprime
+    to every prime base up to 37) are rejected, and characteristics from the
+    bound up, where the test is not known to be exact, are refused."""
+    start = time.perf_counter()
+    assert FieldSpec(2 ** 61 - 1).characteristic == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0
+    for composite in (561, 318665857834031151167461):
+        with pytest.raises(ValueError, match="prime"):
+            FieldSpec(composite)
+    with pytest.raises(ValueError, match="not below"):
+        FieldSpec(PRIMALITY_BOUND)
+    assert [p for p in range(60) if _is_prime(p)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
 def test_prime_field_least_nonneg_residues():
