@@ -413,14 +413,16 @@ def test_nakayama_selection_matches_prefix_rebuild():
 def test_tor_length_matches_the_homology_route(variables, f, characteristic, weights, generators):
     """Tor lengths read off Hilbert series equal the staircase count of the
     homology of the tensored resolution, INFINITE included, for i = 0..d+2.
-    Left modules: two cyclic ones, their direct sum, the free module and the
-    first syzygy of the first; right modules: the second cyclic one and the
-    direct sum, and the free module against the syzygy."""
+    Left modules: two cyclic ones, the free module and the first syzygy of
+    the first; right modules: the direct sum of the cyclic ones and the
+    syzygy (generators in nonzero, and on e8_surface unequal, degrees), and
+    the free module against the syzygy."""
     S = PolynomialRing(FieldSpec(characteristic), variables, weights)
     A = HypersurfaceRing(S, S.parse(f))
     mods = [present_cyclic(A, g) for g in generators]
     mods += [direct_sum(mods[0], mods[1]), ModulePresentation.free(A), syzygy_of(mods[0], 1)]
-    pairs = [(M, N) for M in mods for N in (mods[1], mods[2])] + [(mods[4], mods[3])]
+    left = [mods[0], mods[1], mods[3], mods[4]]
+    pairs = [(M, N) for M in left for N in (mods[2], mods[4])] + [(mods[4], mods[3])]
     for M, N in pairs:
         for i in range(A.dimension + 3):
             try:
