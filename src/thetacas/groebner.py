@@ -397,6 +397,9 @@ def _series_at_one(num: dict) -> Tuple[Optional[int], int]:
     (None, 0) for the zero numerator."""
     if not num:
         return None, 0
+    # generator degrees may be negative; a power of t moves neither the root
+    # nor the value at t = 1
+    num = _tpoly_shift(num, -min(num))
     order = 0
     while sum(num.values()) == 0:
         num = _tpoly_div_1mt(num)

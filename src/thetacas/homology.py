@@ -686,7 +686,7 @@ def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
         res = minimal_resolution(M, i + 1)
         num = _cokernel_series(res, N, i + 1)
         if i:
-            num = _tpoly_sub(num, _tpoly_sub({}, _cokernel_series(res, N, i)))
+            num = _tpoly_sub(num, {d: -c for d, c in _cokernel_series(res, N, i).items()})
             series_N = module_series(N)
             for deg in res.gen_degrees(i - 1):
                 num = _tpoly_sub(num, _tpoly_shift(series_N, deg))

@@ -148,6 +148,20 @@ def test_hilbert_numerator_uses_generator_degrees():
     assert report["tasks"][0]["result"]["numerator"] == [[0, 1], [1, 1], [2, -2], [3, -1], [4, 1]]
 
 
+def test_negative_generator_degree_lengths():
+    """coker [[y], [x^2]] over k[x,y]/(xy) has generators in degrees 0 and -1;
+    its numerator keeps the t^-1 term and its length is still INFINITE."""
+    doc = {
+        "ring": NODE_DOC["ring"],
+        "modules": {"M": {"matrix": [["y"], ["x^2"]]}},
+        "tasks": [{"kind": "length", "module": "M"}, {"kind": "hilbert", "module": "M"}],
+    }
+    report, code = run_session(doc)
+    assert code == 0
+    assert report["tasks"][0]["result"]["value"] == "INFINITE"
+    assert report["tasks"][1]["result"]["numerator"] == [[-1, 1], [0, 1], [1, -2], [2, -1], [3, 1]]
+
+
 def test_determinism_with_cold_caches():
     """Every run builds fresh rings, so no run sees another's caches; the
     gram task alone must agree with the gram task run after the theta tasks

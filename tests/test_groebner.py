@@ -214,6 +214,10 @@ def test_series_length_is_the_value_at_one():
     assert series_length({0: 1, 2: -1}, (1, 1)) is INFINITE  # k[x,y]/(xy)
     # k[x,y]/(x^2, y^3) with weights 2, 3: (1 - t^4)(1 - t^9) over (1 - t^2)(1 - t^3)
     assert series_length({0: 1, 4: -1, 9: -1, 13: 1}, (2, 3)) == 6
+    # generators in negative degrees: a power of t changes no length
+    assert series_length({-2: 1, 2: -1, 7: -1, 11: 1}, (2, 3)) == 6
+    assert series_length({-1: 1, 1: -1}, (1, 1)) is INFINITE
+    assert series_length({-1: 1, 0: 1, 1: -2, 2: -1, 3: 1}, (1, 1)) is INFINITE
     with pytest.raises(AlgebraError):
         series_length({0: 1, 1: -2, 2: 1}, (1,))  # a zero of order 2 > 1 variable
 

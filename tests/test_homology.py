@@ -398,6 +398,33 @@ def test_nakayama_selection_matches_prefix_rebuild():
         assert [v for v, _d in kept] == res.differential_columns(i + 1)
 
 
+def test_tor_and_theta_with_negative_generator_degrees(node):
+    """Over k[x,y]/(xy), coker [[y], [x^2]] and coker [[y, 0], [x^2, y]] infer
+    generator degrees (0, -1), so their Hilbert numerators have t^-1 terms.
+    Lengths, Tor and theta must still agree with the homology route."""
+    S = node.ambient
+    P = S.parse
+    M = ModulePresentation(node, [[P("y")], [P("x^2")]])
+    M2 = ModulePresentation(node, [[P("y"), S.zero()], [P("x^2"), P("y")]])
+    assert M.gen_degrees == M2.gen_degrees == (0, -1)
+    assert module_length(M) is INFINITE
+    Ax = present_cyclic(node, ["x"])
+    mods = [M, M2, Ax, present_cyclic(node, ["x", "y"])]
+    for L in mods:
+        for R in mods:
+            for i in range(node.dimension + 3):
+                try:
+                    value = tor_length(L, R, i)
+                except InfiniteLength:
+                    value = INFINITE
+                assert value == homology_tor_length(L, R, i), (L, R, i)
+    for L, R in ((M2, Ax), (Ax, M2), (M, M2)):
+        s = extract_matrix_factorization(minimal_resolution(L, node.dimension + 3)).source_index
+        lengths = [homology_tor_length(L, R, i) for i in (s, s + 1)]
+        assert theta(L, R) == (-1) ** s * (lengths[0] - lengths[1])
+    assert theta(M2, Ax) == theta(Ax, M2) == 1
+
+
 @pytest.mark.parametrize(
     "variables, f, characteristic, weights, generators",
     [
