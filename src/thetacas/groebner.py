@@ -153,6 +153,83 @@ class GroebnerBasis:
         return [dict(g) for g in self.vectors]
 
 
+class GroebnerBuilder:
+    """Buchberger's loop, kept open: add vectors, complete the basis up to a
+    degree, read off the reduced basis.  A pair's degree is its lcm's degree
+    plus shifts[component]; for inputs homogeneous under those generator
+    degrees, complete(d) decides membership of every vector of degree <= d."""
+
+    def __init__(self, ring: PolynomialRing, rank: int, shifts: Sequence[int] = ()):
+        self.ring, self.rank = ring, rank
+        self.shifts = shifts or (0,) * rank
+        self.pairs: List[Tuple[Vector, Term]] = []  # (monic vector, lead term)
+        self.leads: List[Term] = []
+        # S-pairs not yet treated: the set serves the chain criterion, the heap
+        # yields them by (degree, i, j).
+        self.pending = set()
+        self.queue: List[Tuple[int, int, int]] = []
+
+    def add(self, v: Vector) -> None:
+        ring, leads = self.ring, self.leads
+        lt = vec_lead(v, ring)
+        j = len(leads)
+        self.pairs.append((_monic(v, lt, ring.field), lt))
+        leads.append(lt)
+        comp, mono = lt
+        for i in range(j):
+            if leads[i][0] == comp:
+                self.pending.add((i, j))
+                heapq.heappush(self.queue, (
+                    ring.mono_degree(mono_lcm(leads[i][1], mono)) + self.shifts[comp], i, j))
+
+    def complete(self, upto_degree: Optional[int] = None) -> None:
+        """Treat every pending pair, or those of degree <= upto_degree."""
+        ring, field = self.ring, self.ring.field
+        G, leads, pending, queue = self.pairs, self.leads, self.pending, self.queue
+        while queue and (upto_degree is None or queue[0][0] <= upto_degree):
+            _deg, i, j = heapq.heappop(queue)
+            pending.discard((i, j))
+            L = mono_lcm(leads[i][1], leads[j][1])
+            # product criterion (valid for rank-1 ideals only)
+            if self.rank == 1 and mono_coprime(leads[i][1], leads[j][1]):
+                continue
+            # chain criterion
+            skip = False
+            comp = leads[i][0]
+            for k in range(len(G)):
+                if k in (i, j) or leads[k][0] != comp:
+                    continue
+                if mono_divides(leads[k][1], L):
+                    pik = (min(i, k), max(i, k))
+                    pjk = (min(j, k), max(j, k))
+                    if pik not in pending and pjk not in pending:
+                        skip = True
+                        break
+            if skip:
+                continue
+            s: Vector = {}
+            vec_axpy(s, field.one, mono_div(L, leads[i][1]), G[i][0], field)
+            vec_axpy(s, field.neg(field.one), mono_div(L, leads[j][1]), G[j][0], field)
+            r = normal_form_vec(s, G, ring)
+            if r:
+                self.add(r)
+
+    def reduced(self) -> GroebnerBasis:
+        """The reduced basis of what was added; complete() it first."""
+        ring, leads = self.ring, self.leads
+        # minimalize: drop g when another lead divides lt (of equal leads, keep the first)
+        keep = [(g, lt) for i, (g, lt) in enumerate(self.pairs)
+                if not any(j != i and ltj[0] == lt[0] and mono_divides(ltj[1], lt[1])
+                           and (ltj[1] != lt[1] or j < i) for j, ltj in enumerate(leads))]
+        # interreduce: no other kept lead divides lt, so lt stays the lead term,
+        # with coefficient one, of g's remainder
+        reduced = [(normal_form_vec(g, keep[:i] + keep[i + 1:], ring), lt)
+                   for i, (g, lt) in enumerate(keep)]
+        reduced.sort(key=lambda pair: term_key(ring, pair[1]), reverse=True)
+        return GroebnerBasis(ring, self.rank, tuple(freeze_vec(r) for r, _lt in reduced),
+                             tuple(lt for _r, lt in reduced))
+
+
 def groebner_basis(
     generators: Sequence[Vector],
     ring: PolynomialRing,
@@ -163,80 +240,12 @@ def groebner_basis(
     cached = ring._groebner_memo.get(key)
     if cached is not None:
         return cached
-
-    field = ring.field
-    G: List[Tuple[Vector, Term]] = []  # (monic vector, lead term) pairs
-    leads: List[Term] = []
-    # S-pairs not yet treated: the set serves the chain criterion, the heap
-    # yields them by (lcm degree, i, j).
-    pending = set()
-    queue: List[Tuple[int, int, int]] = []
-
-    def add_element(v: Vector):
-        lt = vec_lead(v, ring)
-        j = len(G)
-        G.append((_monic(v, lt, field), lt))
-        leads.append(lt)
-        comp, mono = lt
-        for i in range(j):
-            if leads[i][0] == comp:
-                pending.add((i, j))
-                heapq.heappush(
-                    queue, (ring.mono_degree(mono_lcm(leads[i][1], mono)), i, j))
-
+    builder = GroebnerBuilder(ring, rank)
     for g in generators:
         if g:
-            add_element(dict(g))
-
-    while queue:
-        _deg, i, j = heapq.heappop(queue)
-        pending.discard((i, j))
-        L = mono_lcm(leads[i][1], leads[j][1])
-        # product criterion (valid for rank-1 ideals only)
-        if rank == 1 and mono_coprime(leads[i][1], leads[j][1]):
-            continue
-        # chain criterion
-        skip = False
-        comp = leads[i][0]
-        for k in range(len(G)):
-            if k in (i, j) or leads[k][0] != comp:
-                continue
-            if mono_divides(leads[k][1], L):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s: Vector = {}
-        vec_axpy(s, field.one, mono_div(L, leads[i][1]), G[i][0], field)
-        vec_axpy(s, field.neg(field.one), mono_div(L, leads[j][1]), G[j][0], field)
-        r = normal_form_vec(s, G, ring)
-        if r:
-            add_element(r)
-
-    # minimalize
-    keep = []
-    for i, (g, lt) in enumerate(G):
-        redundant = False
-        for j, ltj in enumerate(leads):
-            if i == j:
-                continue
-            if ltj[0] == lt[0] and mono_divides(ltj[1], lt[1]):
-                if ltj[1] != lt[1] or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append((g, lt))
-    # interreduce: no other kept lead divides lt, so lt stays the lead term,
-    # with coefficient one, of g's remainder
-    reduced = [(normal_form_vec(g, keep[:i] + keep[i + 1:], ring), lt)
-               for i, (g, lt) in enumerate(keep)]
-    reduced.sort(key=lambda pair: term_key(ring, pair[1]), reverse=True)
-    result = GroebnerBasis(ring, rank, tuple(freeze_vec(r) for r, _lt in reduced),
-                           tuple(lt for _r, lt in reduced))
-    ring._groebner_memo[key] = result
+            builder.add(dict(g))
+    builder.complete()
+    result = ring._groebner_memo[key] = builder.reduced()
     return result
 
 

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InfiniteLength, InhomogeneousError, NotStabilized
 from .groebner import (
     GroebnerBasis,
+    GroebnerBuilder,
     Vector,
     _tpoly_shift,
     _tpoly_sub,
@@ -445,27 +446,24 @@ def _vector_degree(v: Vector, target_degs: Sequence[int], S: PolynomialRing) -> 
 def _minimal_generating_subset(
     ring: RingLike, vectors: List[Vector], rank: int, target_degs: Sequence[int]
 ) -> List[Tuple[Vector, int]]:
-    """Greedy graded Nakayama selection; returns (vector, degree) pairs."""
+    """Greedy graded Nakayama selection; returns (vector, degree) pairs.  The
+    vectors are homogeneous and go in degree order, so one open basis of the
+    kept vectors' lift, completed to each one's degree, decides membership."""
     S = ambient_of(ring)
     decorated = sorted(
         ((_vector_degree(v, target_degs, S), freeze_vec(v), v) for v in vectors),
         key=lambda t: (t[0], t[1]),
     )
     kept: List[Tuple[Vector, int]] = []
-    # gb is the basis of the lift of the kept vectors except `fresh`, the one
-    # kept last, which joins it when the next candidate needs it.  Reduced
-    # bases are unique, so each extension equals lifted_basis of all kept.
-    gb: Optional[GroebnerBasis] = None
-    fresh: Optional[Vector] = None
+    builder = GroebnerBuilder(S, rank, target_degs)
+    for w in f_times_unit_vectors(ring, rank):
+        builder.add(w)
     for deg, _key, v in decorated:
-        if fresh is not None:
-            gb = (lifted_basis(ring, [fresh], rank) if gb is None
-                  else groebner_basis(gb.as_dicts() + [fresh], S, rank))
-            fresh = None
-        if gb is not None and not normal_form(v, gb):
-            continue
-        kept.append((v, deg))
-        fresh = v
+        builder.complete(deg)
+        r = normal_form_vec(v, builder.pairs, S)
+        if r:
+            kept.append((v, deg))
+            builder.add(r)
     return kept
 
 
