@@ -383,18 +383,53 @@ def _prefix_rebuild_selection(ring, vectors, rank, target_degs):
 
 
 def test_nakayama_selection_matches_prefix_rebuild():
-    """Extending one basis keeps the same vectors as rebuilding the lift of
-    each kept prefix, at each step of the residue field's resolution over
-    the Fermat cubic threefold."""
+    """One open basis, completed up to each candidate's degree, keeps the
+    same vectors as rebuilding the lift of each kept prefix, at each step of
+    four resolutions: the residue field k over the Fermat cubic threefold;
+    k over the weighted E8 threefold over F_32003 (unequal target degrees);
+    coker [[y, 0], [x^2, y]] over the node (degrees (0, -1)); and k twisted
+    to degree -3 over the cubic, where every target degree is negative and a
+    builder that leaves the shifts out of the pair degree under-completes."""
     S = PolynomialRing(FieldSpec(0), ["x", "y", "z", "w"])
-    A = HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3"))
-    res = minimal_resolution(present_cyclic(A, ["x", "y", "z", "w"]), 4)
-    assert res.betti == [1, 4, 7, 8, 8]
-    for i in range(1, 4):
-        rank, degs = res.betti[i - 1], res.gen_degrees(i)
-        syz = syzygies_over(A, res.differential_columns(i), rank)
-        kept = _minimal_generating_subset(A, syz, res.betti[i], degs)
-        assert kept == _prefix_rebuild_selection(A, syz, res.betti[i], degs)
+    cubic = HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3"))
+    k_cubic_twisted = ModulePresentation(
+        cubic, [tuple(S.parse(v) for v in "xyzw")], gen_degrees=(-3,))
+    S = PolynomialRing(FieldSpec(32003), ["x", "y", "z", "w"], [15, 10, 6, 15])
+    e8 = HypersurfaceRing(S, S.parse("x^2 + y^3 + z^5 + w^2"))
+    S = PolynomialRing(FieldSpec(0), ["x", "y"])
+    node = HypersurfaceRing(S, S.parse("x*y"))
+    P = S.parse
+    cases = [
+        (present_cyclic(cubic, ["x", "y", "z", "w"]), [1, 4, 7, 8, 8]),
+        (present_cyclic(e8, ["x", "y", "z", "w"]), [1, 4, 7, 8, 8, 8, 8]),
+        (ModulePresentation(node, [[P("y"), S.zero()], [P("x^2"), P("y")]]),
+         [2, 2, 1, 1, 1, 1]),
+        (k_cubic_twisted, [1, 4, 7, 8, 8]),
+    ]
+    for M, betti in cases:
+        res = minimal_resolution(M, len(betti) - 1)
+        assert res.betti == betti
+        for i in range(1, len(betti) - 1):
+            A, rank, degs = M.ring, res.betti[i - 1], res.gen_degrees(i)
+            syz = syzygies_over(A, res.differential_columns(i), rank)
+            kept = _minimal_generating_subset(A, syz, res.betti[i], degs)
+            assert kept == _prefix_rebuild_selection(A, syz, res.betti[i], degs)
+            assert [v for v, _d in kept] == res.differential_columns(i + 1)
+
+
+def test_nakayama_selection_memoises_no_basis():
+    """The selection's open basis stays out of the ring's Groebner memo:
+    resolving k to length 7 over the cubic fourfold over F_32003 leaves one
+    basis per resolution step, the one syzygies_over builds."""
+    S = PolynomialRing(FieldSpec(32003), ["x", "y", "z", "w", "u"])
+    A = HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3 + u^3"))
+    res = minimal_resolution(present_cyclic(A, ["x", "y", "z", "w", "u"]), 7)
+    assert len(S._groebner_memo) == 6
+    for i in (1, 4):
+        syz = syzygies_over(A, res.differential_columns(i), res.betti[i - 1])
+        before = len(S._groebner_memo)
+        kept = _minimal_generating_subset(A, syz, res.betti[i], res.gen_degrees(i))
+        assert len(S._groebner_memo) == before
         assert [v for v, _d in kept] == res.differential_columns(i + 1)
 
 
