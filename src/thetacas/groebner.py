@@ -253,10 +253,6 @@ def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
     return normal_form_vec(v, list(zip(G.as_dicts(), G.leads)), G.ring)
 
 
-def is_member(v: Vector, G: GroebnerBasis) -> bool:
-    return not normal_form(v, G)
-
-
 # ---------------------------------------------------------------------------
 # syzygies and representations via the augmented basis
 

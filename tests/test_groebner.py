@@ -12,9 +12,9 @@ from thetacas import INFINITE, FieldSpec, PolynomialRing
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
     _tpoly_div_1mt,
+    GroebnerBuilder,
     groebner_basis,
     hilbert_numerator,
-    is_member,
     mono_lcm,
     multiplicity,
     normal_form,
@@ -118,7 +118,7 @@ def test_normal_form_idempotent_and_membership(data):
     )
     G = ideal_gb(R, *gens)
     for g in gens:
-        assert is_member(vec_from_polys([R.parse(g)]), G)
+        assert not normal_form(vec_from_polys([R.parse(g)]), G)
     v = vec_from_polys([data.draw(st.sampled_from(
         [R.parse(t) for t in ("x^3*y", "x + y", "x*y^2 - 1", "y^4")]
     ))])
@@ -129,7 +129,7 @@ def test_normal_form_idempotent_and_membership(data):
         diff[t] = R.field.sub(diff.get(t, R.field.zero), c)
         if not diff[t]:
             del diff[t]
-    assert is_member(diff, G)
+    assert not normal_form(diff, G)
 
 
 def test_buchberger_criterion_all_spairs_reduce():
@@ -398,3 +398,23 @@ def test_reduced_basis_matches_sympy(characteristic, ideal):
     ours = {frozenset(p.coeffs.items()) for p in gb_polys(R, G)}
     theirs = {frozenset(p.coeffs.items()) for p in _sympy_reduced_basis(sympy, R, gens)}
     assert ours == theirs
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+@given(ideal=integer_ideals(), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_builder_completed_by_degree_matches_groebner_basis(characteristic, ideal, data):
+    """Adding the generators in any order, completing to rising degrees
+    after each one and then completely, gives the reduced basis."""
+    n, gens = ideal
+    R = PolynomialRing(FieldSpec(characteristic), ["x", "y", "z"][:n])
+    vectors = [vec_from_polys([R.from_dict(g)]) for g in gens]
+    order = data.draw(st.permutations(range(len(vectors))))
+    degrees = sorted(data.draw(st.lists(st.integers(0, 6), min_size=len(vectors),
+                                        max_size=len(vectors))))
+    builder = GroebnerBuilder(R, 1)
+    for i, degree in zip(order, degrees):
+        builder.add(dict(vectors[i]))
+        builder.complete(degree)
+    builder.complete()
+    assert builder.reduced() == groebner_basis(vectors, R, 1)
