@@ -50,6 +50,9 @@ TASK_KINDS = (
     "hilbert", "c1", "gram", "conjecture_report",
 )
 
+# Schema cap: resolving A/(x) over xy to length 1000000 ran past 15 s.
+MAX_RESOLVE_LENGTH = 256
+
 
 class Environment:
     def __init__(self, ring: HypersurfaceRing, modules, primes):
@@ -179,9 +182,10 @@ def validate_tasks(doc, env: Environment) -> List[str]:
         if kind in ("resolve", "mf", "length", "hilbert"):
             need_module()
             if kind == "resolve" and "length" in task and (
-                not _is_int(task["length"]) or task["length"] < 1
+                not _is_int(task["length"]) or not 1 <= task["length"] <= MAX_RESOLVE_LENGTH
             ):
-                errors.append(f"{where}: 'length' must be a positive integer")
+                errors.append(
+                    f"{where}: 'length' must be a positive integer at most {MAX_RESOLVE_LENGTH}")
         elif kind == "tor":
             need_module("left")
             need_module("right")

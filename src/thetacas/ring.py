@@ -353,6 +353,10 @@ class Polynomial:
         return f"<{self}>"
 
 
+# Schema cap: the parser expands powers, and (x+y)^40000 ran past 15 s.
+MAX_EXPONENT = 64
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial text grammar.
 
@@ -421,8 +425,8 @@ class _Parser:
         if self._peek() == "^":
             self.pos += 1
             exp = self._integer()
-            if exp < 0:
-                raise ParseError("negative exponent")
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} is above {MAX_EXPONENT}")
             result = self.ring.one()
             for _ in range(exp):
                 result = result * base

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from thetacas.cli import main, run_session, validate_session
+from thetacas.cli import MAX_RESOLVE_LENGTH, main, run_session, validate_session
+from thetacas.ring import MAX_EXPONENT
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -265,6 +266,34 @@ def test_characteristic_above_the_primality_bound_exits_2(tmp_path, capsys):
     assert main(["validate", path]) == 2
     assert "not below" in capsys.readouterr().err
     assert main(["run", path]) == 2
+
+
+def test_resolve_length_above_the_cap_exits_2(tmp_path, capsys):
+    """Resolving A/(x) over xy to length 1000000 ran past 15 s; the schema
+    caps the length, and the cap itself runs."""
+    path = write_session(tmp_path, _with_task({"kind": "resolve", "module": "Ax",
+                                               "length": 1000000}))
+    assert main(["validate", path]) == 2
+    assert f"at most {MAX_RESOLVE_LENGTH}" in capsys.readouterr().err
+    assert main(["run", path]) == 2
+    report, code = run_session(_with_task({"kind": "resolve", "module": "Ax",
+                                           "length": MAX_RESOLVE_LENGTH}))
+    assert code == 0 and report["tasks"][0]["result"]["betti"] == [1] * (MAX_RESOLVE_LENGTH + 1)
+
+
+def test_exponent_above_the_cap_exits_2(tmp_path, capsys):
+    """The cyclic module (x+y)^40000 ran past 15 s in the parser's expansion;
+    the parser caps the exponent, and the cap itself runs."""
+    doc = _with_task({"kind": "length", "module": "P"})
+    doc["modules"]["P"] = {"cyclic": ["(x+y)^40000"]}
+    path = write_session(tmp_path, doc)
+    assert main(["validate", path]) == 2
+    assert f"exponent 40000 is above {MAX_EXPONENT}" in capsys.readouterr().err
+    assert main(["run", path]) == 2
+    doc["modules"]["P"] = {"cyclic": [f"(x+y)^{MAX_EXPONENT}"]}
+    report, code = run_session(doc)
+    # modulo xy, (x+y)^e = x^e + y^e, and k[x,y]/(xy, x^e + y^e) has length 2e
+    assert code == 0 and report["tasks"][0]["result"] == {"value": 2 * MAX_EXPONENT}
 
 
 def test_large_prime_characteristic_runs(tmp_path):
