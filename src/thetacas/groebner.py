@@ -218,9 +218,14 @@ class GroebnerBuilder:
         """The reduced basis of what was added; complete() it first."""
         ring, leads = self.ring, self.leads
         # minimalize: drop g when another lead divides lt (of equal leads, keep the first)
-        keep = [(g, lt) for i, (g, lt) in enumerate(self.pairs)
-                if not any(j != i and ltj[0] == lt[0] and mono_divides(ltj[1], lt[1])
-                           and (ltj[1] != lt[1] or j < i) for j, ltj in enumerate(leads))]
+        keep = []
+        for i, (g, lt) in enumerate(self.pairs):
+            for j, ltj in enumerate(leads):
+                if (j != i and ltj[0] == lt[0] and mono_divides(ltj[1], lt[1])
+                        and (ltj[1] != lt[1] or j < i)):
+                    break
+            else:
+                keep.append((g, lt))
         # interreduce: no other kept lead divides lt, so lt stays the lead term,
         # with coefficient one, of g's remainder
         reduced = [(normal_form_vec(g, keep[:i] + keep[i + 1:], ring), lt)
