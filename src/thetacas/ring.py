@@ -355,6 +355,9 @@ class Polynomial:
 
 # Schema cap: the parser expands powers, and (x+y)^40000 ran past 15 s.
 MAX_EXPONENT = 64
+# Schema cap: the parser recurses per parenthesis or unary minus, and 300
+# nested parentheses overflowed Python's recursion limit.
+MAX_NESTING = 64
 
 
 class _Parser:
@@ -368,6 +371,7 @@ class _Parser:
         self.ring = ring
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def parse(self) -> Polynomial:
         result = self._expr()
@@ -435,16 +439,20 @@ class _Parser:
 
     def _atom(self) -> Polynomial:
         ch = self._peek()
-        if ch == "(":
+        if ch in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting depth is above {MAX_NESTING}")
             self.pos += 1
-            inner = self._expr()
-            if self._peek() != ")":
-                raise ParseError("missing closing parenthesis")
-            self.pos += 1
+            if ch == "(":
+                inner = self._expr()
+                if self._peek() != ")":
+                    raise ParseError("missing closing parenthesis")
+                self.pos += 1
+            else:
+                inner = -self._atom()
+            self.depth -= 1
             return inner
-        if ch == "-":
-            self.pos += 1
-            return -self._atom()
         if ch.isdigit():
             return self.ring.constant(self._integer())
         if ch.isalpha() or ch == "_":

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from thetacas.cli import MAX_RESOLVE_LENGTH, main, run_session, validate_session
-from thetacas.ring import MAX_EXPONENT
+from thetacas.ring import MAX_EXPONENT, MAX_NESTING
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -294,6 +294,23 @@ def test_exponent_above_the_cap_exits_2(tmp_path, capsys):
     report, code = run_session(doc)
     # modulo xy, (x+y)^e = x^e + y^e, and k[x,y]/(xy, x^e + y^e) has length 2e
     assert code == 0 and report["tasks"][0]["result"] == {"value": 2 * MAX_EXPONENT}
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "x" + ")" * 300, "-" * 1000 + "x"])
+@pytest.mark.parametrize("where", ["f", "cyclic"])
+def test_deep_nesting_exits_2(tmp_path, capsys, text, where):
+    """Deep nesting in ring.f or a cyclic generator was an uncaught
+    RecursionError (exit 1); the parser caps it on validate and run."""
+    doc = _with_task({"kind": "length", "module": "P"})
+    doc["modules"]["P"] = {"cyclic": ["x"]}
+    if where == "f":
+        doc["ring"] = dict(doc["ring"], f=f"x*{text}")
+    else:
+        doc["modules"]["P"] = {"cyclic": [text]}
+    path = write_session(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert f"nesting depth is above {MAX_NESTING}" in capsys.readouterr().err
 
 
 def test_large_prime_characteristic_runs(tmp_path):

@@ -13,8 +13,8 @@ from thetacas import (
     ring_dimension,
     weighted_degree,
 )
-from thetacas.errors import InhomogeneousError
-from thetacas.ring import PRIMALITY_BOUND, _is_prime
+from thetacas.errors import InhomogeneousError, ParseError
+from thetacas.ring import MAX_NESTING, PRIMALITY_BOUND, _is_prime
 
 
 def make_ring(characteristic=0, variables=("x", "y"), weights=None):
@@ -108,6 +108,17 @@ def test_parse_examples():
     assert R.parse("x/2 + x/2") == R.parse("x")
     with pytest.raises(Exception):
         R.parse("x + @")
+
+
+def test_parse_nesting_is_capped():
+    """300 nested parentheses or 1000 unary minuses overflowed the recursion
+    limit; the parser caps its nesting, and the cap itself parses."""
+    R = make_ring()
+    for text in ("(" * 300 + "x" + ")" * 300, "-" * 1000 + "x"):
+        with pytest.raises(ParseError, match=f"nesting depth is above {MAX_NESTING}"):
+            R.parse(text)
+    assert R.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == R.parse("x")
+    assert R.parse("-" * MAX_NESTING + "x") == R.parse("x")
 
 
 @given(a=polys(RING0), b=polys(RING0), c=polys(RING0))
