@@ -1,6 +1,8 @@
 """Module presentations, minimal free resolutions, matrix factorizations,
-syzygies, duals, Ext against the ring, homology of tensored complexes, and
-Tor lengths from Hilbert series.
+syzygies, duals and Ext against the ring, and the Hilbert series of the
+homology of a tensored complex, which gives Tor lengths.  That series is a
+sum of cokernel series, so no length computes syzygies or presents
+homology; only Ext presents a subquotient.
 
 Everything is computed over the ambient polynomial ring S; quotient-ring
 kernels are obtained by appending f * e_j to the generator list and
@@ -161,6 +163,42 @@ def lifted_basis(ring: RingLike, vectors: Sequence[Vector], rank: int) -> Groebn
 # module presentations
 
 
+def infer_degrees(
+    ranks: Sequence[int], matrices: Sequence[MatrixRows]
+) -> List[Tuple[int, ...]]:
+    """Generator degrees of F_0, ..., F_L (ranks r_0, ..., r_L) that make
+    each map F_k -> F_{k-1}, given by the r_{k-1} x r_k matrices[k-1],
+    homogeneous of degree 0.  Each connected block of basis elements is
+    anchored at degree 0 on its first element, F_0 first."""
+    edges: Dict[Tuple[int, int], list] = {
+        (k, j): [] for k, r in enumerate(ranks) for j in range(r)
+    }
+    for k, rows in enumerate(matrices):
+        for r, row in enumerate(rows):
+            for c, p in enumerate(row):
+                if not p.is_zero():
+                    e = p.weighted_degree()
+                    edges[(k, r)].append(((k + 1, c), e, c))
+                    edges[(k + 1, c)].append(((k, r), -e, c))
+    degs: Dict[Tuple[int, int], int] = {}
+    for anchor in edges:
+        if anchor in degs:
+            continue
+        degs[anchor] = 0
+        frontier = [anchor]
+        while frontier:
+            a = frontier.pop()
+            for b, e, c in edges[a]:
+                if b not in degs:
+                    degs[b] = degs[a] + e
+                    frontier.append(b)
+                elif degs[b] != degs[a] + e:
+                    raise InhomogeneousError(
+                        f"column {c} is not homogeneous under any generator degrees"
+                    )
+    return [tuple(degs[(k, j)] for j in range(r)) for k, r in enumerate(ranks)]
+
+
 class ModulePresentation:
     """Finitely generated module coker(Q : R^t -> R^s) with graded bookkeeping.
 
@@ -191,7 +229,7 @@ class ModulePresentation:
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if gen_degrees is None:
-            gen_degrees = self._infer_degrees()
+            gen_degrees = infer_degrees([self.nrows, self.ncols], [self.rows])[0]
         self.gen_degrees = tuple(gen_degrees)
         self._gb: Optional[GroebnerBasis] = None
         self._minimal: Optional[ModulePresentation] = None
@@ -221,47 +259,6 @@ class ModulePresentation:
         return cls(ring, [], gen_degrees=())
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _infer_degrees(self) -> Tuple[int, ...]:
-        s, t = self.nrows, self.ncols
-        entry_deg = {}
-        for r in range(s):
-            for c in range(t):
-                p = self.rows[r][c]
-                if not p.is_zero():
-                    entry_deg[(r, c)] = p.weighted_degree()
-        degs: List[Optional[int]] = [None] * s
-        col_deg: List[Optional[int]] = [None] * t
-        for anchor in range(s):
-            if degs[anchor] is not None:
-                continue
-            degs[anchor] = 0
-            frontier = [anchor]
-            while frontier:
-                r = frontier.pop()
-                for c in range(t):
-                    if (r, c) not in entry_deg:
-                        continue
-                    d = degs[r] + entry_deg[(r, c)]
-                    if col_deg[c] is None:
-                        col_deg[c] = d
-                    elif col_deg[c] != d:
-                        raise InhomogeneousError(
-                            f"column {c} is not homogeneous under any generator degrees"
-                        )
-                    else:
-                        continue
-                    for r2 in range(s):
-                        if (r2, c) in entry_deg:
-                            d2 = col_deg[c] - entry_deg[(r2, c)]
-                            if degs[r2] is None:
-                                degs[r2] = d2
-                                frontier.append(r2)
-                            elif degs[r2] != d2:
-                                raise InhomogeneousError(
-                                    f"column {c} is not homogeneous under any generator degrees"
-                                )
-        return tuple(d if d is not None else 0 for d in degs)
 
     def columns(self) -> List[Vector]:
         return columns_as_vectors(self.rows)
@@ -569,7 +566,84 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
 
 
 # ---------------------------------------------------------------------------
-# subquotients and homology
+# homology of tensored complexes, Tor
+
+
+def _tensor_map_columns(d_cols: List[Vector], s: int) -> List[Vector]:
+    """Columns of d (x) I_s, source coordinate (c, k) -> index c*s + k."""
+    out = []
+    for v in d_cols:
+        for k in range(s):
+            out.append({(comp * s + k, m): c for (comp, m), c in v.items()})
+    return out
+
+
+def _block_relations(Q_cols: List[Vector], s: int, blocks: int) -> List[Vector]:
+    out = []
+    for block in range(blocks):
+        for v in Q_cols:
+            out.append(vec_shift_components(v, block * s))
+    return out
+
+
+def _cokernel_series(
+    d_cols: List[Vector], target_degs: Sequence[int], N: ModulePresentation
+) -> dict:
+    """Hilbert numerator of coker(d (x) N), a quotient of F (x) N, for the
+    map d into F with the given columns and generator degrees."""
+    s = N.nrows
+    cols = _tensor_map_columns(d_cols, s)
+    cols += _block_relations(N.columns(), s, len(target_degs))
+    shifts = [a + b for a in target_degs for b in N.gen_degrees]
+    return hilbert_numerator(lifted_basis(N.ring, cols, len(shifts)), shifts)
+
+
+def homology_series(
+    diff_cols: List[List[Vector]], degs: Sequence[Sequence[int]],
+    N: ModulePresentation, i: int,
+) -> dict:
+    """Hilbert numerator of H_i(F (x) N), 0 <= i <= L, for the complex F with
+    columns diff_cols[k] of d_{k+1} and generator degrees degs[k] of F_k.
+
+    With C_j = coker(d_j (x) N), C_0 = 0 and C_{L+1} = F_L (x) N, the graded
+    sequence 0 -> H_i -> C_{i+1} -> F_{i-1} (x) N -> C_i -> 0 is exact, so
+    HS(H_i) = HS(C_i) + HS(C_{i+1}) - HS(N) * sum_j t^(deg F_{i-1,j})."""
+    L = len(diff_cols)
+    if not 0 <= i <= L:
+        raise IndexError(f"homology index {i} out of computed range 0..{L}")
+    num = _cokernel_series(diff_cols[i] if i < L else [], degs[i], N)
+    if i:
+        below = _cokernel_series(diff_cols[i - 1], degs[i - 1], N)
+        num = _tpoly_sub(num, {d: -c for d, c in below.items()})
+        series_N = module_series(N)
+        for deg in degs[i - 1]:
+            num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
+    return num
+
+
+def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
+    """Length of Tor_i^A(M, N) = H_i(F (x) N) for i >= 0, F the minimal
+    resolution of M, remembered on M; INFINITE lengths raise.
+
+    The length is read off the one series of homology_series, since a
+    difference of two Tor series can hide a pole."""
+    if i < 0:
+        raise IndexError("tor_length requires i >= 0")
+    result = M._tor_lengths.get((N, i))
+    if result is None:
+        res = minimal_resolution(M, i + 1)
+        diff_cols = [res.differential_columns(k) for k in range(1, i + 2)]
+        degs = [res.gen_degrees(k) for k in range(i + 2)]
+        result = series_length(homology_series(diff_cols, degs, N, i),
+                               ambient_of(M.ring).weights)
+        M._tor_lengths[(N, i)] = result
+    if result is INFINITE:
+        raise InfiniteLength(f"Tor_{i} has infinite length")
+    return result
+
+
+# ---------------------------------------------------------------------------
+# duals and Ext against the ring
 
 
 def subquotient_presentation(
@@ -600,103 +674,6 @@ def subquotient_presentation(
                 relations.append(rel)
     rows = vectors_to_rows(relations, len(numerator), ring)
     return ModulePresentation(ring, rows)
-
-
-def _tensor_map_columns(d_cols: List[Vector], s: int) -> List[Vector]:
-    """Columns of d (x) I_s, source coordinate (c, k) -> index c*s + k."""
-    out = []
-    for v in d_cols:
-        for k in range(s):
-            out.append({(comp * s + k, m): c for (comp, m), c in v.items()})
-    return out
-
-
-def _block_relations(Q_cols: List[Vector], s: int, blocks: int) -> List[Vector]:
-    out = []
-    for block in range(blocks):
-        for v in Q_cols:
-            out.append(vec_shift_components(v, block * s))
-    return out
-
-
-def complex_homology(
-    ring: RingLike,
-    diff_cols: List[List[Vector]],
-    ranks: List[int],
-    N: ModulePresentation,
-    i: int,
-) -> ModulePresentation:
-    """H_i of (complex with the given differentials) tensored with N.
-
-    diff_cols[k] holds the columns of d_{k+1}; ranks has length L+1."""
-    L = len(diff_cols)
-    if not 0 <= i <= L:
-        raise IndexError(f"homology index {i} out of computed range 0..{L}")
-    s = N.nrows
-    if s == 0 or ranks[i] == 0:
-        return ModulePresentation.zero(ring)
-    Q_cols = N.columns()
-    denominator = []
-    if i < L:
-        denominator += _tensor_map_columns(diff_cols[i], s)
-    denominator += _block_relations(Q_cols, s, ranks[i])
-    if i == 0 or ranks[i - 1] == 0:
-        # no incoming map (or a zero target): the kernel is everything
-        numerator = None
-    else:
-        map_cols = _tensor_map_columns(diff_cols[i - 1], s)
-        modulo = _block_relations(Q_cols, s, ranks[i - 1])
-        syz = syzygies_over(ring, map_cols + modulo, ranks[i - 1] * s)
-        numerator = []
-        seen = set()
-        for sy in syz:
-            v = vec_restrict(sy, 0, len(map_cols))
-            if v:
-                key = freeze_vec(v)
-                if key not in seen:
-                    seen.add(key)
-                    numerator.append(v)
-    return subquotient_presentation(ring, ranks[i] * s, numerator, denominator)
-
-
-def _cokernel_series(res: Resolution, N: ModulePresentation, j: int) -> dict:
-    """Hilbert numerator of C_j = coker(d_j (x) N), a quotient of
-    F_{j-1} (x) N, for j >= 1."""
-    s = N.nrows
-    cols = _tensor_map_columns(res.differential_columns(j), s)
-    cols += _block_relations(N.columns(), s, res.betti[j - 1])
-    shifts = [a + b for a in res.gen_degrees(j - 1) for b in N.gen_degrees]
-    return hilbert_numerator(lifted_basis(res.ring, cols, len(shifts)), shifts)
-
-
-def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
-    """Length of Tor_i^A(M, N) for i >= 0, remembered on M; INFINITE lengths
-    raise.
-
-    With C_j as in _cokernel_series, 0 -> Tor_i -> C_{i+1} -> F_{i-1} (x) N
-    -> C_i -> 0 is exact and graded (Tor_0 = C_1), so HS(Tor_i) = HS(C_i) +
-    HS(C_{i+1}) - HS(N) * sum_j t^(deg F_{i-1,j}).  The length is read off
-    this one series, since a difference of two Tor series can hide a pole."""
-    if i < 0:
-        raise IndexError("tor_length requires i >= 0")
-    result = M._tor_lengths.get((N, i))
-    if result is None:
-        res = minimal_resolution(M, i + 1)
-        num = _cokernel_series(res, N, i + 1)
-        if i:
-            num = _tpoly_sub(num, {d: -c for d, c in _cokernel_series(res, N, i).items()})
-            series_N = module_series(N)
-            for deg in res.gen_degrees(i - 1):
-                num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
-        result = series_length(num, ambient_of(M.ring).weights)
-        M._tor_lengths[(N, i)] = result
-    if result is INFINITE:
-        raise InfiniteLength(f"Tor_{i} has infinite length")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# duals and Ext against the ring
 
 
 def _rows_as_vectors(rows: MatrixRows, ncols: int) -> List[Vector]:

@@ -1,12 +1,16 @@
 """Lengths, the stable Tor pairing theta, Euler characteristics of bounded
 free complexes, local lengths at height-one primes, and the divisor-class
-map on torsion modules."""
+map on torsion modules.
+
+Every length here is read off a Hilbert series of cokernels: chi of a
+complex off homology_series, and a local length off the series of
+M/p^i M, whose differences are the graded pieces p^i M / p^(i+1) M."""
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -17,19 +21,26 @@ from .errors import (
     NotFiniteLength,
     NotFinitePd,
 )
-from .groebner import multiplicity as gb_multiplicity
+from .groebner import (
+    _series_at_one,
+    _tpoly_sub,
+    hilbert_numerator,
+    multiplicity as gb_multiplicity,
+    series_length,
+)
 from .homology import (
     MatrixRows,
     ModulePresentation,
     columns_as_vectors,
-    complex_homology,
     extract_matrix_factorization,
+    homology_series,
+    infer_degrees,
+    lifted_basis,
     mat_mul,
     minimal_resolution,
     module_dimension,
     module_length,
     reduce_mod_f,
-    subquotient_presentation,
     tor_length,
 )
 from .ring import (
@@ -100,7 +111,9 @@ class DivisorClass:
 
 class FreeComplex:
     """Bounded complex of free modules ... -> R^{r_1} -> R^{r_0} given by the
-    matrices of d_1, ..., d_L; consecutive composites must vanish over R."""
+    matrices of d_1, ..., d_L; consecutive composites must vanish over R.
+    Entries are stored modulo f, and the generator degrees of F_0, ..., F_L
+    are inferred so that every differential is homogeneous."""
 
     def __init__(self, ring: RingLike, matrices: Sequence[MatrixRows]):
         self.ring = ring
@@ -108,7 +121,8 @@ class FreeComplex:
         mats = []
         for rows in matrices:
             mats.append(tuple(
-                tuple(S.parse(e) if isinstance(e, str) else e for e in row)
+                tuple(reduce_mod_f(S.parse(e) if isinstance(e, str) else e, ring)
+                      for e in row)
                 for row in rows
             ))
         self.matrices: List[MatrixRows] = mats
@@ -125,7 +139,6 @@ class FreeComplex:
             ranks.append(len(rows[0]))
         if not mats:
             raise ValueError("a complex needs at least one differential")
-        self.ranks = ranks  # r_0 .. r_L
         self.length = len(mats)
         for k in range(self.length - 1):
             prod = mat_mul(mats[k], mats[k + 1], S)
@@ -135,6 +148,7 @@ class FreeComplex:
                         raise ValueError(
                             f"composite d_{k + 1} d_{k + 2} does not vanish"
                         )
+        self.degrees = infer_degrees(ranks, mats)  # of F_0 .. F_L
 
     def shifted(self) -> "FreeComplex":
         """Homological shift by one: H_i of the result is H_{i-1} of self.
@@ -144,13 +158,9 @@ class FreeComplex:
         shifted = FreeComplex.__new__(FreeComplex)
         shifted.ring = self.ring
         shifted.matrices = [()] + list(self.matrices)
-        shifted.ranks = [0] + list(self.ranks)
+        shifted.degrees = [()] + list(self.degrees)
         shifted.length = self.length + 1
         return shifted
-
-    def column_data(self) -> Tuple[List[List[dict]], List[int]]:
-        cols = [columns_as_vectors(m) for m in self.matrices]
-        return cols, list(self.ranks)
 
 
 def koszul_complex(ring: RingLike, elements: Sequence[Polynomial]) -> FreeComplex:
@@ -225,14 +235,14 @@ def chi_complex(
     registry: Dict[str, ModulePresentation],
 ) -> int:
     """Alternating sum of homology lengths of F tensored with alpha."""
-    diff_cols, ranks = F.column_data()
+    diff_cols = [columns_as_vectors(m) for m in F.matrices]
+    weights = ambient_of(F.ring).weights
     total = 0
     for name, coeff in alpha.items():
         M = registry[name]
         acc = 0
         for i in range(F.length + 1):
-            H = complex_homology(F.ring, diff_cols, ranks, M, i)
-            ell = module_length(H)
+            ell = series_length(homology_series(diff_cols, F.degrees, M, i), weights)
             if ell is INFINITE:
                 raise InfiniteLength(
                     f"H_{i} of the complex tensored with {name} has infinite length"
@@ -282,7 +292,8 @@ def _power_products(S, gens: Sequence[Polynomial], power: int) -> List[Polynomia
 
 def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) -> int:
     """Length of M localized at a height-one graded prime, via the ranks of
-    the graded pieces p^i M / p^(i+1) M over A/p."""
+    the graded pieces p^i M / p^(i+1) M over A/p.  With M = F/Q, the series
+    of a piece is HS(F/(p^(i+1) F + Q)) - HS(F/(p^i F + Q))."""
     ring = M.ring
     S = ambient_of(ring)
     if any(w != 1 for w in S.weights):
@@ -299,23 +310,17 @@ def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) ->
         return 0
     total = 0
     Q_cols = M.columns()
+    below: dict = {}  # HS(F/(p^0 F + Q)) = HS(0)
     for power in range(256):
-        num = []
-        for prod in _power_products(S, prime, power):
-            prod = reduce_mod_f(prod, ring)
-            for j in range(M.nrows):
-                num.append({(j, m): c for m, c in prod.coeffs.items()})
-        den = []
+        gens = []
         for prod in _power_products(S, prime, power + 1):
             prod = reduce_mod_f(prod, ring)
             for j in range(M.nrows):
-                den.append({(j, m): c for m, c in prod.coeffs.items()})
-        den += Q_cols
-        graded_piece = subquotient_presentation(ring, M.nrows, num, den)
-        dim = module_dimension(graded_piece)
-        if dim < d - 1:
+                gens.append({(j, m): c for m, c in prod.coeffs.items()})
+        above = hilbert_numerator(lifted_basis(ring, gens + Q_cols, M.nrows), M.gen_degrees)
+        order, e_piece = _series_at_one(_tpoly_sub(above, below))
+        if order is None or S.nvars - order < d - 1:
             return total
-        e_piece = gb_multiplicity(graded_piece.presentation_gb())
         rank, remainder = divmod(e_piece, e_p)
         if remainder:
             raise AlgebraError(
@@ -325,6 +330,7 @@ def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) ->
         if rank == 0:
             return total
         total += rank
+        below = above
     raise AlgebraError("local length did not terminate; M_p may have infinite length")
 
 

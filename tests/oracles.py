@@ -1,13 +1,25 @@
 """Independent routes to lengths, kept as test oracles for the Hilbert-series
-route of the kernel: a staircase count of standard monomials, and Tor as
-the homology of the tensored resolution, counted on that staircase."""
+route of the kernel: a staircase count of standard monomials, homology of a
+tensored complex presented as a subquotient (for Tor and chi of a complex),
+and local lengths from presented graded pieces p^i M / p^(i+1) M."""
 
 import itertools
 
 from thetacas import INFINITE, minimal_resolution
-from thetacas.groebner import lead_module
-from thetacas.homology import complex_homology
-from thetacas.ring import mono_divides
+from thetacas.errors import AlgebraError
+from thetacas.groebner import freeze_vec, lead_module, multiplicity, vec_restrict
+from thetacas.homology import (
+    ModulePresentation,
+    _block_relations,
+    _tensor_map_columns,
+    columns_as_vectors,
+    module_dimension,
+    reduce_mod_f,
+    subquotient_presentation,
+    syzygies_over,
+)
+from thetacas.pairings import _power_products
+from thetacas.ring import ambient_of, mono_divides, ring_dimension
 
 
 def staircase_count(G):
@@ -29,6 +41,40 @@ def staircase_count(G):
     return total
 
 
+def complex_homology(ring, diff_cols, ranks, N, i):
+    """H_i of (complex with the given differentials) tensored with N.
+
+    diff_cols[k] holds the columns of d_{k+1}; ranks has length L+1."""
+    L = len(diff_cols)
+    if not 0 <= i <= L:
+        raise IndexError(f"homology index {i} out of computed range 0..{L}")
+    s = N.nrows
+    if s == 0 or ranks[i] == 0:
+        return ModulePresentation.zero(ring)
+    Q_cols = N.columns()
+    denominator = []
+    if i < L:
+        denominator += _tensor_map_columns(diff_cols[i], s)
+    denominator += _block_relations(Q_cols, s, ranks[i])
+    if i == 0 or ranks[i - 1] == 0:
+        # no incoming map (or a zero target): the kernel is everything
+        numerator = None
+    else:
+        map_cols = _tensor_map_columns(diff_cols[i - 1], s)
+        modulo = _block_relations(Q_cols, s, ranks[i - 1])
+        syz = syzygies_over(ring, map_cols + modulo, ranks[i - 1] * s)
+        numerator = []
+        seen = set()
+        for sy in syz:
+            v = vec_restrict(sy, 0, len(map_cols))
+            if v:
+                key = freeze_vec(v)
+                if key not in seen:
+                    seen.add(key)
+                    numerator.append(v)
+    return subquotient_presentation(ring, ranks[i] * s, numerator, denominator)
+
+
 def tensored_homology(res, N, i):
     """H_i(F (x) N) for a resolution F, 0 <= i < res.length, presented as a
     subquotient."""
@@ -41,3 +87,41 @@ def homology_tor_length(M, N, i):
     M, counted on the staircase of the homology's presentation."""
     H = tensored_homology(minimal_resolution(M, i + 1), N, i)
     return staircase_count(H.presentation_gb())
+
+
+def homology_chi(F, N):
+    """Alternating sum of the staircase counts of H_i(F (x) N), each presented
+    as a subquotient, for a FreeComplex F."""
+    diff_cols = [columns_as_vectors(m) for m in F.matrices]
+    ranks = [len(degs) for degs in F.degrees]
+    return sum(
+        (-1) ** i * staircase_count(
+            complex_homology(F.ring, diff_cols, ranks, N, i).presentation_gb())
+        for i in range(F.length + 1)
+    )
+
+
+def subquotient_local_length(M, prime):
+    """Length of M at the height-one prime p (a list of polynomials), from the
+    multiplicities of the presented graded pieces p^i M / p^(i+1) M."""
+    ring = M.ring
+    S = ambient_of(ring)
+    prime = [S.parse(p) if isinstance(p, str) else p for p in prime]
+    d = ring_dimension(ring)
+    e_p = multiplicity(ModulePresentation.cyclic(ring, prime).presentation_gb())
+    total = 0
+    for power in range(256):
+        num, den = [], list(M.columns())
+        for target, p in ((num, power), (den, power + 1)):
+            for prod in _power_products(S, prime, p):
+                prod = reduce_mod_f(prod, ring)
+                for j in range(M.nrows):
+                    target.append({(j, m): c for m, c in prod.coeffs.items()})
+        piece = subquotient_presentation(ring, M.nrows, num, den)
+        if module_dimension(piece) < d - 1:
+            return total
+        rank, remainder = divmod(multiplicity(piece.presentation_gb()), e_p)
+        if remainder:
+            raise AlgebraError(f"graded piece {power} has a multiplicity not divisible by e(A/p)")
+        total += rank
+    raise AlgebraError("local length did not terminate")

@@ -345,6 +345,36 @@ def test_math_error_reports_task_index(tmp_path):
     assert failing["error"] == "NotFiniteLength"
 
 
+QUADRIC_SOP_KOSZUL = [
+    [["x", "y", "u - v"]],
+    [["-y", "-u + v", "0"], ["x", "0", "-u + v"], ["0", "x", "y"]],
+    [["u - v"], ["-y"], ["x"]],
+]
+
+
+def test_chi_of_a_complex_runs(tmp_path):
+    """The Koszul complex on the system of parameters x, y, u - v of the
+    quadric: chi against A is l(A/(x, y, u - v)) = 2."""
+    doc = {
+        "ring": {"characteristic": 0, "variables": ["x", "y", "u", "v"], "f": "x*y - u*v"},
+        "modules": {"A": {"matrix": [[]]}},
+        "tasks": [{"kind": "chi", "complex": QUADRIC_SOP_KOSZUL, "against": "A"}],
+    }
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_session(tmp_path, doc), "--json", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["tasks"][0]["result"] == {"value": 2}
+
+
+def test_chi_of_an_inhomogeneous_complex_exits_3(tmp_path):
+    doc = _with_task({"kind": "length", "module": "Ax"})
+    doc["tasks"].append({"kind": "chi", "complex": [[["x", "y"], ["y", "x^2"]]],
+                         "against": "Ax"})
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_session(tmp_path, doc), "--json", str(out_path)]) == 3
+    failing = json.loads(out_path.read_text())["tasks"][-1]
+    assert failing["index"] == 1 and failing["error"] == "InhomogeneousError"
+
+
 def test_asymmetric_gram_exits_3(tmp_path, monkeypatch):
     import thetacas.numeq as numeq
 

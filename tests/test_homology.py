@@ -23,14 +23,13 @@ from thetacas.homology import (
     _minimal_generating_subset,
     _vector_degree,
     columns_as_vectors,
-    complex_homology,
     direct_sum,
     lifted_basis,
     module_length,
     reduce_mod_f,
     syzygies_over,
 )
-from oracles import homology_tor_length, tensored_homology
+from oracles import complex_homology, homology_tor_length, tensored_homology
 
 
 def same_span(ring, cols_a, cols_b, rank):

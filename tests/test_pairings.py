@@ -25,12 +25,15 @@ from thetacas import (
 )
 from thetacas.errors import (
     DimensionMismatch,
+    InfiniteLength,
+    InhomogeneousError,
     NonIsolatedSingularity,
     NotFiniteLength,
     NotFinitePd,
 )
 from thetacas.homology import direct_sum, tor_length
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning
+from oracles import homology_chi, subquotient_local_length
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +84,7 @@ def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
 
     Ap = present_cyclic(quadric, ["x", "u"])
     Aq = present_cyclic(quadric, ["x", "v"])
-    calls = dict.fromkeys(("hilbert_numerator", "syzygies_over", "complex_homology"), 0)
+    calls = dict.fromkeys(("hilbert_numerator", "syzygies_over"), 0)
     for name in calls:
         def counting(*args, _real=getattr(homology, name), _name=name):
             calls[_name] += 1
@@ -90,14 +93,14 @@ def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
         monkeypatch.setattr(homology, name, counting)
     first = theta(Ap, Aq)
     assert calls["hilbert_numerator"] == 6
-    assert calls["syzygies_over"] and not calls["complex_homology"]
+    assert calls["syzygies_over"]
     assert len(Ap._res_betti) == quadric.dimension + 4
     assert Aq._res_betti == []
     calls.update(dict.fromkeys(calls, 0))
     assert theta(Ap, Aq) == first
     assert not any(calls.values())
     theta(Ap, present_cyclic(quadric, ["y", "u"]))
-    assert calls == {"hilbert_numerator": 6, "syzygies_over": 0, "complex_homology": 0}
+    assert calls == {"hilbert_numerator": 6, "syzygies_over": 0}
     theta(Aq, Ap)  # a new left module computes its own resolution
     assert calls["syzygies_over"]
 
@@ -300,6 +303,50 @@ def test_chi_complex_additive_in_class(S2):
     )
 
 
+def test_chi_complex_matches_the_homology_route(S2, quadric):
+    """chi read off cokernel series equals the alternating sum of the lengths
+    of the presented homology, on Koszul complexes, shifted ones, and a
+    system of parameters x, y, u - v of the quadric (chi(A) = l(A/(x,y,u-v))
+    = 2)."""
+    cases = [
+        (koszul_complex(S2, ["x", "y"]),
+         [ModulePresentation.free(S2), ModulePresentation.cyclic(S2, ["x"]),
+          ModulePresentation.cyclic(S2, ["x^2", "y"])]),
+        (koszul_complex(S2, ["x*y", "x^2 + y^2"]),
+         [ModulePresentation.free(S2), ModulePresentation.cyclic(S2, ["y"])]),
+        (koszul_complex(quadric, ["x", "y", "u - v"]),
+         [ModulePresentation.free(quadric), present_cyclic(quadric, ["x", "u"]),
+          present_cyclic(quadric, ["x", "y", "u", "v"])]),
+    ]
+    for K, modules in cases:
+        for F in (K, K.shifted()):
+            for N in modules:
+                registry = {"N": N}
+                chi = chi_complex(F, ClassExpression.of("N"), registry)
+                assert chi == homology_chi(F, N)
+    sop = koszul_complex(quadric, ["x", "y", "u - v"])
+    A = {"A": ModulePresentation.free(quadric)}
+    assert chi_complex(sop, ClassExpression.of("A"), A) == 2
+    assert chi_complex(sop.shifted(), ClassExpression.of("A"), A) == -2
+
+
+def test_chi_complex_keeps_its_infinite_length_message(S2):
+    K = koszul_complex(S2, ["x", "x*y"])
+    with pytest.raises(InfiniteLength, match="^H_0 of the complex tensored with S has infinite length$"):
+        chi_complex(K, ClassExpression.of("S"), {"S": ModulePresentation.free(S2)})
+
+
+def test_free_complex_degrees(S2, node):
+    K = koszul_complex(S2, ["x", "y^2"])
+    assert K.degrees == [(0,), (1, 2), (3,)]
+    assert K.shifted().degrees == [(), (0,), (1, 2), (3,)]
+    # x*y vanishes over the node, so it does not constrain the degrees
+    F = FreeComplex(node, [[["x", "x*y"]]])
+    assert F.matrices[0][0][1].is_zero() and F.degrees == [(0,), (1, 0)]
+    with pytest.raises(InhomogeneousError):
+        FreeComplex(S2, [[["x", "y"], ["y", "x^2"]]])
+
+
 def test_chi_modules_examples(node, S2):
     k_reg = ModulePresentation.cyclic(S2, ["x", "y"])
     assert chi_modules(k_reg, ModulePresentation.free(S2)) == 1
@@ -332,6 +379,43 @@ def test_local_length_examples(quadric):
     assert local_length_at_prime(present_cyclic(quadric, ["x"]), p) == 1
     p_sq = ["x^2", "x*u", "u^2"]
     assert local_length_at_prime(present_cyclic(quadric, p_sq), p) == 2
+
+
+def test_local_length_matches_the_subquotient_route(quadric):
+    p = ["x", "u"]
+    modules = [
+        present_cyclic(quadric, p),
+        present_cyclic(quadric, ["x"]),
+        present_cyclic(quadric, ["x^2", "x*u", "u^2"]),
+        ModulePresentation(quadric, [["x", "u"], ["0", "x"]]),
+    ]
+    lengths = [local_length_at_prime(M, p) for M in modules]
+    assert lengths == [subquotient_local_length(M, p) for M in modules]
+    assert lengths == [1, 1, 2, 2]
+
+
+def test_c1_and_chi_compute_no_syzygies(monkeypatch, S2, quadric):
+    """c1's local lengths and chi of a complex are read off cokernel bases:
+    no syzygy module is computed."""
+    import thetacas.homology as homology
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = homology.syzygies_over
+    monkeypatch.setattr(homology, "syzygies_over", counting)
+    primes = [("p", ["x", "u"]), ("q", ["x", "v"])]
+    Ax = present_cyclic(quadric, ["x"])
+    assert c1_torsion(Ax, primes).items() == [("p", 1), ("q", 1)]
+    M = ModulePresentation(quadric, [["x", "u"], ["0", "x"]])
+    assert c1_torsion(M, primes).items() == [("p", 2), ("q", 2)]
+    K = koszul_complex(quadric, ["x", "y", "u - v"])
+    registry = {"A": ModulePresentation.free(quadric), "Ax": Ax}
+    assert chi_complex(K, ClassExpression.of("A", "Ax"), registry) == 2
+    assert calls == []
 
 
 def test_local_length_dimension_mismatch(quadric):
