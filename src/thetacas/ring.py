@@ -1,8 +1,10 @@
 """Exact coefficient fields, weighted-graded polynomials, and ring contexts.
 
-Coefficients live in Q (stored as ``fractions.Fraction``) or in a prime
-field F_p (stored as least non-negative residues).  Monomials are exponent
-tuples ordered by weighted graded reverse lexicographic order.  A
+Coefficients live in Q or in a prime field F_p.  A rational is stored as a
+Python ``int`` when it is integral and as a reduced ``fractions.Fraction``
+only when it is not, so integral coefficients never become Fractions; an
+F_p element is stored as its least non-negative residue.  Monomials are
+exponent tuples ordered by weighted graded reverse lexicographic order.  A
 hypersurface ring is an ambient polynomial ring together with a nonzero
 weighted-homogeneous defining polynomial f with f in m^2.
 """
@@ -76,18 +78,13 @@ class FieldSpec:
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
-    @property
-    def zero(self):
-        return 0 if self.characteristic else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.characteristic else Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value: Union[int, Fraction]):
         p = self.characteristic
         if p == 0:
-            return Fraction(value)
+            return value if type(value) is int else _canonical(Fraction(value))
         if isinstance(value, Fraction):
             den = value.denominator % p
             if den == 0:
@@ -98,13 +95,13 @@ class FieldSpec:
         return value % p
 
     def add(self, a, b):
-        return (a + b) % self.characteristic if self.characteristic else a + b
+        return (a + b) % self.characteristic if self.characteristic else _canonical(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.characteristic if self.characteristic else a - b
+        return (a - b) % self.characteristic if self.characteristic else _canonical(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.characteristic if self.characteristic else a * b
+        return (a * b) % self.characteristic if self.characteristic else _canonical(a * b)
 
     def neg(self, a):
         return (-a) % self.characteristic if self.characteristic else -a
@@ -117,7 +114,12 @@ class FieldSpec:
             return pow(a, -1, p)
         if a == 0:
             raise CoefficientError("division by zero")
-        return Fraction(1) / a
+        return _canonical(Fraction(1) / a)
+
+
+def _canonical(q):
+    """A rational as an int when it is integral, else as a reduced Fraction."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -225,9 +227,7 @@ class PolynomialRing:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             body = "*".join(factors)
-            neg = (isinstance(c, Fraction) and c < 0) or (
-                self.field.characteristic == 0 and c < 0
-            )
+            neg = c < 0
             mag = -c if neg else c
             if not body:
                 coeff_txt = str(mag)

@@ -1,4 +1,5 @@
-"""The shipped sessions' reports, byte for byte, against a stored snapshot.
+"""The shipped sessions' reports, byte for byte, against a stored snapshot,
+and their invariants under a rescaled variable.
 
 The snapshot is the ``--json`` report of each session in ``sessions/`` with
 every ``time_ms`` removed.  Rewrite it after a deliberate change of output
@@ -6,10 +7,13 @@ with ``PYTHONPATH=src python3 tests/test_golden_reports.py``.
 """
 
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import thetacas.cli as cli
 from thetacas.cli import run_session
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +37,59 @@ def report_text(name: str) -> str:
 def test_report_matches_snapshot(name):
     stored = (SNAPSHOT / f"{name}.report.json").read_text(encoding="utf-8")
     assert report_text(name) == stored
+
+
+# Report keys that hold polynomials (MF and resolution matrices, the MF
+# identity with f); every other key is invariant under a graded change of
+# coordinates.
+COORDINATE_KEYS = ("alpha", "beta", "identity", "matrices")
+
+
+def _rescaled(doc: dict, var: str) -> dict:
+    """The session after var -> 2*var in f, every module and every prime."""
+    def move(text):
+        return re.sub(rf"\b{var}\b", f"(2*{var})", text)
+
+    out = json.loads(json.dumps(doc))
+    out["ring"]["f"] = move(out["ring"]["f"])
+    for spec in out["modules"].values():
+        if "cyclic" in spec:
+            spec["cyclic"] = [move(g) for g in spec["cyclic"]]
+        else:
+            spec["matrix"] = [[move(e) for e in row] for row in spec["matrix"]]
+    for name, gens in out.get("primes", {}).items():
+        out["primes"][name] = [move(g) for g in gens]
+    return out
+
+
+def _invariants(report: dict) -> list:
+    return [(entry["kind"], {k: v for k, v in entry["result"].items()
+                             if k not in COORDINATE_KEYS})
+            for entry in report["tasks"]]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rescaled_session_gives_the_same_invariants(name, monkeypatch):
+    """x -> 2x makes the lead coefficient of f a non-unit (f = 2*x*y - ...),
+    so the reduced bases hold non-integral rationals; every theta, Gram,
+    signature, verdict, MF size, c1 class and Hilbert numerator is unchanged."""
+    rings = []
+    build = cli.build_environment
+
+    def recording_build(doc):
+        env, errors = build(doc)
+        rings.append(env.ring.ambient)
+        return env, errors
+
+    doc = json.loads((SESSIONS / f"{name}.json").read_text(encoding="utf-8"))
+    plain, plain_code = run_session(doc)
+    monkeypatch.setattr(cli, "build_environment", recording_build)
+    scaled, scaled_code = run_session(_rescaled(doc, "x"))
+    assert plain_code == scaled_code == 0
+    assert _invariants(scaled) == _invariants(plain)
+    (ring,) = rings
+    assert any(type(c) is Fraction for G in ring._groebner_memo.values()
+               for g in G.vectors for _t, c in g)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Module Groebner bases, normal forms, syzygies, staircases, Hilbert data."""
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest

@@ -1,6 +1,7 @@
 """Coefficient fields, polynomial arithmetic, parsing, and graded checks."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from thetacas import (
     FieldSpec,
     HypersurfaceRing,
+    ModulePresentation,
     PolynomialRing,
+    minimal_resolution,
     ring_dimension,
     weighted_degree,
 )
@@ -67,6 +70,48 @@ def test_division_by_zero_rejected():
         FieldSpec(0).inv(0)
     with pytest.raises(CoefficientError):
         FieldSpec(5).inv(10)
+
+
+def _canonical(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
+rationals = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12).map(_canonical),
+)
+
+
+@given(a=rationals, b=rationals)
+@settings(max_examples=200)
+def test_rational_field_is_fraction_arithmetic_in_canonical_form(a, b):
+    """Q agrees with Fraction arithmetic and returns an int exactly when the
+    value is integral, so integral coefficients never become Fractions."""
+    Q = FieldSpec(0)
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [(Q.add(a, b), fa + fb), (Q.sub(a, b), fa - fb), (Q.mul(a, b), fa * fb),
+             (Q.neg(a), -fa), (Q.coerce(a), fa), (Q.coerce(fa), fa)]
+    if fb:
+        cases.append((Q.inv(b), 1 / fb))
+    for got, want in cases:
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert type(Q.zero) is int and type(Q.one) is int
+
+
+def test_integral_input_keeps_integer_coefficients():
+    """Resolving k over the Fermat cubic threefold over Q meets only integral
+    coefficients: its reduced bases and differentials hold ints."""
+    S = make_ring(variables=("x", "y", "z", "w"))
+    A = HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3"))
+    res = minimal_resolution(ModulePresentation.cyclic(A, ["x", "y", "z", "w"]), 5)
+    assert res.betti == [1, 4, 7, 8, 8, 8]
+    bases = list(S._groebner_memo.values())
+    assert bases
+    types = {type(c) for G in bases for g in G.vectors for _t, c in g}
+    types |= {type(c) for i in range(1, 6)
+              for v in res.differential_columns(i) for c in v.values()}
+    assert types == {int}
 
 
 # ---------------------------------------------------------------------------

@@ -38,3 +38,25 @@ def test_every_error_class_is_raised():
     for path in sorted(PACKAGE.glob("*.py")):
         raised |= _raised_names(ast.parse(path.read_text(encoding="utf-8")))
     assert not defined - raised, f"never raised: {sorted(defined - raised)}"
+
+
+# The Q field keeps integral rationals as ints; Gram linear algebra divides.
+FRACTION_MODULES = {"ring.py", "numeq.py"}
+
+
+def test_only_the_field_and_gram_algebra_import_fractions():
+    """A hot-path module that builds Fractions outside FieldSpec undoes the
+    field's int storage of integral rationals."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "fractions" in names and path.name not in FRACTION_MODULES:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"fractions imported outside {sorted(FRACTION_MODULES)}: {found}"
