@@ -1,9 +1,13 @@
 """The shipped sessions' reports, byte for byte, against a stored snapshot,
 and their invariants under a rescaled variable.
 
-The snapshot is the ``--json`` report of each session in ``sessions/`` with
-every ``time_ms`` removed.  Rewrite it after a deliberate change of output
-with ``PYTHONPATH=src python3 tests/test_golden_reports.py``.
+The snapshot is the ``--json`` report of each session with every
+``time_ms`` removed: the shipped sessions in ``sessions/``, and in
+``tests/data/sessions/`` the weighted and F_p sessions (the Fermat cubic
+threefold over Q, the cubic fourfold, E8 threefold and E7 surface over
+F_32003).  The E8 and E7 sessions present modules whose first differential
+has columns of unequal degrees.  Rewrite the snapshots after a deliberate
+change of output with ``PYTHONPATH=src python3 tests/test_golden_reports.py``.
 """
 
 import json
@@ -18,13 +22,19 @@ from thetacas.cli import run_session
 
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
-SNAPSHOT = Path(__file__).resolve().parent / "data" / "golden_reports"
+DATA = Path(__file__).resolve().parent / "data"
+SNAPSHOT = DATA / "golden_reports"
 NAMES = ("node", "a1_surface", "quadric")
+WEIGHTED_NAMES = ("cubic_threefold", "fp_cubic_fourfold", "fp_e8_threefold", "fp_e7_surface")
+
+
+def session_path(name: str) -> Path:
+    return (SESSIONS if name in NAMES else DATA / "sessions") / f"{name}.json"
 
 
 def report_text(name: str) -> str:
     """The session's report as ``theta-cas run --json`` writes it, untimed."""
-    doc = json.loads((SESSIONS / f"{name}.json").read_text(encoding="utf-8"))
+    doc = json.loads(session_path(name).read_text(encoding="utf-8"))
     report, exit_code = run_session(doc)
     if exit_code != 0:
         raise RuntimeError(f"session {name} exited {exit_code}")
@@ -33,7 +43,7 @@ def report_text(name: str) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES + WEIGHTED_NAMES)
 def test_report_matches_snapshot(name):
     stored = (SNAPSHOT / f"{name}.report.json").read_text(encoding="utf-8")
     assert report_text(name) == stored
@@ -94,6 +104,6 @@ def test_rescaled_session_gives_the_same_invariants(name, monkeypatch):
 
 if __name__ == "__main__":
     SNAPSHOT.mkdir(parents=True, exist_ok=True)
-    for name in NAMES:
+    for name in NAMES + WEIGHTED_NAMES:
         (SNAPSHOT / f"{name}.report.json").write_text(report_text(name), encoding="utf-8")
         print(f"wrote {SNAPSHOT / name}.report.json")
