@@ -264,28 +264,30 @@ def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
 
 def _augmented_basis(
     generators: Sequence[Vector], ring: PolynomialRing, rank: int,
+    relations: Sequence[Vector] = (),
 ) -> GroebnerBasis:
-    """GB of the tagged generators (g_i, eps_i) in S^(rank + k)."""
+    """GB of the tagged generators (g_i, eps_i) and the untagged relations
+    (r, 0) in S^(rank + k)."""
     one = ring._one_mono
     aug = []
     for i, g in enumerate(generators):
         h = dict(g)
         h[(rank + i, one)] = ring.field.one
         aug.append(h)
-    return groebner_basis(aug, ring, rank + len(generators))
+    return groebner_basis(aug + list(relations), ring, rank + len(generators))
 
 
 def syzygy_basis(
     generators: Sequence[Vector], ring: PolynomialRing, rank: int,
+    relations: Sequence[Vector] = (),
 ) -> List[Vector]:
-    """Generators of {c in S^k : sum_i c_i g_i = 0} for the given k vectors."""
-    k = len(generators)
-    aug = _augmented_basis(generators, ring, rank)
+    """Generators of {c in S^k : sum_i c_i g_i in the span of the relations}
+    for the given k vectors."""
+    aug = _augmented_basis(generators, ring, rank, relations)
     out = []
     for fv in aug.vectors:
-        v = dict(fv)
-        if all(comp >= rank for (comp, _m) in v):
-            out.append(vec_restrict(v, rank, rank + k))
+        if all(comp >= rank for (comp, _m), _c in fv):
+            out.append({(comp - rank, m): c for (comp, m), c in fv})
     return out
 
 

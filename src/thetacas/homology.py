@@ -51,39 +51,22 @@ MatrixRows = Tuple[Tuple[Polynomial, ...], ...]
 # polynomial / matrix helpers over R
 
 
-def _f_reducer(f: Polynomial) -> List[Tuple[Vector, tuple]]:
-    """f made monic, as the single (vector, lead term) reducer in S^1."""
-    field = f.ring.field
-    lead = f.lead_monomial()
-    inv = field.inv(f.coeffs[lead])
-    return [({(0, m): field.mul(inv, c) for m, c in f.coeffs.items()}, (0, lead))]
-
-
 def reduce_mod_f(p: Polynomial, ring: RingLike) -> Polynomial:
-    f = modulus_of(ring)
-    if f is None or p.is_zero():
+    if modulus_of(ring) is None or p.is_zero():
         return p
-    S = ambient_of(ring)
-    v = {(0, m): c for m, c in p.coeffs.items()}
-    r = normal_form_vec(v, _f_reducer(f), S)
-    return Polynomial(S, {m: c for (_c, m), c in r.items()})
+    r = reduce_vec_mod_f({(0, m): c for m, c in p.coeffs.items()}, ring)
+    return Polynomial(ring.ambient, {m: c for (_z, m), c in r.items()})
 
 
 def reduce_vec_mod_f(v: Vector, ring: RingLike) -> Vector:
-    f = modulus_of(ring)
-    if f is None:
+    """v with every component reduced modulo f, in one normal form against
+    the monic f * e_j of the components v uses."""
+    if modulus_of(ring) is None:
         return dict(v)
-    S = ambient_of(ring)
-    reducer = _f_reducer(f)
-    comps: Dict[int, Vector] = {}
-    for (comp, m), c in v.items():
-        comps.setdefault(comp, {})[(0, m)] = c
-    out: Vector = {}
-    for comp, poly_vec in comps.items():
-        r = normal_form_vec(poly_vec, reducer, S)
-        for (_z, m), c in r.items():
-            out[(comp, m)] = c
-    return out
+    f = ring.f_monic.coeffs
+    reducers = [({(j, m): c for m, c in f.items()}, (j, ring.f_lead))
+                for j in {comp for comp, _m in v}]
+    return normal_form_vec(v, reducers, ring.ambient)
 
 
 def columns_as_vectors(rows: MatrixRows) -> List[Vector]:
@@ -137,19 +120,14 @@ def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
 
 def syzygies_over(ring: RingLike, vectors: Sequence[Vector], rank: int) -> List[Vector]:
     """Generators of the syzygy module of the given vectors over R (or S)."""
-    S = ambient_of(ring)
-    base = len(vectors)
-    gens = list(vectors) + f_times_unit_vectors(ring, rank)
-    raw = syzygy_basis(gens, S, rank)
+    raw = syzygy_basis(vectors, ambient_of(ring), rank, f_times_unit_vectors(ring, rank))
     out = []
     seen = set()
     for s in raw:
-        v = reduce_vec_mod_f(vec_restrict(s, 0, base), ring)
-        if v:
-            key = freeze_vec(v)
-            if key not in seen:
-                seen.add(key)
-                out.append(v)
+        v = reduce_vec_mod_f(s, ring)
+        if v and freeze_vec(v) not in seen:
+            seen.add(freeze_vec(v))
+            out.append(v)
     return out
 
 
@@ -233,11 +211,9 @@ class ModulePresentation:
         self.gen_degrees = tuple(gen_degrees)
         self._gb: Optional[GroebnerBasis] = None
         self._minimal: Optional[ModulePresentation] = None
-        # resolution: columns of d_1, d_2, ...; generator degrees and Betti
-        # numbers of F_0, F_1, ...
+        # resolution: columns of d_1, d_2, ...; generator degrees of F_0, F_1, ...
         self._res_diffs: List[List[Vector]] = []
         self._res_degs: List[List[int]] = []
-        self._res_betti: List[int] = []
         self._mf: Optional[MatrixFactorization] = None
         self._tor_lengths: Dict[Tuple[ModulePresentation, int], object] = {}
 
@@ -283,71 +259,58 @@ class ModulePresentation:
     # -- minimal presentation ---------------------------------------------
 
     def minimal_presentation(self) -> "ModulePresentation":
-        if self._minimal is not None:
-            return self._minimal
-        field = self.ring.field
+        """F_0 and d_1 of the minimal resolution, as a presentation."""
+        if self._minimal is None:
+            self._extend_resolution(1)
+            degs = self._res_degs[0]
+            rows = vectors_to_rows(self._res_diffs[0], len(degs), self.ring)
+            self._minimal = ModulePresentation(self.ring, rows, gen_degrees=tuple(degs))
+            self._minimal._minimal = self._minimal
+        return self._minimal
+
+    def _unit_pruned(self) -> Tuple[List[Vector], List[int]]:
+        """Relation columns and generator degrees left once every unit entry
+        has been used to eliminate its generator and its column."""
         rows = [list(r) for r in self.rows]
         degs = list(self.gen_degrees)
-        changed = True
-        while changed:
-            changed = False
-            s = len(rows)
-            t = len(rows[0]) if rows else 0
-            for r in range(s):
-                for c in range(t):
-                    p = rows[r][c]
-                    if p.is_zero() or not p.is_constant():
-                        continue
-                    a_inv = field.inv(p.constant_coeff())
-                    for c2 in range(t):
-                        if c2 == c or rows[r][c2].is_zero():
-                            continue
-                        lam = rows[r][c2].scale(a_inv)
-                        for r2 in range(s):
-                            rows[r2][c2] = reduce_mod_f(
-                                rows[r2][c2] - lam * rows[r2][c], self.ring
-                            )
-                    for r2 in range(s):
-                        if r2 == r or rows[r2][c].is_zero():
-                            continue
-                        mu = rows[r2][c].scale(a_inv)
-                        # row r is zero except column c, so only column c changes
-                        rows[r2][c] = reduce_mod_f(
-                            rows[r2][c] - mu * rows[r][c], self.ring
-                        )
-                    del degs[r]
-                    rows = [row[:c] + row[c + 1:] for i, row in enumerate(rows) if i != r]
-                    changed = True
-                    break
-                if changed:
-                    break
-        result = ModulePresentation(self.ring, rows, gen_degrees=tuple(degs))
-        self._minimal = result
-        result._minimal = result
-        return result
+        while True:
+            unit = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row)
+                         if p.coeffs and p.is_constant()), None)
+            if unit is None:
+                return [v for v in columns_as_vectors(rows) if v], degs
+            r, c = unit
+            a_inv = self.ring.field.inv(rows[r][c].constant_coeff())
+            # clear row r with column operations; row r and column c then go
+            for c2 in range(len(rows[r])):
+                if c2 == c or rows[r][c2].is_zero():
+                    continue
+                lam = rows[r][c2].scale(a_inv)
+                for row in rows:
+                    row[c2] = reduce_mod_f(row[c2] - lam * row[c], self.ring)
+            del degs[r]
+            rows = [row[:c] + row[c + 1:] for i, row in enumerate(rows) if i != r]
 
     def _extend_resolution(self, length: int) -> None:
-        """Grow the minimal resolution to at least `length` differentials."""
-        diffs, degs, betti = self._res_diffs, self._res_degs, self._res_betti
-        if not diffs:
-            minimal = self.minimal_presentation()
-            cols = minimal.columns()
-            S = ambient_of(self.ring)
-            diffs.append(cols)
-            degs.append(list(minimal.gen_degrees))
-            degs.append([_vector_degree(v, minimal.gen_degrees, S) for v in cols])
-            betti += [minimal.nrows, minimal.ncols]
+        """Grow the minimal resolution to at least `length` differentials.
+
+        Each d_{i+1} is the Nakayama selection from its candidates: for d_1
+        the unit-pruned relation columns, in their order; for later ones the
+        syzygies of d_i, sorted by (degree, frozen vector)."""
+        diffs, degs = self._res_diffs, self._res_degs
+        S = ambient_of(self.ring)
         while len(diffs) < length:
-            i = len(diffs)  # computing d_{i+1}
-            if betti[i] == 0:
-                diffs.append([])
-                degs.append([])
-                betti.append(0)
-                continue
-            kernel = _resolution_step(self.ring, diffs[i - 1], betti[i - 1], degs[i])
-            diffs.append([v for v, _d in kernel])
-            degs.append([d for _v, d in kernel])
-            betti.append(len(kernel))
+            if diffs:
+                target = degs[-1]
+                candidates = sorted(
+                    syzygies_over(self.ring, diffs[-1], len(degs[-2])),
+                    key=lambda v: (_vector_degree(v, target, S), freeze_vec(v)),
+                )
+            else:
+                candidates, target = self._unit_pruned()
+            kept = _minimal_generating_subset(self.ring, candidates, len(target), target)
+            # the degrees of F_i (new only for i = 0) and of F_{i+1}
+            degs[len(diffs):] = [target, [d for _v, d in kept]]
+            diffs.append([v for v, _d in kept])
 
 
 def present_cyclic(ring: RingLike, generators) -> ModulePresentation:
@@ -387,7 +350,7 @@ class Resolution:
 
     @property
     def betti(self) -> List[int]:
-        return self.module._res_betti[: self.length + 1]
+        return [len(g) for g in self.module._res_degs[: self.length + 1]]
 
     def differential_columns(self, i: int) -> List[Vector]:
         """Columns of d_i (1-based), as vectors in R^(b_{i-1})."""
@@ -443,33 +406,24 @@ def _vector_degree(v: Vector, target_degs: Sequence[int], S: PolynomialRing) -> 
 def _minimal_generating_subset(
     ring: RingLike, vectors: List[Vector], rank: int, target_degs: Sequence[int]
 ) -> List[Tuple[Vector, int]]:
-    """Greedy graded Nakayama selection; returns (vector, degree) pairs.  The
-    vectors are homogeneous and go in degree order, so one open basis of the
-    kept vectors' lift, completed to each one's degree, decides membership."""
+    """Greedy graded Nakayama selection; returns (vector, degree) pairs of the
+    kept vectors, in the given order.  The vectors are homogeneous and are
+    treated in degree order, ties in the given order, so one open basis of
+    the kept vectors' lift, completed to each one's degree, decides
+    membership."""
     S = ambient_of(ring)
-    decorated = sorted(
-        ((_vector_degree(v, target_degs, S), freeze_vec(v), v) for v in vectors),
-        key=lambda t: (t[0], t[1]),
-    )
-    kept: List[Tuple[Vector, int]] = []
+    degrees = [_vector_degree(v, target_degs, S) for v in vectors]
+    kept = [False] * len(vectors)
     builder = GroebnerBuilder(S, rank, target_degs)
     for w in f_times_unit_vectors(ring, rank):
         builder.add(w)
-    for deg, _key, v in decorated:
-        builder.complete(deg)
-        r = normal_form_vec(v, builder.pairs, S)
+    for i in sorted(range(len(vectors)), key=degrees.__getitem__):
+        builder.complete(degrees[i])
+        r = normal_form_vec(vectors[i], builder.pairs, S)
         if r:
-            kept.append((v, deg))
+            kept[i] = True
             builder.add(r)
-    return kept
-
-
-def _resolution_step(
-    ring: RingLike, diff_cols: List[Vector], rank: int, target_degs: Sequence[int]
-) -> List[Tuple[Vector, int]]:
-    """Minimal generators of ker(d) for the map with the given columns."""
-    syz = syzygies_over(ring, diff_cols, rank)
-    return _minimal_generating_subset(ring, syz, len(diff_cols), target_degs)
+    return [(v, d) for v, d, k in zip(vectors, degrees, kept) if k]
 
 
 def minimal_resolution(M: ModulePresentation, length: int) -> Resolution:

@@ -171,8 +171,8 @@ def conjecture_report(
         detail = "even dimension: all pairings must vanish"
     else:
         sign = (-1) ** ((d + 1) // 2)
-        adjusted_matrix = [[sign * v for v in row] for row in matrix]
-        adjusted = signature(adjusted_matrix)
+        # the inertia of -Gram is the inertia of Gram with n_plus, n_minus swapped
+        adjusted = sig if sign == 1 else (sig[1], sig[0], sig[2])
         ok = adjusted[1] == 0
         detail = (
             f"odd dimension: {'-' if sign < 0 else ''}Gram must be "

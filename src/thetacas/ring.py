@@ -498,6 +498,9 @@ class HypersurfaceRing:
         self.ambient = ambient
         self.f = f
         self.dimension = ambient.nvars - 1
+        # f made monic, the one reducer modulo f
+        self.f_lead = f.lead_monomial()
+        self.f_monic = f.scale(ambient.field.inv(f.coeffs[self.f_lead]))
 
     @property
     def field(self):

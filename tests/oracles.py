@@ -1,20 +1,29 @@
-"""Independent routes to lengths, kept as test oracles for the Hilbert-series
-route of the kernel: a staircase count of standard monomials, homology of a
-tensored complex presented as a subquotient (for Tor and chi of a complex),
-and local lengths from presented graded pieces p^i M / p^(i+1) M."""
+"""Independent routes, kept as test oracles: for the Hilbert-series route to
+lengths, a staircase count of standard monomials, homology of a tensored
+complex presented as a subquotient (for Tor and chi of a complex), and local
+lengths from presented graded pieces p^i M / p^(i+1) M; for syzygies over
+R = S/(f), the f * e_j taken as tagged generators."""
 
 import itertools
 
 from thetacas import INFINITE, minimal_resolution
 from thetacas.errors import AlgebraError
-from thetacas.groebner import freeze_vec, lead_module, multiplicity, vec_restrict
+from thetacas.groebner import (
+    freeze_vec,
+    lead_module,
+    multiplicity,
+    syzygy_basis,
+    vec_restrict,
+)
 from thetacas.homology import (
     ModulePresentation,
     _block_relations,
     _tensor_map_columns,
     columns_as_vectors,
+    f_times_unit_vectors,
     module_dimension,
     reduce_mod_f,
+    reduce_vec_mod_f,
     subquotient_presentation,
     syzygies_over,
 )
@@ -39,6 +48,22 @@ def staircase_count(G):
             if not any(mono_divides(g, point) for g in gens):
                 total += 1
     return total
+
+
+def tagged_syzygies(ring, vectors, rank):
+    """Syzygies of the vectors over R with each f * e_j a tagged generator
+    too: the syzygies over S of the longer list, cut back to the vectors'
+    own coefficients, reduced modulo f, without zeros and repeats."""
+    base = len(vectors)
+    gens = list(vectors) + f_times_unit_vectors(ring, rank)
+    out = []
+    seen = set()
+    for s in syzygy_basis(gens, ambient_of(ring), rank):
+        v = reduce_vec_mod_f(vec_restrict(s, 0, base), ring)
+        if v and freeze_vec(v) not in seen:
+            seen.add(freeze_vec(v))
+            out.append(v)
+    return out
 
 
 def complex_homology(ring, diff_cols, ranks, N, i):

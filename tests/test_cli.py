@@ -395,6 +395,18 @@ def test_asymmetric_gram_exits_3(tmp_path, monkeypatch):
     assert failing["error"] == "AsymmetricGram"
 
 
+def test_mf_of_a_module_with_a_redundant_relation(tmp_path):
+    """A/(x, x^2) is A/(x) over the node; its matrix factorization is x, y."""
+    doc = {
+        "ring": NODE_DOC["ring"],
+        "modules": {"M": {"cyclic": ["x", "x^2"]}},
+        "tasks": [{"kind": "mf", "module": "M"}],
+    }
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_session(tmp_path, doc), "--json", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["tasks"][0]["result"]["size"] == 1
+
+
 def test_io_error(capsys):
     assert main(["run", "/no/such/file.json"]) == 1
     assert "I/O" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Presentations, minimal resolutions, matrix factorizations, Tor and Ext."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetacas import (
     INFINITE,
@@ -18,7 +20,7 @@ from thetacas import (
     tor_length,
 )
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import freeze_vec, normal_form
+from thetacas.groebner import freeze_vec, normal_form, vec_from_polys
 from thetacas.homology import (
     _minimal_generating_subset,
     _vector_degree,
@@ -27,9 +29,10 @@ from thetacas.homology import (
     lifted_basis,
     module_length,
     reduce_mod_f,
+    reduce_vec_mod_f,
     syzygies_over,
 )
-from oracles import complex_homology, homology_tor_length, tensored_homology
+from oracles import complex_homology, homology_tor_length, tagged_syzygies, tensored_homology
 
 
 def same_span(ring, cols_a, cols_b, rank):
@@ -253,6 +256,54 @@ def test_mf_coker_matches_high_syzygy(quadric, quadric_modules):
 # syzygies, duals, Ext
 
 
+def test_syzygies_match_the_tagged_route(node, quadric, S2):
+    """syzygies_over takes f * e_j as untagged relations; the tagged route
+    gives the same syzygies in the same order: for the differentials of
+    resolutions over the node, the quadric, the weighted E7 surface over
+    F_32003 and k[x, y], and for the rows of d_2 as Ext uses them."""
+    S = PolynomialRing(FieldSpec(32003), ["x", "y", "z"], [9, 6, 4])
+    e7 = HypersurfaceRing(S, S.parse("x^2 + y^3 + y*z^3"))
+    mods = [present_cyclic(node, ["x", "y"]), present_cyclic(quadric, ["x", "u"]),
+            present_cyclic(quadric, ["x", "u", "x + u"]), present_cyclic(e7, ["x", "y", "z"]),
+            present_cyclic(S2, ["x^2", "x*y", "y^2"])]
+    for M in mods:
+        res = minimal_resolution(M, 3)
+        for i in (1, 2, 3):
+            cols, rank = res.differential_columns(i), res.betti[i - 1]
+            assert syzygies_over(M.ring, cols, rank) == tagged_syzygies(M.ring, cols, rank)
+        rows = [{(c, m): coeff for c, p in enumerate(row) for m, coeff in p.coeffs.items()}
+                for row in res.matrix(2)]
+        assert (syzygies_over(M.ring, rows, res.betti[2])
+                == tagged_syzygies(M.ring, rows, res.betti[2]))
+
+
+# lead coefficients of f: 1, 2 and 3 over Q, and 1 over F_32003 with weights
+REDUCTION_RINGS = [
+    (0, ["x", "y"], "x*y", None),
+    (0, ["x", "y", "z"], "2*x*y - z^2", None),
+    (0, ["x", "y", "z"], "3*z^2 - x*y", None),
+    (32003, ["x", "y", "z"], "x^2 + y^3 + y*z^3", [9, 6, 4]),
+]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduce_vec_mod_f_reduces_each_component(data):
+    """One normal form of the whole vector equals reduce_mod_f of each
+    component."""
+    characteristic, variables, f, weights = data.draw(st.sampled_from(REDUCTION_RINGS))
+    S = PolynomialRing(FieldSpec(characteristic), variables, weights)
+    ring = HypersurfaceRing(S, S.parse(f))
+    term = st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 3), min_size=S.nvars,
+                                                   max_size=S.nvars))
+    polys = data.draw(st.lists(st.lists(term, max_size=4), min_size=1, max_size=3))
+    entries = [S.parse(" + ".join(
+        f"({c})*" + "*".join(f"{x}^{e}" for x, e in zip(S.variables, m)) for c, m in terms
+    ) or "0") for terms in polys]
+    expected = vec_from_polys([reduce_mod_f(p, ring) for p in entries])
+    assert reduce_vec_mod_f(vec_from_polys(entries), ring) == expected
+
+
 def test_syzygy_of_examples(node, node_modules):
     M = node_modules["Ax"]
     assert syzygy_of(M, 0) is M
@@ -361,6 +412,34 @@ def test_module_length_via_presentation(node):
     assert module_length(present_cyclic(node, ["x"])) is INFINITE
 
 
+@pytest.mark.parametrize("relations", [["x", "x"], ["x", "2*x"], ["x", "x^2"]])
+def test_redundant_relations_resolve_minimally(node, relations):
+    """A/(x, x), A/(x, 2x) and A/(x, x^2) are A/(x) over the node.  d_1 goes
+    through the Nakayama selection like every later differential, so the
+    redundant relation is dropped: Betti numbers 1, 1, 1, ..., a one-column
+    minimal presentation, and theta against A/(y) equal to theta(A/(x), A/(y))."""
+    M = present_cyclic(node, relations)
+    assert minimal_resolution(M, 5).betti == [1] * 6
+    assert M.minimal_presentation().ncols == 1
+    assert theta(M, present_cyclic(node, ["y"])) == 1
+
+
+def test_redundant_relation_over_the_quadric(quadric):
+    """Over xy - uv, (x, u, x + u) is the ideal (x, u): the same Betti numbers,
+    and theta against (x, v) is -1."""
+    M = present_cyclic(quadric, ["x", "u", "x + u"])
+    Ap = present_cyclic(quadric, ["x", "u"])
+    assert minimal_resolution(M, 6).betti == minimal_resolution(Ap, 6).betti
+    assert theta(M, present_cyclic(quadric, ["x", "v"])) == -1
+
+
+def _sorted_syzygies(ring, diff_cols, rank, target_degs):
+    """The syzygies of the columns, sorted by (degree, frozen vector): the
+    order the resolution hands the Nakayama selection its candidates in."""
+    return sorted(syzygies_over(ring, diff_cols, rank), key=lambda v: (
+        _vector_degree(v, target_degs, ring.ambient), freeze_vec(v)))
+
+
 def _prefix_rebuild_selection(ring, vectors, rank, target_degs):
     """The Nakayama selection as first written: a fresh lifted basis of the
     kept prefix for every candidate."""
@@ -410,7 +489,7 @@ def test_nakayama_selection_matches_prefix_rebuild():
         assert res.betti == betti
         for i in range(1, len(betti) - 1):
             A, rank, degs = M.ring, res.betti[i - 1], res.gen_degrees(i)
-            syz = syzygies_over(A, res.differential_columns(i), rank)
+            syz = _sorted_syzygies(A, res.differential_columns(i), rank, degs)
             kept = _minimal_generating_subset(A, syz, res.betti[i], degs)
             assert kept == _prefix_rebuild_selection(A, syz, res.betti[i], degs)
             assert [v for v, _d in kept] == res.differential_columns(i + 1)
@@ -425,7 +504,8 @@ def test_nakayama_selection_memoises_no_basis():
     res = minimal_resolution(present_cyclic(A, ["x", "y", "z", "w", "u"]), 7)
     assert len(S._groebner_memo) == 6
     for i in (1, 4):
-        syz = syzygies_over(A, res.differential_columns(i), res.betti[i - 1])
+        syz = _sorted_syzygies(A, res.differential_columns(i), res.betti[i - 1],
+                               res.gen_degrees(i))
         before = len(S._groebner_memo)
         kept = _minimal_generating_subset(A, syz, res.betti[i], res.gen_degrees(i))
         assert len(S._groebner_memo) == before

@@ -117,6 +117,16 @@ def test_signature_congruence_invariance(data, seed):
     assert signature(PtSP) == signature(S)
 
 
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_signature_of_the_negated_matrix_is_swapped(data):
+    """conjecture_report reads the inertia of -Gram off the Gram's."""
+    n = data.draw(st.integers(0, 4))
+    S = data.draw(symmetric_matrices(n))
+    n_plus, n_minus, n_zero = signature(S)
+    assert signature([[-v for v in row] for row in S]) == (n_minus, n_plus, n_zero)
+
+
 # ---------------------------------------------------------------------------
 # kernels
 

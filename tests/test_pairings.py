@@ -94,8 +94,8 @@ def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
     first = theta(Ap, Aq)
     assert calls["hilbert_numerator"] == 6
     assert calls["syzygies_over"]
-    assert len(Ap._res_betti) == quadric.dimension + 4
-    assert Aq._res_betti == []
+    assert len(Ap._res_degs) == quadric.dimension + 4
+    assert Aq._res_degs == []
     calls.update(dict.fromkeys(calls, 0))
     assert theta(Ap, Aq) == first
     assert not any(calls.values())
