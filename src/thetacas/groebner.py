@@ -4,8 +4,8 @@ Vectors in S^s are sparse dicts mapping (component, exponent tuple) to a
 nonzero field element.  The module order is position-over-term (lower
 component index wins), refined by weighted grevlex on monomials.
 Syzygies and division representations both come from one augmented-basis
-construction: generators (g_i, eps_i) in S^(s+k) with the main block
-dominating the tag block.
+construction: generators (g_i, eps_i) in S^(s+k), with the main block
+dominating the tag block, and optional untagged relations (r, 0).
 """
 
 from __future__ import annotations

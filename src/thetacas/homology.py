@@ -4,10 +4,10 @@ homology of a tensored complex, which gives Tor lengths.  That series is a
 sum of cokernel series, so no length computes syzygies or presents
 homology; only Ext presents a subquotient.
 
-Everything is computed over the ambient polynomial ring S; quotient-ring
-kernels are obtained by appending f * e_j to the generator list and
-projecting the syzygies back.  Matrix entries over R = S/(f) are stored as
-their canonical normal forms modulo f.
+Everything is computed over the ambient polynomial ring S; a kernel over
+R = S/(f) is the module of syzygies over S of the generators modulo the
+untagged relations f * e_j.  Matrix entries over R are stored as their
+canonical normal forms modulo f.
 """
 
 from __future__ import annotations
@@ -346,7 +346,7 @@ class Resolution:
         self.module = module
         self.ring = module.ring
         self.length = length
-        module._extend_resolution(length)
+        module._extend_resolution(max(length, 1))
 
     @property
     def betti(self) -> List[int]:

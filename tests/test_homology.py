@@ -10,6 +10,7 @@ from thetacas import (
     HypersurfaceRing,
     ModulePresentation,
     PolynomialRing,
+    Resolution,
     dual_module,
     ext_module,
     extract_matrix_factorization,
@@ -23,6 +24,7 @@ from thetacas.errors import InfiniteLength, NotStabilized
 from thetacas.groebner import freeze_vec, normal_form, vec_from_polys
 from thetacas.homology import (
     _minimal_generating_subset,
+    _rows_as_vectors,
     _vector_degree,
     columns_as_vectors,
     direct_sum,
@@ -107,6 +109,7 @@ def test_resolution_of_quadric_plane(quadric, quadric_modules):
 def test_resolution_of_free_module(quadric):
     res = minimal_resolution(ModulePresentation.free(quadric, 3), 3)
     assert res.betti == [3, 0, 0, 0]
+    assert Resolution(ModulePresentation.free(quadric, 3), 0).betti == [3]
 
 
 def test_resolution_minimality_and_complex_property(node, quadric, node_modules, quadric_modules):
@@ -271,8 +274,7 @@ def test_syzygies_match_the_tagged_route(node, quadric, S2):
         for i in (1, 2, 3):
             cols, rank = res.differential_columns(i), res.betti[i - 1]
             assert syzygies_over(M.ring, cols, rank) == tagged_syzygies(M.ring, cols, rank)
-        rows = [{(c, m): coeff for c, p in enumerate(row) for m, coeff in p.coeffs.items()}
-                for row in res.matrix(2)]
+        rows = _rows_as_vectors(res.matrix(2), res.betti[2])
         assert (syzygies_over(M.ring, rows, res.betti[2])
                 == tagged_syzygies(M.ring, rows, res.betti[2]))
 
