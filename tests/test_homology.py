@@ -242,6 +242,48 @@ def test_mf_identity_is_verified_on_construction(node):
         MatrixFactorization(node, ((S.parse("x"),),), ((S.parse("x"),),), 2)
 
 
+def test_mf_of_non_square_matrices_is_rejected(quadric):
+    """alpha = (x u) and beta = (y -v)^T give alpha*beta = xy - uv = f, yet
+    beta*alpha is not f*I: a one-product check must also ask for square
+    matrices of one size."""
+    from thetacas.homology import MatrixFactorization
+
+    x, y, u, v = (quadric.ambient.parse(s) for s in ("x", "y", "u", "v"))
+    with pytest.raises(NotStabilized):
+        MatrixFactorization(quadric, ((x, u),), ((y,), (-v,)), 1)
+    with pytest.raises(NotStabilized):
+        MatrixFactorization(quadric, ((y,), (-v,)), ((x, u),), 1)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_mf_with_one_beta_entry_changed_is_rejected(data, node_modules, a1_modules,
+                                                    quadric_modules):
+    """Adding a nonzero delta to beta[r][c] adds delta * (column r of alpha)
+    to column c of alpha*beta; that column of a minimal alpha is nonzero."""
+    from thetacas.homology import MatrixFactorization
+
+    M = data.draw(st.sampled_from([node_modules["Ax"], node_modules["k"],
+                                   a1_modules["Axz"], quadric_modules["Ap"]]))
+    mf = extract_matrix_factorization(minimal_resolution(M, M.ring.dimension + 3))
+    r = data.draw(st.integers(0, mf.size - 1))
+    c = data.draw(st.integers(0, mf.size - 1))
+    S = M.ring.ambient
+    entry = mf.beta[r][c]
+    # "zero" clears the entry; on a zero entry it adds 1 instead
+    change = data.draw(st.sampled_from(["zero", "1", "x", "-y", "x*y"]))
+    if change == "zero":
+        changed = S.zero() if not entry.is_zero() else S.parse("1")
+    else:
+        changed = entry + S.parse(change)
+    beta = tuple(
+        tuple(changed if (i, j) == (r, c) else e for j, e in enumerate(row))
+        for i, row in enumerate(mf.beta)
+    )
+    with pytest.raises(NotStabilized):
+        MatrixFactorization(M.ring, mf.alpha, beta, mf.source_index)
+
+
 def test_mf_coker_matches_high_syzygy(quadric, quadric_modules):
     """coker(alpha mod f) pairs like the recorded syzygy of the source module."""
     M = quadric_modules["Ap"]
