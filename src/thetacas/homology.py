@@ -30,6 +30,7 @@ from .groebner import (
     reduce_with_representation,
     series_length,
     syzygy_basis,
+    vec_axpy,
     vec_restrict,
     vec_shift_components,
 )
@@ -94,21 +95,13 @@ def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring: RingLike) -> Mat
     return tuple(rows)
 
 
-def mat_mul(a: MatrixRows, b: MatrixRows, S: PolynomialRing) -> MatrixRows:
-    if not a:
-        return ()
-    inner = len(a[0])
-    bcols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        new_row = []
-        for c in range(bcols):
-            acc = S.zero()
-            for k in range(inner):
-                acc = acc + row[k] * b[k][c]
-            new_row.append(acc)
-        out.append(tuple(new_row))
-    return tuple(out)
+def mat_vec(cols: Sequence[Vector], v: Vector, field) -> Vector:
+    """The matrix with the given columns applied to v: the sum of
+    c * x^m * cols[i] over the terms c * x^m * e_i of v."""
+    out: Vector = {}
+    for (i, m), c in v.items():
+        vec_axpy(out, c, m, cols[i], field)
+    return out
 
 
 def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
@@ -463,16 +456,18 @@ class MatrixFactorization:
         self._verify()
 
     def _verify(self):
-        S = self.ring.ambient
-        f = self.ring.f
-        for prod in (mat_mul(self.alpha, self.beta, S), mat_mul(self.beta, self.alpha, S)):
-            for r in range(self.size):
-                for c in range(self.size):
-                    expected = f if r == c else S.zero()
-                    if prod[r][c] != expected:
-                        raise NotStabilized(
-                            "matrix factorization identity alpha*beta = f*I failed"
-                        )
+        """alpha*beta = f*I on square matrices of one size, column by column
+        of beta.  Over the domain S, det(alpha) is then nonzero, so
+        beta = f*alpha^-1 and beta*alpha = f*I follows."""
+        n = self.size
+        if any(len(rows) != n or any(len(row) != n for row in rows)
+               for rows in (self.alpha, self.beta)):
+            raise NotStabilized("matrix factorization needs square matrices of one size")
+        f = self.ring.f.coeffs
+        alpha_cols = columns_as_vectors(self.alpha)
+        for k, col in enumerate(columns_as_vectors(self.beta)):
+            if mat_vec(alpha_cols, col, self.ring.field) != {(k, m): c for m, c in f.items()}:
+                raise NotStabilized("matrix factorization identity alpha*beta = f*I failed")
 
 
 def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
@@ -500,8 +495,7 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
     last_error = None
     for j in range(start, res.length + 1):
         r = res.betti[j]
-        alpha = res.matrix(j)
-        cols = columns_as_vectors(alpha)
+        cols = res.differential_columns(j)
         beta_cols: List[List[Polynomial]] = []
         for k in range(r):
             target = {(k, m): c for m, c in f.coeffs.items()}
@@ -511,6 +505,7 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
                 break
             beta_cols.append(reps)
         else:
+            alpha = vectors_to_rows(cols, r, ring)
             beta = tuple(
                 tuple(beta_cols[c][row] for c in range(r)) for row in range(r)
             )

@@ -36,11 +36,12 @@ from .homology import (
     homology_series,
     infer_degrees,
     lifted_basis,
-    mat_mul,
+    mat_vec,
     minimal_resolution,
     module_dimension,
     module_length,
     reduce_mod_f,
+    reduce_vec_mod_f,
     tor_length,
 )
 from .ring import (
@@ -140,14 +141,11 @@ class FreeComplex:
         if not mats:
             raise ValueError("a complex needs at least one differential")
         self.length = len(mats)
+        diff_cols = [columns_as_vectors(m) for m in mats]
         for k in range(self.length - 1):
-            prod = mat_mul(mats[k], mats[k + 1], S)
-            for row in prod:
-                for entry in row:
-                    if not reduce_mod_f(entry, ring).is_zero():
-                        raise ValueError(
-                            f"composite d_{k + 1} d_{k + 2} does not vanish"
-                        )
+            if any(reduce_vec_mod_f(mat_vec(diff_cols[k], v, S.field), ring)
+                   for v in diff_cols[k + 1]):
+                raise ValueError(f"composite d_{k + 1} d_{k + 2} does not vanish")
         self.degrees = infer_degrees(ranks, mats)  # of F_0 .. F_L
 
     def shifted(self) -> "FreeComplex":

@@ -1,5 +1,6 @@
-"""Independent routes, kept as test oracles: for the Hilbert-series route to
-lengths, a staircase count of standard monomials, homology of a tensored
+"""Independent routes, kept as test oracles: matrix products over S, for
+the two-sided matrix factorization identity and d^2 = 0; for the
+Hilbert-series route to lengths, a staircase count of standard monomials, homology of a tensored
 complex presented as a subquotient (for Tor and chi of a complex), and local
 lengths from presented graded pieces p^i M / p^(i+1) M; for syzygies over
 R = S/(f), the f * e_j taken as tagged generators."""
@@ -29,6 +30,23 @@ from thetacas.homology import (
 )
 from thetacas.pairings import _power_products
 from thetacas.ring import ambient_of, mono_divides, ring_dimension
+
+
+def mat_mul(a, b, S):
+    if not a:
+        return ()
+    inner = len(a[0])
+    bcols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        new_row = []
+        for c in range(bcols):
+            acc = S.zero()
+            for k in range(inner):
+                acc = acc + row[k] * b[k][c]
+            new_row.append(acc)
+        out.append(tuple(new_row))
+    return tuple(out)
 
 
 def staircase_count(G):

@@ -35,7 +35,8 @@ from thetacas.groebner import (
     multiplicity,
     vec_from_polys,
 )
-from thetacas.homology import dual_module, direct_sum, ext_module, mat_mul, tor_length
+from thetacas.homology import dual_module, direct_sum, ext_module, tor_length
+from oracles import mat_mul
 
 
 def report(number, description, budget, fn):

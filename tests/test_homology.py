@@ -34,7 +34,13 @@ from thetacas.homology import (
     reduce_vec_mod_f,
     syzygies_over,
 )
-from oracles import complex_homology, homology_tor_length, tagged_syzygies, tensored_homology
+from oracles import (
+    complex_homology,
+    homology_tor_length,
+    mat_mul,
+    tagged_syzygies,
+    tensored_homology,
+)
 
 
 def same_span(ring, cols_a, cols_b, rank):
@@ -124,8 +130,6 @@ def test_resolution_minimality_and_complex_property(node, quadric, node_modules,
             for row in res.matrix(i):
                 for entry in row:
                     assert entry.constant_coeff() == S.field.zero
-        from thetacas.homology import mat_mul
-
         for i in range(1, 5):
             prod = mat_mul(res.matrix(i), res.matrix(i + 1), S)
             for row in prod:
@@ -154,8 +158,6 @@ def test_stable_start(node_modules, quadric_modules):
 
 
 def assert_mf_identity(ring, mf):
-    from thetacas.homology import mat_mul
-
     S = ring.ambient
     f = ring.f
     for prod in (mat_mul(mf.alpha, mf.beta, S), mat_mul(mf.beta, mf.alpha, S)):
