@@ -109,7 +109,10 @@ def normal_form_vec(
     reducers: Sequence[Tuple[Vector, Term]],
     ring: PolynomialRing,
 ) -> Vector:
-    """Fully reduced remainder of v against (monic vector, lead term) pairs."""
+    """Fully reduced remainder of v against (monic vector, lead term) pairs.
+
+    A step that leaves the term it reduced raises AlgebraError, so a reducer
+    that is not monic, or faulty field arithmetic, fails instead of looping."""
     field = ring.field
     key = functools.partial(term_key, ring)
     work = dict(v)
@@ -129,6 +132,9 @@ def normal_form_vec(
         else:
             g, gmono = hit
             vec_axpy(work, field.neg(c), mono_div(mono, gmono), g, field)
+            if t in work:
+                raise AlgebraError(f"reduction did not cancel the term {t}: "
+                                   "a reducer is not monic")
     return remainder
 
 

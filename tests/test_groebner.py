@@ -1,6 +1,7 @@
 """Module Groebner bases, normal forms, syzygies, staircases, Hilbert data."""
 
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from thetacas.groebner import (
     mono_lcm,
     multiplicity,
     normal_form,
+    normal_form_vec,
     quotient_dimension,
     reduce_with_representation,
     series_length,
@@ -340,6 +342,28 @@ def test_normal_form_does_not_recompute_leads(monkeypatch):
     monkeypatch.setattr(groebner, "vec_lead", counting_vec_lead)
     r = normal_form(vec_from_polys([R.parse("x^3*y + y^4 - u*v^2")]), G)
     assert r and not calls
+
+
+class _Hung(Exception):
+    pass
+
+
+def _hung(signum, frame):
+    raise _Hung
+
+
+def test_normal_form_with_a_reducer_that_is_not_monic_raises():
+    """A reducer 2x, taken as monic, turns x into -x and back forever; the
+    step that leaves its term in place must raise instead."""
+    S = ring2()
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(AlgebraError):
+            normal_form_vec({(0, (1, 0)): 1}, [({(0, (1, 0)): 2}, (0, (1, 0)))], S)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 terms3 = st.tuples(st.integers(0, 2), st.tuples(*[st.integers(0, 4)] * 3))
