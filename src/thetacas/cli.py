@@ -189,8 +189,10 @@ def validate_tasks(doc, env: Environment) -> List[str]:
         elif kind == "tor":
             need_module("left")
             need_module("right")
-            if not _is_int(task.get("i")) or task["i"] < 1:
-                errors.append(f"{where}: 'i' must be a positive integer")
+            # Tor_i reads d_{i+1}, so i stays below the resolve cap
+            if not _is_int(task.get("i")) or not 1 <= task["i"] < MAX_RESOLVE_LENGTH:
+                errors.append(
+                    f"{where}: 'i' must be a positive integer below {MAX_RESOLVE_LENGTH}")
         elif kind == "theta":
             _validate_class(task.get("left"), env, errors, where)
             _validate_class(task.get("right"), env, errors, where)

@@ -281,6 +281,21 @@ def test_resolve_length_above_the_cap_exits_2(tmp_path, capsys):
     assert code == 0 and report["tasks"][0]["result"]["betti"] == [1] * (MAX_RESOLVE_LENGTH + 1)
 
 
+def test_tor_index_above_the_cap_exits_2(tmp_path, capsys):
+    """Tor_i needs the resolution to length i + 1, so i is capped one below
+    the resolve length.  Uncapped, the time grows linearly in i: Tor_1000(k, k)
+    over the F_32003 cubic fourfold ran 5-7 s on a 2-vCPU Xeon VM."""
+    path = write_session(tmp_path, _with_task({"kind": "tor", "left": "Ax", "right": "Ay",
+                                               "i": MAX_RESOLVE_LENGTH}))
+    assert main(["validate", path]) == 2
+    assert f"below {MAX_RESOLVE_LENGTH}" in capsys.readouterr().err
+    assert main(["run", path]) == 2
+    report, code = run_session(_with_task({"kind": "tor", "left": "Ax", "right": "Ay",
+                                           "i": MAX_RESOLVE_LENGTH - 1}))
+    # the tail is 2-periodic: Tor_255 = Tor_1 = 0 for A/(x), A/(y) over xy
+    assert code == 0 and report["tasks"][0]["result"]["value"] == 0
+
+
 def test_exponent_above_the_cap_exits_2(tmp_path, capsys):
     """The cyclic module (x+y)^40000 ran past 15 s in the parser's expansion;
     the parser caps the exponent, and the cap itself runs."""
