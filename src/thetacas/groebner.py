@@ -48,14 +48,6 @@ def term_key(ring: PolynomialRing, term: Term):
 # vector arithmetic
 
 
-def vec_from_polys(polys: Sequence[Polynomial]) -> Vector:
-    out: Vector = {}
-    for comp, p in enumerate(polys):
-        for m, c in p.coeffs.items():
-            out[(comp, m)] = c
-    return out
-
-
 def vec_lead(v: Vector, ring: PolynomialRing) -> Term:
     return max(v, key=functools.partial(term_key, ring))
 

@@ -666,17 +666,3 @@ def dual_module(M: ModulePresentation) -> ModulePresentation:
     """Hom_A(M, A), computed as Ext^0 of the minimal resolution."""
     return ext_module(M, 0)
 
-
-def direct_sum(M: ModulePresentation, N: ModulePresentation) -> ModulePresentation:
-    if M.ring is not N.ring:
-        raise ValueError("direct sum requires one ring")
-    S = ambient_of(M.ring)
-    zero = S.zero()
-    rows = []
-    for r in range(M.nrows):
-        rows.append(tuple(M.rows[r]) + (zero,) * N.ncols)
-    for r in range(N.nrows):
-        rows.append((zero,) * M.ncols + tuple(N.rows[r]))
-    return ModulePresentation(
-        M.ring, rows, gen_degrees=M.gen_degrees + N.gen_degrees
-    )

@@ -1,9 +1,11 @@
-"""Independent routes, kept as test oracles: matrix products over S, for
-the two-sided matrix factorization identity and d^2 = 0; for the
-Hilbert-series route to lengths, a staircase count of standard monomials, homology of a tensored
-complex presented as a subquotient (for Tor and chi of a complex), and local
-lengths from presented graded pieces p^i M / p^(i+1) M; for syzygies over
-R = S/(f), the f * e_j taken as tagged generators."""
+"""Independent routes, kept as test oracles, and builders only tests use:
+vectors from polynomials and direct sums of presentations; matrix products
+over S, for the two-sided matrix factorization identity and d^2 = 0; for the
+Hilbert-series route to lengths, a staircase count of standard monomials,
+homology of a tensored complex presented as a subquotient (for Tor and chi
+of a complex), and local lengths from presented graded pieces
+p^i M / p^(i+1) M; for syzygies over R = S/(f), the f * e_j taken as tagged
+generators."""
 
 import itertools
 
@@ -30,6 +32,29 @@ from thetacas.homology import (
 )
 from thetacas.pairings import _power_products
 from thetacas.ring import ambient_of, mono_divides, ring_dimension
+
+
+def vec_from_polys(polys):
+    out = {}
+    for comp, p in enumerate(polys):
+        for m, c in p.coeffs.items():
+            out[(comp, m)] = c
+    return out
+
+
+def direct_sum(M, N):
+    if M.ring is not N.ring:
+        raise ValueError("direct sum requires one ring")
+    S = ambient_of(M.ring)
+    zero = S.zero()
+    rows = []
+    for r in range(M.nrows):
+        rows.append(tuple(M.rows[r]) + (zero,) * N.ncols)
+    for r in range(N.nrows):
+        rows.append((zero,) * M.ncols + tuple(N.rows[r]))
+    return ModulePresentation(
+        M.ring, rows, gen_degrees=M.gen_degrees + N.gen_degrees
+    )
 
 
 def mat_mul(a, b, S):

@@ -33,10 +33,9 @@ from thetacas.groebner import (
     groebner_basis,
     hilbert_numerator,
     multiplicity,
-    vec_from_polys,
 )
-from thetacas.homology import dual_module, direct_sum, ext_module, tor_length
-from oracles import mat_mul
+from thetacas.homology import dual_module, ext_module, tor_length
+from oracles import direct_sum, mat_mul, vec_from_polys
 
 
 def report(number, description, budget, fn):

@@ -24,10 +24,9 @@ from thetacas.groebner import (
     series_length,
     syzygy_basis,
     term_key,
-    vec_from_polys,
     vec_lead,
 )
-from oracles import staircase_count
+from oracles import staircase_count, vec_from_polys
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 

@@ -21,13 +21,12 @@ from thetacas import (
     tor_length,
 )
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import freeze_vec, normal_form, vec_from_polys
+from thetacas.groebner import freeze_vec, normal_form
 from thetacas.homology import (
     _minimal_generating_subset,
     _rows_as_vectors,
     _vector_degree,
     columns_as_vectors,
-    direct_sum,
     lifted_basis,
     module_length,
     reduce_mod_f,
@@ -36,10 +35,12 @@ from thetacas.homology import (
 )
 from oracles import (
     complex_homology,
+    direct_sum,
     homology_tor_length,
     mat_mul,
     tagged_syzygies,
     tensored_homology,
+    vec_from_polys,
 )
 
 

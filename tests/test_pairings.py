@@ -31,9 +31,9 @@ from thetacas.errors import (
     NotFiniteLength,
     NotFinitePd,
 )
-from thetacas.homology import direct_sum, tor_length
+from thetacas.homology import tor_length
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning
-from oracles import homology_chi, subquotient_local_length
+from oracles import direct_sum, homology_chi, subquotient_local_length
 
 
 # ---------------------------------------------------------------------------

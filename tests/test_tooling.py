@@ -60,3 +60,38 @@ def test_only_the_field_and_gram_algebra_import_fractions():
             if "fractions" in names and path.name not in FRACTION_MODULES:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"fractions imported outside {sorted(FRACTION_MODULES)}: {found}"
+
+
+def _referenced_names(nodes):
+    """Names used or imported in the given nodes."""
+    names = set()
+    for tree in nodes:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_public_kernel_function_has_a_caller():
+    """A public function or class that only tests use belongs in the test
+    oracles: each one is exported in ``thetacas.__all__``, used by another
+    kernel module, or used in its own module outside its definition."""
+    import thetacas
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        elsewhere = _referenced_names(t for other, t in trees.items() if other != name)
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in thetacas.__all__):
+                continue
+            own = _referenced_names(other for other in tree.body if other is not node)
+            if node.name not in elsewhere | own:
+                unused.append(f"{name}:{node.name}")
+    assert not unused, f"public kernel names with no caller in src: {unused}"
