@@ -347,6 +347,19 @@ def test_free_complex_degrees(S2, node):
         FreeComplex(S2, [[["x", "y"], ["y", "x^2"]]])
 
 
+def test_free_complex_composites_must_vanish_over_the_ring(S2, node):
+    """d_1 d_2 is checked modulo f, column by column of d_2."""
+    assert FreeComplex(node, [[["x"]], [["y"]], [["x"]]]).length == 3
+    koszul = [[["x", "y^2"]], [["-y^2"], ["x"]]]
+    assert FreeComplex(S2, koszul).length == 2
+    for matrices in ([[["x"]], [["x"]]],
+                     [[["x"]], [["y"]], [["y"]]],
+                     [[["x", "y^2"]], [["y", "-y^2"], ["x", "x"]]]):
+        ring = node if len(matrices[0][0]) == 1 else S2
+        with pytest.raises(ValueError, match="does not vanish"):
+            FreeComplex(ring, matrices)
+
+
 def test_chi_modules_examples(node, S2):
     k_reg = ModulePresentation.cyclic(S2, ["x", "y"])
     assert chi_modules(k_reg, ModulePresentation.free(S2)) == 1
