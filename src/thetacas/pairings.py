@@ -131,6 +131,8 @@ class FreeComplex:
         for k, rows in enumerate(mats):
             if not rows:
                 raise ValueError(f"differential {k + 1} has no rows")
+            if any(len(row) != len(rows[0]) for row in rows):
+                raise ValueError(f"differential {k + 1} has rows of different lengths")
             if k == 0:
                 ranks.append(len(rows))
             elif len(rows) != ranks[-1]:

@@ -390,6 +390,17 @@ def test_chi_of_an_inhomogeneous_complex_exits_3(tmp_path):
     assert failing["index"] == 1 and failing["error"] == "InhomogeneousError"
 
 
+@pytest.mark.parametrize("matrix", [[["x"], ["y", "x"]], [["x", "y"], ["x"]]],
+                         ids=["longer_row", "shorter_row"])
+def test_chi_of_a_ragged_complex_exits_3(tmp_path, matrix):
+    """A longer second row ended in a KeyError traceback (exit 1)."""
+    doc = _with_task({"kind": "chi", "complex": [matrix], "against": "Ax"})
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_session(tmp_path, doc), "--json", str(out_path)]) == 3
+    failing = json.loads(out_path.read_text())["tasks"][0]
+    assert failing["error"] == "ValueError" and "rows of different lengths" in failing["message"]
+
+
 def test_asymmetric_gram_exits_3(tmp_path, monkeypatch):
     import thetacas.numeq as numeq
 
