@@ -125,8 +125,8 @@ def normal_form_vec(
             g, gmono = hit
             vec_axpy(work, field.neg(c), mono_div(mono, gmono), g, field)
             if t in work:
-                raise AlgebraError(f"reduction did not cancel the term {t}: "
-                                   "a reducer is not monic")
+                raise AlgebraError(f"a reduction step left the term {t} in place: "
+                                   "a reducer is not monic, or the field is faulty")
     return remainder
 
 

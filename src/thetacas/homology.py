@@ -491,14 +491,12 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
             f"Betti numbers not constant by homological degree {d + 3}: {res.betti}"
         )
     S = ring.ambient
-    f = ring.f
     last_error = None
     for j in range(start, res.length + 1):
         r = res.betti[j]
         cols = res.differential_columns(j)
         beta_cols: List[List[Polynomial]] = []
-        for k in range(r):
-            target = {(k, m): c for m, c in f.coeffs.items()}
+        for k, target in enumerate(f_times_unit_vectors(ring, r)):
             remainder, reps = reduce_with_representation(target, cols, S, r)
             if remainder:
                 last_error = f"f*e_{k} not in the column span of d_{j}"
