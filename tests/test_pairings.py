@@ -352,10 +352,9 @@ def test_free_complex_composites_must_vanish_over_the_ring(S2, node):
     assert FreeComplex(node, [[["x"]], [["y"]], [["x"]]]).length == 3
     koszul = [[["x", "y^2"]], [["-y^2"], ["x"]]]
     assert FreeComplex(S2, koszul).length == 2
-    for matrices in ([[["x"]], [["x"]]],
-                     [[["x"]], [["y"]], [["y"]]],
-                     [[["x", "y^2"]], [["y", "-y^2"], ["x", "x"]]]):
-        ring = node if len(matrices[0][0]) == 1 else S2
+    for ring, matrices in ((node, [[["x"]], [["x"]]]),
+                           (node, [[["x"]], [["y"]], [["y"]]]),
+                           (S2, [[["x", "y^2"]], [["-y^2", "y"], ["x", "x"]]])):
         with pytest.raises(ValueError, match="does not vanish"):
             FreeComplex(ring, matrices)
 
