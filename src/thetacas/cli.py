@@ -6,7 +6,8 @@ prints a table (optionally writing a JSON report); ``theta-cas validate``
 checks the schema and references without running anything.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema violation, 3 mathematical
-error (the report names the failing task index and error).
+error or a recursion too deep for the input (the report names the failing
+task index and error).
 """
 
 from __future__ import annotations
@@ -362,7 +363,9 @@ def run_session(doc) -> Tuple[dict, int]:
         start = time.monotonic()
         try:
             entry["result"] = _run_task(task, env)
-        except (AlgebraError, IndexError, ValueError) as exc:
+        # RecursionError: a kernel recursion too deep for the input ends the
+        # task, not the process
+        except (AlgebraError, IndexError, ValueError, RecursionError) as exc:
             entry["error"] = type(exc).__name__
             entry["message"] = str(exc)
             entry["time_ms"] = round((time.monotonic() - start) * 1000, 3)

@@ -167,14 +167,19 @@ class GroebnerBuilder:
         self.pending = set()
         self.queue: List[Tuple[int, int, int]] = []
 
-    def add(self, v: Vector) -> None:
+    def add(self, v: Vector, known: Optional[int] = None) -> None:
+        """Add v, forming its S-pairs with the vectors added before it.
+
+        known=start marks v as a member of a Groebner basis whose vectors are
+        added from index start on: v then forms no pair with them, since
+        those pairs have standard representations and reduce to zero."""
         ring, leads = self.ring, self.leads
         lt = vec_lead(v, ring)
         j = len(leads)
         self.pairs.append((_monic(v, lt, ring.field), lt))
         leads.append(lt)
         comp, mono = lt
-        for i in range(j):
+        for i in range(j if known is None else known):
             if leads[i][0] == comp:
                 self.pending.add((i, j))
                 heapq.heappush(self.queue, (
@@ -237,13 +242,23 @@ def groebner_basis(
     generators: Sequence[Vector],
     ring: PolynomialRing,
     rank: int,
+    known: Sequence[Tuple[int, tuple]] = (),
 ) -> GroebnerBasis:
-    """Reduced Groebner basis, memoised on the ring by (rank, generators)."""
-    key = (rank, tuple(freeze_vec(g) for g in generators))
+    """Reduced Groebner basis of the generators and the known bases,
+    memoised on the ring by (rank, generators, known bases).
+
+    Each known entry is (offset, vectors): the frozen vectors of a Groebner
+    basis (GroebnerBasis.vectors), moved up by offset components.  They are
+    added first, with no S-pairs inside one entry."""
+    key = (rank, tuple(freeze_vec(g) for g in generators), tuple(known))
     cached = ring._groebner_memo.get(key)
     if cached is not None:
         return cached
     builder = GroebnerBuilder(ring, rank)
+    for offset, vectors in known:
+        start = len(builder.leads)
+        for v in vectors:
+            builder.add(vec_shift_components(dict(v), offset), known=start)
     for g in generators:
         if g:
             builder.add(dict(g))

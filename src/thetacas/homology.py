@@ -32,7 +32,6 @@ from .groebner import (
     syzygy_basis,
     vec_axpy,
     vec_restrict,
-    vec_shift_components,
 )
 from .ring import (
     INFINITE,
@@ -525,24 +524,20 @@ def _tensor_map_columns(d_cols: List[Vector], s: int) -> List[Vector]:
     return out
 
 
-def _block_relations(Q_cols: List[Vector], s: int, blocks: int) -> List[Vector]:
-    out = []
-    for block in range(blocks):
-        for v in Q_cols:
-            out.append(vec_shift_components(v, block * s))
-    return out
-
-
 def _cokernel_series(
     d_cols: List[Vector], target_degs: Sequence[int], N: ModulePresentation
 ) -> dict:
     """Hilbert numerator of coker(d (x) N), a quotient of F (x) N, for the
-    map d into F with the given columns and generator degrees."""
+    map d into F with the given columns and generator degrees.  Each block
+    F_j (x) N is seeded with N's presentation basis (its relations and
+    f*e_j), a known Groebner basis."""
     s = N.nrows
-    cols = _tensor_map_columns(d_cols, s)
-    cols += _block_relations(N.columns(), s, len(target_degs))
+    gb_N = N.presentation_gb().vectors
+    known = [(block * s, gb_N) for block in range(len(target_degs))]
     shifts = [a + b for a in target_degs for b in N.gen_degrees]
-    return hilbert_numerator(lifted_basis(N.ring, cols, len(shifts)), shifts)
+    G = groebner_basis(_tensor_map_columns(d_cols, s), ambient_of(N.ring), len(shifts),
+                       known=known)
+    return hilbert_numerator(G, shifts)
 
 
 def homology_series(

@@ -24,6 +24,7 @@ from .errors import (
 from .groebner import (
     _series_at_one,
     _tpoly_sub,
+    groebner_basis,
     hilbert_numerator,
     multiplicity as gb_multiplicity,
     series_length,
@@ -35,7 +36,6 @@ from .homology import (
     extract_matrix_factorization,
     homology_series,
     infer_degrees,
-    lifted_basis,
     mat_vec,
     minimal_resolution,
     module_dimension,
@@ -293,7 +293,8 @@ def _power_products(S, gens: Sequence[Polynomial], power: int) -> List[Polynomia
 def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) -> int:
     """Length of M localized at a height-one graded prime, via the ranks of
     the graded pieces p^i M / p^(i+1) M over A/p.  With M = F/Q, the series
-    of a piece is HS(F/(p^(i+1) F + Q)) - HS(F/(p^i F + Q))."""
+    of a piece is HS(F/(p^(i+1) F + Q)) - HS(F/(p^i F + Q)); each basis is
+    seeded with M's presentation basis, which holds Q and f*e_j."""
     ring = M.ring
     S = ambient_of(ring)
     if any(w != 1 for w in S.weights):
@@ -309,7 +310,7 @@ def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) ->
     if M.nrows == 0:
         return 0
     total = 0
-    Q_cols = M.columns()
+    known = [(0, M.presentation_gb().vectors)]
     below: dict = {}  # HS(F/(p^0 F + Q)) = HS(0)
     for power in range(256):
         gens = []
@@ -317,7 +318,8 @@ def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) ->
             prod = reduce_mod_f(prod, ring)
             for j in range(M.nrows):
                 gens.append({(j, m): c for m, c in prod.coeffs.items()})
-        above = hilbert_numerator(lifted_basis(ring, gens + Q_cols, M.nrows), M.gen_degrees)
+        above = hilbert_numerator(groebner_basis(gens, S, M.nrows, known=known),
+                                  M.gen_degrees)
         order, e_piece = _series_at_one(_tpoly_sub(above, below))
         if order is None or S.nvars - order < d - 1:
             return total

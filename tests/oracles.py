@@ -3,9 +3,9 @@ vectors from polynomials and direct sums of presentations; matrix products
 over S, for the two-sided matrix factorization identity and d^2 = 0; for the
 Hilbert-series route to lengths, a staircase count of standard monomials,
 homology of a tensored complex presented as a subquotient (for Tor and chi
-of a complex), and local lengths from presented graded pieces
-p^i M / p^(i+1) M; for syzygies over R = S/(f), the f * e_j taken as tagged
-generators."""
+of a complex, with one copy of N's relations per block), and local lengths
+from presented graded pieces p^i M / p^(i+1) M; for syzygies over
+R = S/(f), the f * e_j taken as tagged generators."""
 
 import itertools
 
@@ -17,10 +17,10 @@ from thetacas.groebner import (
     multiplicity,
     syzygy_basis,
     vec_restrict,
+    vec_shift_components,
 )
 from thetacas.homology import (
     ModulePresentation,
-    _block_relations,
     _tensor_map_columns,
     columns_as_vectors,
     f_times_unit_vectors,
@@ -106,6 +106,14 @@ def tagged_syzygies(ring, vectors, rank):
         if v and freeze_vec(v) not in seen:
             seen.add(freeze_vec(v))
             out.append(v)
+    return out
+
+
+def _block_relations(Q_cols, s, blocks):
+    out = []
+    for block in range(blocks):
+        for v in Q_cols:
+            out.append(vec_shift_components(v, block * s))
     return out
 
 

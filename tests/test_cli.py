@@ -360,6 +360,30 @@ def test_math_error_reports_task_index(tmp_path):
     assert failing["error"] == "NotFiniteLength"
 
 
+def test_recursion_error_exits_3_with_the_task_index(tmp_path, monkeypatch):
+    """The Hilbert numerator recurses once per generator of a monomial
+    ideal; the cyclic module of the 1035 generators of (x,y,z)^44 over
+    xy - zw overflows Python's recursion limit there.  Raising in its place must end the task
+    with exit 3 and its index, not in a traceback."""
+    import thetacas.groebner
+
+    def overflow(gens, weights, memo):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(thetacas.groebner, "_ideal_numerator", overflow)
+    doc = {
+        "ring": NODE_DOC["ring"],
+        "modules": {"Ax": {"cyclic": ["x"]}},
+        "tasks": [{"kind": "hilbert", "module": "Ax"}],
+    }
+    path = write_session(tmp_path, doc)
+    out_path = tmp_path / "report.json"
+    assert main(["run", path, "--json", str(out_path)]) == 3
+    failing = json.loads(out_path.read_text())["tasks"][-1]
+    assert failing["index"] == 0
+    assert failing["error"] == "RecursionError"
+
+
 QUADRIC_SOP_KOSZUL = [
     [["x", "y", "u - v"]],
     [["-y", "-u + v", "0"], ["x", "0", "-u + v"], ["0", "x", "y"]],

@@ -13,6 +13,7 @@ from thetacas.errors import AlgebraError
 from thetacas.groebner import (
     _tpoly_div_1mt,
     GroebnerBuilder,
+    freeze_vec,
     groebner_basis,
     hilbert_numerator,
     mono_lcm,
@@ -25,6 +26,7 @@ from thetacas.groebner import (
     syzygy_basis,
     term_key,
     vec_lead,
+    vec_shift_components,
 )
 from oracles import staircase_count, vec_from_polys
 
@@ -399,14 +401,29 @@ def _sympy_reduced_basis(sympy, R, gens):
     return [R.from_dict({m: int(c) for m, c in poly.terms()}).monic() for poly in G.polys]
 
 
+def integer_polys(n):
+    """Nonzero polynomials of degree <= 3 in n variables, as
+    {exponent tuple: int}."""
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
+    return st.dictionaries(monomial, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+
+
 @st.composite
 def integer_ideals(draw):
     """Up to three nonzero polynomials of degree <= 3 in 2 or 3 variables,
     as {exponent tuple: int}."""
     n = draw(st.integers(2, 3))
-    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
-    poly = st.dictionaries(monomial, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
-    return n, draw(st.lists(poly, min_size=1, max_size=3))
+    return n, draw(st.lists(integer_polys(n), min_size=1, max_size=3))
+
+
+def integer_vectors(n, rank):
+    """Nonzero vectors of S^rank whose entries are integer_polys(n) or zero,
+    as {component: entry}."""
+    return st.dictionaries(st.integers(0, rank - 1), integer_polys(n), min_size=1)
+
+
+def vector_over(R, entries, rank):
+    return vec_from_polys([R.from_dict(entries.get(comp, {})) for comp in range(rank)])
 
 
 @pytest.mark.parametrize("characteristic", [0, 32003])
@@ -440,3 +457,78 @@ def test_builder_completed_by_degree_matches_groebner_basis(characteristic, idea
         builder.complete(degree)
     builder.complete()
     assert builder.reduced() == groebner_basis(vectors, R, 1)
+
+
+# ---------------------------------------------------------------------------
+# seeding with known bases
+
+
+def _shifted(G, offset):
+    return [vec_shift_components(dict(v), offset) for v in G.vectors]
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+@given(ideal=integer_ideals(), data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_seeding_with_known_bases_matches_adding_their_vectors(characteristic, ideal, data):
+    """Known bases at any offsets, overlapping or not, give the reduced basis
+    of the generators together with the known bases' shifted vectors."""
+    n, polys = ideal
+    R = PolynomialRing(FieldSpec(characteristic), ["x", "y", "z"][:n])
+    known = []
+    for k in data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)):
+        vectors = data.draw(st.lists(integer_vectors(n, k), min_size=1, max_size=2))
+        known.append((data.draw(st.integers(0, 1)),
+                      groebner_basis([vector_over(R, v, k) for v in vectors], R, k)))
+    rank = max(offset + G.rank for offset, G in known)
+    gens = [vec_from_polys([R.from_dict(g)]) for g in polys]
+    gens += [vector_over(R, v, rank)
+             for v in data.draw(st.lists(integer_vectors(n, rank), max_size=2))]
+    seeded = groebner_basis(gens, R, rank, known=[(off, G.vectors) for off, G in known])
+    shifted = [v for off, G in known for v in _shifted(G, off)]
+    assert seeded == groebner_basis(gens + shifted, R, rank)
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+@given(ideal=integer_ideals(), data=st.data())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_known_bases_alone_form_no_pairs(characteristic, ideal, data):
+    """One known basis, or two in disjoint component ranges, queue no
+    S-pair, and together they are already a Groebner basis."""
+    n, polys = ideal
+    R = PolynomialRing(FieldSpec(characteristic), ["x", "y", "z"][:n])
+    first = groebner_basis([vec_from_polys([R.from_dict(g)]) for g in polys], R, 1)
+    k = data.draw(st.integers(1, 2))
+    vectors = data.draw(st.lists(integer_vectors(n, k), min_size=1, max_size=3))
+    second = groebner_basis([vector_over(R, v, k) for v in vectors], R, k)
+    entries = data.draw(st.sampled_from([
+        [(0, first)], [(1, first)], [(0, second)],
+        [(0, first), (1, second)], [(0, second), (k, first)],
+    ]))
+    rank = max(offset + G.rank for offset, G in entries)
+    builder = GroebnerBuilder(R, rank)
+    for offset, G in entries:
+        start = len(builder.leads)
+        for v in _shifted(G, offset):
+            builder.add(v, known=start)
+    assert not builder.queue and not builder.pending
+    builder.complete()
+    shifted = [v for offset, G in entries for v in _shifted(G, offset)]
+    assert builder.reduced() == groebner_basis(shifted, R, rank)
+
+
+@pytest.mark.parametrize("plain_first", [True, False])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_memo_key_includes_the_known_bases(plain_first, offset):
+    """The generators x alone and x seeded with a basis of (y), whose span
+    is not in that of x, are two memo entries, whichever comes first."""
+    R = ring2()
+    x, y = (vec_from_polys([R.parse(g)]) for g in ("x", "y"))
+    Gy = groebner_basis([y], R, 1)
+    rank = 1 + offset
+    calls = [("plain", lambda: groebner_basis([x], R, rank)),
+             ("seeded", lambda: groebner_basis([x], R, rank, known=[(offset, Gy.vectors)]))]
+    results = {name: call() for name, call in (calls if plain_first else calls[::-1])}
+    assert results["plain"].vectors == (freeze_vec(x),)
+    assert set(results["seeded"].vectors) == {
+        freeze_vec(x), freeze_vec(vec_shift_components(y, offset))}

@@ -76,22 +76,37 @@ def _referenced_names(nodes):
     return names
 
 
-def test_every_public_kernel_function_has_a_caller():
-    """A public function or class that only tests use belongs in the test
-    oracles: each one is exported in ``thetacas.__all__``, used by another
-    kernel module, or used in its own module outside its definition."""
-    import thetacas
-
+def _kernel_names_without_caller(exempt):
+    """Top-level functions and classes of ``src/thetacas``, as
+    ``file:name``, that ``exempt`` does not excuse and that no other kernel
+    module names and their own module uses nowhere outside their definition."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     unused = []
     for name, tree in trees.items():
         elsewhere = _referenced_names(t for other, t in trees.items() if other != name)
         for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in thetacas.__all__):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or exempt(node.name):
                 continue
             own = _referenced_names(other for other in tree.body if other is not node)
             if node.name not in elsewhere | own:
                 unused.append(f"{name}:{node.name}")
+    return unused
+
+
+def test_every_public_kernel_function_has_a_caller():
+    """A public function or class that only tests use belongs in the test
+    oracles: each one is exported in ``thetacas.__all__``, used by another
+    kernel module, or used in its own module outside its definition."""
+    import thetacas
+
+    unused = _kernel_names_without_caller(
+        lambda name: name.startswith("_") or name in thetacas.__all__)
     assert not unused, f"public kernel names with no caller in src: {unused}"
+
+
+def test_every_private_kernel_function_has_a_caller():
+    """A private helper has no ``__all__`` escape: one that only tests use
+    belongs in the test oracles."""
+    unused = _kernel_names_without_caller(lambda name: not name.startswith("_"))
+    assert not unused, f"private kernel names with no caller in src: {unused}"
