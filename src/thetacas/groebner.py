@@ -2,7 +2,12 @@
 
 Vectors in S^s are sparse dicts mapping (component, exponent tuple) to a
 nonzero field element.  The module order is position-over-term (lower
-component index wins), refined by weighted grevlex on monomials.
+component index wins), refined by weighted grevlex on monomials.  Inside
+Buchberger's loop and every normal form a vector maps packed terms, one int
+each (PolynomialRing._pack), to coefficients: the smallest int is the lead
+term, a product is a sum, and a divisibility test is a subtraction and a
+mask.  Vectors are packed when they enter a builder or a normal form and
+unpacked when a basis or a remainder leaves one.
 Syzygies and division representations both come from one augmented-basis
 construction: generators (g_i, eps_i) in S^(s+k), with the main block
 dominating the tag block, and optional untagged relations (r, 0).
@@ -10,21 +15,18 @@ dominating the tag block, and optional untagged relations (r, 0).
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import heapq
 import math
-import operator
-from dataclasses import dataclass
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import AlgebraError
 from .ring import (
     INFINITE,
+    MAX_PACKED_DEGREE,
     PolynomialRing,
     Polynomial,
     mono_coprime,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -33,23 +35,14 @@ from .ring import (
 # A term symbol is (component, monomial); a vector maps terms to coeffs.
 Term = Tuple[int, tuple]
 Vector = Dict[Term, object]
-
-
-def term_key(ring: PolynomialRing, term: Term):
-    """Sort key; the component dominates and the lower index wins, then
-    PolynomialRing.mono_key, inlined since it runs per term per reduction
-    step."""
-    comp, mono = term
-    return (-comp, sum(map(operator.mul, ring.weights, mono)),
-            tuple(map(operator.neg, mono[::-1])))
+# A packed vector maps packed terms to coeffs; a reducer is (packed lead term,
+# monic packed vector), and reducers are grouped by the component of their
+# lead, each group in the order its reducers were added.
+Reducers = Dict[int, List[Tuple[int, dict]]]
 
 
 # ---------------------------------------------------------------------------
 # vector arithmetic
-
-
-def vec_lead(v: Vector, ring: PolynomialRing) -> Term:
-    return max(v, key=functools.partial(term_key, ring))
 
 
 def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
@@ -65,26 +58,30 @@ def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
     return v
 
 
-def vec_scale(v: Vector, coeff, field) -> Vector:
-    if coeff == field.zero:
-        return {}
-    return {t: field.mul(coeff, c) for t, c in v.items()}
+def _axpy(v: dict, coeff, q: int, w: dict, field) -> None:
+    """v + coeff * x^q * w on packed vectors, in place; q is a packed
+    quotient t - lead, so each product is t' + q."""
+    add, mul = field.add, field.mul
+    for t, c in w.items():
+        u = t + q
+        s = add(v.get(u, 0), mul(coeff, c))
+        if s == 0:
+            v.pop(u, None)
+        else:
+            v[u] = s
 
 
-def _monic(v: Vector, lead: Term, field) -> Vector:
-    """v scaled so the coefficient at its lead term is one."""
+def _monic(v: dict, lead: int, field) -> dict:
+    """The packed vector v scaled so the coefficient at lead is one."""
     lc = v[lead]
     if lc == field.one:
         return v
-    return vec_scale(v, field.inv(lc), field)
+    inv, mul = field.inv(lc), field.mul
+    return {t: mul(inv, c) for t, c in v.items()}
 
 
 def freeze_vec(v: Vector) -> tuple:
     return tuple(sorted(v.items()))
-
-
-def vec_shift_components(v: Vector, offset: int) -> Vector:
-    return {(comp + offset, m): c for (comp, m), c in v.items()}
 
 
 def vec_restrict(v: Vector, lo: int, hi: int) -> Vector:
@@ -96,37 +93,31 @@ def vec_restrict(v: Vector, lo: int, hi: int) -> Vector:
 # division
 
 
-def normal_form_vec(
-    v: Vector,
-    reducers: Sequence[Tuple[Vector, Term]],
-    ring: PolynomialRing,
-) -> Vector:
-    """Fully reduced remainder of v against (monic vector, lead term) pairs.
+def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing) -> dict:
+    """Fully reduced remainder of the packed vector v against the reducers;
+    of the reducers whose lead divides a term, the first added is used.
 
-    A step that leaves the term it reduced raises AlgebraError, so a reducer
-    that is not monic, or faulty field arithmetic, fails instead of looping."""
+    A term of degree above MAX_PACKED_DEGREE raises AlgebraError.  So does a
+    step that leaves the term it reduced, so a reducer that is not monic, or
+    faulty field arithmetic, fails instead of looping."""
     field = ring.field
-    key = functools.partial(term_key, ring)
+    neg = field.neg
+    comp_shift, guards, deg_guard = ring._comp_shift, ring._exp_guards, ring._deg_guard
     work = dict(v)
-    remainder: Vector = {}
+    remainder: dict = {}
     while work:
-        t = max(work, key=key)
-        c = work[t]
-        comp, mono = t
-        hit = None
-        for g, (gcomp, gmono) in reducers:
-            if gcomp == comp and mono_divides(gmono, mono):
-                hit = (g, gmono)
+        t = min(work)
+        if t & deg_guard:
+            raise AlgebraError(f"a term of degree above {MAX_PACKED_DEGREE} arose")
+        for lead, g in reducers.get(t >> comp_shift, ()):
+            if not (t - lead) & guards:
+                _axpy(work, neg(work[t]), t - lead, g, field)
+                if t in work:
+                    raise AlgebraError(f"a reduction step left the term {ring._unpack(t)} "
+                                       "in place: a reducer is not monic, or the field is faulty")
                 break
-        if hit is None:
-            remainder[t] = c
-            del work[t]
         else:
-            g, gmono = hit
-            vec_axpy(work, field.neg(c), mono_div(mono, gmono), g, field)
-            if t in work:
-                raise AlgebraError(f"a reduction step left the term {t} in place: "
-                                   "a reducer is not monic, or the field is faulty")
+            remainder[t] = work.pop(t)
     return remainder
 
 
@@ -134,21 +125,49 @@ def normal_form_vec(
 # Buchberger
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis of a submodule of S^rank; leads[i] is the lead
-    term of vectors[i]."""
+    """Reduced Groebner basis of a submodule of S^rank.
 
-    ring: PolynomialRing
-    rank: int
-    vectors: tuple
-    leads: tuple = dataclasses.field(compare=False)
+    packed holds its (packed lead term, monic packed vector) pairs, leads
+    decreasing; leads[i] is the lead term of vectors[i], and vectors are the
+    frozen vectors, unpacked on first use.  The basis refers to its ring
+    weakly: the ring's memo holds the basis, so a strong reference back would
+    be a cycle that only the cyclic garbage collector frees."""
+
+    __slots__ = ("_ring", "rank", "packed", "leads", "_vectors")
+
+    def __init__(self, ring: PolynomialRing, rank: int, packed: tuple):
+        self._ring = weakref.ref(ring)
+        self.rank = rank
+        self.packed = packed
+        self.leads = tuple(ring._unpack(lead) for lead, _g in packed)
+        self._vectors = None
+
+    @property
+    def ring(self) -> PolynomialRing:
+        return self._ring()
+
+    @property
+    def vectors(self) -> tuple:
+        if self._vectors is None:
+            unpack = self.ring._unpack_vector
+            self._vectors = tuple(freeze_vec(unpack(g)) for _lead, g in self.packed)
+        return self._vectors
 
     def lead_terms(self) -> List[Term]:
         return list(self.leads)
 
-    def as_dicts(self) -> List[Vector]:
-        return [dict(g) for g in self.vectors]
+    def __eq__(self, other):
+        return (isinstance(other, GroebnerBasis) and self._ring == other._ring
+                and self.rank == other.rank and self.packed == other.packed)
+
+
+def _grouped(pairs, comp_shift: int) -> Reducers:
+    """(lead, vector) pairs grouped by the component of the lead, in order."""
+    out: Reducers = {}
+    for lead, g in pairs:
+        out.setdefault(lead >> comp_shift, []).append((lead, g))
+    return out
 
 
 class GroebnerBuilder:
@@ -160,8 +179,10 @@ class GroebnerBuilder:
     def __init__(self, ring: PolynomialRing, rank: int, shifts: Sequence[int] = ()):
         self.ring, self.rank = ring, rank
         self.shifts = shifts or (0,) * rank
-        self.pairs: List[Tuple[Vector, Term]] = []  # (monic vector, lead term)
-        self.leads: List[Term] = []
+        self.vectors: List[dict] = []  # monic packed vectors, in the order added
+        self.codes: List[int] = []  # their packed lead terms
+        self.leads: List[Term] = []  # the same lead terms, unpacked
+        self.reducers: Reducers = {}
         # S-pairs not yet treated: the set serves the chain criterion, the heap
         # yields them by (degree, i, j).
         self.pending = set()
@@ -173,11 +194,26 @@ class GroebnerBuilder:
         known=start marks v as a member of a Groebner basis whose vectors are
         added from index start on: v then forms no pair with them, since
         those pairs have standard representations and reduce to zero."""
+        self._insert(self.ring._pack_vector(v), known)
+
+    def add_remainder(self, v: Vector) -> bool:
+        """Add the remainder of v modulo the vectors added so far, when it is
+        nonzero; return whether it was."""
+        r = normal_form_vec(self.ring._pack_vector(v), self.reducers, self.ring)
+        if r:
+            self._insert(r)
+        return bool(r)
+
+    def _insert(self, v: dict, known: Optional[int] = None) -> None:
         ring, leads = self.ring, self.leads
-        lt = vec_lead(v, ring)
+        lead = min(v)
+        lt = ring._unpack(lead)
         j = len(leads)
-        self.pairs.append((_monic(v, lt, ring.field), lt))
+        g = _monic(v, lead, ring.field)
+        self.vectors.append(g)
+        self.codes.append(lead)
         leads.append(lt)
+        self.reducers.setdefault(lt[0], []).append((lead, g))
         comp, mono = lt
         for i in range(j if known is None else known):
             if leads[i][0] == comp:
@@ -188,54 +224,62 @@ class GroebnerBuilder:
     def complete(self, upto_degree: Optional[int] = None) -> None:
         """Treat every pending pair, or those of degree <= upto_degree."""
         ring, field = self.ring, self.ring.field
-        G, leads, pending, queue = self.pairs, self.leads, self.pending, self.queue
+        G, codes, leads, pending, queue = self.vectors, self.codes, self.leads, self.pending, self.queue
+        guards = ring._exp_guards
         while queue and (upto_degree is None or queue[0][0] <= upto_degree):
             _deg, i, j = heapq.heappop(queue)
             pending.discard((i, j))
-            L = mono_lcm(leads[i][1], leads[j][1])
+            comp = leads[i][0]
             # product criterion (valid for rank-1 ideals only)
             if self.rank == 1 and mono_coprime(leads[i][1], leads[j][1]):
                 continue
-            # chain criterion
+            L = ring._pack(comp, mono_lcm(leads[i][1], leads[j][1]))
+            # chain criterion: a lead of the same component dividing L, both
+            # of whose pairs with i and j are treated
             skip = False
-            comp = leads[i][0]
-            for k in range(len(G)):
-                if k in (i, j) or leads[k][0] != comp:
-                    continue
-                if mono_divides(leads[k][1], L):
-                    pik = (min(i, k), max(i, k))
-                    pjk = (min(j, k), max(j, k))
-                    if pik not in pending and pjk not in pending:
-                        skip = True
-                        break
+            for k, code in enumerate(codes):
+                if (not (L - code) & guards and k != i and k != j and leads[k][0] == comp
+                        and (min(i, k), max(i, k)) not in pending
+                        and (min(j, k), max(j, k)) not in pending):
+                    skip = True
+                    break
             if skip:
                 continue
-            s: Vector = {}
-            vec_axpy(s, field.one, mono_div(L, leads[i][1]), G[i][0], field)
-            vec_axpy(s, field.neg(field.one), mono_div(L, leads[j][1]), G[j][0], field)
-            r = normal_form_vec(s, G, ring)
+            s: dict = {}
+            _axpy(s, field.one, L - codes[i], G[i], field)
+            _axpy(s, field.neg(field.one), L - codes[j], G[j], field)
+            r = normal_form_vec(s, self.reducers, ring)
             if r:
-                self.add(r)
+                self._insert(r)
 
     def reduced(self) -> GroebnerBasis:
         """The reduced basis of what was added; complete() it first."""
-        ring, leads = self.ring, self.leads
-        # minimalize: drop g when another lead divides lt (of equal leads, keep the first)
+        ring, codes = self.ring, self.codes
+        comp_shift, guards = ring._comp_shift, ring._exp_guards
+        # minimalize: drop g when another lead divides its lead (of equal
+        # leads, keep the first)
         keep = []
-        for i, (g, lt) in enumerate(self.pairs):
-            for j, ltj in enumerate(leads):
-                if (j != i and ltj[0] == lt[0] and mono_divides(ltj[1], lt[1])
-                        and (ltj[1] != lt[1] or j < i)):
+        for i, lead in enumerate(codes):
+            for j, other in enumerate(codes):
+                if (j != i and not (lead - other) & guards
+                        and other >> comp_shift == lead >> comp_shift
+                        and (other != lead or j < i)):
                     break
             else:
-                keep.append((g, lt))
-        # interreduce: no other kept lead divides lt, so lt stays the lead term,
-        # with coefficient one, of g's remainder
-        reduced = [(normal_form_vec(g, keep[:i] + keep[i + 1:], ring), lt)
-                   for i, (g, lt) in enumerate(keep)]
-        reduced.sort(key=lambda pair: term_key(ring, pair[1]), reverse=True)
-        return GroebnerBasis(ring, self.rank, tuple(freeze_vec(r) for r, _lt in reduced),
-                             tuple(lt for _r, lt in reduced))
+                keep.append((lead, self.vectors[i]))
+        # interreduce against the other kept vectors: none of their leads
+        # divides g's lead, so it stays the lead term, with coefficient one,
+        # of g's remainder
+        groups = _grouped(keep, comp_shift)
+        reduced = []
+        for lead, g in keep:
+            comp = lead >> comp_shift
+            own = groups[comp]
+            groups[comp] = [pair for pair in own if pair[0] != lead]
+            reduced.append((lead, normal_form_vec(g, groups, ring)))
+            groups[comp] = own
+        reduced.sort(key=lambda pair: pair[0])
+        return GroebnerBasis(ring, self.rank, tuple(reduced))
 
 
 def groebner_basis(
@@ -249,26 +293,33 @@ def groebner_basis(
 
     Each known entry is (offset, vectors): the frozen vectors of a Groebner
     basis (GroebnerBasis.vectors), moved up by offset components.  They are
-    added first, with no S-pairs inside one entry."""
+    added first, with no S-pairs inside one entry; each distinct basis is
+    packed once."""
     key = (rank, tuple(freeze_vec(g) for g in generators), tuple(known))
     cached = ring._groebner_memo.get(key)
     if cached is not None:
         return cached
     builder = GroebnerBuilder(ring, rank)
+    packed: Dict[tuple, list] = {}
     for offset, vectors in known:
+        if vectors not in packed:
+            packed[vectors] = [ring._pack_vector(dict(v)) for v in vectors]
         start = len(builder.leads)
-        for v in vectors:
-            builder.add(vec_shift_components(dict(v), offset), known=start)
+        shift = offset << ring._comp_shift
+        for g in packed[vectors]:
+            builder._insert({t + shift: c for t, c in g.items()} if shift else g, known=start)
     for g in generators:
         if g:
-            builder.add(dict(g))
+            builder.add(g)
     builder.complete()
     result = ring._groebner_memo[key] = builder.reduced()
     return result
 
 
 def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
-    return normal_form_vec(v, list(zip(G.as_dicts(), G.leads)), G.ring)
+    ring = G.ring
+    reducers = _grouped(G.packed, ring._comp_shift)
+    return ring._unpack_vector(normal_form_vec(ring._pack_vector(v), reducers, ring))
 
 
 # ---------------------------------------------------------------------------

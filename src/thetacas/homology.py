@@ -63,10 +63,13 @@ def reduce_vec_mod_f(v: Vector, ring: RingLike) -> Vector:
     the monic f * e_j of the components v uses."""
     if modulus_of(ring) is None:
         return dict(v)
-    f = ring.f_monic.coeffs
-    reducers = [({(j, m): c for m, c in f.items()}, (j, ring.f_lead))
-                for j in {comp for comp, _m in v}]
-    return normal_form_vec(v, reducers, ring.ambient)
+    S, f = ring.ambient, ring._f_packed
+    lead = min(f)
+    reducers = {}
+    for j in {comp for comp, _m in v}:
+        shift = j << S._comp_shift
+        reducers[j] = [(lead + shift, {t + shift: c for t, c in f.items()})]
+    return S._unpack_vector(normal_form_vec(S._pack_vector(v), reducers, S))
 
 
 def columns_as_vectors(rows: MatrixRows) -> List[Vector]:
@@ -175,7 +178,9 @@ class ModulePresentation:
     The module owns what is computed from it, each filled on first use: the
     presentation GB, the minimal presentation, the minimal resolution (grown
     in place as longer ones are asked for), its matrix factorization, and Tor
-    lengths against other modules, keyed by (module object, i)."""
+    lengths against other modules, keyed by the other module's rows and
+    generator degrees and i.  No cache holds a module object, so a module is
+    freed by reference counting, with no cycle for the garbage collector."""
 
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
         self.ring = ring
@@ -207,7 +212,7 @@ class ModulePresentation:
         self._res_diffs: List[List[Vector]] = []
         self._res_degs: List[List[int]] = []
         self._mf: Optional[MatrixFactorization] = None
-        self._tor_lengths: Dict[Tuple[ModulePresentation, int], object] = {}
+        self._tor_lengths: Dict[Tuple[MatrixRows, tuple, int], object] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -257,7 +262,6 @@ class ModulePresentation:
             degs = self._res_degs[0]
             rows = vectors_to_rows(self._res_diffs[0], len(degs), self.ring)
             self._minimal = ModulePresentation(self.ring, rows, gen_degrees=tuple(degs))
-            self._minimal._minimal = self._minimal
         return self._minimal
 
     def _unit_pruned(self) -> Tuple[List[Vector], List[int]]:
@@ -411,10 +415,7 @@ def _minimal_generating_subset(
         builder.add(w)
     for i in sorted(range(len(vectors)), key=degrees.__getitem__):
         builder.complete(degrees[i])
-        r = normal_form_vec(vectors[i], builder.pairs, S)
-        if r:
-            kept[i] = True
-            builder.add(r)
+        kept[i] = builder.add_remainder(vectors[i])
     return [(v, d) for v, d, k in zip(vectors, degrees, kept) if k]
 
 
@@ -571,14 +572,15 @@ def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
     difference of two Tor series can hide a pole."""
     if i < 0:
         raise IndexError("tor_length requires i >= 0")
-    result = M._tor_lengths.get((N, i))
+    key = (N.rows, N.gen_degrees, i)
+    result = M._tor_lengths.get(key)
     if result is None:
         res = minimal_resolution(M, i + 1)
         diff_cols = [res.differential_columns(k) for k in range(1, i + 2)]
         degs = [res.gen_degrees(k) for k in range(i + 2)]
         result = series_length(homology_series(diff_cols, degs, N, i),
                                ambient_of(M.ring).weights)
-        M._tor_lengths[(N, i)] = result
+        M._tor_lengths[key] = result
     if result is INFINITE:
         raise InfiniteLength(f"Tor_{i} has infinite length")
     return result

@@ -4,7 +4,9 @@ Coefficients live in Q or in a prime field F_p.  A rational is stored as a
 Python ``int`` when it is integral and as a reduced ``fractions.Fraction``
 only when it is not, so integral coefficients never become Fractions; an
 F_p element is stored as its least non-negative residue.  Monomials are
-exponent tuples ordered by weighted graded reverse lexicographic order.  A
+exponent tuples ordered by weighted graded reverse lexicographic order.
+Groebner computations pack a term x^m e_comp of a module vector into one
+int whose integer order is the term order reversed (PolynomialRing._pack).  A
 hypersurface ring is an ambient polynomial ring together with a nonzero
 weighted-homogeneous defining polynomial f with f in m^2.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import CoefficientError, InhomogeneousError, ParseError
+from .errors import AlgebraError, CoefficientError, InhomogeneousError, ParseError
 
 
 class _Infinite:
@@ -124,6 +126,15 @@ def _canonical(q):
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
+# A packed term holds, from the top, the component, then
+# MAX_PACKED_DEGREE - deg(m), then m_n, ..., m_1, each field below the
+# component _FIELD_BITS wide with its top bit a guard that a valid term keeps
+# clear.  A smaller int is then a larger term under position-over-term
+# weighted grevlex, a product is a sum, and the exponent guards of t - u are
+# clear exactly when u divides t (Monagan and Pearce, CASC 2007).
+_FIELD_BITS = 16
+MAX_PACKED_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.add, a, b))
@@ -132,11 +143,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Whether a divides b."""
     return all(map(operator.le, a, b))
-
-
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """b / a, assuming divisibility."""
-    return tuple(map(operator.sub, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -167,9 +173,20 @@ class PolynomialRing:
         self.nvars = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._one_mono = (0,) * self.nvars
-        # Groebner bases over this ring, keyed by (rank, frozen generators);
-        # filled by groebner.groebner_basis and freed with the ring.
+        # Groebner bases over this ring, keyed by (rank, frozen generators,
+        # known bases); filled by groebner.groebner_basis and freed with the
+        # ring when the last reference to it goes (a basis refers to its ring
+        # weakly, so no reference cycle holds the memo).
         self._groebner_memo = {}
+        # packed terms, m_1 in the lowest field; each term is packed and
+        # unpacked once per ring, through the two caches below
+        self._exp_shifts = tuple(range(0, _FIELD_BITS * self.nvars, _FIELD_BITS))
+        self._deg_shift = _FIELD_BITS * self.nvars
+        self._comp_shift = self._deg_shift + _FIELD_BITS
+        self._exp_guards = sum(1 << (s + _FIELD_BITS - 1) for s in self._exp_shifts)
+        self._deg_guard = 1 << (self._comp_shift - 1)
+        self._codes = {}  # (component, monomial) -> packed term
+        self._terms = {}  # packed term -> (component, monomial)
 
     # -- monomial order: weighted graded reverse lexicographic ------------
 
@@ -179,6 +196,39 @@ class PolynomialRing:
     def mono_key(self, m: Monomial):
         """Sort key; larger key = larger monomial under weighted grevlex."""
         return (self.mono_degree(m), tuple(map(operator.neg, m[::-1])))
+
+    # -- packed terms -------------------------------------------------------
+
+    def _pack(self, comp: int, m: Monomial) -> int:
+        """The term x^m e_comp as one int; AlgebraError above MAX_PACKED_DEGREE."""
+        deg = self.mono_degree(m)
+        if deg > MAX_PACKED_DEGREE:
+            raise AlgebraError(f"a term of degree {deg} is above {MAX_PACKED_DEGREE}")
+        return ((comp << self._comp_shift) + ((MAX_PACKED_DEGREE - deg) << self._deg_shift)
+                + sum(map(operator.lshift, m, self._exp_shifts)))
+
+    def _unpack(self, t: int):
+        """The (component, exponent tuple) of a packed term."""
+        term = self._terms.get(t)
+        if term is None:
+            mask = (1 << _FIELD_BITS) - 1
+            term = self._terms[t] = (
+                t >> self._comp_shift, tuple([(t >> s) & mask for s in self._exp_shifts]))
+        return term
+
+    def _pack_vector(self, v: dict) -> dict:
+        codes = self._codes
+        out = {}
+        for t, c in v.items():
+            code = codes.get(t)
+            if code is None:
+                code = codes[t] = self._pack(*t)
+            out[code] = c
+        return out
+
+    def _unpack_vector(self, v: dict) -> dict:
+        unpack = self._unpack
+        return {unpack(t): c for t, c in v.items()}
 
     # -- polynomial constructors ------------------------------------------
 
@@ -481,8 +531,9 @@ class _Parser:
 class HypersurfaceRing:
     """Graded hypersurface ring A = S/(f) of dimension n - 1.
 
-    f must be nonzero, weighted-homogeneous, and lie in m^2 (every term of
-    weighted degree >= 2 * min weight).
+    f must be nonzero, weighted-homogeneous, lie in m^2 (every term of
+    weighted degree >= 2 * min weight), and be of degree at most
+    MAX_PACKED_DEGREE.
     """
 
     def __init__(self, ambient: PolynomialRing, f: Polynomial):
@@ -498,9 +549,9 @@ class HypersurfaceRing:
         self.ambient = ambient
         self.f = f
         self.dimension = ambient.nvars - 1
-        # f made monic, the one reducer modulo f
-        self.f_lead = f.lead_monomial()
-        self.f_monic = f.scale(ambient.field.inv(f.coeffs[self.f_lead]))
+        # f made monic and packed in component 0: the one reducer modulo f
+        f_monic = f.scale(ambient.field.inv(f.lead_coeff()))
+        self._f_packed = ambient._pack_vector({(0, m): c for m, c in f_monic.coeffs.items()})
 
     @property
     def field(self):

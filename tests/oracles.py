@@ -8,6 +8,7 @@ from presented graded pieces p^i M / p^(i+1) M; for syzygies over
 R = S/(f), the f * e_j taken as tagged generators."""
 
 import itertools
+import operator
 
 from thetacas import INFINITE, minimal_resolution
 from thetacas.errors import AlgebraError
@@ -17,7 +18,6 @@ from thetacas.groebner import (
     multiplicity,
     syzygy_basis,
     vec_restrict,
-    vec_shift_components,
 )
 from thetacas.homology import (
     ModulePresentation,
@@ -32,6 +32,27 @@ from thetacas.homology import (
 )
 from thetacas.pairings import _power_products
 from thetacas.ring import ambient_of, mono_divides, ring_dimension
+
+
+def mono_div(b, a):
+    """b / a, assuming divisibility."""
+    return tuple(map(operator.sub, b, a))
+
+
+def vec_shift_components(v, offset):
+    return {(comp + offset, m): c for (comp, m), c in v.items()}
+
+
+def term_key(ring, term):
+    """Sort key of a (component, monomial) term, larger for a larger term:
+    the lower component index wins, then PolynomialRing.mono_key."""
+    comp, mono = term
+    return (-comp, ring.mono_key(mono))
+
+
+def vec_lead(v, ring):
+    """Lead term of a vector, by term_key."""
+    return max(v, key=lambda t: term_key(ring, t))
 
 
 def vec_from_polys(polys):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from thetacas.cli import MAX_RESOLVE_LENGTH, main, run_session, validate_session
-from thetacas.ring import MAX_EXPONENT, MAX_NESTING
+from thetacas.ring import MAX_EXPONENT, MAX_NESTING, MAX_PACKED_DEGREE
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -183,8 +183,10 @@ def test_determinism_with_cold_caches():
 
 
 def test_session_ring_is_freed(monkeypatch):
-    """Caches hang off the ring and its modules, so nothing outlives the
-    session that built them."""
+    """Caches hang off the ring and its modules, and no reference cycle runs
+    through them, so each shipped session's ring is freed by reference
+    counting as soon as the session returns, with the cyclic garbage
+    collector switched off."""
     import thetacas.cli as cli
 
     rings = []
@@ -196,10 +198,39 @@ def test_session_ring_is_freed(monkeypatch):
         return env, errors
 
     monkeypatch.setattr(cli, "build_environment", recording_build)
-    report, code = run_session(json.loads((SESSIONS / "quadric.json").read_text()))
-    assert code == 0 and len(report["tasks"]) == 8
+    paths = sorted(SESSIONS.glob("*.json"))
+    assert len(paths) == 3
+    gc.disable()
+    try:
+        for path in paths:
+            report, code = run_session(json.loads(path.read_text()))
+            assert code == 0 and report["tasks"]
+            assert rings[-1]() is None, f"{path.name} left its ring alive"
+    finally:
+        gc.enable()
+    assert len(rings) == 3
+
+
+def test_sessions_leave_no_cyclic_garbage():
+    """After each shipped session, the garbage collector finds no thetacas
+    object in cyclic garbage: whatever a session builds is freed by
+    reference counting."""
     gc.collect()
-    assert rings and all(ref() is None for ref in rings)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for path in sorted(SESSIONS.glob("*.json")):
+            _report, code = run_session(json.loads(path.read_text()))
+            assert code == 0
+            gc.collect()
+            found = sorted({type(o).__qualname__ for o in gc.garbage
+                            if type(o).__module__.startswith("thetacas")})
+            gc.garbage.clear()
+            assert not found, f"{path.name} left cyclic garbage: {found}"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +342,22 @@ def test_exponent_above_the_cap_exits_2(tmp_path, capsys):
     assert code == 0 and report["tasks"][0]["result"] == {"value": 2 * MAX_EXPONENT}
 
 
+@pytest.mark.parametrize("where", ["f", "cyclic"])
+def test_a_polynomial_above_the_packed_degree_cap_exits_2(tmp_path, capsys, where):
+    """f and module entries are packed when the session is built, so one of
+    degree above MAX_PACKED_DEGREE is a schema error, caught on validate."""
+    doc = _with_task({"kind": "length", "module": "P"})
+    doc["modules"]["P"] = {"cyclic": ["x"]}
+    if where == "f":
+        doc["ring"]["f"] = "x^2*((y^64)^64)^8"
+    else:
+        doc["modules"]["P"]["cyclic"] = ["x^2*((x^64)^64)^8"]
+    path = write_session(tmp_path, doc)
+    assert main(["validate", path]) == 2
+    assert f"degree 32770 is above {MAX_PACKED_DEGREE}" in capsys.readouterr().err
+    assert main(["run", path]) == 2
+
+
 @pytest.mark.parametrize("text", ["(" * 300 + "x" + ")" * 300, "-" * 1000 + "x"])
 @pytest.mark.parametrize("where", ["f", "cyclic"])
 def test_deep_nesting_exits_2(tmp_path, capsys, text, where):
@@ -382,6 +429,25 @@ def test_recursion_error_exits_3_with_the_task_index(tmp_path, monkeypatch):
     failing = json.loads(out_path.read_text())["tasks"][-1]
     assert failing["index"] == 0
     assert failing["error"] == "RecursionError"
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+def test_a_degree_above_the_packed_cap_exits_3_with_the_task_index(tmp_path, characteristic):
+    """Groebner terms are packed ints with a degree cap.  The relations
+    x^16384 and x*z^16384 are under it, but their S-pair has degree 32768:
+    the task must end in exit 3 with its index, never in a wrong order."""
+    doc = {
+        "ring": {"characteristic": characteristic, "variables": ["x", "y", "z"], "f": "x*y"},
+        "modules": {"Ax": {"cyclic": ["x"]},
+                    "H": {"cyclic": ["((x^64)^64)^4", "x*((z^64)^64)^4"]}},
+        "tasks": [{"kind": "length", "module": "Ax"}, {"kind": "length", "module": "H"}],
+    }
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_session(tmp_path, doc), "--json", str(out_path)]) == 3
+    tasks = json.loads(out_path.read_text())["tasks"]
+    assert tasks[0]["result"] == {"value": "INFINITE"}
+    assert tasks[1]["index"] == 1 and tasks[1]["error"] == "AlgebraError"
+    assert "degree 32768 is above 32767" in tasks[1]["message"]
 
 
 QUADRIC_SOP_KOSZUL = [

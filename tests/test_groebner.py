@@ -24,11 +24,16 @@ from thetacas.groebner import (
     reduce_with_representation,
     series_length,
     syzygy_basis,
+)
+from thetacas.ring import MAX_PACKED_DEGREE
+from oracles import (
+    mono_div,
+    staircase_count,
     term_key,
+    vec_from_polys,
     vec_lead,
     vec_shift_components,
 )
-from oracles import staircase_count, vec_from_polys
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
@@ -44,8 +49,8 @@ def ideal_gb(R, *gens):
 
 def gb_polys(R, G):
     out = []
-    for v in G.as_dicts():
-        out.append(R.from_dict({m: c for (_comp, m), c in v.items()}))
+    for v in G.vectors:
+        out.append(R.from_dict({m: c for (_comp, m), c in v}))
     return out
 
 
@@ -137,7 +142,7 @@ def test_normal_form_idempotent_and_membership(data):
 def test_buchberger_criterion_all_spairs_reduce():
     R = ring2()
     G = ideal_gb(R, "x^2*y - 1", "x*y^2 - x")
-    dicts = G.as_dicts()
+    dicts = [dict(g) for g in G.vectors]
     leads = G.lead_terms()
     for i in range(len(dicts)):
         for j in range(i + 1, len(dicts)):
@@ -145,7 +150,7 @@ def test_buchberger_criterion_all_spairs_reduce():
                 continue
             L = mono_lcm(leads[i][1], leads[j][1])
             s = {}
-            from thetacas.groebner import mono_div, vec_axpy
+            from thetacas.groebner import vec_axpy
 
             vec_axpy(s, R.field.one, mono_div(L, leads[i][1]), dicts[i], R.field)
             vec_axpy(s, R.field.neg(R.field.one), mono_div(L, leads[j][1]), dicts[j], R.field)
@@ -329,20 +334,22 @@ def test_stored_leads_are_the_lead_terms(monkeypatch):
 
 
 def test_normal_form_does_not_recompute_leads(monkeypatch):
+    """The lead of a basis vector is stored with it: a normal form takes the
+    least packed term of the vector it reduces, never of a basis vector."""
     import thetacas.groebner as groebner
 
     R = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v"])
     G = ideal_gb(R, "x*y - u*v", "x^2 - u^2", "y^3 + v^3")
+    basis = [g for _lead, g in G.packed]
     calls = []
-    real = groebner.vec_lead
 
-    def counting_vec_lead(v, ring):
-        calls.append(1)
-        return real(v, ring)
+    def counting_min(v, *args, **kwargs):
+        calls.append(any(v is g for g in basis))
+        return min(v, *args, **kwargs)
 
-    monkeypatch.setattr(groebner, "vec_lead", counting_vec_lead)
+    monkeypatch.setattr(groebner, "min", counting_min, raising=False)
     r = normal_form(vec_from_polys([R.parse("x^3*y + y^4 - u*v^2")]), G)
-    assert r and not calls
+    assert r and calls and not any(calls)
 
 
 class _Hung(Exception):
@@ -357,30 +364,52 @@ def test_normal_form_with_a_reducer_that_is_not_monic_raises():
     """A reducer 2x, taken as monic, turns x into -x and back forever; the
     step that leaves its term in place must raise instead."""
     S = ring2()
+    x = S._pack(0, (1, 0))
     previous = signal.signal(signal.SIGALRM, _hung)
     signal.alarm(5)
     try:
         with pytest.raises(AlgebraError):
-            normal_form_vec({(0, (1, 0)): 1}, [({(0, (1, 0)): 2}, (0, (1, 0)))], S)
+            normal_form_vec({x: 1}, {0: [(x, {x: 2})]}, S)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
-terms3 = st.tuples(st.integers(0, 2), st.tuples(*[st.integers(0, 4)] * 3))
+def test_a_product_above_the_degree_cap_raises():
+    """A reduction step whose product passes the packed degree cap raises;
+    the overflowed term is never taken for a term of another order."""
+    S = ring2()
+    x = S._pack(0, (1, 0))
+    g = {x: 1, S._pack(1, (0, 30000)): 1}
+    with pytest.raises(AlgebraError, match="degree"):
+        normal_form_vec({S._pack(0, (5000, 0)): 1}, {0: [(x, g)]}, S)
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+def test_an_s_pair_above_the_degree_cap_raises(characteristic):
+    """x^16384 and x^16385 + x*y^16384 leave the remainder x*y^16384, whose
+    S-pair with x^16384 has an lcm of degree 32768, above the cap."""
+    R = ring2(characteristic)
+    top = 1 << 14
+    gens = [vec_from_polys([R.from_dict({(top, 0): 1})]),
+            vec_from_polys([R.from_dict({(1, top): 1, (top + 1, 0): 1})])]
+    with pytest.raises(AlgebraError, match="degree"):
+        groebner_basis(gens, R, 1)
+
+
+# small exponents, and exponents up to the packed degree cap with weights <= 3
+exponents3 = st.one_of(st.integers(0, 4), st.integers(0, MAX_PACKED_DEGREE // 9))
+terms3 = st.tuples(st.integers(0, 2), st.tuples(exponents3, exponents3, exponents3))
 
 
 @given(a=terms3, b=terms3, weights=st.tuples(*[st.integers(1, 3)] * 3))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 def test_term_key_orders_like_mono_key(a, b, weights):
-    """term_key inlines the monomial order; it must sort as mono_key does."""
+    """The packed term is the sort key of the Groebner hot path: a smaller
+    int is a larger term under term_key, the order of (-component, mono_key)."""
     R = PolynomialRing(FieldSpec(0), ["x", "y", "z"], weights)
-
-    def reference(t):
-        return (-t[0], R.mono_key(t[1]))
-
-    assert (term_key(R, a) < term_key(R, b)) == (reference(a) < reference(b))
-    assert (term_key(R, a) == term_key(R, b)) == (a == b)
+    assert (R._pack(*a) < R._pack(*b)) == (term_key(R, a) > term_key(R, b))
+    assert (R._pack(*a) == R._pack(*b)) == (a == b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,16 @@ from thetacas import (
     ring_dimension,
     weighted_degree,
 )
-from thetacas.errors import InhomogeneousError, ParseError
-from thetacas.ring import MAX_NESTING, PRIMALITY_BOUND, _is_prime
+from thetacas.errors import AlgebraError, InhomogeneousError, ParseError
+from thetacas.ring import (
+    MAX_NESTING,
+    MAX_PACKED_DEGREE,
+    PRIMALITY_BOUND,
+    _is_prime,
+    mono_divides,
+    mono_mul,
+)
+from oracles import mono_div
 
 
 def make_ring(characteristic=0, variables=("x", "y"), weights=None):
@@ -236,3 +244,70 @@ def test_polynomials_hashable():
     R = make_ring()
     assert hash(R.parse("x + y")) == hash(R.parse("y + x"))
     assert len({R.parse("x"), R.parse("x"), R.parse("y")}) == 2
+
+
+# ---------------------------------------------------------------------------
+# packed terms: one int per term x^m e_comp, owned by the ring (their order is
+# checked against mono_key in test_groebner::test_term_key_orders_like_mono_key)
+
+
+def packed_ring(characteristic, weights):
+    return make_ring(characteristic, ("x", "y", "z"), weights)
+
+
+# small exponents, and exponents up to the cap's degree with weights <= 3
+exponents = st.one_of(st.integers(0, 6), st.integers(0, MAX_PACKED_DEGREE // 9))
+monomials = st.tuples(exponents, exponents, exponents)
+small_monomials = st.tuples(*[st.integers(0, 6)] * 3)
+components = st.integers(0, 3)
+weight_triples = st.tuples(*[st.integers(1, 3)] * 3)
+FIELDS = pytest.mark.parametrize("characteristic", [0, 32003])
+
+
+@FIELDS
+@given(terms=st.lists(st.tuples(components, monomials), min_size=1, max_size=5),
+       weights=weight_triples)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_packing_round_trips(characteristic, terms, weights):
+    R = packed_ring(characteristic, weights)
+    for comp, m in terms:
+        assert R._unpack(R._pack(comp, m)) == (comp, m)
+    v = {t: R.field.coerce(i + 1) for i, t in enumerate(terms)}
+    assert R._unpack_vector(R._pack_vector(v)) == v
+
+
+@FIELDS
+@given(comp=components, a=monomials, b=monomials, weights=weight_triples)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_packed_divisibility_agrees_with_mono_divides(characteristic, comp, a, b, weights):
+    """u divides t exactly when the exponent guards of t - u are clear."""
+    R = packed_ring(characteristic, weights)
+    t, u = R._pack(comp, a), R._pack(comp, b)
+    assert (not (t - u) & R._exp_guards) == mono_divides(b, a)
+
+
+@FIELDS
+@given(comp=components, other=components, a=monomials, b=small_monomials,
+       c=small_monomials, weights=weight_triples)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_packed_product_and_quotient_agree_with_mono_mul_and_mono_div(
+        characteristic, comp, other, a, b, c, weights):
+    """The quotient of t = x^(a+b) e_comp by its divisor x^a e_comp is the
+    difference q of their ints; t' + q is the product of any term t' by x^b,
+    and t - q the quotient of t by x^b."""
+    R = packed_ring(characteristic, weights)
+    ab = mono_mul(a, b)
+    if R.mono_degree(ab) > MAX_PACKED_DEGREE:
+        with pytest.raises(AlgebraError):
+            R._pack(comp, ab)
+        return
+    q = R._pack(comp, ab) - R._pack(comp, a)
+    assert R._unpack(R._pack(other, c) + q) == (other, mono_mul(c, b))
+    assert R._unpack(R._pack(comp, ab) - q) == (comp, mono_div(ab, b))
+
+
+def test_packing_a_degree_above_the_cap_raises():
+    R = make_ring(0, ("x", "y"), (1, 2))
+    assert R._unpack(R._pack(2, (MAX_PACKED_DEGREE - 2, 1))) == (2, (MAX_PACKED_DEGREE - 2, 1))
+    with pytest.raises(AlgebraError, match="degree"):
+        R._pack(0, (MAX_PACKED_DEGREE - 1, 1))
