@@ -235,7 +235,7 @@ def validate_tasks(doc, env: Environment) -> List[str]:
                 errors.append(f"{where}: 'modules' must be a non-empty list")
             else:
                 for name in names:
-                    if name not in env.modules:
+                    if not isinstance(name, str) or name not in env.modules:
                         errors.append(f"{where}: undeclared module {name!r}")
     return errors
 

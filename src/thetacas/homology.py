@@ -554,14 +554,28 @@ def homology_series(
     L = len(diff_cols)
     if not 0 <= i <= L:
         raise IndexError(f"homology index {i} out of computed range 0..{L}")
-    num = _cokernel_series(diff_cols[i] if i < L else [], degs[i], N)
-    if i:
-        below = _cokernel_series(diff_cols[i - 1], degs[i - 1], N)
-        num = _tpoly_sub(num, {d: -c for d, c in below.items()})
-        series_N = module_series(N)
-        for deg in degs[i - 1]:
-            num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
+    upper = _cokernel_series(diff_cols[i] if i < L else [], degs[i], N)
+    if not i:
+        return upper
+    return _homology_from_cokernels(_cokernel_series(diff_cols[i - 1], degs[i - 1], N),
+                                    upper, module_series(N), degs[i - 1])
+
+
+def _homology_from_cokernels(
+    lower: dict, upper: dict, series_N: dict, degs_below: Sequence[int]
+) -> dict:
+    """Hilbert numerator of H_i(F (x) N), i >= 1, from those of C_i (lower),
+    C_{i+1} (upper) and N, and the generator degrees of F_{i-1}:
+    HS(C_i) + HS(C_{i+1}) - HS(N) * sum_j t^(deg F_{i-1,j})."""
+    num = _tpoly_sub(upper, {d: -c for d, c in lower.items()})
+    for deg in degs_below:
+        num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
     return num
+
+
+def _tor_key(N: ModulePresentation, i: int) -> tuple:
+    """The key of l(Tor_i(M, N)) on M: N's rows and generator degrees, and i."""
+    return (N.rows, N.gen_degrees, i)
 
 
 def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
@@ -572,7 +586,7 @@ def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
     difference of two Tor series can hide a pole."""
     if i < 0:
         raise IndexError("tor_length requires i >= 0")
-    key = (N.rows, N.gen_degrees, i)
+    key = _tor_key(N, i)
     result = M._tor_lengths.get(key)
     if result is None:
         res = minimal_resolution(M, i + 1)

@@ -3,8 +3,10 @@ free complexes, local lengths at height-one primes, and the divisor-class
 map on torsion modules.
 
 Every length here is read off a Hilbert series of cokernels: chi of a
-complex off homology_series, and a local length off the series of
-M/p^i M, whose differences are the graded pieces p^i M / p^(i+1) M."""
+complex off homology_series, theta's two Tor lengths off the series of
+C_s and C_{s+1} (C_{s+2} is C_s shifted by deg f in the periodic range),
+and a local length off the series of M/p^i M, whose differences are the
+graded pieces p^i M / p^(i+1) M."""
 
 from __future__ import annotations
 
@@ -20,9 +22,11 @@ from .errors import (
     NonIsolatedSingularity,
     NotFiniteLength,
     NotFinitePd,
+    NotStabilized,
 )
 from .groebner import (
     _series_at_one,
+    _tpoly_shift,
     _tpoly_sub,
     groebner_basis,
     hilbert_numerator,
@@ -32,6 +36,9 @@ from .groebner import (
 from .homology import (
     MatrixRows,
     ModulePresentation,
+    _cokernel_series,
+    _homology_from_cokernels,
+    _tor_key,
     columns_as_vectors,
     extract_matrix_factorization,
     homology_series,
@@ -40,6 +47,7 @@ from .homology import (
     minimal_resolution,
     module_dimension,
     module_length,
+    module_series,
     reduce_mod_f,
     reduce_vec_mod_f,
     tor_length,
@@ -198,20 +206,47 @@ def length(M: ModulePresentation):
 
 def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     """l(Tor_even(M, N)) - l(Tor_odd(M, N)) where Tor is 2-periodic: from
-    the source index s of M's verified matrix factorization on."""
+    the source index s of M's verified matrix factorization on.
+
+    Both lengths are read off two cokernel series.  With
+    C_j = coker(d_j (x) N) and alpha = d_s, ker d_s = im beta is coker d_s
+    shifted by deg f (Eisenbud 1980), and exactness gives
+    coker d_{s+2} = ker d_s.  Tensored with N, HS(C_{s+2}) = t^(deg f) *
+    HS(C_s), so d_{s+2} is never computed.  The lengths are remembered on M
+    under tor_length's keys."""
     if M.ring is not N.ring:
         raise ValueError("modules must share a ring")
     d = ring_dimension(M.ring)
     s = extract_matrix_factorization(minimal_resolution(M, d + 3)).source_index
-    lengths = []
-    for i in (s, s + 1):
-        try:
-            lengths.append(tor_length(M, N, i))
-        except InfiniteLength as exc:
+    keys = [_tor_key(N, i) for i in (s, s + 1)]
+    known = M._tor_lengths
+    if any(key not in known for key in keys):
+        weights = ambient_of(M.ring).weights
+        for key, num in zip(keys, _periodic_tor_series(M, N, s)):
+            known[key] = series_length(num, weights)
+    for i, key in zip((s, s + 1), keys):
+        if known[key] is INFINITE:
             raise NonIsolatedSingularity(
-                f"Tor_{i} has infinite length; the singularity is not isolated"
-            ) from exc
-    return (-1) ** s * (lengths[0] - lengths[1])
+                f"Tor_{i} has infinite length; the singularity is not isolated")
+    return (-1) ** s * (known[keys[0]] - known[keys[1]])
+
+
+def _periodic_tor_series(M: ModulePresentation, N: ModulePresentation, s: int):
+    """Hilbert numerators of Tor_s(M, N) and Tor_{s+1}(M, N), s the source
+    index of M's matrix factorization, off the series of C_s, C_{s+1} and N.
+    The shift is checked on the generator degrees: F_{s+1} has those of
+    F_{s-1} plus deg f."""
+    res = minimal_resolution(M, s + 1)
+    deg_f = M.ring.f.weighted_degree()
+    below, middle, above = (res.gen_degrees(i) for i in (s - 1, s, s + 1))
+    if sorted(above) != sorted(deg + deg_f for deg in below):
+        raise NotStabilized(
+            f"generator degrees of F_{s + 1} are not those of F_{s - 1} shifted by deg f")
+    c_s = _cokernel_series(res.differential_columns(s), below, N)
+    c_next = _cokernel_series(res.differential_columns(s + 1), middle, N)
+    series_N = module_series(N)
+    return (_homology_from_cokernels(c_s, c_next, series_N, below),
+            _homology_from_cokernels(c_next, _tpoly_shift(c_s, deg_f), series_N, middle))
 
 
 def theta_class(

@@ -247,6 +247,16 @@ def test_schema_error_undeclared_module(tmp_path, capsys):
     assert main(["run", path]) == 2
 
 
+def test_schema_error_non_string_module_in_conjecture_report(tmp_path, capsys):
+    """A dict among the report's modules raised TypeError (unhashable) in
+    validation: a traceback and exit 1 instead of a schema error."""
+    path = write_session(tmp_path, _with_task({"kind": "conjecture_report",
+                                               "modules": ["Ax", {"Ax": 1}]}))
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert "task 0: undeclared module {'Ax': 1}" in capsys.readouterr().err
+
+
 def test_schema_error_inhomogeneous_f(tmp_path, capsys):
     doc = {"ring": {"characteristic": 0, "variables": ["x", "y"], "f": "x + y^2"}, "tasks": []}
     path = write_session(tmp_path, doc)

@@ -1,5 +1,8 @@
 """Theta pairing, Euler characteristics, local lengths, divisor classes."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from thetacas import (
@@ -30,10 +33,19 @@ from thetacas.errors import (
     NonIsolatedSingularity,
     NotFiniteLength,
     NotFinitePd,
+    NotStabilized,
 )
-from thetacas.homology import tor_length
+from thetacas.cli import build_environment
+from thetacas.homology import (
+    _cokernel_series,
+    extract_matrix_factorization,
+    minimal_resolution,
+    tor_length,
+)
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning
 from oracles import direct_sum, homology_chi, subquotient_local_length
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +86,12 @@ def test_theta_a1_surface_vanishes(a1, a1_modules):
 
 
 def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
-    """theta reads two Tor lengths at the MF source index, each off three
-    Hilbert numerators (two cokernels and the right module), with no homology
+    """theta reads Tor_s and Tor_{s+1} at the MF source index s off three
+    Hilbert numerators (C_s, C_{s+1} and the right module), with no homology
     computed and the left module resolved to length d + 3, the right one not at
-    all.  A second theta on the same module objects reads the Tor lengths the
-    first one left on the left module.  Against a new right module, an already
-    resolved left module computes no syzygy."""
+    all.  Both lengths are left on the left module: a second theta on the same
+    module objects, and tor_length at s and s + 1, compute nothing.  Against a
+    new right module, an already resolved left module computes no syzygy."""
     import thetacas.homology as homology
 
     Ap = present_cyclic(quadric, ["x", "u"])
@@ -92,15 +104,18 @@ def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
 
         monkeypatch.setattr(homology, name, counting)
     first = theta(Ap, Aq)
-    assert calls["hilbert_numerator"] == 6
+    assert calls["hilbert_numerator"] == 3
     assert calls["syzygies_over"]
     assert len(Ap._res_degs) == quadric.dimension + 4
     assert Aq._res_degs == []
     calls.update(dict.fromkeys(calls, 0))
     assert theta(Ap, Aq) == first
+    s = Ap._mf.source_index
+    assert (-1) ** s * (tor_length(Ap, Aq, s) - tor_length(Ap, Aq, s + 1)) == first
     assert not any(calls.values())
+    assert len(Ap._res_degs) == quadric.dimension + 4
     theta(Ap, present_cyclic(quadric, ["y", "u"]))
-    assert calls == {"hilbert_numerator": 6, "syzygies_over": 0}
+    assert calls == {"hilbert_numerator": 3, "syzygies_over": 0}
     theta(Aq, Ap)  # a new left module computes its own resolution
     assert calls["syzygies_over"]
 
@@ -152,10 +167,68 @@ def test_theta_dimension_vanishing(quadric):
     assert theta(M, N) == 0
 
 
+def fresh(M):
+    """A new presentation of M, with none of the Tor lengths theta left on M."""
+    return ModulePresentation(M.ring, M.rows, gen_degrees=M.gen_degrees)
+
+
 def test_theta_mcm_shortcut(quadric, quadric_modules):
     M = syzygy_of(quadric_modules["Ap"], 4)  # stable syzygy, hence MCM
     N = quadric_modules["Aq"]
-    assert tor_length(M, N, 2) - tor_length(M, N, 1) == theta(M, N)
+    expected = theta(M, N)
+    M, N = fresh(M), fresh(N)
+    assert tor_length(M, N, 2) - tor_length(M, N, 1) == expected
+
+
+def test_theta_raises_on_an_infinite_tor_read_off_the_shifted_cokernel():
+    """Over xy in k[x,y,z], A/(y) has s = 1, l(Tor_1(A/(y), A/(x))) = 0 and
+    Tor_2 = k[z]: the pole sits in the series built from C_1 shifted by
+    deg f."""
+    S = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+    A = HypersurfaceRing(S, S.parse("x*y"))
+    with pytest.raises(NonIsolatedSingularity, match="^Tor_2 has infinite length"):
+        theta(present_cyclic(A, ["y"]), present_cyclic(A, ["x"]))
+
+
+def test_theta_checks_the_degree_shift_of_the_periodic_tail(quadric):
+    """theta relies on F_{s+1} = F_{s-1} shifted by deg f; a resolution
+    that breaks it raises, under python -O too."""
+    M = present_cyclic(quadric, ["x", "u"])
+    N = present_cyclic(quadric, ["x", "v"])
+    s = extract_matrix_factorization(minimal_resolution(M, quadric.dimension + 3)).source_index
+    M._res_degs[s + 1] = [deg + 1 for deg in M._res_degs[s + 1]]
+    with pytest.raises(NotStabilized, match=f"F_{s + 1}"):
+        theta(M, N)
+
+
+WITNESS_SESSIONS = {
+    name: ROOT / "sessions" / f"{name}.json" for name in ("node", "a1_surface", "quadric")
+} | {
+    name: ROOT / "tests" / "data" / "sessions" / f"{name}.json"
+    for name in ("cubic_threefold", "fp_e7_surface")
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESS_SESSIONS))
+def test_the_cokernel_two_steps_on_is_the_shifted_one(name):
+    """The periodicity theta relies on, built honestly: on every pair of the
+    session's modules, C_{s+2} = coker(d_{s+2} (x) N), read off a resolution
+    grown to s + 2, has the series t^(deg f) * HS(C_s), and F_{s+1} has the
+    generator degrees of F_{s-1} shifted by deg f."""
+    env, errors = build_environment(json.loads(WITNESS_SESSIONS[name].read_text()))
+    assert not errors
+    deg_f = env.ring.f.weighted_degree()
+    for M in env.modules.values():
+        mf = extract_matrix_factorization(minimal_resolution(M, env.ring.dimension + 3))
+        s = mf.source_index
+        res = minimal_resolution(M, s + 2)
+        assert sorted(res.gen_degrees(s + 1)) == sorted(
+            deg + deg_f for deg in res.gen_degrees(s - 1))
+        for N in env.modules.values():
+            c_s = _cokernel_series(res.differential_columns(s), res.gen_degrees(s - 1), N)
+            c_s2 = _cokernel_series(res.differential_columns(s + 2),
+                                    res.gen_degrees(s + 1), N)
+            assert c_s2 == {deg + deg_f: c for deg, c in c_s.items()}
 
 
 def test_theta_nonisolated_singularity_raises():
@@ -187,7 +260,9 @@ def test_theta_char5_crosscheck():
 
 def window_theta(M, N):
     """Oracle: Tor_{2e+1..2e+4} for the least e with 2e >= d, checked to be
-    2-periodic; returns l(Tor_{2e+2}) - l(Tor_{2e+1})."""
+    2-periodic; returns l(Tor_{2e+2}) - l(Tor_{2e+1}).  It reads tor_length
+    on new presentations, not the lengths theta left on M."""
+    M, N = fresh(M), fresh(N)
     d = M.ring.dimension
     base = 2 * ((d + 1) // 2)
     t = {i: tor_length(M, N, i) for i in range(base + 1, base + 5)}
