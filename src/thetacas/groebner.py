@@ -7,10 +7,12 @@ Buchberger's loop and every normal form a vector maps packed terms, one int
 each (PolynomialRing._pack), to coefficients: the smallest int is the lead
 term, a product is a sum, and a divisibility test is a subtraction and a
 mask.  Vectors are packed when they enter a builder or a normal form and
-unpacked when a basis or a remainder leaves one.
+unpacked when a basis or a remainder leaves one; the field adds the
+products of a reduction step inline (FieldSpec.axpy).
 Syzygies and division representations both come from one augmented-basis
 construction: generators (g_i, eps_i) in S^(s+k), with the main block
-dominating the tag block, and optional untagged relations (r, 0).
+dominating the tag block, and optional untagged relations (r, 0).  A
+representation needs the whole basis; syzygies read only its tag-lead part.
 """
 
 from __future__ import annotations
@@ -58,26 +60,14 @@ def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
     return v
 
 
-def _axpy(v: dict, coeff, q: int, w: dict, field) -> None:
-    """v + coeff * x^q * w on packed vectors, in place; q is a packed
-    quotient t - lead, so each product is t' + q."""
-    add, mul = field.add, field.mul
-    for t, c in w.items():
-        u = t + q
-        s = add(v.get(u, 0), mul(coeff, c))
-        if s == 0:
-            v.pop(u, None)
-        else:
-            v[u] = s
-
-
 def _monic(v: dict, lead: int, field) -> dict:
     """The packed vector v scaled so the coefficient at lead is one."""
     lc = v[lead]
     if lc == field.one:
         return v
-    inv, mul = field.inv(lc), field.mul
-    return {t: mul(inv, c) for t, c in v.items()}
+    out: dict = {}
+    field.axpy(out, field.inv(lc), 0, v)
+    return out
 
 
 def freeze_vec(v: Vector) -> tuple:
@@ -100,8 +90,7 @@ def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing) -> dict:
     A term of degree above MAX_PACKED_DEGREE raises AlgebraError.  So does a
     step that leaves the term it reduced, so a reducer that is not monic, or
     faulty field arithmetic, fails instead of looping."""
-    field = ring.field
-    neg = field.neg
+    neg, axpy = ring.field.neg, ring.field.axpy
     comp_shift, guards, deg_guard = ring._comp_shift, ring._exp_guards, ring._deg_guard
     work = dict(v)
     remainder: dict = {}
@@ -111,7 +100,7 @@ def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing) -> dict:
             raise AlgebraError(f"a term of degree above {MAX_PACKED_DEGREE} arose")
         for lead, g in reducers.get(t >> comp_shift, ()):
             if not (t - lead) & guards:
-                _axpy(work, neg(work[t]), t - lead, g, field)
+                axpy(work, neg(work[t]), t - lead, g)
                 if t in work:
                     raise AlgebraError(f"a reduction step left the term {ring._unpack(t)} "
                                        "in place: a reducer is not monic, or the field is faulty")
@@ -196,11 +185,11 @@ class GroebnerBuilder:
         those pairs have standard representations and reduce to zero."""
         self._insert(self.ring._pack_vector(v), known)
 
-    def add_remainder(self, v: Vector) -> bool:
-        """Add the remainder of v modulo the vectors added so far, when it is
-        nonzero; return whether it was."""
+    def add_remainder(self, v: Vector, insert: bool) -> bool:
+        """Whether the remainder of v modulo the vectors added so far is
+        nonzero; with insert, a nonzero remainder is added."""
         r = normal_form_vec(self.ring._pack_vector(v), self.reducers, self.ring)
-        if r:
+        if r and insert:
             self._insert(r)
         return bool(r)
 
@@ -246,21 +235,28 @@ class GroebnerBuilder:
             if skip:
                 continue
             s: dict = {}
-            _axpy(s, field.one, L - codes[i], G[i], field)
-            _axpy(s, field.neg(field.one), L - codes[j], G[j], field)
+            field.axpy(s, field.one, L - codes[i], G[i])
+            field.axpy(s, field.neg(field.one), L - codes[j], G[j])
             r = normal_form_vec(s, self.reducers, ring)
             if r:
                 self._insert(r)
 
-    def reduced(self) -> GroebnerBasis:
-        """The reduced basis of what was added; complete() it first."""
-        ring, codes = self.ring, self.codes
-        comp_shift, guards = ring._comp_shift, ring._exp_guards
+    def reduced(self, lo: int = 0) -> GroebnerBasis:
+        """The reduced basis of what was added; complete() it first.
+
+        With lo > 0, only its elements whose lead lies in a component >= lo,
+        moved down by lo components: the reduced basis of the module's
+        intersection with the last rank - lo components.  Every term of such
+        an element lies there, so only such elements reduce it, and the rest
+        are neither minimalized nor interreduced."""
+        ring, comp_shift, guards = self.ring, self.ring._comp_shift, self.ring._exp_guards
+        cut = lo << comp_shift
+        codes = [(i, lead) for i, lead in enumerate(self.codes) if lead >= cut]
         # minimalize: drop g when another lead divides its lead (of equal
         # leads, keep the first)
         keep = []
-        for i, lead in enumerate(codes):
-            for j, other in enumerate(codes):
+        for i, lead in codes:
+            for j, other in codes:
                 if (j != i and not (lead - other) & guards
                         and other >> comp_shift == lead >> comp_shift
                         and (other != lead or j < i)):
@@ -276,10 +272,11 @@ class GroebnerBuilder:
             comp = lead >> comp_shift
             own = groups[comp]
             groups[comp] = [pair for pair in own if pair[0] != lead]
-            reduced.append((lead, normal_form_vec(g, groups, ring)))
+            r = normal_form_vec(g, groups, ring)
+            reduced.append((lead - cut, {t - cut: c for t, c in r.items()} if cut else r))
             groups[comp] = own
         reduced.sort(key=lambda pair: pair[0])
-        return GroebnerBasis(ring, self.rank, tuple(reduced))
+        return GroebnerBasis(ring, self.rank - lo, tuple(reduced))
 
 
 def groebner_basis(
@@ -297,8 +294,16 @@ def groebner_basis(
     packed once."""
     key = (rank, tuple(freeze_vec(g) for g in generators), tuple(known))
     cached = ring._groebner_memo.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = ring._groebner_memo[key] = _completed(generators, ring, rank, known).reduced()
+    return cached
+
+
+def _completed(
+    generators: Sequence[Vector], ring: PolynomialRing, rank: int,
+    known: Sequence[Tuple[int, tuple]] = (),
+) -> GroebnerBuilder:
+    """A builder holding the known bases and the generators, completed."""
     builder = GroebnerBuilder(ring, rank)
     packed: Dict[tuple, list] = {}
     for offset, vectors in known:
@@ -312,8 +317,7 @@ def groebner_basis(
         if g:
             builder.add(g)
     builder.complete()
-    result = ring._groebner_memo[key] = builder.reduced()
-    return result
+    return builder
 
 
 def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
@@ -326,33 +330,36 @@ def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
 # syzygies and representations via the augmented basis
 
 
-def _augmented_basis(
-    generators: Sequence[Vector], ring: PolynomialRing, rank: int,
-    relations: Sequence[Vector] = (),
-) -> GroebnerBasis:
-    """GB of the tagged generators (g_i, eps_i) and the untagged relations
-    (r, 0) in S^(rank + k)."""
+def _tagged(generators: Sequence[Vector], ring: PolynomialRing, rank: int) -> List[Vector]:
+    """The generators g_i as (g_i, eps_i) in S^(rank + k)."""
     one = ring._one_mono
     aug = []
     for i, g in enumerate(generators):
         h = dict(g)
         h[(rank + i, one)] = ring.field.one
         aug.append(h)
-    return groebner_basis(aug + list(relations), ring, rank + len(generators))
+    return aug
 
 
 def syzygy_basis(
     generators: Sequence[Vector], ring: PolynomialRing, rank: int,
     relations: Sequence[Vector] = (),
-) -> List[Vector]:
-    """Generators of {c in S^k : sum_i c_i g_i in the span of the relations}
-    for the given k vectors."""
-    aug = _augmented_basis(generators, ring, rank, relations)
-    out = []
-    for fv in aug.vectors:
-        if all(comp >= rank for (comp, _m), _c in fv):
-            out.append({(comp - rank, m): c for (comp, m), c in fv})
-    return out
+) -> GroebnerBasis:
+    """Reduced Groebner basis, in S^k, of {c : sum_i c_i g_i in the span of
+    the relations} for the given k vectors, memoised on the ring under a
+    key of its own.
+
+    It is the tag part of the augmented basis of (g_i, eps_i) and (r, 0):
+    the elements whose lead lies in the tag block, so only they are
+    minimalized and interreduced."""
+    key = ("syzygies", rank, tuple(freeze_vec(g) for g in generators),
+           tuple(freeze_vec(r) for r in relations))
+    cached = ring._groebner_memo.get(key)
+    if cached is None:
+        builder = _completed(_tagged(generators, ring, rank) + list(relations), ring,
+                             rank + len(generators))
+        cached = ring._groebner_memo[key] = builder.reduced(rank)
+    return cached
 
 
 def reduce_with_representation(
@@ -360,7 +367,7 @@ def reduce_with_representation(
 ) -> Tuple[Vector, List[Polynomial]]:
     """Return (r, [q_i]) with v = sum q_i g_i + r and r fully reduced."""
     k = len(generators)
-    aug = _augmented_basis(generators, ring, rank)
+    aug = groebner_basis(_tagged(generators, ring, rank), ring, rank + k)
     nf = normal_form(dict(v), aug)
     r = vec_restrict(nf, 0, rank)
     field = ring.field

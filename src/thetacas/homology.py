@@ -63,12 +63,7 @@ def reduce_vec_mod_f(v: Vector, ring: RingLike) -> Vector:
     the monic f * e_j of the components v uses."""
     if modulus_of(ring) is None:
         return dict(v)
-    S, f = ring.ambient, ring._f_packed
-    lead = min(f)
-    reducers = {}
-    for j in {comp for comp, _m in v}:
-        shift = j << S._comp_shift
-        reducers[j] = [(lead + shift, {t + shift: c for t, c in f.items()})]
+    S, reducers = ring.ambient, ring._f_reducers({comp for comp, _m in v})
     return S._unpack_vector(normal_form_vec(S._pack_vector(v), reducers, S))
 
 
@@ -114,16 +109,18 @@ def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
 
 
 def syzygies_over(ring: RingLike, vectors: Sequence[Vector], rank: int) -> List[Vector]:
-    """Generators of the syzygy module of the given vectors over R (or S)."""
-    raw = syzygy_basis(vectors, ambient_of(ring), rank, f_times_unit_vectors(ring, rank))
-    out = []
-    seen = set()
-    for s in raw:
-        v = reduce_vec_mod_f(s, ring)
-        if v and freeze_vec(v) not in seen:
-            seen.add(freeze_vec(v))
-            out.append(v)
-    return out
+    """Generators of the syzygy module of the given vectors over R (or S):
+    the syzygy basis over S modulo the f * e_j, reduced modulo f and
+    deduplicated on packed vectors, in the basis's order."""
+    S = ambient_of(ring)
+    G = syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank))
+    reducers = ring._f_reducers(range(len(vectors))) if modulus_of(ring) else None
+    kept: Dict[frozenset, dict] = {}
+    for _lead, g in G.packed:
+        v = normal_form_vec(g, reducers, S) if reducers else g
+        if v:
+            kept.setdefault(frozenset(v.items()), v)
+    return [S._unpack_vector(v) for v in kept.values()]
 
 
 def lifted_basis(ring: RingLike, vectors: Sequence[Vector], rank: int) -> GroebnerBasis:
@@ -297,12 +294,12 @@ class ModulePresentation:
         while len(diffs) < length:
             if diffs:
                 target = degs[-1]
-                candidates = sorted(
-                    syzygies_over(self.ring, diffs[-1], len(degs[-2])),
-                    key=lambda v: (_vector_degree(v, target, S), freeze_vec(v)),
-                )
+                vectors = syzygies_over(self.ring, diffs[-1], len(degs[-2]))
             else:
-                candidates, target = self._unit_pruned()
+                vectors, target = self._unit_pruned()
+            candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
+            if diffs:
+                candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
             kept = _minimal_generating_subset(self.ring, candidates, len(target), target)
             # the degrees of F_i (new only for i = 0) and of F_{i+1}
             degs[len(diffs):] = [target, [d for _v, d in kept]]
@@ -400,23 +397,23 @@ def _vector_degree(v: Vector, target_degs: Sequence[int], S: PolynomialRing) -> 
 
 
 def _minimal_generating_subset(
-    ring: RingLike, vectors: List[Vector], rank: int, target_degs: Sequence[int]
+    ring: RingLike, candidates: List[Tuple[Vector, int]], rank: int, target_degs: Sequence[int]
 ) -> List[Tuple[Vector, int]]:
-    """Greedy graded Nakayama selection; returns (vector, degree) pairs of the
-    kept vectors, in the given order.  The vectors are homogeneous and are
+    """Greedy graded Nakayama selection from (vector, degree) pairs; returns
+    the kept pairs, in the given order.  The vectors are homogeneous and are
     treated in degree order, ties in the given order, so one open basis of
     the kept vectors' lift, completed to each one's degree, decides
-    membership."""
-    S = ambient_of(ring)
-    degrees = [_vector_degree(v, target_degs, S) for v in vectors]
-    kept = [False] * len(vectors)
-    builder = GroebnerBuilder(S, rank, target_degs)
+    membership; the last one treated is tested, not added."""
+    builder = GroebnerBuilder(ambient_of(ring), rank, target_degs)
     for w in f_times_unit_vectors(ring, rank):
         builder.add(w)
-    for i in sorted(range(len(vectors)), key=degrees.__getitem__):
-        builder.complete(degrees[i])
-        kept[i] = builder.add_remainder(vectors[i])
-    return [(v, d) for v, d, k in zip(vectors, degrees, kept) if k]
+    order = sorted(range(len(candidates)), key=lambda i: candidates[i][1])
+    kept = set()
+    for n, i in enumerate(order, 1):
+        builder.complete(candidates[i][1])
+        if builder.add_remainder(candidates[i][0], insert=n < len(order)):
+            kept.add(i)
+    return [c for i, c in enumerate(candidates) if i in kept]
 
 
 def minimal_resolution(M: ModulePresentation, length: int) -> Resolution:

@@ -118,6 +118,30 @@ class FieldSpec:
             raise CoefficientError("division by zero")
         return _canonical(Fraction(1) / a)
 
+    def axpy(self, v: dict, coeff, q: int, w: dict) -> None:
+        """v + coeff * x^q * w on packed vectors, in place, dropping the
+        terms that cancel; q is a packed quotient, so each product is t + q.
+        The Groebner hot path: field arithmetic is inlined, not called."""
+        p = self.characteristic
+        if p:
+            for t, c in w.items():
+                u = t + q
+                s = (v.get(u, 0) + coeff * c) % p
+                if s:
+                    v[u] = s
+                else:
+                    v.pop(u, None)
+        else:
+            for t, c in w.items():
+                u = t + q
+                s = v.get(u, 0) + coeff * c
+                if not s:
+                    v.pop(u, None)
+                elif type(s) is int or s.denominator != 1:
+                    v[u] = s
+                else:
+                    v[u] = s.numerator
+
 
 def _canonical(q):
     """A rational as an int when it is integral, else as a reduced Fraction."""
@@ -174,9 +198,11 @@ class PolynomialRing:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._one_mono = (0,) * self.nvars
         # Groebner bases over this ring, keyed by (rank, frozen generators,
-        # known bases); filled by groebner.groebner_basis and freed with the
-        # ring when the last reference to it goes (a basis refers to its ring
-        # weakly, so no reference cycle holds the memo).
+        # known bases), filled by groebner.groebner_basis, and syzygy bases,
+        # keyed by ("syzygies", rank, frozen generators, frozen relations),
+        # filled by groebner.syzygy_basis; freed with the ring when the last
+        # reference to it goes (a basis refers to its ring weakly, so no
+        # reference cycle holds the memo).
         self._groebner_memo = {}
         # packed terms, m_1 in the lowest field; each term is packed and
         # unpacked once per ring, through the two caches below
@@ -552,6 +578,17 @@ class HypersurfaceRing:
         # f made monic and packed in component 0: the one reducer modulo f
         f_monic = f.scale(ambient.field.inv(f.lead_coeff()))
         self._f_packed = ambient._pack_vector({(0, m): c for m, c in f_monic.coeffs.items()})
+
+    def _f_reducers(self, components) -> dict:
+        """The reducers of the monic f * e_j, j in the given components, for
+        a normal form modulo f of packed vectors."""
+        f, comp_shift = self._f_packed, self.ambient._comp_shift
+        lead = min(f)
+        reducers = {}
+        for j in components:
+            shift = j << comp_shift
+            reducers[j] = [(lead + shift, {t + shift: c for t, c in f.items()})]
+        return reducers
 
     @property
     def field(self):

@@ -5,7 +5,8 @@ Hilbert-series route to lengths, a staircase count of standard monomials,
 homology of a tensored complex presented as a subquotient (for Tor and chi
 of a complex, with one copy of N's relations per block), and local lengths
 from presented graded pieces p^i M / p^(i+1) M; for syzygies over
-R = S/(f), the f * e_j taken as tagged generators."""
+R = S/(f), the f * e_j taken as tagged generators, and the syzygies read
+off the full augmented basis, not only its tag-lead part."""
 
 import itertools
 import operator
@@ -14,6 +15,7 @@ from thetacas import INFINITE, minimal_resolution
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
     freeze_vec,
+    groebner_basis,
     lead_module,
     multiplicity,
     syzygy_basis,
@@ -122,8 +124,35 @@ def tagged_syzygies(ring, vectors, rank):
     gens = list(vectors) + f_times_unit_vectors(ring, rank)
     out = []
     seen = set()
-    for s in syzygy_basis(gens, ambient_of(ring), rank):
+    for s in map(dict, syzygy_basis(gens, ambient_of(ring), rank).vectors):
         v = reduce_vec_mod_f(vec_restrict(s, 0, base), ring)
+        if v and freeze_vec(v) not in seen:
+            seen.add(freeze_vec(v))
+            out.append(v)
+    return out
+
+
+def tag_lead_part(S, generators, rank, relations=()):
+    """The frozen vectors of the full reduced basis of (g_i, eps_i) and the
+    untagged relations (r, 0) in S^(rank + k) that have every term in the
+    tag block, moved down by rank components, in the basis's order."""
+    tagged = [dict(g) for g in generators]
+    for i, h in enumerate(tagged):
+        h[(rank + i, (0,) * S.nvars)] = S.field.one
+    full = groebner_basis(tagged + list(relations), S, rank + len(tagged))
+    return tuple(tuple(((comp - rank, m), c) for (comp, m), c in fv)
+                 for fv in full.vectors if all(comp >= rank for (comp, _m), _c in fv))
+
+
+def full_basis_syzygies(ring, vectors, rank):
+    """Syzygies of the vectors over R read off the full augmented basis of
+    the vectors and the f * e_j: its tag-lead part, reduced modulo f, without
+    zeros and repeats, in the basis's order."""
+    out = []
+    seen = set()
+    relations = f_times_unit_vectors(ring, rank)
+    for fv in tag_lead_part(ambient_of(ring), vectors, rank, relations):
+        v = reduce_vec_mod_f(dict(fv), ring)
         if v and freeze_vec(v) not in seen:
             seen.add(freeze_vec(v))
             out.append(v)

@@ -1,5 +1,8 @@
 """Presentations, minimal resolutions, matrix factorizations, Tor and Ext."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,7 @@ from thetacas import (
     tor_length,
 )
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import freeze_vec, normal_form
+from thetacas.groebner import freeze_vec, normal_form, reduce_with_representation, syzygy_basis
 from thetacas.homology import (
     _minimal_generating_subset,
     _rows_as_vectors,
@@ -36,8 +39,10 @@ from thetacas.homology import (
 from oracles import (
     complex_homology,
     direct_sum,
+    full_basis_syzygies,
     homology_tor_length,
     mat_mul,
+    tag_lead_part,
     tagged_syzygies,
     tensored_homology,
     vec_from_polys,
@@ -304,9 +309,8 @@ def test_mf_coker_matches_high_syzygy(quadric, quadric_modules):
 # syzygies, duals, Ext
 
 
-def test_syzygies_match_the_tagged_route(node, quadric, S2):
-    """syzygies_over takes f * e_j as untagged relations; the tagged route
-    gives the same syzygies in the same order: for the differentials of
+def _syzygy_inputs(node, quadric, S2):
+    """(ring, vectors, rank) for the differentials d_1, d_2, d_3 of
     resolutions over the node, the quadric, the weighted E7 surface over
     F_32003 and k[x, y], and for the rows of d_2 as Ext uses them."""
     S = PolynomialRing(FieldSpec(32003), ["x", "y", "z"], [9, 6, 4])
@@ -317,11 +321,42 @@ def test_syzygies_match_the_tagged_route(node, quadric, S2):
     for M in mods:
         res = minimal_resolution(M, 3)
         for i in (1, 2, 3):
-            cols, rank = res.differential_columns(i), res.betti[i - 1]
-            assert syzygies_over(M.ring, cols, rank) == tagged_syzygies(M.ring, cols, rank)
-        rows = _rows_as_vectors(res.matrix(2), res.betti[2])
-        assert (syzygies_over(M.ring, rows, res.betti[2])
-                == tagged_syzygies(M.ring, rows, res.betti[2]))
+            yield M.ring, res.differential_columns(i), res.betti[i - 1]
+        yield M.ring, _rows_as_vectors(res.matrix(2), res.betti[2]), res.betti[2]
+
+
+def test_syzygies_match_the_tagged_route(node, quadric, S2):
+    """syzygies_over takes f * e_j as untagged relations; the tagged route
+    gives the same syzygies in the same order: for the differentials of
+    resolutions over the node, the quadric, the weighted E7 surface over
+    F_32003 and k[x, y], and for the rows of d_2 as Ext uses them."""
+    for ring, vectors, rank in _syzygy_inputs(node, quadric, S2):
+        assert syzygies_over(ring, vectors, rank) == tagged_syzygies(ring, vectors, rank)
+
+
+def fp_cubic_fourfold():
+    S = PolynomialRing(FieldSpec(32003), ["x", "y", "z", "w", "u"])
+    return HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3 + u^3"))
+
+
+def fp_e8_threefold():
+    S = PolynomialRing(FieldSpec(32003), ["x", "y", "z", "w"], [15, 10, 6, 15])
+    return HypersurfaceRing(S, S.parse("x^2 + y^3 + z^5 + w^2"))
+
+
+def test_syzygies_match_the_full_basis_route(node, quadric, S2):
+    """syzygies_over minimalizes and interreduces only the tag-lead part of
+    the augmented basis; the full reduced basis, filtered to its tag-lead
+    vectors, reduced modulo f and deduplicated, gives the same list in the
+    same order: on the inputs of the tagged-route test (k[x, y] has no f)
+    and on the first 5 differentials of k over the cubic fourfold and the
+    weighted E8 threefold over F_32003."""
+    inputs = list(_syzygy_inputs(node, quadric, S2))
+    for A in (fp_cubic_fourfold(), fp_e8_threefold()):
+        res = minimal_resolution(present_cyclic(A, A.variables), 5)
+        inputs += [(A, res.differential_columns(i), res.betti[i - 1]) for i in range(1, 6)]
+    for ring, vectors, rank in inputs:
+        assert syzygies_over(ring, vectors, rank) == full_basis_syzygies(ring, vectors, rank)
 
 
 # lead coefficients of f: 1, 2 and 3 over Q, and 1 over F_32003 with weights
@@ -481,10 +516,12 @@ def test_redundant_relation_over_the_quadric(quadric):
 
 
 def _sorted_syzygies(ring, diff_cols, rank, target_degs):
-    """The syzygies of the columns, sorted by (degree, frozen vector): the
-    order the resolution hands the Nakayama selection its candidates in."""
-    return sorted(syzygies_over(ring, diff_cols, rank), key=lambda v: (
-        _vector_degree(v, target_degs, ring.ambient), freeze_vec(v)))
+    """The syzygies of the columns with their degrees, sorted by (degree,
+    frozen vector): the candidates the resolution hands the Nakayama
+    selection, in its order."""
+    return sorted(((v, _vector_degree(v, target_degs, ring.ambient))
+                   for v in syzygies_over(ring, diff_cols, rank)),
+                  key=lambda c: (c[1], freeze_vec(c[0])))
 
 
 def _prefix_rebuild_selection(ring, vectors, rank, target_degs):
@@ -538,7 +575,8 @@ def test_nakayama_selection_matches_prefix_rebuild():
             A, rank, degs = M.ring, res.betti[i - 1], res.gen_degrees(i)
             syz = _sorted_syzygies(A, res.differential_columns(i), rank, degs)
             kept = _minimal_generating_subset(A, syz, res.betti[i], degs)
-            assert kept == _prefix_rebuild_selection(A, syz, res.betti[i], degs)
+            vectors = [v for v, _d in syz]
+            assert kept == _prefix_rebuild_selection(A, vectors, res.betti[i], degs)
             assert [v for v, _d in kept] == res.differential_columns(i + 1)
 
 
@@ -557,6 +595,50 @@ def test_nakayama_selection_memoises_no_basis():
         kept = _minimal_generating_subset(A, syz, res.betti[i], res.gen_degrees(i))
         assert len(S._groebner_memo) == before
         assert [v for v, _d in kept] == res.differential_columns(i + 1)
+
+
+def test_syzygy_bases_have_a_memo_entry_of_their_own():
+    """Over a polynomial ring, syzygy_basis and reduce_with_representation
+    tag the same generators alike, yet each keeps its own memo entry: made
+    first or second on one ring, each gives what it gives alone on a fresh
+    ring.  Resolving k to length 7 over the cubic fourfold over F_32003
+    memoises syzygy bases that hold no main-block vector (each lives in S^k
+    and is the tag-lead part of the full augmented basis), and the ring is
+    still freed by reference counting with the cyclic collector off."""
+    def fresh():
+        R = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+        gens = [vec_from_polys([R.parse(g)]) for g in ("x^2 - y*z", "x*y", "y^2 + x*z")]
+        return R, gens, vec_from_polys([R.parse("x^3*y + y^3 - 2*z^2*x")])
+
+    def syzygies(R, gens, v):
+        return syzygy_basis(gens, R, 1).vectors
+
+    def representation(R, gens, v):
+        r, reps = reduce_with_representation(v, gens, R, 1)
+        return r, [q.coeffs for q in reps]
+
+    alone = {call: call(*fresh()) for call in (syzygies, representation)}
+    assert alone[syzygies]
+    for first, second in ((syzygies, representation), (representation, syzygies)):
+        R, gens, v = fresh()
+        assert first(R, gens, v) == alone[first]
+        assert second(R, gens, v) == alone[second]
+
+    gc.disable()
+    try:
+        A = fp_cubic_fourfold()
+        S = A.ambient
+        res = minimal_resolution(present_cyclic(A, A.variables), 7)
+        entries = [(key, G) for key, G in S._groebner_memo.items() if key[0] == "syzygies"]
+        assert len(entries) == 6
+        for (_tag, rank, gens, relations), G in entries:
+            assert G.rank == len(gens)
+            assert G.vectors == tag_lead_part(S, map(dict, gens), rank, map(dict, relations))
+        ring = weakref.ref(S)
+        del A, S, res, entries, G
+        assert ring() is None
+    finally:
+        gc.enable()
 
 
 def test_tor_and_theta_with_negative_generator_degrees(node):

@@ -107,6 +107,44 @@ def test_rational_field_is_fraction_arithmetic_in_canonical_form(a, b):
     assert type(Q.zero) is int and type(Q.one) is int
 
 
+@given(data=st.data())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_packed_axpy_matches_the_field_operations(data):
+    """FieldSpec.axpy, v + c * x^q * w on packed vectors with the field
+    arithmetic inlined, gives what the route through add and mul gives, term
+    by term.  Over Q, Fractions included, an integral value is stored as an
+    int; over F_32003 every residue stays in [0, p) and a cancelled term is
+    dropped, not stored as 0."""
+    p = data.draw(st.sampled_from([0, 32003]))
+    F = FieldSpec(p)
+    values = st.integers(1, p - 1) if p else rationals.filter(bool)
+    w = data.draw(st.dictionaries(st.integers(0, 12), values, max_size=8))
+    coeff = data.draw(values)
+    q = data.draw(st.integers(0, 4))
+    v = data.draw(st.dictionaries(st.integers(0, 16), values, max_size=8))
+    # some terms of v cancel against coeff * x^q * w exactly
+    cancelled = data.draw(st.sets(st.sampled_from(sorted(w)), max_size=len(w))) if w else set()
+    for t in cancelled:
+        v[t + q] = F.neg(F.mul(coeff, w[t]))
+    expected = dict(v)
+    for t, c in w.items():
+        s = F.add(expected.get(t + q, F.zero), F.mul(coeff, c))
+        if s == 0:
+            expected.pop(t + q, None)
+        else:
+            expected[t + q] = s
+    got = dict(v)
+    F.axpy(got, coeff, q, w)
+    assert got == expected
+    assert [type(c) for c in got.values()] == [type(expected[t]) for t in got]
+    assert all(t + q not in got for t in cancelled)
+    if p:
+        assert all(0 < c < p for c in got.values())
+    else:
+        assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+                   for c in got.values())
+
+
 def test_integral_input_keeps_integer_coefficients():
     """Resolving k over the Fermat cubic threefold over Q meets only integral
     coefficients: its reduced bases and differentials hold ints."""
