@@ -26,7 +26,7 @@ class InfiniteLength(AlgebraError):
 
 
 class NonIsolatedSingularity(AlgebraError):
-    """A Tor module in the periodic range has infinite length."""
+    """The ring's Tjurina number is infinite: its singularity is not isolated."""
 
 
 class AsymmetricGram(AlgebraError):

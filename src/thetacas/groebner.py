@@ -143,9 +143,6 @@ class GroebnerBasis:
             self._vectors = tuple(freeze_vec(unpack(g)) for _lead, g in self.packed)
         return self._vectors
 
-    def lead_terms(self) -> List[Term]:
-        return list(self.leads)
-
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis) and self._ring == other._ring
                 and self.rank == other.rank and self.packed == other.packed)
@@ -392,11 +389,12 @@ def _minimal_monomial_gens(monos: Sequence[tuple]) -> List[tuple]:
 
 
 def lead_module(G: GroebnerBasis) -> Dict[int, List[tuple]]:
-    """Minimal monomial generators of the lead-term module, per component."""
+    """Minimal monomial generators of the lead-term module, per component:
+    the sorted leads, since no lead of a reduced basis divides another."""
     by_comp: Dict[int, List[tuple]] = {c: [] for c in range(G.rank)}
-    for comp, mono in G.lead_terms():
+    for comp, mono in G.leads:
         by_comp[comp].append(mono)
-    return {c: _minimal_monomial_gens(ms) for c, ms in by_comp.items()}
+    return {c: sorted(ms) for c, ms in by_comp.items()}
 
 
 # numerator polynomials in t are dicts degree -> int
@@ -490,16 +488,25 @@ def _series_at_one(num: dict) -> Tuple[Optional[int], int]:
     return order, sum(num.values())
 
 
-def series_length(num: dict, weights: Sequence[int]):
-    """Length of a module with Hilbert series num / prod_i (1 - t^(w_i)): its
-    value at t = 1, or INFINITE at a pole."""
+def series_value(num: dict, weights: Sequence[int]):
+    """Value at t = 1 of num / prod_i (1 - t^(w_i)), a signed integer: 0 for
+    a root t = 1 of num of order above n, INFINITE at a pole."""
     order, value = _series_at_one(num)
-    if order is None:
+    if order is None or order > len(weights):
         return 0
     if order < len(weights):
         return INFINITE
-    length, rest = divmod(value, math.prod(weights))
-    if order > len(weights) or rest or length <= 0:
+    out, rest = divmod(value, math.prod(weights))
+    if rest:
+        raise AlgebraError(f"{num} has no integral value at t = 1")
+    return out
+
+
+def series_length(num: dict, weights: Sequence[int]):
+    """Length of a module with Hilbert series num / prod_i (1 - t^(w_i)): its
+    value at t = 1, or INFINITE at a pole."""
+    length = series_value(num, weights)
+    if num and length is not INFINITE and length <= 0:
         raise AlgebraError(f"{num} is not the Hilbert numerator of a module")
     return length
 

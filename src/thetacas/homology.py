@@ -174,9 +174,9 @@ class ModulePresentation:
 
     The module owns what is computed from it, each filled on first use: the
     presentation GB, the minimal presentation, the minimal resolution (grown
-    in place as longer ones are asked for), its matrix factorization, and Tor
-    lengths against other modules, keyed by the other module's rows and
-    generator degrees and i.  No cache holds a module object, so a module is
+    in place as longer ones are asked for), its matrix factorization, and theta
+    values against other modules, keyed by the other module's rows and
+    generator degrees.  No cache holds a module object, so a module is
     freed by reference counting, with no cycle for the garbage collector."""
 
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
@@ -209,7 +209,7 @@ class ModulePresentation:
         self._res_diffs: List[List[Vector]] = []
         self._res_degs: List[List[int]] = []
         self._mf: Optional[MatrixFactorization] = None
-        self._tor_lengths: Dict[Tuple[MatrixRows, tuple, int], object] = {}
+        self._thetas: Dict[Tuple[MatrixRows, tuple], int] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -554,44 +554,26 @@ def homology_series(
     upper = _cokernel_series(diff_cols[i] if i < L else [], degs[i], N)
     if not i:
         return upper
-    return _homology_from_cokernels(_cokernel_series(diff_cols[i - 1], degs[i - 1], N),
-                                    upper, module_series(N), degs[i - 1])
-
-
-def _homology_from_cokernels(
-    lower: dict, upper: dict, series_N: dict, degs_below: Sequence[int]
-) -> dict:
-    """Hilbert numerator of H_i(F (x) N), i >= 1, from those of C_i (lower),
-    C_{i+1} (upper) and N, and the generator degrees of F_{i-1}:
-    HS(C_i) + HS(C_{i+1}) - HS(N) * sum_j t^(deg F_{i-1,j})."""
+    lower = _cokernel_series(diff_cols[i - 1], degs[i - 1], N)
     num = _tpoly_sub(upper, {d: -c for d, c in lower.items()})
-    for deg in degs_below:
+    series_N = module_series(N)
+    for deg in degs[i - 1]:
         num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
     return num
 
 
-def _tor_key(N: ModulePresentation, i: int) -> tuple:
-    """The key of l(Tor_i(M, N)) on M: N's rows and generator degrees, and i."""
-    return (N.rows, N.gen_degrees, i)
-
-
 def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
     """Length of Tor_i^A(M, N) = H_i(F (x) N) for i >= 0, F the minimal
-    resolution of M, remembered on M; INFINITE lengths raise.
-
-    The length is read off the one series of homology_series, since a
-    difference of two Tor series can hide a pole."""
+    resolution of M, not remembered (the cokernel bases it reads are memoised
+    on the ring); INFINITE lengths raise.  It is read off the one series of
+    homology_series, since a difference of two Tor series can hide a pole."""
     if i < 0:
         raise IndexError("tor_length requires i >= 0")
-    key = _tor_key(N, i)
-    result = M._tor_lengths.get(key)
-    if result is None:
-        res = minimal_resolution(M, i + 1)
-        diff_cols = [res.differential_columns(k) for k in range(1, i + 2)]
-        degs = [res.gen_degrees(k) for k in range(i + 2)]
-        result = series_length(homology_series(diff_cols, degs, N, i),
-                               ambient_of(M.ring).weights)
-        M._tor_lengths[key] = result
+    res = minimal_resolution(M, i + 1)
+    diff_cols = [res.differential_columns(k) for k in range(1, i + 2)]
+    degs = [res.gen_degrees(k) for k in range(i + 2)]
+    result = series_length(homology_series(diff_cols, degs, N, i),
+                           ambient_of(M.ring).weights)
     if result is INFINITE:
         raise InfiniteLength(f"Tor_{i} has infinite length")
     return result

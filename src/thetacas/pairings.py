@@ -3,10 +3,10 @@ free complexes, local lengths at height-one primes, and the divisor-class
 map on torsion modules.
 
 Every length here is read off a Hilbert series of cokernels: chi of a
-complex off homology_series, theta's two Tor lengths off the series of
-C_s and C_{s+1} (C_{s+2} is C_s shifted by deg f in the periodic range),
-and a local length off the series of M/p^i M, whose differences are the
-graded pieces p^i M / p^(i+1) M."""
+complex off homology_series, theta on an isolated singularity off the series
+of C_s alone (HS(C_{s+1}) cancels from HS(Tor_s) - HS(Tor_{s+1}), as C_{s+2}
+is C_s shifted by deg f), and a local length off the series of M/p^i M,
+whose differences are the graded pieces p^i M / p^(i+1) M."""
 
 from __future__ import annotations
 
@@ -32,13 +32,12 @@ from .groebner import (
     hilbert_numerator,
     multiplicity as gb_multiplicity,
     series_length,
+    series_value,
 )
 from .homology import (
     MatrixRows,
     ModulePresentation,
     _cokernel_series,
-    _homology_from_cokernels,
-    _tor_key,
     columns_as_vectors,
     extract_matrix_factorization,
     homology_series,
@@ -54,6 +53,7 @@ from .homology import (
 )
 from .ring import (
     INFINITE,
+    HypersurfaceRing,
     Polynomial,
     RingLike,
     ambient_of,
@@ -204,38 +204,42 @@ def length(M: ModulePresentation):
     return module_length(M)
 
 
-def theta(M: ModulePresentation, N: ModulePresentation) -> int:
-    """l(Tor_even(M, N)) - l(Tor_odd(M, N)) where Tor is 2-periodic: from
-    the source index s of M's verified matrix factorization on.
+def _tjurina_number(ring: HypersurfaceRing):
+    """tau = l(S/(f, df/dx_i)), kept on the ring: finite exactly when Spec A is
+    regular off the maximal ideal (the Jacobian criterion).  Not l(S/(df/dx_i)):
+    in characteristic 2, xy - z^2 has df/dz = 0 and an infinite one."""
+    if ring._tjurina is None:
+        S = ring.ambient
+        partials = [S.from_dict({m[:i] + (m[i] - 1,) + m[i + 1:]: m[i] * c
+                                 for m, c in ring.f.coeffs.items() if m[i]})
+                    for i in range(S.nvars)]
+        ring._tjurina = module_length(ModulePresentation.cyclic(ring, partials))
+    return ring._tjurina
 
-    Both lengths are read off two cokernel series.  With
-    C_j = coker(d_j (x) N) and alpha = d_s, ker d_s = im beta is coker d_s
-    shifted by deg f (Eisenbud 1980), and exactness gives
-    coker d_{s+2} = ker d_s.  Tensored with N, HS(C_{s+2}) = t^(deg f) *
-    HS(C_s), so d_{s+2} is never computed.  The lengths are remembered on M
-    under tor_length's keys."""
+
+def theta(M: ModulePresentation, N: ModulePresentation) -> int:
+    """l(Tor_even(M, N)) - l(Tor_odd(M, N)) where Tor is 2-periodic: from the
+    source index s of M's verified matrix factorization on, where these Tors
+    have finite length as the ring is an isolated singularity (finite tau).
+
+    With C_j = coker(d_j (x) N) and alpha = d_s, ker d_s = im beta is
+    coker d_s shifted by deg f (Eisenbud 1980), and exactness gives
+    coker d_{s+2} = ker d_s.  So HS(C_{s+2}) = t^(deg f) HS(C_s), and with
+    P_i = sum_j t^(deg F_i,j), HS(Tor_s) - HS(Tor_{s+1}) is
+    (1 - t^(deg f)) HS(C_s) - HS(N) (P_{s-1} - P_s): one cokernel basis.
+    The value is remembered on M, keyed by N's rows and generator degrees."""
     if M.ring is not N.ring:
         raise ValueError("modules must share a ring")
+    if not isinstance(M.ring, HypersurfaceRing):
+        raise ValueError("theta requires a hypersurface ring")
+    if _tjurina_number(M.ring) is INFINITE:
+        raise NonIsolatedSingularity(
+            "the Tjurina number is infinite; the singularity is not isolated")
+    key = (N.rows, N.gen_degrees)
+    if key in M._thetas:
+        return M._thetas[key]
     d = ring_dimension(M.ring)
     s = extract_matrix_factorization(minimal_resolution(M, d + 3)).source_index
-    keys = [_tor_key(N, i) for i in (s, s + 1)]
-    known = M._tor_lengths
-    if any(key not in known for key in keys):
-        weights = ambient_of(M.ring).weights
-        for key, num in zip(keys, _periodic_tor_series(M, N, s)):
-            known[key] = series_length(num, weights)
-    for i, key in zip((s, s + 1), keys):
-        if known[key] is INFINITE:
-            raise NonIsolatedSingularity(
-                f"Tor_{i} has infinite length; the singularity is not isolated")
-    return (-1) ** s * (known[keys[0]] - known[keys[1]])
-
-
-def _periodic_tor_series(M: ModulePresentation, N: ModulePresentation, s: int):
-    """Hilbert numerators of Tor_s(M, N) and Tor_{s+1}(M, N), s the source
-    index of M's matrix factorization, off the series of C_s, C_{s+1} and N.
-    The shift is checked on the generator degrees: F_{s+1} has those of
-    F_{s-1} plus deg f."""
     res = minimal_resolution(M, s + 1)
     deg_f = M.ring.f.weighted_degree()
     below, middle, above = (res.gen_degrees(i) for i in (s - 1, s, s + 1))
@@ -243,10 +247,16 @@ def _periodic_tor_series(M: ModulePresentation, N: ModulePresentation, s: int):
         raise NotStabilized(
             f"generator degrees of F_{s + 1} are not those of F_{s - 1} shifted by deg f")
     c_s = _cokernel_series(res.differential_columns(s), below, N)
-    c_next = _cokernel_series(res.differential_columns(s + 1), middle, N)
+    num = _tpoly_sub(c_s, _tpoly_shift(c_s, deg_f))
     series_N = module_series(N)
-    return (_homology_from_cokernels(c_s, c_next, series_N, below),
-            _homology_from_cokernels(c_next, _tpoly_shift(c_s, deg_f), series_N, middle))
+    for degs, sign in ((below, 1), (middle, -1)):
+        for deg in degs:
+            num = _tpoly_sub(num, {e + deg: sign * c for e, c in series_N.items()})
+    value = series_value(num, ambient_of(M.ring).weights)
+    if value is INFINITE:
+        raise AlgebraError("HS(Tor_s) - HS(Tor_{s+1}) has a pole on an isolated singularity")
+    M._thetas[key] = (-1) ** s * value
+    return M._thetas[key]
 
 
 def theta_class(

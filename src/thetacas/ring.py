@@ -578,6 +578,7 @@ class HypersurfaceRing:
         # f made monic and packed in component 0: the one reducer modulo f
         f_monic = f.scale(ambient.field.inv(f.lead_coeff()))
         self._f_packed = ambient._pack_vector({(0, m): c for m, c in f_monic.coeffs.items()})
+        self._tjurina = None  # l(S/(f, df/dx_i)), filled by pairings._tjurina_number
 
     def _f_reducers(self, components) -> dict:
         """The reducers of the monic f * e_j, j in the given components, for

@@ -166,7 +166,7 @@ def test_negative_generator_degree_lengths():
 def test_determinism_with_cold_caches():
     """Every run builds fresh rings, so no run sees another's caches; the
     gram task alone must agree with the gram task run after the theta tasks
-    that warm the Tor lengths it reads."""
+    that warm the theta values it reads."""
     text = (SESSIONS / "quadric.json").read_text()
     a, code_a = run_session(json.loads(text))
     b, code_b = run_session(json.loads(text))

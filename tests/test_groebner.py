@@ -12,6 +12,7 @@ from thetacas import INFINITE, FieldSpec, PolynomialRing
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
     _tpoly_div_1mt,
+    _tpoly_sub,
     GroebnerBuilder,
     freeze_vec,
     groebner_basis,
@@ -23,9 +24,10 @@ from thetacas.groebner import (
     quotient_dimension,
     reduce_with_representation,
     series_length,
+    series_value,
     syzygy_basis,
 )
-from thetacas.ring import MAX_PACKED_DEGREE
+from thetacas.ring import MAX_PACKED_DEGREE, mono_divides
 from oracles import (
     mono_div,
     staircase_count,
@@ -143,7 +145,7 @@ def test_buchberger_criterion_all_spairs_reduce():
     R = ring2()
     G = ideal_gb(R, "x^2*y - 1", "x*y^2 - x")
     dicts = [dict(g) for g in G.vectors]
-    leads = G.lead_terms()
+    leads = G.leads
     for i in range(len(dicts)):
         for j in range(i + 1, len(dicts)):
             if leads[i][0] != leads[j][0]:
@@ -229,6 +231,24 @@ def test_series_length_is_the_value_at_one():
         series_length({0: 1, 1: -2, 2: 1}, (1,))  # a zero of order 2 > 1 variable
 
 
+def test_series_value_is_the_signed_value_at_one():
+    """The signed value at t = 1 that theta reads off a difference of series."""
+    # k[x,y]/(x^2, y^3) less k[x,y]/(x, y^2), weights 1: 6 - 2
+    assert series_value(_tpoly_sub({0: 1, 2: -1, 3: -1, 5: 1}, {0: 1, 1: -1, 2: -1, 3: 1}),
+                        (1, 1)) == 4
+    # the other way round, and with weights 2, 3 and generators in degree -2
+    assert series_value({-2: -1, 2: 1, 7: 1, 11: -1}, (2, 3)) == -6
+    assert series_value({}, (1, 1)) == 0
+    # a root of order 2 above n = 1: (1 - t)^2 / (1 - t) vanishes at t = 1
+    assert series_value({0: 1, 1: -2, 2: 1}, (1,)) == 0
+    assert series_value({0: 1, 1: -3, 2: 3, 3: -1}, (1, 1)) == 0
+    assert series_value({0: 1, 2: -1}, (1, 1)) is INFINITE  # k[x,y]/(xy)
+    assert series_value({1: 1}, (1,)) is INFINITE
+    assert series_value({0: 1, 2: -1}, (2,)) == 1  # (1 - t^2) / (1 - t^2)
+    with pytest.raises(AlgebraError, match="no integral value"):
+        series_value({0: 1, 1: -1}, (2,))  # (1 - t) / (1 - t^2) is 1/2 at t = 1
+
+
 def test_hilbert_numerator_examples():
     R = ring2()
     assert hilbert_numerator(groebner_basis([], R, 1)) == {0: 1}
@@ -312,7 +332,8 @@ def test_staircase_agrees_with_hilbert_series(monos, weights):
 
 def test_stored_leads_are_the_lead_terms(monkeypatch):
     """Every basis the quadric session memoises carries the lead terms of
-    its vectors."""
+    its vectors, and no lead divides another in its component (so they are
+    the lead module's minimal generators as stored)."""
     import thetacas.cli as cli
 
     rings = []
@@ -330,7 +351,10 @@ def test_stored_leads_are_the_lead_terms(monkeypatch):
     bases = list(ring._groebner_memo.values())
     assert len(bases) > 10
     for G in bases:
-        assert G.lead_terms() == [vec_lead(dict(g), ring) for g in G.vectors]
+        assert list(G.leads) == [vec_lead(dict(g), ring) for g in G.vectors]
+        for i, (comp, mono) in enumerate(G.leads):
+            assert not any(other_comp == comp and mono_divides(other, mono)
+                           for j, (other_comp, other) in enumerate(G.leads) if j != i)
 
 
 def test_normal_form_does_not_recompute_leads(monkeypatch):

@@ -1,9 +1,14 @@
 """Theta pairing, Euler characteristics, local lengths, divisor classes."""
 
+import itertools
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetacas import (
     INFINITE,
@@ -42,7 +47,7 @@ from thetacas.homology import (
     minimal_resolution,
     tor_length,
 )
-from thetacas.pairings import FreeComplex, MultiplicityAuditWarning
+from thetacas.pairings import FreeComplex, MultiplicityAuditWarning, _tjurina_number
 from oracles import direct_sum, homology_chi, subquotient_local_length
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,37 +90,43 @@ def test_theta_a1_surface_vanishes(a1, a1_modules):
             assert theta(mods[a], mods[b]) == 0
 
 
-def test_theta_reuses_tor_lengths_on_the_modules(monkeypatch, quadric):
-    """theta reads Tor_s and Tor_{s+1} at the MF source index s off three
-    Hilbert numerators (C_s, C_{s+1} and the right module), with no homology
-    computed and the left module resolved to length d + 3, the right one not at
-    all.  Both lengths are left on the left module: a second theta on the same
-    module objects, and tor_length at s and s + 1, compute nothing.  Against a
-    new right module, an already resolved left module computes no syzygy."""
+def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
+    """A new pair costs theta one cokernel basis (C_s) and two Hilbert
+    numerators (C_s and the right module), with no homology computed and
+    the left module resolved to length d + 3, the right one not at all.
+    The value is remembered on the left module: a repeated pair computes
+    nothing.  Against a new right module, an already resolved left module
+    computes no syzygy."""
     import thetacas.homology as homology
+    import thetacas.pairings as pairings
 
+    _tjurina_number(quadric)  # once per ring, before any pair
     Ap = present_cyclic(quadric, ["x", "u"])
     Aq = present_cyclic(quadric, ["x", "v"])
-    calls = dict.fromkeys(("hilbert_numerator", "syzygies_over"), 0)
-    for name in calls:
-        def counting(*args, _real=getattr(homology, name), _name=name):
+    counted = ((homology, "hilbert_numerator"), (homology, "syzygies_over"),
+               (pairings, "_cokernel_series"))
+    calls = {name: 0 for _module, name in counted}
+    for module, name in counted:
+        def counting(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(homology, name, counting)
+        monkeypatch.setattr(module, name, counting)
     first = theta(Ap, Aq)
-    assert calls["hilbert_numerator"] == 3
+    assert calls["hilbert_numerator"] == 2
+    assert calls["_cokernel_series"] == 1
     assert calls["syzygies_over"]
     assert len(Ap._res_degs) == quadric.dimension + 4
     assert Aq._res_degs == []
     calls.update(dict.fromkeys(calls, 0))
     assert theta(Ap, Aq) == first
+    assert not any(calls.values())
     s = Ap._mf.source_index
     assert (-1) ** s * (tor_length(Ap, Aq, s) - tor_length(Ap, Aq, s + 1)) == first
-    assert not any(calls.values())
     assert len(Ap._res_degs) == quadric.dimension + 4
+    calls.update(dict.fromkeys(calls, 0))
     theta(Ap, present_cyclic(quadric, ["y", "u"]))
-    assert calls == {"hilbert_numerator": 3, "syzygies_over": 0}
+    assert calls == {"hilbert_numerator": 2, "syzygies_over": 0, "_cokernel_series": 1}
     theta(Aq, Ap)  # a new left module computes its own resolution
     assert calls["syzygies_over"]
 
@@ -168,7 +179,7 @@ def test_theta_dimension_vanishing(quadric):
 
 
 def fresh(M):
-    """A new presentation of M, with none of the Tor lengths theta left on M."""
+    """A new presentation of M, with nothing theta left on M."""
     return ModulePresentation(M.ring, M.rows, gen_degrees=M.gen_degrees)
 
 
@@ -178,16 +189,6 @@ def test_theta_mcm_shortcut(quadric, quadric_modules):
     expected = theta(M, N)
     M, N = fresh(M), fresh(N)
     assert tor_length(M, N, 2) - tor_length(M, N, 1) == expected
-
-
-def test_theta_raises_on_an_infinite_tor_read_off_the_shifted_cokernel():
-    """Over xy in k[x,y,z], A/(y) has s = 1, l(Tor_1(A/(y), A/(x))) = 0 and
-    Tor_2 = k[z]: the pole sits in the series built from C_1 shifted by
-    deg f."""
-    S = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
-    A = HypersurfaceRing(S, S.parse("x*y"))
-    with pytest.raises(NonIsolatedSingularity, match="^Tor_2 has infinite length"):
-        theta(present_cyclic(A, ["y"]), present_cyclic(A, ["x"]))
 
 
 def test_theta_checks_the_degree_shift_of_the_periodic_tail(quadric):
@@ -261,7 +262,7 @@ def test_theta_char5_crosscheck():
 def window_theta(M, N):
     """Oracle: Tor_{2e+1..2e+4} for the least e with 2e >= d, checked to be
     2-periodic; returns l(Tor_{2e+2}) - l(Tor_{2e+1}).  It reads tor_length
-    on new presentations, not the lengths theta left on M."""
+    on new presentations, so nothing theta left on M is reused."""
     M, N = fresh(M), fresh(N)
     d = M.ring.dimension
     base = 2 * ((d + 1) // 2)
@@ -533,11 +534,124 @@ def test_c1_audit_warns_on_missing_component(quadric, quadric_modules):
 def test_theta_sees_each_infinite_tor_length():
     """Over xy in k[x,y,z], Tor_1(A/(x), A/(x) + A/(y)) has infinite length
     (s = 1).  The difference HS(Tor_1) - HS(Tor_2) = t has no pole, and theta
-    read off it would be -1; theta reads each length off its own series and
-    raises."""
+    read off it would be -1; the ring's certificate, an infinite Tjurina
+    number, makes theta raise first."""
     S = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
     A = HypersurfaceRing(S, S.parse("x*y"))
     M = present_cyclic(A, ["x"])
     N = direct_sum(M, present_cyclic(A, ["y"]))
     with pytest.raises(NonIsolatedSingularity):
         theta(M, N)
+
+
+def test_theta_raises_on_a_nonisolated_ring_even_with_finite_tors():
+    """Theta needs an isolated singularity, whatever the pair: over xy in
+    k[x,y,z], theta(A/(x), k) raises, though both of its Tor lengths are
+    finite (l(Tor_i(A/(x), k)) = 1 for i >= 1)."""
+    S = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+    A = HypersurfaceRing(S, S.parse("x*y"))
+    M, k = present_cyclic(A, ["x"]), present_cyclic(A, ["x", "y", "z"])
+    assert tor_length(M, k, 1) == tor_length(M, k, 2) == 1
+    with pytest.raises(NonIsolatedSingularity, match="Tjurina number is infinite"):
+        theta(M, k)
+
+
+# ---------------------------------------------------------------------------
+# the isolated-singularity certificate
+
+
+def milnor_orlik(f, weights):
+    """prod_i (deg f / w_i - 1): the Milnor number of an isolated
+    weighted-homogeneous singularity (Milnor and Orlik 1970)."""
+    return math.prod(Fraction(f.weighted_degree(), w) - 1 for w in weights)
+
+
+def partials(f):
+    """The partial derivatives df/dx_i, over the ring of f."""
+    S = f.ring
+    return [S.from_dict({m[:i] + (m[i] - 1,) + m[i + 1:]: m[i] * c
+                         for m, c in f.coeffs.items() if m[i]})
+            for i in range(S.nvars)]
+
+
+@pytest.mark.parametrize(
+    "variables, f, characteristic, weights, tau",
+    [
+        ("xy", "x*y", 0, None, 1),
+        ("xyz", "x*y - z^2", 0, None, 1),
+        ("xyuv", "x*y - u*v", 0, None, 1),
+        ("xyzw", "x^3 + y^3 + z^3 + w^3", 0, None, 16),
+        ("xyzwu", "x^3 + y^3 + z^3 + w^3 + u^3", 32003, None, 32),
+        ("xyz", "x^2 + y^3 + y*z^3", 32003, [9, 6, 4], 7),
+        ("xyzw", "x^2 + y^3 + z^5 + w^2", 32003, [15, 10, 6, 15], 8),
+    ],
+    ids=["node", "a1_surface", "quadric", "cubic_threefold", "fp_cubic_fourfold",
+         "fp_e7_surface", "fp_e8_threefold"],
+)
+def test_tjurina_number_is_the_milnor_orlik_product(variables, f, characteristic, weights, tau):
+    """On the benchmark rings tau = mu (Saito 1971) = prod(deg f / w_i - 1),
+    and it is kept on the ring."""
+    S = PolynomialRing(FieldSpec(characteristic), list(variables), weights)
+    A = HypersurfaceRing(S, S.parse(f))
+    assert _tjurina_number(A) == milnor_orlik(A.f, S.weights) == tau
+    assert A._tjurina == tau
+
+
+def test_tjurina_ideal_keeps_f_in_characteristic_2():
+    """xy - z^2 over F_2 is the A1 surface, an isolated singularity, and
+    tau = l(S/(xy - z^2, y, x)) = 2.  Its Milnor ideal (y, x, 2z) = (x, y)
+    has infinite colength, since df/dz = 0."""
+    S = PolynomialRing(FieldSpec(2), ["x", "y", "z"])
+    A = HypersurfaceRing(S, S.parse("x*y - z^2"))
+    assert _tjurina_number(A) == 2
+    milnor = partials(A.f)
+    assert milnor[2].is_zero()
+    assert length(ModulePresentation.cyclic(S, milnor)) is INFINITE
+
+
+@pytest.mark.parametrize(
+    "variables, f, characteristic",
+    [("xyz", "x*y", 0), ("xyzw", "x^3 + y^3 + z^3 + w^3", 3)],
+    ids=["xy_in_three_variables", "fermat_cubic_threefold_f3"],
+)
+def test_tjurina_number_of_a_nonisolated_ring_is_infinite(variables, f, characteristic):
+    """xy is singular along the z-axis; over F_3 every partial of the Fermat
+    cubic vanishes, so S/(f) is singular everywhere."""
+    S = PolynomialRing(FieldSpec(characteristic), list(variables))
+    assert _tjurina_number(HypersurfaceRing(S, S.parse(f))) is INFINITE
+
+
+GRADINGS = ([((1, 1), d) for d in (2, 3, 4, 5)] + [((1, 1, 1), d) for d in (2, 3, 4)]
+            + [((1, 1, 1, 1), 2), ((1, 1, 1, 1), 3), ((1, 2), 4), ((1, 2), 5), ((2, 3), 7),
+               ((2, 3), 12), ((1, 1, 2), 4), ((1, 2, 3), 6), ((1, 2, 2), 5), ((2, 3, 4), 12)])
+
+
+@st.composite
+def weighted_forms(draw):
+    """A random form of a drawn weighted degree over Q: every monomial of
+    that degree with a coefficient in -2..2, not all zero.  Whether it is
+    isolated is left to chance."""
+    weights, degree = draw(st.sampled_from(GRADINGS))
+    monos = [m for m in itertools.product(*(range(degree // w + 1) for w in weights))
+             if sum(w * e for w, e in zip(weights, m)) == degree]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos))
+                  .filter(any))
+    return weights, dict(zip(monos, coeffs))
+
+
+@given(weighted_forms())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_tjurina_number_of_random_forms(form):
+    """Rings are kept by the certificate, not filtered: whenever tau is
+    finite it is the Milnor-Orlik product, and a product that is not an
+    integer comes with tau = INFINITE.  Over Q the Euler relation puts f in
+    the Milnor ideal, so tau = l(S/(df/dx_i)) on both sides (Saito 1971)."""
+    weights, coeffs = form
+    S = PolynomialRing(FieldSpec(0), [f"x{i}" for i in range(len(weights))], weights)
+    A = HypersurfaceRing(S, S.from_dict(coeffs))
+    tau, mu = _tjurina_number(A), milnor_orlik(A.f, weights)
+    assert tau == length(ModulePresentation.cyclic(S, partials(A.f)))
+    if mu.denominator != 1:
+        assert tau is INFINITE
+    if tau is not INFINITE:
+        assert tau == mu
