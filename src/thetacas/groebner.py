@@ -169,6 +169,9 @@ class GroebnerBuilder:
         self.codes: List[int] = []  # their packed lead terms
         self.leads: List[Term] = []  # the same lead terms, unpacked
         self.reducers: Reducers = {}
+        # the indices of the vectors per lead component, ascending: pairs,
+        # the chain criterion and minimalization look only within one
+        self.by_comp: Dict[int, List[int]] = {}
         # S-pairs not yet treated: the set serves the chain criterion, the heap
         # yields them by (degree, i, j).
         self.pending = set()
@@ -199,19 +202,23 @@ class GroebnerBuilder:
         self.vectors.append(g)
         self.codes.append(lead)
         leads.append(lt)
-        self.reducers.setdefault(lt[0], []).append((lead, g))
         comp, mono = lt
-        for i in range(j if known is None else known):
-            if leads[i][0] == comp:
-                self.pending.add((i, j))
-                heapq.heappush(self.queue, (
-                    ring.mono_degree(mono_lcm(leads[i][1], mono)) + self.shifts[comp], i, j))
+        self.reducers.setdefault(comp, []).append((lead, g))
+        same = self.by_comp.setdefault(comp, [])
+        cap = j if known is None else known
+        for i in same:
+            if i >= cap:
+                break
+            self.pending.add((i, j))
+            heapq.heappush(self.queue, (
+                ring.mono_degree(mono_lcm(leads[i][1], mono)) + self.shifts[comp], i, j))
+        same.append(j)
 
     def complete(self, upto_degree: Optional[int] = None) -> None:
         """Treat every pending pair, or those of degree <= upto_degree."""
         ring, field = self.ring, self.ring.field
         G, codes, leads, pending, queue = self.vectors, self.codes, self.leads, self.pending, self.queue
-        guards = ring._exp_guards
+        by_comp, guards = self.by_comp, ring._exp_guards
         while queue and (upto_degree is None or queue[0][0] <= upto_degree):
             _deg, i, j = heapq.heappop(queue)
             pending.discard((i, j))
@@ -223,8 +230,8 @@ class GroebnerBuilder:
             # chain criterion: a lead of the same component dividing L, both
             # of whose pairs with i and j are treated
             skip = False
-            for k, code in enumerate(codes):
-                if (not (L - code) & guards and k != i and k != j and leads[k][0] == comp
+            for k in by_comp[comp]:
+                if (not (L - codes[k]) & guards and k != i and k != j
                         and (min(i, k), max(i, k)) not in pending
                         and (min(j, k), max(j, k)) not in pending):
                     skip = True
@@ -248,29 +255,29 @@ class GroebnerBuilder:
         are neither minimalized nor interreduced."""
         ring, comp_shift, guards = self.ring, self.ring._comp_shift, self.ring._exp_guards
         cut = lo << comp_shift
-        codes = [(i, lead) for i, lead in enumerate(self.codes) if lead >= cut]
-        # minimalize: drop g when another lead divides its lead (of equal
-        # leads, keep the first)
-        keep = []
-        for i, lead in codes:
-            for j, other in codes:
-                if (j != i and not (lead - other) & guards
-                        and other >> comp_shift == lead >> comp_shift
-                        and (other != lead or j < i)):
-                    break
-            else:
-                keep.append((lead, self.vectors[i]))
+        # minimalize: drop g when another lead of its component divides its
+        # lead (of equal leads, keep the first)
+        groups: Reducers = {}
+        for comp, same in self.by_comp.items():
+            if comp < lo:
+                continue
+            codes = [(i, self.codes[i]) for i in same]
+            kept = groups[comp] = []
+            for i, lead in codes:
+                for j, other in codes:
+                    if j != i and not (lead - other) & guards and (other != lead or j < i):
+                        break
+                else:
+                    kept.append((lead, self.vectors[i]))
         # interreduce against the other kept vectors: none of their leads
         # divides g's lead, so it stays the lead term, with coefficient one,
         # of g's remainder
-        groups = _grouped(keep, comp_shift)
         reduced = []
-        for lead, g in keep:
-            comp = lead >> comp_shift
-            own = groups[comp]
-            groups[comp] = [pair for pair in own if pair[0] != lead]
-            r = normal_form_vec(g, groups, ring)
-            reduced.append((lead - cut, {t - cut: c for t, c in r.items()} if cut else r))
+        for comp, own in groups.items():
+            for k, (lead, g) in enumerate(own):
+                groups[comp] = own[:k] + own[k + 1:]
+                r = normal_form_vec(g, groups, ring)
+                reduced.append((lead - cut, {t - cut: c for t, c in r.items()} if cut else r))
             groups[comp] = own
         reduced.sort(key=lambda pair: pair[0])
         return GroebnerBasis(ring, self.rank - lo, tuple(reduced))
@@ -434,7 +441,10 @@ def _tpoly_div_1mt(a: dict) -> dict:
 
 
 def _ideal_numerator(gens: tuple, weights: tuple, memo: dict) -> dict:
-    """Hilbert numerator of S/(monomial ideal) over the weighted denominator."""
+    """Hilbert numerator of S/(monomial ideal) over the weighted denominator:
+    HN(g_1..g_m) = 1 - sum_k t^(deg g_k) HN((g_1..g_{k-1}) : g_k), so the
+    recursion follows the nesting of colon ideals, not the generator count.
+    The memo holds every prefix read, and the sum starts after the longest."""
     if not gens:
         return {0: 1}
     zero = (0,) * len(weights)
@@ -443,18 +453,17 @@ def _ideal_numerator(gens: tuple, weights: tuple, memo: dict) -> dict:
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    head, last = gens[:-1], gens[-1]
-    deg = sum(w * e for w, e in zip(weights, last))
-    colon = tuple(
-        _minimal_monomial_gens(
-            [tuple(max(g[i] - last[i], 0) for i in range(len(last))) for g in head]
-        )
-    )
-    result = _tpoly_sub(
-        _ideal_numerator(head, weights, memo),
-        _tpoly_shift(_ideal_numerator(colon, weights, memo), deg),
-    )
-    memo[gens] = result
+    start = len(gens) - 1
+    while start and gens[:start] not in memo:
+        start -= 1
+    result = memo[gens[:start]] if start else {0: 1}
+    for k in range(start, len(gens)):
+        g = gens[k]
+        deg = sum(w * e for w, e in zip(weights, g))
+        colon = tuple(_minimal_monomial_gens(
+            [tuple([max(a - b, 0) for a, b in zip(h, g)]) for h in gens[:k]]))
+        result = _tpoly_sub(result, _tpoly_shift(_ideal_numerator(colon, weights, memo), deg))
+        memo[gens[:k + 1]] = result
     return result
 
 

@@ -83,13 +83,11 @@ def columns_as_vectors(rows: MatrixRows) -> List[Vector]:
 
 def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring: RingLike) -> MatrixRows:
     S = ambient_of(ring)
-    rows = []
-    for r in range(rank):
-        row = []
-        for v in vectors:
-            row.append(Polynomial(S, {m: c for (comp, m), c in v.items() if comp == r}))
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[{} for _v in vectors] for _r in range(rank)]
+    for k, v in enumerate(vectors):
+        for (comp, m), c in v.items():
+            rows[comp][k][m] = c
+    return tuple(tuple([Polynomial(S, entry) for entry in row]) for row in rows)
 
 
 def mat_vec(cols: Sequence[Vector], v: Vector, field) -> Vector:
@@ -540,26 +538,30 @@ def _cokernel_series(
 
 def homology_series(
     diff_cols: List[List[Vector]], degs: Sequence[Sequence[int]],
-    N: ModulePresentation, i: int,
-) -> dict:
-    """Hilbert numerator of H_i(F (x) N), 0 <= i <= L, for the complex F with
-    columns diff_cols[k] of d_{k+1} and generator degrees degs[k] of F_k.
+    N: ModulePresentation, lo: int, hi: int,
+) -> List[dict]:
+    """Hilbert numerators of H_i(F (x) N) for lo <= i <= hi, within 0..L, for
+    the complex F with columns diff_cols[k] of d_{k+1} and generator degrees
+    degs[k] of F_k.
 
     With C_j = coker(d_j (x) N), C_0 = 0 and C_{L+1} = F_L (x) N, the graded
     sequence 0 -> H_i -> C_{i+1} -> F_{i-1} (x) N -> C_i -> 0 is exact, so
-    HS(H_i) = HS(C_i) + HS(C_{i+1}) - HS(N) * sum_j t^(deg F_{i-1,j})."""
+    HS(H_i) = HS(C_i) + HS(C_{i+1}) - HS(N) * sum_j t^(deg F_{i-1,j}).  Each
+    series is read once: H_i and H_{i+1} share C_{i+1}."""
     L = len(diff_cols)
-    if not 0 <= i <= L:
-        raise IndexError(f"homology index {i} out of computed range 0..{L}")
-    upper = _cokernel_series(diff_cols[i] if i < L else [], degs[i], N)
-    if not i:
-        return upper
-    lower = _cokernel_series(diff_cols[i - 1], degs[i - 1], N)
-    num = _tpoly_sub(upper, {d: -c for d, c in lower.items()})
-    series_N = module_series(N)
-    for deg in degs[i - 1]:
-        num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
-    return num
+    if not 0 <= lo <= hi <= L:
+        raise IndexError(f"homology indices {lo}..{hi} out of computed range 0..{L}")
+    cokernels = {0: {}}
+    for j in range(max(lo, 1), hi + 2):
+        cokernels[j] = _cokernel_series(diff_cols[j - 1] if j <= L else [], degs[j - 1], N)
+    series_N = module_series(N) if hi else {}
+    out = []
+    for i in range(lo, hi + 1):
+        num = _tpoly_sub(cokernels[i + 1], {d: -c for d, c in cokernels[i].items()})
+        for deg in degs[i - 1] if i else ():
+            num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
+        out.append(num)
+    return out
 
 
 def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
@@ -569,14 +571,23 @@ def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
     homology_series, since a difference of two Tor series can hide a pole."""
     if i < 0:
         raise IndexError("tor_length requires i >= 0")
-    res = minimal_resolution(M, i + 1)
-    diff_cols = [res.differential_columns(k) for k in range(1, i + 2)]
-    degs = [res.gen_degrees(k) for k in range(i + 2)]
-    result = series_length(homology_series(diff_cols, degs, N, i),
-                           ambient_of(M.ring).weights)
-    if result is INFINITE:
-        raise InfiniteLength(f"Tor_{i} has infinite length")
-    return result
+    return _tor_lengths(M, N, i, i)[0]
+
+
+def _tor_lengths(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> list:
+    """The lengths of Tor_i^A(M, N) for lo <= i <= hi, each off its own
+    series, with every cokernel series read once; INFINITE lengths raise."""
+    res = minimal_resolution(M, hi + 1)
+    diff_cols = [res.differential_columns(k) for k in range(1, hi + 2)]
+    degs = [res.gen_degrees(k) for k in range(hi + 2)]
+    weights = ambient_of(M.ring).weights
+    out = []
+    for i, num in enumerate(homology_series(diff_cols, degs, N, lo, hi), start=lo):
+        length = series_length(num, weights)
+        if length is INFINITE:
+            raise InfiniteLength(f"Tor_{i} has infinite length")
+        out.append(length)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .homology import (
     MatrixRows,
     ModulePresentation,
     _cokernel_series,
+    _tor_lengths,
     columns_as_vectors,
     extract_matrix_factorization,
     homology_series,
@@ -49,7 +50,6 @@ from .homology import (
     module_series,
     reduce_mod_f,
     reduce_vec_mod_f,
-    tor_length,
 )
 from .ring import (
     INFINITE,
@@ -286,8 +286,8 @@ def chi_complex(
     for name, coeff in alpha.items():
         M = registry[name]
         acc = 0
-        for i in range(F.length + 1):
-            ell = series_length(homology_series(diff_cols, F.degrees, M, i), weights)
+        for i, num in enumerate(homology_series(diff_cols, F.degrees, M, 0, F.length)):
+            ell = series_length(num, weights)
             if ell is INFINITE:
                 raise InfiniteLength(
                     f"H_{i} of the complex tensored with {name} has infinite length"
@@ -316,7 +316,7 @@ def chi_modules(N0: ModulePresentation, M: ModulePresentation) -> int:
     pd = finite_pd(N0)
     if pd is None:
         raise NotFinitePd("first argument must have finite projective dimension")
-    return sum((-1) ** i * tor_length(N0, M, i) for i in range(pd + 1))
+    return sum((-1) ** i * ell for i, ell in enumerate(_tor_lengths(N0, M, 0, pd)))
 
 
 # ---------------------------------------------------------------------------

@@ -294,15 +294,11 @@ class PolynomialRing:
         if not p.coeffs:
             return "0"
         parts = []
-        for m in sorted(p.coeffs, key=self.mono_key, reverse=True):
+        monos = p.coeffs if len(p.coeffs) == 1 else sorted(p.coeffs, key=self.mono_key, reverse=True)
+        for m in monos:
             c = p.coeffs[m]
-            factors = []
-            for name, e in zip(self.variables, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
+            body = "*".join([name if e == 1 else f"{name}^{e}"
+                             for name, e in zip(self.variables, m) if e])
             neg = c < 0
             mag = -c if neg else c
             if not body:

@@ -1,7 +1,9 @@
 """Module Groebner bases, normal forms, syzygies, staircases, Hilbert data."""
 
 import json
+import math
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from thetacas.errors import AlgebraError
 from thetacas.groebner import (
     _tpoly_div_1mt,
     _tpoly_sub,
+    GroebnerBasis,
     GroebnerBuilder,
     freeze_vec,
     groebner_basis,
@@ -256,6 +259,32 @@ def test_hilbert_numerator_examples():
     R4 = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v"])
     gens = [vec_from_polys([R4.parse("x*y - u*v")])]
     assert hilbert_numerator(groebner_basis(gens, R4, 1)) == {0: 1, 2: -1}
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_hilbert_numerator_recursion_does_not_grow_with_the_generators():
+    """(x,y,z)^20 has 231 generators; its numerator is read within 100
+    frames of recursion, and is (1 - t)^3 times the series
+    sum_{d<20} C(d+2, 2) t^d of S/(x,y,z)^20."""
+    R = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+    monos = [(a, b, 20 - a - b) for a in range(21) for b in range(21 - a)]
+    G = GroebnerBasis(R, 1, tuple(sorted((t, {t: 1}) for t in (R._pack(0, m) for m in monos))))
+    expected = {d: math.comb(d + 2, 2) for d in range(20)}
+    for _ in range(3):
+        expected = _tpoly_sub(expected, {d + 1: c for d, c in expected.items()})
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        num = hilbert_numerator(G)
+    finally:
+        sys.setrecursionlimit(previous)
+    assert num == expected
 
 
 def test_multiplicity_examples():
@@ -585,3 +614,50 @@ def test_memo_key_includes_the_known_bases(plain_first, offset):
     assert results["plain"].vectors == (freeze_vec(x),)
     assert set(results["seeded"].vectors) == {
         freeze_vec(x), freeze_vec(vec_shift_components(y, offset))}
+
+
+# ---------------------------------------------------------------------------
+# the pairs Buchberger treats
+
+
+DATA_SESSIONS = Path(__file__).resolve().parent / "data" / "sessions"
+
+
+def _buchberger_counts(monkeypatch, path):
+    """(S-pairs formed, normal forms computed, zero remainders) in the
+    Groebner layer over one run of the session."""
+    import heapq
+    import types
+
+    import thetacas.cli as cli
+    import thetacas.groebner as groebner
+
+    counts = [0, 0, 0]
+
+    def heappush(queue, item):
+        counts[0] += 1
+        heapq.heappush(queue, item)
+
+    def counting_normal_form_vec(v, reducers, ring):
+        r = normal_form_vec(v, reducers, ring)
+        counts[1] += 1
+        counts[2] += not r
+        return r
+
+    monkeypatch.setattr(groebner, "heapq", types.SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop))
+    monkeypatch.setattr(groebner, "normal_form_vec", counting_normal_form_vec)
+    _report, code = cli.run_session(json.loads(path.read_text()))
+    assert code == 0
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("path, expected", [
+    (SESSIONS / "quadric.json", (116, 145, 35)),
+    (DATA_SESSIONS / "fp_e7_surface.json", (142, 193, 31)),
+])
+def test_buchberger_treats_the_same_pairs(monkeypatch, path, expected):
+    """Pair formation, the chain criterion and minimalization must form,
+    skip and reduce exactly the pairs they always did: these counts are the
+    work of a basis that the reports alone do not show."""
+    assert _buchberger_counts(monkeypatch, path) == expected

@@ -444,6 +444,26 @@ def test_chi_modules_examples(node, S2):
     assert chi_modules(N0, ModulePresentation.free(node)) == 2
 
 
+def test_chi_modules_reads_each_series_once(monkeypatch, quadric):
+    """chi(A/(x,y,u+v), A/(x,u)) over the quadric (pd 3) reads six distinct
+    series: N0's own, C_1..C_4 and that of A/(x,u), each once."""
+    import thetacas.homology as homology
+
+    N0 = present_cyclic(quadric, ["x", "y", "u + v"])
+    M = present_cyclic(quadric, ["x", "u"])
+    calls = []
+    numerator = homology.hilbert_numerator
+
+    def counting_numerator(G, shifts=None):
+        calls.append(G)
+        return numerator(G, shifts)
+
+    monkeypatch.setattr(homology, "hilbert_numerator", counting_numerator)
+    assert chi_modules(N0, M) == 0
+    assert len(calls) == 6
+    assert chi_modules(N0, ModulePresentation.free(quadric)) == length(N0) == 2
+
+
 def test_chi_modules_preconditions(node, node_modules):
     with pytest.raises(NotFiniteLength):
         chi_modules(node_modules["Ax"], node_modules["Ay"])
