@@ -9,10 +9,11 @@ term, a product is a sum, and a divisibility test is a subtraction and a
 mask.  Vectors are packed when they enter a builder or a normal form and
 unpacked when a basis or a remainder leaves one; the field adds the
 products of a reduction step inline (FieldSpec.axpy).
-Syzygies and division representations both come from one augmented-basis
-construction: generators (g_i, eps_i) in S^(s+k), with the main block
-dominating the tag block, and optional untagged relations (r, 0).  A
-representation needs the whole basis; syzygies read only its tag-lead part.
+Syzygies come from the augmented basis of the generators (g_i, eps_i) in
+S^(s+k), with the main block dominating the tag block, and optional untagged
+relations (r, 0); only its tag-lead part is read.  It is the kernel's one
+augmented-basis construction: syzygies over R = S/(f), and a matrix
+factorization's beta (the syzygies of f * I beside alpha), come from it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .ring import (
     INFINITE,
     MAX_PACKED_DEGREE,
     PolynomialRing,
-    Polynomial,
     mono_coprime,
     mono_divides,
     mono_lcm,
@@ -331,7 +331,7 @@ def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# syzygies and representations via the augmented basis
+# syzygies via the augmented basis
 
 
 def _tagged(generators: Sequence[Vector], ring: PolynomialRing, rank: int) -> List[Vector]:
@@ -364,22 +364,6 @@ def syzygy_basis(
                              rank + len(generators))
         cached = ring._groebner_memo[key] = builder.reduced(rank)
     return cached
-
-
-def reduce_with_representation(
-    v: Vector, generators: Sequence[Vector], ring: PolynomialRing, rank: int,
-) -> Tuple[Vector, List[Polynomial]]:
-    """Return (r, [q_i]) with v = sum q_i g_i + r and r fully reduced."""
-    k = len(generators)
-    aug = groebner_basis(_tagged(generators, ring, rank), ring, rank + k)
-    nf = normal_form(dict(v), aug)
-    r = vec_restrict(nf, 0, rank)
-    field = ring.field
-    reps = []
-    for i in range(k):
-        coeffs = {m: field.neg(c) for (comp, m), c in nf.items() if comp == rank + i}
-        reps.append(Polynomial(ring, coeffs))
-    return r, reps
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .groebner import (
     normal_form,
     normal_form_vec,
     quotient_dimension,
-    reduce_with_representation,
     series_length,
     syzygy_basis,
     vec_axpy,
@@ -52,6 +51,8 @@ MatrixRows = Tuple[Tuple[Polynomial, ...], ...]
 
 
 def reduce_mod_f(p: Polynomial, ring: RingLike) -> Polynomial:
+    if p.ring is not ambient_of(ring):
+        raise ValueError("polynomial not over this ring")
     if modulus_of(ring) is None or p.is_zero():
         return p
     r = reduce_vec_mod_f({(0, m): c for m, c in p.coeffs.items()}, ring)
@@ -107,18 +108,22 @@ def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
 
 
 def syzygies_over(ring: RingLike, vectors: Sequence[Vector], rank: int) -> List[Vector]:
-    """Generators of the syzygy module of the given vectors over R (or S):
-    the syzygy basis over S modulo the f * e_j, reduced modulo f and
-    deduplicated on packed vectors, in the basis's order."""
+    """Generators of the syzygy module Z of the given vectors over R (or S):
+    the elements of Z's reduced basis over S, with the f * e_j as relations,
+    whose lead is not lead(f) * eps_c, in the basis's order.
+
+    Every f * eps_c lies in Z, so every lead(f) * eps_c lies in lead(Z).  So
+    no term of a kept element is divisible by one: the kept elements are
+    reduced modulo f, and being distinct basis elements they are distinct.
+    A dropped element g has that lead, and g - f * eps_c lies in Z with a
+    smaller lead, so by induction down the components g lies in f * S^k
+    plus the span of the kept ones: over R they generate all of Z."""
     S = ambient_of(ring)
-    G = syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank))
-    reducers = ring._f_reducers(range(len(vectors))) if modulus_of(ring) else None
-    kept: Dict[frozenset, dict] = {}
-    for _lead, g in G.packed:
-        v = normal_form_vec(g, reducers, S) if reducers else g
-        if v:
-            kept.setdefault(frozenset(v.items()), v)
-    return [S._unpack_vector(v) for v in kept.values()]
+    packed = syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)).packed
+    if modulus_of(ring) is not None:
+        f_lead, term_bits = min(ring._f_packed), (1 << S._comp_shift) - 1
+        packed = [(lead, g) for lead, g in packed if lead & term_bits != f_lead]
+    return [S._unpack_vector(g) for _lead, g in packed]
 
 
 def lifted_basis(ring: RingLike, vectors: Sequence[Vector], rank: int) -> GroebnerBasis:
@@ -469,8 +474,12 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
     """The first differential d_j, j >= stable_start, that is alpha of a
     matrix factorization, with its beta; remembered on the module.
 
-    Tor_i(M, -) is 2-periodic for i >= the source index j, since coker d_j
-    has the periodic resolution (alpha, beta)."""
+    beta is read off the reduced syzygy basis of the f * e_k and the r
+    columns of d_j: the (z, x) in S^(2r) with f z + d_j x = 0, z dominating.
+    Its first r elements are (e_k, -beta e_k) exactly when every f * e_k lies
+    in the column span of d_j; alpha * beta = f * I then makes det(alpha)
+    nonzero, so beta is unique.  Tor_i(M, -) is 2-periodic for i >= the
+    source index j, since coker d_j has the periodic resolution (alpha, beta)."""
     ring = res.ring
     if not isinstance(ring, HypersurfaceRing):
         raise ValueError("matrix factorizations require a hypersurface ring")
@@ -486,24 +495,22 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
             f"Betti numbers not constant by homological degree {d + 3}: {res.betti}"
         )
     S = ring.ambient
+    neg, unit = S.field.neg, {(0, S._one_mono): S.field.one}
     last_error = None
     for j in range(start, res.length + 1):
         r = res.betti[j]
         cols = res.differential_columns(j)
-        beta_cols: List[List[Polynomial]] = []
-        for k, target in enumerate(f_times_unit_vectors(ring, r)):
-            remainder, reps = reduce_with_representation(target, cols, S, r)
-            if remainder:
-                last_error = f"f*e_{k} not in the column span of d_{j}"
-                break
-            beta_cols.append(reps)
-        else:
-            alpha = vectors_to_rows(cols, r, ring)
-            beta = tuple(
-                tuple(beta_cols[c][row] for c in range(r)) for row in range(r)
-            )
-            M._mf = MatrixFactorization(ring, alpha, beta, j)
-            return M._mf
+        syz = [dict(v) for v in
+               syzygy_basis(f_times_unit_vectors(ring, r) + cols, S, r).vectors[:r]]
+        missing = next((k for k in range(r)
+                        if k == len(syz) or vec_restrict(syz[k], k, r) != unit), None)
+        if missing is not None:
+            last_error = f"f*e_{missing} not in the column span of d_{j}"
+            continue
+        beta = [{t: neg(c) for t, c in vec_restrict(v, r, 2 * r).items()} for v in syz]
+        M._mf = MatrixFactorization(ring, vectors_to_rows(cols, r, ring),
+                                    vectors_to_rows(beta, r, ring), j)
+        return M._mf
     raise NotStabilized(last_error)
 
 
@@ -656,7 +663,6 @@ def ext_module(M: ModulePresentation, i: int) -> ModulePresentation:
     else:
         d_rows = res.matrix(i)  # b_{i-1} x b_i
         image = _rows_as_vectors(d_rows, b[i])
-    image = [reduce_vec_mod_f(v, M.ring) for v in image]
     image = [v for v in image if v]
     return subquotient_presentation(M.ring, b[i], kernel, image)
 

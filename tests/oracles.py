@@ -6,7 +6,8 @@ homology of a tensored complex presented as a subquotient (for Tor and chi
 of a complex, with one copy of N's relations per block), and local lengths
 from presented graded pieces p^i M / p^(i+1) M; for syzygies over
 R = S/(f), the f * e_j taken as tagged generators, and the syzygies read
-off the full augmented basis, not only its tag-lead part."""
+off the full augmented basis, not only its tag-lead part; and division with
+a representation, the reference for a matrix factorization's beta."""
 
 import itertools
 import operator
@@ -14,10 +15,12 @@ import operator
 from thetacas import INFINITE, minimal_resolution
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
+    _tagged,
     freeze_vec,
     groebner_basis,
     lead_module,
     multiplicity,
+    normal_form,
     syzygy_basis,
     vec_restrict,
 )
@@ -33,7 +36,7 @@ from thetacas.homology import (
     syzygies_over,
 )
 from thetacas.pairings import _power_products
-from thetacas.ring import ambient_of, mono_divides, ring_dimension
+from thetacas.ring import Polynomial, ambient_of, modulus_of, mono_divides, ring_dimension
 
 
 def mono_div(b, a):
@@ -146,17 +149,24 @@ def tag_lead_part(S, generators, rank, relations=()):
 
 def full_basis_syzygies(ring, vectors, rank):
     """Syzygies of the vectors over R read off the full augmented basis of
-    the vectors and the f * e_j: its tag-lead part, reduced modulo f, without
-    zeros and repeats, in the basis's order."""
-    out = []
-    seen = set()
-    relations = f_times_unit_vectors(ring, rank)
-    for fv in tag_lead_part(ambient_of(ring), vectors, rank, relations):
-        v = reduce_vec_mod_f(dict(fv), ring)
-        if v and freeze_vec(v) not in seen:
-            seen.add(freeze_vec(v))
-            out.append(v)
-    return out
+    the vectors and the f * e_j: its tag-lead part without the elements whose
+    lead is lead(f) * eps_c, in the basis's order."""
+    S, f = ambient_of(ring), modulus_of(ring)
+    f_lead = None if f is None else vec_lead(vec_from_polys([f]), S)[1]
+    return [dict(fv) for fv in tag_lead_part(S, vectors, rank, f_times_unit_vectors(ring, rank))
+            if vec_lead(dict(fv), S)[1] != f_lead]
+
+
+def reduce_with_representation(v, generators, ring, rank):
+    """(r, [q_i]) with v = sum q_i g_i + r and r fully reduced: the normal form
+    of (v, 0) against the full reduced basis of the (g_i, eps_i), whose tag
+    block holds -q."""
+    k = len(generators)
+    nf = normal_form(dict(v), groebner_basis(_tagged(generators, ring, rank), ring, rank + k))
+    reps = [Polynomial(ring, {m: ring.field.neg(c) for (comp, m), c in nf.items()
+                              if comp == rank + i})
+            for i in range(k)]
+    return vec_restrict(nf, 0, rank), reps
 
 
 def _block_relations(Q_cols, s, blocks):

@@ -1,5 +1,7 @@
 """The shipped sessions' reports, byte for byte, against a stored snapshot,
-and their invariants under a rescaled variable.
+their invariants under a rescaled variable, and the digests of the reports
+under seeded coordinate changes (``scripts/report_digest.py``) against
+``tests/data/report_digests.txt``.
 
 The snapshot is the ``--json`` report of each session with every
 ``time_ms`` removed: the shipped sessions in ``sessions/``, and in
@@ -7,17 +9,21 @@ The snapshot is the ``--json`` report of each session with every
 threefold over Q, the cubic fourfold, E8 threefold and E7 surface over
 F_32003).  The E8 and E7 sessions present modules whose first differential
 has columns of unequal degrees.  Rewrite the snapshots after a deliberate
-change of output with ``PYTHONPATH=src python3 tests/test_golden_reports.py``.
+change of output with ``PYTHONPATH=src python3 tests/test_golden_reports.py``,
+and the digests with ``PYTHONPATH=src python3 scripts/report_digest.py --seeds
+0 3 5 7 > tests/data/report_digests.txt``.
 """
 
+import importlib.util
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import thetacas.cli as cli
+from thetacas import FieldSpec
 from thetacas.cli import run_session
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,25 +87,39 @@ def _invariants(report: dict) -> list:
 @pytest.mark.parametrize("name", NAMES)
 def test_rescaled_session_gives_the_same_invariants(name, monkeypatch):
     """x -> 2x makes the lead coefficient of f a non-unit (f = 2*x*y - ...),
-    so the reduced bases hold non-integral rationals; every theta, Gram,
-    signature, verdict, MF size, c1 class and Hilbert numerator is unchanged."""
-    rings = []
-    build = cli.build_environment
+    so the Groebner layer divides by it and works with non-integral
+    rationals; every theta, Gram, signature, verdict, MF size, c1 class and
+    Hilbert numerator is unchanged."""
+    inverses = []
+    invert = FieldSpec.inv
 
-    def recording_build(doc):
-        env, errors = build(doc)
-        rings.append(env.ring.ambient)
-        return env, errors
+    def recording_inv(field, a):
+        inverses.append(invert(field, a))
+        return inverses[-1]
 
     doc = json.loads((SESSIONS / f"{name}.json").read_text(encoding="utf-8"))
     plain, plain_code = run_session(doc)
-    monkeypatch.setattr(cli, "build_environment", recording_build)
+    monkeypatch.setattr(FieldSpec, "inv", recording_inv)
     scaled, scaled_code = run_session(_rescaled(doc, "x"))
     assert plain_code == scaled_code == 0
     assert _invariants(scaled) == _invariants(plain)
-    (ring,) = rings
-    assert any(type(c) is Fraction for G in ring._groebner_memo.values()
-               for g in G.vectors for _t, c in g)
+    assert any(type(q) is Fraction and q.denominator > 1 for q in inverses)
+
+
+def test_seeded_report_digests_match_the_record(monkeypatch):
+    """The reports of the ten sessions of scripts/report_digest.py, as
+    written and after the graded coordinate changes of seeds 3, 5 and 7,
+    hash to the digests recorded in tests/data/report_digests.txt.  The
+    script is loaded with its own functions and leaves no bytecode behind,
+    in scripts/ or in the perfbench/ it imports from."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "report_digest", ROOT / "scripts" / "report_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = [f"{seed}\t{label}\t{script.digest(doc)}"
+             for seed in (0, 3, 5, 7) for label, doc in script.sessions(seed)]
+    assert lines == (DATA / "report_digests.txt").read_text(encoding="utf-8").splitlines()
 
 
 if __name__ == "__main__":

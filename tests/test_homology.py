@@ -1,6 +1,7 @@
 """Presentations, minimal resolutions, matrix factorizations, Tor and Ext."""
 
 import gc
+import json
 import weakref
 
 import pytest
@@ -23,13 +24,16 @@ from thetacas import (
     theta,
     tor_length,
 )
+from thetacas import homology
+from thetacas.cli import run_session
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import freeze_vec, normal_form, reduce_with_representation, syzygy_basis
+from thetacas.groebner import freeze_vec, normal_form, syzygy_basis
 from thetacas.homology import (
     _minimal_generating_subset,
     _rows_as_vectors,
     _vector_degree,
     columns_as_vectors,
+    f_times_unit_vectors,
     lifted_basis,
     module_length,
     reduce_mod_f,
@@ -42,11 +46,13 @@ from oracles import (
     full_basis_syzygies,
     homology_tor_length,
     mat_mul,
+    reduce_with_representation,
     tag_lead_part,
     tagged_syzygies,
     tensored_homology,
     vec_from_polys,
 )
+from test_golden_reports import NAMES, WEIGHTED_NAMES, _rescaled, session_path
 
 
 def same_span(ring, cols_a, cols_b, rank):
@@ -327,11 +333,13 @@ def _syzygy_inputs(node, quadric, S2):
 
 def test_syzygies_match_the_tagged_route(node, quadric, S2):
     """syzygies_over takes f * e_j as untagged relations; the tagged route
-    gives the same syzygies in the same order: for the differentials of
-    resolutions over the node, the quadric, the weighted E7 surface over
-    F_32003 and k[x, y], and for the rows of d_2 as Ext uses them."""
+    (reduced modulo f, deduplicated) spans the same submodule over R: for
+    the differentials of resolutions over the node, the quadric, the
+    weighted E7 surface over F_32003 and k[x, y], and for the rows of d_2 as
+    Ext uses them."""
     for ring, vectors, rank in _syzygy_inputs(node, quadric, S2):
-        assert syzygies_over(ring, vectors, rank) == tagged_syzygies(ring, vectors, rank)
+        assert same_span(ring, syzygies_over(ring, vectors, rank),
+                         tagged_syzygies(ring, vectors, rank), len(vectors))
 
 
 def fp_cubic_fourfold():
@@ -347,8 +355,8 @@ def fp_e8_threefold():
 def test_syzygies_match_the_full_basis_route(node, quadric, S2):
     """syzygies_over minimalizes and interreduces only the tag-lead part of
     the augmented basis; the full reduced basis, filtered to its tag-lead
-    vectors, reduced modulo f and deduplicated, gives the same list in the
-    same order: on the inputs of the tagged-route test (k[x, y] has no f)
+    vectors without those whose lead is lead(f) * eps_c, gives the same list
+    in the same order: on the inputs of the tagged-route test (k[x, y] has no f)
     and on the first 5 differentials of k over the cubic fourfold and the
     weighted E8 threefold over F_32003."""
     inputs = list(_syzygy_inputs(node, quadric, S2))
@@ -357,6 +365,70 @@ def test_syzygies_match_the_full_basis_route(node, quadric, S2):
         inputs += [(A, res.differential_columns(i), res.betti[i - 1]) for i in range(1, 6)]
     for ring, vectors, rank in inputs:
         assert syzygies_over(ring, vectors, rank) == full_basis_syzygies(ring, vectors, rank)
+
+
+def _session_calls(monkeypatch, doc):
+    """Every syzygies_over call, as (ring, vectors, rank, syzygies), and
+    every matrix factorization made, over one run of the session."""
+    calls, made = [], []
+    real = homology.syzygies_over
+
+    def recording(ring, vectors, rank):
+        out = real(ring, vectors, rank)
+        calls.append((ring, vectors, rank, out))
+        return out
+
+    class Recording(homology.MatrixFactorization):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "syzygies_over", recording)
+        patch.setattr(homology, "MatrixFactorization", Recording)
+        _report, code = run_session(doc)
+    assert code == 0
+    return calls, made
+
+
+def test_session_syzygies_are_reduced_and_span_what_the_basis_spans(monkeypatch):
+    """Over every resolution of the seven golden sessions, each syzygy
+    syzygies_over keeps is reduced modulo f, none repeats, and each basis
+    element it drops (lead lead(f) * eps_c) lies in the lift of the kept
+    ones: the kept list generates the syzygy module over R with no normal
+    form modulo f."""
+    dropped = 0
+    for name in NAMES + WEIGHTED_NAMES:
+        calls, _made = _session_calls(monkeypatch, json.loads(session_path(name).read_text()))
+        assert calls
+        for ring, vectors, rank, kept in calls:
+            assert all(reduce_vec_mod_f(v, ring) == v for v in kept)
+            assert len({freeze_vec(v) for v in kept}) == len(kept)
+            basis = syzygy_basis(vectors, ring.ambient, rank, f_times_unit_vectors(ring, rank))
+            lift = lifted_basis(ring, kept, len(vectors))
+            for v in map(dict, basis.vectors):
+                if v not in kept:
+                    dropped += 1
+                    assert not normal_form(v, lift)
+    assert dropped
+
+
+@pytest.mark.parametrize("name", NAMES + WEIGHTED_NAMES)
+@pytest.mark.parametrize("rescale", [False, True])
+def test_session_betas_match_the_representation_route(name, rescale, monkeypatch):
+    """Each beta read off the syzygy basis of f * I beside alpha is the beta
+    of the division-with-representation oracle, f * e_k = sum_i beta_ik
+    alpha_i, on the session as written and after x -> 2x (a lead coefficient
+    of f that is not a unit)."""
+    doc = json.loads(session_path(name).read_text())
+    _calls, made = _session_calls(monkeypatch, _rescaled(doc, "x") if rescale else doc)
+    assert made
+    for mf in made:
+        S, cols = mf.ring.ambient, columns_as_vectors(mf.alpha)
+        for k, target in enumerate(f_times_unit_vectors(mf.ring, mf.size)):
+            remainder, reps = reduce_with_representation(target, cols, S, mf.size)
+            assert not remainder
+            assert [row[k] for row in mf.beta] == reps
 
 
 # lead coefficients of f: 1, 2 and 3 over Q, and 1 over F_32003 with weights

@@ -16,9 +16,13 @@ from thetacas import (
     conjecture_report,
     gram_matrix,
     kernel_basis,
+    present_cyclic,
     signature,
+    theta,
     theta_class,
 )
+from thetacas.groebner import _tpoly_div_1mt, multiplicity
+from thetacas.homology import module_dimension, module_series
 
 
 def classes_of(names):
@@ -211,3 +215,83 @@ def test_quadric_kernel_is_the_expected_lattice(quadric_modules):
     """The null directions are exactly the multiples of [Ap] + [Aq]."""
     G = gram_matrix(classes_of(["Ap", "Aq"]), quadric_modules)
     assert kernel_basis(G) == [(1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# theta as an intersection form on a smooth surface (dimension 3)
+#
+# For A = k[x,y,z,w]/(f), f of degree e with X = Proj A a smooth surface in
+# P^3, and curves C, D on X: theta(A/I_C, A/I_D) = deg C deg D - e (C.D)_X
+# (Moore, Piepmeyer, Spiroff and Walker, Adv. Math. 2011).  The source
+# paper's positive semidefiniteness in dimension 3 is then the Hodge index
+# theorem on primitive classes.  The intersection numbers below use no theta.
+
+
+def fermat_cubic(characteristic=0):
+    S = PolynomialRing(FieldSpec(characteristic), ["x", "y", "z", "w"])
+    return HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3"))
+
+
+def degree_and_genus(A, ideal):
+    """(deg C, p_a(C)) off the Hilbert polynomial deg C * t + 1 - p_a of
+    A/I_C: its numerator over (1 - t)^4 is h(t) (1 - t)^2, and then
+    deg C = h(1) and 1 - p_a = h(1) - h'(1)."""
+    h = module_series(present_cyclic(A, ideal))
+    for _ in range(2):
+        h = _tpoly_div_1mt(h)
+    deg = sum(h.values())
+    return deg, 1 - deg + sum(d * c for d, c in h.items())
+
+
+def intersection_number(A, first, second):
+    """(C.D)_X: by adjunction, C^2 = 2 p_a - 2 - (e - 4) deg C; for curves
+    with no common component, the multiplicity of A/(I_C + I_D) when it has
+    dimension 1, and 0 when they do not meet."""
+    if first == second:
+        deg, genus = degree_and_genus(A, first)
+        return 2 * genus - 2 - (A.f.weighted_degree() - 4) * deg
+    meet = present_cyclic(A, first + second)
+    return multiplicity(meet.presentation_gb()) if module_dimension(meet) == 1 else 0
+
+
+def intersection_theta(A, first, second):
+    """deg C deg D - e (C.D)_X."""
+    (deg_c, _), (deg_d, _) = degree_and_genus(A, first), degree_and_genus(A, second)
+    return deg_c * deg_d - A.f.weighted_degree() * intersection_number(A, first, second)
+
+
+def test_theta_is_the_intersection_form_on_a_smooth_surface(quadric):
+    """On the quadric (P^1 x P^1) the lines x = u = 0, x = v = 0, y = v = 0,
+    and on the Fermat cubic surface the lines L1 = (x+y, z+w), L2 =
+    (x+z, y+w) and the conic Q = (x+y, z^2 - zw + w^2): theta equals
+    deg C deg D - e (C.D)_X on every pair."""
+    cubic = fermat_cubic()
+    line, other, disjoint = ["x", "u"], ["x", "v"], ["y", "v"]
+    L1, L2, Q = ["x + y", "z + w"], ["x + z", "y + w"], ["x + y", "z^2 - z*w + w^2"]
+    cases = [(quadric, line, other, -1), (quadric, line, disjoint, 1), (quadric, line, line, 1),
+             (cubic, L1, L1, 4), (cubic, L1, L2, -2), (cubic, Q, Q, 4), (cubic, Q, L1, -4),
+             (cubic, Q, L2, 2)]
+    for A, first, second, value in cases:
+        assert intersection_theta(A, first, second) == value
+        assert theta(present_cyclic(A, first), present_cyclic(A, second)) == value
+
+
+def test_the_27_lines_of_the_fermat_cubic_surface():
+    """Over F_7 every line x_a + r x_b = x_c + r' x_d = 0 (r^3 = r'^3 = 1) of
+    the Fermat cubic surface is defined.  Each line meets 10 others, L^2 = -1,
+    and the theta Gram of the 27 is 1 - 3 L_i.L_j, of signature (6, 0, 21):
+    the E6 lattice of primitive classes, positive semidefinite."""
+    A = fermat_cubic(7)
+    roots = [r for r in range(1, 7) if pow(r, 3, 7) == 1]
+    lines = [[f"{a} + {r}*{b}", f"{c} + {s}*{d}"]
+             for (a, b), (c, d) in ((("x", "y"), ("z", "w")), (("x", "z"), ("y", "w")),
+                                    (("x", "w"), ("y", "z")))
+             for r in roots for s in roots]
+    assert len(lines) == 27
+    incidence = [[intersection_number(A, first, second) for second in lines] for first in lines]
+    assert all(row[i] == -1 and row.count(1) == 10 and row.count(0) == 16
+               for i, row in enumerate(incidence))
+    registry = {str(i): present_cyclic(A, line) for i, line in enumerate(lines)}
+    G = gram_matrix(classes_of(list(registry)), registry)
+    assert G == [[1 - 3 * n for n in row] for row in incidence]
+    assert signature(G) == (6, 0, 21)

@@ -45,6 +45,7 @@ from thetacas.homology import (
     _cokernel_series,
     extract_matrix_factorization,
     minimal_resolution,
+    reduce_mod_f,
     tor_length,
 )
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning, _tjurina_number
@@ -433,6 +434,30 @@ def test_free_complex_composites_must_vanish_over_the_ring(S2, node):
                            (S2, [[["x", "y^2"]], [["-y^2", "y"], ["x", "x"]]])):
         with pytest.raises(ValueError, match="does not vanish"):
             FreeComplex(ring, matrices)
+
+
+def test_polynomials_from_another_ring_are_rejected(node, quadric):
+    """A polynomial over another ambient ring, with one more variable or over
+    another field, raises where it enters a presentation (cyclic or by
+    matrix), a free or Koszul complex, or a cyclic prime, instead of being
+    read as one of this ring's: z as 1, an F_5 coefficient as rational."""
+    T = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+    F5 = PolynomialRing(FieldSpec(5), ["x", "y"])
+    Tq = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v", "z"])
+    entries = [
+        lambda: length(present_cyclic(node, [T.parse("z"), T.parse("x + y")])),
+        lambda: theta(present_cyclic(node, [T.parse("x*z")]), present_cyclic(node, ["x"])),
+        lambda: present_cyclic(node, [F5.parse("3*x")]),
+        lambda: ModulePresentation(node, [[T.parse("x"), "y"]]),
+        lambda: reduce_mod_f(F5.parse("x"), node),
+        lambda: FreeComplex(node, [[[T.parse("z")]]]),
+        lambda: koszul_complex(node, [F5.parse("x")]),
+        lambda: local_length_at_prime(present_cyclic(quadric, ["x"]),
+                                      [Tq.parse("x"), Tq.parse("u")]),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="^polynomial not over this ring$"):
+            entry()
 
 
 def test_chi_modules_examples(node, S2):
