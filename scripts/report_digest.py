@@ -13,6 +13,7 @@ Usage: PYTHONPATH=src python3 scripts/report_digest.py [--seeds 0 3 5 7]
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import random
 import sys
@@ -25,22 +26,32 @@ SHIPPED = ROOT / "sessions"
 PERFBENCH = ROOT / "perfbench"
 SHIPPED_NAMES = ("node", "a1_surface", "quadric")
 
-sys.dont_write_bytecode = True  # leave no bytecode cache in perfbench/
-sys.path.insert(0, str(PERFBENCH))
-from inputs import WORKLOADS, seeded_session  # noqa: E402
 
-sys.path.remove(str(PERFBENCH))
+def perfbench_inputs():
+    """perfbench/inputs.py as a module object of its own: no bytecode cache
+    is written for it, it is not entered in sys.modules, and
+    sys.dont_write_bytecode is left as it was."""
+    flag = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("inputs", PERFBENCH / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+    finally:
+        sys.dont_write_bytecode = flag
+    return inputs
 
 
-def sessions(seed: int):
-    """(label, session document) for every session, moved by the seed."""
+def sessions(seed: int, inputs):
+    """(label, session document) for every session, moved by the seed;
+    inputs is perfbench_inputs()."""
     paths = [(f"sessions/{name}", SHIPPED / f"{name}.json") for name in SHIPPED_NAMES]
     paths += [(f"perfbench/{name}", PERFBENCH / "sessions" / f"{name}.json")
-              for names in WORKLOADS.values() for name in names]
+              for names in inputs.WORKLOADS.values() for name in names]
     for label, path in paths:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if seed:
-            doc = seeded_session(doc, random.Random(f"{seed}:{path.stem}"), full=True)
+            doc = inputs.seeded_session(doc, random.Random(f"{seed}:{path.stem}"), full=True)
         yield label, doc
 
 
@@ -59,8 +70,9 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
                         help="coordinate-change seeds; 0 keeps the sessions as written")
     args = parser.parse_args()
+    inputs = perfbench_inputs()
     for seed in args.seeds:
-        for label, doc in sessions(seed):
+        for label, doc in sessions(seed, inputs):
             print(f"{seed}\t{label}\t{digest(doc)}")
     return 0
 

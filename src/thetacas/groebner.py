@@ -9,11 +9,12 @@ term, a product is a sum, and a divisibility test is a subtraction and a
 mask.  Vectors are packed when they enter a builder or a normal form and
 unpacked when a basis or a remainder leaves one; the field adds the
 products of a reduction step inline (FieldSpec.axpy).
-Syzygies come from the augmented basis of the generators (g_i, eps_i) in
-S^(s+k), with the main block dominating the tag block, and optional untagged
-relations (r, 0); only its tag-lead part is read.  It is the kernel's one
-augmented-basis construction: syzygies over R = S/(f), and a matrix
-factorization's beta (the syzygies of f * I beside alpha), come from it.
+Syzygies come from an augmented basis in S^(s+k), the main block dominating
+the tag block, of tagged generators (g_i, eps_i) and optional untagged
+relations (r, 0); only its tag-lead part is read.  syzygy_basis builds one
+from all the generators; a NakayamaSelection builds one while it selects a
+minimal generating set, a kept candidate entering with its tag, and leaves
+it open, so a resolution step reads its syzygies off the step before.
 """
 
 from __future__ import annotations
@@ -185,14 +186,6 @@ class GroebnerBuilder:
         those pairs have standard representations and reduce to zero."""
         self._insert(self.ring._pack_vector(v), known)
 
-    def add_remainder(self, v: Vector, insert: bool) -> bool:
-        """Whether the remainder of v modulo the vectors added so far is
-        nonzero; with insert, a nonzero remainder is added."""
-        r = normal_form_vec(self.ring._pack_vector(v), self.reducers, self.ring)
-        if r and insert:
-            self._insert(r)
-        return bool(r)
-
     def _insert(self, v: dict, known: Optional[int] = None) -> None:
         ring, leads = self.ring, self.leads
         lead = min(v)
@@ -245,16 +238,20 @@ class GroebnerBuilder:
             if r:
                 self._insert(r)
 
-    def reduced(self, lo: int = 0) -> GroebnerBasis:
+    def reduced(self, lo: int = 0, tags: Optional[Sequence[int]] = None) -> GroebnerBasis:
         """The reduced basis of what was added; complete() it first.
 
         With lo > 0, only its elements whose lead lies in a component >= lo,
         moved down by lo components: the reduced basis of the module's
         intersection with the last rank - lo components.  Every term of such
         an element lies there, so only such elements reduce it, and the rest
-        are neither minimalized nor interreduced."""
+        are neither minimalized nor interreduced.  tags, ascending, names the
+        only components >= lo (counted from lo) that the module uses; they
+        are renumbered 0, 1, ... in their order, which keeps the term order."""
         ring, comp_shift, guards = self.ring, self.ring._comp_shift, self.ring._exp_guards
-        cut = lo << comp_shift
+        if tags is None:
+            tags = range(self.rank - lo)
+        moves = {lo + n: (lo + n - k) << comp_shift for k, n in enumerate(tags)}
         # minimalize: drop g when another lead of its component divides its
         # lead (of equal leads, keep the first)
         groups: Reducers = {}
@@ -277,10 +274,13 @@ class GroebnerBuilder:
             for k, (lead, g) in enumerate(own):
                 groups[comp] = own[:k] + own[k + 1:]
                 r = normal_form_vec(g, groups, ring)
-                reduced.append((lead - cut, {t - cut: c for t, c in r.items()} if cut else r))
+                if lo:
+                    lead -= moves[comp]
+                    r = {t - moves[t >> comp_shift]: c for t, c in r.items()}
+                reduced.append((lead, r))
             groups[comp] = own
         reduced.sort(key=lambda pair: pair[0])
-        return GroebnerBasis(ring, self.rank - lo, tuple(reduced))
+        return GroebnerBasis(ring, len(tags), tuple(reduced))
 
 
 def groebner_basis(
@@ -356,14 +356,70 @@ def syzygy_basis(
     It is the tag part of the augmented basis of (g_i, eps_i) and (r, 0):
     the elements whose lead lies in the tag block, so only they are
     minimalized and interreduced."""
-    key = ("syzygies", rank, tuple(freeze_vec(g) for g in generators),
-           tuple(freeze_vec(r) for r in relations))
+    key = _syzygy_key(generators, rank, relations)
     cached = ring._groebner_memo.get(key)
     if cached is None:
         builder = _completed(_tagged(generators, ring, rank) + list(relations), ring,
                              rank + len(generators))
         cached = ring._groebner_memo[key] = builder.reduced(rank)
     return cached
+
+
+def _syzygy_key(generators: Sequence[Vector], rank: int, relations: Sequence[Vector]) -> tuple:
+    return ("syzygies", rank, tuple(freeze_vec(g) for g in generators),
+            tuple(freeze_vec(r) for r in relations))
+
+
+class NakayamaSelection:
+    """Graded Nakayama selection of a minimal generating set from
+    homogeneous candidates (vector, degree) in S^rank, modulo the relations,
+    that leaves one builder open on the syzygies of the kept candidates.
+
+    The builder runs over S^rank (+) S^k, k candidates, with the relations
+    (r, 0) added first and the tag eps_n of candidate n shifted by its
+    degree, so every pair's degree is its true degree.  Candidates are
+    treated in degree order, ties in the given order, each after completing
+    the builder to its degree: one is redundant exactly when its normal form
+    has no term in the first rank components.  A kept one enters as that
+    normal form plus eps_n, which spans with the earlier vectors what
+    (v, eps_n) spans.  kept holds the kept indices, ascending.  The builder
+    refers to the ring and the vectors only, never to a module."""
+
+    def __init__(self, ring: PolynomialRing, target_degs: Sequence[int],
+                 candidates: Sequence[Tuple[Vector, int]], relations: Sequence[Vector]):
+        rank = len(target_degs)
+        self.ring, self.rank = ring, rank
+        builder = self._builder = GroebnerBuilder(
+            ring, rank + len(candidates), list(target_degs) + [d for _v, d in candidates])
+        for r in relations:
+            builder.add(r)
+        comp_shift, one = ring._comp_shift, ring.field.one
+        bound = rank << comp_shift
+        tag = ring._pack(rank, ring._one_mono)  # eps_0; eps_n is n components on
+        kept = []
+        for n in sorted(range(len(candidates)), key=lambda n: candidates[n][1]):
+            v, degree = candidates[n]
+            builder.complete(degree)
+            r = normal_form_vec(ring._pack_vector(v), builder.reducers, ring)
+            if r and min(r) < bound:
+                r[tag + (n << comp_shift)] = one
+                builder._insert(r)
+                kept.append(n)
+        self.kept = sorted(kept)
+        self.generators = [candidates[n][0] for n in self.kept]
+        self.relations = relations
+
+    def syzygies(self) -> GroebnerBasis:
+        """syzygy_basis(kept vectors, ring, rank, relations): looked up under
+        its memo key, else read off the builder, completed, and stored there.
+        The reduced basis is unique, so both routes give the same one."""
+        memo = self.ring._groebner_memo
+        key = _syzygy_key(self.generators, self.rank, self.relations)
+        cached = memo.get(key)
+        if cached is None:
+            self._builder.complete()
+            cached = memo[key] = self._builder.reduced(self.rank, self.kept)
+        return cached
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InfiniteLength, InhomogeneousError, NotStabilized
 from .groebner import (
     GroebnerBasis,
-    GroebnerBuilder,
+    NakayamaSelection,
     Vector,
     _tpoly_shift,
     _tpoly_sub,
@@ -32,6 +32,7 @@ from .groebner import (
     vec_axpy,
     vec_restrict,
 )
+from .matrices import divide_exactly, graded_inverse
 from .ring import (
     INFINITE,
     HypersurfaceRing,
@@ -110,7 +111,14 @@ def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
 def syzygies_over(ring: RingLike, vectors: Sequence[Vector], rank: int) -> List[Vector]:
     """Generators of the syzygy module Z of the given vectors over R (or S):
     the elements of Z's reduced basis over S, with the f * e_j as relations,
-    whose lead is not lead(f) * eps_c, in the basis's order.
+    whose lead is not lead(f) * eps_c, in the basis's order."""
+    S = ambient_of(ring)
+    return _kept_syzygies(ring, syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)))
+
+
+def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[Vector]:
+    """The elements of a syzygy basis over S, with the f * e_j as relations,
+    whose lead is not lead(f) * eps_c, unpacked, in the basis's order.
 
     Every f * eps_c lies in Z, so every lead(f) * eps_c lies in lead(Z).  So
     no term of a kept element is divisible by one: the kept elements are
@@ -118,8 +126,7 @@ def syzygies_over(ring: RingLike, vectors: Sequence[Vector], rank: int) -> List[
     A dropped element g has that lead, and g - f * eps_c lies in Z with a
     smaller lead, so by induction down the components g lies in f * S^k
     plus the span of the kept ones: over R they generate all of Z."""
-    S = ambient_of(ring)
-    packed = syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)).packed
+    S, packed = ambient_of(ring), basis.packed
     if modulus_of(ring) is not None:
         f_lead, term_bits = min(ring._f_packed), (1 << S._comp_shift) - 1
         packed = [(lead, g) for lead, g in packed if lead & term_bits != f_lead]
@@ -211,6 +218,7 @@ class ModulePresentation:
         # resolution: columns of d_1, d_2, ...; generator degrees of F_0, F_1, ...
         self._res_diffs: List[List[Vector]] = []
         self._res_degs: List[List[int]] = []
+        self._open: Optional[NakayamaSelection] = None  # the step that chose d_L
         self._mf: Optional[MatrixFactorization] = None
         self._thetas: Dict[Tuple[MatrixRows, tuple], int] = {}
 
@@ -291,19 +299,22 @@ class ModulePresentation:
 
         Each d_{i+1} is the Nakayama selection from its candidates: for d_1
         the unit-pruned relation columns, in their order; for later ones the
-        syzygies of d_i, sorted by (degree, frozen vector)."""
+        syzygies of d_i, sorted by (degree, frozen vector), read off the
+        builder left open by the selection of d_i."""
         diffs, degs = self._res_diffs, self._res_degs
         S = ambient_of(self.ring)
         while len(diffs) < length:
             if diffs:
                 target = degs[-1]
-                vectors = syzygies_over(self.ring, diffs[-1], len(degs[-2]))
+                vectors = _kept_syzygies(self.ring, self._open.syzygies())
             else:
                 vectors, target = self._unit_pruned()
             candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
             if diffs:
                 candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
-            kept = _minimal_generating_subset(self.ring, candidates, len(target), target)
+            self._open = NakayamaSelection(S, target, candidates,
+                                           f_times_unit_vectors(self.ring, len(target)))
+            kept = [candidates[n] for n in self._open.kept]
             # the degrees of F_i (new only for i = 0) and of F_{i+1}
             degs[len(diffs):] = [target, [d for _v, d in kept]]
             diffs.append([v for v, _d in kept])
@@ -399,26 +410,6 @@ def _vector_degree(v: Vector, target_degs: Sequence[int], S: PolynomialRing) -> 
     return degs.pop()
 
 
-def _minimal_generating_subset(
-    ring: RingLike, candidates: List[Tuple[Vector, int]], rank: int, target_degs: Sequence[int]
-) -> List[Tuple[Vector, int]]:
-    """Greedy graded Nakayama selection from (vector, degree) pairs; returns
-    the kept pairs, in the given order.  The vectors are homogeneous and are
-    treated in degree order, ties in the given order, so one open basis of
-    the kept vectors' lift, completed to each one's degree, decides
-    membership; the last one treated is tested, not added."""
-    builder = GroebnerBuilder(ambient_of(ring), rank, target_degs)
-    for w in f_times_unit_vectors(ring, rank):
-        builder.add(w)
-    order = sorted(range(len(candidates)), key=lambda i: candidates[i][1])
-    kept = set()
-    for n, i in enumerate(order, 1):
-        builder.complete(candidates[i][1])
-        if builder.add_remainder(candidates[i][0], insert=n < len(order)):
-            kept.add(i)
-    return [c for i, c in enumerate(candidates) if i in kept]
-
-
 def minimal_resolution(M: ModulePresentation, length: int) -> Resolution:
     if length < 1:
         raise ValueError("resolution length must be >= 1")
@@ -474,12 +465,12 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
     """The first differential d_j, j >= stable_start, that is alpha of a
     matrix factorization, with its beta; remembered on the module.
 
-    beta is read off the reduced syzygy basis of the f * e_k and the r
-    columns of d_j: the (z, x) in S^(2r) with f z + d_j x = 0, z dominating.
-    Its first r elements are (e_k, -beta e_k) exactly when every f * e_k lies
-    in the column span of d_j; alpha * beta = f * I then makes det(alpha)
-    nonzero, so beta is unique.  Tor_i(M, -) is 2-periodic for i >= the
-    source index j, since coker d_j has the periodic resolution (alpha, beta)."""
+    d_j d_{j+1} vanishes modulo f, so W = d_j d_{j+1} / f is a matrix over S,
+    homogeneous of degree 0.  When W is invertible, beta = d_{j+1} W^-1
+    gives alpha * beta = f * I, which makes det(alpha) nonzero, so beta is
+    the unique such matrix; a singular W moves on to the next j.  Tor_i(M, -)
+    is 2-periodic for i >= the source index j, since coker d_j has the
+    periodic resolution (alpha, beta)."""
     ring = res.ring
     if not isinstance(ring, HypersurfaceRing):
         raise ValueError("matrix factorizations require a hypersurface ring")
@@ -495,23 +486,19 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
             f"Betti numbers not constant by homological degree {d + 3}: {res.betti}"
         )
     S = ring.ambient
-    neg, unit = S.field.neg, {(0, S._one_mono): S.field.one}
-    last_error = None
     for j in range(start, res.length + 1):
-        r = res.betti[j]
-        cols = res.differential_columns(j)
-        syz = [dict(v) for v in
-               syzygy_basis(f_times_unit_vectors(ring, r) + cols, S, r).vectors[:r]]
-        missing = next((k for k in range(r)
-                        if k == len(syz) or vec_restrict(syz[k], k, r) != unit), None)
-        if missing is not None:
-            last_error = f"f*e_{missing} not in the column span of d_{j}"
-            continue
-        beta = [{t: neg(c) for t, c in vec_restrict(v, r, 2 * r).items()} for v in syz]
-        M._mf = MatrixFactorization(ring, vectors_to_rows(cols, r, ring),
-                                    vectors_to_rows(beta, r, ring), j)
-        return M._mf
-    raise NotStabilized(last_error)
+        M._extend_resolution(j + 1)
+        alpha, d_next = M._res_diffs[j - 1], M._res_diffs[j]
+        r = len(alpha)
+        W = [divide_exactly(mat_vec(alpha, v, S.field), ring.f.coeffs, S) for v in d_next]
+        W_inv = graded_inverse(W, r, S)
+        if W_inv is not None:
+            beta = [mat_vec(d_next, v, S.field) for v in W_inv]
+            M._mf = MatrixFactorization(ring, vectors_to_rows(alpha, r, ring),
+                                        vectors_to_rows(beta, r, ring), j)
+            return M._mf
+    raise NotStabilized(f"d_{j} is not alpha of a matrix factorization: "
+                        f"d_{j} d_{j + 1} / f is singular")
 
 
 # ---------------------------------------------------------------------------

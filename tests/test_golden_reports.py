@@ -14,9 +14,9 @@ and the digests with ``PYTHONPATH=src python3 scripts/report_digest.py --seeds
 0 3 5 7 > tests/data/report_digests.txt``.
 """
 
-import importlib.util
 import json
 import re
+import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +36,14 @@ WEIGHTED_NAMES = ("cubic_threefold", "fp_cubic_fourfold", "fp_e8_threefold", "fp
 
 def session_path(name: str) -> Path:
     return (SESSIONS if name in NAMES else DATA / "sessions") / f"{name}.json"
+
+
+def seeded_sessions(seed: int) -> dict:
+    """The seven sessions of NAMES and WEIGHTED_NAMES by name, as
+    scripts/report_digest.py runs them at the seed."""
+    script = runpy.run_path(str(ROOT / "scripts" / "report_digest.py"))
+    return {label.split("/")[1]: doc
+            for label, doc in script["sessions"](seed, script["perfbench_inputs"]())}
 
 
 def report_text(name: str) -> str:
@@ -106,20 +114,25 @@ def test_rescaled_session_gives_the_same_invariants(name, monkeypatch):
     assert any(type(q) is Fraction and q.denominator > 1 for q in inverses)
 
 
-def test_seeded_report_digests_match_the_record(monkeypatch):
+def test_seeded_report_digests_match_the_record():
     """The reports of the ten sessions of scripts/report_digest.py, as
     written and after the graded coordinate changes of seeds 3, 5 and 7,
     hash to the digests recorded in tests/data/report_digests.txt.  The
-    script is loaded with its own functions and leaves no bytecode behind,
-    in scripts/ or in the perfbench/ it imports from."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "report_digest", ROOT / "scripts" / "report_digest.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    lines = [f"{seed}\t{label}\t{script.digest(doc)}"
-             for seed in (0, 3, 5, 7) for label, doc in script.sessions(seed)]
+    script is run from its source with its own functions; it leaves no
+    bytecode behind, in scripts/ or in the perfbench/ it loads inputs.py
+    from, no inputs module in sys.modules, and sys.dont_write_bytecode as
+    it was."""
+    caches = [ROOT / "scripts" / "__pycache__", ROOT / "perfbench" / "__pycache__"]
+    before = [sorted(c.iterdir()) if c.is_dir() else None for c in caches]
+    flag, loaded = sys.dont_write_bytecode, "inputs" in sys.modules
+    script = runpy.run_path(str(ROOT / "scripts" / "report_digest.py"))
+    inputs = script["perfbench_inputs"]()
+    assert sys.dont_write_bytecode is flag
+    assert ("inputs" in sys.modules) is loaded
+    lines = [f"{seed}\t{label}\t{script['digest'](doc)}"
+             for seed in (0, 3, 5, 7) for label, doc in script["sessions"](seed, inputs)]
     assert lines == (DATA / "report_digests.txt").read_text(encoding="utf-8").splitlines()
+    assert [sorted(c.iterdir()) if c.is_dir() else None for c in caches] == before
 
 
 if __name__ == "__main__":

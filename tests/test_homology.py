@@ -27,9 +27,8 @@ from thetacas import (
 from thetacas import homology
 from thetacas.cli import run_session
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import freeze_vec, normal_form, syzygy_basis
+from thetacas.groebner import NakayamaSelection, freeze_vec, normal_form, syzygy_basis
 from thetacas.homology import (
-    _minimal_generating_subset,
     _rows_as_vectors,
     _vector_degree,
     columns_as_vectors,
@@ -52,7 +51,7 @@ from oracles import (
     tensored_homology,
     vec_from_polys,
 )
-from test_golden_reports import NAMES, WEIGHTED_NAMES, _rescaled, session_path
+from test_golden_reports import NAMES, WEIGHTED_NAMES, _rescaled, seeded_sessions, session_path
 
 
 def same_span(ring, cols_a, cols_b, rank):
@@ -298,6 +297,34 @@ def test_mf_with_one_beta_entry_changed_is_rejected(data, node_modules, a1_modul
         MatrixFactorization(M.ring, mf.alpha, beta, mf.source_index)
 
 
+def test_mf_moves_past_a_singular_w():
+    """A/(x^2) over the node xy resolves as x^2, y, x, y, ...: its Betti
+    numbers are constant from F_0, but d_1 d_2 / f = x is singular, so the
+    factorization is read at j = 2, alpha = y and beta = x, with no
+    Groebner or syzygy basis built."""
+    S = PolynomialRing(FieldSpec(0), ["x", "y"])
+    A = HypersurfaceRing(S, S.parse("x*y"))
+    res = minimal_resolution(present_cyclic(A, ["x^2"]), A.dimension + 3)
+    assert res.stable_start == 1
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("syzygy_basis", "groebner_basis"):
+            patch.setattr(homology, name, None)
+        mf = extract_matrix_factorization(res)
+    assert mf.source_index == 2
+    assert (str(mf.alpha[0][0]), str(mf.beta[0][0])) == ("y", "x")
+
+
+def test_mf_names_the_last_differential_when_every_w_is_singular(monkeypatch, node):
+    """When every W is singular, the resolution is extended one step past
+    its length, to read W at j = L, and NotStabilized names d_L."""
+    M = present_cyclic(node, ["x"])
+    res = minimal_resolution(M, node.dimension + 3)
+    monkeypatch.setattr(homology, "graded_inverse", lambda *args: None)
+    with pytest.raises(NotStabilized, match=f"d_{res.length} "):
+        extract_matrix_factorization(res)
+    assert len(M._res_diffs) == res.length + 1
+
+
 def test_mf_coker_matches_high_syzygy(quadric, quadric_modules):
     """coker(alpha mod f) pairs like the recorded syzygy of the source module."""
     M = quadric_modules["Ap"]
@@ -368,15 +395,22 @@ def test_syzygies_match_the_full_basis_route(node, quadric, S2):
 
 
 def _session_calls(monkeypatch, doc):
-    """Every syzygies_over call, as (ring, vectors, rank, syzygies), and
-    every matrix factorization made, over one run of the session."""
-    calls, made = [], []
-    real = homology.syzygies_over
+    """Over one run of the session: every syzygy list read over R off a
+    syzygy basis, as (ring, basis, syzygies); every syzygy basis a
+    resolution step read off the builder its selection left open, as
+    (selection, basis); and every matrix factorization made."""
+    calls, opened, made = [], [], []
+    real_kept, real_open = homology._kept_syzygies, NakayamaSelection.syzygies
 
-    def recording(ring, vectors, rank):
-        out = real(ring, vectors, rank)
-        calls.append((ring, vectors, rank, out))
+    def recording(ring, basis):
+        out = real_kept(ring, basis)
+        calls.append((ring, basis, out))
         return out
+
+    def reading(selection):
+        basis = real_open(selection)
+        opened.append((selection, basis))
+        return basis
 
     class Recording(homology.MatrixFactorization):
         def __init__(self, *args):
@@ -384,33 +418,55 @@ def _session_calls(monkeypatch, doc):
             made.append(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(homology, "syzygies_over", recording)
+        patch.setattr(homology, "_kept_syzygies", recording)
+        patch.setattr(NakayamaSelection, "syzygies", reading)
         patch.setattr(homology, "MatrixFactorization", Recording)
         _report, code = run_session(doc)
     assert code == 0
-    return calls, made
+    return calls, opened, made
 
 
 def test_session_syzygies_are_reduced_and_span_what_the_basis_spans(monkeypatch):
     """Over every resolution of the seven golden sessions, each syzygy
-    syzygies_over keeps is reduced modulo f, none repeats, and each basis
-    element it drops (lead lead(f) * eps_c) lies in the lift of the kept
-    ones: the kept list generates the syzygy module over R with no normal
-    form modulo f."""
+    kept off a syzygy basis is reduced modulo f, none repeats, and each
+    basis element dropped (lead lead(f) * eps_c) lies in the lift of the
+    kept ones: the kept list generates the syzygy module over R with no
+    normal form modulo f."""
     dropped = 0
     for name in NAMES + WEIGHTED_NAMES:
-        calls, _made = _session_calls(monkeypatch, json.loads(session_path(name).read_text()))
+        calls, _opened, _made = _session_calls(monkeypatch,
+                                               json.loads(session_path(name).read_text()))
         assert calls
-        for ring, vectors, rank, kept in calls:
+        for ring, basis, kept in calls:
             assert all(reduce_vec_mod_f(v, ring) == v for v in kept)
             assert len({freeze_vec(v) for v in kept}) == len(kept)
-            basis = syzygy_basis(vectors, ring.ambient, rank, f_times_unit_vectors(ring, rank))
-            lift = lifted_basis(ring, kept, len(vectors))
+            lift = lifted_basis(ring, kept, basis.rank)
             for v in map(dict, basis.vectors):
                 if v not in kept:
                     dropped += 1
                     assert not normal_form(v, lift)
     assert dropped
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_open_builder_syzygies_match_a_cold_basis(seed, monkeypatch):
+    """For every resolution step of the seven golden sessions, as written
+    and under the graded coordinate change of seed 3, the syzygy basis of
+    d_i read off the builder its selection left open (or its memo entry)
+    equals syzygy_basis(d_i, S, b_(i-1), f * e_j) computed cold on a fresh
+    ring."""
+    steps = 0
+    for name, doc in seeded_sessions(seed).items():
+        _calls, opened, _made = _session_calls(monkeypatch, doc)
+        assert opened, name
+        for selection, basis in opened:
+            S = selection.ring
+            fresh = PolynomialRing(S.field, S.variables, S.weights)
+            cold = syzygy_basis(selection.generators, fresh, selection.rank,
+                                selection.relations)
+            assert (basis.rank, basis.vectors) == (cold.rank, cold.vectors), name
+            steps += 1
+    assert steps > 50
 
 
 @pytest.mark.parametrize("name", NAMES + WEIGHTED_NAMES)
@@ -421,7 +477,7 @@ def test_session_betas_match_the_representation_route(name, rescale, monkeypatch
     alpha_i, on the session as written and after x -> 2x (a lead coefficient
     of f that is not a unit)."""
     doc = json.loads(session_path(name).read_text())
-    _calls, made = _session_calls(monkeypatch, _rescaled(doc, "x") if rescale else doc)
+    _calls, _opened, made = _session_calls(monkeypatch, _rescaled(doc, "x") if rescale else doc)
     assert made
     for mf in made:
         S, cols = mf.ring.ambient, columns_as_vectors(mf.alpha)
@@ -646,16 +702,27 @@ def test_nakayama_selection_matches_prefix_rebuild():
         for i in range(1, len(betti) - 1):
             A, rank, degs = M.ring, res.betti[i - 1], res.gen_degrees(i)
             syz = _sorted_syzygies(A, res.differential_columns(i), rank, degs)
-            kept = _minimal_generating_subset(A, syz, res.betti[i], degs)
+            kept, _selection = _select(A, syz, degs)
             vectors = [v for v, _d in syz]
             assert kept == _prefix_rebuild_selection(A, vectors, res.betti[i], degs)
             assert [v for v, _d in kept] == res.differential_columns(i + 1)
 
 
+def _select(A, candidates, target_degs):
+    """The candidates a NakayamaSelection keeps, in the given order, and the
+    selection."""
+    selection = NakayamaSelection(A.ambient, target_degs, candidates,
+                                  f_times_unit_vectors(A, len(target_degs)))
+    return [candidates[n] for n in selection.kept], selection
+
+
 def test_nakayama_selection_memoises_no_basis():
-    """The selection's open basis stays out of the ring's Groebner memo:
-    resolving k to length 7 over the cubic fourfold over F_32003 leaves one
-    basis per resolution step, the one syzygies_over builds."""
+    """A selection memoises no basis, and reads its syzygies off the memo
+    before it completes its builder: resolving k to length 7 over the cubic
+    fourfold over F_32003 leaves one syzygy basis for each of d_1, ..., d_6,
+    and none for d_7, whose builder stays open.  A new selection from the
+    same candidates keeps the same vectors, adds no memo entry, and its
+    syzygies are the resolution's entry, found with its pairs untreated."""
     S = PolynomialRing(FieldSpec(32003), ["x", "y", "z", "w", "u"])
     A = HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3 + u^3"))
     res = minimal_resolution(present_cyclic(A, ["x", "y", "z", "w", "u"]), 7)
@@ -663,10 +730,56 @@ def test_nakayama_selection_memoises_no_basis():
     for i in (1, 4):
         syz = _sorted_syzygies(A, res.differential_columns(i), res.betti[i - 1],
                                res.gen_degrees(i))
-        before = len(S._groebner_memo)
-        kept = _minimal_generating_subset(A, syz, res.betti[i], res.gen_degrees(i))
-        assert len(S._groebner_memo) == before
+        before = dict(S._groebner_memo)
+        kept, selection = _select(A, syz, res.gen_degrees(i))
+        assert S._groebner_memo == before
         assert [v for v, _d in kept] == res.differential_columns(i + 1)
+        pending = list(selection._builder.queue)
+        assert pending
+        basis = selection.syzygies()
+        assert any(basis is G for G in before.values())
+        assert selection._builder.queue == pending and S._groebner_memo == before
+
+
+def test_first_differential_keeps_the_presentation_order():
+    """d_1's candidates are treated in degree order but tagged by position:
+    for relations u^2, x, x*u over the quadric xy - uv, x*u is dropped and
+    d_1 is (u^2, x) in the presentation's order, and the syzygy basis read
+    off its open builder is that of those columns in that order, computed
+    cold on another ring."""
+    def quadric():
+        S = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v"])
+        return HypersurfaceRing(S, S.parse("x*y - u*v"))
+
+    A = quadric()
+    M = present_cyclic(A, ["u^2", "x", "x*u"])
+    res = minimal_resolution(M, 1)
+    P = A.ambient.parse
+    assert res.matrix(1) == ((P("u^2"), P("x")),)
+    assert M._open.kept == [0, 1]
+    opened = M._open.syzygies()
+    B = quadric()
+    cold = syzygy_basis(res.differential_columns(1), B.ambient, 1, f_times_unit_vectors(B, 1))
+    assert (opened.rank, opened.vectors) == (cold.rank, cold.vectors) and cold.rank == 2
+
+
+def test_open_selection_holds_no_reference_to_its_module(quadric):
+    """The builder a resolution leaves open refers to the ring and the
+    vectors only: with the cyclic collector off, the module is freed by
+    reference counting while its selection lives on, and the selection
+    still reads the syzygies of the last differential."""
+    gc.disable()
+    try:
+        M = present_cyclic(quadric, ["x", "u"])
+        minimal_resolution(M, 4)
+        selection, last = M._open, M._res_diffs[-1]
+        module = weakref.ref(M)
+        del M
+        assert module() is None
+        assert selection.generators == last
+        assert selection.syzygies().rank == len(last)
+    finally:
+        gc.enable()
 
 
 def test_syzygy_bases_have_a_memo_entry_of_their_own():

@@ -97,26 +97,27 @@ def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
     the left module resolved to length d + 3, the right one not at all.
     The value is remembered on the left module: a repeated pair computes
     nothing.  Against a new right module, an already resolved left module
-    computes no syzygy."""
+    reads no syzygy basis off a resolution step."""
+    import thetacas.groebner as groebner
     import thetacas.homology as homology
     import thetacas.pairings as pairings
 
     _tjurina_number(quadric)  # once per ring, before any pair
     Ap = present_cyclic(quadric, ["x", "u"])
     Aq = present_cyclic(quadric, ["x", "v"])
-    counted = ((homology, "hilbert_numerator"), (homology, "syzygies_over"),
+    counted = ((homology, "hilbert_numerator"), (groebner.NakayamaSelection, "syzygies"),
                (pairings, "_cokernel_series"))
-    calls = {name: 0 for _module, name in counted}
-    for module, name in counted:
-        def counting(*args, _real=getattr(module, name), _name=name):
+    calls = {name: 0 for _owner, name in counted}
+    for owner, name in counted:
+        def counting(*args, _real=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     first = theta(Ap, Aq)
     assert calls["hilbert_numerator"] == 2
     assert calls["_cokernel_series"] == 1
-    assert calls["syzygies_over"]
+    assert calls["syzygies"] == quadric.dimension + 2
     assert len(Ap._res_degs) == quadric.dimension + 4
     assert Aq._res_degs == []
     calls.update(dict.fromkeys(calls, 0))
@@ -127,9 +128,9 @@ def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
     assert len(Ap._res_degs) == quadric.dimension + 4
     calls.update(dict.fromkeys(calls, 0))
     theta(Ap, present_cyclic(quadric, ["y", "u"]))
-    assert calls == {"hilbert_numerator": 2, "syzygies_over": 0, "_cokernel_series": 1}
+    assert calls == {"hilbert_numerator": 2, "syzygies": 0, "_cokernel_series": 1}
     theta(Aq, Ap)  # a new left module computes its own resolution
-    assert calls["syzygies_over"]
+    assert calls["syzygies"]
 
 
 def test_theta_needs_a_hypersurface_ring(S2):
@@ -529,17 +530,17 @@ def test_local_length_matches_the_subquotient_route(quadric):
 
 def test_c1_and_chi_compute_no_syzygies(monkeypatch, S2, quadric):
     """c1's local lengths and chi of a complex are read off cokernel bases:
-    no syzygy module is computed."""
+    no syzygy module is computed, by syzygies_over or by a resolution step."""
+    import thetacas.groebner as groebner
     import thetacas.homology as homology
 
     calls = []
+    for owner, name in ((homology, "syzygies_over"), (groebner.NakayamaSelection, "syzygies")):
+        def counting(*args, _real=getattr(owner, name)):
+            calls.append(args)
+            return _real(*args)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    real = homology.syzygies_over
-    monkeypatch.setattr(homology, "syzygies_over", counting)
+        monkeypatch.setattr(owner, name, counting)
     primes = [("p", ["x", "u"]), ("q", ["x", "v"])]
     Ax = present_cyclic(quadric, ["x"])
     assert c1_torsion(Ax, primes).items() == [("p", 1), ("q", 1)]
