@@ -51,7 +51,7 @@ def main(argv) -> int:
                 except Exception as exc:
                     values.append(type(exc).__name__)
             print(f"   char {p}: " + ", ".join(
-                f"theta({'+'.join(l)}; {'+'.join(r)}) = {v}"
+                f"theta(A/({','.join(l)}), A/({','.join(r)})) = {v}"
                 for (l, r), v in zip(pairs, values)
             ))
     return 0

@@ -277,8 +277,7 @@ def _run_task(task: dict, env: Environment) -> dict:
             "matrices": [_matrix_json(res.matrix(i)) for i in range(1, L + 1)],
         }
     if kind == "mf":
-        res = minimal_resolution(env.modules[task["module"]], d + 3)
-        mf = extract_matrix_factorization(res)
+        mf = extract_matrix_factorization(minimal_resolution(env.modules[task["module"]], 1))
         return {
             "size": mf.size,
             "alpha": _matrix_json(mf.alpha),

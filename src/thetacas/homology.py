@@ -376,13 +376,13 @@ class Resolution:
     @property
     def stable_start(self) -> Optional[int]:
         """One more than the first index of the constant Betti tail: the
-        index of the first square differential in it.
+        index of the first square differential in it, for the resolve report.
 
         Requires length >= d + 3 and start <= d + 2 (Omega^{d+1} M is maximal
         Cohen-Macaulay with no free summand, so the tail is periodic from
         F_{d+1}); None when not yet stabilized.  Only Betti numbers are
-        compared: the matrix factorization identity checked by
-        MatrixFactorization is the certificate that the tail is periodic."""
+        compared; the matrix factorization, which does not read this, is
+        found at an index >= it (extract_matrix_factorization)."""
         b = self.betti
         d = ring_dimension(self.ring)
         L = self.length
@@ -462,34 +462,33 @@ class MatrixFactorization:
 
 
 def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
-    """The first differential d_j, j >= stable_start, that is alpha of a
-    matrix factorization, with its beta; remembered on the module.
+    """The first square differential d_j (b_(j-1) = b_j = b_(j+1)), j <= d + 3,
+    with W = d_j d_(j+1) / f invertible, as alpha of a matrix factorization
+    with its beta; remembered on the module, whose resolution grows to j + 1.
 
-    d_j d_{j+1} vanishes modulo f, so W = d_j d_{j+1} / f is a matrix over S,
-    homogeneous of degree 0.  When W is invertible, beta = d_{j+1} W^-1
-    gives alpha * beta = f * I, which makes det(alpha) nonzero, so beta is
-    the unique such matrix; a singular W moves on to the next j.  Tor_i(M, -)
-    is 2-periodic for i >= the source index j, since coker d_j has the
-    periodic resolution (alpha, beta)."""
+    d_j d_(j+1) vanishes modulo f, so W is a matrix over S, homogeneous of
+    degree 0.  When W is invertible, beta = d_(j+1) W^-1 gives alpha * beta =
+    f * I, which makes det(alpha) nonzero, so beta is the unique such matrix,
+    and its entries, like alpha's, lie in the maximal ideal.  coker d_j is
+    then coker alpha over R, with the periodic minimal resolution (alpha,
+    beta) of constant rank (Eisenbud 1980); by the uniqueness of minimal
+    resolutions it is the tail of M's from F_(j-1), so the Betti numbers are
+    constant from b_(j-1) on and Tor_i(M, -) is 2-periodic for i >= j.  So
+    every such j is at least Resolution.stable_start (at most d + 2), and the
+    first one is the first j >= stable_start with W invertible."""
     ring = res.ring
     if not isinstance(ring, HypersurfaceRing):
         raise ValueError("matrix factorizations require a hypersurface ring")
     M = res.module
     if M._mf is not None:
         return M._mf
-    d = ring.dimension
-    if res.length < d + 3:
-        res = minimal_resolution(M, d + 3)
-    start = res.stable_start
-    if start is None:
-        raise NotStabilized(
-            f"Betti numbers not constant by homological degree {d + 3}: {res.betti}"
-        )
     S = ring.ambient
-    for j in range(start, res.length + 1):
+    for j in range(1, ring.dimension + 4):
         M._extend_resolution(j + 1)
+        r = len(M._res_degs[j - 1])
+        if not r == len(M._res_degs[j]) == len(M._res_degs[j + 1]):
+            continue
         alpha, d_next = M._res_diffs[j - 1], M._res_diffs[j]
-        r = len(alpha)
         W = [divide_exactly(mat_vec(alpha, v, S.field), ring.f.coeffs, S) for v in d_next]
         W_inv = graded_inverse(W, r, S)
         if W_inv is not None:
@@ -497,8 +496,8 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
             M._mf = MatrixFactorization(ring, vectors_to_rows(alpha, r, ring),
                                         vectors_to_rows(beta, r, ring), j)
             return M._mf
-    raise NotStabilized(f"d_{j} is not alpha of a matrix factorization: "
-                        f"d_{j} d_{j + 1} / f is singular")
+    raise NotStabilized(f"d_{j} is not alpha of a matrix factorization, nor is any "
+                        f"earlier square d_i: each d_i d_(i+1) / f is singular")
 
 
 # ---------------------------------------------------------------------------
@@ -618,23 +617,22 @@ def subquotient_presentation(
     return ModulePresentation(ring, rows)
 
 
-def _rows_as_vectors(rows: MatrixRows, ncols: int) -> List[Vector]:
-    """Rows of a matrix as vectors indexed by column position."""
-    out = []
-    for row in rows:
-        v: Vector = {}
-        for c in range(ncols):
-            for m, coeff in row[c].coeffs.items():
-                v[(c, m)] = coeff
-        out.append(v)
+def _transpose(cols: Sequence[Vector], nrows: int) -> List[Vector]:
+    """The columns of the transpose of the nrows-row matrix with the given
+    columns: its rows, as vectors indexed by column position."""
+    out: List[Vector] = [{} for _r in range(nrows)]
+    for c, v in enumerate(cols):
+        for (r, m), coeff in v.items():
+            out[r][(c, m)] = coeff
     return out
 
 
 def ext_module(M: ModulePresentation, i: int) -> ModulePresentation:
-    """Ext^i_A(M, A): homology of the dualized minimal resolution."""
+    """Ext^i_A(M, A): homology of the dualized minimal resolution, which
+    reads F_0..F_(i+1) and d_i, d_(i+1) only."""
     if i < 0:
         raise ValueError("ext index must be >= 0")
-    res = minimal_resolution(M, i + 2)
+    res = minimal_resolution(M, i + 1)
     b = res.betti
     if b[i] == 0:
         return ModulePresentation.zero(M.ring)
@@ -642,16 +640,11 @@ def ext_module(M: ModulePresentation, i: int) -> ModulePresentation:
     if b[i + 1] == 0:
         kernel: Optional[List[Vector]] = None
     else:
-        d_next_rows = res.matrix(i + 1)  # b_i x b_{i+1}
-        row_vectors = _rows_as_vectors(d_next_rows, b[i + 1])
-        kernel = syzygies_over(M.ring, row_vectors, b[i + 1])
-    if i == 0:
-        image: List[Vector] = []
-    else:
-        d_rows = res.matrix(i)  # b_{i-1} x b_i
-        image = _rows_as_vectors(d_rows, b[i])
-    image = [v for v in image if v]
-    return subquotient_presentation(M.ring, b[i], kernel, image)
+        kernel = syzygies_over(M.ring, _transpose(res.differential_columns(i + 1), b[i]),
+                               b[i + 1])
+    # image of transpose(d_i) : R^{b_{i-1}} -> R^{b_i}
+    image = _transpose(res.differential_columns(i), b[i - 1]) if i else []
+    return subquotient_presentation(M.ring, b[i], kernel, [v for v in image if v])
 
 
 def dual_module(M: ModulePresentation) -> ModulePresentation:

@@ -221,6 +221,7 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     """l(Tor_even(M, N)) - l(Tor_odd(M, N)) where Tor is 2-periodic: from the
     source index s of M's verified matrix factorization on, where these Tors
     have finite length as the ring is an isolated singularity (finite tau).
+    M is resolved to length s + 1 only: theta reads d_s and F_(s-1..s+1).
 
     With C_j = coker(d_j (x) N) and alpha = d_s, ker d_s = im beta is
     coker d_s shifted by deg f (Eisenbud 1980), and exactness gives
@@ -238,8 +239,7 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     key = (N.rows, N.gen_degrees)
     if key in M._thetas:
         return M._thetas[key]
-    d = ring_dimension(M.ring)
-    s = extract_matrix_factorization(minimal_resolution(M, d + 3)).source_index
+    s = extract_matrix_factorization(minimal_resolution(M, 1)).source_index
     res = minimal_resolution(M, s + 1)
     deg_f = M.ring.f.weighted_degree()
     below, middle, above = (res.gen_degrees(i) for i in (s - 1, s, s + 1))
@@ -298,9 +298,10 @@ def chi_complex(
 
 
 def finite_pd(M: ModulePresentation) -> Optional[int]:
-    """Projective dimension if finite (resolution probed to dim + 2), else None."""
+    """Projective dimension if finite, else None: the resolution is probed to
+    d + 1, as pd M <= depth A = d when finite (Auslander-Buchsbaum)."""
     d = ring_dimension(M.ring)
-    res = minimal_resolution(M, d + 2)
+    res = minimal_resolution(M, d + 1)
     b = res.betti
     for i, bi in enumerate(b):
         if bi == 0:

@@ -626,15 +626,20 @@ DATA_SESSIONS = Path(__file__).resolve().parent / "data" / "sessions"
 
 
 def _buchberger_counts(monkeypatch, path):
-    """(S-pairs formed, normal forms computed, zero remainders) in the
-    Groebner layer over one run of the session."""
+    """(S-pairs formed, normal forms computed, zero remainders, Nakayama
+    selections built) in the Groebner layer over one run of the session."""
     import heapq
     import types
 
     import thetacas.cli as cli
     import thetacas.groebner as groebner
 
-    counts = [0, 0, 0]
+    counts = [0, 0, 0, 0]
+    real_init = groebner.NakayamaSelection.__init__
+
+    def counting_init(selection, *args):
+        counts[3] += 1
+        real_init(selection, *args)
 
     def heappush(queue, item):
         counts[0] += 1
@@ -649,15 +654,16 @@ def _buchberger_counts(monkeypatch, path):
     monkeypatch.setattr(groebner, "heapq", types.SimpleNamespace(
         heappush=heappush, heappop=heapq.heappop))
     monkeypatch.setattr(groebner, "normal_form_vec", counting_normal_form_vec)
+    monkeypatch.setattr(groebner.NakayamaSelection, "__init__", counting_init)
     _report, code = cli.run_session(json.loads(path.read_text()))
     assert code == 0
     return tuple(counts)
 
 
 @pytest.mark.parametrize("path, expected", [
-    (SESSIONS / "quadric.json", (126, 133, 35)),
-    (DATA_SESSIONS / "fp_e7_surface.json", (96, 152, 10)),
-    (DATA_SESSIONS / "fp_cubic_fourfold.json", (437, 621, 125)),
+    (SESSIONS / "quadric.json", (117, 127, 35, 9)),
+    (DATA_SESSIONS / "fp_e7_surface.json", (88, 136, 10, 9)),
+    (DATA_SESSIONS / "fp_cubic_fourfold.json", (437, 621, 125, 7)),
 ])
 def test_buchberger_treats_the_same_pairs(monkeypatch, path, expected):
     """Pair formation, the chain criterion and minimalization must form,

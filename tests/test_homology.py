@@ -25,11 +25,11 @@ from thetacas import (
     tor_length,
 )
 from thetacas import homology
-from thetacas.cli import run_session
+from thetacas.cli import build_environment, run_session
 from thetacas.errors import InfiniteLength, NotStabilized
 from thetacas.groebner import NakayamaSelection, freeze_vec, normal_form, syzygy_basis
 from thetacas.homology import (
-    _rows_as_vectors,
+    _transpose,
     _vector_degree,
     columns_as_vectors,
     f_times_unit_vectors,
@@ -325,6 +325,28 @@ def test_mf_names_the_last_differential_when_every_w_is_singular(monkeypatch, no
     assert len(M._res_diffs) == res.length + 1
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_mf_source_index_lies_in_the_constant_betti_tail(seed):
+    """The first square d_j with W = d_j d_(j+1) / f invertible is read off a
+    resolution grown to j + 1 only; on every module of the seven golden
+    sessions, as written and under the graded coordinate change of seed 3,
+    the Betti numbers of the length-(d + 3) resolution are constant from
+    b_(j-1) on and stable_start <= j <= d + 2."""
+    modules = 0
+    for name, doc in seeded_sessions(seed).items():
+        env, errors = build_environment(doc)
+        assert not errors, name
+        d = env.ring.dimension
+        for M in env.modules.values():
+            s = extract_matrix_factorization(minimal_resolution(M, 1)).source_index
+            assert len(M._res_diffs) == s + 1, name
+            res = minimal_resolution(M, d + 3)
+            assert res.stable_start <= s <= d + 2, name
+            assert len(set(res.betti[s - 1:])) == 1, name
+            modules += 1
+    assert modules == 16
+
+
 def test_mf_coker_matches_high_syzygy(quadric, quadric_modules):
     """coker(alpha mod f) pairs like the recorded syzygy of the source module."""
     M = quadric_modules["Ap"]
@@ -355,7 +377,7 @@ def _syzygy_inputs(node, quadric, S2):
         res = minimal_resolution(M, 3)
         for i in (1, 2, 3):
             yield M.ring, res.differential_columns(i), res.betti[i - 1]
-        yield M.ring, _rows_as_vectors(res.matrix(2), res.betti[2]), res.betti[2]
+        yield M.ring, _transpose(res.differential_columns(2), res.betti[1]), res.betti[2]
 
 
 def test_syzygies_match_the_tagged_route(node, quadric, S2):
@@ -394,11 +416,13 @@ def test_syzygies_match_the_full_basis_route(node, quadric, S2):
         assert syzygies_over(ring, vectors, rank) == full_basis_syzygies(ring, vectors, rank)
 
 
-def _session_calls(monkeypatch, doc):
+def _session_calls(monkeypatch, doc, resolve=False):
     """Over one run of the session: every syzygy list read over R off a
     syzygy basis, as (ring, basis, syzygies); every syzygy basis a
     resolution step read off the builder its selection left open, as
-    (selection, basis); and every matrix factorization made."""
+    (selection, basis); and every matrix factorization made.  With resolve,
+    every module of a fresh environment of the session is then also
+    resolved to length d + 3 under the same recording."""
     calls, opened, made = [], [], []
     real_kept, real_open = homology._kept_syzygies, NakayamaSelection.syzygies
 
@@ -422,6 +446,10 @@ def _session_calls(monkeypatch, doc):
         patch.setattr(NakayamaSelection, "syzygies", reading)
         patch.setattr(homology, "MatrixFactorization", Recording)
         _report, code = run_session(doc)
+        if resolve:
+            env, _errors = build_environment(doc)
+            for M in env.modules.values():
+                minimal_resolution(M, env.ring.dimension + 3)
     assert code == 0
     return calls, opened, made
 
@@ -451,13 +479,13 @@ def test_session_syzygies_are_reduced_and_span_what_the_basis_spans(monkeypatch)
 @pytest.mark.parametrize("seed", [0, 3])
 def test_open_builder_syzygies_match_a_cold_basis(seed, monkeypatch):
     """For every resolution step of the seven golden sessions, as written
-    and under the graded coordinate change of seed 3, the syzygy basis of
-    d_i read off the builder its selection left open (or its memo entry)
-    equals syzygy_basis(d_i, S, b_(i-1), f * e_j) computed cold on a fresh
-    ring."""
+    and under the graded coordinate change of seed 3, and of their modules
+    resolved to length d + 3, the syzygy basis of d_i read off the builder
+    its selection left open (or its memo entry) equals
+    syzygy_basis(d_i, S, b_(i-1), f * e_j) computed cold on a fresh ring."""
     steps = 0
     for name, doc in seeded_sessions(seed).items():
-        _calls, opened, _made = _session_calls(monkeypatch, doc)
+        _calls, opened, _made = _session_calls(monkeypatch, doc, resolve=True)
         assert opened, name
         for selection, basis in opened:
             S = selection.ring

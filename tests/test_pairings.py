@@ -94,7 +94,8 @@ def test_theta_a1_surface_vanishes(a1, a1_modules):
 def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
     """A new pair costs theta one cokernel basis (C_s) and two Hilbert
     numerators (C_s and the right module), with no homology computed and
-    the left module resolved to length d + 3, the right one not at all.
+    the left module resolved to length s + 1, the source index of its matrix
+    factorization, with s syzygy bases read, the right one not at all.
     The value is remembered on the left module: a repeated pair computes
     nothing.  Against a new right module, an already resolved left module
     reads no syzygy basis off a resolution step."""
@@ -115,17 +116,18 @@ def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
 
         monkeypatch.setattr(owner, name, counting)
     first = theta(Ap, Aq)
+    s = Ap._mf.source_index
+    assert s == 2
     assert calls["hilbert_numerator"] == 2
     assert calls["_cokernel_series"] == 1
-    assert calls["syzygies"] == quadric.dimension + 2
-    assert len(Ap._res_degs) == quadric.dimension + 4
+    assert calls["syzygies"] == s
+    assert len(Ap._res_degs) == s + 2
     assert Aq._res_degs == []
     calls.update(dict.fromkeys(calls, 0))
     assert theta(Ap, Aq) == first
     assert not any(calls.values())
-    s = Ap._mf.source_index
     assert (-1) ** s * (tor_length(Ap, Aq, s) - tor_length(Ap, Aq, s + 1)) == first
-    assert len(Ap._res_degs) == quadric.dimension + 4
+    assert len(Ap._res_degs) == s + 3  # Tor_(s+1) reads d_(s+2), no further
     calls.update(dict.fromkeys(calls, 0))
     theta(Ap, present_cyclic(quadric, ["y", "u"]))
     assert calls == {"hilbert_numerator": 2, "syzygies": 0, "_cokernel_series": 1}
