@@ -3,7 +3,8 @@
 the golden pairs, to see whether any of them are characteristic-dependent
 (the A1 surface f = xy - z^2 is the interesting case in characteristic 2,
 where f degenerates to a non-reduced-looking form xy + z^2 but is still a
-valid hypersurface).
+valid hypersurface).  A mathematical error (AlgebraError) is tabulated by
+its class name; any other exception is a defect and propagates.
 
 Usage: python3 scripts/char_p_sweep.py [p ...]   (default: 0 2 3 5)
 """
@@ -17,6 +18,7 @@ from thetacas import (
     present_cyclic,
     theta,
 )
+from thetacas.errors import AlgebraError
 
 CASES = [
     ("node", ["x", "y"], "x*y", [(["x"], ["y"]), (["x"], ["x"])]),
@@ -35,21 +37,29 @@ CASES = [
 ]
 
 
-def main(argv) -> int:
-    chars = [int(a) for a in argv] or [0, 2, 3, 5]
+def sweep(chars):
+    """{(label, f): {p: [theta value, or the AlgebraError's class name, per pair]}}."""
+    table = {}
     for label, variables, f, pairs in CASES:
-        print(f"-- {label}: f = {f}")
+        rows = table[(label, f)] = {}
         for p in chars:
             S = PolynomialRing(FieldSpec(p), variables)
             A = HypersurfaceRing(S, S.parse(f))
-            values = []
+            values = rows[p] = []
             for left, right in pairs:
-                M = present_cyclic(A, left)
-                N = present_cyclic(A, right)
                 try:
-                    values.append(str(theta(M, N)))
-                except Exception as exc:
+                    values.append(theta(present_cyclic(A, left), present_cyclic(A, right)))
+                except AlgebraError as exc:
                     values.append(type(exc).__name__)
+    return table
+
+
+def main(argv) -> int:
+    chars = [int(a) for a in argv] or [0, 2, 3, 5]
+    table = sweep(chars)
+    for label, variables, f, pairs in CASES:
+        print(f"-- {label}: f = {f}")
+        for p, values in table[(label, f)].items():
             print(f"   char {p}: " + ", ".join(
                 f"theta(A/({','.join(l)}), A/({','.join(r)})) = {v}"
                 for (l, r), v in zip(pairs, values)

@@ -149,14 +149,6 @@ class GroebnerBasis:
                 and self.rank == other.rank and self.packed == other.packed)
 
 
-def _grouped(pairs, comp_shift: int) -> Reducers:
-    """(lead, vector) pairs grouped by the component of the lead, in order."""
-    out: Reducers = {}
-    for lead, g in pairs:
-        out.setdefault(lead >> comp_shift, []).append((lead, g))
-    return out
-
-
 class GroebnerBuilder:
     """Buchberger's loop, kept open: add vectors, complete the basis up to a
     degree, read off the reduced basis.  A pair's degree is its lcm's degree
@@ -324,12 +316,6 @@ def _completed(
     return builder
 
 
-def normal_form(v: Vector, G: GroebnerBasis) -> Vector:
-    ring = G.ring
-    reducers = _grouped(G.packed, ring._comp_shift)
-    return ring._unpack_vector(normal_form_vec(ring._pack_vector(v), reducers, ring))
-
-
 # ---------------------------------------------------------------------------
 # syzygies via the augmented basis
 
@@ -423,7 +409,7 @@ class NakayamaSelection:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series, lengths, multiplicity
+# Hilbert series and lengths
 
 
 def _minimal_monomial_gens(monos: Sequence[tuple]) -> List[tuple]:
@@ -558,25 +544,3 @@ def series_length(num: dict, weights: Sequence[int]):
     if num and length is not INFINITE and length <= 0:
         raise AlgebraError(f"{num} is not the Hilbert numerator of a module")
     return length
-
-
-def quotient_dimension(G: GroebnerBasis) -> int:
-    """Krull dimension of S^rank/(lead module); -1 for the zero module."""
-    order, _value = _series_at_one(hilbert_numerator(G))
-    if order is None:
-        return -1
-    return G.ring.nvars - order
-
-
-def multiplicity(G: GroebnerBasis) -> int:
-    """Normalized leading coefficient of the Hilbert polynomial (weights 1)."""
-    if any(w != 1 for w in G.ring.weights):
-        raise ValueError("multiplicity requires all weights equal to 1")
-    order, e = _series_at_one(hilbert_numerator(G))
-    if order is None:
-        raise ValueError("multiplicity of the zero module is undefined")
-    if order == G.ring.nvars:
-        raise ValueError("zero-dimensional quotient: use series_length instead")
-    if e <= 0:
-        raise AlgebraError(f"multiplicity {e} is not positive")
-    return e

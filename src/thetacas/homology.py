@@ -14,19 +14,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InfiniteLength, InhomogeneousError, NotStabilized
+from .errors import AlgebraError, InfiniteLength, InhomogeneousError, NotStabilized
 from .groebner import (
     GroebnerBasis,
     NakayamaSelection,
     Vector,
+    _series_at_one,
     _tpoly_shift,
     _tpoly_sub,
     freeze_vec,
     groebner_basis,
     hilbert_numerator,
-    normal_form,
     normal_form_vec,
-    quotient_dimension,
     series_length,
     syzygy_basis,
     vec_axpy,
@@ -183,10 +182,10 @@ class ModulePresentation:
     """Finitely generated module coker(Q : R^t -> R^s) with graded bookkeeping.
 
     The module owns what is computed from it, each filled on first use: the
-    presentation GB, the minimal presentation, the minimal resolution (grown
-    in place as longer ones are asked for), its matrix factorization, and theta
-    values against other modules, keyed by the other module's rows and
-    generator degrees.  No cache holds a module object, so a module is
+    presentation GB, its Hilbert series (module_series), the minimal
+    presentation, the minimal resolution (grown in place as longer ones are
+    asked for), its matrix factorization, and theta values against other
+    modules, keyed by the other module's rows and generator degrees.  No cache holds a module object, so a module is
     freed by reference counting, with no cycle for the garbage collector."""
 
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
@@ -214,6 +213,7 @@ class ModulePresentation:
             gen_degrees = infer_degrees([self.nrows, self.ncols], [self.rows])[0]
         self.gen_degrees = tuple(gen_degrees)
         self._gb: Optional[GroebnerBasis] = None
+        self._series: Optional[dict] = None
         self._minimal: Optional[ModulePresentation] = None
         # resolution: columns of d_1, d_2, ...; generator degrees of F_0, F_1, ...
         self._res_diffs: List[List[Vector]] = []
@@ -251,12 +251,7 @@ class ModulePresentation:
         return self._gb
 
     def is_zero(self) -> bool:
-        if self.nrows == 0:
-            return True
-        gb = self.presentation_gb()
-        one = (0,) * ambient_of(self.ring).nvars
-        return all(not normal_form({(j, one): self.ring.field.one}, gb)
-                   for j in range(self.nrows))
+        return not module_series(self)
 
     def __repr__(self):
         return f"<module {self.nrows} gens, {self.ncols} relations over {self.ring!r}>"
@@ -326,8 +321,11 @@ def present_cyclic(ring: RingLike, generators) -> ModulePresentation:
 
 def module_series(M: ModulePresentation) -> dict:
     """Hilbert series numerator of M over the ambient denominator
-    prod_i (1 - t^(w_i)), generators in their degrees."""
-    return hilbert_numerator(M.presentation_gb(), M.gen_degrees)
+    prod_i (1 - t^(w_i)), generators in their degrees; remembered on M, where
+    every invariant of M reads it.  Callers must not change the dict."""
+    if M._series is None:
+        M._series = hilbert_numerator(M.presentation_gb(), M.gen_degrees)
+    return M._series
 
 
 def module_length(M: ModulePresentation):
@@ -336,8 +334,31 @@ def module_length(M: ModulePresentation):
 
 
 def module_dimension(M: ModulePresentation) -> int:
-    """Krull dimension of the support; -1 for the zero module."""
-    return quotient_dimension(M.presentation_gb())
+    """Krull dimension of the support; -1 for the zero module.
+
+    It is n less the order of the root t = 1 of M's numerator.  A shift of
+    generator degrees multiplies the numerator by a power of t, which moves
+    neither that order nor the value module_multiplicity reads."""
+    order, _value = _series_at_one(module_series(M))
+    if order is None:
+        return -1
+    return ambient_of(M.ring).nvars - order
+
+
+def module_multiplicity(M: ModulePresentation) -> int:
+    """Normalized leading coefficient of the Hilbert polynomial (weights 1):
+    the numerator over (1 - t)^(dimension) at t = 1."""
+    S = ambient_of(M.ring)
+    if any(w != 1 for w in S.weights):
+        raise ValueError("multiplicity requires all weights equal to 1")
+    order, e = _series_at_one(module_series(M))
+    if order is None:
+        raise ValueError("multiplicity of the zero module is undefined")
+    if order == S.nvars:
+        raise ValueError("zero-dimensional quotient: use series_length instead")
+    if e <= 0:
+        raise AlgebraError(f"multiplicity {e} is not positive")
+    return e
 
 
 # ---------------------------------------------------------------------------

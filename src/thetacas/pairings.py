@@ -30,7 +30,6 @@ from .groebner import (
     _tpoly_sub,
     groebner_basis,
     hilbert_numerator,
-    multiplicity as gb_multiplicity,
     series_length,
     series_value,
 )
@@ -47,6 +46,7 @@ from .homology import (
     minimal_resolution,
     module_dimension,
     module_length,
+    module_multiplicity,
     module_series,
     reduce_mod_f,
     reduce_vec_mod_f,
@@ -336,12 +336,9 @@ def _power_products(S, gens: Sequence[Polynomial], power: int) -> List[Polynomia
     return out
 
 
-def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) -> int:
-    """Length of M localized at a height-one graded prime, via the ranks of
-    the graded pieces p^i M / p^(i+1) M over A/p.  With M = F/Q, the series
-    of a piece is HS(F/(p^(i+1) F + Q)) - HS(F/(p^i F + Q)); each basis is
-    seeded with M's presentation basis, which holds Q and f*e_j."""
-    ring = M.ring
+def _checked_prime(ring: RingLike, prime: Sequence[Polynomial]):
+    """(the prime's polynomials, e(A/p)), off one presentation of A/p, once
+    the weights are one and V(p) has dimension d - 1."""
     S = ambient_of(ring)
     if any(w != 1 for w in S.weights):
         raise ValueError("local lengths require all weights equal to 1")
@@ -352,9 +349,24 @@ def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) ->
         raise DimensionMismatch(
             f"V(p) has dimension {module_dimension(Ap)}, expected {d - 1}"
         )
-    e_p = gb_multiplicity(Ap.presentation_gb())
+    return prime, module_multiplicity(Ap)
+
+
+def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) -> int:
+    """Length of M localized at a height-one graded prime, via the ranks of
+    the graded pieces p^i M / p^(i+1) M over A/p."""
+    return _local_length(M, *_checked_prime(M.ring, prime))
+
+
+def _local_length(M: ModulePresentation, prime: List[Polynomial], e_p: int) -> int:
+    """The length of M at the prime p, for e_p = e(A/p).  With M = F/Q, the
+    series of a piece is HS(F/(p^(i+1) F + Q)) - HS(F/(p^i F + Q)); each
+    basis is seeded with M's presentation basis, which holds Q and f*e_j."""
     if M.nrows == 0:
         return 0
+    ring = M.ring
+    S = ambient_of(ring)
+    d = ring_dimension(ring)
     total = 0
     known = [(0, M.presentation_gb().vectors)]
     below: dict = {}  # HS(F/(p^0 F + Q)) = HS(0)
@@ -386,27 +398,25 @@ def c1_torsion(
     M: ModulePresentation,
     candidate_primes: Sequence[Tuple[str, Sequence[Polynomial]]],
 ) -> DivisorClass:
-    """Divisor class sum_p l_p(M) [p] over the supplied height-one primes.
+    """Divisor class sum_p l_p(M) [p] over the supplied height-one primes,
+    each A/p built once.
 
     The caller guarantees the list covers every top-dimensional component of
-    the support; an additivity audit warns when one is missing."""
+    the support; an additivity audit, sum_p l_p(M) e(A/p) = e(M) when M has
+    dimension d - 1 >= 1, warns when one is missing."""
     ring = M.ring
     d = ring_dimension(ring)
     dim_m = module_dimension(M)
     if dim_m >= d:
         raise AlgebraError("module is not torsion: support has full dimension")
     coeffs = {}
+    audit = 0
     for name, gens in candidate_primes:
-        coeffs[name] = local_length_at_prime(M, gens)
+        prime, e_p = _checked_prime(ring, gens)
+        coeffs[name] = _local_length(M, prime, e_p)
+        audit += coeffs[name] * e_p
     if dim_m == d - 1 and d - 1 >= 1:
-        S = ambient_of(ring)
-        e_m = gb_multiplicity(M.presentation_gb())
-        audit = 0
-        for name, gens in candidate_primes:
-            if coeffs[name]:
-                prime = [S.parse(p) if isinstance(p, str) else p for p in gens]
-                Ap = ModulePresentation.cyclic(ring, prime)
-                audit += coeffs[name] * gb_multiplicity(Ap.presentation_gb())
+        e_m = module_multiplicity(M)
         if audit != e_m:
             warnings.warn(
                 f"multiplicity audit failed: sum l_p e(A/p) = {audit} "

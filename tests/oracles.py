@@ -6,21 +6,32 @@ homology of a tensored complex presented as a subquotient (for Tor and chi
 of a complex, with one copy of N's relations per block), and local lengths
 from presented graded pieces p^i M / p^(i+1) M; for syzygies over
 R = S/(f), the f * e_j taken as tagged generators, and the syzygies read
-off the full augmented basis, not only its tag-lead part; and division with
-a representation, the reference for a matrix factorization's beta."""
+off the full augmented basis, not only its tag-lead part; division with
+a representation, the reference for a matrix factorization's beta, and the
+normal form against a reduced basis it reads; the dimension and multiplicity
+read off a basis's unshifted Hilbert numerator, the reference for the
+module's remembered series; and Knörrer's lift of a matrix factorization
+to two more variables, a cross-dimension reference for theta."""
 
 import itertools
 import operator
 
-from thetacas import INFINITE, minimal_resolution
+from thetacas import (
+    INFINITE,
+    HypersurfaceRing,
+    PolynomialRing,
+    extract_matrix_factorization,
+    minimal_resolution,
+)
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
+    _series_at_one,
     _tagged,
     freeze_vec,
     groebner_basis,
+    hilbert_numerator,
     lead_module,
-    multiplicity,
-    normal_form,
+    normal_form_vec,
     syzygy_basis,
     vec_restrict,
 )
@@ -29,7 +40,6 @@ from thetacas.homology import (
     _tensor_map_columns,
     columns_as_vectors,
     f_times_unit_vectors,
-    module_dimension,
     reduce_mod_f,
     reduce_vec_mod_f,
     subquotient_presentation,
@@ -117,6 +127,34 @@ def staircase_count(G):
             if not any(mono_divides(g, point) for g in gens):
                 total += 1
     return total
+
+
+def normal_form(v, G):
+    """Fully reduced remainder of the vector v against the reduced basis G;
+    of the basis elements whose lead divides a term, the first is used."""
+    ring = G.ring
+    reducers = {}
+    for lead, g in G.packed:
+        reducers.setdefault(lead >> ring._comp_shift, []).append((lead, g))
+    return ring._unpack_vector(normal_form_vec(ring._pack_vector(v), reducers, ring))
+
+
+def quotient_dimension(G):
+    """Krull dimension of S^rank/(lead module) off the unshifted numerator;
+    -1 for the zero module."""
+    order, _value = _series_at_one(hilbert_numerator(G))
+    if order is None:
+        return -1
+    return G.ring.nvars - order
+
+
+def multiplicity(G):
+    """Normalized leading coefficient of the Hilbert polynomial of
+    S^rank/(lead module), off the unshifted numerator (weights 1)."""
+    order, e = _series_at_one(hilbert_numerator(G))
+    if order is None or order == G.ring.nvars:
+        raise ValueError("multiplicity needs a module of positive dimension")
+    return e
 
 
 def tagged_syzygies(ring, vectors, rank):
@@ -254,10 +292,46 @@ def subquotient_local_length(M, prime):
                 for j in range(M.nrows):
                     target.append({(j, m): c for m, c in prod.coeffs.items()})
         piece = subquotient_presentation(ring, M.nrows, num, den)
-        if module_dimension(piece) < d - 1:
+        if quotient_dimension(piece.presentation_gb()) < d - 1:
             return total
         rank, remainder = divmod(multiplicity(piece.presentation_gb()), e_p)
         if remainder:
             raise AlgebraError(f"graded piece {power} has a multiplicity not divisible by e(A/p)")
         total += rank
     raise AlgebraError("local length did not terminate")
+
+
+def knorrer_ring(A, w_u=1):
+    """A' = S[u_k, v_k]/(f - u_k v_k), with deg u_k = w_u and deg v_k =
+    deg f - w_u, so that f - u_k v_k is homogeneous: dimension d + 2."""
+    S = A.ambient
+    deg_f = A.f.weighted_degree()
+    T = PolynomialRing(S.field, S.variables + ("u_k", "v_k"), S.weights + (w_u, deg_f - w_u))
+    return HypersurfaceRing(T, _over(A.f, T) - T.parse("u_k*v_k"))
+
+
+def _over(p, T):
+    """The polynomial p over S as one over T = S[u_k, v_k]."""
+    return T.from_dict({m + (0, 0): c for m, c in p.coeffs.items()})
+
+
+def knorrer_lift(M, A2):
+    """Knörrer's lift of M to A2 = knorrer_ring(M.ring, ...): coker
+    [[a, -u I], [-v I, b]] for the matrix factorization (a, b) whose
+    cokernel is M's stable class.  M's factorization (alpha, beta) has
+    coker alpha = Omega^(s-1) M, s its source index, and coker beta is the
+    syzygy of coker alpha, so (a, b) is (alpha, beta) for odd s and
+    (beta, alpha) for even s.  [[a, -u I], [-v I, b]] [[b, u I], [v I, a]]
+    = (f - uv) I, and the lift is an equivalence of stable categories of
+    maximal Cohen-Macaulay modules (Knörrer, Invent. Math. 88, 1987)."""
+    mf = extract_matrix_factorization(minimal_resolution(M, 1))
+    a, b = (mf.alpha, mf.beta) if mf.source_index % 2 else (mf.beta, mf.alpha)
+    T, r = A2.ambient, mf.size
+    minus_u, minus_v = T.parse("-u_k"), T.parse("-v_k")
+
+    def diagonal(c, i):
+        return [c if j == i else T.zero() for j in range(r)]
+
+    rows = [tuple([_over(p, T) for p in a[i]] + diagonal(minus_u, i)) for i in range(r)]
+    rows += [tuple(diagonal(minus_v, i) + [_over(p, T) for p in b[i]]) for i in range(r)]
+    return ModulePresentation(A2, rows)

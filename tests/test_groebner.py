@@ -21,19 +21,18 @@ from thetacas.groebner import (
     groebner_basis,
     hilbert_numerator,
     mono_lcm,
-    multiplicity,
-    normal_form,
     normal_form_vec,
-    quotient_dimension,
     series_length,
     series_value,
     syzygy_basis,
 )
-from thetacas.homology import mat_vec
+from thetacas.homology import ModulePresentation, mat_vec, module_multiplicity
 from thetacas.matrices import divide_exactly, graded_inverse
 from thetacas.ring import MAX_PACKED_DEGREE, mono_divides
 from oracles import (
     mono_div,
+    normal_form,
+    quotient_dimension,
     reduce_with_representation,
     staircase_count,
     term_key,
@@ -291,19 +290,15 @@ def test_hilbert_numerator_recursion_does_not_grow_with_the_generators():
 
 def test_multiplicity_examples():
     R4 = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v"])
-    quadric = groebner_basis([vec_from_polys([R4.parse("x*y - u*v")])], R4, 1)
-    assert multiplicity(quadric) == 2
-    assert multiplicity(groebner_basis([], R4, 1)) == 1
-    plane = groebner_basis(
-        [vec_from_polys([R4.parse(g)]) for g in ("x", "u")], R4, 1
-    )
-    assert multiplicity(plane) == 1
+    assert module_multiplicity(ModulePresentation.cyclic(R4, ["x*y - u*v"])) == 2
+    assert module_multiplicity(ModulePresentation.free(R4)) == 1
+    assert module_multiplicity(ModulePresentation.cyclic(R4, ["x", "u"])) == 1
 
 
 def test_multiplicity_rejects_zero_dimensional():
     R = ring2()
-    with pytest.raises(Exception):
-        multiplicity(ideal_gb(R, "x", "y"))
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        module_multiplicity(ModulePresentation.cyclic(R, ["x", "y"]))
 
 
 def test_division_by_one_minus_t_checks_the_root():
@@ -672,6 +667,35 @@ def test_buchberger_treats_the_same_pairs(monkeypatch, path, expected):
     guard of the resolution's one builder per step (a Nakayama selection
     that is also the syzygy basis of what it keeps)."""
     assert _buchberger_counts(monkeypatch, path) == expected
+
+
+@pytest.mark.parametrize("path, expected", [
+    (SESSIONS / "node.json", 8),
+    (SESSIONS / "a1_surface.json", 13),
+    (SESSIONS / "quadric.json", 21),
+    (DATA_SESSIONS / "cubic_threefold.json", 13),
+])
+def test_sessions_build_the_same_hilbert_numerators(monkeypatch, path, expected):
+    """Hilbert numerators built over one run of the session, under every
+    name a kernel module binds hilbert_numerator to: a machine-free guard
+    of the series the module invariants and theta read: a module's own
+    series is built once, however many invariants read it."""
+    import thetacas.cli as cli
+    import thetacas.groebner as groebner
+
+    calls = [0]
+
+    def counting(*args, _real=groebner.hilbert_numerator):
+        calls[0] += 1
+        return _real(*args)
+
+    for name in ("groebner", "homology", "pairings", "numeq", "cli"):
+        module = sys.modules[f"thetacas.{name}"]
+        if hasattr(module, "hilbert_numerator"):
+            monkeypatch.setattr(module, "hilbert_numerator", counting)
+    _report, code = cli.run_session(json.loads(path.read_text()))
+    assert code == 0
+    assert calls[0] == expected
 
 
 # ---------------------------------------------------------------------------

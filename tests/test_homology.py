@@ -27,14 +27,17 @@ from thetacas import (
 from thetacas import homology
 from thetacas.cli import build_environment, run_session
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import NakayamaSelection, freeze_vec, normal_form, syzygy_basis
+from thetacas.groebner import NakayamaSelection, freeze_vec, syzygy_basis
 from thetacas.homology import (
     _transpose,
     _vector_degree,
     columns_as_vectors,
     f_times_unit_vectors,
     lifted_basis,
+    module_dimension,
     module_length,
+    module_multiplicity,
+    module_series,
     reduce_mod_f,
     reduce_vec_mod_f,
     syzygies_over,
@@ -45,6 +48,9 @@ from oracles import (
     full_basis_syzygies,
     homology_tor_length,
     mat_mul,
+    multiplicity,
+    normal_form,
+    quotient_dimension,
     reduce_with_representation,
     tag_lead_part,
     tagged_syzygies,
@@ -648,6 +654,66 @@ def test_direct_sum_presentation(node, node_modules):
 def test_module_length_via_presentation(node):
     assert module_length(present_cyclic(node, ["x", "y"])) == 1
     assert module_length(present_cyclic(node, ["x"])) is INFINITE
+
+
+def _multiplicities(M):
+    """(module_multiplicity(M), the oracle's multiplicity), each a ValueError's
+    type where it is undefined: for the zero module and in dimension zero."""
+    out = []
+    for read in (module_multiplicity, lambda M: multiplicity(M.presentation_gb())):
+        try:
+            out.append(read(M))
+        except ValueError:
+            out.append(ValueError)
+    return tuple(out)
+
+
+def test_module_invariants_read_the_remembered_series(node):
+    """module_dimension and module_multiplicity read M's series, generators
+    in their degrees, once; a power of t moves neither the order of its root
+    t = 1 nor the value there, so both equal the readings off the
+    presentation basis's unshifted numerator.  The modules have negative,
+    mixed and shifted generator degrees; is_zero reads the same series."""
+    S = node.ambient
+    P = S.parse
+    rows = [[P("y")], [P("x^2")]]
+    mods = [
+        ModulePresentation(node, rows),  # degrees (0, -1)
+        ModulePresentation(node, rows, gen_degrees=(5, 4)),
+        ModulePresentation(node, [[P("y"), S.zero()], [P("x^2"), P("y")]]),
+        ModulePresentation(node, [(), ()], gen_degrees=(-3, 2)),
+        present_cyclic(node, ["x"]),
+        present_cyclic(node, ["x", "y"]),
+        ModulePresentation.zero(node),
+        ModulePresentation(node, [["1", "x"], ["0", "1"]]),
+    ]
+    assert mods[0].gen_degrees == (0, -1)
+    for M in mods:
+        assert module_dimension(M) == quotient_dimension(M.presentation_gb())
+        kernel, oracle = _multiplicities(M)
+        assert kernel == oracle
+        assert M.is_zero() == (module_dimension(M) == -1)
+        assert module_series(M) is M._series
+    assert [module_dimension(M) for M in mods] == [1, 1, 1, 1, 1, 0, -1, -1]
+    assert [_multiplicities(M)[0] for M in mods[:5]] == [2, 2, 1, 4, 1]
+
+
+def test_session_module_invariants_match_the_unshifted_reading():
+    """On every module of the seven golden sessions, the dimension off the
+    remembered series is the oracle's; so is the multiplicity where every
+    weight is one (it is undefined otherwise)."""
+    modules = 0
+    for name in NAMES + WEIGHTED_NAMES:
+        env, errors = build_environment(json.loads(session_path(name).read_text()))
+        assert not errors, name
+        ones = set(env.ring.weights) == {1}
+        for M in env.modules.values():
+            assert module_dimension(M) == quotient_dimension(M.presentation_gb()), name
+            if ones:
+                kernel, oracle = _multiplicities(M)
+                assert kernel == oracle, name
+            modules += 1
+    assert modules == 16
 
 
 @pytest.mark.parametrize("relations", [["x", "x"], ["x", "2*x"], ["x", "x^2"]])

@@ -21,8 +21,8 @@ from thetacas import (
     theta,
     theta_class,
 )
-from thetacas.groebner import _tpoly_div_1mt, multiplicity
-from thetacas.homology import module_dimension, module_series
+from thetacas.groebner import _tpoly_div_1mt
+from thetacas.homology import module_dimension, module_multiplicity, module_series
 
 
 def classes_of(names):
@@ -251,7 +251,7 @@ def intersection_number(A, first, second):
         deg, genus = degree_and_genus(A, first)
         return 2 * genus - 2 - (A.f.weighted_degree() - 4) * deg
     meet = present_cyclic(A, first + second)
-    return multiplicity(meet.presentation_gb()) if module_dimension(meet) == 1 else 0
+    return module_multiplicity(meet) if module_dimension(meet) == 1 else 0
 
 
 def intersection_theta(A, first, second):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,7 +50,14 @@ from thetacas.homology import (
     tor_length,
 )
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning, _tjurina_number
-from oracles import direct_sum, homology_chi, subquotient_local_length
+from oracles import (
+    direct_sum,
+    homology_chi,
+    knorrer_lift,
+    knorrer_ring,
+    subquotient_local_length,
+)
+from conftest import hypersurface
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -261,6 +269,79 @@ def test_theta_char5_crosscheck():
     Aq = present_cyclic(A, ["x", "v"])
     assert theta(Ap, Aq) == -1
     assert theta(Ap, Ap) == 1
+
+
+def test_char_p_sweep_gives_one_integer_per_pair():
+    """scripts/char_p_sweep.py over characteristics 0, 2, 3, 5 and 7: each
+    golden pair has one integer theta in every characteristic (an
+    AlgebraError would be tabulated by its class name, and any other
+    exception propagates)."""
+    import runpy
+
+    table = runpy.run_path(str(ROOT / "scripts" / "char_p_sweep.py"))["sweep"]([0, 2, 3, 5, 7])
+    assert len(table) == 3
+    for case, rows in table.items():
+        assert list(rows) == [0, 2, 3, 5, 7], case
+        for values in zip(*rows.values()):
+            assert len(set(values)) == 1 and isinstance(values[0], int), (case, values)
+
+
+# The curves and the quadric of the Knörrer table: (variables, f,
+# characteristic, deg u, the modules' presentations).  coker [[x, u], [v, y]]
+# has source index 1 and A/(x, u) has 2, so both orders of a lifted
+# factorization are read.
+KNORRER_TABLE = [
+    (["x", "y"], "x*y", 0, 1, [["x"], ["y"], ["x", "y"]]),
+    (["x", "y"], "x*y", 5, 1, [["x"], ["y"], ["x", "y"]]),
+    (["x", "y"], "x*y*(x + y)", 0, 1, [["x"], ["y"], ["x + y"], ["x*y"], ["x", "y"]]),
+    (["x", "y"], "x*y*(x + y)", 7, 1, [["x"], ["y"], ["x + y"], ["x*y"]]),
+    (["x", "y", "u", "v"], "x*y - u*v", 0, 1,
+     [["x", "u"], ["x", "v"], [["x", "u"], ["v", "y"]]]),
+]
+
+
+def _table_module(A, spec):
+    return ModulePresentation(A, spec) if isinstance(spec[0], list) else present_cyclic(A, spec)
+
+
+@pytest.mark.parametrize("variables, f, characteristic, w_u, specs", KNORRER_TABLE,
+                         ids=["node", "node_f5", "d4", "d4_f7", "quadric"])
+def test_knorrer_lift_negates_theta(variables, f, characteristic, w_u, specs):
+    """Knörrer's lift to S[u, v]/(f - uv), two dimensions up, negates theta
+    on every pair: a reference in dimension d + 2 with no residue formula."""
+    A = hypersurface(variables, f, characteristic)
+    A2 = knorrer_ring(A, w_u)
+    mods = [_table_module(A, spec) for spec in specs]
+    lifts = [knorrer_lift(M, A2) for M in mods]
+    assert all(K.ring is A2 for K in lifts)
+    for M, KM in zip(mods, lifts):
+        for N, KN in zip(mods, lifts):
+            assert theta(KM, KN) == -theta(M, N)
+
+
+def test_syzygy_and_dual_identities():
+    """With X = Omega^d M and Y = Omega^d N: theta(X, N) = (-1)^d theta(M, N),
+    and theta(X*, Y*) = theta(M, N) for the duals Hom_A(-, A), over the node,
+    the D4 curve, the A1 surface (d even) and the quadric."""
+    table = [
+        (["x", "y"], "x*y", [["x"], ["y"], ["x", "y"]]),
+        (["x", "y"], "x*y*(x + y)", [["x"], ["y"], ["x + y"], ["x", "y"]]),
+        (["x", "y", "z"], "x*y - z^2", [["x", "z"], ["z", "y"], ["x", "y", "z"]]),
+        (["x", "y", "u", "v"], "x*y - u*v", [["x", "u"], ["x", "v"], ["x"]]),
+    ]
+    pairs = 0
+    for variables, f, specs in table:
+        A = hypersurface(variables, f)
+        d = A.dimension
+        mods = [present_cyclic(A, spec) for spec in specs]
+        syz = [syzygy_of(M, d) for M in mods]
+        duals = [dual_module(X) for X in syz]
+        for M, X, Xd in zip(mods, syz, duals):
+            for N, Yd in zip(mods, duals):
+                assert theta(X, N) == (-1) ** d * theta(M, N)
+                assert theta(Xd, Yd) == theta(M, N)
+                pairs += 1
+    assert pairs == 43
 
 
 def window_theta(M, N):
@@ -567,6 +648,36 @@ def test_c1_examples(quadric, quadric_modules):
     assert c1_torsion(quadric_modules["Ax"], primes).items() == [("p", 1), ("q", 1)]
     k = present_cyclic(quadric, ["x", "y", "u", "v"])
     assert c1_torsion(k, primes).is_zero()
+
+
+def test_c1_builds_each_prime_quotient_once(monkeypatch, quadric):
+    """c1_torsion presents A/p once per prime, and its dimension check, local
+    length and audit read that one module's series; M's series is built once
+    for its dimension and the audit's e(M).  (The graded pieces of the local
+    lengths are series of cokernels, not of modules.)"""
+    import thetacas.groebner as groebner
+    import thetacas.homology as homology
+
+    M = ModulePresentation(quadric, [["x", "u"], ["0", "x"]])
+    built, numerators = [], [0]
+    real_init = homology.ModulePresentation.__init__
+
+    def counting_init(module, *args, **kwargs):
+        built.append(args[1])
+        real_init(module, *args, **kwargs)
+
+    def counting(*args, _real=groebner.hilbert_numerator):
+        numerators[0] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(homology.ModulePresentation, "__init__", counting_init)
+    monkeypatch.setattr(homology, "hilbert_numerator", counting)
+    primes = [("p", ["x", "u"]), ("q", ["x", "v"])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert c1_torsion(M, primes).items() == [("p", 2), ("q", 2)]
+    assert len(built) == 2
+    assert numerators[0] == 3
 
 
 def test_c1_rejects_non_torsion(quadric):
