@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the three shipped example sessions and print their reports.
 
+Each session runs with --audit, so every Gram matrix is computed in both
+triangles and an asymmetric one fails the session with exit 3.
+
 Usage: python3 scripts/run_golden_sessions.py [--json-dir DIR]
 """
 
@@ -22,7 +25,7 @@ def main() -> int:
     worst = 0
     for name in ("node.json", "a1_surface.json", "quadric.json"):
         print(f"=== {name} ===")
-        argv = ["run", str(SESSIONS / name)]
+        argv = ["run", str(SESSIONS / name), "--audit"]
         if args.json_dir:
             out = Path(args.json_dir) / name.replace(".json", ".report.json")
             out.parent.mkdir(parents=True, exist_ok=True)

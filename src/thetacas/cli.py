@@ -2,8 +2,10 @@
 
 A session is a JSON document with a ring block, optional module and prime
 blocks, and an ordered task list.  ``theta-cas run`` executes the tasks and
-prints a table (optionally writing a JSON report); ``theta-cas validate``
-checks the schema and references without running anything.
+prints a table (optionally writing a JSON report); with ``--audit`` it
+also computes the lower triangle of every Gram matrix and fails on an
+asymmetric one.  ``theta-cas validate`` checks the schema and references
+without running anything.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema violation, 3 mathematical
 error or a recursion too deep for the input (the report names the failing
@@ -263,7 +265,7 @@ def _length_json(value):
 # task execution
 
 
-def _run_task(task: dict, env: Environment) -> dict:
+def _run_task(task: dict, env: Environment, audit: bool) -> dict:
     kind = task["kind"]
     ring = env.ring
     d = ring_dimension(ring)
@@ -317,11 +319,11 @@ def _run_task(task: dict, env: Environment) -> dict:
         }
     if kind == "gram":
         classes = [ClassExpression.of(c) for c in task["classes"]]
-        matrix = gram_matrix(classes, env.modules)
+        matrix = gram_matrix(classes, env.modules, audit)
         return {"matrix": matrix}
     if kind == "conjecture_report":
         named = [(n, env.modules[n]) for n in task["modules"]]
-        rep = conjecture_report(ring, named)
+        rep = conjecture_report(ring, named, audit)
         return {
             "names": list(rep.names),
             "matrix": rep.matrix,
@@ -335,7 +337,11 @@ def _run_task(task: dict, env: Environment) -> dict:
     raise SessionError(f"unknown task kind {kind!r}")
 
 
-def run_session(doc) -> Tuple[dict, int]:
+def run_session(doc, audit: bool = False) -> Tuple[dict, int]:
+    """Run the session's tasks in order; stop at the first that raises.
+
+    audit=True recomputes the lower triangle of every Gram matrix and fails
+    the task with AsymmetricGram where it differs from the upper one."""
     env, errors = build_environment(doc)
     if not errors:
         errors = validate_tasks(doc, env)
@@ -361,7 +367,7 @@ def run_session(doc) -> Tuple[dict, int]:
         entry = {"index": idx, "kind": task["kind"]}
         start = time.monotonic()
         try:
-            entry["result"] = _run_task(task, env)
+            entry["result"] = _run_task(task, env, audit)
         # RecursionError: a kernel recursion too deep for the input ends the
         # task, not the process
         except (AlgebraError, IndexError, ValueError, RecursionError) as exc:
@@ -441,6 +447,9 @@ def main(argv=None) -> int:
     run_p.add_argument("session")
     run_p.add_argument("--json", dest="json_out", default=None,
                        help="also write the report as JSON to this path")
+    run_p.add_argument("--audit", action="store_true",
+                       help="compute both triangles of every Gram matrix and "
+                            "fail on an asymmetric one")
     val_p = sub.add_parser("validate", help="check a session file without running it")
     val_p.add_argument("session")
     sub.add_parser("version", help="print the version")
@@ -469,7 +478,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        report, exit_code = run_session(doc)
+        report, exit_code = run_session(doc, audit=args.audit)
     except SessionError as exc:
         for p in exc.messages:
             print(f"schema error: {p}", file=sys.stderr)

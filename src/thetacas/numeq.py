@@ -17,19 +17,28 @@ from .ring import RingLike, ring_dimension
 def gram_matrix(
     classes: Sequence[ClassExpression],
     registry: Dict[str, ModulePresentation],
+    audit: bool = False,
 ) -> List[List[int]]:
     """Exact symmetric matrix of theta pairings on the given classes.
 
-    Every entry is computed, both (i, j) and (j, i), so that the symmetry of
-    theta is checked on each pair."""
-    matrix = [[theta_class(a, b, registry) for b in classes] for a in classes]
-    for i in range(len(matrix)):
-        for j in range(i):
-            if matrix[i][j] != matrix[j][i]:
-                raise AsymmetricGram(
-                    f"theta pairing matrix is not symmetric at ({i}, {j}): "
-                    f"{matrix[i][j]} != {matrix[j][i]}"
-                )
+    theta is symmetric on an isolated hypersurface singularity, so only the
+    entries (i, j) with j >= i are computed, row by row, and each is copied
+    to (j, i).  With audit=True every entry below the diagonal is computed
+    as well and AsymmetricGram is raised where it differs from its mirror."""
+    n = len(classes)
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            matrix[i][j] = matrix[j][i] = theta_class(classes[i], classes[j], registry)
+    if audit:
+        for i in range(n):
+            for j in range(i):
+                value = theta_class(classes[i], classes[j], registry)
+                if value != matrix[j][i]:
+                    raise AsymmetricGram(
+                        f"theta pairing matrix is not symmetric at ({i}, {j}): "
+                        f"{value} != {matrix[j][i]}"
+                    )
     return matrix
 
 
@@ -155,13 +164,15 @@ class GramReport:
 def conjecture_report(
     ring: RingLike,
     modules: Sequence[Tuple[str, ModulePresentation]],
+    audit: bool = False,
 ) -> GramReport:
     """Even dimension: theta must vanish identically.  Odd dimension: the
-    sign-adjusted Gram matrix must be positive semidefinite."""
+    sign-adjusted Gram matrix must be positive semidefinite.  audit is
+    passed to gram_matrix."""
     names = tuple(name for name, _m in modules)
     registry = {name: m for name, m in modules}
     classes = [ClassExpression.of(name) for name in names]
-    matrix = gram_matrix(classes, registry)
+    matrix = gram_matrix(classes, registry, audit)
     sig = signature(matrix)
     d = ring_dimension(ring)
     if d % 2 == 0:

@@ -501,24 +501,39 @@ def test_chi_of_a_ragged_complex_exits_3(tmp_path, matrix):
     assert failing["error"] == "ValueError" and "rows of different lengths" in failing["message"]
 
 
+def _lopsided(alpha, beta, registry):
+    return 1 if alpha.items() < beta.items() else 0
+
+
+LOPSIDED_DOC = {
+    "ring": NODE_DOC["ring"],
+    "modules": NODE_DOC["modules"],
+    "tasks": [{"kind": "gram", "classes": ["Ax", "Ay"]}],
+}
+
+
 def test_asymmetric_gram_exits_3(tmp_path, monkeypatch):
     import thetacas.numeq as numeq
 
-    def lopsided(alpha, beta, registry):
-        return 1 if alpha.items() < beta.items() else 0
-
-    monkeypatch.setattr(numeq, "theta_class", lopsided)
-    doc = {
-        "ring": NODE_DOC["ring"],
-        "modules": NODE_DOC["modules"],
-        "tasks": [{"kind": "gram", "classes": ["Ax", "Ay"]}],
-    }
-    path = write_session(tmp_path, doc)
+    monkeypatch.setattr(numeq, "theta_class", _lopsided)
+    path = write_session(tmp_path, LOPSIDED_DOC)
     out_path = tmp_path / "report.json"
-    assert main(["run", path, "--json", str(out_path)]) == 3
+    assert main(["run", path, "--audit", "--json", str(out_path)]) == 3
     failing = json.loads(out_path.read_text())["tasks"][-1]
     assert failing["index"] == 0
     assert failing["error"] == "AsymmetricGram"
+
+
+def test_gram_without_audit_mirrors_the_upper_triangle(tmp_path, monkeypatch):
+    """Without --audit only (i, j) with j >= i is computed: the lopsided
+    pairing's upper triangle, mirrored, and exit 0."""
+    import thetacas.numeq as numeq
+
+    monkeypatch.setattr(numeq, "theta_class", _lopsided)
+    path = write_session(tmp_path, LOPSIDED_DOC)
+    out_path = tmp_path / "report.json"
+    assert main(["run", path, "--json", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["tasks"][0]["result"]["matrix"] == [[0, 1], [1, 0]]
 
 
 def test_mf_of_a_module_with_a_redundant_relation(tmp_path):

@@ -4,10 +4,10 @@ under seeded coordinate changes (``scripts/report_digest.py``) against
 ``tests/data/report_digests.txt``.
 
 The snapshot is the ``--json`` report of each session with every
-``time_ms`` removed: the shipped sessions in ``sessions/``, and in
-``tests/data/sessions/`` the weighted and F_p sessions (the Fermat cubic
-threefold over Q, the cubic fourfold, E8 threefold and E7 surface over
-F_32003).  The E8 and E7 sessions present modules whose first differential
+``time_ms`` removed, with and without ``--audit``: the shipped sessions in
+``sessions/``, and in ``tests/data/sessions/`` the weighted and F_p
+sessions (the Fermat cubic threefold over Q, the cubic fourfold, E8
+threefold and E7 surface over F_32003).  The E8 and E7 sessions present modules whose first differential
 has columns of unequal degrees.  Rewrite the snapshots after a deliberate
 change of output with ``PYTHONPATH=src python3 tests/test_golden_reports.py``,
 and the digests with ``PYTHONPATH=src python3 scripts/report_digest.py --seeds
@@ -46,10 +46,10 @@ def seeded_sessions(seed: int) -> dict:
             for label, doc in script["sessions"](seed, script["perfbench_inputs"]())}
 
 
-def report_text(name: str) -> str:
+def report_text(name: str, audit: bool = False) -> str:
     """The session's report as ``theta-cas run --json`` writes it, untimed."""
     doc = json.loads(session_path(name).read_text(encoding="utf-8"))
-    report, exit_code = run_session(doc)
+    report, exit_code = run_session(doc, audit=audit)
     if exit_code != 0:
         raise RuntimeError(f"session {name} exited {exit_code}")
     for entry in report["tasks"]:
@@ -61,6 +61,15 @@ def report_text(name: str) -> str:
 def test_report_matches_snapshot(name):
     stored = (SNAPSHOT / f"{name}.report.json").read_text(encoding="utf-8")
     assert report_text(name) == stored
+
+
+@pytest.mark.parametrize("name", NAMES + WEIGHTED_NAMES)
+def test_audited_report_matches_snapshot(name):
+    """Under ``run --audit`` every Gram and conjecture report computes both
+    triangles, so theta's symmetry is checked on each of their pairs; the
+    report is the stored one, byte for byte."""
+    stored = (SNAPSHOT / f"{name}.report.json").read_text(encoding="utf-8")
+    assert report_text(name, audit=True) == stored
 
 
 # Report keys that hold polynomials (MF and resolution matrices, the MF

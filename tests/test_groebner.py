@@ -620,7 +620,7 @@ def test_memo_key_includes_the_known_bases(plain_first, offset):
 DATA_SESSIONS = Path(__file__).resolve().parent / "data" / "sessions"
 
 
-def _buchberger_counts(monkeypatch, path):
+def _buchberger_counts(monkeypatch, path, audit):
     """(S-pairs formed, normal forms computed, zero remainders, Nakayama
     selections built) in the Groebner layer over one run of the session."""
     import heapq
@@ -650,7 +650,7 @@ def _buchberger_counts(monkeypatch, path):
         heappush=heappush, heappop=heapq.heappop))
     monkeypatch.setattr(groebner, "normal_form_vec", counting_normal_form_vec)
     monkeypatch.setattr(groebner.NakayamaSelection, "__init__", counting_init)
-    _report, code = cli.run_session(json.loads(path.read_text()))
+    _report, code = cli.run_session(json.loads(path.read_text()), audit=audit)
     assert code == 0
     return tuple(counts)
 
@@ -665,21 +665,24 @@ def test_buchberger_treats_the_same_pairs(monkeypatch, path, expected):
     skip and reduce exactly the pairs they always did: these counts are the
     work of a basis that the reports alone do not show, and a machine-free
     guard of the resolution's one builder per step (a Nakayama selection
-    that is also the syzygy basis of what it keeps)."""
-    assert _buchberger_counts(monkeypatch, path) == expected
+    that is also the syzygy basis of what it keeps).  The session runs
+    under audit, which computes both triangles of every Gram."""
+    assert _buchberger_counts(monkeypatch, path, audit=True) == expected
 
 
 @pytest.mark.parametrize("path, expected", [
-    (SESSIONS / "node.json", 8),
-    (SESSIONS / "a1_surface.json", 13),
-    (SESSIONS / "quadric.json", 21),
-    (DATA_SESSIONS / "cubic_threefold.json", 13),
-])
-def test_sessions_build_the_same_hilbert_numerators(monkeypatch, path, expected):
+    (SESSIONS / "quadric.json", (112, 116, 30, 9)),
+    (DATA_SESSIONS / "cubic_threefold.json", (270, 339, 58, 11)),
+], ids=["quadric", "cubic_threefold"])
+def test_half_gram_treats_fewer_pairs(monkeypatch, path, expected):
+    """Without audit a Gram computes theta on each unordered pair once, and
+    the Groebner layer treats the pairs of those cokernels only."""
+    assert _buchberger_counts(monkeypatch, path, audit=False) == expected
+
+
+def _hilbert_numerators(monkeypatch, path, audit):
     """Hilbert numerators built over one run of the session, under every
-    name a kernel module binds hilbert_numerator to: a machine-free guard
-    of the series the module invariants and theta read: a module's own
-    series is built once, however many invariants read it."""
+    name a kernel module binds hilbert_numerator to."""
     import thetacas.cli as cli
     import thetacas.groebner as groebner
 
@@ -693,9 +696,35 @@ def test_sessions_build_the_same_hilbert_numerators(monkeypatch, path, expected)
         module = sys.modules[f"thetacas.{name}"]
         if hasattr(module, "hilbert_numerator"):
             monkeypatch.setattr(module, "hilbert_numerator", counting)
-    _report, code = cli.run_session(json.loads(path.read_text()))
+    _report, code = cli.run_session(json.loads(path.read_text()), audit=audit)
     assert code == 0
-    assert calls[0] == expected
+    return calls[0]
+
+
+@pytest.mark.parametrize("path, expected", [
+    (SESSIONS / "node.json", 8),
+    (SESSIONS / "a1_surface.json", 13),
+    (SESSIONS / "quadric.json", 21),
+    (DATA_SESSIONS / "cubic_threefold.json", 13),
+])
+def test_sessions_build_the_same_hilbert_numerators(monkeypatch, path, expected):
+    """The Hilbert numerators of one run of the session: a machine-free guard
+    of the series the module invariants and theta read: a module's own
+    series is built once, however many invariants read it.  The session
+    runs under audit, which computes both triangles of every Gram."""
+    assert _hilbert_numerators(monkeypatch, path, audit=True) == expected
+
+
+@pytest.mark.parametrize("path, expected", [
+    (SESSIONS / "node.json", 7),
+    (SESSIONS / "a1_surface.json", 11),
+    (SESSIONS / "quadric.json", 20),
+    (DATA_SESSIONS / "cubic_threefold.json", 10),
+], ids=["node", "a1_surface", "quadric", "cubic_threefold"])
+def test_half_gram_builds_fewer_hilbert_numerators(monkeypatch, path, expected):
+    """Without audit each unordered pair of a Gram costs one cokernel
+    series, not two."""
+    assert _hilbert_numerators(monkeypatch, path, audit=False) == expected
 
 
 # ---------------------------------------------------------------------------

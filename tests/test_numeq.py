@@ -1,7 +1,9 @@
 """Gram matrices, exact inertia, kernel bases, and the verdict harness."""
 
+import json
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,12 @@ from thetacas import (
     theta,
     theta_class,
 )
+from thetacas.errors import AsymmetricGram
 from thetacas.groebner import _tpoly_div_1mt
 from thetacas.homology import module_dimension, module_multiplicity, module_series
+from oracles import knorrer_lift, knorrer_ring
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def classes_of(names):
@@ -62,6 +68,65 @@ def test_gram_cold_cache_deterministic(quadric_modules):
             "Ax": ModulePresentation.cyclic(ring, ["x"]),
         }
         assert gram_matrix(cls, cold) == warm
+
+
+def test_gram_calls_theta_once_per_unordered_pair(monkeypatch):
+    """Plain gram_matrix calls theta_class once per unordered pair, n(n+1)/2
+    times, and mirrors it; audit=True calls it on all n^2 ordered pairs."""
+    import thetacas.numeq as numeq
+
+    calls = []
+
+    def lopsided(alpha, beta, registry):
+        """10 i + j on the classes named i and j."""
+        calls.append((alpha, beta))
+        return 10 * int(alpha.items()[0][0]) + int(beta.items()[0][0])
+
+    def constant(alpha, beta, registry):
+        calls.append((alpha, beta))
+        return 1
+
+    n = 4
+    cls = classes_of([str(i) for i in range(n)])
+    monkeypatch.setattr(numeq, "theta_class", lopsided)
+    G = gram_matrix(cls, {})
+    assert len(calls) == n * (n + 1) // 2
+    assert G == [[10 * min(i, j) + max(i, j) for j in range(n)] for i in range(n)]
+    calls.clear()
+    with pytest.raises(AsymmetricGram):
+        gram_matrix(cls, {}, audit=True)
+    assert len(calls) == n * (n + 1) // 2 + 1
+    monkeypatch.setattr(numeq, "theta_class", constant)
+    calls.clear()
+    assert gram_matrix(cls, {}, audit=True) == [[1] * n for _ in range(n)]
+    assert len(calls) == n * n
+
+
+@pytest.mark.parametrize("path, plain, audited", [
+    (ROOT / "sessions" / "node.json", 3, 4),
+    (ROOT / "sessions" / "a1_surface.json", 7, 9),
+    (ROOT / "sessions" / "quadric.json", 3, 4),
+    (ROOT / "tests" / "data" / "sessions" / "cubic_threefold.json", 6, 9),
+])
+def test_thetas_computed_per_session(monkeypatch, path, plain, audited):
+    """Thetas computed over one run of the session, counted as the cokernel
+    series theta builds for each value it does not remember: a machine-free
+    guard of the half Gram.  Under audit every ordered pair is computed."""
+    import thetacas.cli as cli
+    import thetacas.pairings as pairings
+
+    calls = [0]
+
+    def counting(*args, _real=pairings._cokernel_series):
+        calls[0] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(pairings, "_cokernel_series", counting)
+    for audit, expected in ((False, plain), (True, audited)):
+        calls[0] = 0
+        _report, code = cli.run_session(json.loads(path.read_text()), audit=audit)
+        assert code == 0
+        assert calls[0] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +341,46 @@ def test_theta_is_the_intersection_form_on_a_smooth_surface(quadric):
         assert theta(present_cyclic(A, first), present_cyclic(A, second)) == value
 
 
-def test_the_27_lines_of_the_fermat_cubic_surface():
-    """Over F_7 every line x_a + r x_b = x_c + r' x_d = 0 (r^3 = r'^3 = 1) of
-    the Fermat cubic surface is defined.  Each line meets 10 others, L^2 = -1,
-    and the theta Gram of the 27 is 1 - 3 L_i.L_j, of signature (6, 0, 21):
-    the E6 lattice of primitive classes, positive semidefinite."""
-    A = fermat_cubic(7)
+def fermat_lines():
+    """The 27 lines x_a + r x_b = x_c + r' x_d = 0 (r^3 = r'^3 = 1) of the
+    Fermat cubic surface, all defined over F_7."""
     roots = [r for r in range(1, 7) if pow(r, 3, 7) == 1]
-    lines = [[f"{a} + {r}*{b}", f"{c} + {s}*{d}"]
-             for (a, b), (c, d) in ((("x", "y"), ("z", "w")), (("x", "z"), ("y", "w")),
-                                    (("x", "w"), ("y", "z")))
-             for r in roots for s in roots]
+    return [[f"{a} + {r}*{b}", f"{c} + {s}*{d}"]
+            for (a, b), (c, d) in ((("x", "y"), ("z", "w")), (("x", "z"), ("y", "w")),
+                                   (("x", "w"), ("y", "z")))
+            for r in roots for s in roots]
+
+
+def test_the_27_lines_of_the_fermat_cubic_surface():
+    """Over F_7 each of the 27 lines of the Fermat cubic surface meets 10
+    others, L^2 = -1, and the theta Gram of the 27 is 1 - 3 L_i.L_j, of
+    signature (6, 0, 21): the E6 lattice of primitive classes, positive
+    semidefinite.  The Gram is audited: all 729 ordered pairs are computed,
+    so the symmetry of theta is checked on each."""
+    A = fermat_cubic(7)
+    lines = fermat_lines()
     assert len(lines) == 27
     incidence = [[intersection_number(A, first, second) for second in lines] for first in lines]
     assert all(row[i] == -1 and row.count(1) == 10 and row.count(0) == 16
                for i, row in enumerate(incidence))
     registry = {str(i): present_cyclic(A, line) for i, line in enumerate(lines)}
-    G = gram_matrix(classes_of(list(registry)), registry)
+    G = gram_matrix(classes_of(list(registry)), registry, audit=True)
     assert G == [[1 - 3 * n for n in row] for row in incidence]
     assert signature(G) == (6, 0, 21)
+
+
+def test_nine_lines_lifted_to_dimension_five():
+    """Knörrer's lift to S[u, v]/(f - uv) negates theta, so the Gram of the
+    first 9 lines lifted two dimensions up is -(1 - 3 L_i.L_j), of signature
+    (0, 4, 5); in d = 5 the verdict reads -Gram, positive semidefinite."""
+    A = fermat_cubic(7)
+    lines = fermat_lines()[:9]
+    A5 = knorrer_ring(A, 1)
+    lifts = [(str(i), knorrer_lift(present_cyclic(A, line), A5)) for i, line in enumerate(lines)]
+    registry = dict(lifts)
+    G = gram_matrix(classes_of(list(registry)), registry)
+    assert G == [[3 * intersection_number(A, first, second) - 1 for second in lines]
+                 for first in lines]
+    assert signature(G) == (0, 4, 5)
+    rep = conjecture_report(A5, lifts)
+    assert (rep.dimension, rep.verdict, rep.adjusted_signature) == (5, "PASS", (4, 0, 5))
