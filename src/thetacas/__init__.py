@@ -10,7 +10,6 @@ from .ring import (
     HypersurfaceRing,
     Polynomial,
     PolynomialRing,
-    parse_polynomial,
     ring_dimension,
     weighted_degree,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "HypersurfaceRing",
     "Polynomial",
     "PolynomialRing",
-    "parse_polynomial",
     "ring_dimension",
     "weighted_degree",
     "MatrixFactorization",

@@ -433,37 +433,17 @@ def lead_module(G: GroebnerBasis) -> Dict[int, List[tuple]]:
 # numerator polynomials in t are dicts degree -> int
 
 
-def _tpoly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, c in b.items():
-        s = out.get(d, 0) - c
+def _tpoly_axpy(acc: dict, coeff: int, shift: int, a: dict) -> dict:
+    """acc += coeff * t^shift * a in place, dropping cancelled terms; returns
+    acc.  acc must not be a numerator a memo or a module owns."""
+    for d, c in a.items():
+        d += shift
+        s = acc.get(d, 0) + coeff * c
         if s:
-            out[d] = s
+            acc[d] = s
         else:
-            out.pop(d, None)
-    return out
-
-
-def _tpoly_shift(a: dict, k: int) -> dict:
-    return {d + k: c for d, c in a.items()}
-
-
-def _tpoly_div_1mt(a: dict) -> dict:
-    """Exact division by (1 - t); caller guarantees a(1) == 0."""
-    if not a:
-        return {}
-    top = max(a)
-    coeffs = [a.get(d, 0) for d in range(top + 1)]
-    # (1-t) * (q_0 + q_1 t + ...) : q_0 = c_0, q_d = q_{d-1} + ... solve forward
-    q = []
-    carry = 0
-    for d in range(top + 1):
-        val = coeffs[d] + carry
-        q.append(val)
-        carry = val
-    if top > 0 and q[-1] != 0:
-        raise AlgebraError("numerator does not vanish at t = 1")
-    return {d: c for d, c in enumerate(q[:-1] if top > 0 else q) if c}
+            acc.pop(d, None)
+    return acc
 
 
 def _ideal_numerator(gens: tuple, weights: tuple, memo: dict) -> dict:
@@ -488,7 +468,7 @@ def _ideal_numerator(gens: tuple, weights: tuple, memo: dict) -> dict:
         deg = sum(w * e for w, e in zip(weights, g))
         colon = tuple(_minimal_monomial_gens(
             [tuple([max(a - b, 0) for a, b in zip(h, g)]) for h in gens[:k]]))
-        result = _tpoly_sub(result, _tpoly_shift(_ideal_numerator(colon, weights, memo), deg))
+        result = _tpoly_axpy(dict(result), -1, deg, _ideal_numerator(colon, weights, memo))
         memo[gens[:k + 1]] = result
     return result
 
@@ -502,25 +482,28 @@ def hilbert_numerator(G: GroebnerBasis, shifts: Optional[Sequence[int]] = None) 
     comps = lead_module(G)
     for comp in range(G.rank):
         gens = tuple(comps.get(comp, []))
-        num = _ideal_numerator(gens, weights, memo)
-        shift = shifts[comp] if shifts else 0
-        total = _tpoly_sub(total, _tpoly_shift({d: -c for d, c in num.items()}, shift))
+        _tpoly_axpy(total, 1, shifts[comp] if shifts else 0,
+                    _ideal_numerator(gens, weights, memo))
     return total
 
 
 def _series_at_one(num: dict) -> Tuple[Optional[int], int]:
     """(order of the root t = 1 of num, value at t = 1 of num / (1 - t)^order);
-    (None, 0) for the zero numerator."""
+    (None, 0) for the zero numerator.
+
+    With low the lowest degree, num = t^low * sum_k a_k (t - 1)^k for the
+    Taylor coefficients a_k = sum_d c_d C(d - low, k) at t = 1 (a power of t
+    moves neither the root nor the value, so generator degrees may be
+    negative).  The order is the first k with a_k != 0, the value (-1)^k a_k."""
     if not num:
         return None, 0
-    # generator degrees may be negative; a power of t moves neither the root
-    # nor the value at t = 1
-    num = _tpoly_shift(num, -min(num))
+    low = min(num)
     order = 0
-    while sum(num.values()) == 0:
-        num = _tpoly_div_1mt(num)
+    while True:
+        a = sum(c * math.comb(d - low, order) for d, c in num.items())
+        if a:
+            return order, (-1) ** order * a
         order += 1
-    return order, sum(num.values())
 
 
 def series_value(num: dict, weights: Sequence[int]):

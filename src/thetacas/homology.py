@@ -20,8 +20,7 @@ from .groebner import (
     NakayamaSelection,
     Vector,
     _series_at_one,
-    _tpoly_shift,
-    _tpoly_sub,
+    _tpoly_axpy,
     freeze_vec,
     groebner_basis,
     hilbert_numerator,
@@ -185,8 +184,12 @@ class ModulePresentation:
     presentation GB, its Hilbert series (module_series), the minimal
     presentation, the minimal resolution (grown in place as longer ones are
     asked for), its matrix factorization, and theta values against other
-    modules, keyed by the other module's rows and generator degrees.  No cache holds a module object, so a module is
-    freed by reference counting, with no cycle for the garbage collector."""
+    modules, keyed by the other module's rows and generator degrees.  No
+    cache holds a module object, so a module is freed by reference counting,
+    with no cycle for the garbage collector.
+
+    Generator degrees are inferred when not given; given ones must be one
+    per generator and make every relation column homogeneous."""
 
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
         self.ring = ring
@@ -210,8 +213,18 @@ class ModulePresentation:
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if gen_degrees is None:
-            gen_degrees = infer_degrees([self.nrows, self.ncols], [self.rows])[0]
-        self.gen_degrees = tuple(gen_degrees)
+            self.gen_degrees = infer_degrees([self.nrows, self.ncols], [self.rows])[0]
+        else:
+            self.gen_degrees = tuple(gen_degrees)
+            if len(self.gen_degrees) != self.nrows:
+                raise ValueError(f"{len(self.gen_degrees)} generator degrees for "
+                                 f"{self.nrows} generators")
+            for c in range(self.ncols):
+                degs = {d + row[c].weighted_degree()
+                        for d, row in zip(self.gen_degrees, self.rows) if row[c].coeffs}
+                if len(degs) > 1:
+                    raise InhomogeneousError(
+                        f"column {c} is not homogeneous in the given generator degrees")
         self._gb: Optional[GroebnerBasis] = None
         self._series: Optional[dict] = None
         self._minimal: Optional[ModulePresentation] = None
@@ -571,9 +584,9 @@ def homology_series(
     series_N = module_series(N) if hi else {}
     out = []
     for i in range(lo, hi + 1):
-        num = _tpoly_sub(cokernels[i + 1], {d: -c for d, c in cokernels[i].items()})
+        num = _tpoly_axpy(dict(cokernels[i + 1]), 1, 0, cokernels[i])
         for deg in degs[i - 1] if i else ():
-            num = _tpoly_sub(num, _tpoly_shift(series_N, deg))
+            _tpoly_axpy(num, -1, deg, series_N)
         out.append(num)
     return out
 

@@ -2,11 +2,13 @@
 free complexes, local lengths at height-one primes, and the divisor-class
 map on torsion modules.
 
-Every length here is read off a Hilbert series of cokernels: chi of a
-complex off homology_series, theta on an isolated singularity off the series
-of C_s alone (HS(C_{s+1}) cancels from HS(Tor_s) - HS(Tor_{s+1}), as C_{s+2}
-is C_s shifted by deg f), and a local length off the series of M/p^i M,
-whose differences are the graded pieces p^i M / p^(i+1) M."""
+Every length here is read at t = 1 off a Hilbert series of cokernels: chi
+of a complex off homology_series, theta on an isolated singularity off the
+series of C_s alone (HS(C_{s+1}) cancels from HS(Tor_s) - HS(Tor_{s+1}), as
+C_{s+2} is C_s shifted by deg f), and a local length off the series of
+M/p^i M, whose differences are the graded pieces p^i M / p^(i+1) M; M/p^i M
+is the cokernel of the row of degree-i products of p tensored with M, read
+by _cokernel_series like C_s."""
 
 from __future__ import annotations
 
@@ -24,15 +26,7 @@ from .errors import (
     NotFinitePd,
     NotStabilized,
 )
-from .groebner import (
-    _series_at_one,
-    _tpoly_shift,
-    _tpoly_sub,
-    groebner_basis,
-    hilbert_numerator,
-    series_length,
-    series_value,
-)
+from .groebner import _series_at_one, _tpoly_axpy, series_length, series_value
 from .homology import (
     MatrixRows,
     ModulePresentation,
@@ -78,7 +72,8 @@ class ClassExpression:
 
     @classmethod
     def of(cls, *named_coeffs) -> "ClassExpression":
-        """Build from (name, coeff) pairs or a dict; merges and drops zeros."""
+        """Build from (name, coeff) pairs or a dict; merges and drops zeros.
+        A coefficient that is not an int (a bool included) raises TypeError."""
         acc: Dict[str, int] = {}
         for item in named_coeffs:
             if isinstance(item, dict):
@@ -88,7 +83,9 @@ class ClassExpression:
             else:
                 pairs = [item]
             for name, coeff in pairs:
-                acc[name] = acc.get(name, 0) + int(coeff)
+                if isinstance(coeff, bool) or not isinstance(coeff, int):
+                    raise TypeError(f"coefficient {coeff!r} of {name!r} is not an int")
+                acc[name] = acc.get(name, 0) + coeff
         return cls(tuple(sorted((n, c) for n, c in acc.items() if c)))
 
     def items(self):
@@ -247,11 +244,11 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
         raise NotStabilized(
             f"generator degrees of F_{s + 1} are not those of F_{s - 1} shifted by deg f")
     c_s = _cokernel_series(res.differential_columns(s), below, N)
-    num = _tpoly_sub(c_s, _tpoly_shift(c_s, deg_f))
+    num = _tpoly_axpy(dict(c_s), -1, deg_f, c_s)
     series_N = module_series(N)
-    for degs, sign in ((below, 1), (middle, -1)):
+    for degs, coeff in ((below, -1), (middle, 1)):
         for deg in degs:
-            num = _tpoly_sub(num, {e + deg: sign * c for e, c in series_N.items()})
+            _tpoly_axpy(num, coeff, deg, series_N)
     value = series_value(num, ambient_of(M.ring).weights)
     if value is INFINITE:
         raise AlgebraError("HS(Tor_s) - HS(Tor_{s+1}) has a pole on an isolated singularity")
@@ -360,25 +357,20 @@ def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) ->
 
 def _local_length(M: ModulePresentation, prime: List[Polynomial], e_p: int) -> int:
     """The length of M at the prime p, for e_p = e(A/p).  With M = F/Q, the
-    series of a piece is HS(F/(p^(i+1) F + Q)) - HS(F/(p^i F + Q)); each
-    basis is seeded with M's presentation basis, which holds Q and f*e_j."""
+    series of a piece is HS(F/(p^(i+1) F + Q)) - HS(F/(p^i F + Q)), and
+    F/(p^i F + Q) is the cokernel of the row of degree-i products of p
+    tensored with M, read by _cokernel_series."""
     if M.nrows == 0:
         return 0
     ring = M.ring
     S = ambient_of(ring)
     d = ring_dimension(ring)
     total = 0
-    known = [(0, M.presentation_gb().vectors)]
     below: dict = {}  # HS(F/(p^0 F + Q)) = HS(0)
     for power in range(256):
-        gens = []
-        for prod in _power_products(S, prime, power + 1):
-            prod = reduce_mod_f(prod, ring)
-            for j in range(M.nrows):
-                gens.append({(j, m): c for m, c in prod.coeffs.items()})
-        above = hilbert_numerator(groebner_basis(gens, S, M.nrows, known=known),
-                                  M.gen_degrees)
-        order, e_piece = _series_at_one(_tpoly_sub(above, below))
+        products = [reduce_mod_f(p, ring) for p in _power_products(S, prime, power + 1)]
+        above = _cokernel_series(columns_as_vectors([products]), [0], M)
+        order, e_piece = _series_at_one(_tpoly_axpy(dict(above), -1, 0, below))
         if order is None or S.nvars - order < d - 1:
             return total
         rank, remainder = divmod(e_piece, e_p)

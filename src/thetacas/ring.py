@@ -621,10 +621,6 @@ def ring_dimension(ring: RingLike) -> int:
     return ring.nvars
 
 
-def parse_polynomial(text: str, ring: RingLike) -> Polynomial:
-    return ambient_of(ring).parse(text)
-
-
 def weighted_degree(p: Polynomial, ring: Optional[RingLike] = None) -> int:
     if ring is not None and ambient_of(ring) is not p.ring:
         raise ValueError("polynomial not over this ring")

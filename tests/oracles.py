@@ -10,8 +10,10 @@ off the full augmented basis, not only its tag-lead part; division with
 a representation, the reference for a matrix factorization's beta, and the
 normal form against a reduced basis it reads; the dimension and multiplicity
 read off a basis's unshifted Hilbert numerator, the reference for the
-module's remembered series; and Knörrer's lift of a matrix factorization
-to two more variables, a cross-dimension reference for theta."""
+module's remembered series; the order and value of a numerator at t = 1
+by repeated exact division by (1 - t), the reference for the Taylor
+reading; and Knörrer's lift of a matrix factorization to two more
+variables, a cross-dimension reference for theta."""
 
 import itertools
 import operator
@@ -137,6 +139,47 @@ def normal_form(v, G):
     for lead, g in G.packed:
         reducers.setdefault(lead >> ring._comp_shift, []).append((lead, g))
     return ring._unpack_vector(normal_form_vec(ring._pack_vector(v), reducers, ring))
+
+
+def tpoly_sub(a, b):
+    """a - b for numerators, dicts degree -> int with no zero coefficient."""
+    out = dict(a)
+    for d, c in b.items():
+        s = out.get(d, 0) - c
+        if s:
+            out[d] = s
+        else:
+            out.pop(d, None)
+    return out
+
+
+def tpoly_div_1mt(a):
+    """Exact division by (1 - t) of a numerator of lowest degree >= 0;
+    AlgebraError unless a(1) == 0."""
+    if not a:
+        return {}
+    top = max(a)
+    q, carry = [], 0
+    for d in range(top + 1):  # (1 - t)(q_0 + q_1 t + ...): q_d = a_d + q_(d-1)
+        carry += a.get(d, 0)
+        q.append(carry)
+    if top > 0 and q[-1] != 0:
+        raise AlgebraError("numerator does not vanish at t = 1")
+    return {d: c for d, c in enumerate(q[:-1] if top > 0 else q) if c}
+
+
+def series_at_one_by_division(num):
+    """(order of the root t = 1, value at t = 1 of num / (1 - t)^order), by
+    dividing by (1 - t) while the value is 0; (None, 0) for num = 0."""
+    if not num:
+        return None, 0
+    low = min(num)
+    num = {d - low: c for d, c in num.items()}
+    order = 0
+    while sum(num.values()) == 0:
+        num = tpoly_div_1mt(num)
+        order += 1
+    return order, sum(num.values())
 
 
 def quotient_dimension(G):

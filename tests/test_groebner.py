@@ -7,14 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacas import INFINITE, FieldSpec, PolynomialRing
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
-    _tpoly_div_1mt,
-    _tpoly_sub,
+    _series_at_one,
+    _tpoly_axpy,
     GroebnerBasis,
     GroebnerBuilder,
     freeze_vec,
@@ -34,8 +34,11 @@ from oracles import (
     normal_form,
     quotient_dimension,
     reduce_with_representation,
+    series_at_one_by_division,
     staircase_count,
     term_key,
+    tpoly_div_1mt,
+    tpoly_sub,
     vec_from_polys,
     vec_lead,
     vec_shift_components,
@@ -238,7 +241,7 @@ def test_series_length_is_the_value_at_one():
 def test_series_value_is_the_signed_value_at_one():
     """The signed value at t = 1 that theta reads off a difference of series."""
     # k[x,y]/(x^2, y^3) less k[x,y]/(x, y^2), weights 1: 6 - 2
-    assert series_value(_tpoly_sub({0: 1, 2: -1, 3: -1, 5: 1}, {0: 1, 1: -1, 2: -1, 3: 1}),
+    assert series_value(tpoly_sub({0: 1, 2: -1, 3: -1, 5: 1}, {0: 1, 1: -1, 2: -1, 3: 1}),
                         (1, 1)) == 4
     # the other way round, and with weights 2, 3 and generators in degree -2
     assert series_value({-2: -1, 2: 1, 7: 1, 11: -1}, (2, 3)) == -6
@@ -278,7 +281,7 @@ def test_hilbert_numerator_recursion_does_not_grow_with_the_generators():
     G = GroebnerBasis(R, 1, tuple(sorted((t, {t: 1}) for t in (R._pack(0, m) for m in monos))))
     expected = {d: math.comb(d + 2, 2) for d in range(20)}
     for _ in range(3):
-        expected = _tpoly_sub(expected, {d + 1: c for d, c in expected.items()})
+        expected = tpoly_sub(expected, {d + 1: c for d, c in expected.items()})
     previous = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
@@ -302,9 +305,61 @@ def test_multiplicity_rejects_zero_dimensional():
 
 
 def test_division_by_one_minus_t_checks_the_root():
-    assert _tpoly_div_1mt({0: 1, 2: -1}) == {0: 1, 1: 1}
+    assert tpoly_div_1mt({0: 1, 2: -1}) == {0: 1, 1: 1}
     with pytest.raises(AlgebraError):
-        _tpoly_div_1mt({0: 1, 1: 1})
+        tpoly_div_1mt({0: 1, 1: 1})
+
+
+laurent = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4).filter(bool), max_size=6)
+
+
+@given(g=laurent, k=st.integers(0, 6), weights=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+@example(g={}, k=0, weights=[1, 1])
+@example(g={-3: 1, 2: -1}, k=2, weights=[1, 2, 3])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_taylor_reading_at_one_matches_division(g, k, weights):
+    """The order and value at t = 1 read off Taylor coefficients agree with
+    repeated division by (1 - t) on (1 - t)^k g, g a Laurent numerator (the
+    zero one included); series_value and series_length follow from them."""
+    num = g
+    for _ in range(k):
+        num = tpoly_sub(num, {d + 1: c for d, c in num.items()})
+    order, value = series_at_one_by_division(num)
+    assert _series_at_one(num) == (order, value)
+    if sum(g.values()):
+        assert (order, value) == (k, sum(g.values()))
+    n = len(weights)
+    if order == n and value % math.prod(weights):
+        for read in (series_value, series_length):
+            with pytest.raises(AlgebraError, match="no integral value"):
+                read(num, weights)
+        return
+    if order is None or order > n:
+        expected = 0
+    elif order < n:
+        expected = INFINITE
+    else:
+        expected = value // math.prod(weights)
+    assert series_value(num, weights) == expected
+    if num and expected is not INFINITE and expected <= 0:
+        with pytest.raises(AlgebraError, match="not the Hilbert numerator"):
+            series_length(num, weights)
+    else:
+        assert series_length(num, weights) == expected
+
+
+@given(acc=laurent, coeff=st.integers(-3, 3), shift=st.integers(-4, 4), a=laurent)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_axpy_is_the_naive_sum(acc, coeff, shift, a):
+    """acc + coeff * t^shift * a, coefficient by coefficient, with no zero
+    coefficient kept; acc is changed in place and returned, a is not."""
+    before, a_before = dict(acc), dict(a)
+    degrees = set(acc) | {d + shift for d in a}
+    expected = {d: before.get(d, 0) + coeff * a.get(d - shift, 0) for d in degrees}
+    out = _tpoly_axpy(acc, coeff, shift, a)
+    assert out is acc
+    assert out == {d: c for d, c in expected.items() if c}
+    assert a == a_before
 
 
 def _series_counts(num, weights, bound):

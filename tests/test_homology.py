@@ -98,6 +98,25 @@ def test_presentation_rejects_inhomogeneous_columns(node):
         ModulePresentation(node, [["x + y^2"]])
 
 
+def test_presentation_checks_given_generator_degrees(a1):
+    """Given generator degrees must be one per generator and make each
+    relation column homogeneous: coker [[x], [z]] over xy - z^2 is graded
+    with degrees (0, 0) or (3, 3), not with (0, 5)."""
+    from thetacas.errors import InhomogeneousError
+
+    rows = [["x"], ["z"]]
+    for degrees in ((0,), (0, 0, 0), ()):
+        with pytest.raises(ValueError, match="generator degrees for 2 generators"):
+            ModulePresentation(a1, rows, gen_degrees=degrees)
+    with pytest.raises(InhomogeneousError, match="column 0"):
+        ModulePresentation(a1, rows, gen_degrees=(0, 5))
+    for degrees in ((0, 0), (3, 3)):
+        assert ModulePresentation(a1, rows, gen_degrees=degrees).gen_degrees == degrees
+    assert module_length(ModulePresentation(a1, rows, gen_degrees=(0, 0))) is INFINITE
+    # a zero column is dropped before the check; a free module takes any degrees
+    assert ModulePresentation(a1, [["0"], ["0"]], gen_degrees=(0, 7)).ncols == 0
+
+
 def test_degree_inference_consistency(quadric):
     M = ModulePresentation(quadric, [["u", "y"], ["-x", "-v"]])
     d0, d1 = M.gen_degrees

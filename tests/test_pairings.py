@@ -430,6 +430,19 @@ def test_class_expression_canonical_form():
     assert (a + (-a)).items() == []
 
 
+def test_class_expression_takes_int_coefficients_only(node_modules):
+    """A half, a float, a string or a bool is not an integer coefficient:
+    truncated, a half would make the class empty and its theta 0."""
+    assert ClassExpression.of({"Ax": 2}, "Ay", ("Ax", -1)).items() == [("Ax", 1), ("Ay", 1)]
+    for coeff in (Fraction(1, 2), 1.9, 2.0, "2", True, False, None):
+        with pytest.raises(TypeError, match="is not an int"):
+            ClassExpression.of(("Ax", coeff))
+        with pytest.raises(TypeError, match="is not an int"):
+            ClassExpression.of({"Ay": 1, "Ax": coeff})
+    assert theta_class(ClassExpression.of(("Ax", 2)), ClassExpression.of("Ax"),
+                       node_modules) == 2 * theta(node_modules["Ax"], node_modules["Ax"])
+
+
 # ---------------------------------------------------------------------------
 # Euler characteristics
 
@@ -653,31 +666,33 @@ def test_c1_examples(quadric, quadric_modules):
 def test_c1_builds_each_prime_quotient_once(monkeypatch, quadric):
     """c1_torsion presents A/p once per prime, and its dimension check, local
     length and audit read that one module's series; M's series is built once
-    for its dimension and the audit's e(M).  (The graded pieces of the local
-    lengths are series of cokernels, not of modules.)"""
-    import thetacas.groebner as groebner
+    for its dimension and the audit's e(M).  Counted are fills of a module's
+    remembered series: the graded pieces of the local lengths are series of
+    cokernels, not of modules."""
     import thetacas.homology as homology
+    import thetacas.pairings as pairings
 
     M = ModulePresentation(quadric, [["x", "u"], ["0", "x"]])
-    built, numerators = [], [0]
+    built, fills = [], [0]
     real_init = homology.ModulePresentation.__init__
 
     def counting_init(module, *args, **kwargs):
         built.append(args[1])
         real_init(module, *args, **kwargs)
 
-    def counting(*args, _real=groebner.hilbert_numerator):
-        numerators[0] += 1
-        return _real(*args)
+    def counting(module, _real=homology.module_series):
+        fills[0] += module._series is None
+        return _real(module)
 
     monkeypatch.setattr(homology.ModulePresentation, "__init__", counting_init)
-    monkeypatch.setattr(homology, "hilbert_numerator", counting)
+    for module in (homology, pairings):
+        monkeypatch.setattr(module, "module_series", counting)
     primes = [("p", ["x", "u"]), ("q", ["x", "v"])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert c1_torsion(M, primes).items() == [("p", 2), ("q", 2)]
     assert len(built) == 2
-    assert numerators[0] == 3
+    assert fills[0] == 3
 
 
 def test_c1_rejects_non_torsion(quadric):
