@@ -11,18 +11,14 @@ from .ring import (
     Polynomial,
     PolynomialRing,
     ring_dimension,
-    weighted_degree,
 )
 from .homology import (
     MatrixFactorization,
     ModulePresentation,
     Resolution,
-    dual_module,
-    ext_module,
     extract_matrix_factorization,
     minimal_resolution,
     present_cyclic,
-    syzygy_of,
     tor_length,
 )
 from .pairings import (
@@ -33,9 +29,7 @@ from .pairings import (
     chi_complex,
     chi_modules,
     finite_pd,
-    koszul_complex,
     length,
-    local_length_at_prime,
     theta,
     theta_class,
 )
@@ -48,16 +42,12 @@ __all__ = [
     "Polynomial",
     "PolynomialRing",
     "ring_dimension",
-    "weighted_degree",
     "MatrixFactorization",
     "ModulePresentation",
     "Resolution",
-    "dual_module",
-    "ext_module",
     "extract_matrix_factorization",
     "minimal_resolution",
     "present_cyclic",
-    "syzygy_of",
     "tor_length",
     "ClassExpression",
     "DivisorClass",
@@ -66,9 +56,7 @@ __all__ = [
     "chi_complex",
     "chi_modules",
     "finite_pd",
-    "koszul_complex",
     "length",
-    "local_length_at_prime",
     "theta",
     "theta_class",
     "GramReport",

@@ -11,10 +11,10 @@ unpacked when a basis or a remainder leaves one; the field adds the
 products of a reduction step inline (FieldSpec.axpy).
 Syzygies come from an augmented basis in S^(s+k), the main block dominating
 the tag block, of tagged generators (g_i, eps_i) and optional untagged
-relations (r, 0); only its tag-lead part is read.  syzygy_basis builds one
-from all the generators; a NakayamaSelection builds one while it selects a
-minimal generating set, a kept candidate entering with its tag, and leaves
-it open, so a resolution step reads its syzygies off the step before.
+relations (r, 0); only its tag-lead part is read.  A NakayamaSelection
+builds one while it selects a minimal generating set, a kept candidate
+entering with its tag, and leaves it open, so a resolution step reads its
+syzygies off the step before.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ def _monic(v: dict, lead: int, field) -> dict:
 
 def freeze_vec(v: Vector) -> tuple:
     return tuple(sorted(v.items()))
-
-
-def vec_restrict(v: Vector, lo: int, hi: int) -> Vector:
-    """Entries with lo <= component < hi, components rebased to start at 0."""
-    return {(comp - lo, m): c for (comp, m), c in v.items() if lo <= comp < hi}
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +315,11 @@ def _completed(
 # syzygies via the augmented basis
 
 
-def _tagged(generators: Sequence[Vector], ring: PolynomialRing, rank: int) -> List[Vector]:
-    """The generators g_i as (g_i, eps_i) in S^(rank + k)."""
-    one = ring._one_mono
-    aug = []
-    for i, g in enumerate(generators):
-        h = dict(g)
-        h[(rank + i, one)] = ring.field.one
-        aug.append(h)
-    return aug
-
-
-def syzygy_basis(
-    generators: Sequence[Vector], ring: PolynomialRing, rank: int,
-    relations: Sequence[Vector] = (),
-) -> GroebnerBasis:
-    """Reduced Groebner basis, in S^k, of {c : sum_i c_i g_i in the span of
-    the relations} for the given k vectors, memoised on the ring under a
-    key of its own.
-
-    It is the tag part of the augmented basis of (g_i, eps_i) and (r, 0):
-    the elements whose lead lies in the tag block, so only they are
-    minimalized and interreduced."""
-    key = _syzygy_key(generators, rank, relations)
-    cached = ring._groebner_memo.get(key)
-    if cached is None:
-        builder = _completed(_tagged(generators, ring, rank) + list(relations), ring,
-                             rank + len(generators))
-        cached = ring._groebner_memo[key] = builder.reduced(rank)
-    return cached
-
-
 def _syzygy_key(generators: Sequence[Vector], rank: int, relations: Sequence[Vector]) -> tuple:
+    """The ring memo's key of the reduced basis, in S^k, of the syzygies of
+    the k generators modulo the relations.  It is tagged apart: that basis is
+    only the tag-lead part of the augmented one, so it must not answer for
+    the full basis of the same vectors."""
     return ("syzygies", rank, tuple(freeze_vec(g) for g in generators),
             tuple(freeze_vec(r) for r in relations))
 
@@ -396,9 +364,10 @@ class NakayamaSelection:
         self.relations = relations
 
     def syzygies(self) -> GroebnerBasis:
-        """syzygy_basis(kept vectors, ring, rank, relations): looked up under
-        its memo key, else read off the builder, completed, and stored there.
-        The reduced basis is unique, so both routes give the same one."""
+        """The reduced basis of the syzygies of the kept vectors modulo the
+        relations: looked up under _syzygy_key, else read off the builder,
+        completed, and stored there.  The reduced basis is unique, so every
+        route that builds it gives the same one."""
         memo = self.ring._groebner_memo
         key = _syzygy_key(self.generators, self.rank, self.relations)
         cached = memo.get(key)

@@ -1,8 +1,8 @@
 """Module presentations, minimal free resolutions, matrix factorizations,
-syzygies, duals and Ext against the ring, and the Hilbert series of the
-homology of a tensored complex, which gives Tor lengths.  That series is a
-sum of cokernel series, so no length computes syzygies or presents
-homology; only Ext presents a subquotient.
+and the Hilbert series of the homology of a tensored complex, which gives
+Tor lengths.  That series is a sum of cokernel series, so no length
+computes syzygies or presents homology: the only syzygies are those a
+resolution step reads off the builder its selection left open.
 
 Everything is computed over the ambient polynomial ring S; a kernel over
 R = S/(f) is the module of syzygies over S of the generators modulo the
@@ -26,9 +26,7 @@ from .groebner import (
     hilbert_numerator,
     normal_form_vec,
     series_length,
-    syzygy_basis,
     vec_axpy,
-    vec_restrict,
 )
 from .matrices import divide_exactly, graded_inverse
 from .ring import (
@@ -106,14 +104,6 @@ def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
     return [{(j, m): c for m, c in f.coeffs.items()} for j in range(rank)]
 
 
-def syzygies_over(ring: RingLike, vectors: Sequence[Vector], rank: int) -> List[Vector]:
-    """Generators of the syzygy module Z of the given vectors over R (or S):
-    the elements of Z's reduced basis over S, with the f * e_j as relations,
-    whose lead is not lead(f) * eps_c, in the basis's order."""
-    S = ambient_of(ring)
-    return _kept_syzygies(ring, syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)))
-
-
 def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[Vector]:
     """The elements of a syzygy basis over S, with the f * e_j as relations,
     whose lead is not lead(f) * eps_c, unpacked, in the basis's order.
@@ -182,9 +172,10 @@ class ModulePresentation:
 
     The module owns what is computed from it, each filled on first use: the
     presentation GB, its Hilbert series (module_series), the minimal
-    presentation, the minimal resolution (grown in place as longer ones are
-    asked for), its matrix factorization, and theta values against other
-    modules, keyed by the other module's rows and generator degrees.  No
+    resolution (grown in place as longer ones are asked for), its matrix
+    factorization, and theta values against other modules, keyed by the
+    other module's rows and generator degrees.  It keeps no minimal
+    presentation: F_0 and d_1 of the resolution are one.  No
     cache holds a module object, so a module is freed by reference counting,
     with no cycle for the garbage collector.
 
@@ -227,7 +218,6 @@ class ModulePresentation:
                         f"column {c} is not homogeneous in the given generator degrees")
         self._gb: Optional[GroebnerBasis] = None
         self._series: Optional[dict] = None
-        self._minimal: Optional[ModulePresentation] = None
         # resolution: columns of d_1, d_2, ...; generator degrees of F_0, F_1, ...
         self._res_diffs: List[List[Vector]] = []
         self._res_degs: List[List[int]] = []
@@ -269,16 +259,7 @@ class ModulePresentation:
     def __repr__(self):
         return f"<module {self.nrows} gens, {self.ncols} relations over {self.ring!r}>"
 
-    # -- minimal presentation ---------------------------------------------
-
-    def minimal_presentation(self) -> "ModulePresentation":
-        """F_0 and d_1 of the minimal resolution, as a presentation."""
-        if self._minimal is None:
-            self._extend_resolution(1)
-            degs = self._res_degs[0]
-            rows = vectors_to_rows(self._res_diffs[0], len(degs), self.ring)
-            self._minimal = ModulePresentation(self.ring, rows, gen_degrees=tuple(degs))
-        return self._minimal
+    # -- minimal resolution ------------------------------------------------
 
     def _unit_pruned(self) -> Tuple[List[Vector], List[int]]:
         """Relation columns and generator degrees left once every unit entry
@@ -450,20 +431,6 @@ def minimal_resolution(M: ModulePresentation, length: int) -> Resolution:
     return Resolution(M, length)
 
 
-def syzygy_of(M: ModulePresentation, l: int) -> ModulePresentation:
-    """Omega^l(M): the l-th syzygy, presented by d_{l+1}."""
-    if l < 0:
-        raise ValueError("syzygy index must be >= 0")
-    if l == 0:
-        return M
-    res = minimal_resolution(M, l + 1)
-    b = res.betti
-    if b[l] == 0:
-        return ModulePresentation.zero(M.ring)
-    rows = vectors_to_rows(res.differential_columns(l + 1), b[l], M.ring)
-    return ModulePresentation(M.ring, rows, gen_degrees=tuple(res.gen_degrees(l)))
-
-
 # ---------------------------------------------------------------------------
 # matrix factorizations
 
@@ -615,73 +582,3 @@ def _tor_lengths(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int)
             raise InfiniteLength(f"Tor_{i} has infinite length")
         out.append(length)
     return out
-
-
-# ---------------------------------------------------------------------------
-# duals and Ext against the ring
-
-
-def subquotient_presentation(
-    ring: RingLike,
-    rank: int,
-    numerator: Optional[List[Vector]],
-    denominator: List[Vector],
-) -> ModulePresentation:
-    """Presentation of N/D for submodules D <= N <= R^rank.
-
-    numerator None means N = R^rank."""
-    if numerator is None:
-        rows = vectors_to_rows(denominator, rank, ring)
-        return ModulePresentation(ring, rows)
-    numerator = [v for v in numerator if v]
-    if not numerator:
-        return ModulePresentation.zero(ring)
-    combined = numerator + denominator
-    syz = syzygies_over(ring, combined, rank)
-    relations = []
-    seen = set()
-    for s in syz:
-        rel = vec_restrict(s, 0, len(numerator))
-        if rel:
-            key = freeze_vec(rel)
-            if key not in seen:
-                seen.add(key)
-                relations.append(rel)
-    rows = vectors_to_rows(relations, len(numerator), ring)
-    return ModulePresentation(ring, rows)
-
-
-def _transpose(cols: Sequence[Vector], nrows: int) -> List[Vector]:
-    """The columns of the transpose of the nrows-row matrix with the given
-    columns: its rows, as vectors indexed by column position."""
-    out: List[Vector] = [{} for _r in range(nrows)]
-    for c, v in enumerate(cols):
-        for (r, m), coeff in v.items():
-            out[r][(c, m)] = coeff
-    return out
-
-
-def ext_module(M: ModulePresentation, i: int) -> ModulePresentation:
-    """Ext^i_A(M, A): homology of the dualized minimal resolution, which
-    reads F_0..F_(i+1) and d_i, d_(i+1) only."""
-    if i < 0:
-        raise ValueError("ext index must be >= 0")
-    res = minimal_resolution(M, i + 1)
-    b = res.betti
-    if b[i] == 0:
-        return ModulePresentation.zero(M.ring)
-    # kernel of transpose(d_{i+1}) : R^{b_i} -> R^{b_{i+1}}
-    if b[i + 1] == 0:
-        kernel: Optional[List[Vector]] = None
-    else:
-        kernel = syzygies_over(M.ring, _transpose(res.differential_columns(i + 1), b[i]),
-                               b[i + 1])
-    # image of transpose(d_i) : R^{b_{i-1}} -> R^{b_i}
-    image = _transpose(res.differential_columns(i), b[i - 1]) if i else []
-    return subquotient_presentation(M.ring, b[i], kernel, [v for v in image if v])
-
-
-def dual_module(M: ModulePresentation) -> ModulePresentation:
-    """Hom_A(M, A), computed as Ext^0 of the minimal resolution."""
-    return ext_module(M, 0)
-

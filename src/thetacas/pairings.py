@@ -1,6 +1,6 @@
 """Lengths, the stable Tor pairing theta, Euler characteristics of bounded
-free complexes, local lengths at height-one primes, and the divisor-class
-map on torsion modules.
+free complexes, and the divisor-class map on torsion modules, through its
+local lengths at height-one primes.
 
 Every length here is read at t = 1 off a Hilbert series of cokernels: chi
 of a complex off homology_series, theta on an isolated singularity off the
@@ -91,12 +91,6 @@ class ClassExpression:
     def items(self):
         return list(self.terms)
 
-    def __add__(self, other):
-        return ClassExpression.of(dict(self.terms), dict(other.terms))
-
-    def __neg__(self):
-        return ClassExpression(tuple((n, -c) for n, c in self.terms))
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -110,9 +104,6 @@ class DivisorClass:
 
     def items(self):
         return list(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 class FreeComplex:
@@ -154,42 +145,6 @@ class FreeComplex:
                    for v in diff_cols[k + 1]):
                 raise ValueError(f"composite d_{k + 1} d_{k + 2} does not vanish")
         self.degrees = infer_degrees(ranks, mats)  # of F_0 .. F_L
-
-    def shifted(self) -> "FreeComplex":
-        """Homological shift by one: H_i of the result is H_{i-1} of self.
-
-        The new bottom differential is the zero map F_0 -> 0, encoded as a
-        matrix with no rows."""
-        shifted = FreeComplex.__new__(FreeComplex)
-        shifted.ring = self.ring
-        shifted.matrices = [()] + list(self.matrices)
-        shifted.degrees = [()] + list(self.degrees)
-        shifted.length = self.length + 1
-        return shifted
-
-
-def koszul_complex(ring: RingLike, elements: Sequence[Polynomial]) -> FreeComplex:
-    """Koszul complex on the given elements (used as a chi test complex)."""
-    S = ambient_of(ring)
-    elems = [S.parse(e) if isinstance(e, str) else e for e in elements]
-    n = len(elems)
-    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
-    matrices = []
-    for k in range(1, n + 1):
-        rows = []
-        for target in subsets[k - 1]:
-            row = []
-            for source in subsets[k]:
-                entry = S.zero()
-                for pos, idx in enumerate(source):
-                    rest = tuple(x for x in source if x != idx)
-                    if rest == target:
-                        sign = -1 if pos % 2 else 1
-                        entry = elems[idx].scale(sign)
-                row.append(entry)
-            rows.append(tuple(row))
-        matrices.append(tuple(rows))
-    return FreeComplex(ring, matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +302,6 @@ def _checked_prime(ring: RingLike, prime: Sequence[Polynomial]):
             f"V(p) has dimension {module_dimension(Ap)}, expected {d - 1}"
         )
     return prime, module_multiplicity(Ap)
-
-
-def local_length_at_prime(M: ModulePresentation, prime: Sequence[Polynomial]) -> int:
-    """Length of M localized at a height-one graded prime, via the ranks of
-    the graded pieces p^i M / p^(i+1) M over A/p."""
-    return _local_length(M, *_checked_prime(M.ring, prime))
 
 
 def _local_length(M: ModulePresentation, prime: List[Polynomial], e_p: int) -> int:

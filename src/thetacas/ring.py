@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import AlgebraError, CoefficientError, InhomogeneousError, ParseError
 
@@ -200,8 +200,8 @@ class PolynomialRing:
         # Groebner bases over this ring, keyed by (rank, frozen generators,
         # known bases), filled by groebner.groebner_basis, and syzygy bases,
         # keyed by ("syzygies", rank, frozen generators, frozen relations),
-        # filled by groebner.syzygy_basis; freed with the ring when the last
-        # reference to it goes (a basis refers to its ring weakly, so no
+        # filled by groebner.NakayamaSelection; freed with the ring when the
+        # last reference to it goes (a basis refers to its ring weakly, so no
         # reference cycle holds the memo).
         self._groebner_memo = {}
         # packed terms, m_1 in the lowest field; each term is packed and
@@ -400,11 +400,6 @@ class Polynomial:
             return self.ring.zero()
         field = self.ring.field
         return Polynomial(self.ring, {m: field.mul(c, v) for m, v in self.coeffs.items()})
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        return self.scale(self.ring.field.inv(self.lead_coeff()))
 
     def __eq__(self, other):
         return (
@@ -620,8 +615,3 @@ def ring_dimension(ring: RingLike) -> int:
         return ring.dimension
     return ring.nvars
 
-
-def weighted_degree(p: Polynomial, ring: Optional[RingLike] = None) -> int:
-    if ring is not None and ambient_of(ring) is not p.ring:
-        raise ValueError("polynomial not over this ring")
-    return p.weighted_degree()

@@ -4,22 +4,29 @@ over S, for the two-sided matrix factorization identity and d^2 = 0; for the
 Hilbert-series route to lengths, a staircase count of standard monomials,
 homology of a tensored complex presented as a subquotient (for Tor and chi
 of a complex, with one copy of N's relations per block), and local lengths
-from presented graded pieces p^i M / p^(i+1) M; for syzygies over
-R = S/(f), the f * e_j taken as tagged generators, and the syzygies read
-off the full augmented basis, not only its tag-lead part; division with
+from presented graded pieces p^i M / p^(i+1) M; syzygies over R = S/(f)
+off a cold syzygy basis, with the f * e_j as untagged relations (the
+reference for the basis a resolution step reads off its open builder) or
+taken as tagged generators, and the syzygies read off the full augmented
+basis, not only its tag-lead part; the modules and complexes the pairing
+identities take as witnesses: syzygy modules, duals and Ext against the
+ring, presented subquotients, minimal presentations, Koszul complexes and
+shifted complexes; the local length at one prime, outside c1; division with
 a representation, the reference for a matrix factorization's beta, and the
 normal form against a reduced basis it reads; the dimension and multiplicity
 read off a basis's unshifted Hilbert numerator, the reference for the
 module's remembered series; the order and value of a numerator at t = 1
 by repeated exact division by (1 - t), the reference for the Taylor
 reading; and Knörrer's lift of a matrix factorization to two more
-variables, a cross-dimension reference for theta."""
+variables, a cross-dimension reference for theta, which can be applied
+again to the lifted ring."""
 
 import itertools
 import operator
 
 from thetacas import (
     INFINITE,
+    FreeComplex,
     HypersurfaceRing,
     PolynomialRing,
     extract_matrix_factorization,
@@ -27,27 +34,26 @@ from thetacas import (
 )
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
+    _completed,
     _series_at_one,
-    _tagged,
+    _syzygy_key,
     freeze_vec,
     groebner_basis,
     hilbert_numerator,
     lead_module,
     normal_form_vec,
-    syzygy_basis,
-    vec_restrict,
 )
 from thetacas.homology import (
     ModulePresentation,
+    _kept_syzygies,
     _tensor_map_columns,
     columns_as_vectors,
     f_times_unit_vectors,
     reduce_mod_f,
     reduce_vec_mod_f,
-    subquotient_presentation,
-    syzygies_over,
+    vectors_to_rows,
 )
-from thetacas.pairings import _power_products
+from thetacas.pairings import _checked_prime, _local_length, _power_products
 from thetacas.ring import Polynomial, ambient_of, modulus_of, mono_divides, ring_dimension
 
 
@@ -93,6 +99,171 @@ def direct_sum(M, N):
     return ModulePresentation(
         M.ring, rows, gen_degrees=M.gen_degrees + N.gen_degrees
     )
+
+
+def vec_restrict(v, lo, hi):
+    """Entries with lo <= component < hi, components rebased to start at 0."""
+    return {(comp - lo, m): c for (comp, m), c in v.items() if lo <= comp < hi}
+
+
+def _tagged(generators, ring, rank):
+    """The generators g_i as (g_i, eps_i) in S^(rank + k)."""
+    one = ring._one_mono
+    aug = []
+    for i, g in enumerate(generators):
+        h = dict(g)
+        h[(rank + i, one)] = ring.field.one
+        aug.append(h)
+    return aug
+
+
+def syzygy_basis(generators, ring, rank, relations=()):
+    """Reduced Groebner basis, in S^k, of {c : sum_i c_i g_i in the span of
+    the relations} for the given k vectors, memoised on the ring under a
+    key of its own.
+
+    It is the tag part of the augmented basis of (g_i, eps_i) and (r, 0):
+    the elements whose lead lies in the tag block, so only they are
+    minimalized and interreduced."""
+    key = _syzygy_key(generators, rank, relations)
+    cached = ring._groebner_memo.get(key)
+    if cached is None:
+        builder = _completed(_tagged(generators, ring, rank) + list(relations), ring,
+                             rank + len(generators))
+        cached = ring._groebner_memo[key] = builder.reduced(rank)
+    return cached
+
+
+def syzygies_over(ring, vectors, rank):
+    """Generators of the syzygy module Z of the given vectors over R (or S):
+    the elements of Z's reduced basis over S, with the f * e_j as relations,
+    whose lead is not lead(f) * eps_c, in the basis's order, kept by the
+    kernel's own filter."""
+    S = ambient_of(ring)
+    return _kept_syzygies(ring, syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)))
+
+
+def subquotient_presentation(ring, rank, numerator, denominator):
+    """Presentation of N/D for submodules D <= N <= R^rank.
+
+    numerator None means N = R^rank."""
+    if numerator is None:
+        rows = vectors_to_rows(denominator, rank, ring)
+        return ModulePresentation(ring, rows)
+    numerator = [v for v in numerator if v]
+    if not numerator:
+        return ModulePresentation.zero(ring)
+    combined = numerator + denominator
+    syz = syzygies_over(ring, combined, rank)
+    relations = []
+    seen = set()
+    for s in syz:
+        rel = vec_restrict(s, 0, len(numerator))
+        if rel:
+            key = freeze_vec(rel)
+            if key not in seen:
+                seen.add(key)
+                relations.append(rel)
+    rows = vectors_to_rows(relations, len(numerator), ring)
+    return ModulePresentation(ring, rows)
+
+
+def minimal_presentation(M):
+    """F_0 and d_1 of M's minimal resolution, as a presentation."""
+    res = minimal_resolution(M, 1)
+    return ModulePresentation(M.ring, res.matrix(1), gen_degrees=tuple(res.gen_degrees(0)))
+
+
+def syzygy_of(M, l):
+    """Omega^l(M): the l-th syzygy, presented by d_{l+1}."""
+    if l < 0:
+        raise ValueError("syzygy index must be >= 0")
+    if l == 0:
+        return M
+    res = minimal_resolution(M, l + 1)
+    b = res.betti
+    if b[l] == 0:
+        return ModulePresentation.zero(M.ring)
+    rows = vectors_to_rows(res.differential_columns(l + 1), b[l], M.ring)
+    return ModulePresentation(M.ring, rows, gen_degrees=tuple(res.gen_degrees(l)))
+
+
+def transpose(cols, nrows):
+    """The columns of the transpose of the nrows-row matrix with the given
+    columns: its rows, as vectors indexed by column position."""
+    out = [{} for _r in range(nrows)]
+    for c, v in enumerate(cols):
+        for (r, m), coeff in v.items():
+            out[r][(c, m)] = coeff
+    return out
+
+
+def ext_module(M, i):
+    """Ext^i_A(M, A): homology of the dualized minimal resolution, which
+    reads F_0..F_(i+1) and d_i, d_(i+1) only."""
+    if i < 0:
+        raise ValueError("ext index must be >= 0")
+    res = minimal_resolution(M, i + 1)
+    b = res.betti
+    if b[i] == 0:
+        return ModulePresentation.zero(M.ring)
+    # kernel of transpose(d_{i+1}) : R^{b_i} -> R^{b_{i+1}}
+    if b[i + 1] == 0:
+        kernel = None
+    else:
+        kernel = syzygies_over(M.ring, transpose(res.differential_columns(i + 1), b[i]),
+                               b[i + 1])
+    # image of transpose(d_i) : R^{b_{i-1}} -> R^{b_i}
+    image = transpose(res.differential_columns(i), b[i - 1]) if i else []
+    return subquotient_presentation(M.ring, b[i], kernel, [v for v in image if v])
+
+
+def dual_module(M):
+    """Hom_A(M, A), computed as Ext^0 of the minimal resolution."""
+    return ext_module(M, 0)
+
+
+def koszul_complex(ring, elements):
+    """Koszul complex on the given elements, a FreeComplex."""
+    S = ambient_of(ring)
+    elems = [S.parse(e) if isinstance(e, str) else e for e in elements]
+    n = len(elems)
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    matrices = []
+    for k in range(1, n + 1):
+        rows = []
+        for target in subsets[k - 1]:
+            row = []
+            for source in subsets[k]:
+                entry = S.zero()
+                for pos, idx in enumerate(source):
+                    rest = tuple(x for x in source if x != idx)
+                    if rest == target:
+                        sign = -1 if pos % 2 else 1
+                        entry = elems[idx].scale(sign)
+                row.append(entry)
+            rows.append(tuple(row))
+        matrices.append(tuple(rows))
+    return FreeComplex(ring, matrices)
+
+
+def shifted(F):
+    """Homological shift of the FreeComplex F by one: H_i of the result is
+    H_{i-1} of F.  The new bottom differential is the zero map F_0 -> 0,
+    encoded as a matrix with no rows."""
+    out = FreeComplex.__new__(FreeComplex)
+    out.ring = F.ring
+    out.matrices = [()] + list(F.matrices)
+    out.degrees = [()] + list(F.degrees)
+    out.length = F.length + 1
+    return out
+
+
+def local_length_at_prime(M, prime):
+    """Length of M localized at a height-one graded prime, via the ranks of
+    the graded pieces p^i M / p^(i+1) M over A/p: c1's own loop, with the
+    prime checked as c1 checks it."""
+    return _local_length(M, *_checked_prime(M.ring, prime))
 
 
 def mat_mul(a, b, S):
@@ -344,33 +515,36 @@ def subquotient_local_length(M, prime):
     raise AlgebraError("local length did not terminate")
 
 
-def knorrer_ring(A, w_u=1):
-    """A' = S[u_k, v_k]/(f - u_k v_k), with deg u_k = w_u and deg v_k =
-    deg f - w_u, so that f - u_k v_k is homogeneous: dimension d + 2."""
+def knorrer_ring(A, w_u=1, names=("u_k", "v_k")):
+    """A' = S[u, v]/(f - uv) for the two new variable names (u, v), with
+    deg u = w_u and deg v = deg f - w_u, so that f - uv is homogeneous:
+    dimension d + 2.  A' may itself be lifted again, under two other names."""
     S = A.ambient
     deg_f = A.f.weighted_degree()
-    T = PolynomialRing(S.field, S.variables + ("u_k", "v_k"), S.weights + (w_u, deg_f - w_u))
-    return HypersurfaceRing(T, _over(A.f, T) - T.parse("u_k*v_k"))
+    T = PolynomialRing(S.field, S.variables + tuple(names), S.weights + (w_u, deg_f - w_u))
+    u, v = (T.parse(name) for name in names)
+    return HypersurfaceRing(T, _over(A.f, T) - u * v)
 
 
 def _over(p, T):
-    """The polynomial p over S as one over T = S[u_k, v_k]."""
+    """The polynomial p over S as one over T = S[u, v]."""
     return T.from_dict({m + (0, 0): c for m, c in p.coeffs.items()})
 
 
 def knorrer_lift(M, A2):
-    """Knörrer's lift of M to A2 = knorrer_ring(M.ring, ...): coker
-    [[a, -u I], [-v I, b]] for the matrix factorization (a, b) whose
-    cokernel is M's stable class.  M's factorization (alpha, beta) has
-    coker alpha = Omega^(s-1) M, s its source index, and coker beta is the
-    syzygy of coker alpha, so (a, b) is (alpha, beta) for odd s and
-    (beta, alpha) for even s.  [[a, -u I], [-v I, b]] [[b, u I], [v I, a]]
-    = (f - uv) I, and the lift is an equivalence of stable categories of
-    maximal Cohen-Macaulay modules (Knörrer, Invent. Math. 88, 1987)."""
+    """Knörrer's lift of M to A2 = knorrer_ring(M.ring, ...), whose last two
+    variables are u and v: coker [[a, -u I], [-v I, b]] for the matrix
+    factorization (a, b) whose cokernel is M's stable class.  M's
+    factorization (alpha, beta) has coker alpha = Omega^(s-1) M, s its source
+    index, and coker beta is the syzygy of coker alpha, so (a, b) is
+    (alpha, beta) for odd s and (beta, alpha) for even s.  [[a, -u I], [-v I,
+    b]] [[b, u I], [v I, a]] = (f - uv) I, and the lift is an equivalence of
+    stable categories of maximal Cohen-Macaulay modules (Knörrer, Invent.
+    Math. 88, 1987)."""
     mf = extract_matrix_factorization(minimal_resolution(M, 1))
     a, b = (mf.alpha, mf.beta) if mf.source_index % 2 else (mf.beta, mf.alpha)
     T, r = A2.ambient, mf.size
-    minus_u, minus_v = T.parse("-u_k"), T.parse("-v_k")
+    minus_u, minus_v = (T.parse(name).scale(-1) for name in T.variables[-2:])
 
     def diagonal(c, i):
         return [c if j == i else T.zero() for j in range(r)]

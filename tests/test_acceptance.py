@@ -19,19 +19,25 @@ from thetacas import (
     extract_matrix_factorization,
     gram_matrix,
     kernel_basis,
-    koszul_complex,
     length,
     minimal_resolution,
     present_cyclic,
     signature,
-    syzygy_of,
     theta,
     theta_class,
     ClassExpression,
 )
 from thetacas.groebner import groebner_basis, hilbert_numerator
-from thetacas.homology import dual_module, ext_module, module_multiplicity, tor_length
-from oracles import direct_sum, mat_mul, vec_from_polys
+from thetacas.homology import module_multiplicity, tor_length
+from oracles import (
+    direct_sum,
+    dual_module,
+    ext_module,
+    koszul_complex,
+    mat_mul,
+    syzygy_of,
+    vec_from_polys,
+)
 
 
 def report(number, description, budget, fn):

@@ -24,7 +24,6 @@ from thetacas.groebner import (
     normal_form_vec,
     series_length,
     series_value,
-    syzygy_basis,
 )
 from thetacas.homology import ModulePresentation, mat_vec, module_multiplicity
 from thetacas.matrices import divide_exactly, graded_inverse
@@ -36,6 +35,7 @@ from oracles import (
     reduce_with_representation,
     series_at_one_by_division,
     staircase_count,
+    syzygy_basis,
     term_key,
     tpoly_div_1mt,
     tpoly_sub,
@@ -532,7 +532,8 @@ def _sympy_reduced_basis(sympy, R, gens):
         for g in gens
     ]
     G = sympy.groebner(exprs, *symbols, order="grevlex", **options)
-    return [R.from_dict({m: int(c) for m, c in poly.terms()}).monic() for poly in G.polys]
+    polys = [R.from_dict({m: int(c) for m, c in poly.terms()}) for poly in G.polys]
+    return [p.scale(R.field.inv(p.lead_coeff())) for p in polys]
 
 
 def integer_polys(n):

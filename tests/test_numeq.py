@@ -372,18 +372,27 @@ def test_the_27_lines_of_the_fermat_cubic_surface():
     assert signature(G) == (6, 0, 21)
 
 
-def test_nine_lines_lifted_to_dimension_five():
+@pytest.mark.parametrize("count, lifts, sig, adjusted",
+                         [(9, 1, (0, 4, 5), (4, 0, 5)), (3, 2, (2, 0, 1), (2, 0, 1))],
+                         ids=["nine_lines_d5", "three_lines_d7"])
+def test_nine_lines_lifted_to_dimension_five(count, lifts, sig, adjusted):
     """Knörrer's lift to S[u, v]/(f - uv) negates theta, so the Gram of the
     first 9 lines lifted two dimensions up is -(1 - 3 L_i.L_j), of signature
-    (0, 4, 5); in d = 5 the verdict reads -Gram, positive semidefinite."""
+    (0, 4, 5); in d = 5 the verdict reads -Gram, positive semidefinite.
+    Lifted twice, to d = 7, the first 3 lines have the Gram +(1 - 3 L_i.L_j)
+    = [[4, -2, -2], [-2, 4, -2], [-2, -2, 4]], of signature (2, 0, 1), which
+    the verdict reads as it is."""
     A = fermat_cubic(7)
-    lines = fermat_lines()[:9]
-    A5 = knorrer_ring(A, 1)
-    lifts = [(str(i), knorrer_lift(present_cyclic(A, line), A5)) for i, line in enumerate(lines)]
-    registry = dict(lifts)
+    lines = fermat_lines()[:count]
+    top, modules = A, [present_cyclic(A, line) for line in lines]
+    for k in range(lifts):
+        top = knorrer_ring(top, 1, (f"u_{k}", f"v_{k}"))
+        modules = [knorrer_lift(M, top) for M in modules]
+    registry = {str(i): M for i, M in enumerate(modules)}
     G = gram_matrix(classes_of(list(registry)), registry)
-    assert G == [[3 * intersection_number(A, first, second) - 1 for second in lines]
-                 for first in lines]
-    assert signature(G) == (0, 4, 5)
-    rep = conjecture_report(A5, lifts)
-    assert (rep.dimension, rep.verdict, rep.adjusted_signature) == (5, "PASS", (4, 0, 5))
+    assert G == [[(-1) ** lifts * (1 - 3 * intersection_number(A, first, second))
+                  for second in lines] for first in lines]
+    assert signature(G) == sig
+    rep = conjecture_report(top, list(registry.items()))
+    assert (rep.dimension, rep.verdict, rep.adjusted_signature) == (3 + 2 * lifts, "PASS",
+                                                                      adjusted)

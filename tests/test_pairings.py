@@ -21,14 +21,9 @@ from thetacas import (
     c1_torsion,
     chi_complex,
     chi_modules,
-    dual_module,
-    ext_module,
     finite_pd,
-    koszul_complex,
     length,
-    local_length_at_prime,
     present_cyclic,
-    syzygy_of,
     theta,
     theta_class,
 )
@@ -52,10 +47,16 @@ from thetacas.homology import (
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning, _tjurina_number
 from oracles import (
     direct_sum,
+    dual_module,
+    ext_module,
     homology_chi,
     knorrer_lift,
     knorrer_ring,
+    koszul_complex,
+    local_length_at_prime,
+    shifted,
     subquotient_local_length,
+    syzygy_of,
 )
 from conftest import hypersurface
 
@@ -427,7 +428,7 @@ def test_theta_class_examples(node_modules, quadric_modules):
 def test_class_expression_canonical_form():
     a = ClassExpression.of(("M", 1), ("M", 2), ("N", 0))
     assert a.items() == [("M", 3)]
-    assert (a + (-a)).items() == []
+    assert ClassExpression.of(*a.items(), *[(n, -c) for n, c in a.items()]).items() == []
 
 
 def test_class_expression_takes_int_coefficients_only(node_modules):
@@ -462,7 +463,7 @@ def test_chi_complex_shift_flips_sign(S2):
     K = koszul_complex(S2, ["x", "y"])
     registry = {"S": ModulePresentation.free(S2)}
     alpha = ClassExpression.of("S")
-    assert chi_complex(K.shifted(), alpha, registry) == -chi_complex(K, alpha, registry)
+    assert chi_complex(shifted(K), alpha, registry) == -chi_complex(K, alpha, registry)
 
 
 def test_chi_complex_additive_in_class(S2):
@@ -472,7 +473,7 @@ def test_chi_complex_additive_in_class(S2):
         "k": ModulePresentation.cyclic(S2, ["x", "y"]),
     }
     a, b = ClassExpression.of("S"), ClassExpression.of("k")
-    assert chi_complex(K, a + b, registry) == (
+    assert chi_complex(K, ClassExpression.of("S", "k"), registry) == (
         chi_complex(K, a, registry) + chi_complex(K, b, registry)
     )
 
@@ -493,7 +494,7 @@ def test_chi_complex_matches_the_homology_route(S2, quadric):
           present_cyclic(quadric, ["x", "y", "u", "v"])]),
     ]
     for K, modules in cases:
-        for F in (K, K.shifted()):
+        for F in (K, shifted(K)):
             for N in modules:
                 registry = {"N": N}
                 chi = chi_complex(F, ClassExpression.of("N"), registry)
@@ -501,7 +502,7 @@ def test_chi_complex_matches_the_homology_route(S2, quadric):
     sop = koszul_complex(quadric, ["x", "y", "u - v"])
     A = {"A": ModulePresentation.free(quadric)}
     assert chi_complex(sop, ClassExpression.of("A"), A) == 2
-    assert chi_complex(sop.shifted(), ClassExpression.of("A"), A) == -2
+    assert chi_complex(shifted(sop), ClassExpression.of("A"), A) == -2
 
 
 def test_chi_complex_keeps_its_infinite_length_message(S2):
@@ -513,7 +514,7 @@ def test_chi_complex_keeps_its_infinite_length_message(S2):
 def test_free_complex_degrees(S2, node):
     K = koszul_complex(S2, ["x", "y^2"])
     assert K.degrees == [(0,), (1, 2), (3,)]
-    assert K.shifted().degrees == [(), (0,), (1, 2), (3,)]
+    assert shifted(K).degrees == [(), (0,), (1, 2), (3,)]
     # x*y vanishes over the node, so it does not constrain the degrees
     F = FreeComplex(node, [[["x", "x*y"]]])
     assert F.matrices[0][0][1].is_zero() and F.degrees == [(0,), (1, 0)]
@@ -626,17 +627,18 @@ def test_local_length_matches_the_subquotient_route(quadric):
 
 def test_c1_and_chi_compute_no_syzygies(monkeypatch, S2, quadric):
     """c1's local lengths and chi of a complex are read off cokernel bases:
-    no syzygy module is computed, by syzygies_over or by a resolution step."""
+    no syzygy module is computed by a resolution step, the kernel's only
+    syzygy route."""
     import thetacas.groebner as groebner
-    import thetacas.homology as homology
 
     calls = []
-    for owner, name in ((homology, "syzygies_over"), (groebner.NakayamaSelection, "syzygies")):
-        def counting(*args, _real=getattr(owner, name)):
-            calls.append(args)
-            return _real(*args)
+    real = groebner.NakayamaSelection.syzygies
 
-        monkeypatch.setattr(owner, name, counting)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner.NakayamaSelection, "syzygies", counting)
     primes = [("p", ["x", "u"]), ("q", ["x", "v"])]
     Ax = present_cyclic(quadric, ["x"])
     assert c1_torsion(Ax, primes).items() == [("p", 1), ("q", 1)]
@@ -660,7 +662,7 @@ def test_c1_examples(quadric, quadric_modules):
     assert c1_torsion(quadric_modules["Ap"], primes).items() == [("p", 1)]
     assert c1_torsion(quadric_modules["Ax"], primes).items() == [("p", 1), ("q", 1)]
     k = present_cyclic(quadric, ["x", "y", "u", "v"])
-    assert c1_torsion(k, primes).is_zero()
+    assert c1_torsion(k, primes).items() == []
 
 
 def test_c1_builds_each_prime_quotient_once(monkeypatch, quadric):

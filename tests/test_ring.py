@@ -14,7 +14,6 @@ from thetacas import (
     PolynomialRing,
     minimal_resolution,
     ring_dimension,
-    weighted_degree,
 )
 from thetacas.errors import AlgebraError, InhomogeneousError, ParseError
 from thetacas.ring import (
@@ -233,11 +232,11 @@ def test_char_p_agrees_with_rational_reduction(a, b, c):
 
 def test_weighted_degree_examples():
     R = make_ring(variables=("x", "y", "u", "v"))
-    assert weighted_degree(R.parse("x*y - u*v")) == 2
+    assert R.parse("x*y - u*v").weighted_degree() == 2
     W = make_ring(variables=("x", "y"), weights=(3, 2))
-    assert weighted_degree(W.parse("x^2 + y^3")) == 6
+    assert W.parse("x^2 + y^3").weighted_degree() == 6
     with pytest.raises(InhomogeneousError):
-        weighted_degree(RING0.parse("x + y^2"))
+        RING0.parse("x + y^2").weighted_degree()
 
 
 @given(a=polys(RING0), b=polys(RING0))
@@ -246,10 +245,10 @@ def test_weighted_degree_multiplicative(a, b):
     if a.is_zero() or b.is_zero():
         return
     try:
-        da, db = weighted_degree(a), weighted_degree(b)
+        da, db = a.weighted_degree(), b.weighted_degree()
     except InhomogeneousError:
         return
-    assert weighted_degree(a * b) == da + db
+    assert (a * b).weighted_degree() == da + db
 
 
 # ---------------------------------------------------------------------------
