@@ -14,7 +14,7 @@ the tag block, of tagged generators (g_i, eps_i) and optional untagged
 relations (r, 0); only its tag-lead part is read.  A NakayamaSelection
 builds one while it selects a minimal generating set, a kept candidate
 entering with its tag, and leaves it open, so a resolution step reads its
-syzygies off the step before.
+syzygies off the step before, completed only up to the degree it needs.
 """
 
 from __future__ import annotations
@@ -336,7 +336,8 @@ class NakayamaSelection:
     the builder to its degree: one is redundant exactly when its normal form
     has no term in the first rank components.  A kept one enters as that
     normal form plus eps_n, which spans with the earlier vectors what
-    (v, eps_n) spans.  kept holds the kept indices, ascending.  The builder
+    (v, eps_n) spans.  kept holds the kept indices, ascending, and
+    generators and degrees the kept vectors and their degrees.  The builder
     refers to the ring and the vectors only, never to a module."""
 
     def __init__(self, ring: PolynomialRing, target_degs: Sequence[int],
@@ -361,20 +362,35 @@ class NakayamaSelection:
                 kept.append(n)
         self.kept = sorted(kept)
         self.generators = [candidates[n][0] for n in self.kept]
+        self.degrees = [candidates[n][1] for n in self.kept]
         self.relations = relations
 
-    def syzygies(self) -> GroebnerBasis:
+    def syzygies(self, upto: Optional[float] = None) -> GroebnerBasis:
         """The reduced basis of the syzygies of the kept vectors modulo the
-        relations: looked up under _syzygy_key, else read off the builder,
-        completed, and stored there.  The reduced basis is unique, so every
-        route that builds it gives the same one."""
+        relations, or with upto only its elements of degree <= upto.
+
+        The full basis is looked up under _syzygy_key, else read off the
+        builder, completed, and stored there.  A bounded read takes its
+        elements off a stored full basis, else completes the builder to upto
+        only and stores nothing: pair degrees are true degrees and a pair of
+        degree d yields a vector of degree d, so the pairs of degree <= upto
+        alone build the basis in those degrees, and a lead above upto divides
+        no lead below it.  The reduced basis is unique, so every route that
+        builds it gives the same one."""
         memo = self.ring._groebner_memo
         key = _syzygy_key(self.generators, self.rank, self.relations)
         cached = memo.get(key)
         if cached is None:
-            self._builder.complete()
-            cached = memo[key] = self._builder.reduced(self.rank, self.kept)
-        return cached
+            self._builder.complete(upto)
+            cached = self._builder.reduced(self.rank, self.kept)
+            if upto is None:
+                memo[key] = cached
+        if upto is None:
+            return cached
+        degree, degrees = self.ring.mono_degree, self.degrees
+        return GroebnerBasis(self.ring, cached.rank, tuple(
+            pair for pair, (comp, mono) in zip(cached.packed, cached.leads)
+            if degree(mono) + degrees[comp] <= upto))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ canonical normal forms modulo f.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import AlgebraError, InfiniteLength, InhomogeneousError, NotStabilized
@@ -283,19 +284,49 @@ class ModulePresentation:
             del degs[r]
             rows = [row[:c] + row[c + 1:] for i, row in enumerate(rows) if i != r]
 
+    def _degree_bound(self, m: int) -> Optional[float]:
+        """D_m, for m >= 2: no generator of F_m lies above it.  None when no
+        bound is known, -inf when F_m = 0.
+
+        Over A = S/(f) the change-of-rings sequence ... -> Tor^S_m(M, k) ->
+        Tor^A_m(M, k) -> Tor^A_(m-2)(M, k)(-deg f) -> ... (Shamash 1969,
+        Eisenbud 1980) puts every degree of F_m in a degree of Tor^S_m(M, k)
+        or of F_(m-2) plus deg f; over S only the first part is there.
+        Tor^S_m(M, k) is 0 for m > n (Hilbert's syzygy theorem); for M of
+        finite length it is a subquotient of the Koszul term K_m (x) M, so
+        its degrees are at most top(M) plus the m largest weights, where
+        top(M), the top degree of M, is the degree of M's numerator less the
+        sum of the weights.  For m <= n and M of infinite length it has no
+        bound here."""
+        S, f = ambient_of(self.ring), modulus_of(self.ring)
+        terms = []
+        if f is not None and self._res_degs[m - 2]:
+            terms.append(max(self._res_degs[m - 2]) + f.weighted_degree())
+        if m <= S.nvars:
+            if module_dimension(self) > 0:
+                return None
+            num = module_series(self)
+            if num:
+                terms.append(max(num) - sum(S.weights) + sum(sorted(S.weights)[-m:]))
+        return max(terms, default=-math.inf)
+
     def _extend_resolution(self, length: int) -> None:
         """Grow the minimal resolution to at least `length` differentials.
 
-        Each d_{i+1} is the Nakayama selection from its candidates: for d_1
-        the unit-pruned relation columns, in their order; for later ones the
-        syzygies of d_i, sorted by (degree, frozen vector), read off the
-        builder left open by the selection of d_i."""
+        Each d_m is the Nakayama selection from its candidates: for d_1 the
+        unit-pruned relation columns, in their order; for later ones the
+        syzygies of d_(m-1) of degree at most D_m (_degree_bound), sorted by
+        (degree, frozen vector), read off the builder left open by the
+        selection of d_(m-1).  A syzygy above D_m is never a minimal
+        generator, and it would sort after every other candidate, so leaving
+        it out keeps every d_m as the unbounded step chooses it."""
         diffs, degs = self._res_diffs, self._res_degs
         S = ambient_of(self.ring)
         while len(diffs) < length:
             if diffs:
                 target = degs[-1]
-                vectors = _kept_syzygies(self.ring, self._open.syzygies())
+                bound = self._degree_bound(len(diffs) + 1)
+                vectors = _kept_syzygies(self.ring, self._open.syzygies(bound))
             else:
                 vectors, target = self._unit_pruned()
             candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
@@ -304,7 +335,7 @@ class ModulePresentation:
             self._open = NakayamaSelection(S, target, candidates,
                                            f_times_unit_vectors(self.ring, len(target)))
             kept = [candidates[n] for n in self._open.kept]
-            # the degrees of F_i (new only for i = 0) and of F_{i+1}
+            # the degrees of F_(m-1) (new only for m = 1) and of F_m
             degs[len(diffs):] = [target, [d for _v, d in kept]]
             diffs.append([v for v, _d in kept])
 

@@ -1,25 +1,27 @@
 """Independent routes, kept as test oracles, and builders only tests use:
 vectors from polynomials and direct sums of presentations; matrix products
 over S, for the two-sided matrix factorization identity and d^2 = 0; for the
-Hilbert-series route to lengths, a staircase count of standard monomials,
-homology of a tensored complex presented as a subquotient (for Tor and chi
-of a complex, with one copy of N's relations per block), and local lengths
-from presented graded pieces p^i M / p^(i+1) M; syzygies over R = S/(f)
-off a cold syzygy basis, with the f * e_j as untagged relations (the
-reference for the basis a resolution step reads off its open builder) or
-taken as tagged generators, and the syzygies read off the full augmented
-basis, not only its tag-lead part; the modules and complexes the pairing
-identities take as witnesses: syzygy modules, duals and Ext against the
-ring, presented subquotients, minimal presentations, Koszul complexes and
-shifted complexes; the local length at one prime, outside c1; division with
-a representation, the reference for a matrix factorization's beta, and the
-normal form against a reduced basis it reads; the dimension and multiplicity
-read off a basis's unshifted Hilbert numerator, the reference for the
-module's remembered series; the order and value of a numerator at t = 1
-by repeated exact division by (1 - t), the reference for the Taylor
-reading; and Knörrer's lift of a matrix factorization to two more
-variables, a cross-dimension reference for theta, which can be applied
-again to the lifted ring."""
+Hilbert-series route to lengths, a staircase count of standard monomials and
+the top degree of a finite-length module they give, homology of a tensored
+complex presented as a subquotient (for Tor and chi of a complex, with one
+copy of N's relations per block), and local lengths from presented graded
+pieces p^i M / p^(i+1) M; syzygies over R = S/(f) off a cold syzygy basis,
+with the f * e_j as untagged relations (the reference for the basis a
+resolution step reads off its open builder) or taken as tagged generators,
+and the syzygies read off the full augmented basis, not only its tag-lead
+part; the modules and complexes the pairing identities take as witnesses:
+syzygy modules, duals and Ext against the ring, presented subquotients,
+minimal presentations, Koszul complexes and shifted complexes; a minimal
+resolution whose every step reads the full syzygy basis, the reference for
+the degree-bounded steps of the kernel; the local length at one prime,
+outside c1; division with a representation, the reference for a matrix
+factorization's beta, and the normal form against a reduced basis it reads;
+the dimension and multiplicity read off a basis's unshifted Hilbert
+numerator, the reference for the module's remembered series; the order and
+value of a numerator at t = 1 by repeated exact division by (1 - t), the
+reference for the Taylor reading; and Knörrer's lift of a matrix
+factorization to two more variables, a cross-dimension reference for theta,
+which can be applied again to the lifted ring."""
 
 import itertools
 import operator
@@ -34,6 +36,7 @@ from thetacas import (
 )
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
+    NakayamaSelection,
     _completed,
     _series_at_one,
     _syzygy_key,
@@ -47,6 +50,7 @@ from thetacas.homology import (
     ModulePresentation,
     _kept_syzygies,
     _tensor_map_columns,
+    _vector_degree,
     columns_as_vectors,
     f_times_unit_vectors,
     reduce_mod_f,
@@ -188,6 +192,30 @@ def syzygy_of(M, l):
     return ModulePresentation(M.ring, rows, gen_degrees=tuple(res.gen_degrees(l)))
 
 
+def unbounded_resolution(M, length):
+    """(columns of d_1..d_length, generator degrees of F_0..F_length) of M's
+    minimal resolution, each step reading the full syzygy basis of the one
+    before it, with no degree bound: the reference for the bounded steps of
+    the kernel.  M's own resolution is neither read nor grown."""
+    S = ambient_of(M.ring)
+    diffs, degs, selection = [], [], None
+    while len(diffs) < length:
+        if diffs:
+            target = degs[-1]
+            vectors = _kept_syzygies(M.ring, selection.syzygies())
+        else:
+            vectors, target = M._unit_pruned()
+        candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
+        if diffs:
+            candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
+        selection = NakayamaSelection(S, target, candidates,
+                                      f_times_unit_vectors(M.ring, len(target)))
+        kept = [candidates[n] for n in selection.kept]
+        degs[len(diffs):] = [list(target), [d for _v, d in kept]]
+        diffs.append([v for v, _d in kept])
+    return diffs, degs
+
+
 def transpose(cols, nrows):
     """The columns of the transpose of the nrows-row matrix with the given
     columns: its rows, as vectors indexed by column position."""
@@ -283,11 +311,12 @@ def mat_mul(a, b, S):
     return tuple(out)
 
 
-def staircase_count(G):
-    """Number of standard monomial symbols outside the lead module, or INFINITE."""
+def _standard_symbols(G):
+    """The standard monomial symbols (component, monomial) outside the lead
+    module, or INFINITE."""
     n = G.ring.nvars
-    total = 0
-    for _comp, gens in lead_module(G).items():
+    symbols = []
+    for comp, gens in lead_module(G).items():
         if any(g == (0,) * n for g in gens):
             continue  # component entirely in the lead module
         bounds = []
@@ -298,8 +327,25 @@ def staircase_count(G):
             bounds.append(min(pure))
         for point in itertools.product(*(range(b) for b in bounds)):
             if not any(mono_divides(g, point) for g in gens):
-                total += 1
-    return total
+                symbols.append((comp, point))
+    return symbols
+
+
+def staircase_count(G):
+    """Number of standard monomial symbols outside the lead module, or INFINITE."""
+    symbols = _standard_symbols(G)
+    return symbols if symbols is INFINITE else len(symbols)
+
+
+def top_degree(M):
+    """The largest degree of a nonzero graded piece of M, of finite length
+    and nonzero: that of a standard monomial symbol of its presentation
+    basis, in its generator's degree."""
+    G = M.presentation_gb()
+    symbols = _standard_symbols(G)
+    if symbols is INFINITE or not symbols:
+        raise ValueError("top_degree needs a nonzero module of finite length")
+    return max(G.ring.mono_degree(m) + M.gen_degrees[comp] for comp, m in symbols)
 
 
 def normal_form(v, G):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import weakref
 
 import pytest
@@ -56,7 +57,9 @@ from oracles import (
     tag_lead_part,
     tagged_syzygies,
     tensored_homology,
+    top_degree,
     transpose,
+    unbounded_resolution,
     vec_from_polys,
 )
 from test_golden_reports import NAMES, WEIGHTED_NAMES, _rescaled, seeded_sessions, session_path
@@ -447,9 +450,10 @@ def _session_calls(monkeypatch, doc, resolve=False):
     """Over one run of the session: every syzygy list read over R off a
     syzygy basis, as (ring, basis, syzygies); every syzygy basis a
     resolution step read off the builder its selection left open, as
-    (selection, basis); and every matrix factorization made.  With resolve,
-    every module of a fresh environment of the session is then also
-    resolved to length d + 3 under the same recording."""
+    (selection, degree bound or None, basis); and every matrix
+    factorization made.  With resolve, every module of a fresh environment
+    of the session is then also resolved to length d + 3 under the same
+    recording."""
     calls, opened, made = [], [], []
     real_kept, real_open = homology._kept_syzygies, NakayamaSelection.syzygies
 
@@ -458,9 +462,9 @@ def _session_calls(monkeypatch, doc, resolve=False):
         calls.append((ring, basis, out))
         return out
 
-    def reading(selection):
-        basis = real_open(selection)
-        opened.append((selection, basis))
+    def reading(selection, upto=None):
+        basis = real_open(selection, upto)
+        opened.append((selection, upto, basis))
         return basis
 
     class Recording(homology.MatrixFactorization):
@@ -508,20 +512,96 @@ def test_open_builder_syzygies_match_a_cold_basis(seed, monkeypatch):
     """For every resolution step of the seven golden sessions, as written
     and under the graded coordinate change of seed 3, and of their modules
     resolved to length d + 3, the syzygy basis of d_i read off the builder
-    its selection left open (or its memo entry) equals
-    syzygy_basis(d_i, S, b_(i-1), f * e_j) computed cold on a fresh ring."""
-    steps = 0
+    its selection left open (or its memo entry) is, under a degree bound D,
+    exactly the elements of degree <= D of syzygy_basis(d_i, S, b_(i-1),
+    f * e_j) computed cold on a fresh ring, and with no bound all of it."""
+    steps = bounded = truncated = 0
     for name, doc in seeded_sessions(seed).items():
         _calls, opened, _made = _session_calls(monkeypatch, doc, resolve=True)
         assert opened, name
-        for selection, basis in opened:
+        for selection, upto, basis in opened:
             S = selection.ring
             fresh = PolynomialRing(S.field, S.variables, S.weights)
             cold = syzygy_basis(selection.generators, fresh, selection.rank,
                                 selection.relations)
-            assert (basis.rank, basis.vectors) == (cold.rank, cold.vectors), name
+            expected = cold.vectors
+            if upto is not None:
+                target = selection._builder.shifts[:selection.rank]
+                gen_degs = [_vector_degree(g, target, S) for g in selection.generators]
+                expected = tuple(v for v in cold.vectors
+                                 if _vector_degree(dict(v), gen_degs, S) <= upto)
+                bounded += 1
+                truncated += len(expected) < len(cold.vectors)
+            assert (basis.rank, basis.vectors) == (cold.rank, expected), name
             steps += 1
-    assert steps > 50
+    assert steps > 100 and bounded > 50 and truncated > 25
+
+
+def fp_e7_surface():
+    S = PolynomialRing(FieldSpec(32003), ["x", "y", "z"], [9, 6, 4])
+    return HypersurfaceRing(S, S.parse("x^2 + y^3 + y*z^3"))
+
+
+def cubic_threefold():
+    S = PolynomialRing(FieldSpec(0), ["x", "y", "z", "w"])
+    return HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3"))
+
+
+# finite-length modules with top degree above 0 and, over E7, unequal weights
+FINITE_LENGTH = {
+    "e7 A/m^2": (fp_e7_surface, ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]),
+    "e7 A/(x, y, z^3)": (fp_e7_surface, ["x", "y", "z^3"]),
+    "cubic A/(x, y, z^2, w^2)": (cubic_threefold, ["x", "y", "z^2", "w^2"]),
+}
+
+
+def _twin_modules(case):
+    """(label, M, twin) for every module of the ten sessions of
+    scripts/report_digest.py (seven distinct ones) at the seed named by
+    case, or for the FINITE_LENGTH modules: M and its twin are one module
+    built on two rings, so neither resolution reads what the other
+    memoises."""
+    if case == "finite":
+        for label, (ring, gens) in FINITE_LENGTH.items():
+            yield label, present_cyclic(ring(), gens), present_cyclic(ring(), gens)
+        return
+    for session, doc in seeded_sessions(case).items():
+        (env, _errors), (twin, _errors) = build_environment(doc), build_environment(doc)
+        for name, M in env.modules.items():
+            yield f"{session}:{name}", M, twin.modules[name]
+
+
+@pytest.mark.parametrize("case", [0, 3, "finite"])
+def test_bounded_resolution_matches_the_unbounded_oracle(case):
+    """Every resolution step stops its syzygy basis at the change-of-rings
+    bound D_m, yet to length n + 3 each module's d_i and generator degrees
+    are those of the oracle that reads every full basis, and no generator
+    of F_m lies above D_m.  The modules are those of the ten sessions at
+    seeds 0 and 3, and three of finite length with top(M) > 0, where D_m
+    must be max(max deg F_(m-2) + deg f, top(M) + the m largest weights) for
+    m <= n, with top(M) counted off the staircase, and the first term alone
+    above n."""
+    bounded = 0
+    for label, M, twin in _twin_modules(case):
+        S = M.ring.ambient
+        n, length, deg_f = S.nvars, S.nvars + 3, M.ring.f.weighted_degree()
+        res = minimal_resolution(M, length)
+        diffs, degs = unbounded_resolution(twin, length)
+        assert [res.differential_columns(i) for i in range(1, length + 1)] == diffs, label
+        assert [res.gen_degrees(i) for i in range(length + 1)] == degs, label
+        for m in range(2, length + 1):
+            bound = M._degree_bound(m)
+            if bound is None:
+                assert m <= n and module_length(M) is INFINITE, label
+                continue
+            bounded += 1
+            assert max(degs[m], default=-math.inf) <= bound, (label, m)
+            if case == "finite":
+                koszul = top_degree(M) + sum(sorted(S.weights)[-m:]) if m <= n else -math.inf
+                assert bound == max(max(degs[m - 2]) + deg_f, koszul), (label, m)
+        if case == "finite":
+            assert top_degree(M) > 0, label
+    assert bounded > (10 if case == "finite" else 50)
 
 
 @pytest.mark.parametrize("name", NAMES + WEIGHTED_NAMES)
@@ -832,28 +912,37 @@ def _select(A, candidates, target_degs):
 
 
 def test_nakayama_selection_memoises_no_basis():
-    """A selection memoises no basis, and reads its syzygies off the memo
-    before it completes its builder: resolving k to length 7 over the cubic
-    fourfold over F_32003 leaves one syzygy basis for each of d_1, ..., d_6,
-    and none for d_7, whose builder stays open.  A new selection from the
-    same candidates keeps the same vectors, adds no memo entry, and its
-    syzygies are the resolution's entry, found with its pairs untreated."""
-    S = PolynomialRing(FieldSpec(32003), ["x", "y", "z", "w", "u"])
-    A = HypersurfaceRing(S, S.parse("x^3 + y^3 + z^3 + w^3 + u^3"))
-    res = minimal_resolution(present_cyclic(A, ["x", "y", "z", "w", "u"]), 7)
-    assert len(S._groebner_memo) == 6
+    """A selection memoises only a full syzygy basis, never one read under a
+    degree bound: k has finite length, so resolving it to length 7 over the
+    cubic fourfold over F_32003 reads every syzygy basis bounded and leaves
+    only k's presentation basis in the memo.  A new selection from the same
+    candidates (computed cold on another ring) keeps the same vectors and
+    adds no memo entry; its bounded read treats pairs and stores nothing;
+    its full read stores one entry; and the bounded read of a third
+    selection takes its elements off that entry, with its pairs untreated."""
+    A, B = fp_cubic_fourfold(), fp_cubic_fourfold()
+    S = A.ambient
+    M = present_cyclic(A, ["x", "y", "z", "w", "u"])
+    res = minimal_resolution(M, 7)
+    assert list(S._groebner_memo.values()) == [M.presentation_gb()]
     for i in (1, 4):
-        syz = _sorted_syzygies(A, res.differential_columns(i), res.betti[i - 1],
-                               res.gen_degrees(i))
+        degs, bound = res.gen_degrees(i), M._degree_bound(i + 2)
+        syz = _sorted_syzygies(B, res.differential_columns(i), res.betti[i - 1], degs)
         before = dict(S._groebner_memo)
-        kept, selection = _select(A, syz, res.gen_degrees(i))
+        kept, selection = _select(A, syz, degs)
         assert S._groebner_memo == before
         assert [v for v, _d in kept] == res.differential_columns(i + 1)
         pending = list(selection._builder.queue)
-        assert pending
-        basis = selection.syzygies()
-        assert any(basis is G for G in before.values())
-        assert selection._builder.queue == pending and S._groebner_memo == before
+        bounded = selection.syzygies(bound)
+        assert selection._builder.queue != pending and S._groebner_memo == before
+        full = selection.syzygies()
+        assert len(S._groebner_memo) == len(before) + 1
+        assert any(full is G for G in S._groebner_memo.values())
+        assert set(bounded.vectors) < set(full.vectors)
+        _kept, third = _select(A, syz, degs)
+        pending = list(third._builder.queue)
+        assert third.syzygies(bound).vectors == bounded.vectors
+        assert third._builder.queue == pending
 
 
 def test_first_differential_keeps_the_presentation_order():
@@ -901,10 +990,12 @@ def test_syzygy_bases_have_a_memo_entry_of_their_own():
     """Over a polynomial ring, syzygy_basis and reduce_with_representation
     tag the same generators alike, yet each keeps its own memo entry: made
     first or second on one ring, each gives what it gives alone on a fresh
-    ring.  Resolving k to length 7 over the cubic fourfold over F_32003
-    memoises syzygy bases that hold no main-block vector (each lives in S^k
-    and is the tag-lead part of the full augmented basis), and the ring is
-    still freed by reference counting with the cyclic collector off."""
+    ring.  Resolving A/(x, y, z), of infinite length, to length 7 over the
+    cubic fourfold over F_32003 reads the syzygy bases of d_1, ..., d_4 with
+    no degree bound, so it memoises those four; each holds no main-block
+    vector (it lives in S^k and is the tag-lead part of the full augmented
+    basis), and the ring is still freed by reference counting with the
+    cyclic collector off."""
     def fresh():
         R = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
         gens = [vec_from_polys([R.parse(g)]) for g in ("x^2 - y*z", "x*y", "y^2 + x*z")]
@@ -928,9 +1019,9 @@ def test_syzygy_bases_have_a_memo_entry_of_their_own():
     try:
         A = fp_cubic_fourfold()
         S = A.ambient
-        res = minimal_resolution(present_cyclic(A, A.variables), 7)
+        res = minimal_resolution(present_cyclic(A, ["x", "y", "z"]), 7)
         entries = [(key, G) for key, G in S._groebner_memo.items() if key[0] == "syzygies"]
-        assert len(entries) == 6
+        assert len(entries) == 4
         for (_tag, rank, gens, relations), G in entries:
             assert G.rank == len(gens)
             assert G.vectors == tag_lead_part(S, map(dict, gens), rank, map(dict, relations))

@@ -125,36 +125,108 @@ def _library_names():
             for alias in node.names}
 
 
+def _kernel_source(node):
+    """The kernel module (file stem, ``__init__`` for the package) an
+    ``ImportFrom`` reads, or None for one outside the package."""
+    if node.level == 1:
+        return node.module or "__init__"
+    if node.level == 0 and (node.module or "").split(".")[0] == "thetacas":
+        return node.module.partition(".")[2] or "__init__"
+    return None
+
+
 def _unreachable_kernel_definitions():
     """Top-level functions and classes of ``src/thetacas``, as ``file:name``,
-    that no chain of names reaches from the roots: ``cli.main``, the names the
-    README "Library" example imports, and every module-level statement that
-    is not a definition or an import.  A name reaches every top-level
-    definition of that name in any kernel module; a reached class reaches
-    what its whole body names."""
-    definitions, roots = {}, []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    that no chain of references reaches from the roots: ``cli.main``, the
+    names the README "Library" example imports, and every module-level
+    statement that is not a definition or an import.
+
+    A reference is read in the module it stands in.  A bare name reaches the
+    definition of that name in its own module, or the one that
+    ``from .m import name`` brings in; ``x.attr`` reaches a top-level
+    definition only when ``x`` names a kernel module; any other attribute
+    reaches only the methods of that name of reached classes.  A reached
+    function or method reaches what its body names; a reached class reaches
+    what its body names outside its methods, and its dunder methods."""
+    bodies = {path.stem: ast.parse(path.read_text(encoding="utf-8")).body
+              for path in sorted(PACKAGE.glob("*.py"))}
+    defs, methods = {}, {}
+    imports, module_names = {}, {}  # (module, bound name) -> (source, name) / module
+    for mod, body in bodies.items():
+        for node in body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.setdefault(node.name, []).append((path.name, node))
-                if (path.name, node.name) == ("cli.py", "main"):
-                    roots.append(node)
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                roots.append(node)
-    reached = _library_names() & definitions.keys()
-    roots += [node for name in reached for _file, node in definitions[name]]
-    while roots:
-        new = (_referenced_names([roots.pop()]) & definitions.keys()) - reached
-        reached |= new
-        roots += [node for name in new for _file, node in definitions[name]]
-    return sorted(f"{file}:{name}" for name, defs in definitions.items()
-                  if name not in reached for file, _node in defs)
+                defs[(mod, node.name)] = node
+                if isinstance(node, ast.ClassDef):
+                    methods[(mod, node.name)] = {
+                        item.name: item for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            elif isinstance(node, ast.ImportFrom) and _kernel_source(node):
+                for alias in node.names:
+                    bound = (mod, alias.asname or alias.name)
+                    if _kernel_source(node) == "__init__" and alias.name in bodies:
+                        module_names[bound] = alias.name
+                    else:
+                        imports[bound] = (_kernel_source(node), alias.name)
+
+    def resolve(mod, name):
+        seen = set()
+        while (mod, name) not in defs:
+            if (mod, name) in seen or (mod, name) not in imports:
+                return None
+            seen.add((mod, name))
+            mod, name = imports[(mod, name)]
+        return mod, name
+
+    reached, attributes, queue = set(), set(), []
+
+    def reach(key):
+        if key is not None and key not in reached:
+            reached.add(key)
+            queue.append(key)
+
+    def walk(node, mod, skip=()):
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Name):
+                reach(resolve(mod, node.id))
+            elif isinstance(node, ast.Attribute):
+                value = node.value
+                if isinstance(value, ast.Name) and (mod, value.id) in module_names:
+                    reach(resolve(module_names[(mod, value.id)], node.attr))
+                else:
+                    attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and _kernel_source(node):
+                for alias in node.names:
+                    reach(resolve(_kernel_source(node), alias.name))
+            stack += [child for child in ast.iter_child_nodes(node) if child not in skip]
+
+    reach(("cli", "main"))
+    for name in _library_names():
+        reach(resolve("__init__", name))
+    for mod, body in bodies.items():
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
+                walk(node, mod)
+    units = dict(defs)  # top-level definitions and methods, by key
+    for cls, own in methods.items():
+        units.update({cls + (name,): node for name, node in own.items()})
+    while queue:
+        while queue:
+            key = queue.pop()
+            walk(units[key], key[0], skip=set(methods.get(key, {}).values()))
+        for cls, own in methods.items():
+            if cls in reached:
+                for name in own:
+                    if name in attributes or (name.startswith("__") and name.endswith("__")):
+                        reach(cls + (name,))
+    return sorted(f"{mod}.py:{name}" for mod, name in defs if (mod, name) not in reached)
 
 
 def test_every_kernel_definition_is_reachable_from_the_cli_or_the_library():
     """A kernel function or class that neither a CLI task nor the documented
     library API reaches belongs in the test oracles, next to the tests that
-    use it.  An export in ``__all__`` or a call from unreachable code does
-    not count as a use."""
+    use it.  An export in ``__all__``, a call from unreachable code, and a
+    name that only another module defines do not count as a use."""
     unreached = _unreachable_kernel_definitions()
     assert not unreached, f"kernel definitions no root reaches: {unreached}"
