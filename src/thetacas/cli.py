@@ -221,9 +221,11 @@ def validate_tasks(doc, env: Environment) -> List[str]:
             if not isinstance(plist, list) or not all(isinstance(p, str) for p in plist):
                 errors.append(f"{where}: 'primes' must be a list of prime names")
             else:
-                for p in plist:
+                for n, p in enumerate(plist):
                     if p not in env.primes:
                         errors.append(f"{where}: undeclared prime {p!r}")
+                    elif p in plist[:n]:
+                        errors.append(f"{where}: prime {p!r} listed twice")
         elif kind == "gram":
             classes = task.get("classes")
             if not isinstance(classes, list) or not classes:

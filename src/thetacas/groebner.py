@@ -315,15 +315,6 @@ def _completed(
 # syzygies via the augmented basis
 
 
-def _syzygy_key(generators: Sequence[Vector], rank: int, relations: Sequence[Vector]) -> tuple:
-    """The ring memo's key of the reduced basis, in S^k, of the syzygies of
-    the k generators modulo the relations.  It is tagged apart: that basis is
-    only the tag-lead part of the augmented one, so it must not answer for
-    the full basis of the same vectors."""
-    return ("syzygies", rank, tuple(freeze_vec(g) for g in generators),
-            tuple(freeze_vec(r) for r in relations))
-
-
 class NakayamaSelection:
     """Graded Nakayama selection of a minimal generating set from
     homogeneous candidates (vector, degree) in S^rank, modulo the relations,
@@ -367,29 +358,18 @@ class NakayamaSelection:
 
     def syzygies(self, upto: Optional[float] = None) -> GroebnerBasis:
         """The reduced basis of the syzygies of the kept vectors modulo the
-        relations, or with upto only its elements of degree <= upto.
-
-        The full basis is looked up under _syzygy_key, else read off the
-        builder, completed, and stored there.  A bounded read takes its
-        elements off a stored full basis, else completes the builder to upto
-        only and stores nothing: pair degrees are true degrees and a pair of
-        degree d yields a vector of degree d, so the pairs of degree <= upto
-        alone build the basis in those degrees, and a lead above upto divides
-        no lead below it.  The reduced basis is unique, so every route that
-        builds it gives the same one."""
-        memo = self.ring._groebner_memo
-        key = _syzygy_key(self.generators, self.rank, self.relations)
-        cached = memo.get(key)
-        if cached is None:
-            self._builder.complete(upto)
-            cached = self._builder.reduced(self.rank, self.kept)
-            if upto is None:
-                memo[key] = cached
+        relations, or with upto only its elements of degree <= upto, read
+        off the builder completed up to upto.  Pair degrees are true degrees
+        and a pair of degree d yields a vector of degree d, so the pairs of
+        degree <= upto alone build the basis in those degrees, and a lead
+        above upto divides no lead below it."""
+        self._builder.complete(upto)
+        basis = self._builder.reduced(self.rank, self.kept)
         if upto is None:
-            return cached
+            return basis
         degree, degrees = self.ring.mono_degree, self.degrees
-        return GroebnerBasis(self.ring, cached.rank, tuple(
-            pair for pair, (comp, mono) in zip(cached.packed, cached.leads)
+        return GroebnerBasis(self.ring, basis.rank, tuple(
+            pair for pair, (comp, mono) in zip(basis.packed, basis.leads)
             if degree(mono) + degrees[comp] <= upto))
 
 

@@ -236,10 +236,6 @@ class ModulePresentation:
         return cls(ring, [tuple(polys)])
 
     @classmethod
-    def free(cls, ring: RingLike, rank: int = 1) -> "ModulePresentation":
-        return cls(ring, [() for _ in range(rank)], gen_degrees=(0,) * rank)
-
-    @classmethod
     def zero(cls, ring: RingLike) -> "ModulePresentation":
         return cls(ring, [], gen_degrees=())
 

@@ -340,7 +340,7 @@ def c1_torsion(
     candidate_primes: Sequence[Tuple[str, Sequence[Polynomial]]],
 ) -> DivisorClass:
     """Divisor class sum_p l_p(M) [p] over the supplied height-one primes,
-    each A/p built once.
+    each A/p built once; a name listed twice raises ValueError.
 
     The caller guarantees the list covers every top-dimensional component of
     the support; an additivity audit, sum_p l_p(M) e(A/p) = e(M) when M has
@@ -353,6 +353,8 @@ def c1_torsion(
     coeffs = {}
     audit = 0
     for name, gens in candidate_primes:
+        if name in coeffs:
+            raise ValueError(f"prime {name!r} listed twice")
         prime, e_p = _checked_prime(ring, gens)
         coeffs[name] = _local_length(M, prime, e_p)
         audit += coeffs[name] * e_p

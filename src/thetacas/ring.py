@@ -99,9 +99,6 @@ class FieldSpec:
     def add(self, a, b):
         return (a + b) % self.characteristic if self.characteristic else _canonical(a + b)
 
-    def sub(self, a, b):
-        return (a - b) % self.characteristic if self.characteristic else _canonical(a - b)
-
     def mul(self, a, b):
         return (a * b) % self.characteristic if self.characteristic else _canonical(a * b)
 
@@ -198,11 +195,9 @@ class PolynomialRing:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._one_mono = (0,) * self.nvars
         # Groebner bases over this ring, keyed by (rank, frozen generators,
-        # known bases), filled by groebner.groebner_basis, and syzygy bases,
-        # keyed by ("syzygies", rank, frozen generators, frozen relations),
-        # filled by groebner.NakayamaSelection; freed with the ring when the
-        # last reference to it goes (a basis refers to its ring weakly, so no
-        # reference cycle holds the memo).
+        # known bases), filled by groebner.groebner_basis; freed with the ring
+        # when the last reference to it goes (a basis refers to its ring
+        # weakly, so no reference cycle holds the memo).
         self._groebner_memo = {}
         # packed terms, m_1 in the lowest field; each term is packed and
         # unpacked once per ring, through the two caches below

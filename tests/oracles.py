@@ -1,5 +1,5 @@
 """Independent routes, kept as test oracles, and builders only tests use:
-vectors from polynomials and direct sums of presentations; matrix products
+vectors from polynomials, free modules and direct sums of presentations; matrix products
 over S, for the two-sided matrix factorization identity and d^2 = 0; for the
 Hilbert-series route to lengths, a staircase count of standard monomials and
 the top degree of a finite-length module they give, homology of a tensored
@@ -25,6 +25,7 @@ which can be applied again to the lifted ring."""
 
 import itertools
 import operator
+from typing import Sequence
 
 from thetacas import (
     INFINITE,
@@ -37,9 +38,9 @@ from thetacas import (
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
     NakayamaSelection,
+    Vector,
     _completed,
     _series_at_one,
-    _syzygy_key,
     freeze_vec,
     groebner_basis,
     hilbert_numerator,
@@ -121,6 +122,15 @@ def _tagged(generators, ring, rank):
     return aug
 
 
+def _syzygy_key(generators: Sequence[Vector], rank: int, relations: Sequence[Vector]) -> tuple:
+    """The ring memo's key of the reduced basis, in S^k, of the syzygies of
+    the k generators modulo the relations.  It is tagged apart: that basis is
+    only the tag-lead part of the augmented one, so it must not answer for
+    the full basis of the same vectors."""
+    return ("syzygies", rank, tuple(freeze_vec(g) for g in generators),
+            tuple(freeze_vec(r) for r in relations))
+
+
 def syzygy_basis(generators, ring, rank, relations=()):
     """Reduced Groebner basis, in S^k, of {c : sum_i c_i g_i in the span of
     the relations} for the given k vectors, memoised on the ring under a
@@ -170,6 +180,11 @@ def subquotient_presentation(ring, rank, numerator, denominator):
                 relations.append(rel)
     rows = vectors_to_rows(relations, len(numerator), ring)
     return ModulePresentation(ring, rows)
+
+
+def free_module(ring, rank=1):
+    """R^rank, generated in degree 0."""
+    return ModulePresentation(ring, [() for _ in range(rank)], gen_degrees=(0,) * rank)
 
 
 def minimal_presentation(M):

@@ -33,6 +33,7 @@ from oracles import (
     direct_sum,
     dual_module,
     ext_module,
+    free_module,
     koszul_complex,
     mat_mul,
     syzygy_of,
@@ -158,7 +159,7 @@ def test_criterion_5_property_suite(node, quadric, node_modules, quadric_modules
                 theta(corpus[0], probe) + theta(corpus[-1], probe)
             )
             # freeness degeneracy
-            free = ModulePresentation.free(ring)
+            free = free_module(ring)
             for M in corpus:
                 assert theta(M, free) == 0
         # window periodicity

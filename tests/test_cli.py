@@ -257,6 +257,20 @@ def test_schema_error_non_string_module_in_conjecture_report(tmp_path, capsys):
         assert "task 0: undeclared module {'Ax': 1}" in capsys.readouterr().err
 
 
+def test_schema_error_repeated_prime_in_c1(tmp_path, capsys):
+    """A prime listed twice in a c1 task added its share to the additivity
+    audit twice: the class was right, but the audit warned that a support
+    component was missing."""
+    doc = json.loads((SESSIONS / "quadric.json").read_text())
+    doc["tasks"] = [{"kind": "c1", "module": "Ax", "primes": ["q", "p", "p", "q"]}]
+    path = write_session(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "task 0: prime 'p' listed twice" in err
+        assert "task 0: prime 'q' listed twice" in err
+
+
 def test_schema_error_inhomogeneous_f(tmp_path, capsys):
     doc = {"ring": {"characteristic": 0, "variables": ["x", "y"], "f": "x + y^2"}, "tasks": []}
     path = write_session(tmp_path, doc)

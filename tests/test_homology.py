@@ -25,7 +25,7 @@ from thetacas import (
 from thetacas import homology
 from thetacas.cli import build_environment, run_session
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import NakayamaSelection, freeze_vec
+from thetacas.groebner import NakayamaSelection, freeze_vec, groebner_basis
 from thetacas.homology import (
     _vector_degree,
     columns_as_vectors,
@@ -43,6 +43,7 @@ from oracles import (
     direct_sum,
     dual_module,
     ext_module,
+    free_module,
     full_basis_syzygies,
     homology_tor_length,
     mat_mul,
@@ -54,7 +55,6 @@ from oracles import (
     syzygies_over,
     syzygy_basis,
     syzygy_of,
-    tag_lead_part,
     tagged_syzygies,
     tensored_homology,
     top_degree,
@@ -154,9 +154,9 @@ def test_resolution_of_quadric_plane(quadric, quadric_modules):
 
 
 def test_resolution_of_free_module(quadric):
-    res = minimal_resolution(ModulePresentation.free(quadric, 3), 3)
+    res = minimal_resolution(free_module(quadric, 3), 3)
     assert res.betti == [3, 0, 0, 0]
-    assert Resolution(ModulePresentation.free(quadric, 3), 0).betti == [3]
+    assert Resolution(free_module(quadric, 3), 0).betti == [3]
 
 
 def test_resolution_minimality_and_complex_property(node, quadric, node_modules, quadric_modules):
@@ -181,7 +181,7 @@ def test_resolution_minimality_and_complex_property(node, quadric, node_modules,
 def test_exactness_audit_against_free_module(node, node_modules):
     """Tensoring a resolution with the ring itself has no higher homology."""
     res = minimal_resolution(node_modules["Ax"], 4)
-    R_free = ModulePresentation.free(node)
+    R_free = free_module(node)
     for i in range(1, 4):
         assert tensored_homology(res, R_free, i).is_zero()
         assert tor_length(node_modules["Ax"], R_free, i) == 0
@@ -234,7 +234,7 @@ def test_mf_over_node(node, node_modules):
 
 
 def test_mf_of_free_module_is_empty(quadric):
-    free = ModulePresentation.free(quadric)
+    free = free_module(quadric)
     res = minimal_resolution(free, quadric.dimension + 3)
     mf = extract_matrix_factorization(res)
     assert mf.size == 0
@@ -512,9 +512,9 @@ def test_open_builder_syzygies_match_a_cold_basis(seed, monkeypatch):
     """For every resolution step of the seven golden sessions, as written
     and under the graded coordinate change of seed 3, and of their modules
     resolved to length d + 3, the syzygy basis of d_i read off the builder
-    its selection left open (or its memo entry) is, under a degree bound D,
-    exactly the elements of degree <= D of syzygy_basis(d_i, S, b_(i-1),
-    f * e_j) computed cold on a fresh ring, and with no bound all of it."""
+    its selection left open is, under a degree bound D, exactly the
+    elements of degree <= D of syzygy_basis(d_i, S, b_(i-1), f * e_j)
+    computed cold on a fresh ring, and with no bound all of it."""
     steps = bounded = truncated = 0
     for name, doc in seeded_sessions(seed).items():
         _calls, opened, _made = _session_calls(monkeypatch, doc, resolve=True)
@@ -658,11 +658,11 @@ def test_syzygy_of_examples(node, node_modules):
     assert P.nrows == 1
     y_col = columns_as_vectors(((node.ambient.parse("y"),),))
     assert same_span(node, P.columns(), y_col, 1)
-    assert syzygy_of(ModulePresentation.free(node), 2).is_zero()
+    assert syzygy_of(free_module(node), 2).is_zero()
 
 
 def test_dual_module_examples(node, quadric, node_modules, quadric_modules):
-    A_dual = dual_module(ModulePresentation.free(node))
+    A_dual = dual_module(free_module(node))
     P = minimal_presentation(A_dual)
     assert P.nrows == 1 and not P.columns()
 
@@ -675,7 +675,7 @@ def test_dual_module_examples(node, quadric, node_modules, quadric_modules):
 
 
 def test_ext_module_examples(node, node_modules):
-    E0 = minimal_presentation(ext_module(ModulePresentation.free(node), 0))
+    E0 = minimal_presentation(ext_module(free_module(node), 0))
     assert E0.nrows == 1 and not E0.columns()
 
     assert ext_module(node_modules["Ax"], 1).is_zero()
@@ -702,7 +702,7 @@ def test_koszul_resolution_is_exact_over_regular_ring(S2):
     k = ModulePresentation.cyclic(S2, ["x", "y"])
     res = minimal_resolution(k, 3)
     assert res.betti == [1, 2, 1, 0]
-    assert tensored_homology(res, ModulePresentation.free(S2), 1).is_zero()
+    assert tensored_homology(res, free_module(S2), 1).is_zero()
     assert [tor_length(k, k, i) for i in range(4)] == [1, 2, 1, 0]
 
 
@@ -716,7 +716,7 @@ def test_h2_selfdual_example(node, node_modules):
 def test_tor_length_examples(node, quadric, node_modules, quadric_modules):
     assert tor_length(node_modules["Ax"], node_modules["Ay"], 2) == 1
     assert tor_length(quadric_modules["Ap"], quadric_modules["Aq"], 5) == 1
-    free = ModulePresentation.free(node)
+    free = free_module(node)
     for i in (1, 2, 3):
         assert tor_length(free, node_modules["Ax"], i) == 0
 
@@ -912,37 +912,32 @@ def _select(A, candidates, target_degs):
 
 
 def test_nakayama_selection_memoises_no_basis():
-    """A selection memoises only a full syzygy basis, never one read under a
-    degree bound: k has finite length, so resolving it to length 7 over the
-    cubic fourfold over F_32003 reads every syzygy basis bounded and leaves
-    only k's presentation basis in the memo.  A new selection from the same
-    candidates (computed cold on another ring) keeps the same vectors and
-    adds no memo entry; its bounded read treats pairs and stores nothing;
-    its full read stores one entry; and the bounded read of a third
-    selection takes its elements off that entry, with its pairs untreated."""
+    """A selection memoises no syzygy basis, read under a degree bound or in
+    full: resolving k to length 7 over the cubic fourfold over F_32003
+    leaves only k's presentation basis in the memo.  A new selection from
+    the same candidates (computed cold on another ring) keeps the same
+    vectors; its bounded read treats pairs and its full read the rest, and
+    neither adds a memo entry.  The bounded read is exactly the full read's
+    elements of degree <= the bound, and not all of them."""
     A, B = fp_cubic_fourfold(), fp_cubic_fourfold()
     S = A.ambient
     M = present_cyclic(A, ["x", "y", "z", "w", "u"])
     res = minimal_resolution(M, 7)
-    assert list(S._groebner_memo.values()) == [M.presentation_gb()]
+    before = dict(S._groebner_memo)
+    assert list(before.values()) == [M.presentation_gb()]
     for i in (1, 4):
         degs, bound = res.gen_degrees(i), M._degree_bound(i + 2)
         syz = _sorted_syzygies(B, res.differential_columns(i), res.betti[i - 1], degs)
-        before = dict(S._groebner_memo)
         kept, selection = _select(A, syz, degs)
-        assert S._groebner_memo == before
         assert [v for v, _d in kept] == res.differential_columns(i + 1)
         pending = list(selection._builder.queue)
         bounded = selection.syzygies(bound)
         assert selection._builder.queue != pending and S._groebner_memo == before
         full = selection.syzygies()
-        assert len(S._groebner_memo) == len(before) + 1
-        assert any(full is G for G in S._groebner_memo.values())
+        assert not selection._builder.queue and S._groebner_memo == before
+        assert bounded.vectors == tuple(
+            v for v in full.vectors if _vector_degree(dict(v), selection.degrees, S) <= bound)
         assert set(bounded.vectors) < set(full.vectors)
-        _kept, third = _select(A, syz, degs)
-        pending = list(third._builder.queue)
-        assert third.syzygies(bound).vectors == bounded.vectors
-        assert third._builder.queue == pending
 
 
 def test_first_differential_keeps_the_presentation_order():
@@ -992,10 +987,9 @@ def test_syzygy_bases_have_a_memo_entry_of_their_own():
     first or second on one ring, each gives what it gives alone on a fresh
     ring.  Resolving A/(x, y, z), of infinite length, to length 7 over the
     cubic fourfold over F_32003 reads the syzygy bases of d_1, ..., d_4 with
-    no degree bound, so it memoises those four; each holds no main-block
-    vector (it lives in S^k and is the tag-lead part of the full augmented
-    basis), and the ring is still freed by reference counting with the
-    cyclic collector off."""
+    no degree bound, off the open builders, and leaves no syzygy entry in
+    the memo; the ring is still freed by reference counting with the cyclic
+    collector off."""
     def fresh():
         R = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
         gens = [vec_from_polys([R.parse(g)]) for g in ("x^2 - y*z", "x*y", "y^2 + x*z")]
@@ -1020,16 +1014,39 @@ def test_syzygy_bases_have_a_memo_entry_of_their_own():
         A = fp_cubic_fourfold()
         S = A.ambient
         res = minimal_resolution(present_cyclic(A, ["x", "y", "z"]), 7)
-        entries = [(key, G) for key, G in S._groebner_memo.items() if key[0] == "syzygies"]
-        assert len(entries) == 4
-        for (_tag, rank, gens, relations), G in entries:
-            assert G.rank == len(gens)
-            assert G.vectors == tag_lead_part(S, map(dict, gens), rank, map(dict, relations))
+        assert S._groebner_memo
+        assert not any(key[0] == "syzygies" for key in S._groebner_memo)
         ring = weakref.ref(S)
-        del A, S, res, entries, G
+        del A, S, res
         assert ring() is None
     finally:
         gc.enable()
+
+
+def test_a_session_memoises_only_groebner_basis_results(monkeypatch):
+    """After each of the seven golden sessions, every entry of the ring's
+    memo is a groebner_basis result under its own (rank, generators, known
+    bases) key: recomputed from that key on a fresh ring, it is the same
+    basis."""
+    import thetacas.cli as cli
+
+    rings, build = [], cli.build_environment
+
+    def recording_build(doc):
+        env, errors = build(doc)
+        rings.append(env.ring.ambient)
+        return env, errors
+
+    monkeypatch.setattr(cli, "build_environment", recording_build)
+    for name in NAMES + WEIGHTED_NAMES:
+        _report, code = run_session(json.loads(session_path(name).read_text()))
+        assert code == 0
+        S = rings.pop()
+        assert S._groebner_memo, name
+        for (rank, gens, known), G in S._groebner_memo.items():
+            fresh = PolynomialRing(S.field, S.variables, S.weights)
+            cold = groebner_basis([dict(g) for g in gens], fresh, rank, known)
+            assert (G.rank, G.vectors) == (cold.rank, cold.vectors), name
 
 
 def test_tor_and_theta_with_negative_generator_degrees(node):
@@ -1081,7 +1098,7 @@ def test_tor_length_matches_the_homology_route(variables, f, characteristic, wei
     S = PolynomialRing(FieldSpec(characteristic), variables, weights)
     A = HypersurfaceRing(S, S.parse(f))
     mods = [present_cyclic(A, g) for g in generators]
-    mods += [direct_sum(mods[0], mods[1]), ModulePresentation.free(A), syzygy_of(mods[0], 1)]
+    mods += [direct_sum(mods[0], mods[1]), free_module(A), syzygy_of(mods[0], 1)]
     left = [mods[0], mods[1], mods[3], mods[4]]
     pairs = [(M, N) for M in left for N in (mods[2], mods[4])] + [(mods[4], mods[3])]
     for M, N in pairs:

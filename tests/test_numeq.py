@@ -25,7 +25,7 @@ from thetacas import (
 )
 from thetacas.errors import AsymmetricGram
 from thetacas.homology import module_dimension, module_multiplicity, module_series
-from oracles import knorrer_lift, knorrer_ring, tpoly_div_1mt
+from oracles import free_module, knorrer_lift, knorrer_ring, tpoly_div_1mt
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,7 +49,7 @@ def test_gram_quadric(quadric_modules):
 
 
 def test_gram_free_class(node):
-    registry = {"A": ModulePresentation.free(node)}
+    registry = {"A": free_module(node)}
     assert gram_matrix(classes_of(["A"]), registry) == [[0]]
 
 

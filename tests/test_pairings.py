@@ -49,6 +49,7 @@ from oracles import (
     direct_sum,
     dual_module,
     ext_module,
+    free_module,
     homology_chi,
     knorrer_lift,
     knorrer_ring,
@@ -153,8 +154,8 @@ def test_theta_needs_a_hypersurface_ring(S2):
 
 
 def test_theta_against_free_module(node, node_modules, quadric, quadric_modules):
-    assert theta(node_modules["Ax"], ModulePresentation.free(node)) == 0
-    assert theta(quadric_modules["Ap"], ModulePresentation.free(quadric)) == 0
+    assert theta(node_modules["Ax"], free_module(node)) == 0
+    assert theta(quadric_modules["Ap"], free_module(quadric)) == 0
 
 
 def test_theta_symmetry(node_modules, quadric_modules):
@@ -377,7 +378,7 @@ def test_theta_matches_the_tor_window(variables, f, characteristic, weights, gen
     S = PolynomialRing(FieldSpec(characteristic), variables, weights)
     A = HypersurfaceRing(S, S.parse(f))
     mods = [present_cyclic(A, g) for g in generators]
-    mods += [ModulePresentation.free(A), syzygy_of(mods[0], 1)]
+    mods += [free_module(A), syzygy_of(mods[0], 1)]
     for i, M in enumerate(mods):
         for N in mods[i:]:
             assert theta(M, N) == window_theta(M, N)
@@ -453,7 +454,7 @@ def test_class_expression_takes_int_coefficients_only(node_modules):
 def test_chi_complex_koszul(S2):
     K = koszul_complex(S2, ["x", "y"])
     registry = {
-        "S": ModulePresentation.free(S2),
+        "S": free_module(S2),
         "Sx": ModulePresentation.cyclic(S2, ["x"]),
     }
     assert chi_complex(K, ClassExpression.of("S"), registry) == 1
@@ -463,7 +464,7 @@ def test_chi_complex_koszul(S2):
 
 def test_chi_complex_shift_flips_sign(S2):
     K = koszul_complex(S2, ["x", "y"])
-    registry = {"S": ModulePresentation.free(S2)}
+    registry = {"S": free_module(S2)}
     alpha = ClassExpression.of("S")
     assert chi_complex(shifted(K), alpha, registry) == -chi_complex(K, alpha, registry)
 
@@ -471,7 +472,7 @@ def test_chi_complex_shift_flips_sign(S2):
 def test_chi_complex_additive_in_class(S2):
     K = koszul_complex(S2, ["x", "y"])
     registry = {
-        "S": ModulePresentation.free(S2),
+        "S": free_module(S2),
         "k": ModulePresentation.cyclic(S2, ["x", "y"]),
     }
     a, b = ClassExpression.of("S"), ClassExpression.of("k")
@@ -487,12 +488,12 @@ def test_chi_complex_matches_the_homology_route(S2, quadric):
     = 2)."""
     cases = [
         (koszul_complex(S2, ["x", "y"]),
-         [ModulePresentation.free(S2), ModulePresentation.cyclic(S2, ["x"]),
+         [free_module(S2), ModulePresentation.cyclic(S2, ["x"]),
           ModulePresentation.cyclic(S2, ["x^2", "y"])]),
         (koszul_complex(S2, ["x*y", "x^2 + y^2"]),
-         [ModulePresentation.free(S2), ModulePresentation.cyclic(S2, ["y"])]),
+         [free_module(S2), ModulePresentation.cyclic(S2, ["y"])]),
         (koszul_complex(quadric, ["x", "y", "u - v"]),
-         [ModulePresentation.free(quadric), present_cyclic(quadric, ["x", "u"]),
+         [free_module(quadric), present_cyclic(quadric, ["x", "u"]),
           present_cyclic(quadric, ["x", "y", "u", "v"])]),
     ]
     for K, modules in cases:
@@ -502,7 +503,7 @@ def test_chi_complex_matches_the_homology_route(S2, quadric):
                 chi = chi_complex(F, ClassExpression.of("N"), registry)
                 assert chi == homology_chi(F, N)
     sop = koszul_complex(quadric, ["x", "y", "u - v"])
-    A = {"A": ModulePresentation.free(quadric)}
+    A = {"A": free_module(quadric)}
     assert chi_complex(sop, ClassExpression.of("A"), A) == 2
     assert chi_complex(shifted(sop), ClassExpression.of("A"), A) == -2
 
@@ -510,7 +511,7 @@ def test_chi_complex_matches_the_homology_route(S2, quadric):
 def test_chi_complex_keeps_its_infinite_length_message(S2):
     K = koszul_complex(S2, ["x", "x*y"])
     with pytest.raises(InfiniteLength, match="^H_0 of the complex tensored with S has infinite length$"):
-        chi_complex(K, ClassExpression.of("S"), {"S": ModulePresentation.free(S2)})
+        chi_complex(K, ClassExpression.of("S"), {"S": free_module(S2)})
 
 
 def test_free_complex_degrees(S2, node):
@@ -562,11 +563,11 @@ def test_polynomials_from_another_ring_are_rejected(node, quadric):
 
 def test_chi_modules_examples(node, S2):
     k_reg = ModulePresentation.cyclic(S2, ["x", "y"])
-    assert chi_modules(k_reg, ModulePresentation.free(S2)) == 1
+    assert chi_modules(k_reg, free_module(S2)) == 1
 
     N0 = present_cyclic(node, ["x + y"])
     assert chi_modules(N0, present_cyclic(node, ["x"])) == 1
-    assert chi_modules(N0, ModulePresentation.free(node)) == 2
+    assert chi_modules(N0, free_module(node)) == 2
 
 
 def test_chi_modules_reads_each_series_once(monkeypatch, quadric):
@@ -586,7 +587,7 @@ def test_chi_modules_reads_each_series_once(monkeypatch, quadric):
     monkeypatch.setattr(homology, "hilbert_numerator", counting_numerator)
     assert chi_modules(N0, M) == 0
     assert len(calls) == 6
-    assert chi_modules(N0, ModulePresentation.free(quadric)) == length(N0) == 2
+    assert chi_modules(N0, free_module(quadric)) == length(N0) == 2
 
 
 def test_chi_modules_preconditions(node, node_modules):
@@ -597,7 +598,7 @@ def test_chi_modules_preconditions(node, node_modules):
 
 
 def test_finite_pd_examples(node):
-    assert finite_pd(ModulePresentation.free(node)) == 0
+    assert finite_pd(free_module(node)) == 0
     assert finite_pd(present_cyclic(node, ["x", "y"])) is None
     assert finite_pd(present_cyclic(node, ["x + y"])) == 1
 
@@ -647,7 +648,7 @@ def test_c1_and_chi_compute_no_syzygies(monkeypatch, S2, quadric):
     M = ModulePresentation(quadric, [["x", "u"], ["0", "x"]])
     assert c1_torsion(M, primes).items() == [("p", 2), ("q", 2)]
     K = koszul_complex(quadric, ["x", "y", "u - v"])
-    registry = {"A": ModulePresentation.free(quadric), "Ax": Ax}
+    registry = {"A": free_module(quadric), "Ax": Ax}
     assert chi_complex(K, ClassExpression.of("A", "Ax"), registry) == 2
     assert calls == []
 
@@ -665,6 +666,16 @@ def test_c1_examples(quadric, quadric_modules):
     assert c1_torsion(quadric_modules["Ax"], primes).items() == [("p", 1), ("q", 1)]
     k = present_cyclic(quadric, ["x", "y", "u", "v"])
     assert c1_torsion(k, primes).items() == []
+
+
+def test_c1_rejects_a_repeated_prime(quadric_modules):
+    """A name listed twice would count its local length twice in the
+    additivity audit, which then warns of a missing component."""
+    primes = [("p", ["x", "u"]), ("p", ["x", "u"]), ("q", ["x", "v"])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="prime 'p' listed twice"):
+            c1_torsion(quadric_modules["Ax"], primes)
 
 
 def test_c1_builds_each_prime_quotient_once(monkeypatch, quadric):
@@ -701,7 +712,7 @@ def test_c1_builds_each_prime_quotient_once(monkeypatch, quadric):
 
 def test_c1_rejects_non_torsion(quadric):
     with pytest.raises(Exception):
-        c1_torsion(ModulePresentation.free(quadric), [("p", ["x", "u"])])
+        c1_torsion(free_module(quadric), [("p", ["x", "u"])])
 
 
 def test_c1_audit_warns_on_missing_component(quadric, quadric_modules):

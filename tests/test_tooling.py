@@ -137,9 +137,10 @@ def _kernel_source(node):
 
 def _unreachable_kernel_definitions():
     """Top-level functions and classes of ``src/thetacas``, as ``file:name``,
-    that no chain of references reaches from the roots: ``cli.main``, the
-    names the README "Library" example imports, and every module-level
-    statement that is not a definition or an import.
+    and methods of reached classes, as ``file:Class.name``, that no chain of
+    references reaches from the roots: ``cli.main``, the names the README
+    "Library" example imports, and every module-level statement that is not
+    a definition or an import.
 
     A reference is read in the module it stands in.  A bare name reaches the
     definition of that name in its own module, or the one that
@@ -220,13 +221,15 @@ def _unreachable_kernel_definitions():
                 for name in own:
                     if name in attributes or (name.startswith("__") and name.endswith("__")):
                         reach(cls + (name,))
-    return sorted(f"{mod}.py:{name}" for mod, name in defs if (mod, name) not in reached)
+    return sorted(f"{key[0]}.py:{'.'.join(key[1:])}" for key in units
+                  if key not in reached and (len(key) == 2 or key[:2] in reached))
 
 
 def test_every_kernel_definition_is_reachable_from_the_cli_or_the_library():
-    """A kernel function or class that neither a CLI task nor the documented
-    library API reaches belongs in the test oracles, next to the tests that
-    use it.  An export in ``__all__``, a call from unreachable code, and a
-    name that only another module defines do not count as a use."""
+    """A kernel function, class or method that neither a CLI task nor the
+    documented library API reaches belongs in the test oracles, next to the
+    tests that use it.  An export in ``__all__``, a call from unreachable
+    code, and a name that only another module defines do not count as a
+    use."""
     unreached = _unreachable_kernel_definitions()
     assert not unreached, f"kernel definitions no root reaches: {unreached}"
