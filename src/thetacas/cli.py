@@ -255,10 +255,6 @@ def validate_session(doc) -> List[str]:
 # serialization helpers
 
 
-def _matrix_json(rows) -> list:
-    return [[str(p) for p in row] for row in rows]
-
-
 def _length_json(value):
     return "INFINITE" if value is INFINITE else value
 
@@ -271,21 +267,24 @@ def _run_task(task: dict, env: Environment, audit: bool) -> dict:
     kind = task["kind"]
     ring = env.ring
     d = ring_dimension(ring)
+    S = ring.ambient
     if kind == "resolve":
         L = task.get("length", d + 4)
         res = minimal_resolution(env.modules[task["module"]], L)
+        betti = res.betti
         return {
-            "betti": res.betti,
+            "betti": betti,
             "stable": res.stable,
             "stable_start": res.stable_start,
-            "matrices": [_matrix_json(res.matrix(i)) for i in range(1, L + 1)],
+            "matrices": [S.format_columns(res.packed_columns(i), betti[i - 1])
+                         for i in range(1, L + 1)],
         }
     if kind == "mf":
         mf = extract_matrix_factorization(minimal_resolution(env.modules[task["module"]], 1))
         return {
             "size": mf.size,
-            "alpha": _matrix_json(mf.alpha),
-            "beta": _matrix_json(mf.beta),
+            "alpha": S.format_columns(mf.alpha_cols, mf.size),
+            "beta": S.format_columns(mf.beta_cols, mf.size),
             "source_index": mf.source_index,
             "identity": f"alpha*beta = beta*alpha = ({ring.f})*I",
         }

@@ -6,9 +6,10 @@ component index wins), refined by weighted grevlex on monomials.  Inside
 Buchberger's loop and every normal form a vector maps packed terms, one int
 each (PolynomialRing._pack), to coefficients: the smallest int is the lead
 term, a product is a sum, and a divisibility test is a subtraction and a
-mask.  Vectors are packed when they enter a builder or a normal form and
-unpacked when a basis or a remainder leaves one; the field adds the
-products of a reduction step inline (FieldSpec.axpy).
+mask.  The field adds the products of a reduction step inline
+(FieldSpec.axpy), the one packed vector arithmetic.  groebner_basis packs
+its generators and known bases, and a basis unpacks its vectors on first
+read; a resolution step's candidates, relations and syzygies stay packed.
 Syzygies come from an augmented basis in S^(s+k), the main block dominating
 the tag block, of tagged generators (g_i, eps_i) and optional untagged
 relations (r, 0); only its tag-lead part is read.  A NakayamaSelection
@@ -32,7 +33,6 @@ from .ring import (
     mono_coprime,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 # A term symbol is (component, monomial); a vector maps terms to coeffs.
@@ -46,19 +46,6 @@ Reducers = Dict[int, List[Tuple[int, dict]]]
 
 # ---------------------------------------------------------------------------
 # vector arithmetic
-
-
-def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
-    """v + coeff * x^mono * w, in place; returns v."""
-    zero = field.zero
-    for (comp, m), c in w.items():
-        t = (comp, mono_mul(mono, m))
-        s = field.add(v.get(t, zero), field.mul(coeff, c))
-        if s == 0:
-            v.pop(t, None)
-        else:
-            v[t] = s
-    return v
 
 
 def _monic(v: dict, lead: int, field) -> dict:
@@ -317,8 +304,9 @@ def _completed(
 
 class NakayamaSelection:
     """Graded Nakayama selection of a minimal generating set from
-    homogeneous candidates (vector, degree) in S^rank, modulo the relations,
-    that leaves one builder open on the syzygies of the kept candidates.
+    homogeneous candidates (packed vector, degree) in S^rank, modulo the
+    packed relations, that leaves one builder open on the syzygies of the
+    kept candidates.
 
     The builder runs over S^rank (+) S^k, k candidates, with the relations
     (r, 0) added first and the tag eps_n of candidate n shifted by its
@@ -332,13 +320,13 @@ class NakayamaSelection:
     refers to the ring and the vectors only, never to a module."""
 
     def __init__(self, ring: PolynomialRing, target_degs: Sequence[int],
-                 candidates: Sequence[Tuple[Vector, int]], relations: Sequence[Vector]):
+                 candidates: Sequence[Tuple[dict, int]], relations: Sequence[dict]):
         rank = len(target_degs)
         self.ring, self.rank = ring, rank
         builder = self._builder = GroebnerBuilder(
             ring, rank + len(candidates), list(target_degs) + [d for _v, d in candidates])
         for r in relations:
-            builder.add(r)
+            builder._insert(r)
         comp_shift, one = ring._comp_shift, ring.field.one
         bound = rank << comp_shift
         tag = ring._pack(rank, ring._one_mono)  # eps_0; eps_n is n components on
@@ -346,7 +334,7 @@ class NakayamaSelection:
         for n in sorted(range(len(candidates)), key=lambda n: candidates[n][1]):
             v, degree = candidates[n]
             builder.complete(degree)
-            r = normal_form_vec(ring._pack_vector(v), builder.reducers, ring)
+            r = normal_form_vec(v, builder.reducers, ring)
             if r and min(r) < bound:
                 r[tag + (n << comp_shift)] = one
                 builder._insert(r)
@@ -393,6 +381,18 @@ def lead_module(G: GroebnerBasis) -> Dict[int, List[tuple]]:
     for comp, mono in G.leads:
         by_comp[comp].append(mono)
     return {c: sorted(ms) for c, ms in by_comp.items()}
+
+
+def finite_colength(G: GroebnerBasis) -> bool:
+    """Whether S^rank / (lead module) has finite length, with no Hilbert
+    series: every component's leads hold a pure power of every variable."""
+    nvars = G.ring.nvars
+    pure = set()
+    for comp, mono in G.leads:
+        support = [i for i, e in enumerate(mono) if e]
+        if len(support) <= 1:
+            pure.update((comp, i) for i in support or range(nvars))
+    return len(pure) == G.rank * nvars
 
 
 # numerator polynomials in t are dicts degree -> int

@@ -7,7 +7,8 @@ resolution step reads off the builder its selection left open.
 Everything is computed over the ambient polynomial ring S; a kernel over
 R = S/(f) is the module of syzygies over S of the generators modulo the
 untagged relations f * e_j.  Matrix entries over R are stored as their
-canonical normal forms modulo f.
+canonical normal forms modulo f.  Differentials and matrix factorizations
+stay packed (PolynomialRing._pack); theta, Tor and chi read them unpacked.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from .groebner import (
     Vector,
     _series_at_one,
     _tpoly_axpy,
-    freeze_vec,
+    finite_colength,
     groebner_basis,
     hilbert_numerator,
     normal_form_vec,
     series_length,
-    vec_axpy,
 )
-from .matrices import divide_exactly, graded_inverse
+from .matrices import divide_exactly, graded_inverse, mat_vec
 from .ring import (
     INFINITE,
+    MAX_PACKED_DEGREE,
     HypersurfaceRing,
     Polynomial,
     PolynomialRing,
@@ -53,17 +54,18 @@ def reduce_mod_f(p: Polynomial, ring: RingLike) -> Polynomial:
         raise ValueError("polynomial not over this ring")
     if modulus_of(ring) is None or p.is_zero():
         return p
-    r = reduce_vec_mod_f({(0, m): c for m, c in p.coeffs.items()}, ring)
-    return Polynomial(ring.ambient, {m: c for (_z, m), c in r.items()})
+    S = ring.ambient
+    r = reduce_packed_mod_f(S._pack_vector({(0, m): c for m, c in p.coeffs.items()}), ring)
+    return Polynomial(S, {m: c for (_z, m), c in S._unpack_vector(r).items()})
 
 
-def reduce_vec_mod_f(v: Vector, ring: RingLike) -> Vector:
-    """v with every component reduced modulo f, in one normal form against
-    the monic f * e_j of the components v uses."""
+def reduce_packed_mod_f(v: dict, ring: RingLike) -> dict:
+    """The packed vector v with every component reduced modulo f, in one
+    normal form against the monic f * e_j of the components v uses."""
     if modulus_of(ring) is None:
-        return dict(v)
-    S, reducers = ring.ambient, ring._f_reducers({comp for comp, _m in v})
-    return S._unpack_vector(normal_form_vec(S._pack_vector(v), reducers, S))
+        return v
+    S = ring.ambient
+    return normal_form_vec(v, ring._f_reducers({t >> S._comp_shift for t in v}), S)
 
 
 def columns_as_vectors(rows: MatrixRows) -> List[Vector]:
@@ -80,24 +82,6 @@ def columns_as_vectors(rows: MatrixRows) -> List[Vector]:
     return cols
 
 
-def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring: RingLike) -> MatrixRows:
-    S = ambient_of(ring)
-    rows = [[{} for _v in vectors] for _r in range(rank)]
-    for k, v in enumerate(vectors):
-        for (comp, m), c in v.items():
-            rows[comp][k][m] = c
-    return tuple(tuple([Polynomial(S, entry) for entry in row]) for row in rows)
-
-
-def mat_vec(cols: Sequence[Vector], v: Vector, field) -> Vector:
-    """The matrix with the given columns applied to v: the sum of
-    c * x^m * cols[i] over the terms c * x^m * e_i of v."""
-    out: Vector = {}
-    for (i, m), c in v.items():
-        vec_axpy(out, c, m, cols[i], field)
-    return out
-
-
 def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
     f = modulus_of(ring)
     if f is None:
@@ -105,9 +89,9 @@ def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
     return [{(j, m): c for m, c in f.coeffs.items()} for j in range(rank)]
 
 
-def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[Vector]:
+def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
     """The elements of a syzygy basis over S, with the f * e_j as relations,
-    whose lead is not lead(f) * eps_c, unpacked, in the basis's order.
+    whose lead is not lead(f) * eps_c, packed, in the basis's order.
 
     Every f * eps_c lies in Z, so every lead(f) * eps_c lies in lead(Z).  So
     no term of a kept element is divisible by one: the kept elements are
@@ -115,11 +99,10 @@ def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[Vector]:
     A dropped element g has that lead, and g - f * eps_c lies in Z with a
     smaller lead, so by induction down the components g lies in f * S^k
     plus the span of the kept ones: over R they generate all of Z."""
-    S, packed = ambient_of(ring), basis.packed
-    if modulus_of(ring) is not None:
-        f_lead, term_bits = min(ring._f_packed), (1 << S._comp_shift) - 1
-        packed = [(lead, g) for lead, g in packed if lead & term_bits != f_lead]
-    return [S._unpack_vector(g) for _lead, g in packed]
+    if modulus_of(ring) is None:
+        return [g for _lead, g in basis.packed]
+    f_lead, term_bits = min(ring._f_packed), (1 << ring.ambient._comp_shift) - 1
+    return [g for lead, g in basis.packed if lead & term_bits != f_lead]
 
 
 def lifted_basis(ring: RingLike, vectors: Sequence[Vector], rank: int) -> GroebnerBasis:
@@ -219,8 +202,8 @@ class ModulePresentation:
                         f"column {c} is not homogeneous in the given generator degrees")
         self._gb: Optional[GroebnerBasis] = None
         self._series: Optional[dict] = None
-        # resolution: columns of d_1, d_2, ...; generator degrees of F_0, F_1, ...
-        self._res_diffs: List[List[Vector]] = []
+        # resolution: packed columns of d_1, d_2, ...; degrees of F_0, F_1, ...
+        self._res_diffs: List[List[dict]] = []
         self._res_degs: List[List[int]] = []
         self._open: Optional[NakayamaSelection] = None  # the step that chose d_L
         self._mf: Optional[MatrixFactorization] = None
@@ -293,13 +276,14 @@ class ModulePresentation:
         its degrees are at most top(M) plus the m largest weights, where
         top(M), the top degree of M, is the degree of M's numerator less the
         sum of the weights.  For m <= n and M of infinite length it has no
-        bound here."""
+        bound here, and the presentation basis's leads tell that with no
+        Hilbert series."""
         S, f = ambient_of(self.ring), modulus_of(self.ring)
         terms = []
         if f is not None and self._res_degs[m - 2]:
             terms.append(max(self._res_degs[m - 2]) + f.weighted_degree())
         if m <= S.nvars:
-            if module_dimension(self) > 0:
+            if not finite_colength(self.presentation_gb()):
                 return None
             num = module_series(self)
             if num:
@@ -309,11 +293,11 @@ class ModulePresentation:
     def _extend_resolution(self, length: int) -> None:
         """Grow the minimal resolution to at least `length` differentials.
 
-        Each d_m is the Nakayama selection from its candidates: for d_1 the
-        unit-pruned relation columns, in their order; for later ones the
-        syzygies of d_(m-1) of degree at most D_m (_degree_bound), sorted by
-        (degree, frozen vector), read off the builder left open by the
-        selection of d_(m-1).  A syzygy above D_m is never a minimal
+        Each d_m is the Nakayama selection from its packed candidates: for
+        d_1 the unit-pruned relation columns, in their order; for later ones
+        the syzygies of d_(m-1) of degree at most D_m (_degree_bound), sorted
+        by (degree, frozen unpacked vector), read off the builder left open
+        by the selection of d_(m-1).  A syzygy above D_m is never a minimal
         generator, and it would sort after every other candidate, so leaving
         it out keeps every d_m as the unbounded step chooses it."""
         diffs, degs = self._res_diffs, self._res_degs
@@ -324,12 +308,16 @@ class ModulePresentation:
                 bound = self._degree_bound(len(diffs) + 1)
                 vectors = _kept_syzygies(self.ring, self._open.syzygies(bound))
             else:
-                vectors, target = self._unit_pruned()
+                columns, target = self._unit_pruned()
+                vectors = [S._pack_vector(v) for v in columns]
             candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
             if diffs:
-                candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
-            self._open = NakayamaSelection(S, target, candidates,
-                                           f_times_unit_vectors(self.ring, len(target)))
+                unpack = S._unpack
+                candidates.sort(key=lambda c: (c[1], tuple(sorted(zip(map(unpack, c[0]),
+                                                                      c[0].values())))))
+            relations = ([] if modulus_of(self.ring) is None else
+                         [self.ring._f_relation(j) for j in range(len(target))])
+            self._open = NakayamaSelection(S, target, candidates, relations)
             kept = [candidates[n] for n in self._open.kept]
             # the degrees of F_(m-1) (new only for m = 1) and of F_m
             degs[len(diffs):] = [target, [d for _v, d in kept]]
@@ -401,16 +389,16 @@ class Resolution:
     def betti(self) -> List[int]:
         return [len(g) for g in self.module._res_degs[: self.length + 1]]
 
-    def differential_columns(self, i: int) -> List[Vector]:
-        """Columns of d_i (1-based), as vectors in R^(b_{i-1})."""
+    def packed_columns(self, i: int) -> List[dict]:
+        """Columns of d_i (1-based), as packed vectors in R^(b_{i-1})."""
         if not 1 <= i <= self.length:
             raise IndexError(f"differential index {i} out of range 1..{self.length}")
         return self.module._res_diffs[i - 1]
 
-    def matrix(self, i: int) -> MatrixRows:
-        cols = self.differential_columns(i)
-        rank = self.betti[i - 1]
-        return vectors_to_rows(cols, rank, self.ring)
+    def differential_columns(self, i: int) -> List[Vector]:
+        """Columns of d_i (1-based), as vectors in R^(b_{i-1})."""
+        unpack = ambient_of(self.ring)._unpack_vector
+        return [unpack(v) for v in self.packed_columns(i)]
 
     def gen_degrees(self, i: int) -> List[int]:
         return list(self.module._res_degs[i])
@@ -443,10 +431,13 @@ class Resolution:
         return self.stable_start is not None
 
 
-def _vector_degree(v: Vector, target_degs: Sequence[int], S: PolynomialRing) -> int:
-    degs = set()
-    for (comp, m), _c in v.items():
-        degs.add(S.mono_degree(m) + target_degs[comp])
+def _vector_degree(v: dict, target_degs: Sequence[int], S: PolynomialRing) -> int:
+    """The degree of the homogeneous packed vector v into generators of the
+    given degrees, off its terms' degree fields."""
+    comp_shift, deg_shift = S._comp_shift, S._deg_shift
+    mask = (1 << (comp_shift - deg_shift)) - 1
+    degs = {MAX_PACKED_DEGREE - ((t >> deg_shift) & mask) + target_degs[t >> comp_shift]
+            for t in v}
     if len(degs) != 1:
         raise InhomogeneousError("syzygy vector is not homogeneous")
     return degs.pop()
@@ -463,29 +454,43 @@ def minimal_resolution(M: ModulePresentation, length: int) -> Resolution:
 
 
 class MatrixFactorization:
-    """Pair (alpha, beta) of square matrices over S with alpha*beta = f*I."""
+    """Pair (alpha, beta) of square matrices over S with alpha*beta = f*I,
+    given by their packed columns (alpha_cols, beta_cols)."""
 
-    def __init__(self, ring: HypersurfaceRing, alpha: MatrixRows, beta: MatrixRows,
-                 source_index: int):
+    def __init__(self, ring: HypersurfaceRing, alpha_cols: Sequence[dict],
+                 beta_cols: Sequence[dict], source_index: int):
         self.ring = ring
-        self.alpha = alpha
-        self.beta = beta
-        self.size = len(alpha)
+        self.alpha_cols, self.beta_cols = alpha_cols, beta_cols
+        self.size = len(alpha_cols)
         self.source_index = source_index  # alpha lifts d_{source_index}
         self._verify()
+
+    def __getattr__(self, name):
+        """alpha and beta, the rows of Polynomials, made from the packed
+        columns on first read: a report prints the columns themselves."""
+        if name not in ("alpha", "beta"):
+            raise AttributeError(name)
+        S, cols = self.ring.ambient, vars(self)[name + "_cols"]
+        rows = [[{} for _v in cols] for _r in range(self.size)]
+        for k, v in enumerate(cols):
+            for (comp, m), c in S._unpack_vector(v).items():
+                rows[comp][k][m] = c
+        setattr(self, name, tuple(tuple([Polynomial(S, e) for e in row]) for row in rows))
+        return getattr(self, name)
 
     def _verify(self):
         """alpha*beta = f*I on square matrices of one size, column by column
         of beta.  Over the domain S, det(alpha) is then nonzero, so
         beta = f*alpha^-1 and beta*alpha = f*I follows."""
-        n = self.size
-        if any(len(rows) != n or any(len(row) != n for row in rows)
-               for rows in (self.alpha, self.beta)):
+        n, comp_shift = self.size, self.ring.ambient._comp_shift
+        if len(self.beta_cols) != n or any(t >> comp_shift >= n for cols in (
+                self.alpha_cols, self.beta_cols) for v in cols for t in v):
             raise NotStabilized("matrix factorization needs square matrices of one size")
-        f = self.ring.f.coeffs
-        alpha_cols = columns_as_vectors(self.alpha)
-        for k, col in enumerate(columns_as_vectors(self.beta)):
-            if mat_vec(alpha_cols, col, self.ring.field) != {(k, m): c for m, c in f.items()}:
+        f = self.ring._f_vector
+        for k, col in enumerate(self.beta_cols):
+            shift = k << comp_shift
+            if mat_vec(self.alpha_cols, col, self.ring.ambient) != {
+                    t + shift: c for t, c in f.items()}:
                 raise NotStabilized("matrix factorization identity alpha*beta = f*I failed")
 
 
@@ -517,12 +522,11 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
         if not r == len(M._res_degs[j]) == len(M._res_degs[j + 1]):
             continue
         alpha, d_next = M._res_diffs[j - 1], M._res_diffs[j]
-        W = [divide_exactly(mat_vec(alpha, v, S.field), ring.f.coeffs, S) for v in d_next]
+        W = [divide_exactly(mat_vec(alpha, v, S), ring._f_vector, S) for v in d_next]
         W_inv = graded_inverse(W, r, S)
         if W_inv is not None:
-            beta = [mat_vec(d_next, v, S.field) for v in W_inv]
-            M._mf = MatrixFactorization(ring, vectors_to_rows(alpha, r, ring),
-                                        vectors_to_rows(beta, r, ring), j)
+            beta = [mat_vec(d_next, v, S) for v in W_inv]
+            M._mf = MatrixFactorization(ring, alpha, beta, j)
             return M._mf
     raise NotStabilized(f"d_{j} is not alpha of a matrix factorization, nor is any "
                         f"earlier square d_i: each d_i d_(i+1) / f is singular")

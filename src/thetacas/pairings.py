@@ -36,15 +36,15 @@ from .homology import (
     extract_matrix_factorization,
     homology_series,
     infer_degrees,
-    mat_vec,
     minimal_resolution,
     module_dimension,
     module_length,
     module_multiplicity,
     module_series,
     reduce_mod_f,
-    reduce_vec_mod_f,
+    reduce_packed_mod_f,
 )
+from .matrices import mat_vec
 from .ring import (
     INFINITE,
     HypersurfaceRing,
@@ -139,9 +139,9 @@ class FreeComplex:
         if not mats:
             raise ValueError("a complex needs at least one differential")
         self.length = len(mats)
-        diff_cols = [columns_as_vectors(m) for m in mats]
+        diff_cols = [[S._pack_vector(v) for v in columns_as_vectors(m)] for m in mats]
         for k in range(self.length - 1):
-            if any(reduce_vec_mod_f(mat_vec(diff_cols[k], v, S.field), ring)
+            if any(reduce_packed_mod_f(mat_vec(diff_cols[k], v, S), ring)
                    for v in diff_cols[k + 1]):
                 raise ValueError(f"composite d_{k + 1} d_{k + 2} does not vanish")
         self.degrees = infer_degrees(ranks, mats)  # of F_0 .. F_L

@@ -208,6 +208,8 @@ class PolynomialRing:
         self._deg_guard = 1 << (self._comp_shift - 1)
         self._codes = {}  # (component, monomial) -> packed term
         self._terms = {}  # packed term -> (component, monomial)
+        self._one = self._pack(0, self._one_mono)  # the packed term 1 * e_0
+        self._mono_texts = {}  # monomial -> its text, made once per ring
 
     # -- monomial order: weighted graded reverse lexicographic ------------
 
@@ -286,14 +288,38 @@ class PolynomialRing:
         return _Parser(self, text).parse()
 
     def format(self, p: "Polynomial") -> str:
-        if not p.coeffs:
-            return "0"
-        parts = []
-        monos = p.coeffs if len(p.coeffs) == 1 else sorted(p.coeffs, key=self.mono_key, reverse=True)
-        for m in monos:
-            c = p.coeffs[m]
-            body = "*".join([name if e == 1 else f"{name}^{e}"
-                             for name, e in zip(self.variables, m) if e])
+        coeffs = p.coeffs
+        monos = coeffs if len(coeffs) == 1 else sorted(coeffs, key=self.mono_key, reverse=True)
+        return self._text([(m, coeffs[m]) for m in monos])
+
+    def format_columns(self, columns, rank: int) -> list:
+        """The rank rows of entry texts of the matrix with the given packed
+        columns.  Ascending packed terms list a column's terms by component,
+        each entry's largest term first, as format lists a polynomial's."""
+        unpack, text = self._unpack, self._text
+        rows = [["0"] * len(columns) for _r in range(rank)]
+        for k, v in enumerate(columns):
+            comp, terms = None, []
+            for t in sorted(v):
+                c, m = unpack(t)
+                if c != comp:
+                    if terms:
+                        rows[comp][k] = text(terms)
+                    comp, terms = c, []
+                terms.append((m, v[t]))
+            if terms:
+                rows[comp][k] = text(terms)
+        return rows
+
+    def _text(self, terms) -> str:
+        """The text of the sum of c * x^m over the (monomial, c) pairs, in
+        their order; each monomial's text is made once per ring."""
+        texts, parts = self._mono_texts, []
+        for m, c in terms:
+            body = texts.get(m)
+            if body is None:
+                body = texts[m] = "*".join([name if e == 1 else f"{name}^{e}"
+                                            for name, e in zip(self.variables, m) if e])
             neg = c < 0
             mag = -c if neg else c
             if not body:
@@ -306,7 +332,7 @@ class PolynomialRing:
                 parts.append(f"-{coeff_txt}" if neg else coeff_txt)
             else:
                 parts.append(f"- {coeff_txt}" if neg else f"+ {coeff_txt}")
-        return " ".join(parts)
+        return " ".join(parts) if parts else "0"
 
     def __repr__(self):
         p = self.field.characteristic
@@ -561,21 +587,23 @@ class HypersurfaceRing:
         self.ambient = ambient
         self.f = f
         self.dimension = ambient.nvars - 1
-        # f made monic and packed in component 0: the one reducer modulo f
-        f_monic = f.scale(ambient.field.inv(f.lead_coeff()))
-        self._f_packed = ambient._pack_vector({(0, m): c for m, c in f_monic.coeffs.items()})
+        # f packed in component 0 as given, the divisor of a matrix
+        # factorization, and made monic, the one reducer modulo f
+        self._f_vector = ambient._pack_vector({(0, m): c for m, c in f.coeffs.items()})
+        lc_inv = ambient.field.inv(f.lead_coeff())
+        self._f_packed = {t: ambient.field.mul(lc_inv, c) for t, c in self._f_vector.items()}
         self._tjurina = None  # l(S/(f, df/dx_i)), filled by pairings._tjurina_number
+
+    def _f_relation(self, j: int) -> dict:
+        """The monic f * e_j, packed."""
+        shift = j << self.ambient._comp_shift
+        return {t + shift: c for t, c in self._f_packed.items()}
 
     def _f_reducers(self, components) -> dict:
         """The reducers of the monic f * e_j, j in the given components, for
         a normal form modulo f of packed vectors."""
-        f, comp_shift = self._f_packed, self.ambient._comp_shift
-        lead = min(f)
-        reducers = {}
-        for j in components:
-            shift = j << comp_shift
-            reducers[j] = [(lead + shift, {t + shift: c for t, c in f.items()})]
-        return reducers
+        lead, comp_shift = min(self._f_packed), self.ambient._comp_shift
+        return {j: [(lead + (j << comp_shift), self._f_relation(j))] for j in components}
 
     @property
     def field(self):

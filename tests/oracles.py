@@ -1,5 +1,8 @@
 """Independent routes, kept as test oracles, and builders only tests use:
-vectors from polynomials, free modules and direct sums of presentations; matrix products
+vectors from polynomials, free modules and direct sums of presentations;
+the unpacked vector arithmetic (vec_axpy) and reduction modulo f that the
+packed kernel is checked against, and conversions between packed columns,
+unpacked columns and rows of Polynomials; matrix products
 over S, for the two-sided matrix factorization identity and d^2 = 0; for the
 Hilbert-series route to lengths, a staircase count of standard monomials and
 the top degree of a finite-length module they give, homology of a tensored
@@ -55,16 +58,70 @@ from thetacas.homology import (
     columns_as_vectors,
     f_times_unit_vectors,
     reduce_mod_f,
-    reduce_vec_mod_f,
-    vectors_to_rows,
+    reduce_packed_mod_f,
 )
 from thetacas.pairings import _checked_prime, _local_length, _power_products
-from thetacas.ring import Polynomial, ambient_of, modulus_of, mono_divides, ring_dimension
+from thetacas.ring import (
+    Polynomial,
+    ambient_of,
+    modulus_of,
+    mono_divides,
+    mono_mul,
+    ring_dimension,
+)
 
 
 def mono_div(b, a):
     """b / a, assuming divisibility."""
     return tuple(map(operator.sub, b, a))
+
+
+def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
+    """v + coeff * x^mono * w, in place; returns v: the unpacked reference
+    for FieldSpec.axpy."""
+    zero = field.zero
+    for (comp, m), c in w.items():
+        t = (comp, mono_mul(mono, m))
+        s = field.add(v.get(t, zero), field.mul(coeff, c))
+        if s == 0:
+            v.pop(t, None)
+        else:
+            v[t] = s
+    return v
+
+
+def reduce_vec_mod_f(v, ring):
+    """v with every component reduced modulo f, through the packed kernel."""
+    if modulus_of(ring) is None:
+        return dict(v)
+    S = ring.ambient
+    return S._unpack_vector(reduce_packed_mod_f(S._pack_vector(v), ring))
+
+
+def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring) -> tuple:
+    S = ambient_of(ring)
+    rows = [[{} for _v in vectors] for _r in range(rank)]
+    for k, v in enumerate(vectors):
+        for (comp, m), c in v.items():
+            rows[comp][k][m] = c
+    return tuple(tuple([Polynomial(S, entry) for entry in row]) for row in rows)
+
+
+def packed_columns(rows, ring):
+    """The packed columns of the matrix with the given rows of Polynomials."""
+    S = ambient_of(ring)
+    return [S._pack_vector(v) for v in columns_as_vectors(rows)]
+
+
+def vector_degree(v, target_degs, S):
+    """The degree of the homogeneous vector v into generators of the given
+    degrees, read by the kernel off its packed terms."""
+    return _vector_degree(S._pack_vector(v), target_degs, S)
+
+
+def resolution_matrix(res, i):
+    """The rows of Polynomials of d_i (1-based) of the resolution."""
+    return vectors_to_rows(res.differential_columns(i), res.betti[i - 1], res.ring)
 
 
 def vec_shift_components(v, offset):
@@ -154,7 +211,8 @@ def syzygies_over(ring, vectors, rank):
     whose lead is not lead(f) * eps_c, in the basis's order, kept by the
     kernel's own filter."""
     S = ambient_of(ring)
-    return _kept_syzygies(ring, syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)))
+    kept = _kept_syzygies(ring, syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)))
+    return [S._unpack_vector(v) for v in kept]
 
 
 def subquotient_presentation(ring, rank, numerator, denominator):
@@ -190,7 +248,8 @@ def free_module(ring, rank=1):
 def minimal_presentation(M):
     """F_0 and d_1 of M's minimal resolution, as a presentation."""
     res = minimal_resolution(M, 1)
-    return ModulePresentation(M.ring, res.matrix(1), gen_degrees=tuple(res.gen_degrees(0)))
+    return ModulePresentation(M.ring, resolution_matrix(res, 1),
+                              gen_degrees=tuple(res.gen_degrees(0)))
 
 
 def syzygy_of(M, l):
@@ -217,14 +276,16 @@ def unbounded_resolution(M, length):
     while len(diffs) < length:
         if diffs:
             target = degs[-1]
-            vectors = _kept_syzygies(M.ring, selection.syzygies())
+            vectors = [S._unpack_vector(v)
+                       for v in _kept_syzygies(M.ring, selection.syzygies())]
         else:
             vectors, target = M._unit_pruned()
-        candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
+        candidates = [(v, vector_degree(v, target, S)) for v in vectors]
         if diffs:
             candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
-        selection = NakayamaSelection(S, target, candidates,
-                                      f_times_unit_vectors(M.ring, len(target)))
+        relations = [S._pack_vector(r) for r in f_times_unit_vectors(M.ring, len(target))]
+        selection = NakayamaSelection(S, target, [(S._pack_vector(v), d) for v, d in candidates],
+                                      relations)
         kept = [candidates[n] for n in selection.kept]
         degs[len(diffs):] = [list(target), [d for _v, d in kept]]
         diffs.append([v for v, _d in kept])

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from thetacas import FieldSpec, FreeComplex, HypersurfaceRing, PolynomialRing
 from thetacas.cli import MAX_RESOLVE_LENGTH, main, run_session, validate_session
+from thetacas.errors import AlgebraError
 from thetacas.ring import MAX_EXPONENT, MAX_NESTING, MAX_PACKED_DEGREE
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
@@ -472,6 +474,28 @@ def test_a_degree_above_the_packed_cap_exits_3_with_the_task_index(tmp_path, cha
     assert tasks[0]["result"] == {"value": "INFINITE"}
     assert tasks[1]["index"] == 1 and tasks[1]["error"] == "AlgebraError"
     assert "degree 32768 is above 32767" in tasks[1]["message"]
+
+
+def test_a_composite_above_the_packed_cap_exits_3_with_the_task_index(tmp_path):
+    """d_1 = [x^16384] and d_2 = [y^16384] over xy - z^2 are under the
+    degree cap, but their composite, which a complex checks column by column
+    modulo f, has degree 32768: building the complex raises AlgebraError,
+    and a chi task with it ends in exit 3 with its index."""
+    S = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
+    complex_ = [[["((x^64)^64)^4"]], [["((y^64)^64)^4"]]]
+    with pytest.raises(AlgebraError, match="above 32767"):
+        FreeComplex(HypersurfaceRing(S, S.parse("x*y - z^2")), complex_)
+    doc = {
+        "ring": {"characteristic": 0, "variables": ["x", "y", "z"], "f": "x*y - z^2"},
+        "modules": {"A": {"matrix": [[]]}},
+        "tasks": [{"kind": "length", "module": "A"},
+                  {"kind": "chi", "complex": complex_, "against": "A"}],
+    }
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_session(tmp_path, doc), "--json", str(out_path)]) == 3
+    tasks = json.loads(out_path.read_text())["tasks"]
+    assert tasks[0]["result"] == {"value": "INFINITE"}
+    assert tasks[1]["index"] == 1 and tasks[1]["error"] == "AlgebraError"
 
 
 QUADRIC_SOP_KOSZUL = [

@@ -1,9 +1,11 @@
 """Module Groebner bases, normal forms, syzygies, staircases, Hilbert data."""
 
+import itertools
 import json
 import math
 import signal
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,11 +27,12 @@ from thetacas.groebner import (
     series_length,
     series_value,
 )
-from thetacas.homology import ModulePresentation, mat_vec, module_multiplicity
-from thetacas.matrices import divide_exactly, graded_inverse
+from thetacas.homology import ModulePresentation, columns_as_vectors, module_multiplicity
+from thetacas.matrices import divide_exactly, graded_inverse, mat_vec
 from thetacas.ring import MAX_PACKED_DEGREE, mono_divides
 from oracles import (
     free_module,
+    mat_mul,
     mono_div,
     normal_form,
     quotient_dimension,
@@ -40,9 +43,11 @@ from oracles import (
     term_key,
     tpoly_div_1mt,
     tpoly_sub,
+    vec_axpy,
     vec_from_polys,
     vec_lead,
     vec_shift_components,
+    vectors_to_rows,
 )
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
@@ -160,8 +165,6 @@ def test_buchberger_criterion_all_spairs_reduce():
                 continue
             L = mono_lcm(leads[i][1], leads[j][1])
             s = {}
-            from thetacas.groebner import vec_axpy
-
             vec_axpy(s, R.field.one, mono_div(L, leads[i][1]), dicts[i], R.field)
             vec_axpy(s, R.field.neg(R.field.one), mono_div(L, leads[j][1]), dicts[j], R.field)
             assert not normal_form(s, G)
@@ -191,8 +194,6 @@ def test_syzygy_soundness_random_gens():
     gens = [vec_from_polys([R.parse(g)]) for g in ("x^2 - y", "x*y", "y^2 + x")]
     for s in map(dict, syzygy_basis(gens, R, 1).vectors):
         total = {}
-        from thetacas.groebner import vec_axpy
-
         for i, g in enumerate(gens):
             coeff = {m: c for (comp, m), c in s.items() if comp == i}
             for m, c in coeff.items():
@@ -205,8 +206,6 @@ def test_reduce_with_representation_reconstructs():
     gens = [vec_from_polys([R.parse(g)]) for g in ("x^2", "x*y - y")]
     v = vec_from_polys([R.parse("x^3 + x^2*y")])
     r, reps = reduce_with_representation(v, gens, R, 1)
-    from thetacas.groebner import vec_axpy
-
     acc = dict(r)
     for rep, g in zip(reps, gens):
         for m, c in rep.coeffs.items():
@@ -801,18 +800,21 @@ def test_divide_exactly_by_f(characteristic):
     R = weighted_ring(characteristic)
     P = R.parse
     f = P("2*x*z - y^2 + x^2*y")
+    packed_f = R._pack_vector(vec_from_polys([f]))
     q = vec_from_polys([P("x + 3"), R.zero(), P("y*z - 1")])
-    v = vec_from_polys([f * P("x + 3"), R.zero(), f * P("y*z - 1")])
-    assert divide_exactly(v, f.coeffs, R) == q
-    assert divide_exactly({}, f.coeffs, R) == {}
+    v = R._pack_vector(vec_from_polys([f * P("x + 3"), R.zero(), f * P("y*z - 1")]))
+    assert R._unpack_vector(divide_exactly(v, packed_f, R)) == q
+    assert divide_exactly({}, packed_f, R) == {}
     for bad in (vec_from_polys([f * P("x") + P("y")]), vec_from_polys([R.zero(), P("x^2")]),
                 vec_from_polys([P("x*z")])):
         with pytest.raises(AlgebraError):
-            divide_exactly(bad, f.coeffs, R)
+            divide_exactly(R._pack_vector(bad), packed_f, R)
 
 
 def _columns(R, rows):
-    return [vec_from_polys([R.parse(row[c]) for row in rows]) for c in range(len(rows[0]))]
+    """The packed columns of the matrix with the given rows of texts."""
+    return [R._pack_vector(vec_from_polys([R.parse(row[c]) for row in rows]))
+            for c in range(len(rows[0]))]
 
 
 @pytest.mark.parametrize("characteristic", [0, 32003])
@@ -829,10 +831,10 @@ def test_graded_inverse_of_a_weighted_matrix(characteristic):
                      ["0", "1", "1", "x"],
                      ["0", "0", "0", "-1"]])
     inverse = graded_inverse(W, 4, R)
-    identity = [{(k, R._one_mono): 1} for k in range(4)]
-    assert [mat_vec(W, v, R.field) for v in inverse] == identity
-    assert [mat_vec(inverse, v, R.field) for v in W] == identity
-    assert any(sum(m) for v in inverse for _comp, m in v)
+    identity = [R._pack_vector({(k, R._one_mono): 1}) for k in range(4)]
+    assert [mat_vec(W, v, R) for v in inverse] == identity
+    assert [mat_vec(inverse, v, R) for v in W] == identity
+    assert any(sum(m) for v in inverse for _comp, m in R._unpack_vector(v))
 
 
 def test_graded_inverse_refuses_a_singular_or_non_square_matrix():
@@ -845,3 +847,104 @@ def test_graded_inverse_refuses_a_singular_or_non_square_matrix():
         assert graded_inverse(_columns(R, rows), 2, R) is None
     assert graded_inverse(_columns(R, [["1", "0", "0"], ["0", "1", "0"]]), 2, R) is None
     assert graded_inverse(_columns(R, [["1"], ["0"]]), 2, R) is None
+
+
+# Coefficients for the packed matrix checks: over Q not all units of Z,
+# over F_32003 any unit.
+MATRIX_COEFFS = {
+    0: st.sampled_from([1, -1, 2, -3, Fraction(5, 2), Fraction(-1, 3)]),
+    32003: st.integers(1, 32002),
+}
+
+
+def _monomials(R, degree):
+    """The monomials of R of the given weighted degree."""
+    ranges = [range(degree // w + 1) for w in R.weights]
+    return [m for m in itertools.product(*ranges) if R.mono_degree(m) == degree]
+
+
+def _homogeneous(data, R, degree, least=0):
+    """A drawn polynomial of R homogeneous of the given degree, with at least
+    `least` terms when R has that many monomials of the degree."""
+    monos = _monomials(R, degree) if degree >= 0 else []
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=min(least, len(monos)),
+                                max_size=3, unique=True)) if monos else []
+    return R.from_dict({m: data.draw(MATRIX_COEFFS[R.field.characteristic]) for m in chosen})
+
+
+def _graded_matrix(data, R, row_degs, col_degs):
+    """Drawn rows of a matrix homogeneous of degree 0 from generators of
+    degrees col_degs to generators of degrees row_degs: sparse, or with
+    every entry of degree >= 0 nonzero."""
+    least = data.draw(st.integers(0, 1))
+    return tuple(tuple(_homogeneous(data, R, c - r, least) for c in col_degs)
+                 for r in row_degs)
+
+
+def _unpacked_mat_vec(cols, v, field):
+    """The unpacked reference for mat_vec, on vec_axpy."""
+    out = {}
+    for (i, m), c in v.items():
+        vec_axpy(out, c, m, cols[i], field)
+    return out
+
+
+def _constant_part_is_singular(rows, field):
+    """Whether the matrix of the constant terms of the entries is singular,
+    by Gaussian elimination over the field."""
+    a = [[p.constant_coeff() for p in row] for row in rows]
+    n = len(a)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return True
+        a[k], a[p] = a[p], a[k]
+        for i in range(k + 1, n):
+            lam = field.mul(a[i][k], field.inv(a[k][k]))
+            a[i] = [field.add(x, field.neg(field.mul(lam, y))) for x, y in zip(a[i], a[k])]
+    return False
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_packed_matrix_arithmetic_matches_the_references(characteristic, data):
+    """On drawn homogeneous matrices over k[x, y, z] with weights 1, 2, 3,
+    over Q with coefficients that are not units of Z and over F_32003: the
+    packed mat_vec gives each column of the oracle mat_mul and of the
+    unpacked vec_axpy reference; divide_exactly by a rescaled f (lead
+    coefficient not 1) recovers each column q from f * q; graded_inverse
+    returns None exactly when the constant part is singular, and otherwise
+    a two-sided inverse under both products."""
+    R = weighted_ring(characteristic)
+    degs = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+    row_degs, col_degs, out_degs = data.draw(degs), data.draw(degs), data.draw(degs)
+    A = _graded_matrix(data, R, row_degs, col_degs)
+    B = _graded_matrix(data, R, col_degs, out_degs)
+    a_cols = columns_as_vectors(A)
+    packed = [R._pack_vector(v) for v in a_cols]
+    for b, ab in zip(columns_as_vectors(B), columns_as_vectors(mat_mul(A, B, R))):
+        product = mat_vec(packed, R._pack_vector(b), R)
+        assert product == R._pack_vector(_unpacked_mat_vec(a_cols, b, R.field))
+        assert R._unpack_vector(product) == ab
+
+    f = _homogeneous(data, R, 6, least=2).scale(data.draw(st.sampled_from([2, -3])))
+    packed_f = R._pack_vector({(0, m): c for m, c in f.coeffs.items()})
+    for q in a_cols:
+        fq = {}
+        for m, c in f.coeffs.items():
+            vec_axpy(fq, c, m, q, R.field)
+        assert R._unpack_vector(divide_exactly(R._pack_vector(fq), packed_f, R)) == q
+
+    n = len(row_degs)
+    W = _graded_matrix(data, R, row_degs, row_degs)
+    inverse = graded_inverse([R._pack_vector(v) for v in columns_as_vectors(W)], n, R)
+    assert (inverse is None) == _constant_part_is_singular(W, R.field)
+    if inverse is not None:
+        identity = tuple(tuple(R.one() if r == c else R.zero() for c in range(n))
+                         for r in range(n))
+        inv_rows = vectors_to_rows([R._unpack_vector(v) for v in inverse], n, R)
+        assert mat_mul(W, inv_rows, R) == identity == mat_mul(inv_rows, W, R)
+        w_cols = columns_as_vectors(W)
+        assert [_unpacked_mat_vec(w_cols, R._unpack_vector(v), R.field)
+                for v in inverse] == columns_as_vectors(identity)

@@ -36,7 +36,6 @@ from thetacas.homology import (
     module_multiplicity,
     module_series,
     reduce_mod_f,
-    reduce_vec_mod_f,
 )
 from oracles import (
     complex_homology,
@@ -51,13 +50,17 @@ from oracles import (
     multiplicity,
     normal_form,
     quotient_dimension,
+    packed_columns,
+    reduce_vec_mod_f,
     reduce_with_representation,
+    resolution_matrix,
     syzygies_over,
     syzygy_basis,
     syzygy_of,
     tagged_syzygies,
     tensored_homology,
     top_degree,
+    vector_degree,
     transpose,
     unbounded_resolution,
     vec_from_polys,
@@ -139,7 +142,7 @@ def test_resolution_of_residue_field_over_cusp_line():
     assert res.betti == [1, 1, 1, 1, 1, 1]
     x = A.ambient.parse("x")
     for i in range(1, 6):
-        assert res.matrix(i) == ((x,),)
+        assert resolution_matrix(res, i) == ((x,),)
 
 
 def test_resolution_of_quadric_plane(quadric, quadric_modules):
@@ -168,11 +171,11 @@ def test_resolution_minimality_and_complex_property(node, quadric, node_modules,
         S = ring.ambient
         res = minimal_resolution(M, 5)
         for i in range(1, 6):
-            for row in res.matrix(i):
+            for row in resolution_matrix(res, i):
                 for entry in row:
                     assert entry.constant_coeff() == S.field.zero
         for i in range(1, 5):
-            prod = mat_mul(res.matrix(i), res.matrix(i + 1), S)
+            prod = mat_mul(resolution_matrix(res, i), resolution_matrix(res, i + 1), S)
             for row in prod:
                 for entry in row:
                     assert reduce_mod_f(entry, ring).is_zero()
@@ -282,7 +285,8 @@ def test_mf_identity_is_verified_on_construction(node):
 
     S = node.ambient
     with pytest.raises(NotStabilized):
-        MatrixFactorization(node, ((S.parse("x"),),), ((S.parse("x"),),), 2)
+        x = packed_columns(((S.parse("x"),),), node)
+        MatrixFactorization(node, x, x, 2)
 
 
 def test_mf_of_non_square_matrices_is_rejected(quadric):
@@ -292,10 +296,11 @@ def test_mf_of_non_square_matrices_is_rejected(quadric):
     from thetacas.homology import MatrixFactorization
 
     x, y, u, v = (quadric.ambient.parse(s) for s in ("x", "y", "u", "v"))
+    row, column = packed_columns(((x, u),), quadric), packed_columns(((y,), (-v,)), quadric)
     with pytest.raises(NotStabilized):
-        MatrixFactorization(quadric, ((x, u),), ((y,), (-v,)), 1)
+        MatrixFactorization(quadric, row, column, 1)
     with pytest.raises(NotStabilized):
-        MatrixFactorization(quadric, ((y,), (-v,)), ((x, u),), 1)
+        MatrixFactorization(quadric, column, row, 1)
 
 
 @given(data=st.data())
@@ -324,7 +329,8 @@ def test_mf_with_one_beta_entry_changed_is_rejected(data, node_modules, a1_modul
         for i, row in enumerate(mf.beta)
     )
     with pytest.raises(NotStabilized):
-        MatrixFactorization(M.ring, mf.alpha, beta, mf.source_index)
+        MatrixFactorization(M.ring, mf.alpha_cols, packed_columns(beta, M.ring),
+                            mf.source_index)
 
 
 def test_mf_moves_past_a_singular_w():
@@ -496,7 +502,8 @@ def test_session_syzygies_are_reduced_and_span_what_the_basis_spans(monkeypatch)
         calls, _opened, _made = _session_calls(monkeypatch,
                                                json.loads(session_path(name).read_text()))
         assert calls
-        for ring, basis, kept in calls:
+        for ring, basis, packed in calls:
+            kept = [ring.ambient._unpack_vector(v) for v in packed]
             assert all(reduce_vec_mod_f(v, ring) == v for v in kept)
             assert len({freeze_vec(v) for v in kept}) == len(kept)
             lift = lifted_basis(ring, kept, basis.rank)
@@ -522,14 +529,15 @@ def test_open_builder_syzygies_match_a_cold_basis(seed, monkeypatch):
         for selection, upto, basis in opened:
             S = selection.ring
             fresh = PolynomialRing(S.field, S.variables, S.weights)
-            cold = syzygy_basis(selection.generators, fresh, selection.rank,
-                                selection.relations)
+            cold = syzygy_basis([S._unpack_vector(g) for g in selection.generators], fresh,
+                                selection.rank,
+                                [S._unpack_vector(r) for r in selection.relations])
             expected = cold.vectors
             if upto is not None:
                 target = selection._builder.shifts[:selection.rank]
                 gen_degs = [_vector_degree(g, target, S) for g in selection.generators]
                 expected = tuple(v for v in cold.vectors
-                                 if _vector_degree(dict(v), gen_degs, S) <= upto)
+                                 if vector_degree(dict(v), gen_degs, fresh) <= upto)
                 bounded += 1
                 truncated += len(expected) < len(cold.vectors)
             assert (basis.rank, basis.vectors) == (cold.rank, expected), name
@@ -620,6 +628,32 @@ def test_session_betas_match_the_representation_route(name, rescale, monkeypatch
             remainder, reps = reduce_with_representation(target, cols, S, mf.size)
             assert not remainder
             assert [row[k] for row in mf.beta] == reps
+
+
+def test_fp_sessions_keep_the_resolve_and_mf_path_packed(monkeypatch):
+    """A timing-free guard on conversions between (component, exponent
+    tuple) vectors and packed ones, over one pass of the three fp sessions
+    as written.  Building their environments packs 17 vectors and unpacks
+    14, one each per presentation entry reduced modulo f.  Their resolve and
+    mf tasks pack 32 more, d_1's candidates and the presentation bases'
+    generators, and unpack none: every differential stays packed from the
+    selection that chose it through the matrix factorization to the
+    report."""
+    counts = dict.fromkeys(("_pack_vector", "_unpack_vector"), 0)
+    for name in counts:
+        def counting(ring, v, _real=getattr(PolynomialRing, name), _name=name):
+            counts[_name] += 1
+            return _real(ring, v)
+
+        monkeypatch.setattr(PolynomialRing, name, counting)
+    docs = [json.loads(session_path(name).read_text())
+            for name in ("fp_cubic_fourfold", "fp_e8_threefold", "fp_e7_surface")]
+    for doc in docs:
+        build_environment(doc)
+    assert counts == {"_pack_vector": 17, "_unpack_vector": 14}
+    counts.update(dict.fromkeys(counts, 0))
+    assert [run_session(doc)[1] for doc in docs] == [0, 0, 0]
+    assert counts == {"_pack_vector": 17 + 32, "_unpack_vector": 14}
 
 
 # lead coefficients of f: 1, 2 and 3 over Q, and 1 over F_32003 with weights
@@ -842,7 +876,7 @@ def _sorted_syzygies(ring, diff_cols, rank, target_degs):
     """The syzygies of the columns with their degrees, sorted by (degree,
     frozen vector): the candidates the resolution hands the Nakayama
     selection, in its order."""
-    return sorted(((v, _vector_degree(v, target_degs, ring.ambient))
+    return sorted(((v, vector_degree(v, target_degs, ring.ambient))
                    for v in syzygies_over(ring, diff_cols, rank)),
                   key=lambda c: (c[1], freeze_vec(c[0])))
 
@@ -852,7 +886,7 @@ def _prefix_rebuild_selection(ring, vectors, rank, target_degs):
     kept prefix for every candidate."""
     S = ring.ambient
     decorated = sorted(
-        ((_vector_degree(v, target_degs, S), freeze_vec(v), v) for v in vectors),
+        ((vector_degree(v, target_degs, S), freeze_vec(v), v) for v in vectors),
         key=lambda t: (t[0], t[1]),
     )
     kept = []
@@ -905,9 +939,11 @@ def test_nakayama_selection_matches_prefix_rebuild():
 
 def _select(A, candidates, target_degs):
     """The candidates a NakayamaSelection keeps, in the given order, and the
-    selection."""
-    selection = NakayamaSelection(A.ambient, target_degs, candidates,
-                                  f_times_unit_vectors(A, len(target_degs)))
+    selection, which reads them and the f * e_j packed."""
+    S = A.ambient
+    selection = NakayamaSelection(
+        S, target_degs, [(S._pack_vector(v), d) for v, d in candidates],
+        [S._pack_vector(r) for r in f_times_unit_vectors(A, len(target_degs))])
     return [candidates[n] for n in selection.kept], selection
 
 
@@ -936,7 +972,7 @@ def test_nakayama_selection_memoises_no_basis():
         full = selection.syzygies()
         assert not selection._builder.queue and S._groebner_memo == before
         assert bounded.vectors == tuple(
-            v for v in full.vectors if _vector_degree(dict(v), selection.degrees, S) <= bound)
+            v for v in full.vectors if vector_degree(dict(v), selection.degrees, S) <= bound)
         assert set(bounded.vectors) < set(full.vectors)
 
 
@@ -954,7 +990,7 @@ def test_first_differential_keeps_the_presentation_order():
     M = present_cyclic(A, ["u^2", "x", "x*u"])
     res = minimal_resolution(M, 1)
     P = A.ambient.parse
-    assert res.matrix(1) == ((P("u^2"), P("x")),)
+    assert resolution_matrix(res, 1) == ((P("u^2"), P("x")),)
     assert M._open.kept == [0, 1]
     opened = M._open.syzygies()
     B = quadric()

@@ -105,10 +105,10 @@ def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
     """A new pair costs theta one cokernel basis (C_s) and two Hilbert
     numerators (C_s and the right module), with no homology computed and
     the left module resolved to length s + 1, the source index of its matrix
-    factorization, with s syzygy bases read, the right one not at all.  A
-    left module resolved for the first time also builds its own numerator:
-    the degree bound of a resolution step asks whether it has finite length.
-    The value is remembered on the left module: a repeated pair computes
+    factorization, with s syzygy bases read, the right one not at all.  The
+    degree bound of a resolution step asks whether the left module has
+    finite length, which A/(x, u) has not: its presentation basis's leads
+    tell that, with no numerator of its own.  The value is remembered on the left module: a repeated pair computes
     nothing.  Against a new right module, an already resolved left module
     reads no syzygy basis off a resolution step."""
     import thetacas.groebner as groebner
@@ -130,7 +130,7 @@ def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
     first = theta(Ap, Aq)
     s = Ap._mf.source_index
     assert s == 2
-    assert calls["hilbert_numerator"] == 3
+    assert calls["hilbert_numerator"] == 2
     assert calls["_cokernel_series"] == 1
     assert calls["syzygies"] == s
     assert len(Ap._res_degs) == s + 2
