@@ -386,13 +386,9 @@ def lead_module(G: GroebnerBasis) -> Dict[int, List[tuple]]:
 def finite_colength(G: GroebnerBasis) -> bool:
     """Whether S^rank / (lead module) has finite length, with no Hilbert
     series: every component's leads hold a pure power of every variable."""
-    nvars = G.ring.nvars
-    pure = set()
-    for comp, mono in G.leads:
-        support = [i for i, e in enumerate(mono) if e]
-        if len(support) <= 1:
-            pure.update((comp, i) for i in support or range(nvars))
-    return len(pure) == G.rank * nvars
+    pure = {(comp, i) for comp, mono in G.leads for i in range(len(mono))
+            if not any(mono[:i] + mono[i + 1:])}
+    return len(pure) == G.rank * G.ring.nvars
 
 
 # numerator polynomials in t are dicts degree -> int
