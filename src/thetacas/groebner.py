@@ -7,7 +7,13 @@ Buchberger's loop and every normal form a vector maps packed terms, one int
 each (PolynomialRing._pack), to coefficients: the smallest int is the lead
 term, a product is a sum, and a divisibility test is a subtraction and a
 mask.  The field adds the products of a reduction step inline
-(FieldSpec.axpy), the one packed vector arithmetic.  groebner_basis packs
+(FieldSpec.axpy), the one packed vector arithmetic.  A term's exponent
+field i holds w_i * e_i, so an S-pair's lcm is a guard-bit max of two ints
+and its degree the lcm bits modulo 0xFFFF.  S-pairs and Nakayama candidates
+are reduced only until their lead is irreducible, which decides the same
+membership; only a reduced basis's interreduction and the normal forms
+modulo f reduce tails (a reduced basis is unique for the order: Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, 2.7).  groebner_basis packs
 its generators and known bases, and a basis unpacks its vectors on first
 read; a resolution step's candidates, relations and syzygies stay packed.
 Syzygies come from an augmented basis in S^(s+k), the main block dominating
@@ -27,12 +33,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import AlgebraError
 from .ring import (
+    _DEGREE_MODULUS,
+    _FIELD_BITS,
     INFINITE,
     MAX_PACKED_DEGREE,
     PolynomialRing,
-    mono_coprime,
     mono_divides,
-    mono_lcm,
 )
 
 # A term symbol is (component, monomial); a vector maps terms to coeffs.
@@ -66,13 +72,18 @@ def freeze_vec(v: Vector) -> tuple:
 # division
 
 
-def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing) -> dict:
+def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing,
+                    tail: bool = True) -> dict:
     """Fully reduced remainder of the packed vector v against the reducers;
     of the reducers whose lead divides a term, the first added is used.
+    With tail=False, v reduced only until its lead term is irreducible: the
+    same steps, stopped at the first term the full remainder would keep, so
+    it is zero exactly when the full remainder is and has the same lead.
 
-    A term of degree above MAX_PACKED_DEGREE raises AlgebraError.  So does a
-    step that leaves the term it reduced, so a reducer that is not monic, or
-    faulty field arithmetic, fails instead of looping."""
+    A term of degree above MAX_PACKED_DEGREE raises AlgebraError when it is
+    reached (with tail=False, its tail terms are not).  So does a step that
+    leaves the term it reduced, so a reducer that is not monic, or faulty
+    field arithmetic, fails instead of looping."""
     neg, axpy = ring.field.neg, ring.field.axpy
     comp_shift, guards, deg_guard = ring._comp_shift, ring._exp_guards, ring._deg_guard
     work = dict(v)
@@ -89,6 +100,8 @@ def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing) -> dict:
                                        "in place: a reducer is not monic, or the field is faulty")
                 break
         else:
+            if not tail:
+                return work
             remainder[t] = work.pop(t)
     return remainder
 
@@ -135,21 +148,29 @@ class GroebnerBuilder:
     """Buchberger's loop, kept open: add vectors, complete the basis up to a
     degree, read off the reduced basis.  A pair's degree is its lcm's degree
     plus shifts[component]; for inputs homogeneous under those generator
-    degrees, complete(d) decides membership of every vector of degree <= d."""
+    degrees, complete(d) decides membership of every vector of degree <= d.
+
+    Pairs stay on packed ints: a pair's lcm is the field-wise max of the
+    exponent bits of its leads, taken through the guard bits, and its degree
+    is the lcm bits modulo _DEGREE_MODULUS.  S-pairs are reduced only until
+    their lead is irreducible: the leads, and so the pairs formed, skipped
+    and reduced, are those of full reduction, and reduced() interreduces the
+    tails of what it returns."""
 
     def __init__(self, ring: PolynomialRing, rank: int, shifts: Sequence[int] = ()):
         self.ring, self.rank = ring, rank
         self.shifts = shifts or (0,) * rank
         self.vectors: List[dict] = []  # monic packed vectors, in the order added
         self.codes: List[int] = []  # their packed lead terms
-        self.leads: List[Term] = []  # the same lead terms, unpacked
+        self.bits: List[int] = []  # the exponent bits of those lead terms
         self.reducers: Reducers = {}
         # the indices of the vectors per lead component, ascending: pairs,
         # the chain criterion and minimalization look only within one
         self.by_comp: Dict[int, List[int]] = {}
-        # S-pairs not yet treated: the set serves the chain criterion, the heap
-        # yields them by (degree, i, j).
-        self.pending = set()
+        # S-pairs not yet treated, each to the exponent bits of its lcm: the
+        # dict serves the chain criterion, the heap yields them by
+        # (degree, i, j).
+        self.pending: Dict[Tuple[int, int], int] = {}
         self.queue: List[Tuple[int, int, int]] = []
 
     def add(self, v: Vector, known: Optional[int] = None) -> None:
@@ -161,39 +182,50 @@ class GroebnerBuilder:
         self._insert(self.ring._pack_vector(v), known)
 
     def _insert(self, v: dict, known: Optional[int] = None) -> None:
-        ring, leads = self.ring, self.leads
+        ring, bits, pending, queue = self.ring, self.bits, self.pending, self.queue
+        guards = ring._exp_guards
         lead = min(v)
-        lt = ring._unpack(lead)
-        j = len(leads)
+        a = lead & ring._exp_bits
+        comp = lead >> ring._comp_shift
+        shift = self.shifts[comp]
+        j = len(bits)
         g = _monic(v, lead, ring.field)
         self.vectors.append(g)
         self.codes.append(lead)
-        leads.append(lt)
-        comp, mono = lt
+        bits.append(a)
         self.reducers.setdefault(comp, []).append((lead, g))
         same = self.by_comp.setdefault(comp, [])
         cap = j if known is None else known
         for i in same:
             if i >= cap:
                 break
-            self.pending.add((i, j))
-            heapq.heappush(self.queue, (
-                ring.mono_degree(mono_lcm(leads[i][1], mono)) + self.shifts[comp], i, j))
+            b = bits[i]
+            # the guard of each field where a >= b, spread over its field
+            ge = ((a | guards) - b) & guards
+            m = ge - (ge >> (_FIELD_BITS - 1))
+            lcm = pending[(i, j)] = (a & m) | (b & ~m)
+            heapq.heappush(queue, (lcm % _DEGREE_MODULUS + shift, i, j))
         same.append(j)
 
     def complete(self, upto_degree: Optional[int] = None) -> None:
         """Treat every pending pair, or those of degree <= upto_degree."""
         ring, field = self.ring, self.ring.field
-        G, codes, leads, pending, queue = self.vectors, self.codes, self.leads, self.pending, self.queue
-        by_comp, guards = self.by_comp, ring._exp_guards
+        G, codes, bits, pending, queue = self.vectors, self.codes, self.bits, self.pending, self.queue
+        by_comp, guards, shifts = self.by_comp, ring._exp_guards, self.shifts
+        comp_shift, deg_shift = ring._comp_shift, ring._deg_shift
+        product = self.rank == 1
         while queue and (upto_degree is None or queue[0][0] <= upto_degree):
-            _deg, i, j = heapq.heappop(queue)
-            pending.discard((i, j))
-            comp = leads[i][0]
-            # product criterion (valid for rank-1 ideals only)
-            if self.rank == 1 and mono_coprime(leads[i][1], leads[j][1]):
+            deg, i, j = heapq.heappop(queue)
+            lcm = pending.pop((i, j))
+            # product criterion (valid for rank-1 ideals only): the leads are
+            # coprime when the lcm is their product
+            if product and lcm == bits[i] + bits[j]:
                 continue
-            L = ring._pack(comp, mono_lcm(leads[i][1], leads[j][1]))
+            comp = codes[i] >> comp_shift
+            deg -= shifts[comp]
+            if deg > MAX_PACKED_DEGREE:
+                raise AlgebraError(f"a term of degree {deg} is above {MAX_PACKED_DEGREE}")
+            L = (comp << comp_shift) + ((MAX_PACKED_DEGREE - deg) << deg_shift) + lcm
             # chain criterion: a lead of the same component dividing L, both
             # of whose pairs with i and j are treated
             skip = False
@@ -208,7 +240,7 @@ class GroebnerBuilder:
             s: dict = {}
             field.axpy(s, field.one, L - codes[i], G[i])
             field.axpy(s, field.neg(field.one), L - codes[j], G[j])
-            r = normal_form_vec(s, self.reducers, ring)
+            r = normal_form_vec(s, self.reducers, ring, tail=False)
             if r:
                 self._insert(r)
 
@@ -287,7 +319,7 @@ def _completed(
     for offset, vectors in known:
         if vectors not in packed:
             packed[vectors] = [ring._pack_vector(dict(v)) for v in vectors]
-        start = len(builder.leads)
+        start = len(builder.codes)
         shift = offset << ring._comp_shift
         for g in packed[vectors]:
             builder._insert({t + shift: c for t, c in g.items()} if shift else g, known=start)
@@ -313,11 +345,13 @@ class NakayamaSelection:
     degree, so every pair's degree is its true degree.  Candidates are
     treated in degree order, ties in the given order, each after completing
     the builder to its degree: one is redundant exactly when its normal form
-    has no term in the first rank components.  A kept one enters as that
-    normal form plus eps_n, which spans with the earlier vectors what
-    (v, eps_n) spans.  kept holds the kept indices, ascending, and
-    generators and degrees the kept vectors and their degrees.  The builder
-    refers to the ring and the vectors only, never to a module."""
+    has no term in the first rank components, that is, when v reduced until
+    its lead is irreducible is zero or has its lead in the tag block (the
+    main block dominates).  A kept one enters as that reduced v plus eps_n,
+    which spans with the earlier vectors what (v, eps_n) spans.  kept holds
+    the kept indices, ascending, and generators and degrees the kept vectors
+    and their degrees.  The builder refers to the ring and the vectors only,
+    never to a module."""
 
     def __init__(self, ring: PolynomialRing, target_degs: Sequence[int],
                  candidates: Sequence[Tuple[dict, int]], relations: Sequence[dict]):
@@ -334,7 +368,7 @@ class NakayamaSelection:
         for n in sorted(range(len(candidates)), key=lambda n: candidates[n][1]):
             v, degree = candidates[n]
             builder.complete(degree)
-            r = normal_form_vec(v, builder.reducers, ring)
+            r = normal_form_vec(v, builder.reducers, ring, tail=False)
             if r and min(r) < bound:
                 r[tag + (n << comp_shift)] = one
                 builder._insert(r)

@@ -148,13 +148,19 @@ def _canonical(q):
 Monomial = tuple  # exponent tuple, one entry per variable
 
 # A packed term holds, from the top, the component, then
-# MAX_PACKED_DEGREE - deg(m), then m_n, ..., m_1, each field below the
-# component _FIELD_BITS wide with its top bit a guard that a valid term keeps
-# clear.  A smaller int is then a larger term under position-over-term
-# weighted grevlex, a product is a sum, and the exponent guards of t - u are
-# clear exactly when u divides t (Monagan and Pearce, CASC 2007).
+# MAX_PACKED_DEGREE - deg(m), then w_n * m_n, ..., w_1 * m_1, each field below
+# the component _FIELD_BITS wide with its top bit a guard that a valid term
+# keeps clear (w_i * m_i <= deg(m) <= MAX_PACKED_DEGREE).  A smaller int is
+# then a larger term under position-over-term weighted grevlex, a product is
+# a sum, and the exponent guards of t - u are clear exactly when u divides t
+# (Monagan and Pearce, CASC 2007).  Since 2^_FIELD_BITS is 1 modulo
+# _DEGREE_MODULUS, the degree of exponent bits e is e % _DEGREE_MODULUS,
+# exact while it stays below _DEGREE_MODULUS, as for the lcm of two valid
+# terms (at most 2 * MAX_PACKED_DEGREE).  With unit weights the fields are
+# the exponents themselves.
 _FIELD_BITS = 16
 MAX_PACKED_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+_DEGREE_MODULUS = (1 << _FIELD_BITS) - 1
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -164,14 +170,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Whether a divides b."""
     return all(map(operator.le, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return not any(map(min, a, b))
 
 
 class PolynomialRing:
@@ -199,10 +197,11 @@ class PolynomialRing:
         # when the last reference to it goes (a basis refers to its ring
         # weakly, so no reference cycle holds the memo).
         self._groebner_memo = {}
-        # packed terms, m_1 in the lowest field; each term is packed and
+        # packed terms, w_1 * m_1 in the lowest field; each term is packed and
         # unpacked once per ring, through the two caches below
         self._exp_shifts = tuple(range(0, _FIELD_BITS * self.nvars, _FIELD_BITS))
         self._deg_shift = _FIELD_BITS * self.nvars
+        self._exp_bits = (1 << self._deg_shift) - 1
         self._comp_shift = self._deg_shift + _FIELD_BITS
         self._exp_guards = sum(1 << (s + _FIELD_BITS - 1) for s in self._exp_shifts)
         self._deg_guard = 1 << (self._comp_shift - 1)
@@ -228,15 +227,16 @@ class PolynomialRing:
         if deg > MAX_PACKED_DEGREE:
             raise AlgebraError(f"a term of degree {deg} is above {MAX_PACKED_DEGREE}")
         return ((comp << self._comp_shift) + ((MAX_PACKED_DEGREE - deg) << self._deg_shift)
-                + sum(map(operator.lshift, m, self._exp_shifts)))
+                + sum(map(operator.lshift, map(operator.mul, self.weights, m),
+                          self._exp_shifts)))
 
     def _unpack(self, t: int):
         """The (component, exponent tuple) of a packed term."""
         term = self._terms.get(t)
         if term is None:
             mask = (1 << _FIELD_BITS) - 1
-            term = self._terms[t] = (
-                t >> self._comp_shift, tuple([(t >> s) & mask for s in self._exp_shifts]))
+            term = self._terms[t] = (t >> self._comp_shift, tuple([
+                ((t >> s) & mask) // w for s, w in zip(self._exp_shifts, self.weights)]))
         return term
 
     def _pack_vector(self, v: dict) -> dict:

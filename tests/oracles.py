@@ -1,5 +1,6 @@
 """Independent routes, kept as test oracles, and builders only tests use:
 vectors from polynomials, free modules and direct sums of presentations;
+the monomial lcm and coprimality the packed pair layer is checked against;
 the unpacked vector arithmetic (vec_axpy) and reduction modulo f that the
 packed kernel is checked against, and conversions between packed columns,
 unpacked columns and rows of Polynomials; matrix products
@@ -74,6 +75,18 @@ from thetacas.ring import (
 def mono_div(b, a):
     """b / a, assuming divisibility."""
     return tuple(map(operator.sub, b, a))
+
+
+def mono_lcm(a, b):
+    """The lcm of two monomials: the reference for the guard-bit lcm of a
+    GroebnerBuilder's pairs."""
+    return tuple(map(max, a, b))
+
+
+def mono_coprime(a, b):
+    """Whether two monomials share no variable: the reference for the
+    builder's product criterion."""
+    return not any(map(min, a, b))
 
 
 def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:

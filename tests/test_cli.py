@@ -457,15 +457,23 @@ def test_recursion_error_exits_3_with_the_task_index(tmp_path, monkeypatch):
     assert failing["error"] == "RecursionError"
 
 
-@pytest.mark.parametrize("characteristic", [0, 32003])
-def test_a_degree_above_the_packed_cap_exits_3_with_the_task_index(tmp_path, characteristic):
+@pytest.mark.parametrize("characteristic, weights, relations", [
+    pytest.param(p, weights, relations, id=f"{p}{label}")
+    for weights, relations, label in [
+        ([1, 1, 1], ["((x^64)^64)^4", "x*((z^64)^64)^4"], ""),
+        ([1, 1, 2], ["((x^64)^64)^4", "x*((z^64)^64)^2"], "-weighted")]
+    for p in (0, 32003)])
+def test_a_degree_above_the_packed_cap_exits_3_with_the_task_index(
+        tmp_path, characteristic, weights, relations):
     """Groebner terms are packed ints with a degree cap.  The relations
     x^16384 and x*z^16384 are under it, but their S-pair has degree 32768:
-    the task must end in exit 3 with its index, never in a wrong order."""
+    the task must end in exit 3 with its index, never in a wrong order.
+    So must x^16384 and x*z^8192 with z of weight 2, whose z field holds
+    2 * 8192."""
     doc = {
-        "ring": {"characteristic": characteristic, "variables": ["x", "y", "z"], "f": "x*y"},
-        "modules": {"Ax": {"cyclic": ["x"]},
-                    "H": {"cyclic": ["((x^64)^64)^4", "x*((z^64)^64)^4"]}},
+        "ring": {"characteristic": characteristic, "variables": ["x", "y", "z"],
+                 "weights": weights, "f": "x*y"},
+        "modules": {"Ax": {"cyclic": ["x"]}, "H": {"cyclic": relations}},
         "tasks": [{"kind": "length", "module": "Ax"}, {"kind": "length", "module": "H"}],
     }
     out_path = tmp_path / "report.json"

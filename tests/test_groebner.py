@@ -22,7 +22,6 @@ from thetacas.groebner import (
     freeze_vec,
     groebner_basis,
     hilbert_numerator,
-    mono_lcm,
     normal_form_vec,
     series_length,
     series_value,
@@ -34,6 +33,7 @@ from oracles import (
     free_module,
     mat_mul,
     mono_div,
+    mono_lcm,
     normal_form,
     quotient_dimension,
     reduce_with_representation,
@@ -643,7 +643,7 @@ def test_known_bases_alone_form_no_pairs(characteristic, ideal, data):
     rank = max(offset + G.rank for offset, G in entries)
     builder = GroebnerBuilder(R, rank)
     for offset, G in entries:
-        start = len(builder.leads)
+        start = len(builder.codes)
         for v in _shifted(G, offset):
             builder.add(v, known=start)
     assert not builder.queue and not builder.pending
@@ -696,8 +696,8 @@ def _buchberger_counts(monkeypatch, path, audit):
         counts[0] += 1
         heapq.heappush(queue, item)
 
-    def counting_normal_form_vec(v, reducers, ring):
-        r = normal_form_vec(v, reducers, ring)
+    def counting_normal_form_vec(v, reducers, ring, tail=True):
+        r = normal_form_vec(v, reducers, ring, tail=tail)
         counts[1] += 1
         counts[2] += not r
         return r

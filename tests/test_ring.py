@@ -2,9 +2,10 @@
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacas import (
@@ -15,6 +16,7 @@ from thetacas import (
     minimal_resolution,
     ring_dimension,
 )
+from thetacas import groebner
 from thetacas.errors import AlgebraError, InhomogeneousError, ParseError
 from thetacas.ring import (
     MAX_NESTING,
@@ -24,7 +26,7 @@ from thetacas.ring import (
     mono_divides,
     mono_mul,
 )
-from oracles import mono_div
+from oracles import mono_coprime, mono_div, mono_lcm
 
 
 def make_ring(characteristic=0, variables=("x", "y"), weights=None):
@@ -323,6 +325,81 @@ def test_packed_divisibility_agrees_with_mono_divides(characteristic, comp, a, b
     assert (not (t - u) & R._exp_guards) == mono_divides(b, a)
 
 
+@st.composite
+def capped_monomials(draw, weights):
+    """Monomials of weighted degree at most MAX_PACKED_DEGREE, each
+    exponent drawn up to what degree is left, variables in a drawn order."""
+    m, room = [0, 0, 0], MAX_PACKED_DEGREE
+    for i in draw(st.permutations(range(3))):
+        m[i] = draw(st.integers(0, room // weights[i]))
+        room -= weights[i] * m[i]
+    return tuple(m)
+
+
+leads_over_weights = weight_triples.flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.tuples(st.integers(0, 1), capped_monomials(w)),
+                         min_size=2, max_size=5)))
+TWICE_THE_CAP = ((1, 1, 1), [(0, (MAX_PACKED_DEGREE, 0, 0)), (0, (0, MAX_PACKED_DEGREE, 0))])
+ONE_ABOVE_THE_CAP = ((1, 1, 2), [(0, (16384, 0, 0)), (0, (1, 0, 8192))])
+
+
+def _popped_first_above_the_cap(R, rank, shifts, leads):
+    """The degree of the first pair, in (degree + shift, i, j) order, that
+    the product criterion keeps and whose lcm is above the cap, or None."""
+    pairs = sorted(
+        (R.mono_degree(mono_lcm(a, b)) + shifts[c], i, j, R.mono_degree(mono_lcm(a, b)))
+        for j, (c, b) in enumerate(leads) for i, (d, a) in enumerate(leads[:j])
+        if c == d and not (rank == 1 and mono_coprime(a, b)))
+    return next((deg for _key, _i, _j, deg in pairs if deg > MAX_PACKED_DEGREE), None)
+
+
+@FIELDS
+@given(case=leads_over_weights, rank=st.integers(1, 2), shift=st.integers(0, 3))
+@example(case=TWICE_THE_CAP, rank=1, shift=0)
+@example(case=ONE_ABOVE_THE_CAP, rank=1, shift=1)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_builder_pairs_agree_with_mono_lcm_and_mono_coprime(characteristic, case, rank, shift):
+    """A GroebnerBuilder's pairs read degrees off the packed lead bits: each
+    heap entry is deg(lcm) + shift, lcms up to twice the cap, a rank-1 pair
+    is skipped exactly when its leads are coprime, and complete() raises
+    exactly when a pair the product criterion keeps has its lcm above the
+    cap, naming the first such degree."""
+    weights, leads = case
+    R = packed_ring(characteristic, weights)
+    leads = [(c % rank, m) for c, m in leads]
+    shifts = [shift + 2 * c for c in range(rank)]
+    builder = groebner.GroebnerBuilder(R, rank, shifts)
+    for c, m in leads:
+        builder.add({(c, m): 1})
+    assert sorted(builder.queue) == sorted(
+        (R.mono_degree(mono_lcm(a, b)) + shifts[c], i, j)
+        for j, (c, b) in enumerate(leads) for i, (d, a) in enumerate(leads[:j]) if c == d)
+    first = _popped_first_above_the_cap(R, rank, shifts, leads)
+    if first is None:
+        builder.complete()
+    else:
+        with pytest.raises(AlgebraError, match=f"degree {first} is above {MAX_PACKED_DEGREE}$"):
+            builder.complete()
+    # each pair alone: one normal form unless skipped as coprime or refused
+    for j, (c, b) in enumerate(leads):
+        for d, a in leads[:j]:
+            if c != d:
+                continue
+            pair = groebner.GroebnerBuilder(R, rank, shifts)
+            pair.add({(c, a): 1})
+            pair.add({(c, b): 1})
+            skipped = rank == 1 and mono_coprime(a, b)
+            above = R.mono_degree(mono_lcm(a, b)) > MAX_PACKED_DEGREE
+            with mock.patch.object(groebner, "normal_form_vec",
+                                   wraps=groebner.normal_form_vec) as nf:
+                if above and not skipped:
+                    with pytest.raises(AlgebraError, match="above"):
+                        pair.complete()
+                else:
+                    pair.complete()
+            assert nf.call_count == (not skipped and not above)
+
+
 @FIELDS
 @given(comp=components, other=components, a=monomials, b=small_monomials,
        c=small_monomials, weights=weight_triples)
@@ -346,5 +423,8 @@ def test_packed_product_and_quotient_agree_with_mono_mul_and_mono_div(
 def test_packing_a_degree_above_the_cap_raises():
     R = make_ring(0, ("x", "y"), (1, 2))
     assert R._unpack(R._pack(2, (MAX_PACKED_DEGREE - 2, 1))) == (2, (MAX_PACKED_DEGREE - 2, 1))
+    # degree 32767, the y field holding 2 * 16383 = 32766
+    t = R._pack(1, (1, 16383))
+    assert (t >> 16) & 0xFFFF == 32766 and R._unpack(t) == (1, (1, 16383))
     with pytest.raises(AlgebraError, match="degree"):
         R._pack(0, (MAX_PACKED_DEGREE - 1, 1))
