@@ -38,7 +38,6 @@ from .ring import (
     INFINITE,
     MAX_PACKED_DEGREE,
     PolynomialRing,
-    mono_divides,
 )
 
 # A term symbol is (component, monomial); a vector maps terms to coeffs.
@@ -114,18 +113,17 @@ class GroebnerBasis:
     """Reduced Groebner basis of a submodule of S^rank.
 
     packed holds its (packed lead term, monic packed vector) pairs, leads
-    decreasing; leads[i] is the lead term of vectors[i], and vectors are the
-    frozen vectors, unpacked on first use.  The basis refers to its ring
-    weakly: the ring's memo holds the basis, so a strong reference back would
-    be a cycle that only the cyclic garbage collector frees."""
+    decreasing, and vectors the frozen vectors, unpacked on first use.  The
+    basis refers to its ring weakly: the ring's memo holds the basis, so a
+    strong reference back would be a cycle that only the cyclic garbage
+    collector frees."""
 
-    __slots__ = ("_ring", "rank", "packed", "leads", "_vectors")
+    __slots__ = ("_ring", "rank", "packed", "_vectors")
 
     def __init__(self, ring: PolynomialRing, rank: int, packed: tuple):
         self._ring = weakref.ref(ring)
         self.rank = rank
         self.packed = packed
-        self.leads = tuple(ring._unpack(lead) for lead, _g in packed)
         self._vectors = None
 
     @property
@@ -384,45 +382,32 @@ class NakayamaSelection:
         off the builder completed up to upto.  Pair degrees are true degrees
         and a pair of degree d yields a vector of degree d, so the pairs of
         degree <= upto alone build the basis in those degrees, and a lead
-        above upto divides no lead below it."""
+        above upto divides no lead below it.  A lead's degree is read off
+        its packed degree field."""
         self._builder.complete(upto)
         basis = self._builder.reduced(self.rank, self.kept)
         if upto is None:
             return basis
-        degree, degrees = self.ring.mono_degree, self.degrees
-        return GroebnerBasis(self.ring, basis.rank, tuple(
-            pair for pair, (comp, mono) in zip(basis.packed, basis.leads)
-            if degree(mono) + degrees[comp] <= upto))
+        ring, degrees, mask = self.ring, self.degrees, (1 << _FIELD_BITS) - 1
+        return GroebnerBasis(ring, basis.rank, tuple(
+            (lead, g) for lead, g in basis.packed
+            if MAX_PACKED_DEGREE - (lead >> ring._deg_shift & mask)
+            + degrees[lead >> ring._comp_shift] <= upto))
 
 
 # ---------------------------------------------------------------------------
 # Hilbert series and lengths
 
 
-def _minimal_monomial_gens(monos: Sequence[tuple]) -> List[tuple]:
-    uniq = sorted(set(monos))
-    out = []
-    for m in uniq:
-        if not any(mono_divides(g, m) for g in uniq if g != m):
-            out.append(m)
-    return out
-
-
-def lead_module(G: GroebnerBasis) -> Dict[int, List[tuple]]:
-    """Minimal monomial generators of the lead-term module, per component:
-    the sorted leads, since no lead of a reduced basis divides another."""
-    by_comp: Dict[int, List[tuple]] = {c: [] for c in range(G.rank)}
-    for comp, mono in G.leads:
-        by_comp[comp].append(mono)
-    return {c: sorted(ms) for c, ms in by_comp.items()}
-
-
 def finite_colength(G: GroebnerBasis) -> bool:
     """Whether S^rank / (lead module) has finite length, with no Hilbert
-    series: every component's leads hold a pure power of every variable."""
-    pure = {(comp, i) for comp, mono in G.leads for i in range(len(mono))
-            if not any(mono[:i] + mono[i + 1:])}
-    return len(pure) == G.rank * G.ring.nvars
+    series: every component's leads hold a pure power of every variable, a
+    lead whose exponent bits lie in that variable's field alone."""
+    ring = G.ring
+    others = [ring._exp_bits ^ (((1 << _FIELD_BITS) - 1) << s) for s in ring._exp_shifts]
+    pure = {(lead >> ring._comp_shift, i) for lead, _g in G.packed
+            for i, other in enumerate(others) if not lead & other}
+    return len(pure) == G.rank * ring.nvars
 
 
 # numerator polynomials in t are dicts degree -> int
@@ -441,15 +426,17 @@ def _tpoly_axpy(acc: dict, coeff: int, shift: int, a: dict) -> dict:
     return acc
 
 
-def _ideal_numerator(gens: tuple, weights: tuple, memo: dict) -> dict:
-    """Hilbert numerator of S/(monomial ideal) over the weighted denominator:
+def _ideal_numerator(gens: tuple, guards: int, memo: dict) -> dict:
+    """Hilbert numerator of S/(monomial ideal) over the weighted denominator,
+    for the ideal's minimal generators as exponent bits, ascending:
     HN(g_1..g_m) = 1 - sum_k t^(deg g_k) HN((g_1..g_{k-1}) : g_k), so the
     recursion follows the nesting of colon ideals, not the generator count.
-    The memo holds every prefix read, and the sum starts after the longest."""
+    deg g is g % _DEGREE_MODULUS, and a divisor is no larger, so one
+    ascending pass minimalizes a colon ideal's generators.  The memo holds
+    every prefix read, and the sum starts after the longest."""
     if not gens:
         return {0: 1}
-    zero = (0,) * len(weights)
-    if zero in gens:
+    if not gens[0]:
         return {}
     cached = memo.get(gens)
     if cached is not None:
@@ -460,25 +447,36 @@ def _ideal_numerator(gens: tuple, weights: tuple, memo: dict) -> dict:
     result = memo[gens[:start]] if start else {0: 1}
     for k in range(start, len(gens)):
         g = gens[k]
-        deg = sum(w * e for w, e in zip(weights, g))
-        colon = tuple(_minimal_monomial_gens(
-            [tuple([max(a - b, 0) for a, b in zip(h, g)]) for h in gens[:k]]))
-        result = _tpoly_axpy(dict(result), -1, deg, _ideal_numerator(colon, weights, memo))
+        quotients = set()
+        for h in gens[:k]:
+            # h : g is h - min(h, g), the min taken as GroebnerBuilder._insert
+            # takes an lcm: the guard of each field where h >= g, spread
+            ge = ((h | guards) - g) & guards
+            m = ge - (ge >> (_FIELD_BITS - 1))
+            quotients.add((h & m) - (g & m))
+        colon: List[int] = []
+        for q in sorted(quotients):
+            if all((q - p) & guards for p in colon):
+                colon.append(q)
+        result = _tpoly_axpy(dict(result), -1, g % _DEGREE_MODULUS,
+                             _ideal_numerator(tuple(colon), guards, memo))
         memo[gens[:k + 1]] = result
     return result
 
 
 def hilbert_numerator(G: GroebnerBasis, shifts: Optional[Sequence[int]] = None) -> dict:
     """Hilbert series numerator of S^rank/(lead module); denominator is
-    prod_i (1 - t^(w_i)).  Optional generator degree shifts."""
-    weights = G.ring.weights
-    memo: dict = {}
-    total: dict = {}
-    comps = lead_module(G)
-    for comp in range(G.rank):
-        gens = tuple(comps.get(comp, []))
+    prod_i (1 - t^(w_i)).  Optional generator degree shifts.  A component's
+    leads, as exponent bits, are the minimal generators of its lead ideal:
+    no lead of a reduced basis divides another."""
+    ring = G.ring
+    by_comp: Dict[int, List[int]] = {comp: [] for comp in range(G.rank)}
+    for lead, _g in G.packed:
+        by_comp[lead >> ring._comp_shift].append(lead & ring._exp_bits)
+    memo, total = {}, {}
+    for comp, gens in by_comp.items():
         _tpoly_axpy(total, 1, shifts[comp] if shifts else 0,
-                    _ideal_numerator(gens, weights, memo))
+                    _ideal_numerator(tuple(sorted(gens)), ring._exp_guards, memo))
     return total
 
 

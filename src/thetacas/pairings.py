@@ -26,7 +26,7 @@ from .errors import (
     NotFinitePd,
     NotStabilized,
 )
-from .groebner import _series_at_one, _tpoly_axpy, series_length, series_value
+from .groebner import _series_at_one, _tpoly_axpy, finite_colength, series_length, series_value
 from .homology import (
     MatrixRows,
     ModulePresentation,
@@ -180,7 +180,11 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     coker d_{s+2} = ker d_s.  So HS(C_{s+2}) = t^(deg f) HS(C_s), and with
     P_i = sum_j t^(deg F_i,j), HS(Tor_s) - HS(Tor_{s+1}) is
     (1 - t^(deg f)) HS(C_s) - HS(N) (P_{s-1} - P_s): one cokernel basis.
-    The value is remembered on M, keyed by N's rows and generator degrees."""
+    The value is remembered on M, keyed by N's rows and generator degrees.
+
+    theta is 0 when N or M has finite length, as its presentation basis's
+    leads tell: theta is additive, and Tor_i(M, k) = k^(b_i(M)) with b_i(M)
+    eventually constant on a hypersurface (Hochster 1981)."""
     if M.ring is not N.ring:
         raise ValueError("modules must share a ring")
     if not isinstance(M.ring, HypersurfaceRing):
@@ -191,6 +195,9 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     key = (N.rows, N.gen_degrees)
     if key in M._thetas:
         return M._thetas[key]
+    if finite_colength(N.presentation_gb()) or finite_colength(M.presentation_gb()):
+        M._thetas[key] = 0
+        return 0
     s = extract_matrix_factorization(minimal_resolution(M, 1)).source_index
     res = minimal_resolution(M, s + 1)
     deg_f = M.ring.f.weighted_degree()

@@ -167,11 +167,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.add, a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """Whether a divides b."""
-    return all(map(operator.le, a, b))
-
-
 class PolynomialRing:
     """Ambient weighted-graded polynomial ring k[x_1..x_n]."""
 

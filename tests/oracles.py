@@ -1,6 +1,7 @@
 """Independent routes, kept as test oracles, and builders only tests use:
 vectors from polynomials, free modules and direct sums of presentations;
-the monomial lcm and coprimality the packed pair layer is checked against;
+the monomial divisibility, lcm and coprimality the packed pair layer is
+checked against, and a basis's leads unpacked;
 the unpacked vector arithmetic (vec_axpy) and reduction modulo f that the
 packed kernel is checked against, and conversions between packed columns,
 unpacked columns and rows of Polynomials; matrix products
@@ -23,7 +24,9 @@ factorization's beta, and the normal form against a reduced basis it reads;
 the dimension and multiplicity read off a basis's unshifted Hilbert
 numerator, the reference for the module's remembered series; the order and
 value of a numerator at t = 1 by repeated exact division by (1 - t), the
-reference for the Taylor reading; and Knörrer's lift of a matrix
+reference for the Taylor reading; theta read off the cokernel C_s with no
+finite-length shortcut, the witness that theta vanishes when either module
+has finite length; and Knörrer's lift of a matrix
 factorization to two more variables, a cross-dimension reference for theta,
 which can be applied again to the lifted ring."""
 
@@ -45,19 +48,22 @@ from thetacas.groebner import (
     Vector,
     _completed,
     _series_at_one,
+    _tpoly_axpy,
     freeze_vec,
     groebner_basis,
     hilbert_numerator,
-    lead_module,
     normal_form_vec,
+    series_value,
 )
 from thetacas.homology import (
     ModulePresentation,
+    _cokernel_series,
     _kept_syzygies,
     _tensor_map_columns,
     _vector_degree,
     columns_as_vectors,
     f_times_unit_vectors,
+    module_series,
     reduce_mod_f,
     reduce_packed_mod_f,
 )
@@ -66,7 +72,6 @@ from thetacas.ring import (
     Polynomial,
     ambient_of,
     modulus_of,
-    mono_divides,
     mono_mul,
     ring_dimension,
 )
@@ -75,6 +80,12 @@ from thetacas.ring import (
 def mono_div(b, a):
     """b / a, assuming divisibility."""
     return tuple(map(operator.sub, b, a))
+
+
+def mono_divides(a, b):
+    """Whether a divides b: the reference for the guard-bit divisibility of
+    packed terms."""
+    return all(map(operator.le, a, b))
 
 
 def mono_lcm(a, b):
@@ -400,6 +411,53 @@ def mat_mul(a, b, S):
     return tuple(out)
 
 
+def basis_leads(G):
+    """The (component, exponent tuple) leads of a basis, unpacked."""
+    return tuple(G.ring._unpack(lead) for lead, _g in G.packed)
+
+
+def lead_module(G):
+    """Minimal monomial generators of the lead-term module, per component:
+    the sorted leads, since no lead of a reduced basis divides another."""
+    by_comp = {c: [] for c in range(G.rank)}
+    for comp, mono in basis_leads(G):
+        by_comp[comp].append(mono)
+    return {c: sorted(ms) for c, ms in by_comp.items()}
+
+
+def minimal_monomial_gens(monos):
+    """The monomials no other one of them divides, sorted."""
+    uniq = sorted(set(monos))
+    return [m for m in uniq if not any(mono_divides(g, m) for g in uniq if g != m)]
+
+
+def tuple_ideal_numerator(gens, weights, memo):
+    """Hilbert numerator of S/(monomial ideal) by the colon recursion
+    HN(g_1..g_m) = HN(g_1..g_(m-1)) - t^(deg g_m) HN((g_1..g_(m-1)) : g_m)
+    on exponent tuples: the reference for the packed recursion."""
+    if not gens:
+        return {0: 1}
+    if (0,) * len(weights) in gens:
+        return {}
+    if gens not in memo:
+        g = gens[-1]
+        colon = tuple(minimal_monomial_gens(
+            [tuple(max(a - b, 0) for a, b in zip(h, g)) for h in gens[:-1]]))
+        memo[gens] = _tpoly_axpy(dict(tuple_ideal_numerator(gens[:-1], weights, memo)), -1,
+                                 sum(w * e for w, e in zip(weights, g)),
+                                 tuple_ideal_numerator(colon, weights, memo))
+    return memo[gens]
+
+
+def tuple_hilbert_numerator(G, shifts=None):
+    """Hilbert numerator of S^rank/(lead module) off unpacked leads."""
+    weights, memo, total = G.ring.weights, {}, {}
+    for comp, gens in lead_module(G).items():
+        _tpoly_axpy(total, 1, shifts[comp] if shifts else 0,
+                    tuple_ideal_numerator(tuple(gens), weights, memo))
+    return total
+
+
 def _standard_symbols(G):
     """The standard monomial symbols (component, monomial) outside the lead
     module, or INFINITE."""
@@ -504,6 +562,22 @@ def multiplicity(G):
     if order is None or order == G.ring.nvars:
         raise ValueError("multiplicity needs a module of positive dimension")
     return e
+
+
+def theta_by_cokernel(M, N):
+    """theta(M, N) read off the cokernel C_s of M's matrix factorization
+    tensored with N, as pairings.theta reads it, but with no finite-length
+    shortcut and nothing remembered."""
+    s = extract_matrix_factorization(minimal_resolution(M, 1)).source_index
+    res = minimal_resolution(M, s + 1)
+    deg_f = M.ring.f.weighted_degree()
+    below, middle = res.gen_degrees(s - 1), res.gen_degrees(s)
+    c_s = _cokernel_series(res.differential_columns(s), below, N)
+    num = _tpoly_axpy(dict(c_s), -1, deg_f, c_s)
+    for degs, coeff in ((below, -1), (middle, 1)):
+        for deg in degs:
+            _tpoly_axpy(num, coeff, deg, module_series(N))
+    return (-1) ** s * series_value(num, ambient_of(M.ring).weights)
 
 
 def tagged_syzygies(ring, vectors, rank):

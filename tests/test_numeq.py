@@ -105,7 +105,7 @@ def test_gram_calls_theta_once_per_unordered_pair(monkeypatch):
     (ROOT / "sessions" / "node.json", 3, 4),
     (ROOT / "sessions" / "a1_surface.json", 7, 9),
     (ROOT / "sessions" / "quadric.json", 3, 4),
-    (ROOT / "tests" / "data" / "sessions" / "cubic_threefold.json", 6, 9),
+    (ROOT / "tests" / "data" / "sessions" / "cubic_threefold.json", 3, 4),
 ])
 def test_thetas_computed_per_session(monkeypatch, path, plain, audited):
     """Thetas computed over one run of the session, counted as the cokernel

@@ -58,6 +58,7 @@ from oracles import (
     shifted,
     subquotient_local_length,
     syzygy_of,
+    theta_by_cokernel,
 )
 from conftest import hypersurface
 
@@ -383,6 +384,82 @@ def test_theta_matches_the_tor_window(variables, f, characteristic, weights, gen
         for N in mods[i:]:
             assert theta(M, N) == window_theta(M, N)
             assert theta(N, M) == window_theta(N, M)
+
+
+# ---------------------------------------------------------------------------
+# theta vanishes when either module has finite length
+
+
+def _vanishes_on_finite_length_sides(mods):
+    """theta, and the cokernel route with no shortcut, give 0 on every
+    ordered pair of mods with a side of finite length, and theta resolves
+    neither side to find it; returns the number of such pairs."""
+    finite = [length(M) is not INFINITE for M in mods]
+    pairs = 0
+    for (M, a), (N, b) in itertools.product(zip(mods, finite), repeat=2):
+        if a or b:
+            M, N = fresh(M), fresh(N)
+            assert theta(M, N) == 0
+            assert M._res_diffs == N._res_diffs == []
+            assert theta_by_cokernel(M, N) == 0
+            pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["node", "a1_surface", "quadric", "cubic_threefold"])
+def test_theta_vanishes_on_the_sessions_finite_length_modules(name):
+    """On the session's modules and the residue field k, which the quadric
+    session lacks."""
+    env, errors = build_environment(json.loads(WITNESS_SESSIONS[name].read_text()))
+    assert not errors
+    mods = {(M.rows, M.gen_degrees): M for M in env.modules.values()}
+    k = present_cyclic(env.ring, list(env.ring.ambient.variables))
+    mods.setdefault((k.rows, k.gen_degrees), k)
+    assert _vanishes_on_finite_length_sides(list(mods.values()))
+
+
+@pytest.mark.parametrize("variables, f, characteristic, weights, generators", [
+    (["x", "y", "z"], "x^2 + y^3 + z^5", 0, [15, 10, 6],
+     [["x", "y", "z"], ["x", "y", "z^2"], ["y"], ["x"]]),
+    (["x", "y", "u", "v"], "x*y - u*v", 5, None,
+     [["x", "y", "u", "v"], ["x", "y", "u^2", "v^2"], ["x", "u"], ["x", "v"]]),
+], ids=["e8_surface", "quadric_f5"])
+def test_theta_vanishes_on_finite_length_modules(variables, f, characteristic, weights,
+                                                 generators):
+    A = hypersurface(variables, f, characteristic, weights)
+    mods = [present_cyclic(A, g) for g in generators] + [free_module(A)]
+    assert _vanishes_on_finite_length_sides(mods) == 5 * 5 - 3 * 3
+
+
+@st.composite
+def finite_length_quotients(draw):
+    """A/(m^j + random forms) on the A1 surface xy - z^2 over Q or F_32003,
+    with a module of infinite length."""
+    A = hypersurface(["x", "y", "z"], "x*y - z^2", draw(st.sampled_from([0, 32003])))
+    S = A.ambient
+
+    def monomials(d):
+        return [m for m in itertools.product(range(d + 1), repeat=3) if sum(m) == d]
+
+    j = draw(st.integers(1, 3))
+    gens = [S.from_dict({m: 1}) for m in monomials(j)]
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(1, j))
+        gens.append(S.from_dict({m: draw(st.integers(-3, 3)) for m in monomials(d)}))
+    other = draw(st.sampled_from([["x", "z"], ["x"], ["z"], []]))
+    return present_cyclic(A, gens), present_cyclic(A, other)
+
+
+@given(finite_length_quotients())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_theta_vanishes_on_random_finite_length_quotients(pair):
+    """theta(M, N) and theta(N, M) are 0 for M of finite length, by the
+    cokernel route too, and theta resolves neither side to find it."""
+    M, N = pair
+    assert length(M) is not INFINITE
+    assert theta(M, N) == theta(N, M) == 0
+    assert M._res_diffs == [] and N._res_diffs == []
+    assert theta_by_cokernel(fresh(M), fresh(N)) == theta_by_cokernel(fresh(N), fresh(M)) == 0
 
 
 def test_syzygy_dual_probe_identity(node, quadric, node_modules, quadric_modules):

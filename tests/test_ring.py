@@ -23,10 +23,9 @@ from thetacas.ring import (
     MAX_PACKED_DEGREE,
     PRIMALITY_BOUND,
     _is_prime,
-    mono_divides,
     mono_mul,
 )
-from oracles import mono_coprime, mono_div, mono_lcm
+from oracles import mono_coprime, mono_div, mono_divides, mono_lcm
 
 
 def make_ring(characteristic=0, variables=("x", "y"), weights=None):
