@@ -1,10 +1,9 @@
 """Groebner bases for submodules of free modules over the ambient ring.
 
-Vectors in S^s are sparse dicts mapping (component, exponent tuple) to a
-nonzero field element.  The module order is position-over-term (lower
-component index wins), refined by weighted grevlex on monomials.  Inside
-Buchberger's loop and every normal form a vector maps packed terms, one int
-each (PolynomialRing._pack), to coefficients: the smallest int is the lead
+A vector in S^s maps packed terms, one int each (PolynomialRing._pack), to
+nonzero field elements; every function here takes and returns vectors so.
+The module order is position-over-term (lower component index wins),
+refined by weighted grevlex on monomials: the smallest int is the lead
 term, a product is a sum, and a divisibility test is a subtraction and a
 mask.  The field adds the products of a reduction step inline
 (FieldSpec.axpy), the one packed vector arithmetic.  A term's exponent
@@ -13,9 +12,7 @@ and its degree the lcm bits modulo 0xFFFF.  S-pairs and Nakayama candidates
 are reduced only until their lead is irreducible, which decides the same
 membership; only a reduced basis's interreduction and the normal forms
 modulo f reduce tails (a reduced basis is unique for the order: Cox, Little
-and O'Shea, Ideals, Varieties, and Algorithms, 2.7).  groebner_basis packs
-its generators and known bases, and a basis unpacks its vectors on first
-read; a resolution step's candidates, relations and syzygies stay packed.
+and O'Shea, Ideals, Varieties, and Algorithms, 2.7).
 Syzygies come from an augmented basis in S^(s+k), the main block dominating
 the tag block, of tagged generators (g_i, eps_i) and optional untagged
 relations (r, 0); only its tag-lead part is read.  A NakayamaSelection
@@ -40,12 +37,11 @@ from .ring import (
     PolynomialRing,
 )
 
-# A term symbol is (component, monomial); a vector maps terms to coeffs.
-Term = Tuple[int, tuple]
-Vector = Dict[Term, object]
-# A packed vector maps packed terms to coeffs; a reducer is (packed lead term,
-# monic packed vector), and reducers are grouped by the component of their
-# lead, each group in the order its reducers were added.
+# An unpacked vector maps (component, monomial) to coeffs, as only
+# GroebnerBasis.vectors reads it.  A reducer is (packed lead term, monic
+# packed vector), and reducers are grouped by the component of their lead,
+# each group in the order its reducers were added.
+Vector = Dict[Tuple[int, tuple], object]
 Reducers = Dict[int, List[Tuple[int, dict]]]
 
 
@@ -113,10 +109,11 @@ class GroebnerBasis:
     """Reduced Groebner basis of a submodule of S^rank.
 
     packed holds its (packed lead term, monic packed vector) pairs, leads
-    decreasing, and vectors the frozen vectors, unpacked on first use.  The
-    basis refers to its ring weakly: the ring's memo holds the basis, so a
-    strong reference back would be a cycle that only the cyclic garbage
-    collector frees."""
+    decreasing, and vectors the frozen vectors, unpacked on first use.  It
+    hashes by its rank and leads, as it enters the memo keys of the bases
+    seeded with it.  The basis refers to its ring weakly: the ring's memo
+    holds the basis, so a strong reference back would be a cycle that only
+    the cyclic garbage collector frees."""
 
     __slots__ = ("_ring", "rank", "packed", "_vectors")
 
@@ -140,6 +137,9 @@ class GroebnerBasis:
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis) and self._ring == other._ring
                 and self.rank == other.rank and self.packed == other.packed)
+
+    def __hash__(self):
+        return hash((self.rank, tuple(lead for lead, _g in self.packed)))
 
 
 class GroebnerBuilder:
@@ -171,15 +171,13 @@ class GroebnerBuilder:
         self.pending: Dict[Tuple[int, int], int] = {}
         self.queue: List[Tuple[int, int, int]] = []
 
-    def add(self, v: Vector, known: Optional[int] = None) -> None:
-        """Add v, forming its S-pairs with the vectors added before it.
+    def add(self, v: dict, known: Optional[int] = None) -> None:
+        """Add the packed vector v, forming its S-pairs with the vectors
+        added before it.
 
         known=start marks v as a member of a Groebner basis whose vectors are
         added from index start on: v then forms no pair with them, since
         those pairs have standard representations and reduce to zero."""
-        self._insert(self.ring._pack_vector(v), known)
-
-    def _insert(self, v: dict, known: Optional[int] = None) -> None:
         ring, bits, pending, queue = self.ring, self.bits, self.pending, self.queue
         guards = ring._exp_guards
         lead = min(v)
@@ -240,7 +238,7 @@ class GroebnerBuilder:
             field.axpy(s, field.neg(field.one), L - codes[j], G[j])
             r = normal_form_vec(s, self.reducers, ring, tail=False)
             if r:
-                self._insert(r)
+                self.add(r)
 
     def reduced(self, lo: int = 0, tags: Optional[Sequence[int]] = None) -> GroebnerBasis:
         """The reduced basis of what was added; complete() it first.
@@ -288,44 +286,30 @@ class GroebnerBuilder:
 
 
 def groebner_basis(
-    generators: Sequence[Vector],
+    generators: Sequence[dict],
     ring: PolynomialRing,
     rank: int,
-    known: Sequence[Tuple[int, tuple]] = (),
+    known: Sequence[Tuple[int, GroebnerBasis]] = (),
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the generators and the known bases,
+    """Reduced Groebner basis of the packed generators and the known bases,
     memoised on the ring by (rank, generators, known bases).
 
-    Each known entry is (offset, vectors): the frozen vectors of a Groebner
-    basis (GroebnerBasis.vectors), moved up by offset components.  They are
-    added first, with no S-pairs inside one entry; each distinct basis is
-    packed once."""
-    key = (rank, tuple(freeze_vec(g) for g in generators), tuple(known))
+    Each known entry is (offset, basis): a Groebner basis moved up by offset
+    components.  Its vectors are added first, with no S-pairs among them."""
+    key = (rank, tuple(tuple(sorted(g.items())) for g in generators), tuple(known))
     cached = ring._groebner_memo.get(key)
     if cached is None:
-        cached = ring._groebner_memo[key] = _completed(generators, ring, rank, known).reduced()
+        builder = GroebnerBuilder(ring, rank)
+        for offset, basis in known:
+            start, shift = len(builder.codes), offset << ring._comp_shift
+            for _lead, g in basis.packed:
+                builder.add({t + shift: c for t, c in g.items()} if shift else g, known=start)
+        for g in generators:
+            if g:
+                builder.add(g)
+        builder.complete()
+        cached = ring._groebner_memo[key] = builder.reduced()
     return cached
-
-
-def _completed(
-    generators: Sequence[Vector], ring: PolynomialRing, rank: int,
-    known: Sequence[Tuple[int, tuple]] = (),
-) -> GroebnerBuilder:
-    """A builder holding the known bases and the generators, completed."""
-    builder = GroebnerBuilder(ring, rank)
-    packed: Dict[tuple, list] = {}
-    for offset, vectors in known:
-        if vectors not in packed:
-            packed[vectors] = [ring._pack_vector(dict(v)) for v in vectors]
-        start = len(builder.codes)
-        shift = offset << ring._comp_shift
-        for g in packed[vectors]:
-            builder._insert({t + shift: c for t, c in g.items()} if shift else g, known=start)
-    for g in generators:
-        if g:
-            builder.add(g)
-    builder.complete()
-    return builder
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +342,7 @@ class NakayamaSelection:
         builder = self._builder = GroebnerBuilder(
             ring, rank + len(candidates), list(target_degs) + [d for _v, d in candidates])
         for r in relations:
-            builder._insert(r)
+            builder.add(r)
         comp_shift, one = ring._comp_shift, ring.field.one
         bound = rank << comp_shift
         tag = ring._pack(rank, ring._one_mono)  # eps_0; eps_n is n components on
@@ -369,7 +353,7 @@ class NakayamaSelection:
             r = normal_form_vec(v, builder.reducers, ring, tail=False)
             if r and min(r) < bound:
                 r[tag + (n << comp_shift)] = one
-                builder._insert(r)
+                builder.add(r)
                 kept.append(n)
         self.kept = sorted(kept)
         self.generators = [candidates[n][0] for n in self.kept]
@@ -449,7 +433,7 @@ def _ideal_numerator(gens: tuple, guards: int, memo: dict) -> dict:
         g = gens[k]
         quotients = set()
         for h in gens[:k]:
-            # h : g is h - min(h, g), the min taken as GroebnerBuilder._insert
+            # h : g is h - min(h, g), the min taken as GroebnerBuilder.add
             # takes an lcm: the guard of each field where h >= g, spread
             ge = ((h | guards) - g) & guards
             m = ge - (ge >> (_FIELD_BITS - 1))

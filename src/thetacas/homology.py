@@ -7,8 +7,9 @@ resolution step reads off the builder its selection left open.
 Everything is computed over the ambient polynomial ring S; a kernel over
 R = S/(f) is the module of syzygies over S of the generators modulo the
 untagged relations f * e_j.  Matrix entries over R are stored as their
-canonical normal forms modulo f.  Differentials and matrix factorizations
-stay packed (PolynomialRing._pack); theta, Tor and chi read them unpacked.
+canonical normal forms modulo f.  Columns, differentials, matrix
+factorizations and cokernel generators are packed vectors (groebner), from
+the presentation to theta, Tor and chi; only Polynomials are unpacked.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import AlgebraError, InfiniteLength, InhomogeneousError, NotStabili
 from .groebner import (
     GroebnerBasis,
     NakayamaSelection,
-    Vector,
     _series_at_one,
     _tpoly_axpy,
     finite_colength,
@@ -68,25 +68,11 @@ def reduce_packed_mod_f(v: dict, ring: RingLike) -> dict:
     return normal_form_vec(v, ring._f_reducers({t >> S._comp_shift for t in v}), S)
 
 
-def columns_as_vectors(rows: MatrixRows) -> List[Vector]:
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    cols = []
-    for c in range(ncols):
-        v: Vector = {}
-        for r, row in enumerate(rows):
-            for m, coeff in row[c].coeffs.items():
-                v[(r, m)] = coeff
-        cols.append(v)
-    return cols
-
-
-def f_times_unit_vectors(ring: RingLike, rank: int) -> List[Vector]:
-    f = modulus_of(ring)
-    if f is None:
-        return []
-    return [{(j, m): c for m, c in f.coeffs.items()} for j in range(rank)]
+def columns_as_vectors(rows: MatrixRows, S: PolynomialRing) -> List[dict]:
+    """The packed columns of the matrix with the given rows of Polynomials."""
+    return [S._pack_vector({(r, m): c for r, row in enumerate(rows)
+                            for m, c in row[k].coeffs.items()})
+            for k in range(len(rows[0]) if rows else 0)]
 
 
 def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
@@ -105,10 +91,11 @@ def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
     return [g for lead, g in basis.packed if lead & term_bits != f_lead]
 
 
-def lifted_basis(ring: RingLike, vectors: Sequence[Vector], rank: int) -> GroebnerBasis:
-    """Groebner basis of the S-submodule generated by the vectors plus f*e_j."""
-    S = ambient_of(ring)
-    return groebner_basis(list(vectors) + f_times_unit_vectors(ring, rank), S, rank)
+def lifted_basis(ring: RingLike, vectors: Sequence[dict], rank: int) -> GroebnerBasis:
+    """Groebner basis of the S-submodule generated by the packed vectors plus
+    the monic f * e_j."""
+    relations = [] if modulus_of(ring) is None else [ring._f_relation(j) for j in range(rank)]
+    return groebner_basis(list(vectors) + relations, ambient_of(ring), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +211,11 @@ class ModulePresentation:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def columns(self) -> List[Vector]:
-        return columns_as_vectors(self.rows)
-
     def presentation_gb(self) -> GroebnerBasis:
         """GB of the lifted column submodule of S^s (adds f * e_j)."""
         if self._gb is None:
-            self._gb = lifted_basis(self.ring, self.columns(), self.nrows)
+            columns = columns_as_vectors(self.rows, ambient_of(self.ring))
+            self._gb = lifted_basis(self.ring, columns, self.nrows)
         return self._gb
 
     def is_zero(self) -> bool:
@@ -241,16 +226,16 @@ class ModulePresentation:
 
     # -- minimal resolution ------------------------------------------------
 
-    def _unit_pruned(self) -> Tuple[List[Vector], List[int]]:
-        """Relation columns and generator degrees left once every unit entry
-        has been used to eliminate its generator and its column."""
+    def _unit_pruned(self) -> Tuple[List[dict], List[int]]:
+        """Packed relation columns and generator degrees left once every unit
+        entry has been used to eliminate its generator and its column."""
         rows = [list(r) for r in self.rows]
         degs = list(self.gen_degrees)
         while True:
             unit = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row)
                          if p.coeffs and p.is_constant()), None)
             if unit is None:
-                return [v for v in columns_as_vectors(rows) if v], degs
+                return [v for v in columns_as_vectors(rows, ambient_of(self.ring)) if v], degs
             r, c = unit
             a_inv = self.ring.field.inv(rows[r][c].constant_coeff())
             # clear row r with column operations; row r and column c then go
@@ -308,8 +293,7 @@ class ModulePresentation:
                 bound = self._degree_bound(len(diffs) + 1)
                 vectors = _kept_syzygies(self.ring, self._open.syzygies(bound))
             else:
-                columns, target = self._unit_pruned()
-                vectors = [S._pack_vector(v) for v in columns]
+                vectors, target = self._unit_pruned()
             candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
             if diffs:
                 unpack = S._unpack
@@ -394,11 +378,6 @@ class Resolution:
         if not 1 <= i <= self.length:
             raise IndexError(f"differential index {i} out of range 1..{self.length}")
         return self.module._res_diffs[i - 1]
-
-    def differential_columns(self, i: int) -> List[Vector]:
-        """Columns of d_i (1-based), as vectors in R^(b_{i-1})."""
-        unpack = ambient_of(self.ring)._unpack_vector
-        return [unpack(v) for v in self.packed_columns(i)]
 
     def gen_degrees(self, i: int) -> List[int]:
         return list(self.module._res_degs[i])
@@ -536,38 +515,35 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
 # homology of tensored complexes, Tor
 
 
-def _tensor_map_columns(d_cols: List[Vector], s: int) -> List[Vector]:
-    """Columns of d (x) I_s, source coordinate (c, k) -> index c*s + k."""
-    out = []
-    for v in d_cols:
-        for k in range(s):
-            out.append({(comp * s + k, m): c for (comp, m), c in v.items()})
-    return out
+def _tensor_map_columns(d_cols: List[dict], s: int, S: PolynomialRing) -> List[dict]:
+    """Packed columns of d (x) I_s, source coordinate (c, k) -> index c*s + k:
+    a term of component c moves up by c * (s - 1) + k components."""
+    cs = S._comp_shift
+    return [{t + (((t >> cs) * (s - 1) + k) << cs): c for t, c in v.items()}
+            for v in d_cols for k in range(s)]
 
 
 def _cokernel_series(
-    d_cols: List[Vector], target_degs: Sequence[int], N: ModulePresentation
+    d_cols: List[dict], target_degs: Sequence[int], N: ModulePresentation
 ) -> dict:
     """Hilbert numerator of coker(d (x) N), a quotient of F (x) N, for the
-    map d into F with the given columns and generator degrees.  Each block
-    F_j (x) N is seeded with N's presentation basis (its relations and
+    map d into F with the given packed columns and generator degrees.  Each
+    block F_j (x) N is seeded with N's presentation basis (its relations and
     f*e_j), a known Groebner basis."""
-    s = N.nrows
-    gb_N = N.presentation_gb().vectors
-    known = [(block * s, gb_N) for block in range(len(target_degs))]
+    s, S = N.nrows, ambient_of(N.ring)
+    known = [(block * s, N.presentation_gb()) for block in range(len(target_degs))]
     shifts = [a + b for a in target_degs for b in N.gen_degrees]
-    G = groebner_basis(_tensor_map_columns(d_cols, s), ambient_of(N.ring), len(shifts),
-                       known=known)
+    G = groebner_basis(_tensor_map_columns(d_cols, s, S), S, len(shifts), known=known)
     return hilbert_numerator(G, shifts)
 
 
 def homology_series(
-    diff_cols: List[List[Vector]], degs: Sequence[Sequence[int]],
+    diff_cols: List[List[dict]], degs: Sequence[Sequence[int]],
     N: ModulePresentation, lo: int, hi: int,
 ) -> List[dict]:
     """Hilbert numerators of H_i(F (x) N) for lo <= i <= hi, within 0..L, for
-    the complex F with columns diff_cols[k] of d_{k+1} and generator degrees
-    degs[k] of F_k.
+    the complex F with packed columns diff_cols[k] of d_{k+1} and generator
+    degrees degs[k] of F_k.
 
     With C_j = coker(d_j (x) N), C_0 = 0 and C_{L+1} = F_L (x) N, the graded
     sequence 0 -> H_i -> C_{i+1} -> F_{i-1} (x) N -> C_i -> 0 is exact, so
@@ -603,7 +579,7 @@ def _tor_lengths(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int)
     """The lengths of Tor_i^A(M, N) for lo <= i <= hi, each off its own
     series, with every cokernel series read once; INFINITE lengths raise."""
     res = minimal_resolution(M, hi + 1)
-    diff_cols = [res.differential_columns(k) for k in range(1, hi + 2)]
+    diff_cols = [res.packed_columns(k) for k in range(1, hi + 2)]
     degs = [res.gen_degrees(k) for k in range(hi + 2)]
     weights = ambient_of(M.ring).weights
     out = []

@@ -109,8 +109,9 @@ class DivisorClass:
 class FreeComplex:
     """Bounded complex of free modules ... -> R^{r_1} -> R^{r_0} given by the
     matrices of d_1, ..., d_L; consecutive composites must vanish over R.
-    Entries are stored modulo f, and the generator degrees of F_0, ..., F_L
-    are inferred so that every differential is homogeneous."""
+    Entries are stored modulo f, diff_cols holds the packed columns of each
+    d_k, and the generator degrees of F_0, ..., F_L are inferred so that
+    every differential is homogeneous."""
 
     def __init__(self, ring: RingLike, matrices: Sequence[MatrixRows]):
         self.ring = ring
@@ -139,10 +140,9 @@ class FreeComplex:
         if not mats:
             raise ValueError("a complex needs at least one differential")
         self.length = len(mats)
-        diff_cols = [[S._pack_vector(v) for v in columns_as_vectors(m)] for m in mats]
+        cols = self.diff_cols = [columns_as_vectors(m, S) for m in mats]
         for k in range(self.length - 1):
-            if any(reduce_packed_mod_f(mat_vec(diff_cols[k], v, S), ring)
-                   for v in diff_cols[k + 1]):
+            if any(reduce_packed_mod_f(mat_vec(cols[k], v, S), ring) for v in cols[k + 1]):
                 raise ValueError(f"composite d_{k + 1} d_{k + 2} does not vanish")
         self.degrees = infer_degrees(ranks, mats)  # of F_0 .. F_L
 
@@ -205,7 +205,7 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     if sorted(above) != sorted(deg + deg_f for deg in below):
         raise NotStabilized(
             f"generator degrees of F_{s + 1} are not those of F_{s - 1} shifted by deg f")
-    c_s = _cokernel_series(res.differential_columns(s), below, N)
+    c_s = _cokernel_series(res.packed_columns(s), below, N)
     num = _tpoly_axpy(dict(c_s), -1, deg_f, c_s)
     series_N = module_series(N)
     for degs, coeff in ((below, -1), (middle, 1)):
@@ -239,13 +239,12 @@ def chi_complex(
     registry: Dict[str, ModulePresentation],
 ) -> int:
     """Alternating sum of homology lengths of F tensored with alpha."""
-    diff_cols = [columns_as_vectors(m) for m in F.matrices]
     weights = ambient_of(F.ring).weights
     total = 0
     for name, coeff in alpha.items():
         M = registry[name]
         acc = 0
-        for i, num in enumerate(homology_series(diff_cols, F.degrees, M, 0, F.length)):
+        for i, num in enumerate(homology_series(F.diff_cols, F.degrees, M, 0, F.length)):
             ell = series_length(num, weights)
             if ell is INFINITE:
                 raise InfiniteLength(
@@ -324,8 +323,8 @@ def _local_length(M: ModulePresentation, prime: List[Polynomial], e_p: int) -> i
     total = 0
     below: dict = {}  # HS(F/(p^0 F + Q)) = HS(0)
     for power in range(256):
-        products = [reduce_mod_f(p, ring) for p in _power_products(S, prime, power + 1)]
-        above = _cokernel_series(columns_as_vectors([products]), [0], M)
+        products = columns_as_vectors([_power_products(S, prime, power + 1)], S)
+        above = _cokernel_series([reduce_packed_mod_f(v, ring) for v in products], [0], M)
         order, e_piece = _series_at_one(_tpoly_axpy(dict(above), -1, 0, below))
         if order is None or S.nvars - order < d - 1:
             return total

@@ -187,10 +187,10 @@ class PolynomialRing:
         self.nvars = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._one_mono = (0,) * self.nvars
-        # Groebner bases over this ring, keyed by (rank, frozen generators,
-        # known bases), filled by groebner.groebner_basis; freed with the ring
-        # when the last reference to it goes (a basis refers to its ring
-        # weakly, so no reference cycle holds the memo).
+        # Groebner bases over this ring, keyed by (rank, sorted packed
+        # generators, known bases), filled by groebner.groebner_basis; freed
+        # with the ring when the last reference to it goes (a basis refers to
+        # its ring weakly, so no reference cycle holds the memo).
         self._groebner_memo = {}
         # packed terms, w_1 * m_1 in the lowest field; each term is packed and
         # unpacked once per ring, through the two caches below

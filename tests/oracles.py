@@ -1,5 +1,10 @@
-"""Independent routes, kept as test oracles, and builders only tests use:
-vectors from polynomials, free modules and direct sums of presentations;
+"""Independent routes, kept as test oracles, and builders only tests use.
+The kernel takes packed vectors only; the oracles keep the unpacked
+(component, exponent tuple) vectors as independent witnesses: a matrix's
+columns, the f * e_j, the columns of d (x) I_s and of a resolution's d_i,
+and basis_of_vectors, the one adapter that packs vectors for
+groebner_basis.  Also vectors from polynomials, free modules and direct
+sums of presentations;
 the monomial divisibility, lcm and coprimality the packed pair layer is
 checked against, and a basis's leads unpacked;
 the unpacked vector arithmetic (vec_axpy) and reduction modulo f that the
@@ -44,9 +49,9 @@ from thetacas import (
 )
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
+    GroebnerBuilder,
     NakayamaSelection,
     Vector,
-    _completed,
     _series_at_one,
     _tpoly_axpy,
     freeze_vec,
@@ -59,10 +64,7 @@ from thetacas.homology import (
     ModulePresentation,
     _cokernel_series,
     _kept_syzygies,
-    _tensor_map_columns,
     _vector_degree,
-    columns_as_vectors,
-    f_times_unit_vectors,
     module_series,
     reduce_mod_f,
     reduce_packed_mod_f,
@@ -114,6 +116,48 @@ def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
     return v
 
 
+def columns_as_vectors(rows):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    cols = []
+    for c in range(ncols):
+        v: Vector = {}
+        for r, row in enumerate(rows):
+            for m, coeff in row[c].coeffs.items():
+                v[(r, m)] = coeff
+        cols.append(v)
+    return cols
+
+
+def f_times_unit_vectors(ring, rank):
+    f = modulus_of(ring)
+    if f is None:
+        return []
+    return [{(j, m): c for m, c in f.coeffs.items()} for j in range(rank)]
+
+
+def tensor_map_columns(d_cols, s):
+    """Columns of d (x) I_s, source coordinate (c, k) -> index c*s + k."""
+    out = []
+    for v in d_cols:
+        for k in range(s):
+            out.append({(comp * s + k, m): c for (comp, m), c in v.items()})
+    return out
+
+
+def unpacked_columns(res, i):
+    """Columns of d_i (1-based) of the resolution, as vectors in R^(b_{i-1})."""
+    unpack = ambient_of(res.ring)._unpack_vector
+    return [unpack(v) for v in res.packed_columns(i)]
+
+
+def basis_of_vectors(vectors, ring, rank, known=()):
+    """groebner_basis of the given vectors, packed: the one packing adapter
+    between the unpacked vectors of the tests and the kernel."""
+    return groebner_basis([ring._pack_vector(v) for v in vectors], ring, rank, known)
+
+
 def reduce_vec_mod_f(v, ring):
     """v with every component reduced modulo f, through the packed kernel."""
     if modulus_of(ring) is None:
@@ -145,7 +189,7 @@ def vector_degree(v, target_degs, S):
 
 def resolution_matrix(res, i):
     """The rows of Polynomials of d_i (1-based) of the resolution."""
-    return vectors_to_rows(res.differential_columns(i), res.betti[i - 1], res.ring)
+    return vectors_to_rows(unpacked_columns(res, i), res.betti[i - 1], res.ring)
 
 
 def vec_shift_components(v, offset):
@@ -223,8 +267,11 @@ def syzygy_basis(generators, ring, rank, relations=()):
     key = _syzygy_key(generators, rank, relations)
     cached = ring._groebner_memo.get(key)
     if cached is None:
-        builder = _completed(_tagged(generators, ring, rank) + list(relations), ring,
-                             rank + len(generators))
+        builder = GroebnerBuilder(ring, rank + len(generators))
+        for g in _tagged(generators, ring, rank) + list(relations):
+            if g:
+                builder.add(ring._pack_vector(g))
+        builder.complete()
         cached = ring._groebner_memo[key] = builder.reduced(rank)
     return cached
 
@@ -286,7 +333,7 @@ def syzygy_of(M, l):
     b = res.betti
     if b[l] == 0:
         return ModulePresentation.zero(M.ring)
-    rows = vectors_to_rows(res.differential_columns(l + 1), b[l], M.ring)
+    rows = vectors_to_rows(unpacked_columns(res, l + 1), b[l], M.ring)
     return ModulePresentation(M.ring, rows, gen_degrees=tuple(res.gen_degrees(l)))
 
 
@@ -303,7 +350,8 @@ def unbounded_resolution(M, length):
             vectors = [S._unpack_vector(v)
                        for v in _kept_syzygies(M.ring, selection.syzygies())]
         else:
-            vectors, target = M._unit_pruned()
+            packed, target = M._unit_pruned()
+            vectors = [S._unpack_vector(v) for v in packed]
         candidates = [(v, vector_degree(v, target, S)) for v in vectors]
         if diffs:
             candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
@@ -339,10 +387,10 @@ def ext_module(M, i):
     if b[i + 1] == 0:
         kernel = None
     else:
-        kernel = syzygies_over(M.ring, transpose(res.differential_columns(i + 1), b[i]),
+        kernel = syzygies_over(M.ring, transpose(unpacked_columns(res, i + 1), b[i]),
                                b[i + 1])
     # image of transpose(d_i) : R^{b_{i-1}} -> R^{b_i}
-    image = transpose(res.differential_columns(i), b[i - 1]) if i else []
+    image = transpose(unpacked_columns(res, i), b[i - 1]) if i else []
     return subquotient_presentation(M.ring, b[i], kernel, [v for v in image if v])
 
 
@@ -383,6 +431,7 @@ def shifted(F):
     out.ring = F.ring
     out.matrices = [()] + list(F.matrices)
     out.degrees = [()] + list(F.degrees)
+    out.diff_cols = [[]] + list(F.diff_cols)
     out.length = F.length + 1
     return out
 
@@ -572,7 +621,7 @@ def theta_by_cokernel(M, N):
     res = minimal_resolution(M, s + 1)
     deg_f = M.ring.f.weighted_degree()
     below, middle = res.gen_degrees(s - 1), res.gen_degrees(s)
-    c_s = _cokernel_series(res.differential_columns(s), below, N)
+    c_s = _cokernel_series(res.packed_columns(s), below, N)
     num = _tpoly_axpy(dict(c_s), -1, deg_f, c_s)
     for degs, coeff in ((below, -1), (middle, 1)):
         for deg in degs:
@@ -603,7 +652,7 @@ def tag_lead_part(S, generators, rank, relations=()):
     tagged = [dict(g) for g in generators]
     for i, h in enumerate(tagged):
         h[(rank + i, (0,) * S.nvars)] = S.field.one
-    full = groebner_basis(tagged + list(relations), S, rank + len(tagged))
+    full = basis_of_vectors(tagged + list(relations), S, rank + len(tagged))
     return tuple(tuple(((comp - rank, m), c) for (comp, m), c in fv)
                  for fv in full.vectors if all(comp >= rank for (comp, _m), _c in fv))
 
@@ -623,7 +672,7 @@ def reduce_with_representation(v, generators, ring, rank):
     of (v, 0) against the full reduced basis of the (g_i, eps_i), whose tag
     block holds -q."""
     k = len(generators)
-    nf = normal_form(dict(v), groebner_basis(_tagged(generators, ring, rank), ring, rank + k))
+    nf = normal_form(dict(v), basis_of_vectors(_tagged(generators, ring, rank), ring, rank + k))
     reps = [Polynomial(ring, {m: ring.field.neg(c) for (comp, m), c in nf.items()
                               if comp == rank + i})
             for i in range(k)]
@@ -648,16 +697,16 @@ def complex_homology(ring, diff_cols, ranks, N, i):
     s = N.nrows
     if s == 0 or ranks[i] == 0:
         return ModulePresentation.zero(ring)
-    Q_cols = N.columns()
+    Q_cols = columns_as_vectors(N.rows)
     denominator = []
     if i < L:
-        denominator += _tensor_map_columns(diff_cols[i], s)
+        denominator += tensor_map_columns(diff_cols[i], s)
     denominator += _block_relations(Q_cols, s, ranks[i])
     if i == 0 or ranks[i - 1] == 0:
         # no incoming map (or a zero target): the kernel is everything
         numerator = None
     else:
-        map_cols = _tensor_map_columns(diff_cols[i - 1], s)
+        map_cols = tensor_map_columns(diff_cols[i - 1], s)
         modulo = _block_relations(Q_cols, s, ranks[i - 1])
         syz = syzygies_over(ring, map_cols + modulo, ranks[i - 1] * s)
         numerator = []
@@ -675,7 +724,7 @@ def complex_homology(ring, diff_cols, ranks, N, i):
 def tensored_homology(res, N, i):
     """H_i(F (x) N) for a resolution F, 0 <= i < res.length, presented as a
     subquotient."""
-    diff_cols = [res.differential_columns(k) for k in range(1, i + 2)]
+    diff_cols = [unpacked_columns(res, k) for k in range(1, i + 2)]
     return complex_homology(res.ring, diff_cols, res.betti[: i + 2], N, i)
 
 
@@ -708,7 +757,7 @@ def subquotient_local_length(M, prime):
     e_p = multiplicity(ModulePresentation.cyclic(ring, prime).presentation_gb())
     total = 0
     for power in range(256):
-        num, den = [], list(M.columns())
+        num, den = [], columns_as_vectors(M.rows)
         for target, p in ((num, power), (den, power + 1)):
             for prod in _power_products(S, prime, p):
                 prod = reduce_mod_f(prod, ring)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from thetacas import INFINITE, FieldSpec, PolynomialRing
@@ -27,11 +27,13 @@ from thetacas.groebner import (
     series_length,
     series_value,
 )
-from thetacas.homology import ModulePresentation, columns_as_vectors, module_multiplicity
+from thetacas.homology import ModulePresentation, module_multiplicity
 from thetacas.matrices import divide_exactly, graded_inverse, mat_vec
 from thetacas.ring import MAX_PACKED_DEGREE
 from oracles import (
     basis_leads,
+    basis_of_vectors,
+    columns_as_vectors,
     free_module,
     mat_mul,
     mono_div,
@@ -63,7 +65,7 @@ def ring2(characteristic=0):
 
 def ideal_gb(R, *gens):
     vectors = [vec_from_polys([R.parse(g)]) for g in gens]
-    return groebner_basis(vectors, R, 1)
+    return basis_of_vectors(vectors, R, 1)
 
 
 def gb_polys(R, G):
@@ -97,7 +99,7 @@ def test_gb_one_buchberger_step():
 
 def test_gb_empty_input():
     R = ring2()
-    G = groebner_basis([], R, 1)
+    G = basis_of_vectors([], R, 1)
     assert G.vectors == ()
 
 
@@ -262,11 +264,11 @@ def test_series_value_is_the_signed_value_at_one():
 
 def test_hilbert_numerator_examples():
     R = ring2()
-    assert hilbert_numerator(groebner_basis([], R, 1)) == {0: 1}
+    assert hilbert_numerator(basis_of_vectors([], R, 1)) == {0: 1}
     assert hilbert_numerator(ideal_gb(R, "x*y")) == {0: 1, 2: -1}
     R4 = PolynomialRing(FieldSpec(0), ["x", "y", "u", "v"])
     gens = [vec_from_polys([R4.parse("x*y - u*v")])]
-    assert hilbert_numerator(groebner_basis(gens, R4, 1)) == {0: 1, 2: -1}
+    assert hilbert_numerator(basis_of_vectors(gens, R4, 1)) == {0: 1, 2: -1}
 
 
 def _stack_depth():
@@ -319,7 +321,7 @@ def test_packed_hilbert_numerator_matches_the_tuple_recursion(case):
     reads off the packed leads what a staircase count reads off the tuples."""
     weights, rank, gens, shifts = case
     R = PolynomialRing(FieldSpec(0), [f"x{i}" for i in range(len(weights))], weights)
-    G = groebner_basis([{(comp, mono): 1} for comp, mono in gens], R, rank)
+    G = basis_of_vectors([{(comp, mono): 1} for comp, mono in gens], R, rank)
     assert hilbert_numerator(G, shifts) == tuple_hilbert_numerator(G, shifts)
     assert hilbert_numerator(G) == tuple_hilbert_numerator(G)
     assert finite_colength(G) == (staircase_count(G) is not INFINITE)
@@ -427,7 +429,7 @@ def test_staircase_agrees_with_hilbert_series(monos, weights):
     ]
     if not gens:
         return
-    G = groebner_basis(gens, R, 1)
+    G = basis_of_vectors(gens, R, 1)
     count = staircase_count(G)
     num = hilbert_numerator(G)
     assert series_length(num, weights) == count
@@ -534,7 +536,7 @@ def test_an_s_pair_above_the_degree_cap_raises(characteristic):
     gens = [vec_from_polys([R.from_dict({(top, 0): 1})]),
             vec_from_polys([R.from_dict({(1, top): 1, (top + 1, 0): 1})])]
     with pytest.raises(AlgebraError, match="degree"):
-        groebner_basis(gens, R, 1)
+        basis_of_vectors(gens, R, 1)
 
 
 # small exponents, and exponents up to the packed degree cap with weights <= 3
@@ -603,7 +605,7 @@ def test_reduced_basis_matches_sympy(characteristic, ideal):
     sympy = pytest.importorskip("sympy")
     n, gens = ideal
     R = PolynomialRing(FieldSpec(characteristic), ["x", "y", "z"][:n])
-    G = groebner_basis([vec_from_polys([R.from_dict(g)]) for g in gens], R, 1)
+    G = basis_of_vectors([vec_from_polys([R.from_dict(g)]) for g in gens], R, 1)
     ours = {frozenset(p.coeffs.items()) for p in gb_polys(R, G)}
     theirs = {frozenset(p.coeffs.items()) for p in _sympy_reduced_basis(sympy, R, gens)}
     assert ours == theirs
@@ -623,10 +625,10 @@ def test_builder_completed_by_degree_matches_groebner_basis(characteristic, idea
                                         max_size=len(vectors))))
     builder = GroebnerBuilder(R, 1)
     for i, degree in zip(order, degrees):
-        builder.add(dict(vectors[i]))
+        builder.add(R._pack_vector(vectors[i]))
         builder.complete(degree)
     builder.complete()
-    assert builder.reduced() == groebner_basis(vectors, R, 1)
+    assert builder.reduced() == basis_of_vectors(vectors, R, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +639,17 @@ def _shifted(G, offset):
     return [vec_shift_components(dict(v), offset) for v in G.vectors]
 
 
+# The seed derandomize drew from the seeding test's source before its known
+# entries became (offset, basis) pairs, so it still draws the same 30 cases.
+# Other seeds can draw an inhomogeneous rank-3 case over Q whose coefficients
+# grow past 4300 digits, as they do under either form of the entries.
+SEEDING_CASES = int("ad2b513da73c49c28f9ace92c2301a6d8a8208a604793cbb0a94f7f3"
+                    "7ba8e3a7208fe4c7f8391bcd9870195f7db8e0e8", 16)
+
+
 @pytest.mark.parametrize("characteristic", [0, 32003])
 @given(ideal=integer_ideals(), data=st.data())
+@seed(SEEDING_CASES)
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_seeding_with_known_bases_matches_adding_their_vectors(characteristic, ideal, data):
     """Known bases at any offsets, overlapping or not, give the reduced basis
@@ -649,14 +660,14 @@ def test_seeding_with_known_bases_matches_adding_their_vectors(characteristic, i
     for k in data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)):
         vectors = data.draw(st.lists(integer_vectors(n, k), min_size=1, max_size=2))
         known.append((data.draw(st.integers(0, 1)),
-                      groebner_basis([vector_over(R, v, k) for v in vectors], R, k)))
+                      basis_of_vectors([vector_over(R, v, k) for v in vectors], R, k)))
     rank = max(offset + G.rank for offset, G in known)
     gens = [vec_from_polys([R.from_dict(g)]) for g in polys]
     gens += [vector_over(R, v, rank)
              for v in data.draw(st.lists(integer_vectors(n, rank), max_size=2))]
-    seeded = groebner_basis(gens, R, rank, known=[(off, G.vectors) for off, G in known])
+    seeded = basis_of_vectors(gens, R, rank, known=known)
     shifted = [v for off, G in known for v in _shifted(G, off)]
-    assert seeded == groebner_basis(gens + shifted, R, rank)
+    assert seeded == basis_of_vectors(gens + shifted, R, rank)
 
 
 @pytest.mark.parametrize("characteristic", [0, 32003])
@@ -667,10 +678,10 @@ def test_known_bases_alone_form_no_pairs(characteristic, ideal, data):
     S-pair, and together they are already a Groebner basis."""
     n, polys = ideal
     R = PolynomialRing(FieldSpec(characteristic), ["x", "y", "z"][:n])
-    first = groebner_basis([vec_from_polys([R.from_dict(g)]) for g in polys], R, 1)
+    first = basis_of_vectors([vec_from_polys([R.from_dict(g)]) for g in polys], R, 1)
     k = data.draw(st.integers(1, 2))
     vectors = data.draw(st.lists(integer_vectors(n, k), min_size=1, max_size=3))
-    second = groebner_basis([vector_over(R, v, k) for v in vectors], R, k)
+    second = basis_of_vectors([vector_over(R, v, k) for v in vectors], R, k)
     entries = data.draw(st.sampled_from([
         [(0, first)], [(1, first)], [(0, second)],
         [(0, first), (1, second)], [(0, second), (k, first)],
@@ -680,11 +691,11 @@ def test_known_bases_alone_form_no_pairs(characteristic, ideal, data):
     for offset, G in entries:
         start = len(builder.codes)
         for v in _shifted(G, offset):
-            builder.add(v, known=start)
+            builder.add(R._pack_vector(v), known=start)
     assert not builder.queue and not builder.pending
     builder.complete()
     shifted = [v for offset, G in entries for v in _shifted(G, offset)]
-    assert builder.reduced() == groebner_basis(shifted, R, rank)
+    assert builder.reduced() == basis_of_vectors(shifted, R, rank)
 
 
 @pytest.mark.parametrize("plain_first", [True, False])
@@ -694,14 +705,43 @@ def test_memo_key_includes_the_known_bases(plain_first, offset):
     is not in that of x, are two memo entries, whichever comes first."""
     R = ring2()
     x, y = (vec_from_polys([R.parse(g)]) for g in ("x", "y"))
-    Gy = groebner_basis([y], R, 1)
+    Gy = basis_of_vectors([y], R, 1)
     rank = 1 + offset
-    calls = [("plain", lambda: groebner_basis([x], R, rank)),
-             ("seeded", lambda: groebner_basis([x], R, rank, known=[(offset, Gy.vectors)]))]
+    calls = [("plain", lambda: basis_of_vectors([x], R, rank)),
+             ("seeded", lambda: basis_of_vectors([x], R, rank, known=[(offset, Gy)]))]
     results = {name: call() for name, call in (calls if plain_first else calls[::-1])}
     assert results["plain"].vectors == (freeze_vec(x),)
     assert set(results["seeded"].vectors) == {
         freeze_vec(x), freeze_vec(vec_shift_components(y, offset))}
+
+
+def test_equal_bases_hash_equal_and_share_a_memo_entry(monkeypatch):
+    """A basis groebner_basis memoises and an equal one a fresh builder
+    reduces on the same ring are two objects with one hash, so seeding with
+    either finds the one memo entry: it returns the memoised result itself
+    and makes no normal form."""
+    from thetacas import groebner
+
+    R = ring2()
+    gens = [R._pack_vector(vec_from_polys([R.parse(g)])) for g in ("x^2 - y^2", "x*y")]
+    memoised = groebner_basis(gens, R, 1)
+    builder = GroebnerBuilder(R, 1)
+    for g in gens:
+        builder.add(g)
+    builder.complete()
+    fresh = builder.reduced()
+    assert fresh is not memoised and fresh == memoised and hash(fresh) == hash(memoised)
+    calls = []
+    real = groebner.normal_form_vec
+    monkeypatch.setattr(groebner, "normal_form_vec",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    column = [R._pack_vector(vec_from_polys([R.parse("y^3"), R.parse("x + y")]))]
+    first = groebner_basis(column, R, 2, known=[(0, memoised), (1, memoised)])
+    assert calls
+    calls.clear()
+    for basis in (memoised, fresh):
+        assert groebner_basis(column, R, 2, known=[(0, basis), (1, basis)]) is first
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

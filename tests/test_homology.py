@@ -22,14 +22,12 @@ from thetacas import (
     theta,
     tor_length,
 )
-from thetacas import homology
+from thetacas import homology, pairings
 from thetacas.cli import build_environment, run_session
 from thetacas.errors import InfiniteLength, NotStabilized
 from thetacas.groebner import NakayamaSelection, freeze_vec, groebner_basis
 from thetacas.homology import (
     _vector_degree,
-    columns_as_vectors,
-    f_times_unit_vectors,
     lifted_basis,
     module_dimension,
     module_length,
@@ -37,11 +35,14 @@ from thetacas.homology import (
     module_series,
     reduce_mod_f,
 )
+from thetacas.ring import ambient_of
 from oracles import (
+    columns_as_vectors,
     complex_homology,
     direct_sum,
     dual_module,
     ext_module,
+    f_times_unit_vectors,
     free_module,
     full_basis_syzygies,
     homology_tor_length,
@@ -63,6 +64,7 @@ from oracles import (
     vector_degree,
     transpose,
     unbounded_resolution,
+    unpacked_columns,
     vec_from_polys,
 )
 from test_golden_reports import NAMES, WEIGHTED_NAMES, _rescaled, seeded_sessions, session_path
@@ -70,8 +72,9 @@ from test_golden_reports import NAMES, WEIGHTED_NAMES, _rescaled, seeded_session
 
 def same_span(ring, cols_a, cols_b, rank):
     """Equality of submodules of R^rank given by two sets of column vectors."""
-    ga = lifted_basis(ring, cols_a, rank)
-    gb = lifted_basis(ring, cols_b, rank)
+    pack = ambient_of(ring)._pack_vector
+    ga = lifted_basis(ring, [pack(v) for v in cols_a], rank)
+    gb = lifted_basis(ring, [pack(v) for v in cols_b], rank)
     return all(not normal_form(v, gb) for v in cols_a) and all(
         not normal_form(v, ga) for v in cols_b
     )
@@ -93,7 +96,7 @@ def test_present_cyclic_shapes(quadric):
     assert len(M.rows[0]) == 2
 
     free = present_cyclic(quadric, [])
-    assert free.nrows == 1 and not free.columns()
+    assert free.nrows == 1 and not columns_as_vectors(free.rows)
 
     zero = present_cyclic(quadric, ["1"])
     assert zero.is_zero()
@@ -153,7 +156,7 @@ def test_resolution_of_quadric_plane(quadric, quadric_modules):
     expected_cols = columns_as_vectors(
         tuple(tuple(S.parse(e) for e in row) for row in expected)
     )
-    assert same_span(quadric, res.differential_columns(2), expected_cols, 2)
+    assert same_span(quadric, unpacked_columns(res, 2), expected_cols, 2)
 
 
 def test_resolution_of_free_module(quadric):
@@ -412,8 +415,8 @@ def _syzygy_inputs(node, quadric, S2):
     for M in mods:
         res = minimal_resolution(M, 3)
         for i in (1, 2, 3):
-            yield M.ring, res.differential_columns(i), res.betti[i - 1]
-        yield M.ring, transpose(res.differential_columns(2), res.betti[1]), res.betti[2]
+            yield M.ring, unpacked_columns(res, i), res.betti[i - 1]
+        yield M.ring, transpose(unpacked_columns(res, 2), res.betti[1]), res.betti[2]
 
 
 def test_syzygies_match_the_tagged_route(node, quadric, S2):
@@ -447,7 +450,7 @@ def test_syzygies_match_the_full_basis_route(node, quadric, S2):
     inputs = list(_syzygy_inputs(node, quadric, S2))
     for A in (fp_cubic_fourfold(), fp_e8_threefold()):
         res = minimal_resolution(present_cyclic(A, A.variables), 5)
-        inputs += [(A, res.differential_columns(i), res.betti[i - 1]) for i in range(1, 6)]
+        inputs += [(A, unpacked_columns(res, i), res.betti[i - 1]) for i in range(1, 6)]
     for ring, vectors, rank in inputs:
         assert syzygies_over(ring, vectors, rank) == full_basis_syzygies(ring, vectors, rank)
 
@@ -506,7 +509,7 @@ def test_session_syzygies_are_reduced_and_span_what_the_basis_spans(monkeypatch)
             kept = [ring.ambient._unpack_vector(v) for v in packed]
             assert all(reduce_vec_mod_f(v, ring) == v for v in kept)
             assert len({freeze_vec(v) for v in kept}) == len(kept)
-            lift = lifted_basis(ring, kept, basis.rank)
+            lift = lifted_basis(ring, packed, basis.rank)
             for v in map(dict, basis.vectors):
                 if v not in kept:
                     dropped += 1
@@ -595,7 +598,7 @@ def test_bounded_resolution_matches_the_unbounded_oracle(case):
         n, length, deg_f = S.nvars, S.nvars + 3, M.ring.f.weighted_degree()
         res = minimal_resolution(M, length)
         diffs, degs = unbounded_resolution(twin, length)
-        assert [res.differential_columns(i) for i in range(1, length + 1)] == diffs, label
+        assert [unpacked_columns(res, i) for i in range(1, length + 1)] == diffs, label
         assert [res.gen_degrees(i) for i in range(length + 1)] == degs, label
         for m in range(2, length + 1):
             bound = M._degree_bound(m)
@@ -632,28 +635,47 @@ def test_session_betas_match_the_representation_route(name, rescale, monkeypatch
 
 def test_fp_sessions_keep_the_resolve_and_mf_path_packed(monkeypatch):
     """A timing-free guard on conversions between (component, exponent
-    tuple) vectors and packed ones, over one pass of the three fp sessions
-    as written.  Building their environments packs 17 vectors and unpacks
+    tuple) vectors and packed ones.  Over one pass of the three fp sessions
+    as written, building their environments packs 17 vectors and unpacks
     14, one each per presentation entry reduced modulo f.  Their resolve and
-    mf tasks pack 32 more, d_1's candidates and the presentation bases'
-    generators, and unpack none: every differential stays packed from the
-    selection that chose it through the matrix factorization to the
-    report."""
-    counts = dict.fromkeys(("_pack_vector", "_unpack_vector"), 0)
-    for name in counts:
+    mf tasks pack 28 more, the columns of d_1's candidates and of the
+    presentation bases' generators (f * e_j is packed once per ring), and
+    unpack none: every differential stays packed from the selection that chose it
+    through the matrix factorization to the report.  Over the golden
+    sessions and cubic_threefold, whose tasks also read theta, Tor, chi and
+    c1 off cokernel bases, every unpack is one reduce_mod_f makes."""
+    counts = dict.fromkeys(("_pack_vector", "_unpack_vector", "reduce_mod_f"), 0)
+    depth = [0]
+    for name in ("_pack_vector", "_unpack_vector"):
         def counting(ring, v, _real=getattr(PolynomialRing, name), _name=name):
             counts[_name] += 1
+            if _name == "_unpack_vector" and depth[0]:
+                counts["reduce_mod_f"] += 1
             return _real(ring, v)
 
         monkeypatch.setattr(PolynomialRing, name, counting)
+
+    def reducing(p, ring, _real=homology.reduce_mod_f):
+        depth[0] += 1
+        try:
+            return _real(p, ring)
+        finally:
+            depth[0] -= 1
+
+    for module in (homology, pairings):
+        monkeypatch.setattr(module, "reduce_mod_f", reducing)
     docs = [json.loads(session_path(name).read_text())
             for name in ("fp_cubic_fourfold", "fp_e8_threefold", "fp_e7_surface")]
     for doc in docs:
         build_environment(doc)
-    assert counts == {"_pack_vector": 17, "_unpack_vector": 14}
+    assert counts == {"_pack_vector": 17, "_unpack_vector": 14, "reduce_mod_f": 14}
     counts.update(dict.fromkeys(counts, 0))
     assert [run_session(doc)[1] for doc in docs] == [0, 0, 0]
-    assert counts == {"_pack_vector": 17 + 32, "_unpack_vector": 14}
+    assert counts == {"_pack_vector": 17 + 28, "_unpack_vector": 14, "reduce_mod_f": 14}
+    for name in NAMES + ("cubic_threefold",):
+        counts.update(dict.fromkeys(counts, 0))
+        assert run_session(json.loads(session_path(name).read_text()))[1] == 0
+        assert counts["_unpack_vector"] == counts["reduce_mod_f"] > 0, (name, counts)
 
 
 # lead coefficients of f: 1, 2 and 3 over Q, and 1 over F_32003 with weights
@@ -691,26 +713,26 @@ def test_syzygy_of_examples(node, node_modules):
     P = minimal_presentation(W)
     assert P.nrows == 1
     y_col = columns_as_vectors(((node.ambient.parse("y"),),))
-    assert same_span(node, P.columns(), y_col, 1)
+    assert same_span(node, columns_as_vectors(P.rows), y_col, 1)
     assert syzygy_of(free_module(node), 2).is_zero()
 
 
 def test_dual_module_examples(node, quadric, node_modules, quadric_modules):
     A_dual = dual_module(free_module(node))
     P = minimal_presentation(A_dual)
-    assert P.nrows == 1 and not P.columns()
+    assert P.nrows == 1 and not columns_as_vectors(P.rows)
 
     D = minimal_presentation(dual_module(node_modules["Ax"]))
     assert D.nrows == 1
     x_col = columns_as_vectors(((node.ambient.parse("x"),),))
-    assert same_span(node, D.columns(), x_col, 1)
+    assert same_span(node, columns_as_vectors(D.rows), x_col, 1)
 
     assert dual_module(quadric_modules["Ap"]).is_zero()
 
 
 def test_ext_module_examples(node, node_modules):
     E0 = minimal_presentation(ext_module(free_module(node), 0))
-    assert E0.nrows == 1 and not E0.columns()
+    assert E0.nrows == 1 and not columns_as_vectors(E0.rows)
 
     assert ext_module(node_modules["Ax"], 1).is_zero()
 
@@ -725,11 +747,11 @@ def test_ext_module_examples(node, node_modules):
 def test_h0_of_selftensor_is_the_module(node, node_modules):
     M = node_modules["Ax"]
     res = minimal_resolution(M, 3)
-    diff_cols = [res.differential_columns(i) for i in range(1, 4)]
+    diff_cols = [unpacked_columns(res, i) for i in range(1, 4)]
     H0 = complex_homology(node, diff_cols, res.betti[:4], M, 0)
     P = minimal_presentation(H0)
     assert P.nrows == 1
-    assert same_span(node, P.columns(), M.columns(), 1)
+    assert same_span(node, columns_as_vectors(P.rows), columns_as_vectors(M.rows), 1)
 
 
 def test_koszul_resolution_is_exact_over_regular_ring(S2):
@@ -892,7 +914,7 @@ def _prefix_rebuild_selection(ring, vectors, rank, target_degs):
     kept = []
     for deg, _key, v in decorated:
         if kept:
-            gb = lifted_basis(ring, [k for k, _d in kept], rank)
+            gb = lifted_basis(ring, [S._pack_vector(k) for k, _d in kept], rank)
             if not normal_form(v, gb):
                 continue
         elif not v:
@@ -930,11 +952,11 @@ def test_nakayama_selection_matches_prefix_rebuild():
         assert res.betti == betti
         for i in range(1, len(betti) - 1):
             A, rank, degs = M.ring, res.betti[i - 1], res.gen_degrees(i)
-            syz = _sorted_syzygies(A, res.differential_columns(i), rank, degs)
+            syz = _sorted_syzygies(A, unpacked_columns(res, i), rank, degs)
             kept, _selection = _select(A, syz, degs)
             vectors = [v for v, _d in syz]
             assert kept == _prefix_rebuild_selection(A, vectors, res.betti[i], degs)
-            assert [v for v, _d in kept] == res.differential_columns(i + 1)
+            assert [v for v, _d in kept] == unpacked_columns(res, i + 1)
 
 
 def _select(A, candidates, target_degs):
@@ -963,9 +985,9 @@ def test_nakayama_selection_memoises_no_basis():
     assert list(before.values()) == [M.presentation_gb()]
     for i in (1, 4):
         degs, bound = res.gen_degrees(i), M._degree_bound(i + 2)
-        syz = _sorted_syzygies(B, res.differential_columns(i), res.betti[i - 1], degs)
+        syz = _sorted_syzygies(B, unpacked_columns(res, i), res.betti[i - 1], degs)
         kept, selection = _select(A, syz, degs)
-        assert [v for v, _d in kept] == res.differential_columns(i + 1)
+        assert [v for v, _d in kept] == unpacked_columns(res, i + 1)
         pending = list(selection._builder.queue)
         bounded = selection.syzygies(bound)
         assert selection._builder.queue != pending and S._groebner_memo == before
@@ -994,7 +1016,7 @@ def test_first_differential_keeps_the_presentation_order():
     assert M._open.kept == [0, 1]
     opened = M._open.syzygies()
     B = quadric()
-    cold = syzygy_basis(res.differential_columns(1), B.ambient, 1, f_times_unit_vectors(B, 1))
+    cold = syzygy_basis(unpacked_columns(res, 1), B.ambient, 1, f_times_unit_vectors(B, 1))
     assert (opened.rank, opened.vectors) == (cold.rank, cold.vectors) and cold.rank == 2
 
 
@@ -1061,9 +1083,9 @@ def test_syzygy_bases_have_a_memo_entry_of_their_own():
 
 def test_a_session_memoises_only_groebner_basis_results(monkeypatch):
     """After each of the seven golden sessions, every entry of the ring's
-    memo is a groebner_basis result under its own (rank, generators, known
-    bases) key: recomputed from that key on a fresh ring, it is the same
-    basis."""
+    memo is a groebner_basis result under its own (rank, packed generators,
+    (offset, basis) entries) key: recomputed from that key on a fresh ring,
+    it is the same basis."""
     import thetacas.cli as cli
 
     rings, build = [], cli.build_environment
@@ -1082,7 +1104,7 @@ def test_a_session_memoises_only_groebner_basis_results(monkeypatch):
         for (rank, gens, known), G in S._groebner_memo.items():
             fresh = PolynomialRing(S.field, S.variables, S.weights)
             cold = groebner_basis([dict(g) for g in gens], fresh, rank, known)
-            assert (G.rank, G.vectors) == (cold.rank, cold.vectors), name
+            assert (G.rank, G.packed) == (cold.rank, cold.packed), name
 
 
 def test_tor_and_theta_with_negative_generator_degrees(node):

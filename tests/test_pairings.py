@@ -243,8 +243,8 @@ def test_the_cokernel_two_steps_on_is_the_shifted_one(name):
         assert sorted(res.gen_degrees(s + 1)) == sorted(
             deg + deg_f for deg in res.gen_degrees(s - 1))
         for N in env.modules.values():
-            c_s = _cokernel_series(res.differential_columns(s), res.gen_degrees(s - 1), N)
-            c_s2 = _cokernel_series(res.differential_columns(s + 2),
+            c_s = _cokernel_series(res.packed_columns(s), res.gen_degrees(s - 1), N)
+            c_s2 = _cokernel_series(res.packed_columns(s + 2),
                                     res.gen_degrees(s + 1), N)
             assert c_s2 == {deg + deg_f: c for deg, c in c_s.items()}
 

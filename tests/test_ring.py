@@ -156,7 +156,7 @@ def test_integral_input_keeps_integer_coefficients():
     assert bases
     types = {type(c) for G in bases for g in G.vectors for _t, c in g}
     types |= {type(c) for i in range(1, 6)
-              for v in res.differential_columns(i) for c in v.values()}
+              for v in res.packed_columns(i) for c in v.values()}
     assert types == {int}
 
 
@@ -369,7 +369,7 @@ def test_builder_pairs_agree_with_mono_lcm_and_mono_coprime(characteristic, case
     shifts = [shift + 2 * c for c in range(rank)]
     builder = groebner.GroebnerBuilder(R, rank, shifts)
     for c, m in leads:
-        builder.add({(c, m): 1})
+        builder.add(R._pack_vector({(c, m): 1}))
     assert sorted(builder.queue) == sorted(
         (R.mono_degree(mono_lcm(a, b)) + shifts[c], i, j)
         for j, (c, b) in enumerate(leads) for i, (d, a) in enumerate(leads[:j]) if c == d)
@@ -385,8 +385,8 @@ def test_builder_pairs_agree_with_mono_lcm_and_mono_coprime(characteristic, case
             if c != d:
                 continue
             pair = groebner.GroebnerBuilder(R, rank, shifts)
-            pair.add({(c, a): 1})
-            pair.add({(c, b): 1})
+            pair.add(R._pack_vector({(c, a): 1}))
+            pair.add(R._pack_vector({(c, b): 1}))
             skipped = rank == 1 and mono_coprime(a, b)
             above = R.mono_degree(mono_lcm(a, b)) > MAX_PACKED_DEGREE
             with mock.patch.object(groebner, "normal_form_vec",
