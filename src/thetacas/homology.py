@@ -6,10 +6,10 @@ resolution step reads off the builder its selection left open.
 
 Everything is computed over the ambient polynomial ring S; a kernel over
 R = S/(f) is the module of syzygies over S of the generators modulo the
-untagged relations f * e_j.  Matrix entries over R are stored as their
-canonical normal forms modulo f.  Columns, differentials, matrix
-factorizations and cokernel generators are packed vectors (groebner), from
-the presentation to theta, Tor and chi; only Polynomials are unpacked.
+untagged relations f * e_j.  A matrix of Polynomials is packed once, in
+its normal form modulo f (reduced_columns); from there every vector is
+packed (groebner), through theta, Tor and chi, and only a matrix
+factorization's alpha and beta are unpacked, when they are read.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import AlgebraError, InfiniteLength, InhomogeneousError, NotStabili
 from .groebner import (
     GroebnerBasis,
     NakayamaSelection,
+    _monic,
     _series_at_one,
     _tpoly_axpy,
     finite_colength,
@@ -42,21 +43,8 @@ from .ring import (
     ring_dimension,
 )
 
-MatrixRows = Tuple[Tuple[Polynomial, ...], ...]
-
-
 # ---------------------------------------------------------------------------
-# polynomial / matrix helpers over R
-
-
-def reduce_mod_f(p: Polynomial, ring: RingLike) -> Polynomial:
-    if p.ring is not ambient_of(ring):
-        raise ValueError("polynomial not over this ring")
-    if modulus_of(ring) is None or p.is_zero():
-        return p
-    S = ring.ambient
-    r = reduce_packed_mod_f(S._pack_vector({(0, m): c for m, c in p.coeffs.items()}), ring)
-    return Polynomial(S, {m: c for (_z, m), c in S._unpack_vector(r).items()})
+# packed vectors over R
 
 
 def reduce_packed_mod_f(v: dict, ring: RingLike) -> dict:
@@ -68,11 +56,24 @@ def reduce_packed_mod_f(v: dict, ring: RingLike) -> dict:
     return normal_form_vec(v, ring._f_reducers({t >> S._comp_shift for t in v}), S)
 
 
-def columns_as_vectors(rows: MatrixRows, S: PolynomialRing) -> List[dict]:
-    """The packed columns of the matrix with the given rows of Polynomials."""
-    return [S._pack_vector({(r, m): c for r, row in enumerate(rows)
-                            for m, c in row[k].coeffs.items()})
+def reduced_columns(rows: Sequence[Sequence[Polynomial]], ring: RingLike) -> List[dict]:
+    """The columns of the rectangular matrix with the given rows of
+    Polynomials, packed once and reduced modulo f: the one point where a
+    matrix enters the kernel.  A polynomial over another ring raises."""
+    S = ambient_of(ring)
+    if any(p.ring is not S for row in rows for p in row):
+        raise ValueError("polynomial not over this ring")
+    return [reduce_packed_mod_f(S._pack_vector({(r, m): c for r, row in enumerate(rows)
+                                                for m, c in row[k].coeffs.items()}), ring)
             for k in range(len(rows[0]) if rows else 0)]
+
+
+def _term_degrees(v: dict, S: PolynomialRing):
+    """The (component, weighted degree) of each term of the packed vector v,
+    off its degree field."""
+    comp_shift, deg_shift = S._comp_shift, S._deg_shift
+    mask = (1 << (comp_shift - deg_shift)) - 1
+    return [(t >> comp_shift, MAX_PACKED_DEGREE - ((t >> deg_shift) & mask)) for t in v]
 
 
 def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
@@ -103,22 +104,21 @@ def lifted_basis(ring: RingLike, vectors: Sequence[dict], rank: int) -> Groebner
 
 
 def infer_degrees(
-    ranks: Sequence[int], matrices: Sequence[MatrixRows]
+    ranks: Sequence[int], diff_cols: Sequence[Sequence[dict]], S: PolynomialRing
 ) -> List[Tuple[int, ...]]:
     """Generator degrees of F_0, ..., F_L (ranks r_0, ..., r_L) that make
-    each map F_k -> F_{k-1}, given by the r_{k-1} x r_k matrices[k-1],
-    homogeneous of degree 0.  Each connected block of basis elements is
-    anchored at degree 0 on its first element, F_0 first."""
+    each map F_k -> F_{k-1}, given by the packed columns diff_cols[k-1],
+    homogeneous of degree 0, off the degree of each term.  Each connected
+    block of basis elements is anchored at degree 0 on its first element,
+    F_0 first."""
     edges: Dict[Tuple[int, int], list] = {
         (k, j): [] for k, r in enumerate(ranks) for j in range(r)
     }
-    for k, rows in enumerate(matrices):
-        for r, row in enumerate(rows):
-            for c, p in enumerate(row):
-                if not p.is_zero():
-                    e = p.weighted_degree()
-                    edges[(k, r)].append(((k + 1, c), e, c))
-                    edges[(k + 1, c)].append(((k, r), -e, c))
+    for k, cols in enumerate(diff_cols):
+        for c, v in enumerate(cols):
+            for r, e in _term_degrees(v, S):
+                edges[(k, r)].append(((k + 1, c), e, c))
+                edges[(k + 1, c)].append(((k, r), -e, c))
     degs: Dict[Tuple[int, int], int] = {}
     for anchor in edges:
         if anchor in degs:
@@ -141,14 +141,15 @@ def infer_degrees(
 class ModulePresentation:
     """Finitely generated module coker(Q : R^t -> R^s) with graded bookkeeping.
 
-    The module owns what is computed from it, each filled on first use: the
-    presentation GB, its Hilbert series (module_series), the minimal
-    resolution (grown in place as longer ones are asked for), its matrix
-    factorization, and theta values against other modules, keyed by the
-    other module's rows and generator degrees.  It keeps no minimal
-    presentation: F_0 and d_1 of the resolution are one.  No
-    cache holds a module object, so a module is freed by reference counting,
-    with no cycle for the garbage collector.
+    The matrix, rows of Polynomials or their texts, is kept only as columns:
+    its nonzero columns, packed once and reduced modulo f.  The module owns
+    what is computed from it, each filled on first use: the presentation GB,
+    its Hilbert series (module_series), the minimal resolution (grown in
+    place as longer ones are asked for), its matrix factorization, and theta
+    values against other modules, keyed by the other module's frozen columns
+    and generator degrees.  It keeps no minimal presentation: F_0 and d_1 of
+    the resolution are one.  No cache holds a module object, so a module is
+    freed by reference counting, with no cycle for the garbage collector.
 
     Generator degrees are inferred when not given; given ones must be one
     per generator and make every relation column homogeneous."""
@@ -156,37 +157,24 @@ class ModulePresentation:
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
         self.ring = ring
         S = ambient_of(ring)
-        norm_rows = []
-        for row in rows:
-            norm_row = []
-            for entry in row:
-                if isinstance(entry, str):
-                    entry = S.parse(entry)
-                norm_row.append(reduce_mod_f(entry, ring))
-            norm_rows.append(tuple(norm_row))
-        # drop identically-zero relation columns
-        if norm_rows:
-            ncols = len(norm_rows[0])
-            if any(len(r) != ncols for r in norm_rows):
-                raise ValueError("ragged presentation matrix")
-            keep = [c for c in range(ncols) if any(r[c].coeffs for r in norm_rows)]
-            norm_rows = [tuple(r[c] for c in keep) for r in norm_rows]
-        self.rows: MatrixRows = tuple(norm_rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        rows = [[S.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged presentation matrix")
+        self.columns: List[dict] = [v for v in reduced_columns(rows, ring) if v]
+        self.nrows, self.ncols = len(rows), len(self.columns)
         if gen_degrees is None:
-            self.gen_degrees = infer_degrees([self.nrows, self.ncols], [self.rows])[0]
+            self.gen_degrees = infer_degrees([self.nrows, self.ncols], [self.columns], S)[0]
         else:
             self.gen_degrees = tuple(gen_degrees)
             if len(self.gen_degrees) != self.nrows:
                 raise ValueError(f"{len(self.gen_degrees)} generator degrees for "
                                  f"{self.nrows} generators")
-            for c in range(self.ncols):
-                degs = {d + row[c].weighted_degree()
-                        for d, row in zip(self.gen_degrees, self.rows) if row[c].coeffs}
-                if len(degs) > 1:
+            for c, v in enumerate(self.columns):
+                if len({self.gen_degrees[r] + e for r, e in _term_degrees(v, S)}) > 1:
                     raise InhomogeneousError(
                         f"column {c} is not homogeneous in the given generator degrees")
+        # N's identity in the theta memo of every module M
+        self._key = (tuple(tuple(sorted(v.items())) for v in self.columns), self.gen_degrees)
         self._gb: Optional[GroebnerBasis] = None
         self._series: Optional[dict] = None
         # resolution: packed columns of d_1, d_2, ...; degrees of F_0, F_1, ...
@@ -194,16 +182,14 @@ class ModulePresentation:
         self._res_degs: List[List[int]] = []
         self._open: Optional[NakayamaSelection] = None  # the step that chose d_L
         self._mf: Optional[MatrixFactorization] = None
-        self._thetas: Dict[Tuple[MatrixRows, tuple], int] = {}
+        self._thetas: Dict[tuple, int] = {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def cyclic(cls, ring: RingLike, generators) -> "ModulePresentation":
         """A/(g_1..g_k): one generator, the given relations."""
-        S = ambient_of(ring)
-        polys = [S.parse(g) if isinstance(g, str) else g for g in generators]
-        return cls(ring, [tuple(polys)])
+        return cls(ring, [list(generators)])
 
     @classmethod
     def zero(cls, ring: RingLike) -> "ModulePresentation":
@@ -214,8 +200,7 @@ class ModulePresentation:
     def presentation_gb(self) -> GroebnerBasis:
         """GB of the lifted column submodule of S^s (adds f * e_j)."""
         if self._gb is None:
-            columns = columns_as_vectors(self.rows, ambient_of(self.ring))
-            self._gb = lifted_basis(self.ring, columns, self.nrows)
+            self._gb = lifted_basis(self.ring, self.columns, self.nrows)
         return self._gb
 
     def is_zero(self) -> bool:
@@ -228,25 +213,31 @@ class ModulePresentation:
 
     def _unit_pruned(self) -> Tuple[List[dict], List[int]]:
         """Packed relation columns and generator degrees left once every unit
-        entry has been used to eliminate its generator and its column."""
-        rows = [list(r) for r in self.rows]
-        degs = list(self.gen_degrees)
+        entry has been used to eliminate its generator and its column.  The
+        columns are homogeneous, so an entry with a constant term is that
+        constant; the first, by row then column, makes its column monic there
+        to clear its row, and the components above the row move down."""
+        S, field = ambient_of(self.ring), self.ring.field
+        comp_shift, cols, degs = S._comp_shift, list(self.columns), list(self.gen_degrees)
         while True:
-            unit = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row)
-                         if p.coeffs and p.is_constant()), None)
+            unit = next(((r, c) for r in range(len(degs)) for c, v in enumerate(cols)
+                         if (r << comp_shift) + S._one in v), None)
             if unit is None:
-                return [v for v in columns_as_vectors(rows, ambient_of(self.ring)) if v], degs
+                return [v for v in cols if v], degs
             r, c = unit
-            a_inv = self.ring.field.inv(rows[r][c].constant_coeff())
-            # clear row r with column operations; row r and column c then go
-            for c2 in range(len(rows[r])):
-                if c2 == c or rows[r][c2].is_zero():
-                    continue
-                lam = rows[r][c2].scale(a_inv)
-                for row in rows:
-                    row[c2] = reduce_mod_f(row[c2] - lam * row[c], self.ring)
+            one = (r << comp_shift) + S._one  # the packed term 1 * e_r
+            pivot = _monic(cols.pop(c), one, field)
+            for k, v in enumerate(cols):
+                # t - one is the packed quotient x^m of a term x^m e_r
+                row = [(t, x) for t, x in v.items() if t >> comp_shift == r]
+                if row:
+                    v = dict(v)
+                    for t, x in row:
+                        field.axpy(v, field.neg(x), t - one, pivot)
+                    cols[k] = reduce_packed_mod_f(v, self.ring)
             del degs[r]
-            rows = [row[:c] + row[c + 1:] for i, row in enumerate(rows) if i != r]
+            cols = [{t - (1 << comp_shift) if t >> comp_shift > r else t: x
+                     for t, x in v.items()} for v in cols]
 
     def _degree_bound(self, m: int) -> Optional[float]:
         """D_m, for m >= 2: no generator of F_m lies above it.  None when no
@@ -413,10 +404,7 @@ class Resolution:
 def _vector_degree(v: dict, target_degs: Sequence[int], S: PolynomialRing) -> int:
     """The degree of the homogeneous packed vector v into generators of the
     given degrees, off its terms' degree fields."""
-    comp_shift, deg_shift = S._comp_shift, S._deg_shift
-    mask = (1 << (comp_shift - deg_shift)) - 1
-    degs = {MAX_PACKED_DEGREE - ((t >> deg_shift) & mask) + target_degs[t >> comp_shift]
-            for t in v}
+    degs = {target_degs[r] + e for r, e in _term_degrees(v, S)}
     if len(degs) != 1:
         raise InhomogeneousError("syzygy vector is not homogeneous")
     return degs.pop()

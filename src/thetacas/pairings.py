@@ -28,11 +28,9 @@ from .errors import (
 )
 from .groebner import _series_at_one, _tpoly_axpy, finite_colength, series_length, series_value
 from .homology import (
-    MatrixRows,
     ModulePresentation,
     _cokernel_series,
     _tor_lengths,
-    columns_as_vectors,
     extract_matrix_factorization,
     homology_series,
     infer_degrees,
@@ -41,8 +39,8 @@ from .homology import (
     module_length,
     module_multiplicity,
     module_series,
-    reduce_mod_f,
     reduce_packed_mod_f,
+    reduced_columns,
 )
 from .matrices import mat_vec
 from .ring import (
@@ -108,22 +106,16 @@ class DivisorClass:
 
 class FreeComplex:
     """Bounded complex of free modules ... -> R^{r_1} -> R^{r_0} given by the
-    matrices of d_1, ..., d_L; consecutive composites must vanish over R.
-    Entries are stored modulo f, diff_cols holds the packed columns of each
-    d_k, and the generator degrees of F_0, ..., F_L are inferred so that
-    every differential is homogeneous."""
+    matrices of d_1, ..., d_L (rows of Polynomials or their texts), whose
+    consecutive composites must vanish over R.  diff_cols keeps each d_k's
+    columns, packed once and reduced modulo f, and the generator degrees of
+    F_0, ..., F_L are inferred from them so that each d_k is homogeneous."""
 
-    def __init__(self, ring: RingLike, matrices: Sequence[MatrixRows]):
+    def __init__(self, ring: RingLike, matrices: Sequence):
         self.ring = ring
         S = ambient_of(ring)
-        mats = []
-        for rows in matrices:
-            mats.append(tuple(
-                tuple(reduce_mod_f(S.parse(e) if isinstance(e, str) else e, ring)
-                      for e in row)
-                for row in rows
-            ))
-        self.matrices: List[MatrixRows] = mats
+        mats = [[[S.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
+                for rows in matrices]
         ranks = []
         for k, rows in enumerate(mats):
             if not rows:
@@ -140,11 +132,11 @@ class FreeComplex:
         if not mats:
             raise ValueError("a complex needs at least one differential")
         self.length = len(mats)
-        cols = self.diff_cols = [columns_as_vectors(m, S) for m in mats]
+        cols = self.diff_cols = [reduced_columns(rows, ring) for rows in mats]
         for k in range(self.length - 1):
             if any(reduce_packed_mod_f(mat_vec(cols[k], v, S), ring) for v in cols[k + 1]):
                 raise ValueError(f"composite d_{k + 1} d_{k + 2} does not vanish")
-        self.degrees = infer_degrees(ranks, mats)  # of F_0 .. F_L
+        self.degrees = infer_degrees(ranks, cols, S)  # of F_0 .. F_L
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     coker d_{s+2} = ker d_s.  So HS(C_{s+2}) = t^(deg f) HS(C_s), and with
     P_i = sum_j t^(deg F_i,j), HS(Tor_s) - HS(Tor_{s+1}) is
     (1 - t^(deg f)) HS(C_s) - HS(N) (P_{s-1} - P_s): one cokernel basis.
-    The value is remembered on M, keyed by N's rows and generator degrees.
+    The value is remembered on M, keyed by N's packed columns and degrees.
 
     theta is 0 when N or M has finite length, as its presentation basis's
     leads tell: theta is additive, and Tor_i(M, k) = k^(b_i(M)) with b_i(M)
@@ -192,7 +184,7 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     if _tjurina_number(M.ring) is INFINITE:
         raise NonIsolatedSingularity(
             "the Tjurina number is infinite; the singularity is not isolated")
-    key = (N.rows, N.gen_degrees)
+    key = N._key
     if key in M._thetas:
         return M._thetas[key]
     if finite_colength(N.presentation_gb()) or finite_colength(M.presentation_gb()):
@@ -323,8 +315,8 @@ def _local_length(M: ModulePresentation, prime: List[Polynomial], e_p: int) -> i
     total = 0
     below: dict = {}  # HS(F/(p^0 F + Q)) = HS(0)
     for power in range(256):
-        products = columns_as_vectors([_power_products(S, prime, power + 1)], S)
-        above = _cokernel_series([reduce_packed_mod_f(v, ring) for v in products], [0], M)
+        products = reduced_columns([_power_products(S, prime, power + 1)], ring)
+        above = _cokernel_series(products, [0], M)
         order, e_piece = _series_at_one(_tpoly_axpy(dict(above), -1, 0, below))
         if order is None or S.nvars - order < d - 1:
             return total

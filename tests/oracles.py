@@ -7,9 +7,13 @@ groebner_basis.  Also vectors from polynomials, free modules and direct
 sums of presentations;
 the monomial divisibility, lcm and coprimality the packed pair layer is
 checked against, and a basis's leads unpacked;
-the unpacked vector arithmetic (vec_axpy) and reduction modulo f that the
-packed kernel is checked against, and conversions between packed columns,
-unpacked columns and rows of Polynomials; matrix products
+the unpacked vector arithmetic (vec_axpy) and reduction modulo f of a
+polynomial or a vector that the packed kernel is checked against, and
+conversions between packed columns, unpacked columns and rows of
+Polynomials, among them the rows of a presentation or of a complex's
+differentials (rows_of, complex_rows), which the kernel keeps only as
+packed columns; the unit pruning by column operations on rows of
+Polynomials, the reference for the packed pruning; matrix products
 over S, for the two-sided matrix factorization identity and d^2 = 0; for the
 Hilbert-series route to lengths, a staircase count of standard monomials and
 the top degree of a finite-length module they give, homology of a tensored
@@ -66,7 +70,6 @@ from thetacas.homology import (
     _kept_syzygies,
     _vector_degree,
     module_series,
-    reduce_mod_f,
     reduce_packed_mod_f,
 )
 from thetacas.pairings import _checked_prime, _local_length, _power_products
@@ -158,6 +161,17 @@ def basis_of_vectors(vectors, ring, rank, known=()):
     return groebner_basis([ring._pack_vector(v) for v in vectors], ring, rank, known)
 
 
+def reduce_mod_f(p, ring):
+    """The polynomial p reduced modulo f, through the packed kernel."""
+    if p.ring is not ambient_of(ring):
+        raise ValueError("polynomial not over this ring")
+    if modulus_of(ring) is None or p.is_zero():
+        return p
+    S = ring.ambient
+    r = reduce_packed_mod_f(S._pack_vector({(0, m): c for m, c in p.coeffs.items()}), ring)
+    return Polynomial(S, {m: c for (_z, m), c in S._unpack_vector(r).items()})
+
+
 def reduce_vec_mod_f(v, ring):
     """v with every component reduced modulo f, through the packed kernel."""
     if modulus_of(ring) is None:
@@ -173,6 +187,19 @@ def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring) -> tuple:
         for (comp, m), c in v.items():
             rows[comp][k][m] = c
     return tuple(tuple([Polynomial(S, entry) for entry in row]) for row in rows)
+
+
+def rows_of(M):
+    """The rows of Polynomials of the presentation matrix of M."""
+    unpack = ambient_of(M.ring)._unpack_vector
+    return vectors_to_rows([unpack(v) for v in M.columns], M.nrows, M.ring)
+
+
+def complex_rows(F):
+    """The rows of Polynomials of each differential of the FreeComplex F."""
+    unpack = ambient_of(F.ring)._unpack_vector
+    return [vectors_to_rows([unpack(v) for v in cols], len(F.degrees[k]), F.ring)
+            for k, cols in enumerate(F.diff_cols)]
 
 
 def packed_columns(rows, ring):
@@ -222,10 +249,10 @@ def direct_sum(M, N):
     S = ambient_of(M.ring)
     zero = S.zero()
     rows = []
-    for r in range(M.nrows):
-        rows.append(tuple(M.rows[r]) + (zero,) * N.ncols)
-    for r in range(N.nrows):
-        rows.append((zero,) * M.ncols + tuple(N.rows[r]))
+    for row in rows_of(M):
+        rows.append(row + (zero,) * N.ncols)
+    for row in rows_of(N):
+        rows.append((zero,) * M.ncols + row)
     return ModulePresentation(
         M.ring, rows, gen_degrees=M.gen_degrees + N.gen_degrees
     )
@@ -337,6 +364,31 @@ def syzygy_of(M, l):
     return ModulePresentation(M.ring, rows, gen_degrees=tuple(res.gen_degrees(l)))
 
 
+def unit_pruned(M):
+    """Packed relation columns and generator degrees left once every unit
+    entry has been used to eliminate its generator and its column, by
+    column operations on the rows of Polynomials: the reference for the
+    packed pruning of the kernel."""
+    rows = [list(r) for r in rows_of(M)]
+    degs = list(M.gen_degrees)
+    while True:
+        unit = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row)
+                     if p.coeffs and p.is_constant()), None)
+        if unit is None:
+            return [v for v in packed_columns(rows, M.ring) if v], degs
+        r, c = unit
+        a_inv = M.ring.field.inv(rows[r][c].constant_coeff())
+        # clear row r with column operations; row r and column c then go
+        for c2 in range(len(rows[r])):
+            if c2 == c or rows[r][c2].is_zero():
+                continue
+            lam = rows[r][c2].scale(a_inv)
+            for row in rows:
+                row[c2] = reduce_mod_f(row[c2] - lam * row[c], M.ring)
+        del degs[r]
+        rows = [row[:c] + row[c + 1:] for i, row in enumerate(rows) if i != r]
+
+
 def unbounded_resolution(M, length):
     """(columns of d_1..d_length, generator degrees of F_0..F_length) of M's
     minimal resolution, each step reading the full syzygy basis of the one
@@ -429,7 +481,6 @@ def shifted(F):
     encoded as a matrix with no rows."""
     out = FreeComplex.__new__(FreeComplex)
     out.ring = F.ring
-    out.matrices = [()] + list(F.matrices)
     out.degrees = [()] + list(F.degrees)
     out.diff_cols = [[]] + list(F.diff_cols)
     out.length = F.length + 1
@@ -697,7 +748,7 @@ def complex_homology(ring, diff_cols, ranks, N, i):
     s = N.nrows
     if s == 0 or ranks[i] == 0:
         return ModulePresentation.zero(ring)
-    Q_cols = columns_as_vectors(N.rows)
+    Q_cols = columns_as_vectors(rows_of(N))
     denominator = []
     if i < L:
         denominator += tensor_map_columns(diff_cols[i], s)
@@ -738,7 +789,7 @@ def homology_tor_length(M, N, i):
 def homology_chi(F, N):
     """Alternating sum of the staircase counts of H_i(F (x) N), each presented
     as a subquotient, for a FreeComplex F."""
-    diff_cols = [columns_as_vectors(m) for m in F.matrices]
+    diff_cols = [columns_as_vectors(m) for m in complex_rows(F)]
     ranks = [len(degs) for degs in F.degrees]
     return sum(
         (-1) ** i * staircase_count(
@@ -757,7 +808,7 @@ def subquotient_local_length(M, prime):
     e_p = multiplicity(ModulePresentation.cyclic(ring, prime).presentation_gb())
     total = 0
     for power in range(256):
-        num, den = [], columns_as_vectors(M.rows)
+        num, den = [], columns_as_vectors(rows_of(M))
         for target, p in ((num, power), (den, power + 1)):
             for prod in _power_products(S, prime, p):
                 prod = reduce_mod_f(prod, ring)

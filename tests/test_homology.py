@@ -1,6 +1,7 @@
 """Presentations, minimal resolutions, matrix factorizations, Tor and Ext."""
 
 import gc
+import itertools
 import json
 import math
 import weakref
@@ -22,7 +23,7 @@ from thetacas import (
     theta,
     tor_length,
 )
-from thetacas import homology, pairings
+from thetacas import homology
 from thetacas.cli import build_environment, run_session
 from thetacas.errors import InfiniteLength, NotStabilized
 from thetacas.groebner import NakayamaSelection, freeze_vec, groebner_basis
@@ -33,7 +34,6 @@ from thetacas.homology import (
     module_length,
     module_multiplicity,
     module_series,
-    reduce_mod_f,
 )
 from thetacas.ring import ambient_of
 from oracles import (
@@ -52,9 +52,11 @@ from oracles import (
     normal_form,
     quotient_dimension,
     packed_columns,
+    reduce_mod_f,
     reduce_vec_mod_f,
     reduce_with_representation,
     resolution_matrix,
+    rows_of,
     syzygies_over,
     syzygy_basis,
     syzygy_of,
@@ -64,6 +66,7 @@ from oracles import (
     vector_degree,
     transpose,
     unbounded_resolution,
+    unit_pruned,
     unpacked_columns,
     vec_from_polys,
 )
@@ -93,20 +96,26 @@ def cusp_line():
 def test_present_cyclic_shapes(quadric):
     M = present_cyclic(quadric, ["x", "u"])
     assert M.nrows == 1
-    assert len(M.rows[0]) == 2
+    assert M.ncols == len(M.columns) == 2
 
     free = present_cyclic(quadric, [])
-    assert free.nrows == 1 and not columns_as_vectors(free.rows)
+    assert free.nrows == 1 and not free.columns
 
     zero = present_cyclic(quadric, ["1"])
     assert zero.is_zero()
 
 
 def test_presentation_rejects_inhomogeneous_columns(node):
+    """An inhomogeneous entry is read off the degrees of its packed terms,
+    so the error names its column, whether degrees are inferred or given."""
     from thetacas.errors import InhomogeneousError
 
-    with pytest.raises(InhomogeneousError):
+    with pytest.raises(InhomogeneousError,
+                       match="^column 0 is not homogeneous under any generator degrees$"):
         ModulePresentation(node, [["x + y^2"]])
+    with pytest.raises(InhomogeneousError,
+                       match="^column 1 is not homogeneous in the given generator degrees$"):
+        ModulePresentation(node, [["x", "x + y^2"]], gen_degrees=(0,))
 
 
 def test_presentation_checks_given_generator_degrees(a1):
@@ -132,6 +141,46 @@ def test_degree_inference_consistency(quadric):
     M = ModulePresentation(quadric, [["u", "y"], ["-x", "-v"]])
     d0, d1 = M.gen_degrees
     assert d1 - d0 == 0  # both columns homogeneous of the same internal shift
+
+
+# the pruning's constant entries, over Q and over F_32003 with weights
+PRUNING_RINGS = [
+    (0, ["x", "y", "z"], "x*y - z^2", None),
+    (32003, ["x", "y", "z"], "x^6 + y^3 + z^2", [1, 2, 3]),
+]
+PIVOTS = (1, 2, -3)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_unit_pruning_matches_the_polynomial_row_reference(data):
+    """The packed pruning leaves the columns and generator degrees that the
+    column operations on rows of Polynomials leave (the oracle unit_pruned),
+    on drawn homogeneous presentations whose constant entries are 1, 2 or
+    -3: a pivot that is not made monic, or components above a removed row
+    left in place, give other columns."""
+    characteristic, variables, f, weights = data.draw(st.sampled_from(PRUNING_RINGS))
+    S = PolynomialRing(FieldSpec(characteristic), variables, weights)
+    ring = HypersurfaceRing(S, S.parse(f))
+    gen_degrees = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    column_degrees = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    rows = [[] for _d in gen_degrees]
+    for degree in column_degrees:
+        for row, d in zip(rows, gen_degrees):
+            e = degree - d
+            if e == 0:
+                row.append(S.constant(data.draw(st.sampled_from((0,) + PIVOTS))))
+                continue
+            monos = [m for m in itertools.product(range(e + 1), repeat=S.nvars)
+                     if S.mono_degree(m) == e] if e > 0 else []
+            terms = data.draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(-3, 3)),
+                                       max_size=2)) if monos else []
+            entry = S.zero()
+            for m, c in terms:
+                entry = entry + S.from_dict({m: c})
+            row.append(entry)
+    M = ModulePresentation(ring, rows, gen_degrees=tuple(gen_degrees))
+    assert M._unit_pruned() == unit_pruned(M)
 
 
 # ---------------------------------------------------------------------------
@@ -636,46 +685,32 @@ def test_session_betas_match_the_representation_route(name, rescale, monkeypatch
 def test_fp_sessions_keep_the_resolve_and_mf_path_packed(monkeypatch):
     """A timing-free guard on conversions between (component, exponent
     tuple) vectors and packed ones.  Over one pass of the three fp sessions
-    as written, building their environments packs 17 vectors and unpacks
-    14, one each per presentation entry reduced modulo f.  Their resolve and
-    mf tasks pack 28 more, the columns of d_1's candidates and of the
-    presentation bases' generators (f * e_j is packed once per ring), and
-    unpack none: every differential stays packed from the selection that chose it
-    through the matrix factorization to the report.  Over the golden
-    sessions and cubic_threefold, whose tasks also read theta, Tor, chi and
-    c1 off cokernel bases, every unpack is one reduce_mod_f makes."""
-    counts = dict.fromkeys(("_pack_vector", "_unpack_vector", "reduce_mod_f"), 0)
-    depth = [0]
-    for name in ("_pack_vector", "_unpack_vector"):
+    as written, building their environments packs 17 vectors, f once per
+    ring and each presentation column once, and unpacks none.  Their resolve
+    and mf tasks pack nothing more: every differential stays packed from the
+    presentation through the selection that chose it and the matrix
+    factorization to the report.  Over the golden sessions and
+    cubic_threefold, whose tasks also read theta, Tor, chi and c1 off
+    cokernel bases, nothing is unpacked."""
+    counts = dict.fromkeys(("_pack_vector", "_unpack_vector"), 0)
+    for name in counts:
         def counting(ring, v, _real=getattr(PolynomialRing, name), _name=name):
             counts[_name] += 1
-            if _name == "_unpack_vector" and depth[0]:
-                counts["reduce_mod_f"] += 1
             return _real(ring, v)
 
         monkeypatch.setattr(PolynomialRing, name, counting)
-
-    def reducing(p, ring, _real=homology.reduce_mod_f):
-        depth[0] += 1
-        try:
-            return _real(p, ring)
-        finally:
-            depth[0] -= 1
-
-    for module in (homology, pairings):
-        monkeypatch.setattr(module, "reduce_mod_f", reducing)
     docs = [json.loads(session_path(name).read_text())
             for name in ("fp_cubic_fourfold", "fp_e8_threefold", "fp_e7_surface")]
     for doc in docs:
         build_environment(doc)
-    assert counts == {"_pack_vector": 17, "_unpack_vector": 14, "reduce_mod_f": 14}
+    assert counts == {"_pack_vector": 17, "_unpack_vector": 0}
     counts.update(dict.fromkeys(counts, 0))
     assert [run_session(doc)[1] for doc in docs] == [0, 0, 0]
-    assert counts == {"_pack_vector": 17 + 28, "_unpack_vector": 14, "reduce_mod_f": 14}
+    assert counts == {"_pack_vector": 17, "_unpack_vector": 0}
     for name in NAMES + ("cubic_threefold",):
         counts.update(dict.fromkeys(counts, 0))
         assert run_session(json.loads(session_path(name).read_text()))[1] == 0
-        assert counts["_unpack_vector"] == counts["reduce_mod_f"] > 0, (name, counts)
+        assert counts["_pack_vector"] > 0 and counts["_unpack_vector"] == 0, (name, counts)
 
 
 # lead coefficients of f: 1, 2 and 3 over Q, and 1 over F_32003 with weights
@@ -713,26 +748,26 @@ def test_syzygy_of_examples(node, node_modules):
     P = minimal_presentation(W)
     assert P.nrows == 1
     y_col = columns_as_vectors(((node.ambient.parse("y"),),))
-    assert same_span(node, columns_as_vectors(P.rows), y_col, 1)
+    assert same_span(node, columns_as_vectors(rows_of(P)), y_col, 1)
     assert syzygy_of(free_module(node), 2).is_zero()
 
 
 def test_dual_module_examples(node, quadric, node_modules, quadric_modules):
     A_dual = dual_module(free_module(node))
     P = minimal_presentation(A_dual)
-    assert P.nrows == 1 and not columns_as_vectors(P.rows)
+    assert P.nrows == 1 and not P.columns
 
     D = minimal_presentation(dual_module(node_modules["Ax"]))
     assert D.nrows == 1
     x_col = columns_as_vectors(((node.ambient.parse("x"),),))
-    assert same_span(node, columns_as_vectors(D.rows), x_col, 1)
+    assert same_span(node, columns_as_vectors(rows_of(D)), x_col, 1)
 
     assert dual_module(quadric_modules["Ap"]).is_zero()
 
 
 def test_ext_module_examples(node, node_modules):
     E0 = minimal_presentation(ext_module(free_module(node), 0))
-    assert E0.nrows == 1 and not columns_as_vectors(E0.rows)
+    assert E0.nrows == 1 and not E0.columns
 
     assert ext_module(node_modules["Ax"], 1).is_zero()
 
@@ -751,7 +786,7 @@ def test_h0_of_selftensor_is_the_module(node, node_modules):
     H0 = complex_homology(node, diff_cols, res.betti[:4], M, 0)
     P = minimal_presentation(H0)
     assert P.nrows == 1
-    assert same_span(node, columns_as_vectors(P.rows), columns_as_vectors(M.rows), 1)
+    assert same_span(node, columns_as_vectors(rows_of(P)), columns_as_vectors(rows_of(M)), 1)
 
 
 def test_koszul_resolution_is_exact_over_regular_ring(S2):

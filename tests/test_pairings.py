@@ -41,7 +41,6 @@ from thetacas.homology import (
     _cokernel_series,
     extract_matrix_factorization,
     minimal_resolution,
-    reduce_mod_f,
     tor_length,
 )
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning, _tjurina_number
@@ -55,6 +54,7 @@ from oracles import (
     knorrer_ring,
     koszul_complex,
     local_length_at_prime,
+    rows_of,
     shifted,
     subquotient_local_length,
     syzygy_of,
@@ -197,7 +197,7 @@ def test_theta_dimension_vanishing(quadric):
 
 def fresh(M):
     """A new presentation of M, with nothing theta left on M."""
-    return ModulePresentation(M.ring, M.rows, gen_degrees=M.gen_degrees)
+    return ModulePresentation(M.ring, rows_of(M), gen_degrees=M.gen_degrees)
 
 
 def test_theta_mcm_shortcut(quadric, quadric_modules):
@@ -412,9 +412,9 @@ def test_theta_vanishes_on_the_sessions_finite_length_modules(name):
     session lacks."""
     env, errors = build_environment(json.loads(WITNESS_SESSIONS[name].read_text()))
     assert not errors
-    mods = {(M.rows, M.gen_degrees): M for M in env.modules.values()}
+    mods = {M._key: M for M in env.modules.values()}
     k = present_cyclic(env.ring, list(env.ring.ambient.variables))
-    mods.setdefault((k.rows, k.gen_degrees), k)
+    mods.setdefault(k._key, k)
     assert _vanishes_on_finite_length_sides(list(mods.values()))
 
 
@@ -597,9 +597,13 @@ def test_free_complex_degrees(S2, node):
     assert shifted(K).degrees == [(), (0,), (1, 2), (3,)]
     # x*y vanishes over the node, so it does not constrain the degrees
     F = FreeComplex(node, [[["x", "x*y"]]])
-    assert F.matrices[0][0][1].is_zero() and F.degrees == [(0,), (1, 0)]
+    assert F.diff_cols[0][1] == {} and F.degrees == [(0,), (1, 0)]
     with pytest.raises(InhomogeneousError):
         FreeComplex(S2, [[["x", "y"], ["y", "x^2"]]])
+    # an inhomogeneous entry names its column, as in a presentation
+    with pytest.raises(InhomogeneousError,
+                       match="^column 1 is not homogeneous under any generator degrees$"):
+        FreeComplex(S2, [[["x", "y + x^2"]]])
 
 
 def test_free_complex_composites_must_vanish_over_the_ring(S2, node):
@@ -617,7 +621,8 @@ def test_free_complex_composites_must_vanish_over_the_ring(S2, node):
 def test_polynomials_from_another_ring_are_rejected(node, quadric):
     """A polynomial over another ambient ring, with one more variable or over
     another field, raises where it enters a presentation (cyclic or by
-    matrix), a free or Koszul complex, or a cyclic prime, instead of being
+    matrix), a free or Koszul complex (in any differential), or a cyclic
+    prime, where its entries are packed, instead of being
     read as one of this ring's: z as 1, an F_5 coefficient as rational."""
     T = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
     F5 = PolynomialRing(FieldSpec(5), ["x", "y"])
@@ -627,7 +632,7 @@ def test_polynomials_from_another_ring_are_rejected(node, quadric):
         lambda: theta(present_cyclic(node, [T.parse("x*z")]), present_cyclic(node, ["x"])),
         lambda: present_cyclic(node, [F5.parse("3*x")]),
         lambda: ModulePresentation(node, [[T.parse("x"), "y"]]),
-        lambda: reduce_mod_f(F5.parse("x"), node),
+        lambda: FreeComplex(node, [[["x"]], [[F5.parse("y")]]]),
         lambda: FreeComplex(node, [[[T.parse("z")]]]),
         lambda: koszul_complex(node, [F5.parse("x")]),
         lambda: local_length_at_prime(present_cyclic(quadric, ["x"]),

@@ -233,3 +233,32 @@ def test_every_kernel_definition_is_reachable_from_the_cli_or_the_library():
     use."""
     unreached = _unreachable_kernel_definitions()
     assert not unreached, f"kernel definitions no root reaches: {unreached}"
+
+
+def _scopes_naming(name):
+    """``file:scope`` of each place in ``src/thetacas`` that names ``name``,
+    as a name or an attribute, the scope being the dotted chain of the
+    classes and functions around it (empty at module level)."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), ())]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope += (node.name,)
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name):
+                found.add(f"{path.name}:{'.'.join(scope)}")
+            stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_only_the_polynomial_boundary_unpacks_vectors():
+    """Every kernel vector is packed: outside the ring, which defines the
+    conversion, only a matrix factorization's alpha and beta, made on first
+    read, and a Groebner basis's frozen vectors unpack one.  A presentation
+    entry is packed once, where it enters, and never unpacked."""
+    allowed = {"homology.py:MatrixFactorization.__getattr__", "groebner.py:GroebnerBasis.vectors"}
+    found = {scope for scope in _scopes_naming("_unpack_vector")
+             if not scope.startswith("ring.py:")}
+    assert found <= allowed, f"_unpack_vector named outside the boundary: {sorted(found - allowed)}"
