@@ -345,7 +345,7 @@ class NakayamaSelection:
             builder.add(r)
         comp_shift, one = ring._comp_shift, ring.field.one
         bound = rank << comp_shift
-        tag = ring._pack(rank, ring._one_mono)  # eps_0; eps_n is n components on
+        tag = bound + ring._one  # eps_0; eps_n is n components on
         kept = []
         for n in sorted(range(len(candidates)), key=lambda n: candidates[n][1]):
             v, degree = candidates[n]

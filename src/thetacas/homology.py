@@ -6,10 +6,11 @@ resolution step reads off the builder its selection left open.
 
 Everything is computed over the ambient polynomial ring S; a kernel over
 R = S/(f) is the module of syzygies over S of the generators modulo the
-untagged relations f * e_j.  A matrix of Polynomials is packed once, in
-its normal form modulo f (reduced_columns); from there every vector is
-packed (groebner), through theta, Tor and chi, and only a matrix
-factorization's alpha and beta are unpacked, when they are read.
+untagged relations f * e_j.  A Polynomial's terms are packed ints in
+component 0, so a matrix of Polynomials enters as packed columns by moving
+each entry's terms to the component of its row, in its normal form modulo
+f (reduced_columns), and a matrix factorization's alpha and beta are read
+back by moving them to component 0.  Every vector in between is packed.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .groebner import (
 from .matrices import divide_exactly, graded_inverse, mat_vec
 from .ring import (
     INFINITE,
-    MAX_PACKED_DEGREE,
     HypersurfaceRing,
     Polynomial,
     PolynomialRing,
     RingLike,
+    _term_degrees,
     ambient_of,
     modulus_of,
     ring_dimension,
@@ -58,22 +59,16 @@ def reduce_packed_mod_f(v: dict, ring: RingLike) -> dict:
 
 def reduced_columns(rows: Sequence[Sequence[Polynomial]], ring: RingLike) -> List[dict]:
     """The columns of the rectangular matrix with the given rows of
-    Polynomials, packed once and reduced modulo f: the one point where a
-    matrix enters the kernel.  A polynomial over another ring raises."""
+    Polynomials, reduced modulo f: the one point where a matrix enters the
+    kernel, each entry's terms moved to the component of its row.  A
+    polynomial over another ring raises."""
     S = ambient_of(ring)
     if any(p.ring is not S for row in rows for p in row):
         raise ValueError("polynomial not over this ring")
-    return [reduce_packed_mod_f(S._pack_vector({(r, m): c for r, row in enumerate(rows)
-                                                for m, c in row[k].coeffs.items()}), ring)
+    cs = S._comp_shift
+    return [reduce_packed_mod_f({t + (r << cs): c for r, row in enumerate(rows)
+                                 for t, c in row[k].coeffs.items()}, ring)
             for k in range(len(rows[0]) if rows else 0)]
-
-
-def _term_degrees(v: dict, S: PolynomialRing):
-    """The (component, weighted degree) of each term of the packed vector v,
-    off its degree field."""
-    comp_shift, deg_shift = S._comp_shift, S._deg_shift
-    mask = (1 << (comp_shift - deg_shift)) - 1
-    return [(t >> comp_shift, MAX_PACKED_DEGREE - ((t >> deg_shift) & mask)) for t in v]
 
 
 def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
@@ -434,14 +429,16 @@ class MatrixFactorization:
 
     def __getattr__(self, name):
         """alpha and beta, the rows of Polynomials, made from the packed
-        columns on first read: a report prints the columns themselves."""
+        columns on first read, each term moved to component 0: a report
+        prints the columns themselves."""
         if name not in ("alpha", "beta"):
             raise AttributeError(name)
         S, cols = self.ring.ambient, vars(self)[name + "_cols"]
         rows = [[{} for _v in cols] for _r in range(self.size)]
         for k, v in enumerate(cols):
-            for (comp, m), c in S._unpack_vector(v).items():
-                rows[comp][k][m] = c
+            for t, c in v.items():
+                comp = t >> S._comp_shift
+                rows[comp][k][t - (comp << S._comp_shift)] = c
         setattr(self, name, tuple(tuple([Polynomial(S, e) for e in row]) for row in rows))
         return getattr(self, name)
 
@@ -453,7 +450,7 @@ class MatrixFactorization:
         if len(self.beta_cols) != n or any(t >> comp_shift >= n for cols in (
                 self.alpha_cols, self.beta_cols) for v in cols for t in v):
             raise NotStabilized("matrix factorization needs square matrices of one size")
-        f = self.ring._f_vector
+        f = self.ring.f.coeffs
         for k, col in enumerate(self.beta_cols):
             shift = k << comp_shift
             if mat_vec(self.alpha_cols, col, self.ring.ambient) != {
@@ -489,7 +486,7 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
         if not r == len(M._res_degs[j]) == len(M._res_degs[j + 1]):
             continue
         alpha, d_next = M._res_diffs[j - 1], M._res_diffs[j]
-        W = [divide_exactly(mat_vec(alpha, v, S), ring._f_vector, S) for v in d_next]
+        W = [divide_exactly(mat_vec(alpha, v, S), ring.f.coeffs, S) for v in d_next]
         W_inv = graded_inverse(W, r, S)
         if W_inv is not None:
             beta = [mat_vec(d_next, v, S) for v in W_inv]
@@ -560,20 +557,11 @@ def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
     homology_series, since a difference of two Tor series can hide a pole."""
     if i < 0:
         raise IndexError("tor_length requires i >= 0")
-    return _tor_lengths(M, N, i, i)[0]
-
-
-def _tor_lengths(M: ModulePresentation, N: ModulePresentation, lo: int, hi: int) -> list:
-    """The lengths of Tor_i^A(M, N) for lo <= i <= hi, each off its own
-    series, with every cokernel series read once; INFINITE lengths raise."""
-    res = minimal_resolution(M, hi + 1)
-    diff_cols = [res.packed_columns(k) for k in range(1, hi + 2)]
-    degs = [res.gen_degrees(k) for k in range(hi + 2)]
-    weights = ambient_of(M.ring).weights
-    out = []
-    for i, num in enumerate(homology_series(diff_cols, degs, N, lo, hi), start=lo):
-        length = series_length(num, weights)
-        if length is INFINITE:
-            raise InfiniteLength(f"Tor_{i} has infinite length")
-        out.append(length)
-    return out
+    res = minimal_resolution(M, i + 1)
+    diff_cols = [res.packed_columns(k) for k in range(1, i + 2)]
+    degs = [res.gen_degrees(k) for k in range(i + 2)]
+    num = homology_series(diff_cols, degs, N, i, i)[0]
+    length = series_length(num, ambient_of(M.ring).weights)
+    if length is INFINITE:
+        raise InfiniteLength(f"Tor_{i} has infinite length")
+    return length

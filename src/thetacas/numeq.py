@@ -45,60 +45,37 @@ def gram_matrix(
 def signature(matrix: Sequence[Sequence]) -> Tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) by exact symmetric elimination.
 
-    Zero diagonals with a nonzero off-diagonal entry are handled by the
-    hyperbolic 2x2 block pivot, which contributes (1, 1) to the inertia."""
+    When every active diagonal entry is 0 and S[i][j] is not, adding row and
+    column j to row and column i, a congruence, makes S[i][i] = 2 S[i][j] a
+    pivot; Sylvester's law of inertia keeps the inertia."""
     n = len(matrix)
     S = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if S[i][j] != S[j][i]:
-                raise ValueError("matrix is not symmetric")
+    if any(S[i][j] != S[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
     active = list(range(n))
-    pos = neg = zero = 0
+    pos = neg = 0
     while active:
-        pivot = next((i for i in active if S[i][i] != 0), None)
-        if pivot is not None:
-            a = S[pivot][pivot]
-            if a > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(pivot)
-            for r in active:
-                factor = S[r][pivot] / a
-                if factor:
-                    for c in active:
-                        S[r][c] -= factor * S[pivot][c]
-            for r in active:
-                S[r][pivot] = Fraction(0)
-                S[pivot][r] = Fraction(0)
-            continue
-        hyp = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if S[i][j] != 0:
-                    hyp = (i, j)
-                    break
-            if hyp:
+        pivot = next((i for i in active if S[i][i]), None)
+        if pivot is None:
+            pivot, j = next(((i, j) for i in active for j in active if S[i][j]), (None, None))
+            if pivot is None:
                 break
-        if hyp is None:
-            zero += len(active)
-            break
-        i, j = hyp
-        b = S[i][j]
-        pos += 1
-        neg += 1
-        active.remove(i)
-        active.remove(j)
+            for k in active:
+                S[pivot][k] += S[j][k]
+            for k in active:
+                S[k][pivot] += S[k][j]
+        a = S[pivot][pivot]
+        if a > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(pivot)
         for r in active:
-            ri, rj = S[r][i], S[r][j]
-            if ri or rj:
+            factor = S[r][pivot] / a
+            if factor:
                 for c in active:
-                    S[r][c] -= (ri * S[j][c] + rj * S[i][c]) / b
-        for r in active:
-            S[r][i] = S[r][j] = Fraction(0)
-            S[i][r] = S[j][r] = Fraction(0)
-    return pos, neg, zero
+                    S[r][c] -= factor * S[pivot][c]
+    return pos, neg, len(active)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:

@@ -3,12 +3,13 @@ free complexes, and the divisor-class map on torsion modules, through its
 local lengths at height-one primes.
 
 Every length here is read at t = 1 off a Hilbert series of cokernels: chi
-of a complex off homology_series, theta on an isolated singularity off the
-series of C_s alone (HS(C_{s+1}) cancels from HS(Tor_s) - HS(Tor_{s+1}), as
-C_{s+2} is C_s shifted by deg f), and a local length off the series of
-M/p^i M, whose differences are the graded pieces p^i M / p^(i+1) M; M/p^i M
-is the cokernel of the row of degree-i products of p tensored with M, read
-by _cokernel_series like C_s."""
+of a complex off homology_series, chi of two modules off their own two
+series (the graded Euler characteristic), theta on an isolated singularity
+off the series of C_s alone (HS(C_{s+1}) cancels from HS(Tor_s) -
+HS(Tor_{s+1}), as C_{s+2} is C_s shifted by deg f), and a local length off
+the series of M/p^i M, whose differences are the graded pieces
+p^i M / p^(i+1) M; M/p^i M is the cokernel of the row of degree-i products
+of p tensored with M, read by _cokernel_series like C_s."""
 
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .groebner import _series_at_one, _tpoly_axpy, finite_colength, series_lengt
 from .homology import (
     ModulePresentation,
     _cokernel_series,
-    _tor_lengths,
     extract_matrix_factorization,
     homology_series,
     infer_degrees,
@@ -49,6 +49,7 @@ from .ring import (
     Polynomial,
     RingLike,
     ambient_of,
+    modulus_of,
     ring_dimension,
 )
 
@@ -154,8 +155,8 @@ def _tjurina_number(ring: HypersurfaceRing):
     in characteristic 2, xy - z^2 has df/dz = 0 and an infinite one."""
     if ring._tjurina is None:
         S = ring.ambient
-        partials = [S.from_dict({m[:i] + (m[i] - 1,) + m[i + 1:]: m[i] * c
-                                 for m, c in ring.f.coeffs.items() if m[i]})
+        f = [(S._unpack(t)[1], c) for t, c in ring.f.coeffs.items()]
+        partials = [S.from_dict({m[:i] + (m[i] - 1,) + m[i + 1:]: m[i] * c for m, c in f if m[i]})
                     for i in range(S.nvars)]
         ring._tjurina = module_length(ModulePresentation.cyclic(ring, partials))
     return ring._tjurina
@@ -261,13 +262,26 @@ def finite_pd(M: ModulePresentation) -> Optional[int]:
 
 def chi_modules(N0: ModulePresentation, M: ModulePresentation) -> int:
     """chi(N0, M) = sum_i (-1)^i l(Tor_i(N0, M)) up to the projective
-    dimension of N0."""
+    dimension of N0, read off the graded Euler characteristic with no Tor.
+
+    With F the finite minimal resolution of N0 and P_i = sum_j t^(deg F_i,j),
+    sum_i (-1)^i HS(Tor_i) = HS(M) sum_i (-1)^i P_i, and HS(N0) = HS(A)
+    sum_i (-1)^i P_i.  So the sum is num(N0) num(M) / ((1 - t^(deg f))
+    prod_i (1 - t^(w_i))), with no (1 - t^(deg f)) over a polynomial ring,
+    and chi is its value at t = 1."""
     if module_length(N0) is INFINITE:
         raise NotFiniteLength("first argument must have finite length")
-    pd = finite_pd(N0)
-    if pd is None:
+    if finite_pd(N0) is None:
         raise NotFinitePd("first argument must have finite projective dimension")
-    return sum((-1) ** i * ell for i, ell in enumerate(_tor_lengths(N0, M, 0, pd)))
+    num: dict = {}
+    for d, c in module_series(N0).items():
+        _tpoly_axpy(num, c, d, module_series(M))
+    weights = ambient_of(N0.ring).weights
+    f = modulus_of(N0.ring)
+    value = series_value(num, weights if f is None else weights + (f.weighted_degree(),))
+    if value is INFINITE:
+        raise AlgebraError("the Euler characteristic of Tor(N0, M) has a pole")
+    return value
 
 
 # ---------------------------------------------------------------------------

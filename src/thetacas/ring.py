@@ -3,16 +3,19 @@
 Coefficients live in Q or in a prime field F_p.  A rational is stored as a
 Python ``int`` when it is integral and as a reduced ``fractions.Fraction``
 only when it is not, so integral coefficients never become Fractions; an
-F_p element is stored as its least non-negative residue.  Monomials are
-exponent tuples ordered by weighted graded reverse lexicographic order.
-Groebner computations pack a term x^m e_comp of a module vector into one
-int whose integer order is the term order reversed (PolynomialRing._pack).  A
+F_p element is stored as its least non-negative residue.  A term x^m e_comp
+of a module vector is one int whose integer order is the term order,
+position over weighted graded reverse lexicographic, reversed
+(PolynomialRing._pack).  A Polynomial is a vector in component 0, so its
+arithmetic is FieldSpec.axpy, the one packed vector arithmetic; exponent
+tuples enter only through from_dict and leave only through printing.  A
 hypersurface ring is an ambient polynomial ring together with a nonzero
 weighted-homogeneous defining polynomial f with f in m^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,9 +99,6 @@ class FieldSpec:
             return value.numerator * pow(den, -1, p) % p
         return value % p
 
-    def add(self, a, b):
-        return (a + b) % self.characteristic if self.characteristic else _canonical(a + b)
-
     def mul(self, a, b):
         return (a * b) % self.characteristic if self.characteristic else _canonical(a * b)
 
@@ -163,8 +163,12 @@ MAX_PACKED_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 _DEGREE_MODULUS = (1 << _FIELD_BITS) - 1
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(operator.add, a, b))
+def _term_degrees(v: dict, S: PolynomialRing):
+    """The (component, weighted degree) of each term of the packed vector v,
+    off its degree field."""
+    comp_shift, deg_shift = S._comp_shift, S._deg_shift
+    mask = (1 << (comp_shift - deg_shift)) - 1
+    return [(t >> comp_shift, MAX_PACKED_DEGREE - ((t >> deg_shift) & mask)) for t in v]
 
 
 class PolynomialRing:
@@ -186,33 +190,24 @@ class PolynomialRing:
             raise ValueError("weights must be positive")
         self.nvars = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
-        self._one_mono = (0,) * self.nvars
         # Groebner bases over this ring, keyed by (rank, sorted packed
         # generators, known bases), filled by groebner.groebner_basis; freed
         # with the ring when the last reference to it goes (a basis refers to
         # its ring weakly, so no reference cycle holds the memo).
         self._groebner_memo = {}
-        # packed terms, w_1 * m_1 in the lowest field; each term is packed and
-        # unpacked once per ring, through the two caches below
+        # packed terms, w_1 * m_1 in the lowest field
         self._exp_shifts = tuple(range(0, _FIELD_BITS * self.nvars, _FIELD_BITS))
         self._deg_shift = _FIELD_BITS * self.nvars
         self._exp_bits = (1 << self._deg_shift) - 1
         self._comp_shift = self._deg_shift + _FIELD_BITS
         self._exp_guards = sum(1 << (s + _FIELD_BITS - 1) for s in self._exp_shifts)
         self._deg_guard = 1 << (self._comp_shift - 1)
-        self._codes = {}  # (component, monomial) -> packed term
-        self._terms = {}  # packed term -> (component, monomial)
-        self._one = self._pack(0, self._one_mono)  # the packed term 1 * e_0
-        self._mono_texts = {}  # monomial -> its text, made once per ring
-
-    # -- monomial order: weighted graded reverse lexicographic ------------
+        self._terms = {}  # packed term -> (component, monomial), unpacked once
+        self._one = self._pack(0, (0,) * self.nvars)  # the packed term 1 * e_0
+        self._mono_texts = {}  # packed term in component 0 -> its text
 
     def mono_degree(self, m: Monomial) -> int:
         return sum(map(operator.mul, self.weights, m))
-
-    def mono_key(self, m: Monomial):
-        """Sort key; larger key = larger monomial under weighted grevlex."""
-        return (self.mono_degree(m), tuple(map(operator.neg, m[::-1])))
 
     # -- packed terms -------------------------------------------------------
 
@@ -234,16 +229,6 @@ class PolynomialRing:
                 ((t >> s) & mask) // w for s, w in zip(self._exp_shifts, self.weights)]))
         return term
 
-    def _pack_vector(self, v: dict) -> dict:
-        codes = self._codes
-        out = {}
-        for t, c in v.items():
-            code = codes.get(t)
-            if code is None:
-                code = codes[t] = self._pack(*t)
-            out[code] = c
-        return out
-
     def _unpack_vector(self, v: dict) -> dict:
         unpack = self._unpack
         return {unpack(t): c for t, c in v.items()}
@@ -260,21 +245,24 @@ class PolynomialRing:
         c = self.field.coerce(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {self._one_mono: c})
+        return Polynomial(self, {self._one: c})
 
     def variable(self, name: str) -> "Polynomial":
         if name not in self._var_index:
             raise ParseError(f"unknown variable {name!r}")
         expo = [0] * self.nvars
         expo[self._var_index[name]] = 1
-        return Polynomial(self, {tuple(expo): self.field.one})
+        return Polynomial(self, {self._pack(0, expo): self.field.one})
 
     def from_dict(self, coeffs) -> "Polynomial":
+        """The polynomial with the given coefficients of exponent tuples."""
         clean = {}
         for m, c in coeffs.items():
+            if len(m) != self.nvars or min(m) < 0:
+                raise ValueError(f"exponents {m} are not {self.nvars} non-negative integers")
             c = self.field.coerce(c)
             if c != 0:
-                clean[tuple(m)] = c
+                clean[self._pack(0, m)] = c
         return Polynomial(self, clean)
 
     # -- parsing / printing ------------------------------------------------
@@ -283,38 +271,28 @@ class PolynomialRing:
         return _Parser(self, text).parse()
 
     def format(self, p: "Polynomial") -> str:
-        coeffs = p.coeffs
-        monos = coeffs if len(coeffs) == 1 else sorted(coeffs, key=self.mono_key, reverse=True)
-        return self._text([(m, coeffs[m]) for m in monos])
+        return self.format_columns([p.coeffs], 1)[0][0]
 
     def format_columns(self, columns, rank: int) -> list:
         """The rank rows of entry texts of the matrix with the given packed
         columns.  Ascending packed terms list a column's terms by component,
-        each entry's largest term first, as format lists a polynomial's."""
-        unpack, text = self._unpack, self._text
+        each entry's largest term first."""
+        comp_shift, text = self._comp_shift, self._text
         rows = [["0"] * len(columns) for _r in range(rank)]
         for k, v in enumerate(columns):
-            comp, terms = None, []
-            for t in sorted(v):
-                c, m = unpack(t)
-                if c != comp:
-                    if terms:
-                        rows[comp][k] = text(terms)
-                    comp, terms = c, []
-                terms.append((m, v[t]))
-            if terms:
-                rows[comp][k] = text(terms)
+            for comp, terms in itertools.groupby(sorted(v), key=lambda t: t >> comp_shift):
+                rows[comp][k] = text([(t - (comp << comp_shift), v[t]) for t in terms])
         return rows
 
     def _text(self, terms) -> str:
-        """The text of the sum of c * x^m over the (monomial, c) pairs, in
-        their order; each monomial's text is made once per ring."""
+        """The text of the sum of the (packed term in component 0, c) pairs,
+        in their order; each term's text is made once per ring."""
         texts, parts = self._mono_texts, []
-        for m, c in terms:
-            body = texts.get(m)
+        for t, c in terms:
+            body = texts.get(t)
             if body is None:
-                body = texts[m] = "*".join([name if e == 1 else f"{name}^{e}"
-                                            for name, e in zip(self.variables, m) if e])
+                body = texts[t] = "*".join([name if e == 1 else f"{name}^{e}" for name, e
+                                            in zip(self.variables, self._unpack(t)[1]) if e])
             neg = c < 0
             mag = -c if neg else c
             if not body:
@@ -336,7 +314,11 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """Canonical-form sparse polynomial: exponent tuple -> nonzero coeff."""
+    """Canonical-form sparse polynomial: packed term in component 0 (see
+    PolynomialRing._pack) -> nonzero coefficient.  The lead term is the
+    smallest int, a product of terms is a sum less the packed 1, and the
+    arithmetic is FieldSpec.axpy's; from_dict builds one from exponent
+    tuples."""
 
     __slots__ = ("ring", "coeffs", "_hash")
 
@@ -348,25 +330,22 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lead_monomial(self) -> Monomial:
+    def lead_coeff(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no lead term")
-        return max(self.coeffs, key=self.ring.mono_key)
-
-    def lead_coeff(self):
-        return self.coeffs[self.lead_monomial()]
+        return self.coeffs[min(self.coeffs)]
 
     def constant_coeff(self):
-        return self.coeffs.get(self.ring._one_mono, self.ring.field.zero)
+        return self.coeffs.get(self.ring._one, self.ring.field.zero)
 
     def is_constant(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {self.ring._one_mono}
+        return not self.coeffs or list(self.coeffs) == [self.ring._one]
 
     def weighted_degree(self) -> int:
         """Common weighted degree of all terms; error if inhomogeneous."""
         if not self.coeffs:
             raise ValueError("zero polynomial has no degree")
-        degs = {self.ring.mono_degree(m) for m in self.coeffs}
+        degs = {d for _comp, d in _term_degrees(self.coeffs, self.ring)}
         if len(degs) != 1:
             raise InhomogeneousError(
                 f"terms have weighted degrees {sorted(degs)}"
@@ -375,47 +354,41 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        field = self.ring.field
+    def _plus(self, coeff, other) -> "Polynomial":
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = field.add(out.get(m, field.zero), c)
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        self.ring.field.axpy(out, coeff, 0, other.coeffs)
         return Polynomial(self.ring, out)
 
-    def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring, {m: field.neg(c) for m, c in self.coeffs.items()})
+    def __add__(self, other):
+        return self._plus(1, other)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(-1, other)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        field = self.ring.field
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = mono_mul(m1, m2)
-                s = field.add(out.get(m, field.zero), field.mul(c1, c2))
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.ring, out)
+        S, out = self.ring, {}
+        if self.coeffs and other.coeffs:
+            top = min(self.coeffs) + min(other.coeffs) - S._one  # the largest product
+            if top & S._deg_guard:
+                raise AlgebraError(f"a term of degree {(top & S._exp_bits) % _DEGREE_MODULUS}"
+                                   f" is above {MAX_PACKED_DEGREE}")
+        for t, c in self.coeffs.items():
+            S.field.axpy(out, c, t - S._one, other.coeffs)
+        return Polynomial(S, out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = self.ring.field.coerce(c)
-        if c == 0:
-            return self.ring.zero()
-        field = self.ring.field
-        return Polynomial(self.ring, {m: field.mul(c, v) for m, v in self.coeffs.items()})
+        out: dict = {}
+        if c != 0:
+            self.ring.field.axpy(out, c, 0, self.coeffs)
+        return Polynomial(self.ring, out)
 
     def __eq__(self, other):
         return (
@@ -582,11 +555,8 @@ class HypersurfaceRing:
         self.ambient = ambient
         self.f = f
         self.dimension = ambient.nvars - 1
-        # f packed in component 0 as given, the divisor of a matrix
-        # factorization, and made monic, the one reducer modulo f
-        self._f_vector = ambient._pack_vector({(0, m): c for m, c in f.coeffs.items()})
-        lc_inv = ambient.field.inv(f.lead_coeff())
-        self._f_packed = {t: ambient.field.mul(lc_inv, c) for t, c in self._f_vector.items()}
+        # f made monic, the one reducer modulo f
+        self._f_packed = f.scale(ambient.field.inv(f.lead_coeff())).coeffs
         self._tjurina = None  # l(S/(f, df/dx_i)), filled by pairings._tjurina_number
 
     def _f_relation(self, j: int) -> dict:

@@ -2,9 +2,12 @@
 The kernel takes packed vectors only; the oracles keep the unpacked
 (component, exponent tuple) vectors as independent witnesses: a matrix's
 columns, the f * e_j, the columns of d (x) I_s and of a resolution's d_i,
-and basis_of_vectors, the one adapter that packs vectors for
-groebner_basis.  Also vectors from polynomials, free modules and direct
-sums of presentations;
+and basis_of_vectors, which packs vectors for groebner_basis.  A
+Polynomial holds packed terms; monomials(p) reads its
+coefficients keyed by exponent tuples and pack_vector packs a vector, and
+the tuple arithmetic it is checked against (mono_mul, mono_key, vec_axpy)
+is the oracles' own.  Also vectors from polynomials, free modules and
+direct sums of presentations;
 the monomial divisibility, lcm and coprimality the packed pair layer is
 checked against, and a basis's leads unpacked;
 the unpacked vector arithmetic (vec_axpy) and reduction modulo f of a
@@ -37,10 +40,14 @@ reference for the Taylor reading; theta read off the cokernel C_s with no
 finite-length shortcut, the witness that theta vanishes when either module
 has finite length; and Knörrer's lift of a matrix
 factorization to two more variables, a cross-dimension reference for theta,
-which can be applied again to the lifted ring."""
+which can be applied again to the lifted ring; chi(N0, M) as the
+alternating sum of Tor lengths, the witness for the graded Euler
+characteristic chi_modules reads; and the inertia by the hyperbolic 2x2
+block pivot, the witness for the congruence numeq.signature makes."""
 
 import itertools
 import operator
+from fractions import Fraction
 from typing import Sequence
 
 from thetacas import (
@@ -50,6 +57,7 @@ from thetacas import (
     PolynomialRing,
     extract_matrix_factorization,
     minimal_resolution,
+    tor_length,
 )
 from thetacas.errors import AlgebraError
 from thetacas.groebner import (
@@ -72,14 +80,34 @@ from thetacas.homology import (
     module_series,
     reduce_packed_mod_f,
 )
-from thetacas.pairings import _checked_prime, _local_length, _power_products
+from thetacas.pairings import _checked_prime, _local_length, _power_products, finite_pd
 from thetacas.ring import (
     Polynomial,
     ambient_of,
     modulus_of,
-    mono_mul,
     ring_dimension,
 )
+
+
+def monomials(p):
+    """The coefficients of the polynomial p, keyed by exponent tuples."""
+    unpack = p.ring._unpack
+    return {unpack(t)[1]: c for t, c in p.coeffs.items()}
+
+
+def pack_vector(S, v):
+    """The vector v, keyed by (component, exponent tuple), packed over S."""
+    return {S._pack(comp, m): c for (comp, m), c in v.items()}
+
+
+def mono_mul(a, b):
+    return tuple(map(operator.add, a, b))
+
+
+def mono_key(ring, m):
+    """Sort key of a monomial; larger key = larger monomial under weighted
+    grevlex: the reference for the order of packed terms."""
+    return (ring.mono_degree(m), tuple(map(operator.neg, m[::-1])))
 
 
 def mono_div(b, a):
@@ -111,7 +139,7 @@ def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
     zero = field.zero
     for (comp, m), c in w.items():
         t = (comp, mono_mul(mono, m))
-        s = field.add(v.get(t, zero), field.mul(coeff, c))
+        s = field.coerce(v.get(t, zero) + field.mul(coeff, c))
         if s == 0:
             v.pop(t, None)
         else:
@@ -127,7 +155,7 @@ def columns_as_vectors(rows):
     for c in range(ncols):
         v: Vector = {}
         for r, row in enumerate(rows):
-            for m, coeff in row[c].coeffs.items():
+            for m, coeff in monomials(row[c]).items():
                 v[(r, m)] = coeff
         cols.append(v)
     return cols
@@ -137,7 +165,7 @@ def f_times_unit_vectors(ring, rank):
     f = modulus_of(ring)
     if f is None:
         return []
-    return [{(j, m): c for m, c in f.coeffs.items()} for j in range(rank)]
+    return [{(j, m): c for m, c in monomials(f).items()} for j in range(rank)]
 
 
 def tensor_map_columns(d_cols, s):
@@ -156,20 +184,15 @@ def unpacked_columns(res, i):
 
 
 def basis_of_vectors(vectors, ring, rank, known=()):
-    """groebner_basis of the given vectors, packed: the one packing adapter
-    between the unpacked vectors of the tests and the kernel."""
-    return groebner_basis([ring._pack_vector(v) for v in vectors], ring, rank, known)
+    """groebner_basis of the given vectors, packed."""
+    return groebner_basis([pack_vector(ring, v) for v in vectors], ring, rank, known)
 
 
 def reduce_mod_f(p, ring):
     """The polynomial p reduced modulo f, through the packed kernel."""
     if p.ring is not ambient_of(ring):
         raise ValueError("polynomial not over this ring")
-    if modulus_of(ring) is None or p.is_zero():
-        return p
-    S = ring.ambient
-    r = reduce_packed_mod_f(S._pack_vector({(0, m): c for m, c in p.coeffs.items()}), ring)
-    return Polynomial(S, {m: c for (_z, m), c in S._unpack_vector(r).items()})
+    return Polynomial(p.ring, reduce_packed_mod_f(p.coeffs, ring))
 
 
 def reduce_vec_mod_f(v, ring):
@@ -177,7 +200,7 @@ def reduce_vec_mod_f(v, ring):
     if modulus_of(ring) is None:
         return dict(v)
     S = ring.ambient
-    return S._unpack_vector(reduce_packed_mod_f(S._pack_vector(v), ring))
+    return S._unpack_vector(reduce_packed_mod_f(pack_vector(S, v), ring))
 
 
 def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring) -> tuple:
@@ -186,7 +209,7 @@ def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring) -> tuple:
     for k, v in enumerate(vectors):
         for (comp, m), c in v.items():
             rows[comp][k][m] = c
-    return tuple(tuple([Polynomial(S, entry) for entry in row]) for row in rows)
+    return tuple(tuple([S.from_dict(entry) for entry in row]) for row in rows)
 
 
 def rows_of(M):
@@ -205,13 +228,13 @@ def complex_rows(F):
 def packed_columns(rows, ring):
     """The packed columns of the matrix with the given rows of Polynomials."""
     S = ambient_of(ring)
-    return [S._pack_vector(v) for v in columns_as_vectors(rows)]
+    return [pack_vector(S, v) for v in columns_as_vectors(rows)]
 
 
 def vector_degree(v, target_degs, S):
     """The degree of the homogeneous vector v into generators of the given
     degrees, read by the kernel off its packed terms."""
-    return _vector_degree(S._pack_vector(v), target_degs, S)
+    return _vector_degree(pack_vector(S, v), target_degs, S)
 
 
 def resolution_matrix(res, i):
@@ -225,9 +248,9 @@ def vec_shift_components(v, offset):
 
 def term_key(ring, term):
     """Sort key of a (component, monomial) term, larger for a larger term:
-    the lower component index wins, then PolynomialRing.mono_key."""
+    the lower component index wins, then mono_key."""
     comp, mono = term
-    return (-comp, ring.mono_key(mono))
+    return (-comp, mono_key(ring, mono))
 
 
 def vec_lead(v, ring):
@@ -238,7 +261,7 @@ def vec_lead(v, ring):
 def vec_from_polys(polys):
     out = {}
     for comp, p in enumerate(polys):
-        for m, c in p.coeffs.items():
+        for m, c in monomials(p).items():
             out[(comp, m)] = c
     return out
 
@@ -265,7 +288,7 @@ def vec_restrict(v, lo, hi):
 
 def _tagged(generators, ring, rank):
     """The generators g_i as (g_i, eps_i) in S^(rank + k)."""
-    one = ring._one_mono
+    one = (0,) * ring.nvars
     aug = []
     for i, g in enumerate(generators):
         h = dict(g)
@@ -297,7 +320,7 @@ def syzygy_basis(generators, ring, rank, relations=()):
         builder = GroebnerBuilder(ring, rank + len(generators))
         for g in _tagged(generators, ring, rank) + list(relations):
             if g:
-                builder.add(ring._pack_vector(g))
+                builder.add(pack_vector(ring, g))
         builder.complete()
         cached = ring._groebner_memo[key] = builder.reduced(rank)
     return cached
@@ -407,8 +430,8 @@ def unbounded_resolution(M, length):
         candidates = [(v, vector_degree(v, target, S)) for v in vectors]
         if diffs:
             candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
-        relations = [S._pack_vector(r) for r in f_times_unit_vectors(M.ring, len(target))]
-        selection = NakayamaSelection(S, target, [(S._pack_vector(v), d) for v, d in candidates],
+        relations = [pack_vector(S, r) for r in f_times_unit_vectors(M.ring, len(target))]
+        selection = NakayamaSelection(S, target, [(pack_vector(S, v), d) for v, d in candidates],
                                       relations)
         kept = [candidates[n] for n in selection.kept]
         degs[len(diffs):] = [list(target), [d for _v, d in kept]]
@@ -602,7 +625,7 @@ def normal_form(v, G):
     reducers = {}
     for lead, g in G.packed:
         reducers.setdefault(lead >> ring._comp_shift, []).append((lead, g))
-    return ring._unpack_vector(normal_form_vec(ring._pack_vector(v), reducers, ring))
+    return ring._unpack_vector(normal_form_vec(pack_vector(ring, v), reducers, ring))
 
 
 def tpoly_sub(a, b):
@@ -724,8 +747,8 @@ def reduce_with_representation(v, generators, ring, rank):
     block holds -q."""
     k = len(generators)
     nf = normal_form(dict(v), basis_of_vectors(_tagged(generators, ring, rank), ring, rank + k))
-    reps = [Polynomial(ring, {m: ring.field.neg(c) for (comp, m), c in nf.items()
-                              if comp == rank + i})
+    reps = [ring.from_dict({m: ring.field.neg(c) for (comp, m), c in nf.items()
+                            if comp == rank + i})
             for i in range(k)]
     return vec_restrict(nf, 0, rank), reps
 
@@ -813,7 +836,7 @@ def subquotient_local_length(M, prime):
             for prod in _power_products(S, prime, p):
                 prod = reduce_mod_f(prod, ring)
                 for j in range(M.nrows):
-                    target.append({(j, m): c for m, c in prod.coeffs.items()})
+                    target.append({(j, m): c for m, c in monomials(prod).items()})
         piece = subquotient_presentation(ring, M.nrows, num, den)
         if quotient_dimension(piece.presentation_gb()) < d - 1:
             return total
@@ -837,7 +860,7 @@ def knorrer_ring(A, w_u=1, names=("u_k", "v_k")):
 
 def _over(p, T):
     """The polynomial p over S as one over T = S[u, v]."""
-    return T.from_dict({m + (0, 0): c for m, c in p.coeffs.items()})
+    return T.from_dict({m + (0, 0): c for m, c in monomials(p).items()})
 
 
 def knorrer_lift(M, A2):
@@ -861,3 +884,70 @@ def knorrer_lift(M, A2):
     rows = [tuple([_over(p, T) for p in a[i]] + diagonal(minus_u, i)) for i in range(r)]
     rows += [tuple(diagonal(minus_v, i) + [_over(p, T) for p in b[i]]) for i in range(r)]
     return ModulePresentation(A2, rows)
+
+
+def tor_chi(N0, M):
+    """chi(N0, M) as the alternating sum of the Tor lengths up to the
+    projective dimension of N0, each read off its own homology series: the
+    witness for the graded Euler characteristic chi_modules reads."""
+    pd = finite_pd(N0)
+    return sum((-1) ** i * tor_length(N0, M, i) for i in range(pd + 1))
+
+
+def hyperbolic_signature(matrix):
+    """Inertia (n_plus, n_minus, n_zero) by exact symmetric elimination, a
+    zero diagonal with a nonzero off-diagonal entry handled by the hyperbolic
+    2x2 block pivot, which contributes (1, 1): the reference for the
+    congruence numeq.signature makes there."""
+    n = len(matrix)
+    S = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if S[i][j] != S[j][i]:
+                raise ValueError("matrix is not symmetric")
+    active = list(range(n))
+    pos = neg = zero = 0
+    while active:
+        pivot = next((i for i in active if S[i][i] != 0), None)
+        if pivot is not None:
+            a = S[pivot][pivot]
+            if a > 0:
+                pos += 1
+            else:
+                neg += 1
+            active.remove(pivot)
+            for r in active:
+                factor = S[r][pivot] / a
+                if factor:
+                    for c in active:
+                        S[r][c] -= factor * S[pivot][c]
+            for r in active:
+                S[r][pivot] = Fraction(0)
+                S[pivot][r] = Fraction(0)
+            continue
+        hyp = None
+        for ii, i in enumerate(active):
+            for j in active[ii + 1:]:
+                if S[i][j] != 0:
+                    hyp = (i, j)
+                    break
+            if hyp:
+                break
+        if hyp is None:
+            zero += len(active)
+            break
+        i, j = hyp
+        b = S[i][j]
+        pos += 1
+        neg += 1
+        active.remove(i)
+        active.remove(j)
+        for r in active:
+            ri, rj = S[r][i], S[r][j]
+            if ri or rj:
+                for c in active:
+                    S[r][c] -= (ri * S[j][c] + rj * S[i][c]) / b
+        for r in active:
+            S[r][i] = S[r][j] = Fraction(0)
+            S[i][r] = S[j][r] = Fraction(0)
+    return pos, neg, zero

@@ -370,8 +370,9 @@ def test_exponent_above_the_cap_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("where", ["f", "cyclic"])
 def test_a_polynomial_above_the_packed_degree_cap_exits_2(tmp_path, capsys, where):
-    """f and module entries are packed when the session is built, so one of
-    degree above MAX_PACKED_DEGREE is a schema error, caught on validate."""
+    """Polynomials are packed as they are parsed, so a product of degree
+    above MAX_PACKED_DEGREE is a schema error, caught on validate, where it
+    arises: at the power of degree 32768, before x^2 multiplies it."""
     doc = _with_task({"kind": "length", "module": "P"})
     doc["modules"]["P"] = {"cyclic": ["x"]}
     if where == "f":
@@ -380,7 +381,7 @@ def test_a_polynomial_above_the_packed_degree_cap_exits_2(tmp_path, capsys, wher
         doc["modules"]["P"]["cyclic"] = ["x^2*((x^64)^64)^8"]
     path = write_session(tmp_path, doc)
     assert main(["validate", path]) == 2
-    assert f"degree 32770 is above {MAX_PACKED_DEGREE}" in capsys.readouterr().err
+    assert f"degree 32768 is above {MAX_PACKED_DEGREE}" in capsys.readouterr().err
     assert main(["run", path]) == 2
 
 

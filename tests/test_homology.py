@@ -51,6 +51,7 @@ from oracles import (
     multiplicity,
     normal_form,
     quotient_dimension,
+    pack_vector,
     packed_columns,
     reduce_mod_f,
     reduce_vec_mod_f,
@@ -75,9 +76,9 @@ from test_golden_reports import NAMES, WEIGHTED_NAMES, _rescaled, seeded_session
 
 def same_span(ring, cols_a, cols_b, rank):
     """Equality of submodules of R^rank given by two sets of column vectors."""
-    pack = ambient_of(ring)._pack_vector
-    ga = lifted_basis(ring, [pack(v) for v in cols_a], rank)
-    gb = lifted_basis(ring, [pack(v) for v in cols_b], rank)
+    S = ambient_of(ring)
+    ga = lifted_basis(ring, [pack_vector(S, v) for v in cols_a], rank)
+    gb = lifted_basis(ring, [pack_vector(S, v) for v in cols_b], rank)
     return all(not normal_form(v, gb) for v in cols_a) and all(
         not normal_form(v, ga) for v in cols_b
     )
@@ -683,34 +684,34 @@ def test_session_betas_match_the_representation_route(name, rescale, monkeypatch
 
 
 def test_fp_sessions_keep_the_resolve_and_mf_path_packed(monkeypatch):
-    """A timing-free guard on conversions between (component, exponent
-    tuple) vectors and packed ones.  Over one pass of the three fp sessions
-    as written, building their environments packs 17 vectors, f once per
-    ring and each presentation column once, and unpacks none.  Their resolve
-    and mf tasks pack nothing more: every differential stays packed from the
-    presentation through the selection that chose it and the matrix
-    factorization to the report.  Over the golden sessions and
-    cubic_threefold, whose tasks also read theta, Tor, chi and c1 off
-    cokernel bases, nothing is unpacked."""
-    counts = dict.fromkeys(("_pack_vector", "_unpack_vector"), 0)
+    """A timing-free guard on conversions between exponent tuples and packed
+    terms.  Over one pass of the three fp sessions as written, building
+    their environments packs 30 terms, each ring's 1 and each variable as
+    the parser meets it, and unpacks no vector.  Their resolve and mf tasks
+    pack nothing more: every polynomial is packed as it is parsed and every
+    differential stays packed from the presentation through the selection
+    that chose it and the matrix factorization to the report.  Over the
+    golden sessions and cubic_threefold, whose tasks also read theta, Tor,
+    chi and c1 off cokernel bases, no vector is unpacked."""
+    counts = dict.fromkeys(("_pack", "_unpack_vector"), 0)
     for name in counts:
-        def counting(ring, v, _real=getattr(PolynomialRing, name), _name=name):
+        def counting(ring, *args, _real=getattr(PolynomialRing, name), _name=name):
             counts[_name] += 1
-            return _real(ring, v)
+            return _real(ring, *args)
 
         monkeypatch.setattr(PolynomialRing, name, counting)
     docs = [json.loads(session_path(name).read_text())
             for name in ("fp_cubic_fourfold", "fp_e8_threefold", "fp_e7_surface")]
     for doc in docs:
         build_environment(doc)
-    assert counts == {"_pack_vector": 17, "_unpack_vector": 0}
+    assert counts == {"_pack": 30, "_unpack_vector": 0}
     counts.update(dict.fromkeys(counts, 0))
     assert [run_session(doc)[1] for doc in docs] == [0, 0, 0]
-    assert counts == {"_pack_vector": 17, "_unpack_vector": 0}
+    assert counts == {"_pack": 30, "_unpack_vector": 0}
     for name in NAMES + ("cubic_threefold",):
         counts.update(dict.fromkeys(counts, 0))
         assert run_session(json.loads(session_path(name).read_text()))[1] == 0
-        assert counts["_pack_vector"] > 0 and counts["_unpack_vector"] == 0, (name, counts)
+        assert counts["_pack"] > 0 and counts["_unpack_vector"] == 0, (name, counts)
 
 
 # lead coefficients of f: 1, 2 and 3 over Q, and 1 over F_32003 with weights
@@ -949,7 +950,7 @@ def _prefix_rebuild_selection(ring, vectors, rank, target_degs):
     kept = []
     for deg, _key, v in decorated:
         if kept:
-            gb = lifted_basis(ring, [S._pack_vector(k) for k, _d in kept], rank)
+            gb = lifted_basis(ring, [pack_vector(S, k) for k, _d in kept], rank)
             if not normal_form(v, gb):
                 continue
         elif not v:
@@ -999,8 +1000,8 @@ def _select(A, candidates, target_degs):
     selection, which reads them and the f * e_j packed."""
     S = A.ambient
     selection = NakayamaSelection(
-        S, target_degs, [(S._pack_vector(v), d) for v, d in candidates],
-        [S._pack_vector(r) for r in f_times_unit_vectors(A, len(target_degs))])
+        S, target_degs, [(pack_vector(S, v), d) for v, d in candidates],
+        [pack_vector(S, r) for r in f_times_unit_vectors(A, len(target_degs))])
     return [candidates[n] for n in selection.kept], selection
 
 

@@ -25,7 +25,7 @@ from thetacas import (
 )
 from thetacas.errors import AsymmetricGram
 from thetacas.homology import module_dimension, module_multiplicity, module_series
-from oracles import free_module, knorrer_lift, knorrer_ring, tpoly_div_1mt
+from oracles import free_module, hyperbolic_signature, knorrer_lift, knorrer_ring, tpoly_div_1mt
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -187,6 +187,28 @@ def test_signature_congruence_invariance(data, seed):
         for i in range(n)
     ]
     assert signature(PtSP) == signature(S)
+
+
+@st.composite
+def zero_diagonal_matrices(draw):
+    """Symmetric integer matrices with a zero diagonal, often sparse, so that
+    elimination meets an all-zero active diagonal again after a pivot."""
+    n = draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), symm_entries)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(entries)
+    return m
+
+
+@given(S=zero_diagonal_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_signature_congruence_pivot_matches_the_hyperbolic_block(S):
+    """Where every active diagonal entry is 0, signature adds row and column
+    j to i, a congruence; the inertia is the one the 2x2 hyperbolic block
+    pivot gives."""
+    assert signature(S) == hyperbolic_signature(S)
 
 
 @given(data=st.data())

@@ -1,5 +1,6 @@
 """Coefficient fields, polynomial arithmetic, parsing, and graded checks."""
 
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -23,9 +24,17 @@ from thetacas.ring import (
     MAX_PACKED_DEGREE,
     PRIMALITY_BOUND,
     _is_prime,
-    mono_mul,
 )
-from oracles import mono_coprime, mono_div, mono_divides, mono_lcm
+from oracles import (
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_key,
+    mono_lcm,
+    mono_mul,
+    pack_vector,
+)
+from oracles import monomials as tuple_coeffs
 
 
 def make_ring(characteristic=0, variables=("x", "y"), weights=None):
@@ -97,7 +106,7 @@ def test_rational_field_is_fraction_arithmetic_in_canonical_form(a, b):
     value is integral, so integral coefficients never become Fractions."""
     Q = FieldSpec(0)
     fa, fb = Fraction(a), Fraction(b)
-    cases = [(Q.add(a, b), fa + fb), (Q.mul(a, b), fa * fb),
+    cases = [(Q.coerce(a + b), fa + fb), (Q.mul(a, b), fa * fb),
              (Q.neg(a), -fa), (Q.coerce(a), fa), (Q.coerce(fa), fa)]
     if fb:
         cases.append((Q.inv(b), 1 / fb))
@@ -111,7 +120,7 @@ def test_rational_field_is_fraction_arithmetic_in_canonical_form(a, b):
 @settings(max_examples=120, derandomize=True, deadline=None)
 def test_packed_axpy_matches_the_field_operations(data):
     """FieldSpec.axpy, v + c * x^q * w on packed vectors with the field
-    arithmetic inlined, gives what the route through add and mul gives, term
+    arithmetic inlined, gives what the route through coerce and mul gives, term
     by term.  Over Q, Fractions included, an integral value is stored as an
     int; over F_32003 every residue stays in [0, p) and a cancelled term is
     dropped, not stored as 0."""
@@ -128,7 +137,7 @@ def test_packed_axpy_matches_the_field_operations(data):
         v[t + q] = F.neg(F.mul(coeff, w[t]))
     expected = dict(v)
     for t, c in w.items():
-        s = F.add(expected.get(t + q, F.zero), F.mul(coeff, c))
+        s = F.coerce(expected.get(t + q, F.zero) + F.mul(coeff, c))
         if s == 0:
             expected.pop(t + q, None)
         else:
@@ -220,11 +229,121 @@ def test_char_p_agrees_with_rational_reduction(a, b, c):
     Rp = make_ring(characteristic=p)
 
     def push(poly):
-        return Rp.from_dict({m: int(co) for m, co in poly.coeffs.items()})
+        return Rp.from_dict({m: int(co) for m, co in tuple_coeffs(poly).items()})
 
     lhs = push(a * b + c * c - a)
     rhs = push(a) * push(b) + push(c) * push(c) - push(a)
     assert lhs == rhs
+
+
+def _tuple_sum(a, b, sign, field):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return _reduced(out, field)
+
+
+def _tuple_product(a, b, field):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return _reduced(out, field)
+
+
+def _reduced(coeffs, field):
+    """The nonzero coefficients, as Fractions over Q and residues over F_p."""
+    p = field.characteristic
+    values = {m: Fraction(c) % p if p else Fraction(c) for m, c in coeffs.items()}
+    return {m: c for m, c in values.items() if c}
+
+
+def _top_monomial(weights, degree, draw):
+    """A monomial of the given weighted degree, or just below it when the
+    weights cannot make it: the smallest weight takes what is left."""
+    order, m = sorted(range(3), key=lambda i: -weights[i]), [0, 0, 0]
+    for i in order[:-1]:
+        m[i] = draw(st.integers(0, degree // weights[i]))
+        degree -= weights[i] * m[i]
+    m[order[-1]] = degree // weights[order[-1]]
+    return tuple(m)
+
+
+def _printed_monomials(R, text):
+    """The exponent tuples of the terms of a printed polynomial, in order."""
+    out = []
+    for term in re.split(" [+-] ", text.lstrip("-")):
+        m = [0] * R.nvars
+        for factor in term.split("*"):
+            name, _, e = factor.partition("^")
+            if name in R.variables:
+                m[R.variables.index(name)] = int(e or 1)
+        out.append(tuple(m))
+    return out
+
+
+@st.composite
+def packed_arithmetic_cases(draw):
+    """(characteristic, weights, a, b, c): tuple dicts a and b of small
+    terms, b cancelling some of a's, each with a top term drawn so that the
+    largest product has degree MAX_PACKED_DEGREE - 1, MAX_PACKED_DEGREE or
+    one above it (or is small), and a scalar c that may be 0."""
+    p = draw(st.sampled_from([0, 32003]))
+    weights = draw(weight_triples)
+    values = (st.integers(-p // 2, p // 2) if p else rationals)
+    small = st.tuples(*[st.integers(0, 3)] * 3)
+    a = draw(st.dictionaries(small, values, max_size=4))
+    b = draw(st.dictionaries(small, values, max_size=4))
+    for m in draw(st.sets(st.sampled_from(sorted(a)), max_size=len(a))) if a else ():
+        b[m] = -a[m]
+    total = draw(st.sampled_from([None, MAX_PACKED_DEGREE - 1, MAX_PACKED_DEGREE,
+                                  MAX_PACKED_DEGREE + 1]))
+    if total is not None:
+        first = draw(st.integers(max(total - MAX_PACKED_DEGREE, 0), min(total, MAX_PACKED_DEGREE)))
+        a[_top_monomial(weights, first, draw)] = draw(values.filter(bool))
+        b[_top_monomial(weights, total - first, draw)] = draw(values.filter(bool))
+    return p, weights, a, b, draw(st.one_of(st.just(0), values))
+
+
+@given(case=packed_arithmetic_cases())
+@example(case=(0, (1, 1, 1), {(MAX_PACKED_DEGREE - 1, 0, 0): 1, (0, 1, 0): Fraction(1, 2)},
+               {(1, 0, 0): -3, (0, 0, 1): 2}, 0))
+@example(case=(32003, (1, 2, 3), {(1, 0, 0): 1, (0, 1, 0): 1},
+               {(0, 0, (MAX_PACKED_DEGREE - 1) // 3): 5, (0, 1, 0): -1}, 7))
+@example(case=(0, (1, 1, 1), {(1, 0, 0): 1, (0, 1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1}, -1))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_packed_polynomial_arithmetic_matches_tuple_dicts(case):
+    """Polynomial arithmetic on packed terms, through FieldSpec.axpy, gives
+    what tuple-dict arithmetic gives over Q (in Fractions) and over
+    F_32003, with weights 1 to 3: sums and differences with cancelled
+    terms, unary minus, scale (by 0 too) and products up to degree
+    MAX_PACKED_DEGREE.  A product whose largest term is above it raises,
+    naming that degree.  str lists the terms in decreasing weighted grevlex
+    order, the order of the tuple-dict mono_key."""
+    p, weights, a, b, c = case
+    R = packed_ring(p, weights)
+    A, B = R.from_dict(a), R.from_dict(b)
+    a, b = _reduced(a, R.field), _reduced(b, R.field)
+    assert tuple_coeffs(A) == a and tuple_coeffs(B) == b
+    assert tuple_coeffs(A + B) == _tuple_sum(a, b, 1, R.field)
+    assert tuple_coeffs(A - B) == _tuple_sum(a, b, -1, R.field)
+    assert tuple_coeffs(A - A) == {} and (A - A).is_zero()
+    assert tuple_coeffs(-A) == _tuple_sum({}, a, -1, R.field)
+    assert tuple_coeffs(A.scale(c)) == _reduced({m: c * x for m, x in a.items()}, R.field)
+    top = max(map(R.mono_degree, a), default=0) + max(map(R.mono_degree, b), default=0)
+    if a and b and top > MAX_PACKED_DEGREE:
+        with pytest.raises(AlgebraError, match=f"^a term of degree {top} is above "
+                                               f"{MAX_PACKED_DEGREE}$"):
+            A * B
+    else:
+        assert tuple_coeffs(A * B) == _tuple_product(a, b, R.field)
+    for P in (A, B, A + B):
+        if P.coeffs:
+            assert _printed_monomials(R, str(P)) == sorted(
+                tuple_coeffs(P), key=lambda m: mono_key(R, m), reverse=True)
+    assert all(type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+               for P in (A + B, A - B, A.scale(c)) for x in P.coeffs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +397,16 @@ def test_hypersurface_accepts_weighted_f():
     assert ring_dimension(A) == 1
 
 
+def test_from_dict_rejects_malformed_exponent_tuples():
+    """A term is packed from its exponents, so a tuple of the wrong length
+    or with a negative entry would pack to another term or to garbage."""
+    R = make_ring()
+    assert R.from_dict({(1, 0): 2, (0, 0): 0}) == R.parse("2*x")
+    for m in ((1,), (1, 0, 5), (-1, 0)):
+        with pytest.raises(ValueError, match="non-negative"):
+            R.from_dict({m: 1})
+
+
 def test_polynomials_hashable():
     R = make_ring()
     assert hash(R.parse("x + y")) == hash(R.parse("y + x"))
@@ -311,7 +440,7 @@ def test_packing_round_trips(characteristic, terms, weights):
     for comp, m in terms:
         assert R._unpack(R._pack(comp, m)) == (comp, m)
     v = {t: R.field.coerce(i + 1) for i, t in enumerate(terms)}
-    assert R._unpack_vector(R._pack_vector(v)) == v
+    assert R._unpack_vector(pack_vector(R, v)) == v
 
 
 @FIELDS
@@ -369,7 +498,7 @@ def test_builder_pairs_agree_with_mono_lcm_and_mono_coprime(characteristic, case
     shifts = [shift + 2 * c for c in range(rank)]
     builder = groebner.GroebnerBuilder(R, rank, shifts)
     for c, m in leads:
-        builder.add(R._pack_vector({(c, m): 1}))
+        builder.add(pack_vector(R, {(c, m): 1}))
     assert sorted(builder.queue) == sorted(
         (R.mono_degree(mono_lcm(a, b)) + shifts[c], i, j)
         for j, (c, b) in enumerate(leads) for i, (d, a) in enumerate(leads[:j]) if c == d)
@@ -385,8 +514,8 @@ def test_builder_pairs_agree_with_mono_lcm_and_mono_coprime(characteristic, case
             if c != d:
                 continue
             pair = groebner.GroebnerBuilder(R, rank, shifts)
-            pair.add(R._pack_vector({(c, a): 1}))
-            pair.add(R._pack_vector({(c, b): 1}))
+            pair.add(pack_vector(R, {(c, a): 1}))
+            pair.add(pack_vector(R, {(c, b): 1}))
             skipped = rank == 1 and mono_coprime(a, b)
             above = R.mono_degree(mono_lcm(a, b)) > MAX_PACKED_DEGREE
             with mock.patch.object(groebner, "normal_form_vec",

@@ -254,11 +254,13 @@ def _scopes_naming(name):
 
 
 def test_only_the_polynomial_boundary_unpacks_vectors():
-    """Every kernel vector is packed: outside the ring, which defines the
-    conversion, only a matrix factorization's alpha and beta, made on first
-    read, and a Groebner basis's frozen vectors unpack one.  A presentation
-    entry is packed once, where it enters, and never unpacked."""
-    allowed = {"homology.py:MatrixFactorization.__getattr__", "groebner.py:GroebnerBasis.vectors"}
+    """Every kernel vector and polynomial is packed, with one term format:
+    no vector is packed from exponent tuples, and outside the ring, which
+    defines the conversion, only a Groebner basis's frozen vectors unpack
+    one.  The tuple helpers of the second format are gone."""
+    for name in ("_pack_vector", "mono_mul", "mono_key", "_codes", "lead_monomial"):
+        assert not _scopes_naming(name), f"{name} named in the kernel: {sorted(_scopes_naming(name))}"
+    allowed = {"groebner.py:GroebnerBasis.vectors"}
     found = {scope for scope in _scopes_naming("_unpack_vector")
              if not scope.startswith("ring.py:")}
     assert found <= allowed, f"_unpack_vector named outside the boundary: {sorted(found - allowed)}"
