@@ -10,7 +10,6 @@ from .ring import (
     HypersurfaceRing,
     Polynomial,
     PolynomialRing,
-    ring_dimension,
 )
 from .homology import (
     MatrixFactorization,
@@ -23,7 +22,6 @@ from .homology import (
 )
 from .pairings import (
     ClassExpression,
-    DivisorClass,
     FreeComplex,
     c1_torsion,
     chi_complex,
@@ -41,7 +39,6 @@ __all__ = [
     "HypersurfaceRing",
     "Polynomial",
     "PolynomialRing",
-    "ring_dimension",
     "MatrixFactorization",
     "ModulePresentation",
     "Resolution",
@@ -50,7 +47,6 @@ __all__ = [
     "present_cyclic",
     "tor_length",
     "ClassExpression",
-    "DivisorClass",
     "FreeComplex",
     "c1_torsion",
     "chi_complex",

@@ -40,13 +40,7 @@ from .pairings import (
     c1_torsion,
     theta_class,
 )
-from .ring import (
-    INFINITE,
-    FieldSpec,
-    HypersurfaceRing,
-    PolynomialRing,
-    ring_dimension,
-)
+from .ring import INFINITE, FieldSpec, HypersurfaceRing, PolynomialRing
 
 TASK_KINDS = (
     "resolve", "mf", "tor", "theta", "chi", "length",
@@ -266,7 +260,7 @@ def _length_json(value):
 def _run_task(task: dict, env: Environment, audit: bool) -> dict:
     kind = task["kind"]
     ring = env.ring
-    d = ring_dimension(ring)
+    d = ring.dimension
     S = ring.ambient
     if kind == "resolve":
         L = task.get("length", d + 4)
@@ -357,7 +351,7 @@ def run_session(doc, audit: bool = False) -> Tuple[dict, int]:
             "variables": list(ring.variables),
             "weights": list(ring.weights),
             "f": str(ring.f),
-            "dimension": ring_dimension(ring),
+            "dimension": ring.dimension,
             "monomial_order": "weighted graded reverse lexicographic",
             "module_order": "position-over-term, lower index wins",
         },
@@ -428,8 +422,6 @@ def _render(report: dict, stream) -> None:
                 f"kernel {result['kernel']}",
                 file=stream,
             )
-        else:
-            print(f"{head}: {result}", file=stream)
 
 
 # ---------------------------------------------------------------------------

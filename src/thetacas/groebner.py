@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import AlgebraError
@@ -37,11 +36,9 @@ from .ring import (
     PolynomialRing,
 )
 
-# An unpacked vector maps (component, monomial) to coeffs, as only
-# GroebnerBasis.vectors reads it.  A reducer is (packed lead term, monic
-# packed vector), and reducers are grouped by the component of their lead,
-# each group in the order its reducers were added.
-Vector = Dict[Tuple[int, tuple], object]
+# A reducer is (packed lead term, monic packed vector), and reducers are
+# grouped by the component of their lead, each group in the order its
+# reducers were added.
 Reducers = Dict[int, List[Tuple[int, dict]]]
 
 
@@ -57,10 +54,6 @@ def _monic(v: dict, lead: int, field) -> dict:
     out: dict = {}
     field.axpy(out, field.inv(lc), 0, v)
     return out
-
-
-def freeze_vec(v: Vector) -> tuple:
-    return tuple(sorted(v.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -109,34 +102,25 @@ class GroebnerBasis:
     """Reduced Groebner basis of a submodule of S^rank.
 
     packed holds its (packed lead term, monic packed vector) pairs, leads
-    decreasing, and vectors the frozen vectors, unpacked on first use.  It
-    hashes by its rank and leads, as it enters the memo keys of the bases
-    seeded with it.  The basis refers to its ring weakly: the ring's memo
-    holds the basis, so a strong reference back would be a cycle that only
-    the cyclic garbage collector frees."""
+    decreasing, and vectors those vectors alone (perfbench/tracer.py counts
+    them; no kernel code reads them).  It hashes by its rank and leads, as it
+    enters the memo keys of the bases seeded with it and theta's module keys.
+    A basis is a plain value that holds no ring: the ring's memo holds the
+    basis, and the functions that read its terms take the ring."""
 
-    __slots__ = ("_ring", "rank", "packed", "_vectors")
+    __slots__ = ("rank", "packed")
 
-    def __init__(self, ring: PolynomialRing, rank: int, packed: tuple):
-        self._ring = weakref.ref(ring)
+    def __init__(self, rank: int, packed: tuple):
         self.rank = rank
         self.packed = packed
-        self._vectors = None
-
-    @property
-    def ring(self) -> PolynomialRing:
-        return self._ring()
 
     @property
     def vectors(self) -> tuple:
-        if self._vectors is None:
-            unpack = self.ring._unpack_vector
-            self._vectors = tuple(freeze_vec(unpack(g)) for _lead, g in self.packed)
-        return self._vectors
+        return tuple(g for _lead, g in self.packed)
 
     def __eq__(self, other):
-        return (isinstance(other, GroebnerBasis) and self._ring == other._ring
-                and self.rank == other.rank and self.packed == other.packed)
+        return (isinstance(other, GroebnerBasis) and self.rank == other.rank
+                and self.packed == other.packed)
 
     def __hash__(self):
         return hash((self.rank, tuple(lead for lead, _g in self.packed)))
@@ -282,7 +266,7 @@ class GroebnerBuilder:
                 reduced.append((lead, r))
             groups[comp] = own
         reduced.sort(key=lambda pair: pair[0])
-        return GroebnerBasis(ring, len(tags), tuple(reduced))
+        return GroebnerBasis(len(tags), tuple(reduced))
 
 
 def groebner_basis(
@@ -373,7 +357,7 @@ class NakayamaSelection:
         if upto is None:
             return basis
         ring, degrees, mask = self.ring, self.degrees, (1 << _FIELD_BITS) - 1
-        return GroebnerBasis(ring, basis.rank, tuple(
+        return GroebnerBasis(basis.rank, tuple(
             (lead, g) for lead, g in basis.packed
             if MAX_PACKED_DEGREE - (lead >> ring._deg_shift & mask)
             + degrees[lead >> ring._comp_shift] <= upto))
@@ -383,11 +367,11 @@ class NakayamaSelection:
 # Hilbert series and lengths
 
 
-def finite_colength(G: GroebnerBasis) -> bool:
-    """Whether S^rank / (lead module) has finite length, with no Hilbert
-    series: every component's leads hold a pure power of every variable, a
-    lead whose exponent bits lie in that variable's field alone."""
-    ring = G.ring
+def finite_colength(G: GroebnerBasis, ring: PolynomialRing) -> bool:
+    """Whether S^rank / (lead module) has finite length, for G over the ring
+    S, with no Hilbert series: every component's leads hold a pure power of
+    every variable, a lead whose exponent bits lie in that variable's field
+    alone."""
     others = [ring._exp_bits ^ (((1 << _FIELD_BITS) - 1) << s) for s in ring._exp_shifts]
     pure = {(lead >> ring._comp_shift, i) for lead, _g in G.packed
             for i, other in enumerate(others) if not lead & other}
@@ -448,12 +432,13 @@ def _ideal_numerator(gens: tuple, guards: int, memo: dict) -> dict:
     return result
 
 
-def hilbert_numerator(G: GroebnerBasis, shifts: Optional[Sequence[int]] = None) -> dict:
-    """Hilbert series numerator of S^rank/(lead module); denominator is
-    prod_i (1 - t^(w_i)).  Optional generator degree shifts.  A component's
-    leads, as exponent bits, are the minimal generators of its lead ideal:
-    no lead of a reduced basis divides another."""
-    ring = G.ring
+def hilbert_numerator(G: GroebnerBasis, ring: PolynomialRing,
+                      shifts: Optional[Sequence[int]] = None) -> dict:
+    """Hilbert series numerator of S^rank/(lead module), for G over the ring
+    S; denominator is prod_i (1 - t^(w_i)).  Optional generator degree
+    shifts.  A component's leads, as exponent bits, are the minimal
+    generators of its lead ideal: no lead of a reduced basis divides
+    another."""
     by_comp: Dict[int, List[int]] = {comp: [] for comp in range(G.rank)}
     for lead, _g in G.packed:
         by_comp[lead >> ring._comp_shift].append(lead & ring._exp_bits)

@@ -39,9 +39,6 @@ from .ring import (
     PolynomialRing,
     RingLike,
     _term_degrees,
-    ambient_of,
-    modulus_of,
-    ring_dimension,
 )
 
 # ---------------------------------------------------------------------------
@@ -51,8 +48,6 @@ from .ring import (
 def reduce_packed_mod_f(v: dict, ring: RingLike) -> dict:
     """The packed vector v with every component reduced modulo f, in one
     normal form against the monic f * e_j of the components v uses."""
-    if modulus_of(ring) is None:
-        return v
     S = ring.ambient
     return normal_form_vec(v, ring._f_reducers({t >> S._comp_shift for t in v}), S)
 
@@ -62,7 +57,7 @@ def reduced_columns(rows: Sequence[Sequence[Polynomial]], ring: RingLike) -> Lis
     Polynomials, reduced modulo f: the one point where a matrix enters the
     kernel, each entry's terms moved to the component of its row.  A
     polynomial over another ring raises."""
-    S = ambient_of(ring)
+    S = ring.ambient
     if any(p.ring is not S for row in rows for p in row):
         raise ValueError("polynomial not over this ring")
     cs = S._comp_shift
@@ -73,7 +68,8 @@ def reduced_columns(rows: Sequence[Sequence[Polynomial]], ring: RingLike) -> Lis
 
 def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
     """The elements of a syzygy basis over S, with the f * e_j as relations,
-    whose lead is not lead(f) * eps_c, packed, in the basis's order.
+    whose lead is not lead(f) * eps_c, the lead of a reducer modulo f (over
+    a plain ring, every element), packed, in the basis's order.
 
     Every f * eps_c lies in Z, so every lead(f) * eps_c lies in lead(Z).  So
     no term of a kept element is divisible by one: the kept elements are
@@ -81,17 +77,14 @@ def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
     A dropped element g has that lead, and g - f * eps_c lies in Z with a
     smaller lead, so by induction down the components g lies in f * S^k
     plus the span of the kept ones: over R they generate all of Z."""
-    if modulus_of(ring) is None:
-        return [g for _lead, g in basis.packed]
-    f_lead, term_bits = min(ring._f_packed), (1 << ring.ambient._comp_shift) - 1
-    return [g for lead, g in basis.packed if lead & term_bits != f_lead]
+    f_leads = {lead for [(lead, _r)] in ring._f_reducers(range(basis.rank)).values()}
+    return [g for lead, g in basis.packed if lead not in f_leads]
 
 
 def lifted_basis(ring: RingLike, vectors: Sequence[dict], rank: int) -> GroebnerBasis:
     """Groebner basis of the S-submodule generated by the packed vectors plus
     the monic f * e_j."""
-    relations = [] if modulus_of(ring) is None else [ring._f_relation(j) for j in range(rank)]
-    return groebner_basis(list(vectors) + relations, ambient_of(ring), rank)
+    return groebner_basis(list(vectors) + ring._f_relations(rank), ring.ambient, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +134,18 @@ class ModulePresentation:
     what is computed from it, each filled on first use: the presentation GB,
     its Hilbert series (module_series), the minimal resolution (grown in
     place as longer ones are asked for), its matrix factorization, and theta
-    values against other modules, keyed by the other module's frozen columns
-    and generator degrees.  It keeps no minimal presentation: F_0 and d_1 of
-    the resolution are one.  No cache holds a module object, so a module is
-    freed by reference counting, with no cycle for the garbage collector.
+    values against other modules, keyed by the other module's presentation
+    GB and generator degrees, so two presentations of one module share an
+    entry.  It keeps no minimal presentation: F_0 and d_1 of the resolution
+    are one.  No cache holds a module object, so a module is freed by
+    reference counting, with no cycle for the garbage collector.
 
     Generator degrees are inferred when not given; given ones must be one
     per generator and make every relation column homogeneous."""
 
     def __init__(self, ring: RingLike, rows, gen_degrees=None):
         self.ring = ring
-        S = ambient_of(ring)
+        S = ring.ambient
         rows = [[S.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged presentation matrix")
@@ -168,8 +162,6 @@ class ModulePresentation:
                 if len({self.gen_degrees[r] + e for r, e in _term_degrees(v, S)}) > 1:
                     raise InhomogeneousError(
                         f"column {c} is not homogeneous in the given generator degrees")
-        # N's identity in the theta memo of every module M
-        self._key = (tuple(tuple(sorted(v.items())) for v in self.columns), self.gen_degrees)
         self._gb: Optional[GroebnerBasis] = None
         self._series: Optional[dict] = None
         # resolution: packed columns of d_1, d_2, ...; degrees of F_0, F_1, ...
@@ -212,7 +204,7 @@ class ModulePresentation:
         columns are homogeneous, so an entry with a constant term is that
         constant; the first, by row then column, makes its column monic there
         to clear its row, and the components above the row move down."""
-        S, field = ambient_of(self.ring), self.ring.field
+        S, field = self.ring.ambient, self.ring.field
         comp_shift, cols, degs = S._comp_shift, list(self.columns), list(self.gen_degrees)
         while True:
             unit = next(((r, c) for r in range(len(degs)) for c, v in enumerate(cols)
@@ -249,12 +241,12 @@ class ModulePresentation:
         sum of the weights.  For m <= n and M of infinite length it has no
         bound here, and the presentation basis's leads tell that with no
         Hilbert series."""
-        S, f = ambient_of(self.ring), modulus_of(self.ring)
+        S, f = self.ring.ambient, self.ring.f
         terms = []
         if f is not None and self._res_degs[m - 2]:
             terms.append(max(self._res_degs[m - 2]) + f.weighted_degree())
         if m <= S.nvars:
-            if not finite_colength(self.presentation_gb()):
+            if not finite_colength(self.presentation_gb(), S):
                 return None
             num = module_series(self)
             if num:
@@ -272,7 +264,7 @@ class ModulePresentation:
         generator, and it would sort after every other candidate, so leaving
         it out keeps every d_m as the unbounded step chooses it."""
         diffs, degs = self._res_diffs, self._res_degs
-        S = ambient_of(self.ring)
+        S = self.ring.ambient
         while len(diffs) < length:
             if diffs:
                 target = degs[-1]
@@ -285,9 +277,8 @@ class ModulePresentation:
                 unpack = S._unpack
                 candidates.sort(key=lambda c: (c[1], tuple(sorted(zip(map(unpack, c[0]),
                                                                       c[0].values())))))
-            relations = ([] if modulus_of(self.ring) is None else
-                         [self.ring._f_relation(j) for j in range(len(target))])
-            self._open = NakayamaSelection(S, target, candidates, relations)
+            self._open = NakayamaSelection(S, target, candidates,
+                                           self.ring._f_relations(len(target)))
             kept = [candidates[n] for n in self._open.kept]
             # the degrees of F_(m-1) (new only for m = 1) and of F_m
             degs[len(diffs):] = [target, [d for _v, d in kept]]
@@ -303,13 +294,13 @@ def module_series(M: ModulePresentation) -> dict:
     prod_i (1 - t^(w_i)), generators in their degrees; remembered on M, where
     every invariant of M reads it.  Callers must not change the dict."""
     if M._series is None:
-        M._series = hilbert_numerator(M.presentation_gb(), M.gen_degrees)
+        M._series = hilbert_numerator(M.presentation_gb(), M.ring.ambient, M.gen_degrees)
     return M._series
 
 
 def module_length(M: ModulePresentation):
     """Length of the module: its Hilbert series at t = 1, or INFINITE."""
-    return series_length(module_series(M), ambient_of(M.ring).weights)
+    return series_length(module_series(M), M.ring.weights)
 
 
 def module_dimension(M: ModulePresentation) -> int:
@@ -321,13 +312,13 @@ def module_dimension(M: ModulePresentation) -> int:
     order, _value = _series_at_one(module_series(M))
     if order is None:
         return -1
-    return ambient_of(M.ring).nvars - order
+    return M.ring.ambient.nvars - order
 
 
 def module_multiplicity(M: ModulePresentation) -> int:
     """Normalized leading coefficient of the Hilbert polynomial (weights 1):
     the numerator over (1 - t)^(dimension) at t = 1."""
-    S = ambient_of(M.ring)
+    S = M.ring.ambient
     if any(w != 1 for w in S.weights):
         raise ValueError("multiplicity requires all weights equal to 1")
     order, e = _series_at_one(module_series(M))
@@ -379,7 +370,7 @@ class Resolution:
         compared; the matrix factorization, which does not read this, is
         found at an index >= it (extract_matrix_factorization)."""
         b = self.betti
-        d = ring_dimension(self.ring)
+        d = self.ring.dimension
         L = self.length
         if L < d + 3:
             return None
@@ -474,7 +465,7 @@ def extract_matrix_factorization(res: Resolution) -> MatrixFactorization:
     every such j is at least Resolution.stable_start (at most d + 2), and the
     first one is the first j >= stable_start with W invertible."""
     ring = res.ring
-    if not isinstance(ring, HypersurfaceRing):
+    if ring.f is None:
         raise ValueError("matrix factorizations require a hypersurface ring")
     M = res.module
     if M._mf is not None:
@@ -515,11 +506,11 @@ def _cokernel_series(
     map d into F with the given packed columns and generator degrees.  Each
     block F_j (x) N is seeded with N's presentation basis (its relations and
     f*e_j), a known Groebner basis."""
-    s, S = N.nrows, ambient_of(N.ring)
+    s, S = N.nrows, N.ring.ambient
     known = [(block * s, N.presentation_gb()) for block in range(len(target_degs))]
     shifts = [a + b for a in target_degs for b in N.gen_degrees]
     G = groebner_basis(_tensor_map_columns(d_cols, s, S), S, len(shifts), known=known)
-    return hilbert_numerator(G, shifts)
+    return hilbert_numerator(G, S, shifts)
 
 
 def homology_series(
@@ -561,7 +552,7 @@ def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
     diff_cols = [res.packed_columns(k) for k in range(1, i + 2)]
     degs = [res.gen_degrees(k) for k in range(i + 2)]
     num = homology_series(diff_cols, degs, N, i, i)[0]
-    length = series_length(num, ambient_of(M.ring).weights)
+    length = series_length(num, M.ring.weights)
     if length is INFINITE:
         raise InfiniteLength(f"Tor_{i} has infinite length")
     return length

@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import AsymmetricGram
 from .homology import ModulePresentation
 from .pairings import ClassExpression, theta_class
-from .ring import RingLike, ring_dimension
+from .ring import RingLike
 
 
 def gram_matrix(
@@ -151,7 +151,7 @@ def conjecture_report(
     classes = [ClassExpression.of(name) for name in names]
     matrix = gram_matrix(classes, registry, audit)
     sig = signature(matrix)
-    d = ring_dimension(ring)
+    d = ring.dimension
     if d % 2 == 0:
         sign = 1
         adjusted = sig

@@ -43,15 +43,7 @@ from .homology import (
     reduced_columns,
 )
 from .matrices import mat_vec
-from .ring import (
-    INFINITE,
-    HypersurfaceRing,
-    Polynomial,
-    RingLike,
-    ambient_of,
-    modulus_of,
-    ring_dimension,
-)
+from .ring import INFINITE, HypersurfaceRing, Polynomial, RingLike
 
 
 class MultiplicityAuditWarning(UserWarning):
@@ -91,20 +83,6 @@ class ClassExpression:
         return list(self.terms)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Formal integer combination of named height-one primes."""
-
-    terms: tuple
-
-    @classmethod
-    def of(cls, coeffs: Dict[str, int]) -> "DivisorClass":
-        return cls(tuple(sorted((n, c) for n, c in coeffs.items() if c)))
-
-    def items(self):
-        return list(self.terms)
-
-
 class FreeComplex:
     """Bounded complex of free modules ... -> R^{r_1} -> R^{r_0} given by the
     matrices of d_1, ..., d_L (rows of Polynomials or their texts), whose
@@ -114,7 +92,7 @@ class FreeComplex:
 
     def __init__(self, ring: RingLike, matrices: Sequence):
         self.ring = ring
-        S = ambient_of(ring)
+        S = ring.ambient
         mats = [[[S.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
                 for rows in matrices]
         ranks = []
@@ -173,22 +151,23 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     coker d_{s+2} = ker d_s.  So HS(C_{s+2}) = t^(deg f) HS(C_s), and with
     P_i = sum_j t^(deg F_i,j), HS(Tor_s) - HS(Tor_{s+1}) is
     (1 - t^(deg f)) HS(C_s) - HS(N) (P_{s-1} - P_s): one cokernel basis.
-    The value is remembered on M, keyed by N's packed columns and degrees.
+    The value is remembered on M, keyed by N's presentation GB and degrees.
 
     theta is 0 when N or M has finite length, as its presentation basis's
     leads tell: theta is additive, and Tor_i(M, k) = k^(b_i(M)) with b_i(M)
     eventually constant on a hypersurface (Hochster 1981)."""
     if M.ring is not N.ring:
         raise ValueError("modules must share a ring")
-    if not isinstance(M.ring, HypersurfaceRing):
+    if M.ring.f is None:
         raise ValueError("theta requires a hypersurface ring")
     if _tjurina_number(M.ring) is INFINITE:
         raise NonIsolatedSingularity(
             "the Tjurina number is infinite; the singularity is not isolated")
-    key = N._key
+    S, N_gb = M.ring.ambient, N.presentation_gb()
+    key = (N_gb, N.gen_degrees)
     if key in M._thetas:
         return M._thetas[key]
-    if finite_colength(N.presentation_gb()) or finite_colength(M.presentation_gb()):
+    if finite_colength(N_gb, S) or finite_colength(M.presentation_gb(), S):
         M._thetas[key] = 0
         return 0
     s = extract_matrix_factorization(minimal_resolution(M, 1)).source_index
@@ -204,7 +183,7 @@ def theta(M: ModulePresentation, N: ModulePresentation) -> int:
     for degs, coeff in ((below, -1), (middle, 1)):
         for deg in degs:
             _tpoly_axpy(num, coeff, deg, series_N)
-    value = series_value(num, ambient_of(M.ring).weights)
+    value = series_value(num, S.weights)
     if value is INFINITE:
         raise AlgebraError("HS(Tor_s) - HS(Tor_{s+1}) has a pole on an isolated singularity")
     M._thetas[key] = (-1) ** s * value
@@ -232,7 +211,7 @@ def chi_complex(
     registry: Dict[str, ModulePresentation],
 ) -> int:
     """Alternating sum of homology lengths of F tensored with alpha."""
-    weights = ambient_of(F.ring).weights
+    weights = F.ring.weights
     total = 0
     for name, coeff in alpha.items():
         M = registry[name]
@@ -251,7 +230,7 @@ def chi_complex(
 def finite_pd(M: ModulePresentation) -> Optional[int]:
     """Projective dimension if finite, else None: the resolution is probed to
     d + 1, as pd M <= depth A = d when finite (Auslander-Buchsbaum)."""
-    d = ring_dimension(M.ring)
+    d = M.ring.dimension
     res = minimal_resolution(M, d + 1)
     b = res.betti
     for i, bi in enumerate(b):
@@ -276,8 +255,7 @@ def chi_modules(N0: ModulePresentation, M: ModulePresentation) -> int:
     num: dict = {}
     for d, c in module_series(N0).items():
         _tpoly_axpy(num, c, d, module_series(M))
-    weights = ambient_of(N0.ring).weights
-    f = modulus_of(N0.ring)
+    weights, f = N0.ring.weights, N0.ring.f
     value = series_value(num, weights if f is None else weights + (f.weighted_degree(),))
     if value is INFINITE:
         raise AlgebraError("the Euler characteristic of Tor(N0, M) has a pole")
@@ -303,11 +281,11 @@ def _power_products(S, gens: Sequence[Polynomial], power: int) -> List[Polynomia
 def _checked_prime(ring: RingLike, prime: Sequence[Polynomial]):
     """(the prime's polynomials, e(A/p)), off one presentation of A/p, once
     the weights are one and V(p) has dimension d - 1."""
-    S = ambient_of(ring)
+    S = ring.ambient
     if any(w != 1 for w in S.weights):
         raise ValueError("local lengths require all weights equal to 1")
     prime = [S.parse(p) if isinstance(p, str) else p for p in prime]
-    d = ring_dimension(ring)
+    d = ring.dimension
     Ap = ModulePresentation.cyclic(ring, prime)
     if module_dimension(Ap) != d - 1:
         raise DimensionMismatch(
@@ -324,8 +302,7 @@ def _local_length(M: ModulePresentation, prime: List[Polynomial], e_p: int) -> i
     if M.nrows == 0:
         return 0
     ring = M.ring
-    S = ambient_of(ring)
-    d = ring_dimension(ring)
+    S, d = ring.ambient, ring.dimension
     total = 0
     below: dict = {}  # HS(F/(p^0 F + Q)) = HS(0)
     for power in range(256):
@@ -350,7 +327,7 @@ def _local_length(M: ModulePresentation, prime: List[Polynomial], e_p: int) -> i
 def c1_torsion(
     M: ModulePresentation,
     candidate_primes: Sequence[Tuple[str, Sequence[Polynomial]]],
-) -> DivisorClass:
+) -> ClassExpression:
     """Divisor class sum_p l_p(M) [p] over the supplied height-one primes,
     each A/p built once; a name listed twice raises ValueError.
 
@@ -358,7 +335,7 @@ def c1_torsion(
     the support; an additivity audit, sum_p l_p(M) e(A/p) = e(M) when M has
     dimension d - 1 >= 1, warns when one is missing."""
     ring = M.ring
-    d = ring_dimension(ring)
+    d = ring.dimension
     dim_m = module_dimension(M)
     if dim_m >= d:
         raise AlgebraError("module is not torsion: support has full dimension")
@@ -378,4 +355,4 @@ def c1_torsion(
                 f"but e(M) = {e_m}; a support component may be missing",
                 MultiplicityAuditWarning,
             )
-    return DivisorClass.of(coeffs)
+    return ClassExpression.of(coeffs)

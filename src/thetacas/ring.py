@@ -172,7 +172,11 @@ def _term_degrees(v: dict, S: PolynomialRing):
 
 
 class PolynomialRing:
-    """Ambient weighted-graded polynomial ring k[x_1..x_n]."""
+    """Ambient weighted-graded polynomial ring k[x_1..x_n].  It answers as a
+    ring with no modulus: it is its own ambient ring, f is None, its
+    dimension is n, and it has no relations f * e_j to reduce by."""
+
+    f = None
 
     def __init__(self, field: FieldSpec, variables: Iterable[str], weights=None):
         self.field = field
@@ -188,12 +192,12 @@ class PolynomialRing:
             raise ValueError("one weight per variable required")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        self.nvars = len(self.variables)
+        self.nvars = self.dimension = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         # Groebner bases over this ring, keyed by (rank, sorted packed
         # generators, known bases), filled by groebner.groebner_basis; freed
-        # with the ring when the last reference to it goes (a basis refers to
-        # its ring weakly, so no reference cycle holds the memo).
+        # with the ring when the last reference to it goes (a basis holds no
+        # ring, so no reference cycle holds the memo).
         self._groebner_memo = {}
         # packed terms, w_1 * m_1 in the lowest field
         self._exp_shifts = tuple(range(0, _FIELD_BITS * self.nvars, _FIELD_BITS))
@@ -205,6 +209,17 @@ class PolynomialRing:
         self._terms = {}  # packed term -> (component, monomial), unpacked once
         self._one = self._pack(0, (0,) * self.nvars)  # the packed term 1 * e_0
         self._mono_texts = {}  # packed term in component 0 -> its text
+
+    @property
+    def ambient(self) -> "PolynomialRing":
+        # a property, as an attribute holding self would be a reference cycle
+        return self
+
+    def _f_relations(self, rank: int) -> list:
+        return []
+
+    def _f_reducers(self, components) -> dict:
+        return {}
 
     def mono_degree(self, m: Monomial) -> int:
         return sum(map(operator.mul, self.weights, m))
@@ -228,10 +243,6 @@ class PolynomialRing:
             term = self._terms[t] = (t >> self._comp_shift, tuple([
                 ((t >> s) & mask) // w for s, w in zip(self._exp_shifts, self.weights)]))
         return term
-
-    def _unpack_vector(self, v: dict) -> dict:
-        unpack = self._unpack
-        return {unpack(t): c for t, c in v.items()}
 
     # -- polynomial constructors ------------------------------------------
 
@@ -564,6 +575,10 @@ class HypersurfaceRing:
         shift = j << self.ambient._comp_shift
         return {t + shift: c for t, c in self._f_packed.items()}
 
+    def _f_relations(self, rank: int) -> list:
+        """The monic f * e_j, j < rank, packed."""
+        return [self._f_relation(j) for j in range(rank)]
+
     def _f_reducers(self, components) -> dict:
         """The reducers of the monic f * e_j, j in the given components, for
         a normal form modulo f of packed vectors."""
@@ -587,19 +602,3 @@ class HypersurfaceRing:
 
 
 RingLike = Union[PolynomialRing, HypersurfaceRing]
-
-
-def ambient_of(ring: RingLike) -> PolynomialRing:
-    return ring.ambient if isinstance(ring, HypersurfaceRing) else ring
-
-
-def modulus_of(ring: RingLike):
-    """The defining polynomial, or None for a plain polynomial ring."""
-    return ring.f if isinstance(ring, HypersurfaceRing) else None
-
-
-def ring_dimension(ring: RingLike) -> int:
-    if isinstance(ring, HypersurfaceRing):
-        return ring.dimension
-    return ring.nvars
-

@@ -48,7 +48,7 @@ block pivot, the witness for the congruence numeq.signature makes."""
 import itertools
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Dict, Sequence, Tuple
 
 from thetacas import (
     INFINITE,
@@ -63,10 +63,8 @@ from thetacas.errors import AlgebraError
 from thetacas.groebner import (
     GroebnerBuilder,
     NakayamaSelection,
-    Vector,
     _series_at_one,
     _tpoly_axpy,
-    freeze_vec,
     groebner_basis,
     hilbert_numerator,
     normal_form_vec,
@@ -81,12 +79,19 @@ from thetacas.homology import (
     reduce_packed_mod_f,
 )
 from thetacas.pairings import _checked_prime, _local_length, _power_products, finite_pd
-from thetacas.ring import (
-    Polynomial,
-    ambient_of,
-    modulus_of,
-    ring_dimension,
-)
+from thetacas.ring import Polynomial
+
+# An unpacked vector maps (component, exponent tuple) to coefficients.
+Vector = Dict[Tuple[int, tuple], object]
+
+
+def freeze_vec(v: Vector) -> tuple:
+    return tuple(sorted(v.items()))
+
+
+def unpacked_vectors(G, S):
+    """The frozen unpacked vectors of the basis G over S, in its order."""
+    return tuple(freeze_vec(unpack_vector(S, g)) for g in G.vectors)
 
 
 def monomials(p):
@@ -98,6 +103,11 @@ def monomials(p):
 def pack_vector(S, v):
     """The vector v, keyed by (component, exponent tuple), packed over S."""
     return {S._pack(comp, m): c for (comp, m), c in v.items()}
+
+
+def unpack_vector(S, v):
+    """The packed vector v over S, keyed by (component, exponent tuple)."""
+    return {S._unpack(t): c for t, c in v.items()}
 
 
 def mono_mul(a, b):
@@ -162,7 +172,7 @@ def columns_as_vectors(rows):
 
 
 def f_times_unit_vectors(ring, rank):
-    f = modulus_of(ring)
+    f = ring.f
     if f is None:
         return []
     return [{(j, m): c for m, c in monomials(f).items()} for j in range(rank)]
@@ -179,8 +189,8 @@ def tensor_map_columns(d_cols, s):
 
 def unpacked_columns(res, i):
     """Columns of d_i (1-based) of the resolution, as vectors in R^(b_{i-1})."""
-    unpack = ambient_of(res.ring)._unpack_vector
-    return [unpack(v) for v in res.packed_columns(i)]
+    S = res.ring.ambient
+    return [unpack_vector(S, v) for v in res.packed_columns(i)]
 
 
 def basis_of_vectors(vectors, ring, rank, known=()):
@@ -190,21 +200,19 @@ def basis_of_vectors(vectors, ring, rank, known=()):
 
 def reduce_mod_f(p, ring):
     """The polynomial p reduced modulo f, through the packed kernel."""
-    if p.ring is not ambient_of(ring):
+    if p.ring is not ring.ambient:
         raise ValueError("polynomial not over this ring")
     return Polynomial(p.ring, reduce_packed_mod_f(p.coeffs, ring))
 
 
 def reduce_vec_mod_f(v, ring):
     """v with every component reduced modulo f, through the packed kernel."""
-    if modulus_of(ring) is None:
-        return dict(v)
     S = ring.ambient
-    return S._unpack_vector(reduce_packed_mod_f(pack_vector(S, v), ring))
+    return unpack_vector(S, reduce_packed_mod_f(pack_vector(S, v), ring))
 
 
 def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring) -> tuple:
-    S = ambient_of(ring)
+    S = ring.ambient
     rows = [[{} for _v in vectors] for _r in range(rank)]
     for k, v in enumerate(vectors):
         for (comp, m), c in v.items():
@@ -214,20 +222,20 @@ def vectors_to_rows(vectors: Sequence[Vector], rank: int, ring) -> tuple:
 
 def rows_of(M):
     """The rows of Polynomials of the presentation matrix of M."""
-    unpack = ambient_of(M.ring)._unpack_vector
-    return vectors_to_rows([unpack(v) for v in M.columns], M.nrows, M.ring)
+    S = M.ring.ambient
+    return vectors_to_rows([unpack_vector(S, v) for v in M.columns], M.nrows, M.ring)
 
 
 def complex_rows(F):
     """The rows of Polynomials of each differential of the FreeComplex F."""
-    unpack = ambient_of(F.ring)._unpack_vector
-    return [vectors_to_rows([unpack(v) for v in cols], len(F.degrees[k]), F.ring)
+    S = F.ring.ambient
+    return [vectors_to_rows([unpack_vector(S, v) for v in cols], len(F.degrees[k]), F.ring)
             for k, cols in enumerate(F.diff_cols)]
 
 
 def packed_columns(rows, ring):
     """The packed columns of the matrix with the given rows of Polynomials."""
-    S = ambient_of(ring)
+    S = ring.ambient
     return [pack_vector(S, v) for v in columns_as_vectors(rows)]
 
 
@@ -269,7 +277,7 @@ def vec_from_polys(polys):
 def direct_sum(M, N):
     if M.ring is not N.ring:
         raise ValueError("direct sum requires one ring")
-    S = ambient_of(M.ring)
+    S = M.ring.ambient
     zero = S.zero()
     rows = []
     for row in rows_of(M):
@@ -331,9 +339,9 @@ def syzygies_over(ring, vectors, rank):
     the elements of Z's reduced basis over S, with the f * e_j as relations,
     whose lead is not lead(f) * eps_c, in the basis's order, kept by the
     kernel's own filter."""
-    S = ambient_of(ring)
+    S = ring.ambient
     kept = _kept_syzygies(ring, syzygy_basis(vectors, S, rank, f_times_unit_vectors(ring, rank)))
-    return [S._unpack_vector(v) for v in kept]
+    return [unpack_vector(S, v) for v in kept]
 
 
 def subquotient_presentation(ring, rank, numerator, denominator):
@@ -417,16 +425,16 @@ def unbounded_resolution(M, length):
     minimal resolution, each step reading the full syzygy basis of the one
     before it, with no degree bound: the reference for the bounded steps of
     the kernel.  M's own resolution is neither read nor grown."""
-    S = ambient_of(M.ring)
+    S = M.ring.ambient
     diffs, degs, selection = [], [], None
     while len(diffs) < length:
         if diffs:
             target = degs[-1]
-            vectors = [S._unpack_vector(v)
+            vectors = [unpack_vector(S, v)
                        for v in _kept_syzygies(M.ring, selection.syzygies())]
         else:
             packed, target = M._unit_pruned()
-            vectors = [S._unpack_vector(v) for v in packed]
+            vectors = [unpack_vector(S, v) for v in packed]
         candidates = [(v, vector_degree(v, target, S)) for v in vectors]
         if diffs:
             candidates.sort(key=lambda c: (c[1], freeze_vec(c[0])))
@@ -476,7 +484,7 @@ def dual_module(M):
 
 def koszul_complex(ring, elements):
     """Koszul complex on the given elements, a FreeComplex."""
-    S = ambient_of(ring)
+    S = ring.ambient
     elems = [S.parse(e) if isinstance(e, str) else e for e in elements]
     n = len(elems)
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
@@ -534,16 +542,16 @@ def mat_mul(a, b, S):
     return tuple(out)
 
 
-def basis_leads(G):
-    """The (component, exponent tuple) leads of a basis, unpacked."""
-    return tuple(G.ring._unpack(lead) for lead, _g in G.packed)
+def basis_leads(G, S):
+    """The (component, exponent tuple) leads of a basis over S, unpacked."""
+    return tuple(S._unpack(lead) for lead, _g in G.packed)
 
 
-def lead_module(G):
+def lead_module(G, S):
     """Minimal monomial generators of the lead-term module, per component:
     the sorted leads, since no lead of a reduced basis divides another."""
     by_comp = {c: [] for c in range(G.rank)}
-    for comp, mono in basis_leads(G):
+    for comp, mono in basis_leads(G, S):
         by_comp[comp].append(mono)
     return {c: sorted(ms) for c, ms in by_comp.items()}
 
@@ -572,21 +580,21 @@ def tuple_ideal_numerator(gens, weights, memo):
     return memo[gens]
 
 
-def tuple_hilbert_numerator(G, shifts=None):
+def tuple_hilbert_numerator(G, S, shifts=None):
     """Hilbert numerator of S^rank/(lead module) off unpacked leads."""
-    weights, memo, total = G.ring.weights, {}, {}
-    for comp, gens in lead_module(G).items():
+    weights, memo, total = S.weights, {}, {}
+    for comp, gens in lead_module(G, S).items():
         _tpoly_axpy(total, 1, shifts[comp] if shifts else 0,
                     tuple_ideal_numerator(tuple(gens), weights, memo))
     return total
 
 
-def _standard_symbols(G):
+def _standard_symbols(G, S):
     """The standard monomial symbols (component, monomial) outside the lead
     module, or INFINITE."""
-    n = G.ring.nvars
+    n = S.nvars
     symbols = []
-    for comp, gens in lead_module(G).items():
+    for comp, gens in lead_module(G, S).items():
         if any(g == (0,) * n for g in gens):
             continue  # component entirely in the lead module
         bounds = []
@@ -601,9 +609,9 @@ def _standard_symbols(G):
     return symbols
 
 
-def staircase_count(G):
+def staircase_count(G, S):
     """Number of standard monomial symbols outside the lead module, or INFINITE."""
-    symbols = _standard_symbols(G)
+    symbols = _standard_symbols(G, S)
     return symbols if symbols is INFINITE else len(symbols)
 
 
@@ -611,21 +619,21 @@ def top_degree(M):
     """The largest degree of a nonzero graded piece of M, of finite length
     and nonzero: that of a standard monomial symbol of its presentation
     basis, in its generator's degree."""
-    G = M.presentation_gb()
-    symbols = _standard_symbols(G)
+    S = M.ring.ambient
+    symbols = _standard_symbols(M.presentation_gb(), S)
     if symbols is INFINITE or not symbols:
         raise ValueError("top_degree needs a nonzero module of finite length")
-    return max(G.ring.mono_degree(m) + M.gen_degrees[comp] for comp, m in symbols)
+    return max(S.mono_degree(m) + M.gen_degrees[comp] for comp, m in symbols)
 
 
-def normal_form(v, G):
-    """Fully reduced remainder of the vector v against the reduced basis G;
-    of the basis elements whose lead divides a term, the first is used."""
-    ring = G.ring
+def normal_form(v, G, ring):
+    """Fully reduced remainder of the vector v against the reduced basis G
+    over the ring; of the basis elements whose lead divides a term, the
+    first is used."""
     reducers = {}
     for lead, g in G.packed:
         reducers.setdefault(lead >> ring._comp_shift, []).append((lead, g))
-    return ring._unpack_vector(normal_form_vec(pack_vector(ring, v), reducers, ring))
+    return unpack_vector(ring, normal_form_vec(pack_vector(ring, v), reducers, ring))
 
 
 def tpoly_sub(a, b):
@@ -669,20 +677,20 @@ def series_at_one_by_division(num):
     return order, sum(num.values())
 
 
-def quotient_dimension(G):
+def quotient_dimension(G, S):
     """Krull dimension of S^rank/(lead module) off the unshifted numerator;
     -1 for the zero module."""
-    order, _value = _series_at_one(hilbert_numerator(G))
+    order, _value = _series_at_one(hilbert_numerator(G, S))
     if order is None:
         return -1
-    return G.ring.nvars - order
+    return S.nvars - order
 
 
-def multiplicity(G):
+def multiplicity(G, S):
     """Normalized leading coefficient of the Hilbert polynomial of
     S^rank/(lead module), off the unshifted numerator (weights 1)."""
-    order, e = _series_at_one(hilbert_numerator(G))
-    if order is None or order == G.ring.nvars:
+    order, e = _series_at_one(hilbert_numerator(G, S))
+    if order is None or order == S.nvars:
         raise ValueError("multiplicity needs a module of positive dimension")
     return e
 
@@ -700,7 +708,7 @@ def theta_by_cokernel(M, N):
     for degs, coeff in ((below, -1), (middle, 1)):
         for deg in degs:
             _tpoly_axpy(num, coeff, deg, module_series(N))
-    return (-1) ** s * series_value(num, ambient_of(M.ring).weights)
+    return (-1) ** s * series_value(num, M.ring.weights)
 
 
 def tagged_syzygies(ring, vectors, rank):
@@ -711,7 +719,8 @@ def tagged_syzygies(ring, vectors, rank):
     gens = list(vectors) + f_times_unit_vectors(ring, rank)
     out = []
     seen = set()
-    for s in map(dict, syzygy_basis(gens, ambient_of(ring), rank).vectors):
+    S = ring.ambient
+    for s in map(dict, unpacked_vectors(syzygy_basis(gens, S, rank), S)):
         v = reduce_vec_mod_f(vec_restrict(s, 0, base), ring)
         if v and freeze_vec(v) not in seen:
             seen.add(freeze_vec(v))
@@ -728,14 +737,14 @@ def tag_lead_part(S, generators, rank, relations=()):
         h[(rank + i, (0,) * S.nvars)] = S.field.one
     full = basis_of_vectors(tagged + list(relations), S, rank + len(tagged))
     return tuple(tuple(((comp - rank, m), c) for (comp, m), c in fv)
-                 for fv in full.vectors if all(comp >= rank for (comp, _m), _c in fv))
+                 for fv in unpacked_vectors(full, S) if all(comp >= rank for (comp, _m), _c in fv))
 
 
 def full_basis_syzygies(ring, vectors, rank):
     """Syzygies of the vectors over R read off the full augmented basis of
     the vectors and the f * e_j: its tag-lead part without the elements whose
     lead is lead(f) * eps_c, in the basis's order."""
-    S, f = ambient_of(ring), modulus_of(ring)
+    S, f = ring.ambient, ring.f
     f_lead = None if f is None else vec_lead(vec_from_polys([f]), S)[1]
     return [dict(fv) for fv in tag_lead_part(S, vectors, rank, f_times_unit_vectors(ring, rank))
             if vec_lead(dict(fv), S)[1] != f_lead]
@@ -746,7 +755,8 @@ def reduce_with_representation(v, generators, ring, rank):
     of (v, 0) against the full reduced basis of the (g_i, eps_i), whose tag
     block holds -q."""
     k = len(generators)
-    nf = normal_form(dict(v), basis_of_vectors(_tagged(generators, ring, rank), ring, rank + k))
+    nf = normal_form(dict(v), basis_of_vectors(_tagged(generators, ring, rank), ring, rank + k),
+                     ring)
     reps = [ring.from_dict({m: ring.field.neg(c) for (comp, m), c in nf.items()
                             if comp == rank + i})
             for i in range(k)]
@@ -806,7 +816,7 @@ def homology_tor_length(M, N, i):
     """Length of Tor_i(M, N) = H_i(F (x) N) for the minimal resolution F of
     M, counted on the staircase of the homology's presentation."""
     H = tensored_homology(minimal_resolution(M, i + 1), N, i)
-    return staircase_count(H.presentation_gb())
+    return staircase_count(H.presentation_gb(), M.ring.ambient)
 
 
 def homology_chi(F, N):
@@ -816,7 +826,7 @@ def homology_chi(F, N):
     ranks = [len(degs) for degs in F.degrees]
     return sum(
         (-1) ** i * staircase_count(
-            complex_homology(F.ring, diff_cols, ranks, N, i).presentation_gb())
+            complex_homology(F.ring, diff_cols, ranks, N, i).presentation_gb(), F.ring.ambient)
         for i in range(F.length + 1)
     )
 
@@ -825,10 +835,9 @@ def subquotient_local_length(M, prime):
     """Length of M at the height-one prime p (a list of polynomials), from the
     multiplicities of the presented graded pieces p^i M / p^(i+1) M."""
     ring = M.ring
-    S = ambient_of(ring)
+    S, d = ring.ambient, ring.dimension
     prime = [S.parse(p) if isinstance(p, str) else p for p in prime]
-    d = ring_dimension(ring)
-    e_p = multiplicity(ModulePresentation.cyclic(ring, prime).presentation_gb())
+    e_p = multiplicity(ModulePresentation.cyclic(ring, prime).presentation_gb(), S)
     total = 0
     for power in range(256):
         num, den = [], columns_as_vectors(rows_of(M))
@@ -838,9 +847,9 @@ def subquotient_local_length(M, prime):
                 for j in range(M.nrows):
                     target.append({(j, m): c for m, c in monomials(prod).items()})
         piece = subquotient_presentation(ring, M.nrows, num, den)
-        if quotient_dimension(piece.presentation_gb()) < d - 1:
+        if quotient_dimension(piece.presentation_gb(), S) < d - 1:
             return total
-        rank, remainder = divmod(multiplicity(piece.presentation_gb()), e_p)
+        rank, remainder = divmod(multiplicity(piece.presentation_gb(), S), e_p)
         if remainder:
             raise AlgebraError(f"graded piece {power} has a multiplicity not divisible by e(A/p)")
         total += rank

@@ -150,6 +150,29 @@ def test_theta_builds_one_cokernel_basis_per_pair(monkeypatch, quadric):
     assert calls["syzygies"]
 
 
+def test_two_presentations_of_one_module_share_a_theta_entry(monkeypatch, node):
+    """theta remembers a value on the left module under the right module's
+    presentation basis and generator degrees, so A/(x) and A/(x, x^2) over
+    xy, one module presented twice, share one entry: the second theta
+    builds no cokernel."""
+    import thetacas.pairings as pairings
+
+    calls = []
+
+    def counting(*args, _real=pairings._cokernel_series):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(pairings, "_cokernel_series", counting)
+    M = present_cyclic(node, ["y"])
+    N1, N2 = present_cyclic(node, ["x"]), present_cyclic(node, ["x", "x^2"])
+    assert N1.columns != N2.columns
+    first = theta(M, N1)
+    assert len(calls) == 1
+    assert theta(M, N2) == first
+    assert len(calls) == 1 and len(M._thetas) == 1
+
+
 def test_theta_needs_a_hypersurface_ring(S2):
     M = present_cyclic(S2, ["x"])
     with pytest.raises(ValueError, match="hypersurface"):
@@ -414,9 +437,9 @@ def test_theta_vanishes_on_the_sessions_finite_length_modules(name):
     session lacks."""
     env, errors = build_environment(json.loads(WITNESS_SESSIONS[name].read_text()))
     assert not errors
-    mods = {M._key: M for M in env.modules.values()}
+    mods = {(M.presentation_gb(), M.gen_degrees): M for M in env.modules.values()}
     k = present_cyclic(env.ring, list(env.ring.ambient.variables))
-    mods.setdefault(k._key, k)
+    mods.setdefault((k.presentation_gb(), k.gen_degrees), k)
     assert _vanishes_on_finite_length_sides(list(mods.values()))
 
 
@@ -695,9 +718,9 @@ def test_chi_modules_reads_each_series_once(monkeypatch, quadric):
     calls = []
     numerator = homology.hilbert_numerator
 
-    def counting_numerator(G, shifts=None):
+    def counting_numerator(G, ring, shifts=None):
         calls.append(G)
-        return numerator(G, shifts)
+        return numerator(G, ring, shifts)
 
     monkeypatch.setattr(homology, "hilbert_numerator", counting_numerator)
     assert chi_modules(N0, M) == 0

@@ -15,7 +15,6 @@ from thetacas import (
     ModulePresentation,
     PolynomialRing,
     minimal_resolution,
-    ring_dimension,
 )
 from thetacas import groebner
 from thetacas.errors import AlgebraError, InhomogeneousError, ParseError
@@ -33,6 +32,7 @@ from oracles import (
     mono_lcm,
     mono_mul,
     pack_vector,
+    unpack_vector,
 )
 from oracles import monomials as tuple_coeffs
 
@@ -163,7 +163,7 @@ def test_integral_input_keeps_integer_coefficients():
     assert res.betti == [1, 4, 7, 8, 8, 8]
     bases = list(S._groebner_memo.values())
     assert bases
-    types = {type(c) for G in bases for g in G.vectors for _t, c in g}
+    types = {type(c) for G in bases for g in G.vectors for c in g.values()}
     types |= {type(c) for i in range(1, 6)
               for v in res.packed_columns(i) for c in v.values()}
     assert types == {int}
@@ -375,10 +375,17 @@ def test_weighted_degree_multiplicative(a, b):
 # hypersurface rings
 
 
+def test_a_plain_ring_answers_as_a_ring_with_no_modulus():
+    S = make_ring(variables=("x", "y", "z"))
+    assert S.ambient is S and S.f is None
+    assert S.dimension == S.nvars == 3
+    assert S._f_relations(2) == [] and S._f_reducers({0, 1}) == {}
+
+
 def test_ring_dimension_examples(node, a1, quadric):
-    assert ring_dimension(node) == 1
-    assert ring_dimension(quadric) == 3
-    assert ring_dimension(a1) == 2
+    assert node.dimension == 1
+    assert quadric.dimension == 3
+    assert a1.dimension == 2
 
 
 def test_hypersurface_rejects_degenerate_f():
@@ -394,7 +401,7 @@ def test_hypersurface_rejects_degenerate_f():
 def test_hypersurface_accepts_weighted_f():
     W = make_ring(variables=("x", "y"), weights=(3, 2))
     A = HypersurfaceRing(W, W.parse("x^2 - y^3"))
-    assert ring_dimension(A) == 1
+    assert A.dimension == 1
 
 
 def test_from_dict_rejects_malformed_exponent_tuples():
@@ -440,7 +447,7 @@ def test_packing_round_trips(characteristic, terms, weights):
     for comp, m in terms:
         assert R._unpack(R._pack(comp, m)) == (comp, m)
     v = {t: R.field.coerce(i + 1) for i, t in enumerate(terms)}
-    assert R._unpack_vector(pack_vector(R, v)) == v
+    assert unpack_vector(R, pack_vector(R, v)) == v
 
 
 @FIELDS

@@ -255,12 +255,52 @@ def _scopes_naming(name):
 
 def test_only_the_polynomial_boundary_unpacks_vectors():
     """Every kernel vector and polynomial is packed, with one term format:
-    no vector is packed from exponent tuples, and outside the ring, which
-    defines the conversion, only a Groebner basis's frozen vectors unpack
-    one.  The tuple helpers of the second format are gone."""
-    for name in ("_pack_vector", "mono_mul", "mono_key", "_codes", "lead_monomial"):
+    no vector is packed from exponent tuples or unpacked to them (the test
+    oracles' pack_vector and unpack_vector do both); the ring unpacks single
+    terms only.  The tuple helpers of the second format are gone."""
+    for name in ("_pack_vector", "_unpack_vector", "unpack_vector", "mono_mul", "mono_key",
+                 "_codes", "lead_monomial"):
         assert not _scopes_naming(name), f"{name} named in the kernel: {sorted(_scopes_naming(name))}"
-    allowed = {"groebner.py:GroebnerBasis.vectors"}
-    found = {scope for scope in _scopes_naming("_unpack_vector")
-             if not scope.startswith("ring.py:")}
-    assert found <= allowed, f"_unpack_vector named outside the boundary: {sorted(found - allowed)}"
+
+
+def _kernel_identifiers():
+    """Every identifier ``src/thetacas`` names: names, attributes, imported
+    modules and names, and defined functions and classes."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.update(node.name.split("."))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.add(node.name)
+    return found
+
+
+def test_bases_and_rings_answer_for_themselves():
+    """A Groebner basis holds no ring, weak or strong, and no unpacked copy;
+    a ring answers for its ambient ring, f and dimension, with no dispatcher
+    on its type; a module has no identity key of its own; and c1 returns the
+    one class of formal combinations."""
+    removed = {"weakref", "freeze_vec", "Vector", "ambient_of", "modulus_of",
+               "ring_dimension", "DivisorClass", "_key"}
+    named = removed & _kernel_identifiers()
+    assert not named, f"named in the kernel: {sorted(named)}"
+
+
+def test_only_the_ring_module_tests_for_a_hypersurface_ring():
+    """Outside ring.py, code asks ring.f is None, not the ring's type."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "ring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "HypersurfaceRing"
+                            for n in ast.walk(node.args[1]))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"isinstance(..., HypersurfaceRing) outside ring.py: {found}"
