@@ -49,7 +49,7 @@ Reducers = Dict[int, List[Tuple[int, dict]]]
 def _monic(v: dict, lead: int, field) -> dict:
     """The packed vector v scaled so the coefficient at lead is one."""
     lc = v[lead]
-    if lc == field.one:
+    if lc == 1:
         return v
     out: dict = {}
     field.axpy(out, field.inv(lc), 0, v)
@@ -72,7 +72,7 @@ def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing,
     reached (with tail=False, its tail terms are not).  So does a step that
     leaves the term it reduced, so a reducer that is not monic, or faulty
     field arithmetic, fails instead of looping."""
-    neg, axpy = ring.field.neg, ring.field.axpy
+    axpy = ring.field.axpy
     comp_shift, guards, deg_guard = ring._comp_shift, ring._exp_guards, ring._deg_guard
     work = dict(v)
     remainder: dict = {}
@@ -82,7 +82,7 @@ def normal_form_vec(v: dict, reducers: Reducers, ring: PolynomialRing,
             raise AlgebraError(f"a term of degree above {MAX_PACKED_DEGREE} arose")
         for lead, g in reducers.get(t >> comp_shift, ()):
             if not (t - lead) & guards:
-                axpy(work, neg(work[t]), t - lead, g)
+                axpy(work, -work[t], t - lead, g)
                 if t in work:
                     raise AlgebraError(f"a reduction step left the term {ring._unpack(t)} "
                                        "in place: a reducer is not monic, or the field is faulty")
@@ -217,9 +217,9 @@ class GroebnerBuilder:
                     break
             if skip:
                 continue
-            s: dict = {}
-            field.axpy(s, field.one, L - codes[i], G[i])
-            field.axpy(s, field.neg(field.one), L - codes[j], G[j])
+            q = L - codes[i]
+            s = {t + q: c for t, c in G[i].items()}
+            field.axpy(s, -1, L - codes[j], G[j])
             r = normal_form_vec(s, self.reducers, ring, tail=False)
             if r:
                 self.add(r)
@@ -327,7 +327,7 @@ class NakayamaSelection:
             ring, rank + len(candidates), list(target_degs) + [d for _v, d in candidates])
         for r in relations:
             builder.add(r)
-        comp_shift, one = ring._comp_shift, ring.field.one
+        comp_shift = ring._comp_shift
         bound = rank << comp_shift
         tag = bound + ring._one  # eps_0; eps_n is n components on
         kept = []
@@ -336,7 +336,7 @@ class NakayamaSelection:
             builder.complete(degree)
             r = normal_form_vec(v, builder.reducers, ring, tail=False)
             if r and min(r) < bound:
-                r[tag + (n << comp_shift)] = one
+                r[tag + (n << comp_shift)] = 1
                 builder.add(r)
                 kept.append(n)
         self.kept = sorted(kept)

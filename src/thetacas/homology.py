@@ -69,7 +69,8 @@ def reduced_columns(rows: Sequence[Sequence[Polynomial]], ring: RingLike) -> Lis
 def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
     """The elements of a syzygy basis over S, with the f * e_j as relations,
     whose lead is not lead(f) * eps_c, the lead of a reducer modulo f (over
-    a plain ring, every element), packed, in the basis's order.
+    a plain ring, every element), packed, in the basis's order: an element
+    is dropped when its lead less the component is f's packed lead.
 
     Every f * eps_c lies in Z, so every lead(f) * eps_c lies in lead(Z).  So
     no term of a kept element is divisible by one: the kept elements are
@@ -77,8 +78,8 @@ def _kept_syzygies(ring: RingLike, basis: GroebnerBasis) -> List[dict]:
     A dropped element g has that lead, and g - f * eps_c lies in Z with a
     smaller lead, so by induction down the components g lies in f * S^k
     plus the span of the kept ones: over R they generate all of Z."""
-    f_leads = {lead for [(lead, _r)] in ring._f_reducers(range(basis.rank)).values()}
-    return [g for lead, g in basis.packed if lead not in f_leads]
+    low, f_lead = (1 << ring.ambient._comp_shift) - 1, ring._f_lead
+    return [g for lead, g in basis.packed if lead & low != f_lead]
 
 
 def lifted_basis(ring: RingLike, vectors: Sequence[dict], rank: int) -> GroebnerBasis:
@@ -220,7 +221,7 @@ class ModulePresentation:
                 if row:
                     v = dict(v)
                     for t, x in row:
-                        field.axpy(v, field.neg(x), t - one, pivot)
+                        field.axpy(v, -x, t - one, pivot)
                     cols[k] = reduce_packed_mod_f(v, self.ring)
             del degs[r]
             cols = [{t - (1 << comp_shift) if t >> comp_shift > r else t: x
@@ -259,7 +260,7 @@ class ModulePresentation:
         Each d_m is the Nakayama selection from its packed candidates: for
         d_1 the unit-pruned relation columns, in their order; for later ones
         the syzygies of d_(m-1) of degree at most D_m (_degree_bound), sorted
-        by (degree, frozen unpacked vector), read off the builder left open
+        by (degree, sorted unpacked terms), read off the builder left open
         by the selection of d_(m-1).  A syzygy above D_m is never a minimal
         generator, and it would sort after every other candidate, so leaving
         it out keeps every d_m as the unbounded step chooses it."""
@@ -275,8 +276,8 @@ class ModulePresentation:
             candidates = [(v, _vector_degree(v, target, S)) for v in vectors]
             if diffs:
                 unpack = S._unpack
-                candidates.sort(key=lambda c: (c[1], tuple(sorted(zip(map(unpack, c[0]),
-                                                                      c[0].values())))))
+                candidates.sort(key=lambda c: (c[1], sorted(zip(map(unpack, c[0]),
+                                                                c[0].values()))))
             self._open = NakayamaSelection(S, target, candidates,
                                            self.ring._f_relations(len(target)))
             kept = [candidates[n] for n in self._open.kept]

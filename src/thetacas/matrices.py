@@ -36,14 +36,14 @@ def divide_exactly(v: dict, f: dict, ring: PolynomialRing) -> dict:
     field, guards, one = ring.field, ring._exp_guards, ring._one
     lead = min(f)
     lc = f[lead]
-    lc_inv = field.one if lc == field.one else field.inv(lc)
+    lc_inv = 1 if lc == 1 else field.inv(lc)
     work, q = dict(v), {}
     while work:
         t = min(work)
         if (t - lead) & guards:
             raise AlgebraError(f"the divisor does not divide the term {ring._unpack(t)}")
         c = q[t - lead + one] = field.mul(work[t], lc_inv)
-        field.axpy(work, field.neg(c), t - lead, f)
+        field.axpy(work, -c, t - lead, f)
         if t in work:
             raise AlgebraError(f"a division step left the term {ring._unpack(t)} in place")
     return q
@@ -63,7 +63,7 @@ def graded_inverse(columns: Sequence[dict], rank: int,
         return None
     cols = [dict(v) for v in columns]
     units = [(k << comp_shift) + ring._one for k in range(rank)]  # 1 * e_k
-    inv = [{unit: field.one} for unit in units]
+    inv = [{unit: 1} for unit in units]
     for a, unit in enumerate(units):
         p = next((c for c in range(a, rank)
                   if [t for t in cols[c] if t >> comp_shift == a] == [unit]), None)
@@ -71,7 +71,7 @@ def graded_inverse(columns: Sequence[dict], rank: int,
             return None
         cols[a], cols[p], inv[a], inv[p] = cols[p], cols[a], inv[p], inv[a]
         pivot = cols[a][unit]
-        if pivot != field.one:
+        if pivot != 1:
             scale = field.inv(pivot)
             for vectors in (cols, inv):
                 scaled: dict = {}
@@ -82,6 +82,6 @@ def graded_inverse(columns: Sequence[dict], rank: int,
                 continue
             # t - unit is the packed quotient x^m of a term x^m e_a
             for t, coeff in [(t, x) for t, x in cols[c].items() if t >> comp_shift == a]:
-                axpy(cols[c], field.neg(coeff), t - unit, cols[a])
-                axpy(inv[c], field.neg(coeff), t - unit, inv[a])
+                axpy(cols[c], -coeff, t - unit, cols[a])
+                axpy(inv[c], -coeff, t - unit, inv[a])
     return inv

@@ -15,7 +15,6 @@ weighted-homogeneous defining polynomial f with f in m^2.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +71,10 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: characteristic 0 means Q, p means F_p."""
+    """Coefficient field: characteristic 0 means Q, p means F_p.  Its zero
+    and one are the ints 0 and 1, and a caller subtracts by passing -c to
+    axpy, which reduces modulo p (over Q, -c of a canonical value is
+    canonical)."""
 
     characteristic: int = 0
 
@@ -82,9 +84,6 @@ class FieldSpec:
             raise ValueError(f"characteristic {p} is not below {PRIMALITY_BOUND}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
-
-    zero = 0
-    one = 1
 
     def coerce(self, value: Union[int, Fraction]):
         p = self.characteristic
@@ -101,9 +100,6 @@ class FieldSpec:
 
     def mul(self, a, b):
         return (a * b) % self.characteristic if self.characteristic else _canonical(a * b)
-
-    def neg(self, a):
-        return (-a) % self.characteristic if self.characteristic else -a
 
     def inv(self, a):
         p = self.characteristic
@@ -173,10 +169,10 @@ def _term_degrees(v: dict, S: PolynomialRing):
 
 class PolynomialRing:
     """Ambient weighted-graded polynomial ring k[x_1..x_n].  It answers as a
-    ring with no modulus: it is its own ambient ring, f is None, its
-    dimension is n, and it has no relations f * e_j to reduce by."""
+    ring with no modulus: it is its own ambient ring, f and its lead are
+    None, its dimension is n, and it has no relations f * e_j to reduce by."""
 
-    f = None
+    f = _f_lead = None
 
     def __init__(self, field: FieldSpec, variables: Iterable[str], weights=None):
         self.field = field
@@ -263,7 +259,7 @@ class PolynomialRing:
             raise ParseError(f"unknown variable {name!r}")
         expo = [0] * self.nvars
         expo[self._var_index[name]] = 1
-        return Polynomial(self, {self._pack(0, expo): self.field.one})
+        return Polynomial(self, {self._pack(0, expo): 1})
 
     def from_dict(self, coeffs) -> "Polynomial":
         """The polynomial with the given coefficients of exponent tuples."""
@@ -286,37 +282,26 @@ class PolynomialRing:
 
     def format_columns(self, columns, rank: int) -> list:
         """The rank rows of entry texts of the matrix with the given packed
-        columns.  Ascending packed terms list a column's terms by component,
-        each entry's largest term first."""
-        comp_shift, text = self._comp_shift, self._text
-        rows = [["0"] * len(columns) for _r in range(rank)]
+        columns, in one pass over each column's ascending packed terms, which
+        list its entries by component, each entry's largest term first.  The
+        text of each monomial is made once per ring."""
+        comp_shift, texts = self._comp_shift, self._mono_texts
+        low = (1 << comp_shift) - 1
+        rows = [[[] for _v in columns] for _r in range(rank)]
         for k, v in enumerate(columns):
-            for comp, terms in itertools.groupby(sorted(v), key=lambda t: t >> comp_shift):
-                rows[comp][k] = text([(t - (comp << comp_shift), v[t]) for t in terms])
-        return rows
-
-    def _text(self, terms) -> str:
-        """The text of the sum of the (packed term in component 0, c) pairs,
-        in their order; each term's text is made once per ring."""
-        texts, parts = self._mono_texts, []
-        for t, c in terms:
-            body = texts.get(t)
-            if body is None:
-                body = texts[t] = "*".join([name if e == 1 else f"{name}^{e}" for name, e
-                                            in zip(self.variables, self._unpack(t)[1]) if e])
-            neg = c < 0
-            mag = -c if neg else c
-            if not body:
-                coeff_txt = str(mag)
-            elif mag == 1:
-                coeff_txt = body
-            else:
-                coeff_txt = f"{mag}*{body}"
-            if not parts:
-                parts.append(f"-{coeff_txt}" if neg else coeff_txt)
-            else:
-                parts.append(f"- {coeff_txt}" if neg else f"+ {coeff_txt}")
-        return " ".join(parts) if parts else "0"
+            for t in sorted(v):
+                parts, c = rows[t >> comp_shift][k], v[t]
+                body = texts.get(t & low)
+                if body is None:
+                    body = texts[t & low] = "*".join([
+                        name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(self.variables, self._unpack(t & low)[1]) if e])
+                if c < 0:
+                    c, sign = -c, "- " if parts else "-"
+                else:
+                    sign = "+ " if parts else ""
+                parts.append(sign + (f"{c}*{body}" if body and c != 1 else body or str(c)))
+        return [[" ".join(parts) or "0" for parts in row] for row in rows]
 
     def __repr__(self):
         p = self.field.characteristic
@@ -347,7 +332,7 @@ class Polynomial:
         return self.coeffs[min(self.coeffs)]
 
     def constant_coeff(self):
-        return self.coeffs.get(self.ring._one, self.ring.field.zero)
+        return self.coeffs.get(self.ring._one, 0)
 
     def is_constant(self) -> bool:
         return not self.coeffs or list(self.coeffs) == [self.ring._one]
@@ -566,8 +551,9 @@ class HypersurfaceRing:
         self.ambient = ambient
         self.f = f
         self.dimension = ambient.nvars - 1
-        # f made monic, the one reducer modulo f
+        # f made monic, the one reducer modulo f, and its packed lead term
         self._f_packed = f.scale(ambient.field.inv(f.lead_coeff())).coeffs
+        self._f_lead = min(self._f_packed)
         self._tjurina = None  # l(S/(f, df/dx_i)), filled by pairings._tjurina_number
 
     def _f_relation(self, j: int) -> dict:
@@ -582,8 +568,8 @@ class HypersurfaceRing:
     def _f_reducers(self, components) -> dict:
         """The reducers of the monic f * e_j, j in the given components, for
         a normal form modulo f of packed vectors."""
-        lead, comp_shift = min(self._f_packed), self.ambient._comp_shift
-        return {j: [(lead + (j << comp_shift), self._f_relation(j))] for j in components}
+        comp_shift = self.ambient._comp_shift
+        return {j: [(self._f_lead + (j << comp_shift), self._f_relation(j))] for j in components}
 
     @property
     def field(self):

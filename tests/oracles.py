@@ -42,8 +42,12 @@ has finite length; and Knörrer's lift of a matrix
 factorization to two more variables, a cross-dimension reference for theta,
 which can be applied again to the lifted ring; chi(N0, M) as the
 alternating sum of Tor lengths, the witness for the graded Euler
-characteristic chi_modules reads; and the inertia by the hyperbolic 2x2
-block pivot, the witness for the congruence numeq.signature makes."""
+characteristic chi_modules reads; chi over the ambient ring off the two
+modules' Hilbert series, the witness theta equals when M (x) N has finite
+length, and that finiteness read off C_0; the inertia by the hyperbolic 2x2
+block pivot, the witness for the congruence numeq.signature makes; and the
+two-pass printer of packed columns (itertools.groupby and a per-entry text
+helper), the reference for PolynomialRing.format_columns."""
 
 import itertools
 import operator
@@ -100,6 +104,44 @@ def monomials(p):
     return {unpack(t)[1]: c for t, c in p.coeffs.items()}
 
 
+def format_columns_reference(S, columns, rank):
+    """The rank rows of entry texts of the matrix with the given packed
+    columns over S, grouped by component with itertools.groupby and each
+    entry printed by _text_reference: the two-pass printer that
+    PolynomialRing.format_columns replaced, its reference.  Ascending packed
+    terms list a column's terms by component, each entry's largest term
+    first."""
+    comp_shift = S._comp_shift
+    rows = [["0"] * len(columns) for _r in range(rank)]
+    for k, v in enumerate(columns):
+        for comp, terms in itertools.groupby(sorted(v), key=lambda t: t >> comp_shift):
+            rows[comp][k] = _text_reference(S, [(t - (comp << comp_shift), v[t]) for t in terms])
+    return rows
+
+
+def _text_reference(S, terms):
+    """The text of the sum of the (packed term in component 0, c) pairs, in
+    their order; each monomial's text is made afresh, not read from the
+    ring's memo."""
+    parts = []
+    for t, c in terms:
+        body = "*".join([name if e == 1 else f"{name}^{e}" for name, e
+                         in zip(S.variables, S._unpack(t)[1]) if e])
+        neg = c < 0
+        mag = -c if neg else c
+        if not body:
+            coeff_txt = str(mag)
+        elif mag == 1:
+            coeff_txt = body
+        else:
+            coeff_txt = f"{mag}*{body}"
+        if not parts:
+            parts.append(f"-{coeff_txt}" if neg else coeff_txt)
+        else:
+            parts.append(f"- {coeff_txt}" if neg else f"+ {coeff_txt}")
+    return " ".join(parts) if parts else "0"
+
+
 def pack_vector(S, v):
     """The vector v, keyed by (component, exponent tuple), packed over S."""
     return {S._pack(comp, m): c for (comp, m), c in v.items()}
@@ -146,10 +188,9 @@ def mono_coprime(a, b):
 def vec_axpy(v: Vector, coeff, mono: tuple, w: Vector, field) -> Vector:
     """v + coeff * x^mono * w, in place; returns v: the unpacked reference
     for FieldSpec.axpy."""
-    zero = field.zero
     for (comp, m), c in w.items():
         t = (comp, mono_mul(mono, m))
-        s = field.coerce(v.get(t, zero) + field.mul(coeff, c))
+        s = field.coerce(v.get(t, 0) + field.mul(coeff, c))
         if s == 0:
             v.pop(t, None)
         else:
@@ -300,7 +341,7 @@ def _tagged(generators, ring, rank):
     aug = []
     for i, g in enumerate(generators):
         h = dict(g)
-        h[(rank + i, one)] = ring.field.one
+        h[(rank + i, one)] = 1
         aug.append(h)
     return aug
 
@@ -734,7 +775,7 @@ def tag_lead_part(S, generators, rank, relations=()):
     tag block, moved down by rank components, in the basis's order."""
     tagged = [dict(g) for g in generators]
     for i, h in enumerate(tagged):
-        h[(rank + i, (0,) * S.nvars)] = S.field.one
+        h[(rank + i, (0,) * S.nvars)] = 1
     full = basis_of_vectors(tagged + list(relations), S, rank + len(tagged))
     return tuple(tuple(((comp - rank, m), c) for (comp, m), c in fv)
                  for fv in unpacked_vectors(full, S) if all(comp >= rank for (comp, _m), _c in fv))
@@ -757,7 +798,7 @@ def reduce_with_representation(v, generators, ring, rank):
     k = len(generators)
     nf = normal_form(dict(v), basis_of_vectors(_tagged(generators, ring, rank), ring, rank + k),
                      ring)
-    reps = [ring.from_dict({m: ring.field.neg(c) for (comp, m), c in nf.items()
+    reps = [ring.from_dict({m: ring.field.coerce(-c) for (comp, m), c in nf.items()
                             if comp == rank + i})
             for i in range(k)]
     return vec_restrict(nf, 0, rank), reps
@@ -901,6 +942,25 @@ def tor_chi(N0, M):
     witness for the graded Euler characteristic chi_modules reads."""
     pd = finite_pd(N0)
     return sum((-1) ** i * tor_length(N0, M, i) for i in range(pd + 1))
+
+
+def chi_S(M, N):
+    """chi^S(M, N) = sum_i (-1)^i l(Tor^S_i(M, N)) over the ambient ring S:
+    sum_i (-1)^i HS(Tor^S_i) = HS(M) HS(N) / HS(S), so it is the value at
+    t = 1 of num(M) num(N) over prod_i (1 - t^(w_i)).  When M (x) N has
+    finite length it equals theta(M, N) (Hochster 1981), a witness that
+    needs no resolution and no matrix factorization."""
+    num = {}
+    for d, c in module_series(M).items():
+        _tpoly_axpy(num, c, d, module_series(N))
+    return series_value(num, M.ring.weights)
+
+
+def tensor_has_finite_length(M, N):
+    """Whether M (x) N has finite length, read off C_0 = coker(d_1 (x) N),
+    d_1 M's presentation matrix."""
+    C_0 = _cokernel_series(M.columns, M.gen_degrees, N)
+    return series_value(C_0, M.ring.weights) is not INFINITE
 
 
 def hyperbolic_signature(matrix):

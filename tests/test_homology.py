@@ -228,7 +228,7 @@ def test_resolution_minimality_and_complex_property(node, quadric, node_modules,
         for i in range(1, 6):
             for row in resolution_matrix(res, i):
                 for entry in row:
-                    assert entry.constant_coeff() == S.field.zero
+                    assert entry.constant_coeff() == 0
         for i in range(1, 5):
             prod = mat_mul(resolution_matrix(res, i), resolution_matrix(res, i + 1), S)
             for row in prod:

@@ -45,6 +45,7 @@ from thetacas.homology import (
 )
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning, _tjurina_number
 from oracles import (
+    chi_S,
     direct_sum,
     dual_module,
     ext_module,
@@ -60,9 +61,11 @@ from oracles import (
     subquotient_local_length,
     syzygy_of,
     theta_by_cokernel,
+    tensor_has_finite_length,
     tor_chi,
 )
 from conftest import hypersurface
+from test_numeq import fermat_cubic, fermat_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -485,6 +488,49 @@ def test_theta_vanishes_on_random_finite_length_quotients(pair):
     assert theta(M, N) == theta(N, M) == 0
     assert M._res_diffs == [] and N._res_diffs == []
     assert theta_by_cokernel(fresh(M), fresh(N)) == theta_by_cokernel(fresh(N), fresh(M)) == 0
+
+
+# ---------------------------------------------------------------------------
+# theta = chi^S when M (x) N has finite length
+
+
+def _finite_pairs_agree_with_chi_S(pairs):
+    """Those of the pairs (M, N) whose M (x) N has finite length, once
+    theta(M, N) = chi^S(M, N) is checked on each."""
+    finite = [(M, N) for M, N in pairs if tensor_has_finite_length(M, N)]
+    for M, N in finite:
+        assert theta(M, N) == chi_S(M, N)
+    return finite
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("node", {("Ax", "Ay"), ("Ay", "Ax"), ("Ax", "k"), ("k", "Ax"), ("Ay", "k"), ("k", "Ay"),
+              ("k", "k")}),
+    ("a1_surface", {("Axz", "Azy"), ("Azy", "Axz")}),
+    ("quadric", set()),
+])
+def test_theta_is_chi_over_the_ambient_ring_on_the_golden_sessions(name, expected):
+    """On every ordered pair of the session's modules whose tensor product
+    has finite length, theta equals chi^S read off the two Hilbert series
+    alone (Hochster 1981): node Ax, Ay and k, a1_surface Axz and Azy."""
+    env, errors = build_environment(json.loads(WITNESS_SESSIONS[name].read_text()))
+    assert not errors
+    names = {id(M): n for n, M in env.modules.items()}
+    pairs = itertools.product(env.modules.values(), repeat=2)
+    assert {(names[id(M)], names[id(N)])
+            for M, N in _finite_pairs_agree_with_chi_S(pairs)} == expected
+
+
+def test_theta_is_chi_over_the_ambient_ring_on_disjoint_fermat_lines():
+    """Over F_7, the 216 pairs of disjoint lines among the 27 of the Fermat
+    cubic surface meet only at the cone point, and theta = chi^S = 1 on
+    each, deg L deg L' (Bezout); every other pair of the half Gram meets
+    along a curve."""
+    A = fermat_cubic(7)
+    lines = [present_cyclic(A, line) for line in fermat_lines()]
+    half = [(M, N) for i, M in enumerate(lines) for N in lines[i:]]
+    finite = _finite_pairs_agree_with_chi_S(half)
+    assert len(finite) == 216 and {chi_S(M, N) for M, N in finite} == {1}
 
 
 def test_syzygy_dual_probe_identity(node, quadric, node_modules, quadric_modules):

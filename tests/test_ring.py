@@ -25,6 +25,7 @@ from thetacas.ring import (
     _is_prime,
 )
 from oracles import (
+    format_columns_reference,
     mono_coprime,
     mono_div,
     mono_divides,
@@ -107,13 +108,13 @@ def test_rational_field_is_fraction_arithmetic_in_canonical_form(a, b):
     Q = FieldSpec(0)
     fa, fb = Fraction(a), Fraction(b)
     cases = [(Q.coerce(a + b), fa + fb), (Q.mul(a, b), fa * fb),
-             (Q.neg(a), -fa), (Q.coerce(a), fa), (Q.coerce(fa), fa)]
+             (Q.coerce(-a), -fa), (Q.coerce(a), fa), (Q.coerce(fa), fa)]
     if fb:
         cases.append((Q.inv(b), 1 / fb))
     for got, want in cases:
         assert got == want
         assert type(got) is (int if want.denominator == 1 else Fraction)
-    assert type(Q.zero) is int and type(Q.one) is int
+    assert type(Q.coerce(Fraction(0))) is int and type(Q.coerce(Fraction(1))) is int
 
 
 @given(data=st.data())
@@ -134,10 +135,10 @@ def test_packed_axpy_matches_the_field_operations(data):
     # some terms of v cancel against coeff * x^q * w exactly
     cancelled = data.draw(st.sets(st.sampled_from(sorted(w)), max_size=len(w))) if w else set()
     for t in cancelled:
-        v[t + q] = F.neg(F.mul(coeff, w[t]))
+        v[t + q] = F.coerce(-F.mul(coeff, w[t]))
     expected = dict(v)
     for t, c in w.items():
-        s = F.coerce(expected.get(t + q, F.zero) + F.mul(coeff, c))
+        s = F.coerce(expected.get(t + q, 0) + F.mul(coeff, c))
         if s == 0:
             expected.pop(t + q, None)
         else:
@@ -377,7 +378,7 @@ def test_weighted_degree_multiplicative(a, b):
 
 def test_a_plain_ring_answers_as_a_ring_with_no_modulus():
     S = make_ring(variables=("x", "y", "z"))
-    assert S.ambient is S and S.f is None
+    assert S.ambient is S and S.f is None and S._f_lead is None
     assert S.dimension == S.nvars == 3
     assert S._f_relations(2) == [] and S._f_reducers({0, 1}) == {}
 
@@ -563,3 +564,43 @@ def test_packing_a_degree_above_the_cap_raises():
     assert (t >> 16) & 0xFFFF == 32766 and R._unpack(t) == (1, (1, 16383))
     with pytest.raises(AlgebraError, match="degree"):
         R._pack(0, (MAX_PACKED_DEGREE - 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# printing packed columns
+
+
+@st.composite
+def printed_matrices(draw):
+    """(characteristic, weights, rank, columns): columns as dicts from
+    (component, exponent tuple) to nonzero coefficients, over Q (negative
+    values, Fractions and +-1 among them) or F_32003, with constant terms,
+    several components and empty entries."""
+    p = draw(st.sampled_from([0, 32003]))
+    values = st.one_of(st.sampled_from([1, -1, p - 1] if p else [1, -1, Fraction(-1, 3)]),
+                       st.integers(1, p - 1) if p else rationals.filter(bool))
+    rank = draw(st.integers(1, 3))
+    terms = st.tuples(st.integers(0, rank - 1), st.tuples(*[st.integers(0, 2)] * 3))
+    columns = draw(st.lists(st.dictionaries(terms, values, max_size=6), max_size=4))
+    return p, draw(weight_triples), rank, columns
+
+
+@given(case=printed_matrices())
+@example(case=(0, (1, 2, 3), 3, [{(0, (0, 0, 0)): -1, (0, (1, 0, 0)): Fraction(-1, 3),
+                                  (2, (0, 1, 0)): 1, (2, (0, 0, 2)): Fraction(5, 2)},
+                                 {}, {(1, (0, 0, 0)): 7, (1, (2, 0, 1)): -1}]))
+@example(case=(32003, (1, 1, 1), 2, [{(1, (0, 0, 0)): 32002, (1, (1, 1, 0)): 1}]))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_format_columns_matches_the_two_pass_printer(case):
+    """The one-pass printer gives, entry for entry, what the groupby printer
+    with a per-entry text helper gave: the first term as -x when negative,
+    later ones as - x or + x, 0 for an empty entry, the coefficient left out
+    only for magnitude 1 on a monomial other than 1, and a Fraction through
+    str.  A second call, reading the monomial texts the first made, agrees."""
+    p, weights, rank, columns = case
+    R = packed_ring(p, weights)
+    packed = [{R._pack(comp, m): R.field.coerce(c) for (comp, m), c in v.items()}
+              for v in columns]
+    expected = format_columns_reference(R, packed, rank)
+    assert R.format_columns(packed, rank) == expected
+    assert R.format_columns(packed, rank) == expected

@@ -291,6 +291,17 @@ def test_bases_and_rings_answer_for_themselves():
     assert not named, f"named in the kernel: {sorted(named)}"
 
 
+def test_the_field_keeps_only_what_the_kernel_calls():
+    """FieldSpec adds through axpy alone: callers pass -c to it and read
+    the literals 0 and 1, so it has no neg and no zero or one constants;
+    and the printer makes one pass, with no per-entry _text helper."""
+    from thetacas import FieldSpec
+
+    public = {name for name in vars(FieldSpec) if not name.startswith("_")}
+    assert public == {"characteristic", "coerce", "mul", "inv", "axpy"}
+    assert "_text" not in _kernel_identifiers()
+
+
 def test_only_the_ring_module_tests_for_a_hypersurface_ring():
     """Outside ring.py, code asks ring.f is None, not the ring's type."""
     found = []
