@@ -102,17 +102,20 @@ class GroebnerBasis:
     """Reduced Groebner basis of a submodule of S^rank.
 
     packed holds its (packed lead term, monic packed vector) pairs, leads
-    decreasing, and vectors those vectors alone (perfbench/tracer.py counts
-    them; no kernel code reads them).  It hashes by its rank and leads, as it
-    enters the memo keys of the bases seeded with it and theta's module keys.
-    A basis is a plain value that holds no ring: the ring's memo holds the
-    basis, and the functions that read its terms take the ring."""
+    decreasing; leads and vectors read them apart (only perfbench/tracer.py
+    reads vectors).  It hashes by rank and leads, as it enters theta's
+    module keys only.  A plain value with no ring: the module it presents
+    holds it, and functions that read its terms take the ring."""
 
     __slots__ = ("rank", "packed")
 
     def __init__(self, rank: int, packed: tuple):
         self.rank = rank
         self.packed = packed
+
+    @property
+    def leads(self) -> tuple:
+        return tuple(lead for lead, _g in self.packed)
 
     @property
     def vectors(self) -> tuple:
@@ -123,21 +126,22 @@ class GroebnerBasis:
                 and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.rank, tuple(lead for lead, _g in self.packed)))
+        return hash((self.rank, self.leads))
 
 
 class GroebnerBuilder:
     """Buchberger's loop, kept open: add vectors, complete the basis up to a
-    degree, read off the reduced basis.  A pair's degree is its lcm's degree
-    plus shifts[component]; for inputs homogeneous under those generator
-    degrees, complete(d) decides membership of every vector of degree <= d.
+    degree, read off a minimal or the reduced basis.  A pair's degree is its
+    lcm's degree plus shifts[component]; for inputs homogeneous under those
+    generator degrees, complete(d) decides membership of every vector of
+    degree <= d.
 
     Pairs stay on packed ints: a pair's lcm is the field-wise max of the
     exponent bits of its leads, taken through the guard bits, and its degree
     is the lcm bits modulo _DEGREE_MODULUS.  S-pairs are reduced only until
     their lead is irreducible: the leads, and so the pairs formed, skipped
-    and reduced, are those of full reduction, and reduced() interreduces the
-    tails of what it returns."""
+    and reduced, are those of full reduction, and only reduced()
+    interreduces the tails of what it returns."""
 
     def __init__(self, ring: PolynomialRing, rank: int, shifts: Sequence[int] = ()):
         self.ring, self.rank = ring, rank
@@ -224,8 +228,21 @@ class GroebnerBuilder:
             if r:
                 self.add(r)
 
+    def minimal(self, lo: int = 0) -> Reducers:
+        """A minimal basis, grouped as the reducers are, of what was added, in
+        components >= lo; complete() it first.  It drops g when another lead
+        of its component divides g's lead (of equal leads, keeps the first)."""
+        guards, groups = self.ring._exp_guards, {}
+        for comp, same in self.by_comp.items():
+            if comp >= lo:
+                codes = [(i, self.codes[i]) for i in same]
+                groups[comp] = [(lead, self.vectors[i]) for i, lead in codes if not any(
+                    j != i and not (lead - other) & guards and (other != lead or j < i)
+                    for j, other in codes)]
+        return groups
+
     def reduced(self, lo: int = 0, tags: Optional[Sequence[int]] = None) -> GroebnerBasis:
-        """The reduced basis of what was added; complete() it first.
+        """The reduced basis, the minimal one interreduced; complete() it first.
 
         With lo > 0, only its elements whose lead lies in a component >= lo,
         moved down by lo components: the reduced basis of the module's
@@ -234,24 +251,11 @@ class GroebnerBuilder:
         are neither minimalized nor interreduced.  tags, ascending, names the
         only components >= lo (counted from lo) that the module uses; they
         are renumbered 0, 1, ... in their order, which keeps the term order."""
-        ring, comp_shift, guards = self.ring, self.ring._comp_shift, self.ring._exp_guards
+        ring, comp_shift = self.ring, self.ring._comp_shift
         if tags is None:
             tags = range(self.rank - lo)
         moves = {lo + n: (lo + n - k) << comp_shift for k, n in enumerate(tags)}
-        # minimalize: drop g when another lead of its component divides its
-        # lead (of equal leads, keep the first)
-        groups: Reducers = {}
-        for comp, same in self.by_comp.items():
-            if comp < lo:
-                continue
-            codes = [(i, self.codes[i]) for i in same]
-            kept = groups[comp] = []
-            for i, lead in codes:
-                for j, other in codes:
-                    if j != i and not (lead - other) & guards and (other != lead or j < i):
-                        break
-                else:
-                    kept.append((lead, self.vectors[i]))
+        groups = self.minimal(lo)
         # interreduce against the other kept vectors: none of their leads
         # divides g's lead, so it stays the lead term, with coefficient one,
         # of g's remainder
@@ -269,31 +273,15 @@ class GroebnerBuilder:
         return GroebnerBasis(len(tags), tuple(reduced))
 
 
-def groebner_basis(
-    generators: Sequence[dict],
-    ring: PolynomialRing,
-    rank: int,
-    known: Sequence[Tuple[int, GroebnerBasis]] = (),
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the packed generators and the known bases,
-    memoised on the ring by (rank, generators, known bases).
-
-    Each known entry is (offset, basis): a Groebner basis moved up by offset
-    components.  Its vectors are added first, with no S-pairs among them."""
-    key = (rank, tuple(tuple(sorted(g.items())) for g in generators), tuple(known))
-    cached = ring._groebner_memo.get(key)
-    if cached is None:
-        builder = GroebnerBuilder(ring, rank)
-        for offset, basis in known:
-            start, shift = len(builder.codes), offset << ring._comp_shift
-            for _lead, g in basis.packed:
-                builder.add({t + shift: c for t, c in g.items()} if shift else g, known=start)
-        for g in generators:
-            if g:
-                builder.add(g)
-        builder.complete()
-        cached = ring._groebner_memo[key] = builder.reduced()
-    return cached
+def groebner_basis(generators: Sequence[dict], ring: PolynomialRing, rank: int) -> GroebnerBasis:
+    """Reduced Groebner basis of the nonzero packed generators in S^rank.
+    It remembers nothing: a module keeps its own presentation basis."""
+    builder = GroebnerBuilder(ring, rank)
+    for g in generators:
+        if g:
+            builder.add(g)
+    builder.complete()
+    return builder.reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +420,14 @@ def _ideal_numerator(gens: tuple, guards: int, memo: dict) -> dict:
     return result
 
 
-def hilbert_numerator(G: GroebnerBasis, ring: PolynomialRing,
+def hilbert_numerator(leads: Sequence[int], rank: int, ring: PolynomialRing,
                       shifts: Optional[Sequence[int]] = None) -> dict:
-    """Hilbert series numerator of S^rank/(lead module), for G over the ring
-    S; denominator is prod_i (1 - t^(w_i)).  Optional generator degree
-    shifts.  A component's leads, as exponent bits, are the minimal
-    generators of its lead ideal: no lead of a reduced basis divides
-    another."""
-    by_comp: Dict[int, List[int]] = {comp: [] for comp in range(G.rank)}
-    for lead, _g in G.packed:
+    """Hilbert series numerator of S^rank/(leads) over the ring S, for the
+    leads of a minimal or reduced basis: no lead divides another of its
+    component, so they are the minimal generators of each lead ideal.
+    Denominator is prod_i (1 - t^(w_i)); optional generator degree shifts."""
+    by_comp: Dict[int, List[int]] = {comp: [] for comp in range(rank)}
+    for lead in leads:
         by_comp[lead >> ring._comp_shift].append(lead & ring._exp_bits)
     memo, total = {}, {}
     for comp, gens in by_comp.items():

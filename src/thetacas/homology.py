@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import AlgebraError, InfiniteLength, InhomogeneousError, NotStabilized
 from .groebner import (
     GroebnerBasis,
+    GroebnerBuilder,
     NakayamaSelection,
     _monic,
     _series_at_one,
@@ -134,12 +135,13 @@ class ModulePresentation:
     its nonzero columns, packed once and reduced modulo f.  The module owns
     what is computed from it, each filled on first use: the presentation GB,
     its Hilbert series (module_series), the minimal resolution (grown in
-    place as longer ones are asked for), its matrix factorization, and theta
+    place as longer ones are asked for), its matrix factorization, theta
     values against other modules, keyed by the other module's presentation
     GB and generator degrees, so two presentations of one module share an
-    entry.  It keeps no minimal presentation: F_0 and d_1 of the resolution
-    are one.  No cache holds a module object, so a module is freed by
-    reference counting, with no cycle for the garbage collector.
+    entry, and the leads of the cokernels _cokernel_series reads.  It keeps
+    no minimal presentation: F_0 and d_1 of the resolution are one.  No
+    cache holds a module object, so a module is freed by reference
+    counting, with no cycle for the garbage collector.
 
     Generator degrees are inferred when not given; given ones must be one
     per generator and make every relation column homogeneous."""
@@ -171,6 +173,7 @@ class ModulePresentation:
         self._open: Optional[NakayamaSelection] = None  # the step that chose d_L
         self._mf: Optional[MatrixFactorization] = None
         self._thetas: Dict[tuple, int] = {}
+        self._cokernels: Dict[tuple, List[int]] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -295,7 +298,8 @@ def module_series(M: ModulePresentation) -> dict:
     prod_i (1 - t^(w_i)), generators in their degrees; remembered on M, where
     every invariant of M reads it.  Callers must not change the dict."""
     if M._series is None:
-        M._series = hilbert_numerator(M.presentation_gb(), M.ring.ambient, M.gen_degrees)
+        G = M.presentation_gb()
+        M._series = hilbert_numerator(G.leads, G.rank, M.ring.ambient, M.gen_degrees)
     return M._series
 
 
@@ -500,18 +504,30 @@ def _tensor_map_columns(d_cols: List[dict], s: int, S: PolynomialRing) -> List[d
             for v in d_cols for k in range(s)]
 
 
-def _cokernel_series(
-    d_cols: List[dict], target_degs: Sequence[int], N: ModulePresentation
-) -> dict:
+def _cokernel_series(d_cols: List[dict], target_degs: Sequence[int],
+                     N: ModulePresentation) -> dict:
     """Hilbert numerator of coker(d (x) N), a quotient of F (x) N, for the
-    map d into F with the given packed columns and generator degrees.  Each
-    block F_j (x) N is seeded with N's presentation basis (its relations and
-    f*e_j), a known Groebner basis."""
+    map d into F with the given packed columns and generator degrees, read
+    off the minimal leads of a builder whose every block F_j (x) N is seeded
+    with N's presentation basis (its relations and f*e_j): a series reads
+    only the lead module, so no tail is reduced.  N remembers the leads by
+    d's columns and F's rank, never by degrees, which the periodic C_j do
+    not share: the degree shifts apply on each call."""
     s, S = N.nrows, N.ring.ambient
-    known = [(block * s, N.presentation_gb()) for block in range(len(target_degs))]
+    key = (tuple(tuple(sorted(v.items())) for v in d_cols), len(target_degs))
+    leads = N._cokernels.get(key)
+    if leads is None:
+        builder = GroebnerBuilder(S, len(target_degs) * s)
+        for block in range(len(target_degs)):
+            start, shift = len(builder.codes), (block * s) << S._comp_shift
+            for _lead, g in N.presentation_gb().packed:
+                builder.add({t + shift: c for t, c in g.items()}, known=start)
+        for v in filter(None, _tensor_map_columns(d_cols, s, S)):
+            builder.add(v)
+        builder.complete()
+        leads = N._cokernels[key] = [t for own in builder.minimal().values() for t, _g in own]
     shifts = [a + b for a in target_degs for b in N.gen_degrees]
-    G = groebner_basis(_tensor_map_columns(d_cols, s, S), S, len(shifts), known=known)
-    return hilbert_numerator(G, S, shifts)
+    return hilbert_numerator(leads, len(shifts), S, shifts)
 
 
 def homology_series(
@@ -544,8 +560,8 @@ def homology_series(
 
 def tor_length(M: ModulePresentation, N: ModulePresentation, i: int):
     """Length of Tor_i^A(M, N) = H_i(F (x) N) for i >= 0, F the minimal
-    resolution of M, not remembered (the cokernel bases it reads are memoised
-    on the ring); INFINITE lengths raise.  It is read off the one series of
+    resolution of M, not remembered (N remembers the cokernel leads it
+    reads); INFINITE lengths raise.  It is read off the one series of
     homology_series, since a difference of two Tor series can hide a pole."""
     if i < 0:
         raise IndexError("tor_length requires i >= 0")

@@ -175,6 +175,8 @@ class PolynomialRing:
     f = _f_lead = None
 
     def __init__(self, field: FieldSpec, variables: Iterable[str], weights=None):
+        """The ring keeps only data it derives from itself (unpacked terms,
+        monomial texts); a module keeps what is computed from it, bases too."""
         self.field = field
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
@@ -190,11 +192,6 @@ class PolynomialRing:
             raise ValueError("weights must be positive")
         self.nvars = self.dimension = len(self.variables)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
-        # Groebner bases over this ring, keyed by (rank, sorted packed
-        # generators, known bases), filled by groebner.groebner_basis; freed
-        # with the ring when the last reference to it goes (a basis holds no
-        # ring, so no reference cycle holds the memo).
-        self._groebner_memo = {}
         # packed terms, w_1 * m_1 in the lowest field
         self._exp_shifts = tuple(range(0, _FIELD_BITS * self.nvars, _FIELD_BITS))
         self._deg_shift = _FIELD_BITS * self.nvars

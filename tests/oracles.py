@@ -44,7 +44,10 @@ which can be applied again to the lifted ring; chi(N0, M) as the
 alternating sum of Tor lengths, the witness for the graded Euler
 characteristic chi_modules reads; chi over the ambient ring off the two
 modules' Hilbert series, the witness theta equals when M (x) N has finite
-length, and that finiteness read off C_0; the inertia by the hyperbolic 2x2
+length, and that finiteness read off C_0; the lead module of a cokernel
+off a reduced basis with no seeding, the reference for the minimal leads
+_cokernel_series remembers, and the Hilbert function off Macaulay
+matrices, a Buchberger-free witness for the series it reads; the inertia by the hyperbolic 2x2
 block pivot, the witness for the congruence numeq.signature makes; and the
 two-pass printer of packed columns (itertools.groupby and a per-entry text
 helper), the reference for PolynomialRing.format_columns."""
@@ -234,9 +237,26 @@ def unpacked_columns(res, i):
     return [unpack_vector(S, v) for v in res.packed_columns(i)]
 
 
-def basis_of_vectors(vectors, ring, rank, known=()):
+def basis_of_vectors(vectors, ring, rank):
     """groebner_basis of the given vectors, packed."""
-    return groebner_basis([pack_vector(ring, v) for v in vectors], ring, rank, known)
+    return groebner_basis([pack_vector(ring, v) for v in vectors], ring, rank)
+
+
+def seeded_basis(vectors, ring, rank, known):
+    """The reduced basis of the given vectors and the known entries
+    (offset, basis), each basis moved up by offset components and added
+    first to one builder with add(known=start), as _cokernel_series seeds
+    each block with N's presentation basis."""
+    builder = GroebnerBuilder(ring, rank)
+    for offset, G in known:
+        start, shift = len(builder.codes), offset << ring._comp_shift
+        for g in G.vectors:
+            builder.add({t + shift: c for t, c in g.items()}, known=start)
+    for v in vectors:
+        if v:
+            builder.add(pack_vector(ring, v))
+    builder.complete()
+    return builder.reduced()
 
 
 def reduce_mod_f(p, ring):
@@ -346,33 +366,19 @@ def _tagged(generators, ring, rank):
     return aug
 
 
-def _syzygy_key(generators: Sequence[Vector], rank: int, relations: Sequence[Vector]) -> tuple:
-    """The ring memo's key of the reduced basis, in S^k, of the syzygies of
-    the k generators modulo the relations.  It is tagged apart: that basis is
-    only the tag-lead part of the augmented one, so it must not answer for
-    the full basis of the same vectors."""
-    return ("syzygies", rank, tuple(freeze_vec(g) for g in generators),
-            tuple(freeze_vec(r) for r in relations))
-
-
 def syzygy_basis(generators, ring, rank, relations=()):
     """Reduced Groebner basis, in S^k, of {c : sum_i c_i g_i in the span of
-    the relations} for the given k vectors, memoised on the ring under a
-    key of its own.
+    the relations} for the given k vectors, computed cold each call.
 
     It is the tag part of the augmented basis of (g_i, eps_i) and (r, 0):
     the elements whose lead lies in the tag block, so only they are
     minimalized and interreduced."""
-    key = _syzygy_key(generators, rank, relations)
-    cached = ring._groebner_memo.get(key)
-    if cached is None:
-        builder = GroebnerBuilder(ring, rank + len(generators))
-        for g in _tagged(generators, ring, rank) + list(relations):
-            if g:
-                builder.add(pack_vector(ring, g))
-        builder.complete()
-        cached = ring._groebner_memo[key] = builder.reduced(rank)
-    return cached
+    builder = GroebnerBuilder(ring, rank + len(generators))
+    for g in _tagged(generators, ring, rank) + list(relations):
+        if g:
+            builder.add(pack_vector(ring, g))
+    builder.complete()
+    return builder.reduced(rank)
 
 
 def syzygies_over(ring, vectors, rank):
@@ -721,7 +727,7 @@ def series_at_one_by_division(num):
 def quotient_dimension(G, S):
     """Krull dimension of S^rank/(lead module) off the unshifted numerator;
     -1 for the zero module."""
-    order, _value = _series_at_one(hilbert_numerator(G, S))
+    order, _value = _series_at_one(hilbert_numerator(G.leads, G.rank, S))
     if order is None:
         return -1
     return S.nvars - order
@@ -730,7 +736,7 @@ def quotient_dimension(G, S):
 def multiplicity(G, S):
     """Normalized leading coefficient of the Hilbert polynomial of
     S^rank/(lead module), off the unshifted numerator (weights 1)."""
-    order, e = _series_at_one(hilbert_numerator(G, S))
+    order, e = _series_at_one(hilbert_numerator(G.leads, G.rank, S))
     if order is None or order == S.nvars:
         raise ValueError("multiplicity needs a module of positive dimension")
     return e
@@ -810,6 +816,87 @@ def _block_relations(Q_cols, s, blocks):
         for v in Q_cols:
             out.append(vec_shift_components(v, block * s))
     return out
+
+
+def cokernel_leads(d_cols, rank, N):
+    """The sorted packed leads of the reduced basis of the image of d (x) N,
+    for the packed columns of d into F of the given rank, off d (x) I_s and
+    one copy of N's relation columns and f * e_j per block, all added as
+    plain generators: the lead module _cokernel_series remembers, read off
+    a reduced basis with no seeding."""
+    S, s = N.ring.ambient, N.nrows
+    relations = columns_as_vectors(rows_of(N)) + f_times_unit_vectors(N.ring, s)
+    cols = tensor_map_columns([unpack_vector(S, v) for v in d_cols], s)
+    G = basis_of_vectors(cols + _block_relations(relations, s, rank), S, rank * s)
+    return sorted(G.leads)
+
+
+def monomials_of_degree(S, d):
+    """The exponent tuples of weighted degree d over S, for any integer d."""
+    out = []
+
+    def extend(prefix, rest):
+        i = len(prefix)
+        if i == S.nvars:
+            if rest == 0:
+                out.append(tuple(prefix))
+            return
+        for e in range(rest // S.weights[i] + 1):
+            extend(prefix + [e], rest - e * S.weights[i])
+
+    if d >= 0:
+        extend([], d)
+    return out
+
+
+def macaulay_hilbert_function(gens, shifts, S, degrees):
+    """{d: HF(d)} of S^rank / (gens), e_j in degree shifts[j], for each d in
+    degrees, with no Groebner basis (Macaulay, Proc. London Math. Soc.
+    1902; Lazard, EUROCAL 1983): dim F_d less the rank of the degree-d
+    Macaulay matrix, each homogeneous unpacked generator times every
+    monomial of complementary degree, by Gaussian elimination over the
+    field, in Fractions over Q."""
+    p = S.field.characteristic
+    out = {}
+    for d in degrees:
+        pivots = {}
+        for g in gens:
+            if not g:
+                continue
+            (comp, mono), _c = next(iter(g.items()))
+            for m in monomials_of_degree(S, d - shifts[comp] - S.mono_degree(mono)):
+                row = {(k, mono_mul(m, e)): Fraction(c) if not p else c
+                       for (k, e), c in g.items()}
+                while row:
+                    col = min(row)
+                    pivot = pivots.get(col)
+                    if pivot is None:
+                        inv = 1 / row[col] if not p else pow(row[col], -1, p)
+                        pivots[col] = {k: c * inv % p if p else c * inv for k, c in row.items()}
+                        break
+                    lead = row[col]
+                    for k, c in pivot.items():
+                        x = row.get(k, 0) - lead * c
+                        x = x % p if p else x
+                        if x:
+                            row[k] = x
+                        else:
+                            row.pop(k, None)
+        out[d] = sum(len(monomials_of_degree(S, d - shift)) for shift in shifts) - len(pivots)
+    return out
+
+
+def series_coefficients(num, weights, lo, hi):
+    """{d: coefficient of t^d} of num(t) / prod_i (1 - t^(w_i)) for
+    lo <= d <= hi, where num has no term below lo."""
+    coeffs = [0] * (hi - lo + 1)
+    for d, c in num.items():
+        if d <= hi:
+            coeffs[d - lo] += c
+    for w in weights:
+        for i in range(w, len(coeffs)):
+            coeffs[i] += coeffs[i - w]
+    return {lo + i: c for i, c in enumerate(coeffs)}
 
 
 def complex_homology(ring, diff_cols, ranks, N, i):

@@ -225,6 +225,6 @@ def test_criterion_7_length_hilbert_units(S2):
 
     def check_hilbert():
         G = basis_of_vectors([vec_from_polys([S2.parse("x*y")])], S2, 1)
-        assert hilbert_numerator(G, S2) == {0: 1, 2: -1}
+        assert hilbert_numerator(G.leads, G.rank, S2) == {0: 1, 2: -1}
 
     report(7, "unit Hilbert numerator of (xy) = 1 - t^2", 1.0, check_hilbert)

@@ -26,7 +26,7 @@ from thetacas import (
 from thetacas import homology
 from thetacas.cli import build_environment, run_session
 from thetacas.errors import InfiniteLength, NotStabilized
-from thetacas.groebner import NakayamaSelection, groebner_basis
+from thetacas.groebner import GroebnerBasis, NakayamaSelection
 from thetacas.homology import (
     _vector_degree,
     lifted_basis,
@@ -36,6 +36,7 @@ from thetacas.homology import (
     module_series,
 )
 from oracles import (
+    cokernel_leads,
     columns_as_vectors,
     complex_homology,
     direct_sum,
@@ -1014,17 +1015,18 @@ def _select(A, candidates, target_degs):
 def test_nakayama_selection_memoises_no_basis():
     """A selection memoises no syzygy basis, read under a degree bound or in
     full: resolving k to length 7 over the cubic fourfold over F_32003
-    leaves only k's presentation basis in the memo.  A new selection from
-    the same candidates (computed cold on another ring) keeps the same
-    vectors; its bounded read treats pairs and its full read the rest, and
-    neither adds a memo entry.  The bounded read is exactly the full read's
-    elements of degree <= the bound, and not all of them."""
+    leaves the ring's attributes as they were and no cokernel on k.  A new
+    selection from the same candidates (computed cold on another ring)
+    keeps the same vectors; its bounded read treats pairs and its full read
+    the rest, and neither adds an attribute to the ring.  The bounded read
+    is exactly the full read's elements of degree <= the bound, and not all
+    of them."""
     A, B = fp_cubic_fourfold(), fp_cubic_fourfold()
     S = A.ambient
+    before = set(vars(S))
     M = present_cyclic(A, ["x", "y", "z", "w", "u"])
     res = minimal_resolution(M, 7)
-    before = dict(S._groebner_memo)
-    assert list(before.values()) == [M.presentation_gb()]
+    assert set(vars(S)) == before and M._cokernels == {}
     for i in (1, 4):
         degs, bound = res.gen_degrees(i), M._degree_bound(i + 2)
         syz = _sorted_syzygies(B, unpacked_columns(res, i), res.betti[i - 1], degs)
@@ -1032,9 +1034,9 @@ def test_nakayama_selection_memoises_no_basis():
         assert [v for v, _d in kept] == unpacked_columns(res, i + 1)
         pending = list(selection._builder.queue)
         bounded = selection.syzygies(bound)
-        assert selection._builder.queue != pending and S._groebner_memo == before
+        assert selection._builder.queue != pending and set(vars(S)) == before
         full = selection.syzygies()
-        assert not selection._builder.queue and S._groebner_memo == before
+        assert not selection._builder.queue and set(vars(S)) == before
         assert unpacked_vectors(bounded, S) == tuple(
             v for v in unpacked_vectors(full, S)
             if vector_degree(dict(v), selection.degrees, S) <= bound)
@@ -1087,14 +1089,14 @@ def test_a_module_over_a_polynomial_ring_is_freed_by_reference_counting():
     """A plain ring answers for itself as a ring with no f: it is its own
     ambient ring and has no relations f * e_j.  So a module over it resolves
     through the one code path, and with the cyclic collector off the module
-    and the ring, with the bases its memo holds, are freed by reference
+    and the ring, with the bases the module holds, are freed by reference
     counting."""
     gc.disable()
     try:
         S = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
         M = present_cyclic(S, ["x", "y", "z"])
         assert minimal_resolution(M, 4).betti == [1, 3, 3, 1, 0]
-        assert S._groebner_memo
+        assert M._gb is not None
         ring, module = weakref.ref(S), weakref.ref(M)
         del S, M
         assert ring() is None and module() is None
@@ -1102,15 +1104,15 @@ def test_a_module_over_a_polynomial_ring_is_freed_by_reference_counting():
         gc.enable()
 
 
-def test_syzygy_bases_have_a_memo_entry_of_their_own():
+def test_oracle_syzygy_bases_leave_the_ring_as_it_was():
     """Over a polynomial ring, syzygy_basis and reduce_with_representation
-    tag the same generators alike, yet each keeps its own memo entry: made
-    first or second on one ring, each gives what it gives alone on a fresh
-    ring.  Resolving A/(x, y, z), of infinite length, to length 7 over the
-    cubic fourfold over F_32003 reads the syzygy bases of d_1, ..., d_4 with
-    no degree bound, off the open builders, and leaves no syzygy entry in
-    the memo; the ring is still freed by reference counting with the cyclic
-    collector off."""
+    tag the same generators alike and compute cold: made first or second on
+    one ring, each gives what it gives alone on a fresh ring, and the ring
+    gains no attribute.  Resolving A/(x, y, z), of infinite length, to
+    length 7 over the cubic fourfold over F_32003 reads the syzygy bases of
+    d_1, ..., d_4 with no degree bound, off the open builders, and leaves
+    the ring's attributes as they were; the ring is still freed by
+    reference counting with the cyclic collector off."""
     def fresh():
         R = PolynomialRing(FieldSpec(0), ["x", "y", "z"])
         gens = [vec_from_polys([R.parse(g)]) for g in ("x^2 - y*z", "x*y", "y^2 + x*z")]
@@ -1127,16 +1129,18 @@ def test_syzygy_bases_have_a_memo_entry_of_their_own():
     assert alone[syzygies]
     for first, second in ((syzygies, representation), (representation, syzygies)):
         R, gens, v = fresh()
+        before = set(vars(R))
         assert first(R, gens, v) == alone[first]
         assert second(R, gens, v) == alone[second]
+        assert set(vars(R)) == before
 
     gc.disable()
     try:
         A = fp_cubic_fourfold()
         S = A.ambient
+        before = set(vars(S))
         res = minimal_resolution(present_cyclic(A, ["x", "y", "z"]), 7)
-        assert S._groebner_memo
-        assert not any(key[0] == "syzygies" for key in S._groebner_memo)
+        assert set(vars(S)) == before
         ring = weakref.ref(S)
         del A, S, res
         assert ring() is None
@@ -1144,30 +1148,66 @@ def test_syzygy_bases_have_a_memo_entry_of_their_own():
         gc.enable()
 
 
-def test_a_session_memoises_only_groebner_basis_results(monkeypatch):
-    """After each of the seven golden sessions, every entry of the ring's
-    memo is a groebner_basis result under its own (rank, packed generators,
-    (offset, basis) entries) key: recomputed from that key on a fresh ring,
-    it is the same basis."""
+def _sessions_run(monkeypatch, names, audit=True):
+    """The environments of the named sessions, each run once."""
     import thetacas.cli as cli
 
-    rings, build = [], cli.build_environment
+    envs, build = [], cli.build_environment
 
     def recording_build(doc):
         env, errors = build(doc)
-        rings.append(env.ring.ambient)
+        envs.append(env)
         return env, errors
 
     monkeypatch.setattr(cli, "build_environment", recording_build)
-    for name in NAMES + WEIGHTED_NAMES:
-        _report, code = run_session(json.loads(session_path(name).read_text()))
-        assert code == 0
-        S = rings.pop()
-        assert S._groebner_memo, name
-        for (rank, gens, known), G in S._groebner_memo.items():
-            fresh = PolynomialRing(S.field, S.variables, S.weights)
-            cold = groebner_basis([dict(g) for g in gens], fresh, rank, known)
-            assert (G.rank, G.packed) == (cold.rank, cold.packed), name
+    for name in names:
+        _report, code = run_session(json.loads(session_path(name).read_text()), audit=audit)
+        assert code == 0, name
+    return envs
+
+
+def test_a_session_remembers_cokernel_leads_only_on_modules(monkeypatch):
+    """After each of the seven golden sessions the ring holds no basis, and
+    every cokernel a module remembers is the lead module, minimal
+    generators only, of the reduced basis of d (x) I_s and the module's
+    relations per block, computed cold with no seeding (cokernel_leads)."""
+    envs = _sessions_run(monkeypatch, NAMES + WEIGHTED_NAMES)
+    read = 0
+    for name, env in zip(NAMES + WEIGHTED_NAMES, envs):
+        S = env.ring.ambient
+        assert not hasattr(S, "_groebner_memo"), name
+        assert not any(isinstance(v, GroebnerBasis) for d in vars(S).values()
+                       if isinstance(d, dict) for v in d.values()), name
+        for N in env.modules.values():
+            for (cols, rank), leads in N._cokernels.items():
+                assert sorted(leads) == cokernel_leads([dict(c) for c in cols], rank, N), name
+                read += 1
+    assert read
+
+
+def test_a_golden_pass_builds_the_cokernel_bases_it_always_built(monkeypatch):
+    """One pass over node, a1_surface and quadric reads 22 cokernel series
+    and builds 16 cokernel bases, as many as the ring memo once missed: the
+    reuses are a1_surface's W1 and Axz pairs and quadric's periodic Tor
+    cokernels, remembered on N by d's columns and F's rank."""
+    import thetacas.pairings as pairings
+
+    counts = {"reads": 0, "builds": 0}
+    series, builder = homology._cokernel_series, homology.GroebnerBuilder
+
+    def counting_series(*args):
+        counts["reads"] += 1
+        return series(*args)
+
+    def counting_builder(*args):
+        counts["builds"] += 1
+        return builder(*args)
+
+    monkeypatch.setattr(homology, "_cokernel_series", counting_series)
+    monkeypatch.setattr(pairings, "_cokernel_series", counting_series)
+    monkeypatch.setattr(homology, "GroebnerBuilder", counting_builder)
+    _sessions_run(monkeypatch, NAMES, audit=False)
+    assert counts == {"reads": 22, "builds": 16}
 
 
 def test_tor_and_theta_with_negative_generator_degrees(node):

@@ -41,28 +41,36 @@ from thetacas.homology import (
     _cokernel_series,
     extract_matrix_factorization,
     minimal_resolution,
+    module_series,
     tor_length,
 )
 from thetacas.pairings import FreeComplex, MultiplicityAuditWarning, _tjurina_number
 from oracles import (
     chi_S,
+    columns_as_vectors,
     direct_sum,
     dual_module,
     ext_module,
+    f_times_unit_vectors,
     free_module,
     homology_chi,
     knorrer_lift,
     knorrer_ring,
     koszul_complex,
     local_length_at_prime,
+    macaulay_hilbert_function,
     monomials,
     rows_of,
+    series_coefficients,
     shifted,
     subquotient_local_length,
     syzygy_of,
     theta_by_cokernel,
     tensor_has_finite_length,
+    tensor_map_columns,
     tor_chi,
+    unpacked_columns,
+    vec_shift_components,
 )
 from conftest import hypersurface
 from test_numeq import fermat_cubic, fermat_lines
@@ -275,6 +283,64 @@ def test_the_cokernel_two_steps_on_is_the_shifted_one(name):
             c_s2 = _cokernel_series(res.packed_columns(s + 2),
                                     res.gen_degrees(s + 1), N)
             assert c_s2 == {deg + deg_f: c for deg, c in c_s.items()}
+
+
+def _macaulay_agrees(gens, shifts, num, S, exact):
+    """The Macaulay-matrix Hilbert function of S^rank / (gens), e_j in degree
+    shifts[j], equals the expansion of num over prod_i (1 - t^(w_i)) from
+    the lowest generator degree through the numerator's degree + 1.  With
+    exact, the module has finite length, and the range runs on past every
+    generator degree to max(w) degrees where the Hilbert function is 0,
+    beyond which it stays 0: the whole series is checked.  A free module
+    of rank 0 has the numerator 0."""
+    if not shifts:
+        assert not num
+        return
+    lo, hi = min(shifts), max(num, default=min(shifts)) + 1
+    if exact:
+        hi = max(hi, max(shifts)) + max(S.weights) - 1
+    hf = macaulay_hilbert_function(gens, shifts, S, range(lo, hi + 1))
+    assert hf == series_coefficients(num, S.weights, lo, hi)
+    if exact:
+        assert not any(hf[d] for d in range(hi - max(S.weights) + 1, hi + 1))
+
+
+@pytest.mark.parametrize("name", ["node", "a1_surface", "quadric", "cubic_threefold"])
+def test_cokernel_series_matches_the_macaulay_hilbert_function(name):
+    """A Buchberger-free witness for the series the kernel reads off minimal
+    leads (Macaulay 1902, Lazard 1983): for every cokernel C_s theta reads on
+    the session's ordered pairs of modules of infinite length, the Hilbert
+    function of d_s (x) I_s plus N's relation columns and f * e_j per block
+    agrees with _cokernel_series through its numerator's degree + 1; for
+    the session's modules of finite length and the residue field k, it
+    agrees with module_series in every degree."""
+    env, errors = build_environment(json.loads(WITNESS_SESSIONS[name].read_text()))
+    assert not errors
+    A, S = env.ring, env.ring.ambient
+    mods = list(env.modules.values())
+    k = present_cyclic(A, list(S.variables))
+    read = 0
+    for M in mods + [k]:
+        if length(M) is not INFINITE:
+            gens = columns_as_vectors(rows_of(M)) + f_times_unit_vectors(A, M.nrows)
+            _macaulay_agrees(gens, M.gen_degrees, module_series(M), S, exact=True)
+            read += 1
+    infinite = [M for M in mods if length(M) is INFINITE]
+    for M in infinite:
+        s = extract_matrix_factorization(minimal_resolution(M, 1)).source_index
+        res = minimal_resolution(M, s + 1)
+        d_s, below = unpacked_columns(res, s), res.gen_degrees(s - 1)
+        for N in infinite:
+            r = N.nrows
+            relations = columns_as_vectors(rows_of(N)) + f_times_unit_vectors(A, r)
+            gens = tensor_map_columns(d_s, r) + [
+                vec_shift_components(v, block * r) for block in range(len(below))
+                for v in relations]
+            shifts = [a + b for a in below for b in N.gen_degrees]
+            num = _cokernel_series(res.packed_columns(s), below, N)
+            _macaulay_agrees(gens, shifts, num, S, exact=False)
+            read += 1
+    assert read > 1
 
 
 def test_theta_nonisolated_singularity_raises():
@@ -764,9 +830,9 @@ def test_chi_modules_reads_each_series_once(monkeypatch, quadric):
     calls = []
     numerator = homology.hilbert_numerator
 
-    def counting_numerator(G, ring, shifts=None):
-        calls.append(G)
-        return numerator(G, ring, shifts)
+    def counting_numerator(leads, rank, ring, shifts=None):
+        calls.append(leads)
+        return numerator(leads, rank, ring, shifts)
 
     monkeypatch.setattr(homology, "hilbert_numerator", counting_numerator)
     assert chi_modules(N0, M) == 0
@@ -892,6 +958,45 @@ def test_c1_builds_each_prime_quotient_once(monkeypatch, quadric):
         assert c1_torsion(M, primes).items() == [("p", 2), ("q", 2)]
     assert len(built) == 2
     assert fills[0] == 3
+
+
+FERMAT_PRIMES = {"L1": ["x + y", "z + w"], "L2": ["x + z", "y + w"], "L3": ["x + w", "y + z"]}
+FERMAT_CONIC = ["x + y", "z^2 - z*w + w^2"]
+
+
+def _product_ideal(first, second):
+    return [f"({a})*({b})" for a in first for b in second]
+
+
+@pytest.mark.parametrize("characteristic", [0, 7])
+def test_theta_factors_through_c1_on_the_fermat_cubic(characteristic):
+    """In dimension 3, [M] - sum_p l_p(M) [A/p] comes from modules of
+    dimension <= 1, on which theta vanishes (Moore, Piepmeyer, Spiroff and
+    Walker, Adv. Math. 2011), so theta(M, N) = sum_p l_p(M) theta(A/p, N),
+    with the l_p of c1_torsion: theta reads the cokernel C_s of M's matrix
+    factorization, c1 the cokernels of p's powers tensored with M.  On the
+    Fermat cubic threefold over Q and F_7, for M = A/(L1 L2), A/(L1 L3),
+    A/(L1^2) and A/((x+y)^2, z+w) against N = L1, L2, L3 and the conic
+    (x+y, z^2 - zw + w^2): 32 identities.  And theta of the dimension-1
+    module A/(x+y, z+w, x) against the four is 0: 8 checks."""
+    A = fermat_cubic(characteristic)
+    L1, L2, L3 = FERMAT_PRIMES.values()
+    primes = {name: present_cyclic(A, gens) for name, gens in FERMAT_PRIMES.items()}
+    Ns = list(primes.values()) + [present_cyclic(A, FERMAT_CONIC)]
+    Ms = [_product_ideal(L1, L2), _product_ideal(L1, L3), _product_ideal(L1, L1),
+          ["(x + y)^2", "z + w"]]
+    checks = 0
+    for gens in Ms:
+        M = present_cyclic(A, gens)
+        lengths = dict(c1_torsion(M, list(FERMAT_PRIMES.items())).items())
+        for N in Ns:
+            assert theta(M, N) == sum(l * theta(primes[p], N) for p, l in lengths.items())
+            checks += 1
+    point = present_cyclic(A, ["x + y", "z + w", "x"])
+    for N in Ns:
+        assert theta(point, N) == 0
+        checks += 1
+    assert checks == 20
 
 
 def test_c1_rejects_non_torsion(quadric):
