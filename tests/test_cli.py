@@ -14,6 +14,7 @@ from thetacas.errors import AlgebraError
 from thetacas.ring import MAX_EXPONENT, MAX_NESTING, MAX_PACKED_DEGREE
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
 
 
 def write_session(tmp_path, doc, name="session.json"):
@@ -84,6 +85,23 @@ def test_empty_task_list(tmp_path):
     doc = {"ring": NODE_DOC["ring"], "tasks": []}
     report, code = run_session(doc)
     assert code == 0 and report["tasks"] == []
+
+
+@pytest.mark.parametrize("command, session, stream, code", [
+    ("run", "all_kinds", "out", 3),
+    ("validate", "schema_errors", "err", 2),
+])
+def test_text_output_matches_the_snapshot(capsys, command, session, stream, code):
+    """The rendered text of tests/data/cli/all_kinds.json, one task of every
+    kind ending in a failing one, and the schema messages of
+    tests/data/cli/schema_errors.json, every message the task checks print,
+    in order.  Each snapshot is SESSION.COMMAND.txt in that directory, as
+    ``PYTHONPATH=src python3 -m thetacas.cli COMMAND SESSION.json`` prints
+    it; the other stream stays empty."""
+    assert main([command, str(CLI_DATA / f"{session}.json")]) == code
+    captured = capsys.readouterr()
+    snapshot = (CLI_DATA / f"{session}.{command}.txt").read_text(encoding="utf-8")
+    assert (captured.out, captured.err) == ((snapshot, "") if stream == "out" else ("", snapshot))
 
 
 # ---------------------------------------------------------------------------
