@@ -7,6 +7,9 @@ also computes the lower triangle of every Gram matrix and fails on an
 asymmetric one.  ``theta-cas validate`` checks the schema and references
 without running anything.
 
+Each task kind is one entry of ``TASKS``: the checks on its keys, the
+runner that computes its result, and the text line that shows it.
+
 Exit codes: 0 success, 1 I/O failure, 2 schema violation, 3 mathematical
 error or a recursion too deep for the input (the report names the failing
 task index and error).
@@ -19,6 +22,7 @@ import json
 import sys
 import time
 import warnings
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -42,13 +46,14 @@ from .pairings import (
 )
 from .ring import INFINITE, FieldSpec, HypersurfaceRing, PolynomialRing
 
-TASK_KINDS = (
-    "resolve", "mf", "tor", "theta", "chi", "length",
-    "hilbert", "c1", "gram", "conjecture_report",
-)
-
 # Schema cap: resolving A/(x) over xy to length 1000000 ran past 15 s.
 MAX_RESOLVE_LENGTH = 256
+
+# Schema cap: Python prints no int of more than 4300 digits, and a Gram
+# entry multiplies two class coefficients and a pairing value; a 2500-digit
+# coefficient ran, then crashed the text and JSON output.  With at most 1000
+# digits each, every product a task prints stays far below that limit.
+MAX_COEFFICIENT_DIGITS = 1000
 
 
 class Environment:
@@ -73,6 +78,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _strings(value, depth: int = 0) -> bool:
+    """A list of strings, or for depth > 0 a list of such (depth - 1) values."""
+    return isinstance(value, list) and all(
+        _strings(v, depth - 1) if depth else isinstance(v, str) for v in value)
+
+
 def build_environment(doc) -> Tuple[Optional[Environment], List[str]]:
     errors: List[str] = []
     if not isinstance(doc, dict):
@@ -85,10 +96,8 @@ def build_environment(doc) -> Tuple[Optional[Environment], List[str]]:
     weights = ring_block.get("weights")
     f_text = ring_block.get("f")
     _require(_is_int(char) and char >= 0, errors, "ring.characteristic must be a non-negative integer")
-    _require(
-        isinstance(variables, list) and variables and all(isinstance(v, str) for v in variables),
-        errors, "ring.variables must be a non-empty list of names",
-    )
+    _require(bool(variables) and _strings(variables), errors,
+             "ring.variables must be a non-empty list of names")
     if weights is not None:
         _require(
             isinstance(weights, list) and all(_is_int(w) and w > 0 for w in weights),
@@ -112,14 +121,12 @@ def build_environment(doc) -> Tuple[Optional[Environment], List[str]]:
         try:
             if isinstance(spec, dict) and "cyclic" in spec:
                 gens = spec["cyclic"]
-                if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+                if not _strings(gens):
                     raise SessionError("'cyclic' must be a list of polynomial strings")
                 modules[name] = ModulePresentation.cyclic(ring, gens)
             elif isinstance(spec, dict) and "matrix" in spec:
                 rows = spec["matrix"]
-                if not isinstance(rows, list) or not all(
-                    isinstance(r, list) and all(isinstance(e, str) for e in r) for r in rows
-                ):
+                if not _strings(rows, 1):
                     raise SessionError("'matrix' must be a list of rows of strings")
                 modules[name] = ModulePresentation(ring, rows)
             else:
@@ -133,7 +140,7 @@ def build_environment(doc) -> Tuple[Optional[Environment], List[str]]:
         return None, ["'primes' block must be an object"]
     for name, gens in prime_block.items():
         try:
-            if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            if not _strings(gens):
                 raise SessionError("prime generators must be a list of strings")
             primes[name] = [S.parse(g) for g in gens]
         except (SessionError, ValueError, AlgebraError) as exc:
@@ -144,18 +151,186 @@ def build_environment(doc) -> Tuple[Optional[Environment], List[str]]:
     return Environment(ring, modules, primes), []
 
 
-def _validate_class(value, env: Environment, errors: List[str], where: str):
+# ---------------------------------------------------------------------------
+# task kinds
+
+
+def _module(name, env: Environment) -> List[str]:
+    if isinstance(name, str) and name in env.modules:
+        return []
+    return [f"undeclared module {name!r}"]
+
+
+def _class(value, env: Environment) -> List[str]:
+    """A module name, or an object of module names to integer coefficients."""
     if isinstance(value, str):
-        if value not in env.modules:
-            errors.append(f"{where}: undeclared module {value!r}")
-    elif isinstance(value, dict):
-        for name, coeff in value.items():
-            if name not in env.modules:
-                errors.append(f"{where}: undeclared module {name!r}")
-            if not _is_int(coeff):
-                errors.append(f"{where}: coefficient of {name!r} must be an integer")
-    else:
-        errors.append(f"{where}: class must be a module name or name->coeff object")
+        return _module(value, env)
+    if not isinstance(value, dict):
+        return ["class must be a module name or name->coeff object"]
+    errors = []
+    for name, coeff in value.items():
+        errors += _module(name, env)
+        if not _is_int(coeff):
+            errors.append(f"coefficient of {name!r} must be an integer")
+        elif abs(coeff) >= 10 ** MAX_COEFFICIENT_DIGITS:
+            errors.append(
+                f"coefficient of {name!r} must have at most {MAX_COEFFICIENT_DIGITS} digits")
+    return errors
+
+
+def _at(key: str, check):
+    """A check of task[key] by check."""
+    return lambda task, env: check(task.get(key), env)
+
+
+def _list_of(key: str, check):
+    """A check that task[key] is a non-empty list, each entry passing check."""
+    def list_check(task, env):
+        values = task.get(key)
+        if not isinstance(values, list) or not values:
+            return [f"{key!r} must be a non-empty list"]
+        return [e for value in values for e in check(value, env)]
+    return list_check
+
+
+def _count(key: str, top: int, bound: str, optional: bool = False):
+    """A check that task[key] is an integer from 1 to top, worded by bound."""
+    def count_check(task, env):
+        value = task.get(key)
+        if (optional and key not in task) or (_is_int(value) and 1 <= value <= top):
+            return []
+        return [f"{key!r} must be a positive integer {bound}"]
+    return count_check
+
+
+def _module_or_complex(task, env: Environment) -> List[str]:
+    if "module" in task:
+        return _module(task["module"], env)
+    if "complex" not in task:
+        return ["chi needs 'module' or 'complex'"]
+    if _strings(task["complex"], 2):
+        return []
+    return ["'complex' must be a list of matrices of strings"]
+
+
+def _primes(task, env: Environment) -> List[str]:
+    """A list of declared prime names, each at most once."""
+    plist = task.get("primes")
+    if not _strings(plist):
+        return ["'primes' must be a list of prime names"]
+    errors = []
+    for n, p in enumerate(plist):
+        if p not in env.primes:
+            errors.append(f"undeclared prime {p!r}")
+        elif p in plist[:n]:
+            errors.append(f"prime {p!r} listed twice")
+    return errors
+
+
+def _resolve(task: dict, env: Environment, audit: bool) -> dict:
+    L = task.get("length", env.ring.dimension + 4)
+    res = minimal_resolution(env.modules[task["module"]], L)
+    betti = res.betti
+    return {
+        "betti": betti,
+        "stable": res.stable,
+        "stable_start": res.stable_start,
+        "matrices": [env.ring.ambient.format_columns(res.packed_columns(i), betti[i - 1])
+                     for i in range(1, L + 1)],
+    }
+
+
+def _mf(task: dict, env: Environment, audit: bool) -> dict:
+    mf = extract_matrix_factorization(minimal_resolution(env.modules[task["module"]], 1))
+    S = env.ring.ambient
+    return {
+        "size": mf.size,
+        "alpha": S.format_columns(mf.alpha_cols, mf.size),
+        "beta": S.format_columns(mf.beta_cols, mf.size),
+        "source_index": mf.source_index,
+        "identity": f"alpha*beta = beta*alpha = ({env.ring.f})*I",
+    }
+
+
+def _chi(task: dict, env: Environment, audit: bool) -> dict:
+    against = ClassExpression.of(task["against"])
+    if "module" in task:
+        N0 = env.modules[task["module"]]
+        return {"value": sum(coeff * chi_modules(N0, env.modules[name])
+                             for name, coeff in against.items())}
+    return {"value": chi_complex(FreeComplex(env.ring, task["complex"]), against, env.modules)}
+
+
+def _length(task: dict, env: Environment, audit: bool) -> dict:
+    value = length(env.modules[task["module"]])
+    return {"value": "INFINITE" if value is INFINITE else value}
+
+
+def _c1(task: dict, env: Environment, audit: bool) -> dict:
+    named = [(p, env.primes[p]) for p in task["primes"]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cls = c1_torsion(env.modules[task["module"]], named)
+    return {"class": [[name, mult] for name, mult in cls.items()],
+            "warnings": [str(w.message) for w in caught]}
+
+
+def _report(task: dict, env: Environment, audit: bool) -> dict:
+    rep = conjecture_report(env.ring, [(n, env.modules[n]) for n in task["modules"]], audit)
+    return {
+        "names": list(rep.names),
+        "matrix": rep.matrix,
+        "signature": list(rep.signature),
+        "adjusted_sign": rep.adjusted_sign,
+        "adjusted_signature": list(rep.adjusted_signature),
+        "kernel": [list(v) for v in rep.kernel],
+        "verdict": rep.verdict,
+        "detail": rep.detail,
+    }
+
+
+_MODULE = _at("module", _module)
+_VALUE = itemgetter("value")
+
+# kind -> (checks, runner, text).  A check takes (task, env) and returns
+# schema messages; a runner takes (task, env, audit) and returns the result;
+# text takes the result and returns what follows "[index] kind: ".
+TASKS = {
+    "resolve": ((_MODULE, _count("length", MAX_RESOLVE_LENGTH, f"at most {MAX_RESOLVE_LENGTH}",
+                                 optional=True)),
+                _resolve, lambda r: f"betti {r['betti']} stable={r['stable']}"),
+    "mf": ((_MODULE,), _mf, lambda r: (f"size {r['size']}, {r['identity']}\n"
+                                       f"    alpha = {r['alpha']}\n    beta  = {r['beta']}")),
+    # Tor_i reads d_{i+1}, so i stays below the resolve cap
+    "tor": ((_at("left", _module), _at("right", _module),
+             _count("i", MAX_RESOLVE_LENGTH - 1, f"below {MAX_RESOLVE_LENGTH}")),
+            lambda task, env, audit: {"value": tor_length(
+                env.modules[task["left"]], env.modules[task["right"]], task["i"])},
+            _VALUE),
+    "theta": ((_at("left", _class), _at("right", _class)),
+              lambda task, env, audit: {"value": theta_class(
+                  ClassExpression.of(task["left"]), ClassExpression.of(task["right"]),
+                  env.modules)},
+              _VALUE),
+    "chi": ((_module_or_complex, _at("against", _class)), _chi, _VALUE),
+    "length": ((_MODULE,), _length, _VALUE),
+    "hilbert": ((_MODULE,),
+                lambda task, env, audit: {"numerator": sorted(
+                    map(list, module_series(env.modules[task["module"]]).items()))},
+                lambda r: "numerator " + (" + ".join(
+                    f"{c}*t^{deg}" if deg else str(c) for deg, c in r["numerator"]) or "0")),
+    "c1": ((_MODULE, _primes), _c1,
+           lambda r: (" + ".join(f"{c}*[{n}]" for n, c in r["class"]) or "0") + "".join(
+               f"\n    warning: {w}" for w in r["warnings"])),
+    "gram": ((_list_of("classes", _class),),
+             lambda task, env, audit: {"matrix": gram_matrix(
+                 [ClassExpression.of(c) for c in task["classes"]], env.modules, audit)},
+             itemgetter("matrix")),
+    "conjecture_report": ((_list_of("modules", _module),), _report,
+                          lambda r: (f"{r['verdict']} ({r['detail']}); gram {r['matrix']}, "
+                                     f"signature {tuple(r['signature'])}, "
+                                     f"kernel {r['kernel']}")),
+}
 
 
 def validate_tasks(doc, env: Environment) -> List[str]:
@@ -167,169 +342,21 @@ def validate_tasks(doc, env: Environment) -> List[str]:
         where = f"task {idx}"
         if not isinstance(task, dict) or "kind" not in task:
             errors.append(f"{where}: must be an object with a 'kind'")
-            continue
-        kind = task["kind"]
-        if kind not in TASK_KINDS:
-            errors.append(f"{where}: unknown kind {kind!r}")
-            continue
-        def need_module(key="module"):
-            name = task.get(key)
-            if not isinstance(name, str) or name not in env.modules:
-                errors.append(f"{where}: undeclared module {name!r}")
-        if kind in ("resolve", "mf", "length", "hilbert"):
-            need_module()
-            if kind == "resolve" and "length" in task and (
-                not _is_int(task["length"]) or not 1 <= task["length"] <= MAX_RESOLVE_LENGTH
-            ):
-                errors.append(
-                    f"{where}: 'length' must be a positive integer at most {MAX_RESOLVE_LENGTH}")
-        elif kind == "tor":
-            need_module("left")
-            need_module("right")
-            # Tor_i reads d_{i+1}, so i stays below the resolve cap
-            if not _is_int(task.get("i")) or not 1 <= task["i"] < MAX_RESOLVE_LENGTH:
-                errors.append(
-                    f"{where}: 'i' must be a positive integer below {MAX_RESOLVE_LENGTH}")
-        elif kind == "theta":
-            _validate_class(task.get("left"), env, errors, where)
-            _validate_class(task.get("right"), env, errors, where)
-        elif kind == "chi":
-            if "module" in task:
-                need_module()
-            elif "complex" in task:
-                mats = task["complex"]
-                ok = isinstance(mats, list) and all(
-                    isinstance(m, list) and all(
-                        isinstance(r, list) and all(isinstance(e, str) for e in r)
-                        for r in m
-                    ) for m in mats
-                )
-                if not ok:
-                    errors.append(f"{where}: 'complex' must be a list of matrices of strings")
-            else:
-                errors.append(f"{where}: chi needs 'module' or 'complex'")
-            _validate_class(task.get("against"), env, errors, where)
-        elif kind == "c1":
-            need_module()
-            plist = task.get("primes")
-            if not isinstance(plist, list) or not all(isinstance(p, str) for p in plist):
-                errors.append(f"{where}: 'primes' must be a list of prime names")
-            else:
-                for n, p in enumerate(plist):
-                    if p not in env.primes:
-                        errors.append(f"{where}: undeclared prime {p!r}")
-                    elif p in plist[:n]:
-                        errors.append(f"{where}: prime {p!r} listed twice")
-        elif kind == "gram":
-            classes = task.get("classes")
-            if not isinstance(classes, list) or not classes:
-                errors.append(f"{where}: 'classes' must be a non-empty list")
-            else:
-                for cl in classes:
-                    _validate_class(cl, env, errors, where)
-        elif kind == "conjecture_report":
-            names = task.get("modules")
-            if not isinstance(names, list) or not names:
-                errors.append(f"{where}: 'modules' must be a non-empty list")
-            else:
-                for name in names:
-                    if not isinstance(name, str) or name not in env.modules:
-                        errors.append(f"{where}: undeclared module {name!r}")
+        elif not isinstance(task["kind"], str) or task["kind"] not in TASKS:
+            errors.append(f"{where}: unknown kind {task['kind']!r}")
+        else:
+            errors += [f"{where}: {e}" for check in TASKS[task["kind"]][0]
+                       for e in check(task, env)]
     return errors
 
 
 def validate_session(doc) -> List[str]:
     env, errors = build_environment(doc)
-    if errors:
-        return errors
-    return validate_tasks(doc, env)
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def _length_json(value):
-    return "INFINITE" if value is INFINITE else value
+    return errors or validate_tasks(doc, env)
 
 
 # ---------------------------------------------------------------------------
 # task execution
-
-
-def _run_task(task: dict, env: Environment, audit: bool) -> dict:
-    kind = task["kind"]
-    ring = env.ring
-    d = ring.dimension
-    S = ring.ambient
-    if kind == "resolve":
-        L = task.get("length", d + 4)
-        res = minimal_resolution(env.modules[task["module"]], L)
-        betti = res.betti
-        return {
-            "betti": betti,
-            "stable": res.stable,
-            "stable_start": res.stable_start,
-            "matrices": [S.format_columns(res.packed_columns(i), betti[i - 1])
-                         for i in range(1, L + 1)],
-        }
-    if kind == "mf":
-        mf = extract_matrix_factorization(minimal_resolution(env.modules[task["module"]], 1))
-        return {
-            "size": mf.size,
-            "alpha": S.format_columns(mf.alpha_cols, mf.size),
-            "beta": S.format_columns(mf.beta_cols, mf.size),
-            "source_index": mf.source_index,
-            "identity": f"alpha*beta = beta*alpha = ({ring.f})*I",
-        }
-    if kind == "tor":
-        value = tor_length(env.modules[task["left"]], env.modules[task["right"]], task["i"])
-        return {"value": value}
-    if kind == "theta":
-        left, right = ClassExpression.of(task["left"]), ClassExpression.of(task["right"])
-        value = theta_class(left, right, env.modules)
-        return {"value": value}
-    if kind == "chi":
-        against = ClassExpression.of(task["against"])
-        if "module" in task:
-            total = 0
-            for name, coeff in against.items():
-                total += coeff * chi_modules(env.modules[task["module"]], env.modules[name])
-            return {"value": total}
-        F = FreeComplex(ring, task["complex"])
-        return {"value": chi_complex(F, against, env.modules)}
-    if kind == "length":
-        return {"value": _length_json(length(env.modules[task["module"]]))}
-    if kind == "hilbert":
-        num = module_series(env.modules[task["module"]])
-        return {"numerator": [[deg, num[deg]] for deg in sorted(num)]}
-    if kind == "c1":
-        named = [(p, env.primes[p]) for p in task["primes"]]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls = c1_torsion(env.modules[task["module"]], named)
-        return {
-            "class": [[name, mult] for name, mult in cls.items()],
-            "warnings": [str(w.message) for w in caught],
-        }
-    if kind == "gram":
-        classes = [ClassExpression.of(c) for c in task["classes"]]
-        matrix = gram_matrix(classes, env.modules, audit)
-        return {"matrix": matrix}
-    if kind == "conjecture_report":
-        named = [(n, env.modules[n]) for n in task["modules"]]
-        rep = conjecture_report(ring, named, audit)
-        return {
-            "names": list(rep.names),
-            "matrix": rep.matrix,
-            "signature": list(rep.signature),
-            "adjusted_sign": rep.adjusted_sign,
-            "adjusted_signature": list(rep.adjusted_signature),
-            "kernel": [list(v) for v in rep.kernel],
-            "verdict": rep.verdict,
-            "detail": rep.detail,
-        }
-    raise SessionError(f"unknown task kind {kind!r}")
 
 
 def run_session(doc, audit: bool = False) -> Tuple[dict, int]:
@@ -338,8 +365,7 @@ def run_session(doc, audit: bool = False) -> Tuple[dict, int]:
     audit=True recomputes the lower triangle of every Gram matrix and fails
     the task with AsymmetricGram where it differs from the upper one."""
     env, errors = build_environment(doc)
-    if not errors:
-        errors = validate_tasks(doc, env)
+    errors = errors or validate_tasks(doc, env)
     if errors:
         raise SessionError(errors)
     ring = env.ring
@@ -362,18 +388,17 @@ def run_session(doc, audit: bool = False) -> Tuple[dict, int]:
         entry = {"index": idx, "kind": task["kind"]}
         start = time.monotonic()
         try:
-            entry["result"] = _run_task(task, env, audit)
+            entry["result"] = TASKS[task["kind"]][1](task, env, audit)
         # RecursionError: a kernel recursion too deep for the input ends the
         # task, not the process
         except (AlgebraError, IndexError, ValueError, RecursionError) as exc:
             entry["error"] = type(exc).__name__
             entry["message"] = str(exc)
-            entry["time_ms"] = round((time.monotonic() - start) * 1000, 3)
-            report["tasks"].append(entry)
             exit_code = 3
-            break
         entry["time_ms"] = round((time.monotonic() - start) * 1000, 3)
         report["tasks"].append(entry)
+        if exit_code:
+            break
     return report, exit_code
 
 
@@ -393,44 +418,12 @@ def _render(report: dict, stream) -> None:
         head = f"[{entry['index']}] {entry['kind']}"
         if "error" in entry:
             print(f"{head}: ERROR {entry['error']}: {entry['message']}", file=stream)
-            continue
-        result = entry["result"]
-        if "value" in result:
-            print(f"{head}: {result['value']}", file=stream)
-        elif entry["kind"] == "resolve":
-            print(f"{head}: betti {result['betti']} stable={result['stable']}", file=stream)
-        elif entry["kind"] == "mf":
-            print(f"{head}: size {result['size']}, {result['identity']}", file=stream)
-            print(f"    alpha = {result['alpha']}", file=stream)
-            print(f"    beta  = {result['beta']}", file=stream)
-        elif entry["kind"] == "hilbert":
-            terms = " + ".join(
-                f"{c}*t^{deg}" if deg else str(c) for deg, c in result["numerator"]
-            ) or "0"
-            print(f"{head}: numerator {terms}", file=stream)
-        elif entry["kind"] == "c1":
-            cls = " + ".join(f"{c}*[{n}]" for n, c in result["class"]) or "0"
-            print(f"{head}: {cls}", file=stream)
-            for w in result["warnings"]:
-                print(f"    warning: {w}", file=stream)
-        elif entry["kind"] == "gram":
-            print(f"{head}: {result['matrix']}", file=stream)
-        elif entry["kind"] == "conjecture_report":
-            print(
-                f"{head}: {result['verdict']} ({result['detail']}); "
-                f"gram {result['matrix']}, signature {tuple(result['signature'])}, "
-                f"kernel {result['kernel']}",
-                file=stream,
-            )
+        else:
+            print(f"{head}: {TASKS[entry['kind']][2](entry['result'])}", file=stream)
 
 
 # ---------------------------------------------------------------------------
 # entry points
-
-
-def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def main(argv=None) -> int:
@@ -453,24 +446,24 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        doc = _load(args.session)
+        with open(args.session, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    # ValueError: also an undecodable byte or an integer past Python's
+    # digit limit; RecursionError: nesting too deep for the decoder
+    except (ValueError, RecursionError) as exc:
         print(f"schema error: not valid JSON: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
-        problems = validate_session(doc)
-        if problems:
-            for p in problems:
-                print(f"schema error: {p}", file=sys.stderr)
-            return 2
-        print("ok")
-        return 0
-
     try:
+        if args.command == "validate":
+            problems = validate_session(doc)
+            if not problems:
+                print("ok")
+                return 0
+            raise SessionError(problems)
         report, exit_code = run_session(doc, audit=args.audit)
     except SessionError as exc:
         for p in exc.messages:

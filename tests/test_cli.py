@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from thetacas import FieldSpec, FreeComplex, HypersurfaceRing, PolynomialRing
-from thetacas.cli import MAX_RESOLVE_LENGTH, main, run_session, validate_session
+from thetacas.cli import (
+    MAX_COEFFICIENT_DIGITS, MAX_RESOLVE_LENGTH, main, run_session, validate_session)
 from thetacas.errors import AlgebraError
 from thetacas.ring import MAX_EXPONENT, MAX_NESTING, MAX_PACKED_DEGREE
 
@@ -432,6 +433,55 @@ def test_schema_error_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"1" * 5000, id="long_integer"),
+    pytest.param(b"[" * 100000, id="deep_nesting"),
+    pytest.param(b"\xff", id="not_utf8"),
+])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_an_unreadable_session_file_exits_2(tmp_path, capsys, command, content):
+    """json.load raises ValueError past Python's 4300-digit limit on an
+    integer literal and on a byte that is not UTF-8, and RecursionError on
+    deep nesting; each ended in a traceback and exit 1."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: not valid JSON: ")
+
+
+CAPPED_TASKS = {
+    "theta": lambda coeff: {"kind": "theta", "left": {"Ap": coeff}, "right": "Ap"},
+    "gram": lambda coeff: {"kind": "gram", "classes": [{"Ap": coeff}]},
+    "chi": lambda coeff: {"kind": "chi", "module": "K", "against": {"A": coeff}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CAPPED_TASKS))
+def test_a_class_coefficient_above_the_cap_exits_2(tmp_path, capsys, kind):
+    """A 2500-digit coefficient ran, then printing its square in the Gram
+    passed Python's 4300-digit limit: a traceback and exit 1 after the task
+    succeeded.  The class check caps the digits, and the cap itself runs
+    and prints: theta(Ap, Ap) = 1 and chi(A/(x, y, u - v), A) = 2 on the
+    quadric."""
+    doc = json.loads((SESSIONS / "quadric.json").read_text())
+    doc["modules"].update(A={"matrix": [[]]}, K={"cyclic": ["x", "y", "u - v"]})
+    top = 10 ** MAX_COEFFICIENT_DIGITS - 1
+    doc["tasks"] = [CAPPED_TASKS[kind](top)]
+    out_path = tmp_path / "report.json"
+    assert main(["run", write_session(tmp_path, doc), "--json", str(out_path)]) == 0
+    value = {"theta": top, "gram": [[top * top]], "chi": 2 * top}[kind]
+    assert capsys.readouterr().out.endswith(f"[0] {kind}: {value}\n")
+    result = json.loads(out_path.read_text())["tasks"][0]["result"]
+    assert result == ({"matrix": value} if kind == "gram" else {"value": value})
+    doc["tasks"] = [CAPPED_TASKS[kind](top + 1)]
+    path = write_session(tmp_path, doc)
+    name = "A" if kind == "chi" else "Ap"
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (f"schema error: task 0: coefficient of {name!r} "
+                                           f"must have at most {MAX_COEFFICIENT_DIGITS} digits\n")
 
 
 def test_math_error_reports_task_index(tmp_path):

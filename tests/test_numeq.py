@@ -1,5 +1,6 @@
 """Gram matrices, exact inertia, kernel bases, and the verdict harness."""
 
+import itertools
 import json
 import random
 from math import gcd
@@ -418,3 +419,42 @@ def test_nine_lines_lifted_to_dimension_five(count, lifts, sig, adjusted):
     rep = conjecture_report(top, list(registry.items()))
     assert (rep.dimension, rep.verdict, rep.adjusted_signature) == (3 + 2 * lifts, "PASS",
                                                                       adjusted)
+
+
+# g_i(z, w) templates with their degrees e_i
+LINEAR_FORMS = {m: ([f"{{z}} - {a}*{{w}}" for a in range(1, m + 1)], [1] * m)
+                for m in range(2, 6)}
+MIXED_FORMS = {
+    "e121": (["{z} - {w}", "{z}^2 - 3*{w}^2", "{z} - 3*{w}"], [1, 2, 1]),
+    "e23": (["{z}^2 - 3*{w}^2", "{z}^3 - 3*{w}^3"], [2, 3]),
+}
+
+
+@pytest.mark.parametrize("forms, degrees, dense", [
+    pytest.param(*LINEAR_FORMS[m], False, id=f"m{m}") for m in LINEAR_FORMS
+] + [pytest.param(*MIXED_FORMS[name], False, id=name) for name in MIXED_FORMS] + [
+    pytest.param(*MIXED_FORMS["e121"], True, id="e121-dense"),
+])
+@pytest.mark.parametrize("char", [0, 31])
+def test_the_gram_of_a_ca_threefold_is_k_diag_e_minus_e_e_transpose(char, forms, degrees, dense):
+    """Over A = S/(xy - g_1...g_m), with pairwise coprime binary forms g_i in
+    z, w of degrees e_i, K = sum e_i and weights (1, K - 1, 1, 1), the
+    modules M_i = A/(x, g_i) have the Gram K diag(e) - e e^T, of signature
+    (m - 1, 0, 1) with kernel (1, ..., 1), the principal divisor div(x).  The
+    dense case first moves the whole family by the graded automorphism
+    x -> x + 2z + 3w, z -> z + 5w, y -> y + h with h of degree K - 1
+    having every monomial in x, z, w."""
+    K, m = sum(degrees), len(degrees)
+    sub = {"x": "x", "y": "y", "z": "z", "w": "w"}
+    if dense:
+        h = " + ".join(f"{c}*{'*'.join(mono)}" for c, mono in enumerate(
+            itertools.combinations_with_replacement("xzw", K - 1), start=2))
+        sub.update(x="(x + 2*z + 3*w)", y=f"(y + {h})", z="(z + 5*w)")
+    gs = [form.format(z=sub["z"], w=sub["w"]) for form in forms]
+    S = PolynomialRing(FieldSpec(char), ["x", "y", "z", "w"], [1, K - 1, 1, 1])
+    A = HypersurfaceRing(S, S.parse(f"{sub['x']}*{sub['y']} - " + "*".join(f"({g})" for g in gs)))
+    rep = conjecture_report(A, [(f"M{i}", ModulePresentation.cyclic(A, [sub["x"], g]))
+                                for i, g in enumerate(gs)], audit=True)
+    assert rep.matrix == [[K * a * (i == j) - a * b for j, b in enumerate(degrees)]
+                          for i, a in enumerate(degrees)]
+    assert (rep.signature, rep.kernel, rep.verdict) == ((m - 1, 0, 1), [(1,) * m], "PASS")
