@@ -421,19 +421,17 @@ def test_nine_lines_lifted_to_dimension_five(count, lifts, sig, adjusted):
                                                                       adjusted)
 
 
-# g_i(z, w) templates with their degrees e_i
-LINEAR_FORMS = {m: ([f"{{z}} - {a}*{{w}}" for a in range(1, m + 1)], [1] * m)
-                for m in range(2, 6)}
-MIXED_FORMS = {
-    "e121": (["{z} - {w}", "{z}^2 - 3*{w}^2", "{z} - 3*{w}"], [1, 2, 1]),
-    "e23": (["{z}^2 - 3*{w}^2", "{z}^3 - 3*{w}^3"], [2, 3]),
-}
+# the factors g_i(z, w) of the e = (1, 2, 1) family, and their degrees
+E121 = (["{z} - {w}", "{z}^2 - 3*{w}^2", "{z} - 3*{w}"], [1, 2, 1])
 
 
 @pytest.mark.parametrize("forms, degrees, dense", [
-    pytest.param(*LINEAR_FORMS[m], False, id=f"m{m}") for m in LINEAR_FORMS
-] + [pytest.param(*MIXED_FORMS[name], False, id=name) for name in MIXED_FORMS] + [
-    pytest.param(*MIXED_FORMS["e121"], True, id="e121-dense"),
+    pytest.param([f"{{z}} - {a}*{{w}}" for a in range(1, m + 1)], [1] * m, False, id=f"m{m}")
+    for m in range(2, 6)
+] + [
+    pytest.param(*E121, False, id="e121"),
+    pytest.param(["{z}^2 - 3*{w}^2", "{z}^3 - 3*{w}^3"], [2, 3], False, id="e23"),
+    pytest.param(*E121, True, id="e121-dense"),
 ])
 @pytest.mark.parametrize("char", [0, 31])
 def test_the_gram_of_a_ca_threefold_is_k_diag_e_minus_e_e_transpose(char, forms, degrees, dense):
